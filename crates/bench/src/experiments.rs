@@ -6,8 +6,10 @@
 //! needs as a [`SimPlan`] and hands them to [`Runner::execute`] (which
 //! fans not-yet-cached jobs out over the worker pool), then *assembles*
 //! its table serially from the memoized reports. The assembly phase is
-//! pure cache reads, so tables are byte-identical at every `--jobs`
-//! count.
+//! pure memo lookups by `(label, workload)` — [`Runner::lookup`] panics
+//! on a job the plan never declared rather than simulating it — so each
+//! `(label, config)` pairing is stated once, in the plan, and tables are
+//! byte-identical at every `--jobs` count.
 
 use crate::{configs, geomean, JobKey, Row, Runner, SimPlan, Table};
 use numa_gpu_faults::FaultPlan;
@@ -160,10 +162,10 @@ pub fn fig3(runner: &mut Runner) -> Table {
     runner.execute(SimPlan::cross(&fig3_variants(), &wls));
     let mut rows = Vec::new();
     for wl in &wls {
-        let single = runner.report("single", configs::single(), wl);
-        let trad = runner.report("trad4", configs::traditional(4), wl);
-        let loc = runner.report("loc4", configs::locality(4), wl);
-        let hypo = runner.report("hypo4", configs::hypothetical(4), wl);
+        let single = runner.lookup("single", wl);
+        let trad = runner.lookup("trad4", wl);
+        let loc = runner.lookup("loc4", wl);
+        let hypo = runner.lookup("hypo4", wl);
         rows.push(Row::new(
             wl.meta.name.clone(),
             vec![
@@ -188,8 +190,8 @@ pub fn fig3(runner: &mut Runner) -> Table {
     t
 }
 
-/// The Figure-3 configuration sweep (also timed by the `sweep_parallel`
-/// bench).
+/// The Figure-3 configuration sweep (also the plan behind the repo
+/// benchmark's `sweep_cold` / `sweep_warm` workloads).
 pub fn fig3_variants() -> Vec<(String, SystemConfig)> {
     vec![
         v("single", configs::single()),
@@ -209,7 +211,7 @@ pub fn fig5(runner: &mut Runner) -> String {
     let mut plan = SimPlan::new();
     plan.timeline_job("loc4", configs::locality(4), &wl);
     runner.execute(plan);
-    let r = runner.report_with_timeline("loc4", configs::locality(4), &wl);
+    let r = runner.lookup_key(&JobKey::new("loc4", wl.meta.name.clone(), true));
     let mut csv = String::from("cycle,gpu,egress_util,ingress_util,egress_lanes,ingress_lanes\n");
     for (g, timeline) in r.link_timelines.iter().enumerate() {
         for s in timeline {
@@ -239,13 +241,13 @@ pub fn fig6(runner: &mut Runner) -> Table {
 
     let mut rows = Vec::new();
     for wl in &wls {
-        let base = runner.report("loc4", configs::locality(4), wl);
+        let base = runner.lookup("loc4", wl);
         let mut values = Vec::new();
         for st in FIG6_SAMPLE_TIMES {
-            let dyn_r = runner.report(&format!("dyn4-{st}"), configs::dynamic_link(4, st), wl);
+            let dyn_r = runner.lookup(&format!("dyn4-{st}"), wl);
             values.push(dyn_r.speedup_over(&base));
         }
-        let dbl = runner.report("2xbw4", configs::double_bandwidth(4), wl);
+        let dbl = runner.lookup("2xbw4", wl);
         values.push(dbl.speedup_over(&base));
         rows.push(Row::new(wl.meta.name.clone(), values));
     }
@@ -280,10 +282,8 @@ pub fn fig6_switch_sensitivity(runner: &mut Runner) -> Table {
     for sw in SWITCH_TIMES {
         let mut speedups = Vec::new();
         for wl in &wls {
-            let base = runner.report("loc4", configs::locality(4), wl);
-            let mut cfg = configs::dynamic_link(4, 5_000);
-            cfg.link.switch_time_cycles = sw;
-            let r = runner.report(&format!("dyn4-sw{sw}"), cfg, wl);
+            let base = runner.lookup("loc4", wl);
+            let r = runner.lookup(&format!("dyn4-sw{sw}"), wl);
             speedups.push(r.speedup_over(&base));
         }
         t.push(Row::new(
@@ -311,22 +311,10 @@ pub fn fig8(runner: &mut Runner) -> Table {
 
     let mut rows = Vec::new();
     for wl in &wls {
-        let memside = runner.report("loc4", configs::locality(4), wl);
-        let stat = runner.report(
-            "cache-static",
-            configs::cache(4, CacheMode::StaticRemoteCache),
-            wl,
-        );
-        let shared = runner.report(
-            "cache-shared",
-            configs::cache(4, CacheMode::SharedCoherent),
-            wl,
-        );
-        let na = runner.report(
-            "cache-numa",
-            configs::cache(4, CacheMode::NumaAwareDynamic),
-            wl,
-        );
+        let memside = runner.lookup("loc4", wl);
+        let stat = runner.lookup("cache-static", wl);
+        let shared = runner.lookup("cache-shared", wl);
+        let na = runner.lookup("cache-numa", wl);
         rows.push(Row::new(
             wl.meta.name.clone(),
             vec![
@@ -358,18 +346,14 @@ pub fn fig9(runner: &mut Runner) -> Table {
     icfg.ideal_no_l2_invalidate = true;
     let variants = vec![
         v("cache-numa", configs::cache(4, CacheMode::NumaAwareDynamic)),
-        v("cache-numa-ideal", icfg.clone()),
+        v("cache-numa-ideal", icfg),
     ];
     runner.execute(SimPlan::cross(&variants, &wls));
 
     let mut rows = Vec::new();
     for wl in &wls {
-        let real = runner.report(
-            "cache-numa",
-            configs::cache(4, CacheMode::NumaAwareDynamic),
-            wl,
-        );
-        let ideal = runner.report("cache-numa-ideal", icfg.clone(), wl);
+        let real = runner.lookup("cache-numa", wl);
+        let ideal = runner.lookup("cache-numa-ideal", wl);
         rows.push(Row::new(
             wl.meta.name.clone(),
             vec![
@@ -398,18 +382,14 @@ pub fn fig9_writeback(runner: &mut Runner) -> Table {
     wtc.l2.write_policy = WritePolicy::WriteThrough;
     let variants = vec![
         v("cache-numa", configs::cache(4, CacheMode::NumaAwareDynamic)),
-        v("cache-numa-wt", wtc.clone()),
+        v("cache-numa-wt", wtc),
     ];
     runner.execute(SimPlan::cross(&variants, &wls));
 
     let mut speedups = Vec::new();
     for wl in &wls {
-        let wb = runner.report(
-            "cache-numa",
-            configs::cache(4, CacheMode::NumaAwareDynamic),
-            wl,
-        );
-        let wt = runner.report("cache-numa-wt", wtc.clone(), wl);
+        let wb = runner.lookup("cache-numa", wl);
+        let wt = runner.lookup("cache-numa-wt", wl);
         speedups.push(wb.speedup_over(&wt));
     }
     let mut t = Table::new(
@@ -436,16 +416,12 @@ pub fn fig10(runner: &mut Runner) -> Table {
 
     let mut rows = Vec::new();
     for wl in &wls {
-        let single = runner.report("single", configs::single(), wl);
-        let loc = runner.report("loc4", configs::locality(4), wl);
-        let dyn_r = runner.report("dyn4-5000", configs::dynamic_link(4, 5_000), wl);
-        let cache = runner.report(
-            "cache-numa",
-            configs::cache(4, CacheMode::NumaAwareDynamic),
-            wl,
-        );
-        let both = runner.report("aware4", configs::numa_aware(4), wl);
-        let hypo = runner.report("hypo4", configs::hypothetical(4), wl);
+        let single = runner.lookup("single", wl);
+        let loc = runner.lookup("loc4", wl);
+        let dyn_r = runner.lookup("dyn4-5000", wl);
+        let cache = runner.lookup("cache-numa", wl);
+        let both = runner.lookup("aware4", wl);
+        let hypo = runner.lookup("hypo4", wl);
         rows.push(Row::new(
             wl.meta.name.clone(),
             vec![
@@ -493,14 +469,14 @@ pub fn fig11(runner: &mut Runner) -> Table {
 
     let mut rows = Vec::new();
     for wl in &wls {
-        let single = runner.report("single", configs::single(), wl);
+        let single = runner.lookup("single", wl);
         let mut values = Vec::new();
         for n in [2u8, 4, 8] {
-            let aware = runner.report(&format!("aware{n}"), configs::numa_aware(n), wl);
+            let aware = runner.lookup(&format!("aware{n}"), wl);
             values.push(aware.speedup_over(&single));
         }
         for n in [2u8, 4, 8] {
-            let hypo = runner.report(&format!("hypo{n}"), configs::hypothetical(n), wl);
+            let hypo = runner.lookup(&format!("hypo{n}"), wl);
             values.push(hypo.speedup_over(&single));
         }
         rows.push(Row::new(wl.meta.name.clone(), values));
@@ -547,8 +523,8 @@ pub fn power(runner: &mut Runner) -> Table {
         &["baseline-W", "numa-aware-W"],
     );
     for wl in &wls {
-        let base = runner.report("loc4", configs::locality(4), wl);
-        let aware = runner.report("aware4", configs::numa_aware(4), wl);
+        let base = runner.lookup("loc4", wl);
+        let aware = runner.lookup("aware4", wl);
         t.push(Row::new(
             wl.meta.name.clone(),
             vec![base.link_power_w, aware.link_power_w],
@@ -582,10 +558,10 @@ pub fn resilience(runner: &mut Runner) -> Table {
 
     let mut rows = Vec::new();
     for wl in &wls {
-        let clean = runner.report("aware4", cfg.clone(), wl);
+        let clean = runner.lookup("aware4", wl);
         let key =
             JobKey::new("aware4", wl.meta.name.clone(), false).with_scenario(faults.to_string());
-        let faulted = runner.cached(&key).expect("faulted job executed above");
+        let faulted = runner.lookup_key(&key);
         let res = faulted
             .resilience
             .as_ref()
@@ -682,11 +658,11 @@ pub fn ablations(runner: &mut Runner) -> Table {
     all.extend(variants.iter().map(|(label, cfg)| v(*label, cfg.clone())));
     runner.execute(SimPlan::cross(&all, &wls));
 
-    for (label, cfg) in variants {
+    for (label, _) in variants {
         let mut speedups = Vec::new();
         for wl in &wls {
-            let base = runner.report("loc4", configs::locality(4), wl);
-            let r = runner.report(label, cfg.clone(), wl);
+            let base = runner.lookup("loc4", wl);
+            let r = runner.lookup(label, wl);
             speedups.push(r.speedup_over(&base));
         }
         t.push(Row::new(label, vec![geomean(&speedups)]));
@@ -760,14 +736,10 @@ pub fn topology_scaling(runner: &mut Runner) -> Table {
         let flag = kind.flag_name();
         let mut per_socket: Vec<Vec<f64>> = vec![Vec::new(); SCALING_SOCKETS.len()];
         for wl in &base_wls {
-            let single = runner.report("single", configs::single(), wl);
+            let single = runner.lookup("single", wl);
             let mut values = Vec::new();
             for (i, &n) in SCALING_SOCKETS.iter().enumerate() {
-                let r = runner.report(
-                    &format!("aware{n}-{flag}"),
-                    configs::numa_aware_topo(n, kind),
-                    wl,
-                );
+                let r = runner.lookup(&format!("aware{n}-{flag}"), wl);
                 let s = r.speedup_over(&single);
                 per_socket[i].push(s);
                 values.push(s);
@@ -781,12 +753,8 @@ pub fn topology_scaling(runner: &mut Runner) -> Table {
                     .iter()
                     .find(|w| w.meta.name == name)
                     .expect("collective subset built above");
-                let single = runner.report(&format!("single-{n}s"), configs::single(), wl);
-                let r = runner.report(
-                    &format!("aware{n}-{flag}"),
-                    configs::numa_aware_topo(*n, kind),
-                    wl,
-                );
+                let single = runner.lookup(&format!("single-{n}s"), wl);
+                let r = runner.lookup(&format!("aware{n}-{flag}"), wl);
                 let s = r.speedup_over(&single);
                 per_socket[i].push(s);
                 values.push(s);
@@ -829,16 +797,8 @@ pub fn collective_balance(runner: &mut Runner) -> Table {
     for kind in SCALING_TOPOLOGIES {
         let flag = kind.flag_name();
         for wl in &wls {
-            let star = runner.report(
-                "dyn8-star",
-                configs::dynamic_link_topo(N, SAMPLE, TopologyKind::Star),
-                wl,
-            );
-            let r = runner.report(
-                &format!("dyn8-{flag}"),
-                configs::dynamic_link_topo(N, SAMPLE, kind),
-                wl,
-            );
+            let star = runner.lookup("dyn8-star", wl);
+            let r = runner.lookup(&format!("dyn8-{flag}"), wl);
             t.push(Row::new(
                 format!("{flag}:{}", wl.meta.name),
                 vec![
@@ -884,17 +844,21 @@ mod tests {
         assert!((pct[7] - 80.48).abs() < 0.1); // 33/41 fill an 8x GPU
     }
 
-    // Full-harness smoke tests: run with `cargo test -- --ignored` (each
-    // simulates dozens of quick-scale workloads; minutes in debug).
+    /// The one full-catalog sweep that runs un-ignored: besides the table
+    /// shape it pins that assembly is lookup-only — the simulations run
+    /// are exactly the declared plan, no more.
     #[test]
-    #[ignore = "slow: simulates the full quick-scale catalog"]
     fn fig3_runs_at_quick_scale() {
-        let mut r = quick_runner();
+        let mut r = quick_runner().jobs(numa_gpu_exec::ThreadPool::available().workers());
         let t = fig3(&mut r);
         assert_eq!(t.rows.len(), 41 + 2); // workloads + two mean rows
         assert!(t.rows.iter().all(|row| row.values.iter().all(|v| *v > 0.0)));
+        let declared = SimPlan::cross(&fig3_variants(), &workloads(&r)).len();
+        assert_eq!(r.runs(), declared as u64, "fig3 ran outside its plan");
     }
 
+    // Full-harness smoke tests: run with `cargo test -- --ignored` (each
+    // simulates dozens of quick-scale workloads; minutes in debug).
     #[test]
     #[ignore = "slow: simulates the study set under five link configs"]
     fn fig6_runs_at_quick_scale() {

@@ -9,8 +9,8 @@
 //! deterministic worker pool (`--jobs N`) — so shared baselines
 //! (single-GPU, locality-optimized 4-socket, …) are simulated once and
 //! output stays byte-identical at every thread count. The `figures` binary
-//! prints them; the benches in `benches/` time reduced-scale versions of
-//! the same code paths.
+//! prints them; the repo benchmark (`benchmark/`) times the same code
+//! paths.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,13 +4,12 @@
 //! two-phase model: experiments declare their simulations as a
 //! [`SimPlan`], [`Runner::execute`] fans the plan out over a worker pool
 //! ([`numa_gpu_exec::ThreadPool`]) and memoizes each report, and the
-//! table-assembly code then reads reports back through the same API as
-//! before. [`Runner::report`] / [`Runner::report_with_timeline`] remain as
-//! compatibility shims that simulate inline on a cache miss, so call sites
-//! migrate incrementally and `--jobs 1` reproduces the old serial behavior
-//! exactly.
+//! table-assembly code then reads reports back with [`Runner::lookup`].
+//! `execute` is the only way a simulation runs: a lookup of a job no plan
+//! declared panics naming its key, so a mistyped label fails loudly
+//! instead of silently simulating a second configuration.
 
-use crate::plan::{JobKey, SimJob, SimPlan};
+use crate::plan::{JobKey, SimPlan};
 use crate::store::{DiskStore, StoreEvent, StoreKey, StoreStats};
 use numa_gpu_core::{ProfileReport, SimReport};
 use numa_gpu_exec::Reporter;
@@ -286,91 +285,30 @@ impl Runner {
         self.cache.keys()
     }
 
-    /// Returns the report for `workload` under `cfg`, simulating on first
-    /// use. `label` must uniquely identify the configuration.
-    ///
-    /// Compatibility shim over the plan/execute model: prefer declaring a
-    /// [`SimPlan`] and calling [`Runner::execute`] so sweeps can fan out;
-    /// after that this is a pure cache hit.
+    /// The memoized report of the clean, timeline-less run of `workload`
+    /// under the configuration a plan labelled `label`.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails validation (experiment configs are
-    /// all statically valid).
-    pub fn report(
-        &mut self,
-        label: &str,
-        cfg: SystemConfig,
-        workload: &Workload,
-    ) -> Arc<SimReport> {
-        self.report_keyed(
-            JobKey::new(label, workload.meta.name.clone(), false),
-            cfg,
-            workload,
-        )
+    /// Like [`Runner::lookup_key`], if no executed plan declared the job.
+    pub fn lookup(&self, label: &str, workload: &Workload) -> Arc<SimReport> {
+        self.lookup_key(&JobKey::new(label, workload.meta.name.clone(), false))
     }
 
-    /// Like [`Self::report`] but records the per-sample link timelines
-    /// (Figure 5). Timeline runs are cached under a distinct structured
-    /// key — a config labelled `"x+timeline"` can no longer collide with
-    /// `report_with_timeline("x", ...)`.
-    pub fn report_with_timeline(
-        &mut self,
-        label: &str,
-        cfg: SystemConfig,
-        workload: &Workload,
-    ) -> Arc<SimReport> {
-        self.report_keyed(
-            JobKey::new(label, workload.meta.name.clone(), true),
-            cfg,
-            workload,
-        )
-    }
-
-    fn report_keyed(
-        &mut self,
-        key: JobKey,
-        mut cfg: SystemConfig,
-        workload: &Workload,
-    ) -> Arc<SimReport> {
-        if let Some(r) = self.cache.get(&key) {
-            return r.clone();
-        }
-        if let Some(threads) = self.sim_threads {
-            cfg.sim_threads = threads;
-        }
-        if let Some(kind) = self.topology {
-            // The shim cannot know about pinning, but the topology-sweep
-            // experiments always pre-execute their plans, so their shim
-            // reads are pure cache hits and never reach this override.
-            cfg.topology = kind;
-        }
-        if self.profile {
-            cfg.obs.profile = true;
-        }
-        if let Some(report) = self.store_load(&key, &cfg) {
-            self.cache.insert(key, report.clone());
-            return report;
-        }
-        self.reporter.line(&format!("  sim {}", key.display()));
-        let skey = self
-            .store
-            .is_some()
-            .then(|| StoreKey::new(&key, &cfg, &self.scale));
-        let job = SimJob {
-            key: key.clone(),
-            cfg,
-            workload: workload.clone(),
-            faults: None,
-            topology_pinned: false,
-        };
-        let report = Arc::new(job.run());
-        self.runs += 1;
-        if let Some(skey) = skey {
-            self.store_save(&skey, &key, &report);
-        }
-        self.cache.insert(key, report.clone());
-        report
+    /// The memoized report for `key` (any timeline flag or fault
+    /// scenario).
+    ///
+    /// # Panics
+    ///
+    /// Panics naming `key` if no executed plan declared it — the assembly
+    /// phase never simulates.
+    pub fn lookup_key(&self, key: &JobKey) -> Arc<SimReport> {
+        self.cached(key).unwrap_or_else(|| {
+            panic!(
+                "no executed plan declared {}: add it to the experiment's SimPlan",
+                key.display()
+            )
+        })
     }
 }
 
@@ -384,16 +322,16 @@ mod tests {
         by_name("Other-Bitcoin-Crypto", &Scale::quick()).unwrap()
     }
 
-    #[test]
-    fn caches_by_label_and_workload() {
+    /// A runner that has executed one job per `(label, sockets)` pair of
+    /// locality configurations, in the given order.
+    fn executed(mut runner: Runner, jobs: &[(&str, u8)]) -> Runner {
         let wl = quick_workload();
-        let mut r = Runner::new(Scale::quick());
-        let a = r.report("single", configs::single(), &wl);
-        let b = r.report("single", configs::single(), &wl);
-        assert_eq!(r.runs(), 1);
-        assert!(Arc::ptr_eq(&a, &b));
-        let _c = r.report("loc4", configs::locality(4), &wl);
-        assert_eq!(r.runs(), 2);
+        let mut plan = SimPlan::new();
+        for &(label, sockets) in jobs {
+            plan.job(label, configs::locality(sockets), &wl);
+        }
+        runner.execute(plan);
+        runner
     }
 
     #[test]
@@ -406,16 +344,18 @@ mod tests {
         r.execute(plan);
         assert_eq!(r.runs(), 2);
 
-        // Shim reads are now pure cache hits...
-        let a = r.report("single", configs::single(), &wl);
+        // Lookups are pure memo reads: same Arc every time, no new run.
+        let a = r.lookup("single", &wl);
+        let b = r.lookup("single", &wl);
         assert_eq!(r.runs(), 2);
+        assert!(Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(
             &a,
             &r.cached(&JobKey::new("single", wl.meta.name.clone(), false))
                 .unwrap()
         ));
 
-        // ...and re-executing an overlapping plan only runs the new job.
+        // Re-executing an overlapping plan only runs the new job.
         let mut plan = SimPlan::new();
         plan.job("single", configs::single(), &wl);
         plan.job("trad4", configs::traditional(4), &wl);
@@ -423,25 +363,33 @@ mod tests {
         assert_eq!(r.runs(), 3);
     }
 
+    #[test]
+    #[should_panic(expected = "no executed plan declared [loc8] Other-Bitcoin-Crypto")]
+    fn unplanned_lookup_panics_naming_the_key() {
+        let r = executed(Runner::new(Scale::quick()), &[("loc4", 4)]);
+        r.lookup("loc8", &quick_workload());
+    }
+
     /// Regression: with the old string keys, a configuration labelled
-    /// `"x+timeline"` aliased `report_with_timeline("x", ...)` and the two
+    /// `"x+timeline"` aliased the timeline run of `"x"` and the two
     /// distinct simulations shared one cache slot. Structured [`JobKey`]s
     /// keep them separate.
     #[test]
     fn timeline_key_cannot_collide_with_label_concatenation() {
         let wl = quick_workload();
         let mut r = Runner::new(Scale::quick());
-        let timeline = r.report_with_timeline("x", configs::locality(4), &wl);
-        let plain = r.report("x+timeline", configs::locality(4), &wl);
+        let mut plan = SimPlan::new();
+        plan.timeline_job("x", configs::locality(4), &wl);
+        plan.job("x+timeline", configs::locality(4), &wl);
+        r.execute(plan);
         assert_eq!(r.runs(), 2, "the two keys must be distinct simulations");
+        let timeline = r.lookup_key(&JobKey::new("x", wl.meta.name.clone(), true));
+        let plain = r.lookup("x+timeline", &wl);
         assert!(!Arc::ptr_eq(&timeline, &plain));
-        // The keys stay distinct in the cache too.
+        // The timeline flag alone never answers for the plain key.
         assert!(r
-            .cached(&JobKey::new("x", wl.meta.name.clone(), true))
-            .is_some());
-        assert!(r
-            .cached(&JobKey::new("x+timeline", wl.meta.name.clone(), false))
-            .is_some());
+            .cached(&JobKey::new("x", wl.meta.name.clone(), false))
+            .is_none());
         // Only the timeline run may record link samples (a quick-scale run
         // can end before the first sample tick, so `plain` being empty is
         // the invariant we can always assert).
@@ -487,12 +435,8 @@ mod tests {
         // determinism property the BTreeMap backing guarantees (simlint
         // rule D001) — a hash map would enumerate in a process-varying
         // order and leak run order into anything built from it.
-        let wl = quick_workload();
-        let fill = |labels: &[(&str, u8)]| {
-            let mut r = Runner::new(Scale::quick());
-            for &(label, sockets) in labels {
-                r.report(label, configs::locality(sockets), &wl);
-            }
+        let fill = |jobs: &[(&str, u8)]| {
+            let r = executed(Runner::new(Scale::quick()), jobs);
             r.cached_keys().cloned().collect::<Vec<_>>()
         };
         let a = fill(&[("loc4", 4), ("loc2", 2), ("loc1", 1)]);
@@ -506,26 +450,25 @@ mod tests {
     #[test]
     fn profile_runner_aggregates_without_changing_tables() {
         let wl = quick_workload();
-        let mut plain = Runner::new(Scale::quick());
-        let base = plain.report("loc4", configs::locality(4), &wl);
+        let plain = executed(Runner::new(Scale::quick()), &[("loc4", 4)]);
+        let base = plain.lookup("loc4", &wl);
         assert!(base.profile.is_none(), "profiling defaults off");
 
-        let mut profiled = Runner::new(Scale::quick()).profile();
-        let mut plan = SimPlan::new();
-        plan.job("loc4", configs::locality(4), &wl);
-        plan.job("single", configs::single(), &wl);
-        profiled.execute(plan);
-        let shim = profiled.report("loc4", configs::locality(4), &wl);
-        assert!(shim.profile.is_some(), "execute applied the override");
+        let profiled = executed(
+            Runner::new(Scale::quick()).profile(),
+            &[("loc4", 4), ("loc2", 2)],
+        );
+        let report = profiled.lookup("loc4", &wl);
+        assert!(report.profile.is_some(), "execute applied the override");
 
         // Every field the tables read is identical with profiling on.
-        let mut stripped = (*shim).clone();
+        let mut stripped = (*report).clone();
         stripped.profile = None;
         assert_eq!(*base, stripped, "profiling must not perturb the report");
 
         // The aggregate folds both runs and renders deterministically.
         let agg = profiled.aggregate_profile();
-        let solo = shim.profile.as_ref().unwrap();
+        let solo = report.profile.as_ref().unwrap();
         let popped = |p: &ProfileReport| p.get("engine", "events_popped").unwrap();
         assert!(popped(&agg) > popped(solo), "second run must contribute");
         assert_eq!(
@@ -537,15 +480,15 @@ mod tests {
     #[test]
     fn parallel_execute_matches_serial_reports() {
         let wl = quick_workload();
-        let mut serial = Runner::new(Scale::quick());
-        let s = serial.report("loc4", configs::locality(4), &wl);
-
-        let mut parallel = Runner::new(Scale::quick()).jobs(4);
-        let mut plan = SimPlan::new();
-        plan.job("single", configs::single(), &wl);
-        plan.job("loc4", configs::locality(4), &wl);
-        parallel.execute(plan);
-        let p = parallel.report("loc4", configs::locality(4), &wl);
-        assert_eq!(*s, *p, "reports must be identical at any worker count");
+        let jobs = [("loc2", 2), ("loc4", 4)];
+        let serial = executed(Runner::new(Scale::quick()), &jobs);
+        let parallel = executed(Runner::new(Scale::quick()).jobs(4), &jobs);
+        for (label, _) in jobs {
+            assert_eq!(
+                *serial.lookup(label, &wl),
+                *parallel.lookup(label, &wl),
+                "reports must be identical at any worker count"
+            );
+        }
     }
 }

@@ -27,8 +27,8 @@ fn small_sweep(jobs: usize) -> Vec<String> {
     // a byte difference.
     let mut out = Vec::new();
     for wl in &wls {
-        for (label, cfg) in &variants {
-            out.push(runner.report(label, cfg.clone(), wl).to_json().to_string());
+        for (label, _) in &variants {
+            out.push(runner.lookup(label, wl).to_json().to_string());
         }
     }
     out

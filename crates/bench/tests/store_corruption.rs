@@ -34,14 +34,8 @@ fn sweep(dir: &Path) -> (Vec<String>, Runner) {
     plan.job("loc2", configs::locality(2), &wl);
     runner.execute(plan);
     let out = vec![
-        runner
-            .report("single", configs::single(), &wl)
-            .to_json()
-            .to_string(),
-        runner
-            .report("loc2", configs::locality(2), &wl)
-            .to_json()
-            .to_string(),
+        runner.lookup("single", &wl).to_json().to_string(),
+        runner.lookup("loc2", &wl).to_json().to_string(),
     ];
     (out, runner)
 }

@@ -25,18 +25,16 @@
 //! graph (types with field types, impl blocks, fns with call and panic
 //! sites, statics). The [`isolation`] pass then runs the shard-isolation
 //! rules S001–S005 over the merged graph. A line-oriented [`manifest`]
-//! check and a deterministic [`workspace`] walker complete the pipeline,
-//! with an on-disk [`cache`] keeping warm runs fast. Findings carry
-//! stable rule IDs (see [`findings::RULES`]) and can be suppressed only
-//! at the site via `simlint:` [`pragma`]s that must name the rule and a
-//! reason; deliberately shared types register through `shared(...)`
-//! pragmas into an auditable registry.
+//! check and a deterministic [`workspace`] walker complete the pipeline.
+//! Findings carry stable rule IDs (see [`findings::RULES`]) and can be
+//! suppressed only at the site via `simlint:` [`pragma`]s that must name
+//! the rule and a reason; deliberately shared types register through
+//! `shared(...)` pragmas into an auditable registry.
 //!
 //! Run it as a CLI (`cargo run -p numa-gpu-lint`, binary name `simlint`;
 //! `--format json|sarif`, `--explain RULE`) or let the integration-test
 //! gate in `crates/lint/tests/` enforce it on every plain `cargo test`.
 
-pub mod cache;
 pub mod findings;
 pub mod isolation;
 pub mod items;
@@ -47,4 +45,4 @@ pub mod rules;
 pub mod workspace;
 
 pub use findings::{Finding, LintReport, RULES};
-pub use workspace::{default_cache_path, lint_workspace, lint_workspace_cached};
+pub use workspace::lint_workspace;

@@ -2,19 +2,16 @@
 //!
 //! ```text
 //! simlint [--root DIR] [--format text|json|sarif] [--list-rules]
-//!         [--explain RULE] [--no-cache]
+//!         [--explain RULE]
 //! ```
 //!
-//! The per-file analysis phase is served from an on-disk cache at
-//! `<root>/target/simlint-cache.json` (disable with `--no-cache`); the
-//! report is byte-identical either way. Exit codes: 0 = clean, 1 =
-//! findings, 2 = usage or I/O error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use numa_gpu_lint::findings::rule_info;
-use numa_gpu_lint::{default_cache_path, lint_workspace_cached, RULES};
+use numa_gpu_lint::{lint_workspace, RULES};
 
 enum Format {
     Text,
@@ -27,7 +24,6 @@ struct Opts {
     format: Format,
     list_rules: bool,
     explain: Option<String>,
-    no_cache: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
@@ -36,7 +32,6 @@ fn parse_args() -> Result<Opts, String> {
         format: Format::Text,
         list_rules: false,
         explain: None,
-        no_cache: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -61,11 +56,10 @@ fn parse_args() -> Result<Opts, String> {
                 let v = args.next().ok_or("--explain needs a rule ID argument")?;
                 opts.explain = Some(v);
             }
-            "--no-cache" => opts.no_cache = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: simlint [--root DIR] [--format text|json|sarif] [--list-rules] \
-                     [--explain RULE] [--no-cache]"
+                     [--explain RULE]"
                         .to_string(),
                 )
             }
@@ -115,12 +109,7 @@ fn main() -> ExitCode {
     } else {
         opts.root
     };
-    let cache = if opts.no_cache {
-        None
-    } else {
-        Some(default_cache_path(&root))
-    };
-    let report = match lint_workspace_cached(&root, cache.as_deref()) {
+    let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("simlint: failed to scan {}: {e}", root.display());

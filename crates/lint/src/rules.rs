@@ -24,10 +24,10 @@
 //! [`analyze_file`] runs the per-file phase: token-stream rules (D/O),
 //! pragma collection with statement-range widening, and the
 //! [`items`](crate::items) parse. Its [`FileAnalysis`] output is pure in
-//! the file contents, which is what makes the on-disk cache sound. The
-//! cross-file [`isolation`](crate::isolation) pass then runs over all
-//! item sets, and [`pragma::apply_pragmas`](crate::pragma::apply_pragmas)
-//! settles suppressions per file. [`analyze_source`] bundles all of that
+//! the file contents. The cross-file [`isolation`](crate::isolation)
+//! pass then runs over all item sets, and
+//! [`pragma::apply_pragmas`](crate::pragma::apply_pragmas) settles
+//! suppressions per file. [`analyze_source`] bundles all of that
 //! for a single standalone file.
 
 use crate::findings::Finding;
@@ -467,8 +467,8 @@ fn rule_o001(c: &mut Ctx<'_>) {
 }
 
 /// The per-file analysis phase: everything derivable from one file's bytes
-/// alone. This is the unit the on-disk cache stores — the cross-file
-/// isolation pass and pragma settlement always recompute from these.
+/// alone — the cross-file isolation pass and pragma settlement compute
+/// from these.
 #[derive(Debug, Clone)]
 pub struct FileAnalysis {
     /// Raw token-rule findings (pre-pragma).

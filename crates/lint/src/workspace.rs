@@ -12,24 +12,20 @@
 //!
 //! Analysis runs in two passes. First the per-file phase
 //! ([`rules::analyze_file`](crate::rules::analyze_file)) — token rules,
-//! pragma collection, item parse — optionally served from the on-disk
-//! [`cache`](crate::cache). Then the cross-file
+//! pragma collection, item parse. Then the cross-file
 //! [`isolation`](crate::isolation) pass runs over *all* item sets
 //! (S001–S005 need the whole type and call graph), and pragma settlement
-//! closes out each file. The isolation pass is recomputed on every run —
-//! caching it per file would be unsound, since it reads every file's
-//! items.
+//! closes out each file.
 //!
 //! Paths are reported workspace-relative with `/` separators and the file
 //! list is sorted before analysis, so the report is byte-identical across
-//! runs, platforms, and cache temperatures.
+//! runs and platforms.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::cache::{fnv1a64, Cache};
 use crate::findings::{Finding, LintReport};
 use crate::isolation::{run_isolation, SimFile};
 use crate::manifest::analyze_manifest;
@@ -83,21 +79,8 @@ fn crate_dirs(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(dirs)
 }
 
-/// Default cache location for a workspace root.
-pub fn default_cache_path(root: &Path) -> PathBuf {
-    root.join("target").join("simlint-cache.json")
-}
-
-/// Lints the workspace rooted at `root` without touching any cache.
+/// Lints the workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
-    lint_workspace_cached(root, None)
-}
-
-/// Lints the workspace rooted at `root`, serving the per-file phase from
-/// the cache at `cache_path` when given (and writing it back after the
-/// run). The report is byte-identical whether the cache is cold, warm, or
-/// absent.
-pub fn lint_workspace_cached(root: &Path, cache_path: Option<&Path>) -> io::Result<LintReport> {
     let mut report = LintReport::default();
 
     let mut manifests = Vec::new();
@@ -121,29 +104,14 @@ pub fn lint_workspace_cached(root: &Path, cache_path: Option<&Path>) -> io::Resu
         rust_files(&dir.join("src"), &mut sources)?;
     }
 
-    // Pass 1: per-file analysis, cache-served where possible.
-    let mut cache = cache_path.map(Cache::load);
+    // Pass 1: per-file analysis.
     let mut analyses: Vec<(String, FileAnalysis)> = Vec::new();
     for s in sources {
         let path = rel(root, &s);
         let src = fs::read_to_string(&s)?;
-        let hash = fnv1a64(src.as_bytes());
-        let fa = match cache.as_mut().and_then(|c| c.get(&path, hash)) {
-            Some(fa) => fa,
-            None => {
-                let fa = analyze_file(&path, &src);
-                if let Some(c) = cache.as_mut() {
-                    c.put(&path, hash, &fa);
-                }
-                fa
-            }
-        };
+        let fa = analyze_file(&path, &src);
         analyses.push((path, fa));
         report.files_scanned += 1;
-    }
-    if let Some(c) = &cache {
-        // A failed write only costs the next run its warm start.
-        let _ = c.store();
     }
 
     // Pass 2: the cross-file isolation rules over the merged item graph.
@@ -298,46 +266,6 @@ mod tests {
         assert!(report.findings.iter().all(|f| f.rule != "P002"));
         assert_eq!(report.shared_types.len(), 1);
         assert_eq!(report.shared_types[0].type_name, "Handle");
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn cold_and_warm_cache_reports_are_byte_identical() {
-        let root = temp_root("cachecmp");
-        write(&root.join("Cargo.toml"), "[workspace]\n");
-        write(&root.join("crates/engine/Cargo.toml"), "[package]\n");
-        write(
-            &root.join("crates/engine/src/lib.rs"),
-            "// simlint: allow(D001, reason = \"sorted drain\")\n\
-             use std::collections::HashMap;\n\
-             pub fn f() { g(); }\nfn g() { panic!(\"x\"); }\n\
-             pub struct SocketShard { c: RefCell<u32> }\n",
-        );
-        let cache = root.join("target/simlint-cache.json");
-        let no_cache = lint_workspace(&root).expect("lint").to_json().to_string();
-        let cold = lint_workspace_cached(&root, Some(&cache))
-            .expect("lint")
-            .to_json()
-            .to_string();
-        assert!(cache.is_file(), "cache file written");
-        let warm = lint_workspace_cached(&root, Some(&cache))
-            .expect("lint")
-            .to_json()
-            .to_string();
-        assert_eq!(no_cache, cold, "cold cache must not change the report");
-        assert_eq!(cold, warm, "warm cache must not change the report");
-        // The findings are real: S004 through the call graph, S002 on the
-        // shard field, and the pragma suppressed D001.
-        assert!(warm.contains("\"S004\"") && warm.contains("\"S002\""));
-        assert!(!warm.contains("\"D001\""));
-
-        // Editing the file invalidates its entry and updates the report.
-        write(&root.join("crates/engine/src/lib.rs"), "pub fn f() {}\n");
-        let edited = lint_workspace_cached(&root, Some(&cache))
-            .expect("lint")
-            .to_json()
-            .to_string();
-        assert!(!edited.contains("\"S004\""));
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -3,7 +3,7 @@
 //! caught in the same run as everything else — no separate lint step
 //! needed locally.
 
-use numa_gpu_lint::{lint_workspace, lint_workspace_cached};
+use numa_gpu_lint::lint_workspace;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -47,32 +47,6 @@ fn report_json_is_byte_identical_across_runs() {
         .to_string();
     assert_eq!(a, b, "lint report must be byte-stable across runs");
     assert!(a.starts_with("{\"simlint\":2,"));
-}
-
-/// The on-disk cache must be invisible in the output: no-cache, cold-cache
-/// and warm-cache scans of the real workspace produce byte-identical JSON.
-#[test]
-fn cold_and_warm_cache_agree_on_the_real_workspace() {
-    let root = workspace_root();
-    let cache =
-        std::env::temp_dir().join(format!("simlint-gate-cache-{}.json", std::process::id()));
-    let _ = fs::remove_file(&cache);
-    let nocache = lint_workspace(&root).expect("scan").to_json().to_string();
-    let cold = lint_workspace_cached(&root, Some(&cache))
-        .expect("cold scan")
-        .to_json()
-        .to_string();
-    assert!(cache.exists(), "cold run must write the cache file");
-    let warm = lint_workspace_cached(&root, Some(&cache))
-        .expect("warm scan")
-        .to_json()
-        .to_string();
-    assert_eq!(
-        nocache, cold,
-        "cold-cache report must match the uncached one"
-    );
-    assert_eq!(cold, warm, "warm-cache report must match the cold one");
-    let _ = fs::remove_file(&cache);
 }
 
 /// Seeding a deliberate `HashMap` into a synthetic `crates/engine` makes

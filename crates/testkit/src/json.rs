@@ -1,9 +1,8 @@
 //! A tiny JSON value type with an encoder and a recursive-descent parser.
 //!
 //! Replaces the `serde` derives the workspace used to carry: stats and
-//! report types implement [`ToJson`] by hand (a few lines each), and the
-//! bench harness emits its results through [`Json`]. Objects preserve
-//! insertion order so encoded output is byte-stable across runs.
+//! report types implement [`ToJson`] by hand (a few lines each). Objects
+//! preserve insertion order so encoded output is byte-stable across runs.
 
 use std::fmt;
 
@@ -462,6 +461,25 @@ mod tests {
         for bad in ["", "{", "[1,", "tru", "\"open", "{\"a\" 1}", "1 2", "{]}"] {
             assert!(Json::parse(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    /// Multi-byte characters directly against escapes, quotes and both
+    /// ends of the string.
+    #[test]
+    fn multibyte_runs_adjacent_to_escapes_round_trip() {
+        let s = "é\\日本\"🦀\n\u{1}ü\tß/∑";
+        let doc = Json::Arr(vec![Json::Str(s.into()), Json::Str("∑".into())]);
+        let text = doc.to_string();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        // \u escapes between multi-byte runs, and an escaped solidus.
+        let v = Json::parse("\"é\\u00e9\\/\\u65e5日\"").unwrap();
+        assert_eq!(v.as_str(), Some("éé/日日"));
+        // A \u escape that runs into a multi-byte character, or off the
+        // end of the input, is still rejected.
+        assert!(Json::parse("\"\\u00é\"").is_err());
+        assert!(Json::parse("\"\\u00").is_err());
+        assert!(Json::parse("\"\\ud800\"").is_err());
+        assert!(Json::parse("\"日本").is_err());
     }
 
     #[test]

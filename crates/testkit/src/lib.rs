@@ -4,7 +4,7 @@
 //! The simulator's claims (§4 dynamic lane allocation, §5 cache
 //! partitioning, Fig. 12 scaling) are only reproducible if every build and
 //! every test runs bit-identically offline — so this crate replaces the
-//! workspace's former external dependencies with four small, fully
+//! workspace's former external dependencies with three small, fully
 //! specified substrates:
 //!
 //! - [`rng`]: a seedable deterministic PRNG (SplitMix64 seeding,
@@ -13,10 +13,10 @@
 //! - [`gen`] + [`prop`]: generator combinators and a property-based
 //!   testing harness — [`prop_check!`] with configurable case counts,
 //!   failure shrinking, and pinned regression seeds (replaces `proptest`);
-//! - [`mod@bench`]: a micro-bench harness with warmup, calibrated batches,
-//!   and median/p95/JSON reporting (replaces `criterion`);
 //! - [`json`]: a tiny JSON value type with encoder and parser for stats
-//!   and report paths (replaces `serde` derives).
+//!   and report paths (replaces `serde` derives);
+//!
+//! plus [`fnv1a64`], the workspace's one content hash.
 //!
 //! Everything here is plain `std`; the crate has zero dependencies by
 //! design and must stay that way.
@@ -24,7 +24,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod gen;
 pub mod json;
 pub mod prop;
@@ -34,3 +33,26 @@ pub use gen::Gen;
 pub use json::{Json, ToJson};
 pub use prop::Config;
 pub use rng::DetRng;
+
+/// FNV-1a 64-bit hash: deterministic, dependency-free, and stable across
+/// processes and platforms. Seeds the per-test PRNG streams here and keys
+/// and checksums the on-disk result store and the daemon journal, so its
+/// output is part of those formats.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a64_matches_the_standard_vectors() {
+        assert_eq!(super::fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

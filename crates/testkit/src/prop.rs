@@ -95,16 +95,6 @@ impl Failure {
 /// Result type every property body produces.
 pub type CaseResult = Result<(), Failure>;
 
-/// FNV-1a, used to give every test its own deterministic seed stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn env_u64(name: &str) -> Option<u64> {
     let raw = std::env::var(name).ok()?;
     let raw = raw.trim();
@@ -160,7 +150,7 @@ where
     if let Some(repro) = env_u64("TESTKIT_REPRO") {
         schedule.push((repro, true));
     } else {
-        let mut stream = SplitMix64::new(fnv1a(name.as_bytes()));
+        let mut stream = SplitMix64::new(crate::fnv1a64(name.as_bytes()));
         schedule.extend((0..cases).map(|_| (stream.next_u64(), false)));
     }
 

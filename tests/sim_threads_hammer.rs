@@ -8,6 +8,7 @@ use numa_gpu::core::{run_workload, run_workload_with_faults};
 use numa_gpu::faults::FaultPlan;
 use numa_gpu::types::SystemConfig;
 use numa_gpu::workloads::{by_name, Scale};
+use numa_gpu_testkit::fnv1a64;
 
 /// splitmix64 — a tiny, well-mixed PRNG so the "random" thread counts are
 /// reproducible from the literal seed (no ambient entropy in tests).
@@ -19,17 +20,8 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over the serialized report — a cheap stand-in for a content
-/// hash; any single-byte divergence changes it.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
+/// FNV-1a over the serialized report and trace — a cheap content hash;
+/// any single-byte divergence changes it.
 fn report_hash(cfg: SystemConfig, faults: Option<&FaultPlan>) -> u64 {
     let wl = by_name("Rodinia-Euler3D", &Scale::quick()).unwrap();
     let report = match faults {
@@ -38,7 +30,7 @@ fn report_hash(cfg: SystemConfig, faults: Option<&FaultPlan>) -> u64 {
     };
     let mut doc = report.to_json().to_string();
     doc.push_str(&report.chrome_trace().to_string());
-    fnv1a(doc.as_bytes())
+    fnv1a64(doc.as_bytes())
 }
 
 fn hammer(iterations: u32, seed: u64, faults: Option<&FaultPlan>) {
