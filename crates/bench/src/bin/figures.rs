@@ -54,60 +54,73 @@ const ALL: [&str; 17] = [
     "collective",
 ];
 
+/// Prints `msg` and the usage text, then exits with status 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}\n");
+    eprintln!(
+        "usage: figures [--quick] [--jobs N] [--sim-threads N] [--profile] [--out DIR] \
+         [--cache-dir DIR] [--topology star|ring|mesh|fattree] [artifact...]\n\n\
+         artifacts (default: all): {}",
+        ALL.join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let profile = args.iter().any(|a| a == "--profile");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_dir = flag_value("--out");
-    let jobs_arg = flag_value("--jobs");
-    let jobs: usize = match &jobs_arg {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs expects a positive integer, got `{v}`");
-            std::process::exit(2);
-        }),
-        None => ThreadPool::available().workers(),
-    };
-    let sim_threads_arg = flag_value("--sim-threads");
-    let sim_threads: Option<u16> = sim_threads_arg.as_ref().map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--sim-threads expects an integer (0 = auto), got `{v}`");
-            std::process::exit(2);
-        })
-    });
-    let cache_dir = flag_value("--cache-dir");
-    let topology_arg = flag_value("--topology");
-    let topology = topology_arg.as_ref().map(|v| {
-        numa_gpu_types::TopologyKind::from_flag(v).unwrap_or_else(|| {
-            eprintln!("--topology expects star|ring|mesh|fattree, got `{v}`");
-            std::process::exit(2);
-        })
-    });
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| Some(a.as_str()) != out_dir.as_deref())
-        .filter(|a| Some(a.as_str()) != jobs_arg.as_deref())
-        .filter(|a| Some(a.as_str()) != sim_threads_arg.as_deref())
-        .filter(|a| Some(a.as_str()) != cache_dir.as_deref())
-        .filter(|a| Some(a.as_str()) != topology_arg.as_deref())
-        .cloned()
-        .collect();
-    let selected: Vec<&str> = if selected.is_empty() {
-        ALL.to_vec()
-    } else {
-        selected.iter().map(String::as_str).collect()
-    };
-    for name in &selected {
-        if !ALL.contains(name) {
-            eprintln!("unknown artifact `{name}`; known: {ALL:?}");
-            std::process::exit(2);
+    let mut quick = false;
+    let mut profile = false;
+    let mut out_dir = None;
+    let mut jobs = ThreadPool::available().workers();
+    let mut sim_threads: Option<u16> = None;
+    let mut cache_dir = None;
+    let mut topology = None;
+    let mut selected: Vec<&str> = Vec::new();
+    // One pass, each flag consuming its value where it stands, so a value
+    // can never be mistaken for an artifact name (or the reverse).
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = |name: &str| {
+            it.next()
+                .unwrap_or_else(|| usage(&format!("{name} needs a value")))
+                .clone()
+        };
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--profile" => profile = true,
+            "--out" => out_dir = Some(value("--out")),
+            "--cache-dir" => cache_dir = Some(value("--cache-dir")),
+            "--jobs" => {
+                let v = value("--jobs");
+                jobs = v.parse().unwrap_or_else(|_| {
+                    usage(&format!("--jobs expects a positive integer, got `{v}`"))
+                });
+            }
+            "--sim-threads" => {
+                let v = value("--sim-threads");
+                sim_threads = Some(v.parse().unwrap_or_else(|_| {
+                    usage(&format!(
+                        "--sim-threads expects an integer (0 = auto), got `{v}`"
+                    ))
+                }));
+            }
+            "--topology" => {
+                let v = value("--topology");
+                topology = Some(
+                    numa_gpu_types::TopologyKind::from_flag(&v).unwrap_or_else(|| {
+                        usage(&format!(
+                            "--topology expects star|ring|mesh|fattree, got `{v}`"
+                        ))
+                    }),
+                );
+            }
+            flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
+            name if ALL.contains(&name) => selected.push(name),
+            other => usage(&format!("unknown artifact `{other}`")),
         }
+    }
+    if selected.is_empty() {
+        selected = ALL.to_vec();
     }
 
     let scale = if quick { Scale::quick() } else { Scale::full() };

@@ -19,7 +19,7 @@
 //! The optional self-profile *is* encoded: it is plain counter data and
 //! `figures --profile --cache-dir` must aggregate over warm hits too.
 
-use numa_gpu_core::{ProfileReport, SimReport, SocketReport};
+use numa_gpu_core::{cache_stats_json, ProfileReport, SimReport, SocketReport};
 use numa_gpu_faults::{AppliedFault, LinkResilience, ResilienceReport};
 use numa_gpu_interconnect::LinkSample;
 use numa_gpu_testkit::json::Json;
@@ -73,7 +73,7 @@ pub fn encode_report(r: &SimReport) -> Result<Json, CodecError> {
     if !r.trace_events.is_empty() {
         return Err(CodecError::Ineligible("trace events"));
     }
-    let sockets = Json::Arr(r.sockets.iter().map(encode_socket).collect());
+    let sockets = Json::Arr(r.sockets.iter().map(SocketReport::to_json).collect());
     let timelines = Json::Arr(
         r.link_timelines
             .iter()
@@ -88,7 +88,7 @@ pub fn encode_report(r: &SimReport) -> Result<Json, CodecError> {
         ("kernel_start_cycles", u64s(&r.kernel_start_cycles)),
         ("sockets", sockets),
         ("link_timelines", timelines),
-        ("l1", encode_cache_stats(&r.l1)),
+        ("l1", cache_stats_json(&r.l1)),
         ("remote_read_fraction_bits", bits(r.remote_read_fraction)),
         ("interconnect_bytes", Json::UInt(r.interconnect_bytes)),
         ("link_power_w_bits", bits(r.link_power_w)),
@@ -102,43 +102,11 @@ pub fn encode_report(r: &SimReport) -> Result<Json, CodecError> {
         (
             "profile",
             match &r.profile {
-                Some(p) => encode_profile(p),
+                Some(p) => p.to_json(),
                 None => Json::Null,
             },
         ),
     ]))
-}
-
-fn encode_socket(s: &SocketReport) -> Json {
-    Json::obj([
-        ("egress_bytes", Json::UInt(s.egress_bytes)),
-        ("ingress_bytes", Json::UInt(s.ingress_bytes)),
-        ("dram_bytes", Json::UInt(s.dram_bytes)),
-        ("l2", encode_cache_stats(&s.l2)),
-        ("lane_turns", Json::UInt(s.lane_turns)),
-        ("equalizations", Json::UInt(s.equalizations)),
-        (
-            "l2_partition",
-            match s.l2_partition {
-                Some((local, remote)) => {
-                    Json::Arr(vec![Json::UInt(local as u64), Json::UInt(remote as u64)])
-                }
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn encode_cache_stats(s: &numa_gpu_cache::CacheStats) -> Json {
-    Json::obj([
-        ("local_hits", Json::UInt(s.local_hits.get())),
-        ("local_misses", Json::UInt(s.local_misses.get())),
-        ("remote_hits", Json::UInt(s.remote_hits.get())),
-        ("remote_misses", Json::UInt(s.remote_misses.get())),
-        ("fills", Json::UInt(s.fills.get())),
-        ("evictions", Json::UInt(s.evictions.get())),
-        ("dirty_evictions", Json::UInt(s.dirty_evictions.get())),
-    ])
 }
 
 fn encode_sample(s: &LinkSample) -> Json {
@@ -192,31 +160,6 @@ fn encode_resilience(r: &ResilienceReport) -> Json {
         ("disabled_sms", Json::UInt(r.disabled_sms as u64)),
         ("requeued_ctas", Json::UInt(r.requeued_ctas as u64)),
     ])
-}
-
-fn encode_profile(p: &ProfileReport) -> Json {
-    Json::obj([(
-        "scopes",
-        Json::Arr(
-            p.scopes
-                .iter()
-                .map(|s| {
-                    Json::Obj(vec![
-                        ("name".to_string(), Json::Str(s.name.clone())),
-                        (
-                            "counters".to_string(),
-                            Json::Obj(
-                                s.counters
-                                    .iter()
-                                    .map(|(n, v)| (n.clone(), Json::UInt(*v)))
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
 }
 
 fn malformed(msg: impl Into<String>) -> CodecError {
@@ -513,5 +456,66 @@ mod tests {
                 assert!(decode_report(&doc).is_err(), "cut at {cut} decoded");
             }
         }
+    }
+
+    /// Pins the store payload byte for byte: sockets, L1/L2 statistics and
+    /// the profile are written by the report types' own `to_json`, and
+    /// this is the exact text every existing cache entry holds for them.
+    /// If it changes, bump [`REPORT_FORMAT_VERSION`].
+    #[test]
+    fn encoded_payload_is_pinned() {
+        let stats = |base: u64| {
+            let mut s = numa_gpu_cache::CacheStats::default();
+            s.local_hits.add(base);
+            s.local_misses.add(base + 1);
+            s.remote_hits.add(base + 2);
+            s.remote_misses.add(base + 3);
+            s.fills.add(base + 4);
+            s.evictions.add(base + 5);
+            s.dirty_evictions.add(base + 6);
+            s
+        };
+        let mut profile = ProfileReport::new();
+        profile.scope("engine").count("events_popped", 41);
+        profile
+            .scope("cache")
+            .count("l2_accesses", 42)
+            .count("fills", 43);
+        let report = SimReport {
+            workload: "golden \"w\"".to_string(),
+            total_cycles: 1000,
+            kernel_cycles: vec![600, 400],
+            kernel_start_cycles: vec![0, 600],
+            sockets: vec![
+                SocketReport {
+                    egress_bytes: 1,
+                    ingress_bytes: 2,
+                    dram_bytes: 3,
+                    l2: stats(10),
+                    lane_turns: 4,
+                    equalizations: 5,
+                    l2_partition: Some((12, 4)),
+                },
+                SocketReport {
+                    l2: stats(20),
+                    ..SocketReport::default()
+                },
+            ],
+            l1: stats(30),
+            remote_read_fraction: 0.25,
+            interconnect_bytes: 4096,
+            link_power_w: 1.5,
+            profile: Some(profile),
+            ..SimReport::default()
+        };
+        const GOLDEN: &str = concat!(
+            r#"{"version":1,"workload":"golden \"w\"","total_cycles":1000,"kernel_cycles":[600,400],"kernel_start_cycles":[0,600],"#,
+            r#""sockets":[{"egress_bytes":1,"ingress_bytes":2,"dram_bytes":3,"l2":{"local_hits":10,"local_misses":11,"remote_hits":12,"remote_misses":13,"fills":14,"evictions":15,"dirty_evictions":16},"lane_turns":4,"equalizations":5,"l2_partition":[12,4]},"#,
+            r#"{"egress_bytes":0,"ingress_bytes":0,"dram_bytes":0,"l2":{"local_hits":20,"local_misses":21,"remote_hits":22,"remote_misses":23,"fills":24,"evictions":25,"dirty_evictions":26},"lane_turns":0,"equalizations":0,"l2_partition":null}],"#,
+            r#""link_timelines":[],"l1":{"local_hits":30,"local_misses":31,"remote_hits":32,"remote_misses":33,"fills":34,"evictions":35,"dirty_evictions":36},"#,
+            r#""remote_read_fraction_bits":4598175219545276416,"interconnect_bytes":4096,"link_power_w_bits":4609434218613702656,"resilience":null,"#,
+            r#""profile":{"scopes":[{"name":"engine","counters":{"events_popped":41}},{"name":"cache","counters":{"l2_accesses":42,"fills":43}}]}}"#,
+        );
+        assert_eq!(encode_report(&report).unwrap().to_string(), GOLDEN);
     }
 }

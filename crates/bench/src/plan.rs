@@ -114,22 +114,17 @@ pub struct SimJob {
 }
 
 impl SimJob {
-    /// Runs the simulation this job describes.
+    /// Runs the simulation this job describes — the one place a job
+    /// becomes a [`NumaGpuSystem`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the configuration fails validation, the fault plan does
-    /// not fit the configured machine, or the simulation errors out
-    /// (experiment configurations and plans are all statically valid).
-    pub fn run(&self) -> SimReport {
-        self.try_run()
-            .unwrap_or_else(|e| panic!("experiment simulation {} failed: {e}", self.key.display()))
-    }
-
-    /// Fallible form of [`SimJob::run`] for supervising layers (the
-    /// serving daemon classifies each [`SimError`] via
-    /// [`SimError::retry_class`](numa_gpu_types::SimError::retry_class)
-    /// instead of unwinding).
+    /// The configuration fails validation, the fault plan does not fit the
+    /// configured machine, or the simulation errors out. Callers decide
+    /// what that means: [`Runner::execute`](crate::Runner::execute) panics
+    /// (experiment plans are statically valid), `simulate` exits 3, the
+    /// daemon classifies it via
+    /// [`SimError::retry_class`](numa_gpu_types::SimError::retry_class).
     pub fn try_run(&self) -> Result<SimReport, SimError> {
         let mut sys = NumaGpuSystem::new(self.cfg.clone())?;
         if self.key.timeline {
@@ -245,7 +240,11 @@ impl SimPlan {
         self
     }
 
-    fn push(
+    /// Adds a job under an explicit key — the general form behind the
+    /// helpers above, for a job that is both timeline-recording and
+    /// fault-injected (`simulate --timeline --faults`). A non-empty
+    /// `key.scenario` must be the canonical string of `faults`.
+    pub fn push(
         &mut self,
         key: JobKey,
         cfg: SystemConfig,
@@ -324,8 +323,8 @@ impl SimPlan {
         &self.jobs
     }
 
-    /// Executes every job on a pool of `threads` workers and returns
-    /// `(key, report)` pairs in submission order.
+    /// Executes every job on a pool of `threads` workers and returns each
+    /// job with its outcome, in submission order.
     ///
     /// Worker progress (one line per simulation) goes through `reporter`,
     /// so lines from concurrent jobs cannot shear.
@@ -338,10 +337,8 @@ impl SimPlan {
         self,
         threads: usize,
         reporter: &Arc<Reporter>,
-    ) -> Vec<(JobKey, Arc<SimReport>)> {
-        let pool = ThreadPool::new(threads);
-        let keys: Vec<JobKey> = self.jobs.iter().map(|j| j.key.clone()).collect();
-        let pool_jobs: Vec<Job<Arc<SimReport>>> = self
+    ) -> Vec<(SimJob, Result<Arc<SimReport>, SimError>)> {
+        let pool_jobs = self
             .jobs
             .into_iter()
             .map(|job| {
@@ -349,11 +346,12 @@ impl SimPlan {
                 let label = job.key.display();
                 Job::new(label.clone(), move || {
                     reporter.line(&format!("  sim {label}"));
-                    Arc::new(job.run())
+                    let outcome = job.try_run().map(Arc::new);
+                    (job, outcome)
                 })
             })
             .collect();
-        keys.into_iter().zip(pool.run(pool_jobs)).collect()
+        ThreadPool::new(threads).run(pool_jobs)
     }
 }
 

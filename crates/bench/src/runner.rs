@@ -5,16 +5,18 @@
 //! [`SimPlan`], [`Runner::execute`] fans the plan out over a worker pool
 //! ([`numa_gpu_exec::ThreadPool`]) and memoizes each report, and the
 //! table-assembly code then reads reports back with [`Runner::lookup`].
-//! `execute` is the only way a simulation runs: a lookup of a job no plan
+//! `execute` (and its fallible twin [`Runner::try_execute`]) is the only
+//! way a simulation runs — for `figures` and for `simulate` alike — and the
+//! only place a plan meets the on-disk store: a lookup of a job no plan
 //! declared panics naming its key, so a mistyped label fails loudly
 //! instead of silently simulating a second configuration.
 
 use crate::plan::{JobKey, SimPlan};
-use crate::store::{DiskStore, StoreEvent, StoreKey, StoreStats};
+use crate::store::{DiskStore, StoreEvent, StoreStats};
 use numa_gpu_core::{ProfileReport, SimReport};
 use numa_gpu_exec::Reporter;
 use numa_gpu_runtime::Workload;
-use numa_gpu_types::{SystemConfig, TopologyKind};
+use numa_gpu_types::{SimError, TopologyKind};
 use numa_gpu_workloads::Scale;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -154,41 +156,6 @@ impl Runner {
         self.store.as_ref().map(|s| s.events())
     }
 
-    /// Tries the on-disk store for `key` under `cfg`. A stored result
-    /// without a profile cannot satisfy a profiling runner (the miss
-    /// recomputes and the rewrite heals the entry); a stored profile is
-    /// stripped for a non-profiling runner so warm and cold reports stay
-    /// byte-identical.
-    fn store_load(&mut self, key: &JobKey, cfg: &SystemConfig) -> Option<Arc<SimReport>> {
-        let profile = self.profile;
-        let scale = self.scale;
-        let store = self.store.as_mut()?;
-        let skey = StoreKey::new(key, cfg, &scale);
-        let mut report = store.load(&skey)?;
-        if profile && report.profile.is_none() {
-            return None;
-        }
-        if !profile {
-            report.profile = None;
-        }
-        Some(Arc::new(report))
-    }
-
-    /// Writes a fresh result through to the store (no-op without one).
-    /// Write failures are reported, not fatal: the result is still
-    /// memoized in memory and the sweep continues.
-    fn store_save(&mut self, skey: &StoreKey, key: &JobKey, report: &SimReport) {
-        let Some(store) = self.store.as_mut() else {
-            return;
-        };
-        if let Err(err) = store.save(skey, report) {
-            self.reporter.line(&format!(
-                "  store: write failed for {}: {err}",
-                key.display()
-            ));
-        }
-    }
-
     /// Executes every not-yet-cached job of `plan` on the worker pool and
     /// memoizes the reports. Jobs already in the cache (e.g. baselines
     /// shared with an earlier figure) are skipped, so cross-figure dedup
@@ -200,12 +167,33 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics (labelled with the failing job's key) if a simulation
-    /// panics, e.g. on an invalid experiment configuration.
-    pub fn execute(&mut self, mut plan: SimPlan) {
+    /// Panics naming the failing job's key if a simulation fails or
+    /// panics, e.g. on an invalid experiment configuration (experiment
+    /// configurations and plans are all statically valid).
+    pub fn execute(&mut self, plan: SimPlan) {
+        if let Err((key, e)) = self.run_plan(plan) {
+            panic!("experiment simulation {} failed: {e}", key.display());
+        }
+    }
+
+    /// Fallible twin of [`Runner::execute`] for front ends whose jobs come
+    /// from user input (`simulate` prints the error and exits 3).
+    ///
+    /// # Errors
+    ///
+    /// The error of the failing job with the lowest submission index —
+    /// the same one at every worker count. Jobs submitted before it are
+    /// memoized and stored; it and the jobs after it are not.
+    pub fn try_execute(&mut self, plan: SimPlan) -> Result<(), SimError> {
+        self.run_plan(plan).map_err(|(_, e)| e)
+    }
+
+    /// The one path a job takes: memo, then store, then simulate and
+    /// write through.
+    fn run_plan(&mut self, mut plan: SimPlan) -> Result<(), (JobKey, SimError)> {
         plan.retain(|key| !self.cache.contains_key(key));
         if plan.is_empty() {
-            return;
+            return Ok(());
         }
         if let Some(threads) = self.sim_threads {
             plan.override_sim_threads(threads);
@@ -216,41 +204,37 @@ impl Runner {
         if self.profile {
             plan.override_profile(true);
         }
-        if self.store.is_some() {
-            // Disk read-through runs after the overrides so the store key
-            // sees each job's *effective* config (topology changes
-            // results; the canonicalized knobs are hashed out either way).
-            let mut warm = Vec::new();
+        if let Some(store) = self.store.as_mut() {
+            // Disk read-through runs after the overrides so the store
+            // policy sees each job's *effective* config (topology changes
+            // results, `obs` decides what a hit may carry; the
+            // canonicalized knobs are hashed out either way).
             for job in plan.jobs() {
-                let (key, cfg) = (job.key.clone(), job.cfg.clone());
-                if let Some(report) = self.store_load(&key, &cfg) {
-                    warm.push((key, report));
+                if let Some(report) = store.load_job(job, &self.scale) {
+                    self.cache.insert(job.key.clone(), Arc::new(report));
                 }
-            }
-            for (key, report) in warm {
-                self.cache.insert(key, report);
             }
             plan.retain(|key| !self.cache.contains_key(key));
             if plan.is_empty() {
-                return;
+                return Ok(());
             }
         }
-        let store_keys: BTreeMap<JobKey, StoreKey> = if self.store.is_some() {
-            plan.jobs()
-                .iter()
-                .map(|j| (j.key.clone(), StoreKey::new(&j.key, &j.cfg, &self.scale)))
-                .collect()
-        } else {
-            BTreeMap::new()
-        };
-        for (key, report) in plan.execute(self.jobs, &self.reporter) {
+        for (job, outcome) in plan.execute(self.jobs, &self.reporter) {
+            let report = outcome.map_err(|e| (job.key.clone(), e))?;
             self.runs += 1;
-            if let Some(skey) = store_keys.get(&key) {
-                let skey = skey.clone();
-                self.store_save(&skey, &key, &report);
+            if let Some(store) = self.store.as_mut() {
+                // A failed write is reported, not fatal: the result is
+                // still memoized in memory and the sweep continues.
+                if let Err(err) = store.save_job(&job, &self.scale, &report) {
+                    self.reporter.error(&format!(
+                        "store: write failed for {}: {err}",
+                        job.key.display()
+                    ));
+                }
             }
-            self.cache.insert(key, report);
+            self.cache.insert(job.key, report);
         }
+        Ok(())
     }
 
     /// The memoized report for `key`, if that job has run.

@@ -35,7 +35,7 @@
 //! path taken.
 
 use crate::codec::{decode_report, encode_report, CodecError, REPORT_FORMAT_VERSION};
-use crate::plan::JobKey;
+use crate::plan::{JobKey, SimJob};
 use numa_gpu_core::SimReport;
 use numa_gpu_testkit::json::Json;
 use numa_gpu_types::SystemConfig;
@@ -394,6 +394,54 @@ impl DiskStore {
         self.events.push(StoreEvent::Write(key.hash.clone()));
         Ok(())
     }
+
+    /// Whether `job` goes through the store at all: a metrics or trace
+    /// run carries payloads the codec does not model, so it neither reads
+    /// nor writes entries.
+    fn serves(job: &SimJob) -> bool {
+        !job.cfg.obs.metrics && !job.cfg.obs.trace
+    }
+
+    /// The one place a job reads the store: derives the [`StoreKey`] from
+    /// `job` and `scale` and applies the whole read policy from the job's
+    /// own configuration, so every front end (`figures`, `simulate`, the
+    /// daemon) gets the same answer from the same entry.
+    ///
+    /// * A metrics or trace job never reads the store.
+    /// * A job that did not ask for a profile gets a stored one stripped,
+    ///   so a warm report equals the cold one whoever filled the cache.
+    /// * A job that asked for a profile misses on an entry without one;
+    ///   the [`DiskStore::save_job`] after its run heals the entry.
+    pub fn load_job(&mut self, job: &SimJob, scale: &Scale) -> Option<SimReport> {
+        if !Self::serves(job) {
+            return None;
+        }
+        let mut report = self.load(&StoreKey::new(&job.key, &job.cfg, scale))?;
+        if !job.cfg.obs.profile {
+            report.profile = None;
+        } else if report.profile.is_none() {
+            return None;
+        }
+        Some(report)
+    }
+
+    /// The one place a job writes the store; the write-side twin of
+    /// [`DiskStore::load_job`]. A metrics or trace job is skipped.
+    ///
+    /// # Errors
+    ///
+    /// As [`DiskStore::save`].
+    pub fn save_job(
+        &mut self,
+        job: &SimJob,
+        scale: &Scale,
+        report: &SimReport,
+    ) -> std::io::Result<()> {
+        if !Self::serves(job) {
+            return Ok(());
+        }
+        self.save(&StoreKey::new(&job.key, &job.cfg, scale), report)
+    }
 }
 
 #[cfg(test)]
@@ -475,6 +523,52 @@ mod tests {
             StoreKey::new(&key, &b, &Scale::quick()).hash,
             "sim_threads/obs/watchdog are canonicalized out of the key"
         );
+    }
+
+    /// The whole job-level policy in one place: plain hit, profile
+    /// stripped, profile-wanted miss healed by the rewrite, and the
+    /// metrics/trace bypass on both the read and the write side.
+    #[test]
+    fn job_policy_follows_the_jobs_own_obs_config() {
+        let dir = std::env::temp_dir().join(format!("numa-gpu-policy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = DiskStore::open(&dir).unwrap();
+        let scale = Scale::quick();
+        let wl = numa_gpu_workloads::by_name("Other-Bitcoin-Crypto", &scale).unwrap();
+        let mut plan = crate::SimPlan::new();
+        plan.job("loc2", configs::locality(2), &wl);
+        let plain = plan.jobs()[0].clone();
+        let with = |f: fn(&mut numa_gpu_types::ObsConfig)| {
+            let mut job = plain.clone();
+            f(&mut job.cfg.obs);
+            job
+        };
+        let profiled = with(|o| o.profile = true);
+        let bare = SimReport {
+            total_cycles: 7,
+            ..SimReport::default()
+        };
+        let mut rich = bare.clone();
+        rich.profile = Some(numa_gpu_core::ProfileReport::new());
+
+        // Plain hit; a profile-wanting job misses on the profile-less entry.
+        store.save_job(&plain, &scale, &bare).unwrap();
+        assert_eq!(store.load_job(&plain, &scale), Some(bare.clone()));
+        assert_eq!(store.load_job(&profiled, &scale), None);
+        // Its rewrite heals the entry; the plain job gets the profile stripped.
+        store.save_job(&profiled, &scale, &rich).unwrap();
+        assert_eq!(store.load_job(&profiled, &scale), Some(rich.clone()));
+        assert_eq!(store.load_job(&plain, &scale), Some(bare.clone()));
+
+        // Metrics and trace jobs share the key but touch nothing.
+        let before = store.stats();
+        for job in [with(|o| o.metrics = true), with(|o| o.trace = true)] {
+            assert_eq!(store.load_job(&job, &scale), None);
+            store.save_job(&job, &scale, &bare).unwrap();
+        }
+        assert_eq!(store.stats(), before, "bypassing jobs never reach the disk");
+        assert_eq!(store.load_job(&profiled, &scale), Some(rich));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

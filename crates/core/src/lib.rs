@@ -44,7 +44,7 @@ mod report;
 mod system;
 pub mod tenancy;
 
-pub use report::{SimReport, SocketReport};
+pub use report::{cache_stats_json, SimReport, SocketReport};
 pub use system::NumaGpuSystem;
 
 // Re-exported so downstream crates can name the type of

@@ -10,7 +10,7 @@
 use numa_gpu_cache::CacheObs;
 use numa_gpu_interconnect::{LinkObs, LinkSample};
 use numa_gpu_mem::DramObs;
-use numa_gpu_obs::{MetricsRegistry, RingBufferSink, TraceEvent, TraceSink};
+use numa_gpu_obs::{MetricsRegistry, RingBufferSink, TraceEvent};
 use numa_gpu_sm::SmObs;
 use numa_gpu_types::ObsConfig;
 
@@ -85,16 +85,11 @@ impl ObsState {
         }
     }
 
-    /// Takes the recorded trace, finishing the sink. Subsequent emits are
-    /// dropped.
+    /// Takes the recorded trace. Subsequent emits are dropped.
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        match self.sink.take() {
-            Some(mut sink) => {
-                sink.finish();
-                sink.into_events()
-            }
-            None => Vec::new(),
-        }
+        self.sink
+            .take()
+            .map_or_else(Vec::new, RingBufferSink::into_events)
     }
 }
 

@@ -194,9 +194,9 @@ impl SocketReport {
     }
 }
 
-/// JSON form of cache statistics (a free function because both the trait
-/// and the type live in other crates).
-fn cache_stats_json(s: &CacheStats) -> Json {
+/// JSON form of cache statistics (a free function because the type lives
+/// in another crate); also the form the result store's codec writes.
+pub fn cache_stats_json(s: &CacheStats) -> Json {
     Json::obj([
         ("local_hits", Json::UInt(s.local_hits.get())),
         ("local_misses", Json::UInt(s.local_misses.get())),

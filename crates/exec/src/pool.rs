@@ -79,63 +79,25 @@ impl ThreadPool {
     /// several jobs panic, the one with the lowest submission index is
     /// reported (again for determinism).
     pub fn run<T: Send>(&self, jobs: Vec<Job<T>>) -> Vec<T> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let n = jobs.len();
-        let workers = self.workers.min(n);
-
-        // Shared batch state: each job slot is taken exactly once (the
-        // cursor hands out distinct indices), each result slot written
-        // exactly once.
-        let slots: Vec<Mutex<Option<Job<T>>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let panicked: Mutex<Option<(usize, String, String)>> = Mutex::new(None);
-
-        let body = |_worker: usize| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let job = slots[i]
-                .lock()
-                .expect("job slot poisoned")
-                .take()
-                .expect("job claimed twice");
-            let label = job.label;
-            match catch_unwind(AssertUnwindSafe(job.work)) {
-                Ok(value) => *results[i].lock().expect("result slot poisoned") = Some(value),
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    let mut first = panicked.lock().expect("panic slot poisoned");
-                    if first.as_ref().is_none_or(|(j, _, _)| i < *j) {
-                        *first = Some((i, label, msg));
-                    }
-                }
-            }
-        };
-
-        if workers == 1 {
-            body(0);
-        } else {
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    scope.spawn(move || body(w));
-                }
-            });
-        }
-
-        if let Some((index, label, msg)) = panicked.into_inner().expect("panic slot poisoned") {
-            panic!("job `{label}` (index {index}) panicked: {msg}");
-        }
-        results
+        // Each task contains its own panic and hands back the label with
+        // the message, so the one batch loop in `run_scoped` never sees a
+        // job unwind and every job still runs.
+        let tasks: Vec<_> = jobs
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("job finished without a result")
+            .map(|job| {
+                move || {
+                    catch_unwind(AssertUnwindSafe(job.work))
+                        .map_err(|payload| (job.label, panic_message(payload.as_ref())))
+                }
+            })
+            .collect();
+        self.run_scoped(tasks)
+            .into_iter()
+            .enumerate()
+            .map(|(index, outcome)| {
+                outcome.unwrap_or_else(|(label, msg)| {
+                    panic!("job `{label}` (index {index}) panicked: {msg}")
+                })
             })
             .collect()
     }

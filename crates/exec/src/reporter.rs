@@ -8,8 +8,9 @@ use std::sync::Mutex;
 /// Each [`Reporter::line`] call formats the complete line (text plus
 /// newline) into one buffer and hands it to the sink in a single locked
 /// write, so lines from concurrent workers interleave only at line
-/// granularity — never mid-line. When not verbose every call is a no-op,
-/// so quiet sweeps pay nothing.
+/// granularity — never mid-line. When not verbose every [`Reporter::line`]
+/// is a no-op, so quiet sweeps pay nothing; [`Reporter::error`] always
+/// writes.
 pub struct Reporter {
     verbose: bool,
     sink: Mutex<Box<dyn Write + Send>>,
@@ -40,9 +41,15 @@ impl Reporter {
     /// ignored, matching `eprintln!`'s panic-free-on-broken-pipe needs in
     /// long sweeps piped through `head`.
     pub fn line(&self, text: &str) {
-        if !self.verbose {
-            return;
+        if self.verbose {
+            self.error(text);
         }
+    }
+
+    /// Writes one complete line whether or not the reporter is verbose:
+    /// for failures the user must see even in a quiet run (a store write
+    /// that did not land). Same single locked write as [`Reporter::line`].
+    pub fn error(&self, text: &str) {
         let mut buf = String::with_capacity(text.len() + 1);
         buf.push_str(text);
         buf.push('\n');
@@ -80,12 +87,14 @@ mod tests {
     }
 
     #[test]
-    fn quiet_reporter_writes_nothing() {
+    fn quiet_reporter_writes_only_errors() {
         let buf = Shared::default();
         let r = Reporter::with_sink(false, Box::new(buf.clone()));
         r.line("hidden");
         assert!(!r.verbose());
         assert!(buf.0.lock().unwrap().is_empty());
+        r.error("shown");
+        assert_eq!(*buf.0.lock().unwrap(), b"shown\n");
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //!   cheap shared handles ([`CounterHandle`], [`GaugeHandle`],
 //!   [`HistogramHandle`]). Disabled handles are no-ops, so instrumentation
 //!   can stay in the hot path unconditionally.
-//! - [`TraceEvent`] + [`TraceSink`] + [`Tracer`]: a cycle-stamped
-//!   structured event trace emitted from the engine's event loop and from
-//!   lane-turn / repartition decision points. Ships a bounded
-//!   [`RingBufferSink`] and a newline-delimited-JSON [`JsonLinesSink`].
+//! - [`TraceEvent`] + [`RingBufferSink`]: a cycle-stamped structured
+//!   event trace emitted from the engine's event loop and from lane-turn /
+//!   repartition decision points, recorded into a bounded in-memory ring.
 //! - [`chrome_trace`]: export to Chrome `trace_event` JSON, loadable in
 //!   `chrome://tracing` or Perfetto (1 viewer µs = 1 simulated cycle).
 //! - [`ProfileReport`]: per-subsystem attribution of simulation work,
@@ -32,19 +31,20 @@
 //! # Example
 //!
 //! ```
-//! use numa_gpu_obs::{chrome_trace, MetricsRegistry, RingBufferSink, TraceEvent, Tracer};
+//! use numa_gpu_obs::{chrome_trace, MetricsRegistry, RingBufferSink, TraceEvent};
 //!
 //! // Components register metrics once and keep handles.
 //! let mut reg = MetricsRegistry::new();
 //! let stalls = reg.counter("sm.s0.issue_stalls");
 //! stalls.add(3);
-//!
-//! // The engine emits cycle-stamped events through a tracer.
-//! let mut tracer = Tracer::new(Box::new(RingBufferSink::new(1024)));
-//! tracer.emit(TraceEvent::instant("link.turn", "interconnect", 500, 0));
-//!
-//! let sink = tracer.finish().unwrap();
 //! assert_eq!(reg.snapshot().counter("sm.s0.issue_stalls"), Some(3));
+//!
+//! // The system records cycle-stamped events into a bounded ring and
+//! // exports what it retained as a Chrome trace.
+//! let mut sink = RingBufferSink::new(1024);
+//! sink.record(TraceEvent::instant("link.turn", "interconnect", 500, 0));
+//! let doc = chrome_trace(&sink.into_events());
+//! assert!(doc.to_string().contains("link.turn"));
 //! ```
 
 #![deny(missing_docs)]
@@ -61,7 +61,4 @@ pub use metrics::{
     MetricsRegistry, MetricsSnapshot,
 };
 pub use profiler::{ProfileReport, ProfileScope};
-pub use trace::{
-    event_to_json, JsonLinesSink, RingBufferSink, TraceEvent, TracePhase, TraceSink, TraceValue,
-    Tracer,
-};
+pub use trace::{RingBufferSink, TraceEvent, TracePhase, TraceValue};

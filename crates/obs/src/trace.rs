@@ -1,10 +1,8 @@
 //! Cycle-stamped structured event tracing.
 //!
-//! Model code emits [`TraceEvent`]s through a [`Tracer`], which forwards
-//! them to a pluggable [`TraceSink`]. Two sinks ship in-tree: a bounded
-//! [`RingBufferSink`] that keeps the most recent events in memory, and a
-//! [`JsonLinesSink`] that accumulates one JSON object per line for
-//! streaming to disk.
+//! Model code builds [`TraceEvent`]s and the system records them into a
+//! bounded [`RingBufferSink`] that keeps the most recent events in memory;
+//! [`crate::chrome_trace`] exports what it retained.
 
 use numa_gpu_testkit::json::Json;
 
@@ -155,41 +153,26 @@ impl TraceEvent {
     }
 }
 
-/// Destination for trace events.
+/// A bounded in-memory sink that keeps the most recent events.
 ///
-/// Sinks must be deterministic: recording the same event sequence twice
-/// must produce identical observable state.
+/// Recording is deterministic: the same event sequence always leaves the
+/// same retained events and drop count.
 ///
 /// # Examples
 ///
 /// ```
-/// use numa_gpu_obs::{RingBufferSink, TraceEvent, TraceSink};
+/// use numa_gpu_obs::{RingBufferSink, TraceEvent};
 ///
 /// let mut sink = RingBufferSink::new(2);
 /// for cycle in 0..3 {
 ///     sink.record(TraceEvent::instant("tick", "engine", cycle, 0));
 /// }
-/// sink.finish();
 ///
 /// // Capacity 2: the oldest event was dropped, newest two retained.
 /// assert_eq!(sink.dropped(), 1);
 /// let cycles: Vec<u64> = sink.events().map(|e| e.cycle).collect();
 /// assert_eq!(cycles, [1, 2]);
 /// ```
-pub trait TraceSink {
-    /// Accepts one event.
-    fn record(&mut self, event: TraceEvent);
-
-    /// Flushes any buffered state; called once when the run ends.
-    fn finish(&mut self) {}
-
-    /// Number of events this sink has discarded (capacity pressure).
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// A bounded in-memory sink that keeps the most recent events.
 #[derive(Debug, Default)]
 pub struct RingBufferSink {
     capacity: usize,
@@ -245,10 +228,9 @@ impl RingBufferSink {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-}
 
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, event: TraceEvent) {
+    /// Accepts one event, evicting the oldest when full.
+    pub fn record(&mut self, event: TraceEvent) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
@@ -260,138 +242,15 @@ impl TraceSink for RingBufferSink {
         self.events.push_back(event);
     }
 
-    fn dropped(&self) -> u64 {
+    /// Number of events discarded under capacity pressure.
+    pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-}
-
-/// A sink that encodes each event as one JSON object per line.
-///
-/// The accumulated text is newline-delimited JSON (`.jsonl`); every line
-/// parses independently with `testkit::json`, and the encoding is
-/// byte-stable for a given event sequence.
-#[derive(Debug, Default)]
-pub struct JsonLinesSink {
-    out: String,
-    lines: u64,
-}
-
-impl JsonLinesSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The accumulated newline-delimited JSON text.
-    pub fn text(&self) -> &str {
-        &self.out
-    }
-
-    /// Number of lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-}
-
-/// Structured JSON encoding of one event (shared by the JSON-lines sink
-/// and tests): name, cat, ph, cycle, dur, track, then args in order.
-pub fn event_to_json(e: &TraceEvent) -> Json {
-    let mut fields = vec![
-        ("name".to_string(), Json::Str(e.name.clone())),
-        ("cat".to_string(), Json::Str(e.category.to_string())),
-        ("ph".to_string(), Json::Str(e.phase.code().to_string())),
-        ("cycle".to_string(), Json::UInt(e.cycle)),
-    ];
-    if e.phase == TracePhase::Complete {
-        fields.push(("dur".to_string(), Json::UInt(e.dur_cycles)));
-    }
-    fields.push(("track".to_string(), Json::UInt(u64::from(e.track))));
-    if !e.args.is_empty() {
-        fields.push((
-            "args".to_string(),
-            Json::Obj(
-                e.args
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_json()))
-                    .collect(),
-            ),
-        ));
-    }
-    Json::Obj(fields)
-}
-
-impl TraceSink for JsonLinesSink {
-    fn record(&mut self, event: TraceEvent) {
-        self.out.push_str(&event_to_json(&event).to_string());
-        self.out.push('\n');
-        self.lines += 1;
-    }
-}
-
-/// Front door model code emits through: holds the enabled sink, or
-/// nothing, in which case every emit is a cheap no-op.
-#[derive(Default)]
-pub struct Tracer {
-    sink: Option<Box<dyn TraceSink>>,
-    emitted: u64,
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.sink.is_some())
-            .field("emitted", &self.emitted)
-            .finish()
-    }
-}
-
-impl Tracer {
-    /// A tracer that discards everything.
-    pub fn disabled() -> Self {
-        Tracer::default()
-    }
-
-    /// A tracer forwarding to `sink`.
-    pub fn new(sink: Box<dyn TraceSink>) -> Self {
-        Tracer {
-            sink: Some(sink),
-            emitted: 0,
-        }
-    }
-
-    /// Whether a sink is attached.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Emits one event (no-op when disabled).
-    #[inline]
-    pub fn emit(&mut self, event: TraceEvent) {
-        if let Some(sink) = &mut self.sink {
-            sink.record(event);
-            self.emitted += 1;
-        }
-    }
-
-    /// Events emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Finishes the run and returns the sink, if any.
-    pub fn finish(mut self) -> Option<Box<dyn TraceSink>> {
-        if let Some(sink) = &mut self.sink {
-            sink.finish();
-        }
-        self.sink.take()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numa_gpu_testkit::json::Json;
 
     fn ev(cycle: u64) -> TraceEvent {
         TraceEvent::instant("t", "test", cycle, 0)
@@ -452,52 +311,5 @@ mod tests {
         sink.record(ev(1));
         assert!(sink.is_empty());
         assert_eq!(sink.dropped(), 1);
-    }
-
-    #[test]
-    fn json_lines_each_line_parses() {
-        let mut sink = JsonLinesSink::new();
-        sink.record(TraceEvent::complete("span", "engine", 10, 5, 1).arg("bytes", 128u64));
-        sink.record(TraceEvent::counter("util", "link", 20, 0).arg("egress", 0.5));
-        assert_eq!(sink.lines(), 2);
-        for line in sink.text().lines() {
-            let parsed = Json::parse(line).expect("line parses");
-            assert!(parsed.get("name").is_some());
-            assert!(parsed.get("cycle").is_some());
-        }
-        let first = Json::parse(sink.text().lines().next().unwrap()).unwrap();
-        assert_eq!(first.get("ph").and_then(Json::as_str), Some("X"));
-        assert_eq!(first.get("dur").and_then(Json::as_u64), Some(5));
-    }
-
-    #[test]
-    fn json_lines_encoding_is_byte_stable() {
-        let run = || {
-            let mut sink = JsonLinesSink::new();
-            sink.record(TraceEvent::instant("a", "x", 1, 0).arg("k", "v"));
-            sink.record(TraceEvent::counter("b", "y", 2, 1).arg("n", 3u64));
-            sink.text().to_string()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn disabled_tracer_is_noop() {
-        let mut t = Tracer::disabled();
-        t.emit(ev(1));
-        assert!(!t.is_enabled());
-        assert_eq!(t.emitted(), 0);
-        assert!(t.finish().is_none());
-    }
-
-    #[test]
-    fn tracer_forwards_and_finishes() {
-        let mut t = Tracer::new(Box::new(RingBufferSink::new(8)));
-        t.emit(ev(1));
-        t.emit(ev(2));
-        assert!(t.is_enabled());
-        assert_eq!(t.emitted(), 2);
-        let sink = t.finish().expect("sink returned");
-        assert_eq!(sink.dropped(), 0);
     }
 }

@@ -36,22 +36,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-/// Bounded-retry policy for transient failures. The schedule is fixed at
-/// construction, so a given failure sequence always waits the same
-/// deterministic delays — no randomized jitter to make test runs flaky.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Delay before each retry; `backoff_ms.len() + 1` total attempts.
-    pub backoff_ms: Vec<u64>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            backoff_ms: vec![25, 100, 400],
-        }
-    }
-}
+/// Delay before each retry of a transiently failing job, in
+/// milliseconds; `RETRY_BACKOFF_MS.len() + 1` total attempts. Fixed, so a
+/// given failure sequence always waits the same deterministic delays — no
+/// randomized jitter to make test runs flaky.
+const RETRY_BACKOFF_MS: [u64; 3] = [25, 100, 400];
 
 /// Everything the daemon needs to start.
 #[derive(Debug, Clone)]
@@ -66,8 +55,6 @@ pub struct DaemonConfig {
     pub verbose: bool,
     /// Wall-clock budget for jobs that do not specify `deadline=`.
     pub default_deadline: Duration,
-    /// Transient-failure retry schedule.
-    pub retry: RetryPolicy,
 }
 
 impl DaemonConfig {
@@ -80,7 +67,6 @@ impl DaemonConfig {
             workers: 2,
             verbose: false,
             default_deadline: Duration::from_secs(600),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -97,7 +83,6 @@ struct Shared {
     journal: Mutex<Journal>,
     dispatcher: Dispatcher,
     reporter: Arc<Reporter>,
-    retry: RetryPolicy,
     default_deadline: Duration,
     socket: PathBuf,
     next_id: AtomicU64,
@@ -157,7 +142,6 @@ impl Daemon {
             journal: Mutex::new(journal),
             dispatcher: Dispatcher::new(config.workers),
             reporter: Arc::new(Reporter::stderr(config.verbose)),
-            retry: config.retry,
             default_deadline: config.default_deadline,
             socket: config.socket,
             next_id: AtomicU64::new(1),
@@ -296,15 +280,13 @@ fn handle_submit(shared: &Arc<Shared>, spec: JobSpec, writer: &mut UnixStream) {
             return;
         }
     };
-    let skey = StoreKey::new(&job.key, &job.cfg, &spec.scale());
-    let _ = writeln!(writer, "ACK {id} {}", skey.hash);
+    let scale = spec.scale();
+    let hash = StoreKey::new(&job.key, &job.cfg, &scale).hash;
+    let _ = writeln!(writer, "ACK {id} {hash}");
 
     // Warm path: serve straight from the store (a corrupt entry
-    // quarantines inside `load` and falls through to the cold path).
-    let warm = {
-        let mut store = shared.store.lock().unwrap();
-        store.load(&skey)
-    };
+    // quarantines inside the load and falls through to the cold path).
+    let warm = shared.store.lock().unwrap().load_job(&job, &scale);
     if let Some(report) = warm {
         let _ = writeln!(writer, "EVENT {id} warm");
         match encode_report(&report) {
@@ -402,33 +384,27 @@ fn run_supervised(shared: &Arc<Shared>, spec: &JobSpec, events: &mpsc::Sender<Jo
         }
         Ok(job) => job,
     };
-    let skey = StoreKey::new(&job.key, &job.cfg, &spec.scale());
+    let scale = spec.scale();
     // A replayed (or raced) job may already be in the store: done.
-    {
-        let mut store = shared.store.lock().unwrap();
-        if let Some(report) = store.load(&skey) {
-            drop(store);
-            let _ = shared.journal.lock().unwrap().record_done(spec);
-            return deliver_done(shared, spec, &report);
-        }
+    let stored = shared.store.lock().unwrap().load_job(&job, &scale);
+    if let Some(report) = stored {
+        let _ = shared.journal.lock().unwrap().record_done(spec);
+        return deliver_done(shared, spec, &report);
     }
     shared
         .reporter
         .line(&format!("serve: sim {}", job.key.display()));
-    let attempts = shared.retry.backoff_ms.len() + 1;
+    let attempts = RETRY_BACKOFF_MS.len() + 1;
     for attempt in 0..attempts {
         if attempt > 0 {
-            let delay = shared.retry.backoff_ms[attempt - 1];
+            let delay = RETRY_BACKOFF_MS[attempt - 1];
             shared.retries.fetch_add(1, Ordering::Relaxed);
             let _ = events.send(JobMsg::Event(format!("retry:{attempt}")));
             std::thread::sleep(Duration::from_millis(delay));
         }
         match catch_unwind(AssertUnwindSafe(|| job.try_run())) {
             Ok(Ok(report)) => {
-                let saved = {
-                    let mut store = shared.store.lock().unwrap();
-                    store.save(&skey, &report)
-                };
+                let saved = shared.store.lock().unwrap().save_job(&job, &scale, &report);
                 match saved {
                     Ok(()) => {
                         let _ = shared.journal.lock().unwrap().record_done(spec);

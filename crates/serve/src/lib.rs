@@ -34,6 +34,6 @@ pub mod journal;
 pub mod protocol;
 
 pub use client::{Client, Submission};
-pub use daemon::{Daemon, DaemonConfig, RetryPolicy};
+pub use daemon::{Daemon, DaemonConfig};
 pub use journal::Journal;
 pub use protocol::{JobSpec, Request};

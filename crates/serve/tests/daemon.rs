@@ -69,6 +69,44 @@ fn submit_cold_then_warm_is_byte_identical() {
     assert!(!socket.exists(), "socket removed on clean shutdown");
 }
 
+/// Regression: a cache filled by a profiling sweep (`figures --profile
+/// --cache-dir`) holds entries carrying a profile. The daemon never asks
+/// for one, so its answer must not depend on who filled the cache: the
+/// `RESULT` served warm from that entry is the one a cold daemon computes.
+#[test]
+fn warm_result_does_not_leak_a_profile_left_by_another_front_end() {
+    use numa_gpu_bench::{configs, Runner, SimPlan};
+    use numa_gpu_workloads::{by_name, Scale};
+
+    let job = spec("workload=Other-Bitcoin-Crypto config=locality sockets=2");
+    let result_from = |tag: &str, prefill: bool| {
+        let (socket, cache) = paths(tag);
+        if prefill {
+            let mut runner = Runner::new(Scale::quick())
+                .profile()
+                .cache_dir(&cache)
+                .expect("store opens");
+            let wl = by_name(&job.workload, runner.scale()).expect("catalog workload");
+            let mut plan = SimPlan::new();
+            plan.job("loc2", configs::locality(2), &wl);
+            runner.execute(plan);
+            assert!(runner.lookup("loc2", &wl).profile.is_some());
+        }
+        let handle = start(&socket, &cache);
+        let mut client = Client::connect(&socket).expect("connect");
+        let sub = client.submit(&job).expect("submit");
+        assert_eq!(sub.was_warm(), prefill);
+        client.shutdown().expect("shutdown");
+        handle.join().expect("serve thread");
+        sub.result.expect("result")
+    };
+    assert_eq!(
+        result_from("leak-filled", true),
+        result_from("leak-empty", false),
+        "a warm RESULT must be byte-identical to the cold one"
+    );
+}
+
 #[test]
 fn journal_replay_recomputes_pending_jobs_into_the_store() {
     let (socket, cache) = paths("replay");

@@ -1,7 +1,7 @@
 //! A tiny JSON value type with an encoder and a recursive-descent parser.
 //!
 //! Replaces the `serde` derives the workspace used to carry: stats and
-//! report types implement [`ToJson`] by hand (a few lines each). Objects
+//! report types build their `to_json` by hand (a few lines each). Objects
 //! preserve insertion order so encoded output is byte-stable across runs.
 
 use std::fmt;
@@ -376,48 +376,6 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("expected `,` or `}`")),
             }
         }
-    }
-}
-
-/// Types that can report themselves as JSON.
-pub trait ToJson {
-    /// The JSON representation.
-    fn to_json(&self) -> Json;
-}
-
-impl ToJson for u64 {
-    fn to_json(&self) -> Json {
-        Json::UInt(*self)
-    }
-}
-
-impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self)
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        self.as_slice().to_json()
     }
 }
 

@@ -30,7 +30,7 @@ pub mod prop;
 pub mod rng;
 
 pub use gen::Gen;
-pub use json::{Json, ToJson};
+pub use json::Json;
 pub use prop::Config;
 pub use rng::DetRng;
 

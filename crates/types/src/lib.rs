@@ -37,5 +37,5 @@ pub use config::{
 pub use error::{ConfigError, RetryClass, SimError};
 pub use ids::{CtaId, KernelId, SmIndex, SocketId, WarpSlot};
 pub use ops::{CtaProgram, MemKind, WarpOp};
-pub use stats::{Counter, Ratio};
+pub use stats::Counter;
 pub use time::{cycles_to_ticks, ticks_to_cycles, Tick, TICKS_PER_CYCLE};

@@ -1,6 +1,5 @@
 //! Small statistics helpers shared across subsystems.
 
-use numa_gpu_testkit::json::{Json, ToJson};
 use std::fmt;
 
 /// A saturating event counter.
@@ -48,60 +47,6 @@ impl fmt::Display for Counter {
     }
 }
 
-impl ToJson for Counter {
-    fn to_json(&self) -> Json {
-        Json::UInt(self.0)
-    }
-}
-
-/// A numerator/denominator pair reported as a fraction (hit rates,
-/// utilizations, efficiencies).
-///
-/// # Examples
-///
-/// ```
-/// use numa_gpu_types::Ratio;
-/// let r = Ratio::new(3, 4);
-/// assert!((r.value() - 0.75).abs() < 1e-12);
-/// assert_eq!(Ratio::new(1, 0).value(), 0.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Ratio {
-    /// Numerator.
-    pub num: u64,
-    /// Denominator.
-    pub den: u64,
-}
-
-impl Ratio {
-    /// Creates a ratio.
-    pub const fn new(num: u64, den: u64) -> Self {
-        Ratio { num, den }
-    }
-
-    /// The fraction `num/den`, or `0.0` when the denominator is zero.
-    #[inline]
-    pub fn value(self) -> f64 {
-        if self.den == 0 {
-            0.0
-        } else {
-            self.num as f64 / self.den as f64
-        }
-    }
-}
-
-impl fmt::Display for Ratio {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.4} ({}/{})", self.value(), self.num, self.den)
-    }
-}
-
-impl ToJson for Ratio {
-    fn to_json(&self) -> Json {
-        Json::obj([("num", Json::UInt(self.num)), ("den", Json::UInt(self.den))])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,25 +56,5 @@ mod tests {
         let mut c = Counter(u64::MAX - 1);
         c.add(10);
         assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn ratio_display() {
-        assert_eq!(Ratio::new(1, 2).to_string(), "0.5000 (1/2)");
-    }
-
-    #[test]
-    fn zero_denominator_is_zero() {
-        assert_eq!(Ratio::new(5, 0).value(), 0.0);
-    }
-
-    #[test]
-    fn json_forms_roundtrip() {
-        let mut c = Counter::new();
-        c.add(42);
-        assert_eq!(c.to_json().to_string(), "42");
-        let r = Ratio::new(3, 4).to_json();
-        assert_eq!(r.to_string(), r#"{"num":3,"den":4}"#);
-        assert_eq!(Json::parse(&r.to_string()).unwrap(), r);
     }
 }

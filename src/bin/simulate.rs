@@ -35,7 +35,7 @@
 //! Simulation failures (scheduler deadlock, cycle budget exhausted) print
 //! the error and exit with status 3; usage errors exit with status 2.
 
-use numa_gpu::core::{NumaGpuSystem, SimReport};
+use numa_gpu::bench::{JobKey, Runner, SimPlan};
 use numa_gpu::faults::FaultPlan;
 use numa_gpu::runtime::Kernel as _;
 use numa_gpu::types::{
@@ -76,10 +76,6 @@ fn usage(msg: &str) -> ! {
 fn fail(e: &SimError) -> ! {
     eprintln!("simulation error: {e}");
     std::process::exit(3);
-}
-
-fn unwrap_report(r: Result<SimReport, SimError>) -> SimReport {
-    r.unwrap_or_else(|e| fail(&e))
 }
 
 /// `simulate serve`: host the daemon in the foreground until SHUTDOWN.
@@ -383,100 +379,39 @@ fn main() {
         eprintln!("fault plan: {plan}");
     }
 
-    // The on-disk store caches plain result reports only: observability
-    // runs (metrics snapshots, trace capture) and ad-hoc trace-file
-    // workloads (whose identity lives in a file the key cannot see)
-    // bypass it. Timelines, faults, and profiles cache fine.
-    use numa_gpu::bench::{DiskStore, JobKey, StoreKey};
-    let store_eligible =
-        !metrics && trace_out.is_none() && from_trace.is_none() && dump_trace.is_none();
-    let mut store = match &cache_dir {
-        Some(dir) if store_eligible => Some(DiskStore::open(dir).unwrap_or_else(|e| {
-            usage(&format!("--cache-dir {dir}: {e}"));
-        })),
-        Some(_) => {
-            eprintln!("cache: observability/trace run, store bypassed");
-            None
+    // One job path: the main job (plus the single-GPU baseline) is a
+    // `SimPlan` run by the same `Runner` that runs `figures`, so the memo,
+    // the store policy and the worker pool are the ones every front end
+    // uses. Stdout is byte-identical at any `--jobs` count (printing stays
+    // serial, in a fixed order) and at any `--sim-threads` count.
+    let mut runner = Runner::new(scale).jobs(jobs);
+    match &cache_dir {
+        // An ad-hoc trace-file workload's identity lives in a file the
+        // store key cannot see. (Metrics and trace-capture runs bypass the
+        // store through its own policy; timelines, faults and profiles
+        // cache fine.)
+        Some(_) if from_trace.is_some() || dump_trace.is_some() => {
+            eprintln!("cache: trace-file run, store bypassed");
         }
-        None => None,
-    };
+        Some(dir) => {
+            runner = runner
+                .cache_dir(dir)
+                .unwrap_or_else(|e| usage(&format!("--cache-dir {dir}: {e}")));
+        }
+        None => {}
+    }
     let scenario = fault_plan
         .as_ref()
         .map(|p| p.to_string())
         .unwrap_or_default();
     let main_key = JobKey::new("cli", workload.meta.name.clone(), timeline).with_scenario(scenario);
-    let main_skey = StoreKey::new(&main_key, &cfg, &scale);
-    let baseline_key = JobKey::new("single", workload.meta.name.clone(), false);
-    let baseline_skey = StoreKey::new(&baseline_key, &SystemConfig::pascal_single(), &scale);
-    // A stored report without a profile cannot satisfy --profile (treat
-    // as a miss; the rewrite after the run heals the entry); a stored
-    // profile is stripped when --profile is off so warm output is
-    // byte-identical to cold output.
-    let store_load = |store: &mut Option<DiskStore>, skey: &StoreKey| {
-        let mut report = store.as_mut()?.load(skey)?;
-        if profile && report.profile.is_none() {
-            return None;
-        }
-        if !profile {
-            report.profile = None;
-        }
-        Some(report)
-    };
-    let warm_main = store_load(&mut store, &main_skey);
-    let mut warm_baseline = if baseline {
-        store_load(&mut store, &baseline_skey)
-    } else {
-        None
-    };
-
-    // Each `NumaGpuSystem` is constructed inside the worker thread that
-    // runs it; only the plain-data `SystemConfig`/`Workload`/`SimReport`
-    // cross job boundaries. Printing stays serial and in the original
-    // order, so stdout is byte-identical at any `--jobs` count — and the
-    // partitioned event loop makes it byte-identical at any
-    // `--sim-threads` count too.
-    let run_main = {
-        let cfg = cfg.clone();
-        let workload = workload.clone();
-        let fault_plan = fault_plan.clone();
-        move || {
-            let mut sys = NumaGpuSystem::new(cfg).expect("validated above");
-            if timeline {
-                sys.enable_link_timeline();
-            }
-            if let Some(plan) = fault_plan {
-                sys.set_fault_plan(plan)?;
-            }
-            sys.run(&workload)
-        }
-    };
-    let main_is_warm = warm_main.is_some();
-    let (report, prerun_baseline) = if let Some(warm) = warm_main {
-        eprintln!("cache: warm hit for {}", workload.meta.name);
-        (Ok(warm), None)
-    } else if baseline && warm_baseline.is_none() && jobs > 1 {
-        let pool = numa_gpu::exec::ThreadPool::new(jobs);
-        let baseline_wl = workload.clone();
-        let mut results = pool.run(vec![
-            numa_gpu::exec::Job::new("main", run_main),
-            numa_gpu::exec::Job::new("baseline", move || {
-                numa_gpu::core::run_workload(SystemConfig::pascal_single(), &baseline_wl)
-            }),
-        ]);
-        let single = results.pop().expect("two jobs submitted");
-        (results.pop().expect("two jobs submitted"), Some(single))
-    } else {
-        (run_main(), None)
-    };
-    let report = unwrap_report(report);
-    let prerun_baseline = prerun_baseline.map(unwrap_report);
-    if !main_is_warm {
-        if let Some(s) = store.as_mut() {
-            if let Err(e) = s.save(&main_skey, &report) {
-                eprintln!("cache: write failed: {e}");
-            }
-        }
+    let mut plan = SimPlan::new();
+    plan.push(main_key.clone(), cfg, &workload, fault_plan);
+    if baseline {
+        plan.job("single", SystemConfig::pascal_single(), &workload);
     }
+    runner.try_execute(plan).unwrap_or_else(|e| fail(&e));
+    let report = runner.lookup_key(&main_key);
     println!("{report}");
     for (i, s) in report.sockets.iter().enumerate() {
         println!(
@@ -552,28 +487,14 @@ fn main() {
     }
 
     if baseline {
-        let baseline_was_warm = warm_baseline.is_some();
-        let single = warm_baseline.take().or(prerun_baseline).unwrap_or_else(|| {
-            unwrap_report(numa_gpu::core::run_workload(
-                SystemConfig::pascal_single(),
-                &workload,
-            ))
-        });
-        if !baseline_was_warm {
-            if let Some(s) = store.as_mut() {
-                if let Err(e) = s.save(&baseline_skey, &single) {
-                    eprintln!("cache: write failed: {e}");
-                }
-            }
-        }
+        let single = runner.lookup("single", &workload);
         println!("\nbaseline {single}");
         println!(
             "speedup vs single GPU: {:.2}x",
             report.speedup_over(&single)
         );
     }
-    if let Some(s) = &store {
-        let stats = s.stats();
+    if let Some(stats) = runner.store_stats() {
         eprintln!(
             "cache: {} warm hit(s), {} miss(es), {} write(s), {} quarantined",
             stats.hits, stats.misses, stats.writes, stats.quarantined

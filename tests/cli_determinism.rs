@@ -158,3 +158,82 @@ fn timeline_output_is_byte_identical() {
         "timeline output differs between identical runs"
     );
 }
+
+/// A fresh `--cache-dir` path for one test (tests run in one process).
+fn cache_dir(tag: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("numa_gpu_cli_cache_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir.to_str().unwrap().to_string()
+}
+
+/// Number of committed store entries under `dir`.
+fn entries(dir: &str) -> usize {
+    std::fs::read_dir(format!("{dir}/store/v1")).map_or(0, |d| d.count())
+}
+
+const BITCOIN: [&str; 5] = [
+    "--workload",
+    "Other-Bitcoin-Crypto",
+    "--quick",
+    "--sockets",
+    "2",
+];
+
+#[test]
+fn cache_dir_warm_run_is_byte_identical_to_cold() {
+    let dir = cache_dir("warm");
+    let mut args = BITCOIN.to_vec();
+    args.extend(["--baseline", "--jobs", "2", "--timeline"]);
+    args.extend(["--faults", "lanes:s1@200=8", "--cache-dir", &dir]);
+    let cold = simulate(&args);
+    assert_eq!(entries(&dir), 2, "main job and baseline written through");
+    assert_eq!(cold, simulate(&args), "warm stdout differs from cold");
+    assert_eq!(
+        cold,
+        simulate(&args[..args.len() - 2]),
+        "store changed stdout"
+    );
+}
+
+#[test]
+fn cache_dir_profile_follows_the_request_not_the_entry() {
+    let with = |dir: &str, profile: bool| {
+        let mut args = BITCOIN.to_vec();
+        args.extend(["--cache-dir", dir]);
+        args.extend(profile.then_some("--profile"));
+        simulate(&args)
+    };
+    let (dir, fresh) = (cache_dir("profile"), cache_dir("profile_fresh"));
+    let plain = with(&dir, false);
+    // The stored entry has no profile: --profile reruns and heals it.
+    let profiled = with(&dir, true);
+    assert_eq!(
+        profiled,
+        with(&fresh, true),
+        "table differs from a cold run"
+    );
+    assert_eq!(profiled, with(&dir, true), "healed entry serves the table");
+    assert_eq!(plain, with(&dir, false), "a stored profile leaked");
+}
+
+#[test]
+fn cache_dir_is_untouched_by_metrics_and_failed_runs() {
+    let dir = cache_dir("bypass");
+    let mut args = BITCOIN.to_vec();
+    args.extend(["--metrics", "--cache-dir", &dir]);
+    simulate(&args);
+    assert_eq!(entries(&dir), 0, "a metrics run must not be stored");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(BITCOIN)
+        .args(["--max-cycles", "50", "--cache-dir", &dir])
+        .output()
+        .expect("simulate binary runs");
+    assert_eq!(out.status.code(), Some(3));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("simulation error: cycle budget exhausted"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty() && entries(&dir) == 0);
+}
