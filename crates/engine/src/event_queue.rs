@@ -1,14 +1,20 @@
 //! Deterministic event queue: a bucketed calendar queue.
 
+use std::collections::VecDeque;
+
 use numa_gpu_types::{Tick, TICKS_PER_CYCLE};
 
 /// Buckets in the calendar window (one simulated cycle per bucket).
 ///
-/// 512 cycles comfortably covers the simulator's event horizon — lookahead
-/// windows are ~64 cycles and DRAM round trips ~100 — so almost every push
-/// is an O(1) bucket append. Power of two so the ring index is a mask.
+/// 512 cycles covers the event horizon of an unloaded machine — lookahead
+/// windows are ~64 cycles and DRAM round trips ~100 — so there almost every
+/// push is an O(1) bucket append. A saturated DRAM or link queues
+/// completions further out than that, and CTA dispatch jitter reaches 518
+/// cycles; those pushes take the overflow. Power of two so the ring index
+/// is a mask.
 const NUM_BUCKETS: usize = 512;
-const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
+const WINDOW: u64 = NUM_BUCKETS as u64;
+const BUCKET_MASK: u64 = WINDOW - 1;
 const OCC_WORDS: usize = NUM_BUCKETS / 64;
 
 /// A timestamped event queue with FIFO ordering among events scheduled for
@@ -23,32 +29,48 @@ const OCC_WORDS: usize = NUM_BUCKETS / 64;
 ///
 /// The calendar is a ring of 512 (`NUM_BUCKETS`) buckets, one simulated
 /// cycle ([`TICKS_PER_CYCLE`] ticks) wide each, covering the window
-/// `[base_cycle, base_cycle + NUM_BUCKETS)`:
+/// `[origin, origin + NUM_BUCKETS)`. Two cursors walk it:
 ///
-/// - The **active** bucket (cycle `base_cycle`, always the earliest
-///   non-empty one) is kept sorted in descending `(tick, seq)` order, so
-///   the next event pops from its back in O(1).
-/// - Pushes into later window cycles are O(1) unsorted appends; a bucket is
-///   sorted once, when the window front reaches it.
-/// - Pushes into the current cycle insert in sorted position — an append
+/// - The window **origin** is the cycle of the last pop: the simulation's
+///   *now*. A handler schedules its follow-ups at or after the event it is
+///   handling and a window barrier delivers at or after the window it
+///   closed, so a simulation never pushes below the origin, however far
+///   ahead of it the next pending event is.
+/// - The **active** bucket is the earliest non-empty one, at or after the
+///   origin with only empty buckets between the two. It is kept sorted in
+///   descending `(tick, seq)` order, so the next event pops from its back
+///   in O(1).
+///
+/// The push paths, cheapest first:
+///
+/// - Pushes into window cycles after the active one are O(1) unsorted
+///   appends; a bucket is sorted once, when the active cursor reaches it.
+/// - Pushes into the active cycle insert in sorted position — an append
 ///   when the event is not earlier than everything pending in the cycle
-///   (the common same-cycle wakeup), a short memmove otherwise.
-/// - Events beyond the window go to a sorted **overflow** vector (ascending,
-///   so the far future is appended and the near future drains from the
-///   front as the window advances). Only samplers and deeply backlogged
-///   resources schedule that far out.
-/// - A push *before* the window **rebases** in O(1) when every pending
-///   cycle still fits one window span anchored at the new minimum: bucket
-///   indices are `cycle & BUCKET_MASK` regardless of `base_cycle`, so only
-///   the base moves. The simulator hits this when a partition's queue fully
-///   drains at a window barrier and then refills out of order. Only when
-///   pending cycles span more than the window does the push fall back to a
-///   full calendar rebuild (an O(n log n) sort), which is rare.
+///   (the common same-cycle wakeup), a short memmove otherwise. A push
+///   between the origin and the active cycle finds its bucket empty and
+///   makes it the active one: the follow-up at `now + δ` of a handler that
+///   runs while the next pending event is a DRAM backlog away.
+/// - Events beyond the window go to a sorted **overflow** deque (ascending:
+///   the far future is appended at the back and the near future drains from
+///   the front as the origin moves up). Samplers, backlogged DRAM and link
+///   queues and CTA dispatch schedule that far out. When nothing but
+///   overflow is pending the window stays where it is, still anchored at
+///   *now*; the pop that needs the overflow's first event jumps it there.
+/// - A push *below* the origin is not causal; only a caller that refills a
+///   partly drained queue out of order makes one. It **rebases** in O(1)
+///   when every pending cycle still fits one window span anchored at the new
+///   minimum: bucket indices are `cycle & BUCKET_MASK` regardless of the
+///   origin, so only the cursors move. When pending cycles span more than
+///   the window it falls back to a full calendar **rebuild** (drain, an
+///   O(n log n) sort, redistribute).
 ///
-/// Pop order is unchanged from a binary heap because the active bucket is
-/// always the earliest non-empty cycle (overflow cycles are strictly later
-/// than every bucketed cycle), and within a cycle events are ordered by the
-/// full `(tick, seq)` key.
+/// Pop order is unchanged from a binary heap because every bucketed event
+/// lies inside the window and every overflow event beyond it, so the active
+/// bucket — the earliest non-empty cycle — holds the minimum whenever any
+/// bucket is occupied, and the overflow's front does otherwise; within a
+/// cycle events are ordered by the full `(tick, seq)` key. Where the origin
+/// sits decides only which path a push takes, never what pops next.
 ///
 /// # Examples
 ///
@@ -70,17 +92,15 @@ pub struct EventQueue<E> {
     buckets: Vec<Vec<Entry<E>>>,
     /// Bitmap of non-empty buckets (bit `i` covers `buckets[i]`).
     occupied: [u64; OCC_WORDS],
-    /// Cycle of the active (earliest non-empty) bucket.
-    base_cycle: u64,
-    /// Upper bound on the latest bucketed cycle (never lowered by pops, so
-    /// it may be stale-high; reset when the queue empties). Gates the O(1)
-    /// window **rebase** on a below-window push: bucket indices are
-    /// `cycle & BUCKET_MASK` regardless of `base_cycle`, so as long as
-    /// every pending cycle fits one window span the base can simply move
-    /// back without touching a single bucket.
-    max_bucket_cycle: u64,
-    /// Events beyond the bucket window, ascending `(tick, seq)`.
-    overflow: Vec<Entry<E>>,
+    /// First cycle of the window: the cycle of the last pop, until a push
+    /// into an empty queue, a rebase or a rebuild re-anchors it.
+    origin: u64,
+    /// Cycle of the active (earliest non-empty, sorted) bucket;
+    /// `origin + WINDOW` while no bucket is occupied, so that every window
+    /// push compares at or below it.
+    active: u64,
+    /// Events beyond the window, ascending `(tick, seq)`.
+    overflow: VecDeque<Entry<E>>,
     /// Cached tick of the earliest pending event.
     next_at: Option<Tick>,
     len: usize,
@@ -96,7 +116,8 @@ pub struct EventQueue<E> {
 }
 
 /// Lifetime statistics of an [`EventQueue`], for observability snapshots
-/// and the self-profiler's engine attribution.
+/// and the self-profiler's engine attribution. Every push takes exactly one
+/// of the five paths counted here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EventQueueStats {
     /// Events ever scheduled.
@@ -107,20 +128,23 @@ pub struct EventQueueStats {
     pub max_len: usize,
     /// Pushes appended unsorted to a later window bucket (the O(1) path).
     pub bucket_pushes: u64,
-    /// Pushes inserted in sorted position in the active cycle.
+    /// Pushes inserted in sorted position in the active cycle, counting
+    /// those that made an empty cycle at or after *now* the active one.
     pub sorted_pushes: u64,
     /// Pushes beyond the calendar window, into the sorted overflow.
     pub overflow_pushes: u64,
     /// Overflow events promoted into buckets as the window advanced.
     pub promotions: u64,
-    /// O(1) window rebases on a below-window push (the common shape after
-    /// a full drain refills out of order): every pending cycle still fit
-    /// one window span, so only the base moved.
+    /// O(1) window rebases on a push below the window: every pending cycle
+    /// still fit one window span, so only the cursors moved. The window
+    /// starts at the cycle of the last pop, so a simulation, which never
+    /// schedules into its past, makes none.
     pub rebases: u64,
-    /// Full calendar rebuilds on a below-window push that could not
-    /// rebase — pending cycles spanned more than the window. Rare: it
-    /// needs a drain-and-refill interleaved with events scheduled
-    /// hundreds of cycles out.
+    /// Full calendar rebuilds on a push below the window that could not
+    /// rebase — pending cycles spanned more than the window. Each re-sorts
+    /// every pending event. Like a rebase it takes a push below the cycle
+    /// of the last pop: zero in a simulation at any backlog depth, and a
+    /// causality bug in the caller if not.
     pub rebuilds: u64,
 }
 
@@ -157,9 +181,9 @@ impl<E> EventQueue<E> {
         EventQueue {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; OCC_WORDS],
-            base_cycle: 0,
-            max_bucket_cycle: 0,
-            overflow: Vec::new(),
+            origin: 0,
+            active: WINDOW,
+            overflow: VecDeque::new(),
             next_at: None,
             len: 0,
             seq: 0,
@@ -191,44 +215,17 @@ impl<E> EventQueue<E> {
         self.seq += 1;
         let entry = Entry { at, seq, payload };
         let cycle = cycle_of(at);
-        if self.len == 0 {
-            self.base_cycle = cycle;
-            self.max_bucket_cycle = cycle;
-            let idx = bucket_index(cycle);
-            self.buckets[idx].push(entry);
-            self.set_occupied(idx);
-        } else if cycle < self.base_cycle {
-            if self.max_bucket_cycle < cycle + NUM_BUCKETS as u64 {
-                // Every pending cycle still fits the window anchored at
-                // `cycle`, so rebase in O(1): the target bucket cannot
-                // alias a pending cycle (that would need a cycle ≥
-                // `cycle + NUM_BUCKETS`), hence it is empty and becomes
-                // the new, trivially sorted active bucket. This is the
-                // common shape after a full drain refills out of order.
-                self.rebases += 1;
-                self.base_cycle = cycle;
-                let idx = bucket_index(cycle);
-                debug_assert!(self.buckets[idx].is_empty(), "rebase target aliased");
-                self.buckets[idx].push(entry);
-                self.set_occupied(idx);
-            } else {
-                self.rebuilds += 1;
-                self.rebuild_with(entry);
-            }
-        } else if cycle == self.base_cycle {
-            self.sorted_pushes += 1;
-            self.insert_active(entry);
-        } else if cycle < self.base_cycle + NUM_BUCKETS as u64 {
+        // One unsigned compare sends both sides of the window out of line.
+        if cycle.wrapping_sub(self.origin) >= WINDOW {
+            self.push_outside_window(cycle, entry);
+        } else if cycle > self.active {
             self.bucket_pushes += 1;
-            self.max_bucket_cycle = self.max_bucket_cycle.max(cycle);
             let idx = bucket_index(cycle);
             self.buckets[idx].push(entry);
             self.set_occupied(idx);
         } else {
-            self.overflow_pushes += 1;
-            let key = entry.key();
-            let pos = self.overflow.partition_point(|e| e.key() < key);
-            self.overflow.insert(pos, entry);
+            self.sorted_pushes += 1;
+            self.insert_active(cycle, entry);
         }
         self.len += 1;
         self.max_len = self.max_len.max(self.len);
@@ -241,8 +238,10 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(Tick, E)> {
-        let idx = bucket_index(self.base_cycle);
-        let entry = self.buckets[idx].pop()?;
+        let idx = bucket_index(self.active);
+        let Some(entry) = self.buckets[idx].pop() else {
+            return self.pop_overflow();
+        };
         debug_assert_eq!(
             Some(entry.at),
             self.next_at,
@@ -250,11 +249,9 @@ impl<E> EventQueue<E> {
         );
         self.len -= 1;
         self.pops += 1;
-        if self.buckets[idx].is_empty() {
-            self.clear_occupied(idx);
-            self.advance();
-        } else {
-            self.next_at = self.buckets[idx].last().map(|e| e.at);
+        match self.buckets[idx].last() {
+            Some(next) if self.origin == self.active => self.next_at = Some(next.at),
+            _ => self.settle(),
         }
         Some((entry.at, entry.payload))
     }
@@ -305,10 +302,14 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Inserts into the active bucket, which is sorted descending by
-    /// `(tick, seq)` so the minimum pops from the back.
-    fn insert_active(&mut self, entry: Entry<E>) {
-        let idx = bucket_index(self.base_cycle);
+    /// Inserts into the bucket of `cycle`, which is the active one or lies
+    /// between the origin and it. In the second case the bucket is empty
+    /// and becomes the active one. The active bucket is sorted descending
+    /// by `(tick, seq)` so the minimum pops from the back.
+    fn insert_active(&mut self, cycle: u64, entry: Entry<E>) {
+        debug_assert!(self.origin <= cycle && cycle <= self.active);
+        self.active = cycle;
+        let idx = bucket_index(cycle);
         let bucket = &mut self.buckets[idx];
         let key = entry.key();
         match bucket.last() {
@@ -326,60 +327,114 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Moves the window front to the next non-empty cycle after the active
-    /// bucket drained, pulling newly in-window overflow along.
-    fn advance(&mut self) {
-        if self.len == 0 {
-            self.next_at = None;
-            return;
-        }
-        match self.next_occupied_cycle() {
-            Some(cycle) => self.base_cycle = cycle,
-            None => {
-                // Everything pending sits in the overflow; jump the window
-                // to its earliest cycle. Overflow is ascending, so index 0
-                // is the minimum.
-                if let Some(first) = self.overflow.first() {
-                    self.base_cycle = cycle_of(first.at);
+    /// The push paths off the calendar window: beyond it or below it.
+    #[inline(never)]
+    fn push_outside_window(&mut self, cycle: u64, entry: Entry<E>) {
+        if cycle > self.origin && self.seq == 1 {
+            // A new queue has no *now* yet; its first push supplies one.
+            self.sorted_pushes += 1;
+            (self.origin, self.active) = (cycle, cycle);
+            self.insert_active(cycle, entry);
+        } else if cycle > self.origin {
+            self.overflow_pushes += 1;
+            let key = entry.key();
+            match self.overflow.back() {
+                Some(last) if key < last.key() => {
+                    let pos = self.overflow.partition_point(|e| e.key() < key);
+                    self.overflow.insert(pos, entry);
                 }
+                _ => self.overflow.push_back(entry),
             }
+        } else if self
+            .next_occupied((cycle + WINDOW).max(self.origin), self.origin + WINDOW)
+            .is_none()
+        {
+            // Every pending cycle still fits the window anchored at
+            // `cycle`, so rebase in O(1). The buckets from `cycle` up to the
+            // old origin alias the cycles just found unoccupied, and those
+            // from there to the active one were empty already.
+            self.rebases += 1;
+            self.origin = cycle;
+            self.insert_active(cycle, entry);
+        } else {
+            self.rebuilds += 1;
+            self.rebuild_with(entry);
         }
-        self.promote();
-        self.activate();
     }
 
-    /// Drains overflow events that now fall inside the bucket window.
-    fn promote(&mut self) {
-        let limit = self.base_cycle + NUM_BUCKETS as u64;
-        let k = self.overflow.partition_point(|e| cycle_of(e.at) < limit);
-        if k == 0 {
+    /// The pop path when no bucket is occupied: jumps the window to the
+    /// overflow's first cycle. Deferred to here, rather than done by the
+    /// pop that emptied the last bucket, so that the handler of that event
+    /// still schedules into a window anchored at its own cycle.
+    #[inline(never)]
+    fn pop_overflow(&mut self) -> Option<(Tick, E)> {
+        // Ascending, so the front is the minimum.
+        let first = self.overflow.front()?;
+        self.origin = cycle_of(first.at);
+        self.active = self.origin;
+        self.promote();
+        self.activate();
+        self.pop()
+    }
+
+    /// The rest of a pop that was the first from its bucket, the last, or
+    /// both: moves the origin up to the popped cycle, and the active cursor
+    /// on to the next non-empty cycle if this one drained.
+    #[inline(never)]
+    fn settle(&mut self) {
+        if self.origin != self.active {
+            self.origin = self.active;
+            self.promote();
+        }
+        let idx = bucket_index(self.active);
+        if let Some(next) = self.buckets[idx].last() {
+            self.next_at = Some(next.at);
             return;
         }
-        self.promotions += k as u64;
-        for entry in self.overflow.drain(..k) {
-            let cycle = cycle_of(entry.at);
-            self.max_bucket_cycle = self.max_bucket_cycle.max(cycle);
-            let idx = bucket_index(cycle);
+        self.clear_occupied(idx);
+        let end = self.origin + WINDOW;
+        match self.next_occupied(self.active + 1, end) {
+            Some(cycle) => {
+                self.active = cycle;
+                self.activate();
+            }
+            None => {
+                self.active = end;
+                self.next_at = self.overflow.front().map(|e| e.at);
+            }
+        }
+    }
+
+    /// Moves overflow events that the window now covers into their buckets,
+    /// none of them before the active one. O(k) for k promoted.
+    fn promote(&mut self) {
+        let limit = self.origin + WINDOW;
+        while let Some(entry) = self.overflow.pop_front_if(|e| cycle_of(e.at) < limit) {
+            self.promotions += 1;
+            let idx = bucket_index(cycle_of(entry.at));
             self.buckets[idx].push(entry);
-            self.occupied[idx / 64] |= 1u64 << (idx % 64);
+            self.set_occupied(idx);
         }
     }
 
     /// Sorts the (new) active bucket and refreshes the cached minimum.
     fn activate(&mut self) {
-        let idx = bucket_index(self.base_cycle);
+        let idx = bucket_index(self.active);
         let bucket = &mut self.buckets[idx];
         // `(tick, seq)` keys are unique, so an unstable sort is a total
         // (and therefore deterministic) order.
         bucket.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
         self.next_at = bucket.last().map(|e| e.at);
-        debug_assert!(self.next_at.is_some(), "advance() chose an empty bucket");
+        debug_assert!(self.next_at.is_some(), "activated an empty bucket");
     }
 
-    /// Rebuilds the calendar around a push earlier than the current window.
-    /// Only occupied buckets (bitmap-guided) are drained, so the cost is
-    /// proportional to the pending population, not the ring size.
+    /// Rebuilds the calendar around a push earlier than the current window,
+    /// which becomes the window's first event. Only occupied buckets
+    /// (bitmap-guided) are drained, so the cost is proportional to the
+    /// pending population, not the ring size.
     fn rebuild_with(&mut self, entry: Entry<E>) {
+        self.origin = cycle_of(entry.at);
+        self.active = self.origin;
         let mut all: Vec<Entry<E>> = Vec::with_capacity(self.len + 1);
         for (w, &word) in self.occupied.iter().enumerate() {
             let mut bits = word;
@@ -389,48 +444,94 @@ impl<E> EventQueue<E> {
                 all.append(&mut self.buckets[idx]);
             }
         }
-        all.append(&mut self.overflow);
+        all.extend(self.overflow.drain(..));
         all.push(entry);
         all.sort_unstable_by_key(Entry::key);
         self.occupied = [0; OCC_WORDS];
-        if let Some(first) = all.first() {
-            self.base_cycle = cycle_of(first.at);
-        }
-        self.max_bucket_cycle = self.base_cycle;
-        let limit = self.base_cycle + NUM_BUCKETS as u64;
+        let limit = self.origin + WINDOW;
         for e in all {
             let cycle = cycle_of(e.at);
             if cycle < limit {
-                self.max_bucket_cycle = self.max_bucket_cycle.max(cycle);
                 let idx = bucket_index(cycle);
                 self.buckets[idx].push(e);
-                self.occupied[idx / 64] |= 1u64 << (idx % 64);
+                self.set_occupied(idx);
             } else {
-                self.overflow.push(e);
+                self.overflow.push_back(e);
             }
         }
         self.activate();
     }
 
-    /// First non-empty bucket cycle strictly after `base_cycle`, if any,
-    /// via a ring scan of the occupancy bitmap.
-    fn next_occupied_cycle(&self) -> Option<u64> {
-        let base_idx = bucket_index(self.base_cycle);
-        let mut idx = (base_idx + 1) % NUM_BUCKETS;
-        let mut remaining = NUM_BUCKETS - 1;
-        while remaining > 0 {
+    /// First occupied bucket cycle in `[from, to)`, a range at most one
+    /// window long, via a ring scan of the occupancy bitmap.
+    fn next_occupied(&self, from: u64, to: u64) -> Option<u64> {
+        debug_assert!(from <= to && to - from <= WINDOW);
+        let mut cycle = from;
+        while cycle < to {
+            let idx = bucket_index(cycle);
             let word = self.occupied[idx / 64] >> (idx % 64);
             if word != 0 {
-                let hit = idx + word.trailing_zeros() as usize;
-                let dist = (hit + NUM_BUCKETS - base_idx) & BUCKET_MASK as usize;
-                debug_assert_ne!(dist, 0, "active bucket bit must be cleared");
-                return Some(self.base_cycle + dist as u64);
+                let hit = cycle + word.trailing_zeros() as u64;
+                return (hit < to).then_some(hit);
             }
-            let step = (64 - idx % 64).min(remaining);
-            idx = (idx + step) % NUM_BUCKETS;
-            remaining -= step;
+            cycle += 64 - (idx % 64) as u64;
         }
         None
+    }
+
+    /// Panics unless the calendar's structural invariants hold. O(pending
+    /// events); for tests, which call it between operations.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        let end = self.origin + WINDOW;
+        let mut bucketed = 0;
+        for (idx, bucket) in self.buckets.iter().enumerate() {
+            let bit = self.occupied[idx / 64] >> (idx % 64) & 1 == 1;
+            assert_eq!(bit, !bucket.is_empty(), "bitmap out of step at {idx}");
+            bucketed += bucket.len();
+            for e in bucket {
+                let cycle = cycle_of(e.at);
+                assert_eq!(bucket_index(cycle), idx, "event in the wrong bucket");
+                assert!(
+                    (self.active..end).contains(&cycle),
+                    "bucketed cycle {cycle} outside [active {}, window end {end})",
+                    self.active
+                );
+            }
+        }
+        assert_eq!(bucketed + self.overflow.len(), self.len, "len out of step");
+        assert!(
+            (self.origin..=end).contains(&self.active),
+            "active cursor outside the window"
+        );
+        assert_eq!(self.active == end, bucketed == 0, "active cursor is stale");
+        let active = &self.buckets[bucket_index(self.active)];
+        assert!(
+            active.windows(2).all(|w| w[0].key() > w[1].key()),
+            "active bucket is not sorted descending"
+        );
+        assert!(
+            self.overflow
+                .iter()
+                .zip(self.overflow.iter().skip(1))
+                .all(|(a, b)| a.key() < b.key()),
+            "overflow is not ascending"
+        );
+        assert!(
+            self.overflow.iter().all(|e| cycle_of(e.at) >= end),
+            "overflow event inside the window"
+        );
+        let min = match active.last() {
+            Some(e) => Some(e.at),
+            None => self.overflow.front().map(|e| e.at),
+        };
+        assert_eq!(self.next_at, min, "cached minimum is stale");
+        let s = self.stats();
+        assert_eq!(
+            s.bucket_pushes + s.sorted_pushes + s.overflow_pushes + s.rebases + s.rebuilds,
+            s.pushes,
+            "a push took no path or two"
+        );
     }
 }
 
@@ -526,22 +627,63 @@ mod tests {
 
     #[test]
     fn push_before_window_rebuilds_when_span_exceeds_ring() {
-        let w = NUM_BUCKETS as u64;
+        // Fill a whole window downwards from its last cycle, no pops: the
+        // first push anchors the origin, the rest rebase it down one cycle
+        // at a time.
+        let base = 100;
         let mut q = EventQueue::new();
-        q.push(0, 0);
-        q.push(400 * TICKS_PER_CYCLE, 1);
-        assert_eq!(q.pop().unwrap().1, 0); // window advances to cycle 400
-        q.push((400 + w - 10) * TICKS_PER_CYCLE, 2); // near the window's end
+        for i in 0..WINDOW {
+            q.push((base + WINDOW - 1 - i) * TICKS_PER_CYCLE, i);
+        }
+        assert_eq!(q.stats().rebases, WINDOW - 1);
+        assert_eq!(q.stats().rebuilds, 0);
 
-        // Cycle 100 cannot coexist with cycle 400+w-10 in one window span,
+        // One cycle lower cannot share a window span with the last cycle,
         // so this below-window push must take the full rebuild.
-        q.push(100 * TICKS_PER_CYCLE, 3);
+        q.push((base - 1) * TICKS_PER_CYCLE, WINDOW);
+        q.check_invariants();
         assert_eq!(q.stats().rebuilds, 1);
-        assert_eq!(q.stats().rebases, 0);
-        assert_eq!(q.pop().unwrap(), (100 * TICKS_PER_CYCLE, 3));
-        assert_eq!(q.pop().unwrap(), (400 * TICKS_PER_CYCLE, 1));
-        assert_eq!(q.pop().unwrap(), ((400 + w - 10) * TICKS_PER_CYCLE, 2));
+        assert_eq!(q.stats().rebases, WINDOW - 1);
+        assert_eq!(q.stats().overflow_pushes, 0);
+        for i in (0..=WINDOW).rev() {
+            assert_eq!(
+                q.pop(),
+                Some(((base + WINDOW - 1 - i) * TICKS_PER_CYCLE, i))
+            );
+        }
         assert_eq!(q.pop(), None);
+        assert_eq!(q.stats().promotions, 1, "the rebuild overflowed one event");
+    }
+
+    #[test]
+    fn follow_up_after_draining_pop_stays_in_window() {
+        // A handler's follow-up at `now + δ` while everything else pending
+        // is more than a window ahead of now: the window must still be
+        // anchored at the popped cycle, not at the backlog.
+        let backlog = (WINDOW + 88) * TICKS_PER_CYCLE;
+        let delta = 7 * TICKS_PER_CYCLE;
+        let mut q = EventQueue::new();
+        q.push(0, 0u64);
+        let mut pending = std::collections::VecDeque::from([(0, 0)]);
+        for i in 1..=1_000 {
+            let (now, id) = q.pop().unwrap();
+            assert_eq!(Some((now, id)), pending.pop_front());
+            q.push(now + backlog, 2 * i);
+            q.push(now + delta, 2 * i + 1);
+            pending.push_back((now + backlog, 2 * i));
+            let at = pending.partition_point(|&(t, _)| t <= now + delta);
+            pending.insert(at, (now + delta, 2 * i + 1));
+            q.check_invariants();
+        }
+        let s = q.stats();
+        assert_eq!((s.rebuilds, s.rebases), (0, 0));
+        assert_eq!(s.overflow_pushes, 1_000, "every backlog push overflowed");
+        while let Some(event) = q.pop() {
+            assert_eq!(Some(event), pending.pop_front());
+        }
+        assert!(pending.is_empty());
+        assert_eq!(q.stats().promotions, 1_000);
+        assert_eq!((q.stats().rebuilds, q.stats().rebases), (0, 0));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //!   `(Tick, payload)` pairs with FIFO tie-breaking, so identical runs
 //!   replay identically. Implemented as a bucketed calendar queue (one
 //!   cycle per bucket) whose pop order is exactly that of a min-heap over
-//!   `(tick, seq)`; the hot push path is an O(1) bucket append.
+//!   `(tick, seq)`. Its 512-cycle window starts at the cycle of the last
+//!   pop, so the hot push path is an O(1) bucket append and a saturated
+//!   DRAM or link, whose backlog runs deeper than the window, costs a
+//!   sorted overflow insert and never a calendar rebuild.
 //! * [`ServiceQueue`] — a bandwidth-limited FIFO resource (DRAM interface,
 //!   NoC, one link direction). Requests occupy the resource for
 //!   `bytes / rate` cycles; the queue tracks windowed busy time so the

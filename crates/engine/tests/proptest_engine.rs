@@ -48,8 +48,9 @@ prop_check! {
     }
 
     /// Under arbitrary push/pop interleavings — same-cycle ties, far-future
-    /// overflow, and pushes before the calendar window — the queue pops in
-    /// exactly the order of a reference min-heap keyed by `(tick, seq)`.
+    /// overflow, and non-causal pushes below the last popped cycle, which
+    /// rebase or rebuild the calendar — the queue pops in exactly the order
+    /// of a reference min-heap keyed by `(tick, seq)`.
     fn event_queue_matches_heap_under_interleaving(
         ops in vecs(pairs(ints(0u64..3), ints(0u64..2000)), 1..300)
     ) {
@@ -77,16 +78,68 @@ prop_check! {
                 heap.push(Reverse((at, seq, i)));
                 seq += 1;
             }
+            q.check_invariants();
         }
         loop {
             let got = q.pop();
             let want = heap.pop().map(|Reverse((t, _, p))| (t, p));
             let done = got.is_none();
             prop_assert_eq!(got, want);
+            q.check_invariants();
             if done {
                 break;
             }
         }
+    }
+
+    /// Causal traffic, the only kind a simulation makes: every push is at or
+    /// after the tick of the last pop, up to four calendar windows ahead of
+    /// it, with pops interleaved and now and then a full drain. The pop
+    /// sequence is that of a reference min-heap keyed by `(tick, seq)`, and
+    /// however deep the backlog gets the calendar never rebases or rebuilds.
+    fn event_queue_causal_traffic_never_rebuilds(
+        ops in vecs(pairs(ints(0u64..16), ints(0u64..4 * 512 * TICKS_PER_CYCLE)), 1..400)
+    ) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut q = EventQueue::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        // Simulated time starts with the launch event at tick 0.
+        let mut now = 0u64;
+        q.push(now, usize::MAX);
+        heap.push(Reverse((now, seq, usize::MAX)));
+        for (i, (op, x)) in ops.iter().enumerate() {
+            let pops = match *op {
+                0..=5 => 1,
+                15 => usize::MAX,
+                _ => 0,
+            };
+            for _ in 0..pops {
+                let got = q.pop();
+                let want = heap.pop().map(|Reverse((t, _, p))| (t, p));
+                prop_assert_eq!(got, want);
+                q.check_invariants();
+                match got {
+                    Some((t, _)) => now = t,
+                    None => break,
+                }
+            }
+            if pops == 0 {
+                // Same-cycle wakeups, an unloaded round trip, a backlog.
+                let delta = match *op {
+                    6..=8 => x % (2 * TICKS_PER_CYCLE),
+                    9..=11 => x % (300 * TICKS_PER_CYCLE),
+                    _ => *x,
+                };
+                seq += 1;
+                q.push(now + delta, i);
+                heap.push(Reverse((now + delta, seq, i)));
+                q.check_invariants();
+            }
+        }
+        let s = q.stats();
+        prop_assert_eq!((s.rebuilds, s.rebases), (0, 0));
     }
 
     /// `pop_if_before(bound)` pops exactly when the head tick is strictly
