@@ -1,7 +1,6 @@
 //! Miss status holding registers.
 
 use numa_gpu_types::LineAddr;
-use std::collections::BTreeMap;
 
 /// Result of attempting to track a miss in the MSHR file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +34,10 @@ pub enum MshrAllocation {
 #[derive(Debug, Clone)]
 pub struct MshrFile<W> {
     capacity: usize,
-    entries: BTreeMap<LineAddr, Vec<W>>,
+    /// Register `i` tracks `lines[i]` and wakes `waiters[i]`; allocation
+    /// order, probed linearly (a file holds tens of registers).
+    lines: Vec<LineAddr>,
+    waiters: Vec<Vec<W>>,
     /// Emptied waiter vectors kept for reuse, so the steady state allocates
     /// no waiter storage: each primary miss takes a pooled vector and each
     /// completion returns one.
@@ -53,19 +55,24 @@ impl<W> MshrFile<W> {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
         MshrFile {
             capacity,
-            entries: BTreeMap::new(),
+            lines: Vec::new(),
+            waiters: Vec::new(),
             pool: Vec::new(),
             recycled: 0,
         }
     }
 
+    fn register_of(&self, line: LineAddr) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line)
+    }
+
     /// Tracks a miss on `line` for `waiter`.
     pub fn allocate(&mut self, line: LineAddr, waiter: W) -> MshrAllocation {
-        if let Some(waiters) = self.entries.get_mut(&line) {
-            waiters.push(waiter);
+        if let Some(i) = self.register_of(line) {
+            self.waiters[i].push(waiter);
             return MshrAllocation::Merged;
         }
-        if self.entries.len() >= self.capacity {
+        if self.is_full() {
             return MshrAllocation::Full;
         }
         let mut waiters = self.pool.pop().unwrap_or_default();
@@ -73,14 +80,22 @@ impl<W> MshrFile<W> {
             self.recycled += 1;
         }
         waiters.push(waiter);
-        self.entries.insert(line, waiters);
+        self.lines.push(line);
+        self.waiters.push(waiters);
         MshrAllocation::Primary
+    }
+
+    /// Frees `line`'s register (the last one takes its place); yields its waiters.
+    fn release(&mut self, line: LineAddr) -> Option<Vec<W>> {
+        let i = self.register_of(line)?;
+        self.lines.swap_remove(i);
+        Some(self.waiters.swap_remove(i))
     }
 
     /// Completes the miss on `line`, releasing its register and returning
     /// the waiters to wake (empty if the line was not outstanding).
     pub fn complete(&mut self, line: LineAddr) -> Vec<W> {
-        self.entries.remove(&line).unwrap_or_default()
+        self.release(line).unwrap_or_default()
     }
 
     /// Allocation-recycling form of [`Self::complete`]: appends the waiters
@@ -88,7 +103,7 @@ impl<W> MshrFile<W> {
     /// waiter vector to the internal pool for the next primary miss — the
     /// hot fill path allocates nothing in steady state.
     pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<W>) {
-        if let Some(mut waiters) = self.entries.remove(&line) {
+        if let Some(mut waiters) = self.release(line) {
             out.append(&mut waiters);
             self.pool.push(waiters);
         }
@@ -102,17 +117,17 @@ impl<W> MshrFile<W> {
 
     /// Whether a miss on `line` is outstanding.
     pub fn is_outstanding(&self, line: LineAddr) -> bool {
-        self.entries.contains_key(&line)
+        self.register_of(line).is_some()
     }
 
     /// Registers currently in use.
     pub fn in_use(&self) -> usize {
-        self.entries.len()
+        self.lines.len()
     }
 
     /// Whether every register is busy.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.lines.len() >= self.capacity
     }
 
     /// Total registers.
@@ -120,12 +135,14 @@ impl<W> MshrFile<W> {
         self.capacity
     }
 
-    /// Lines with an outstanding miss, in ascending address order. The
-    /// order depends only on the set of outstanding lines — never on
-    /// allocation order — so drain loops and diagnostics built on it are
-    /// deterministic.
+    /// Lines with an outstanding miss, in ascending address order (sorted
+    /// on demand). The order depends only on the set of outstanding lines —
+    /// never on allocation order — so drain loops and diagnostics built on
+    /// it are deterministic.
     pub fn outstanding_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.entries.keys().copied()
+        let mut lines = self.lines.clone();
+        lines.sort_unstable();
+        lines.into_iter()
     }
 }
 
@@ -170,8 +187,8 @@ mod tests {
     #[test]
     fn outstanding_lines_sorted_regardless_of_allocation_order() {
         // Allocate the same lines in two different orders; the outstanding
-        // set must enumerate identically (simlint rule D001: a hash map
-        // here would leak allocation order into any drain loop).
+        // set must enumerate identically (the register array itself is in
+        // allocation order; leaking that would break any drain loop).
         let fill = |order: &[u64]| {
             let mut m: MshrFile<u8> = MshrFile::new(8);
             for &i in order {

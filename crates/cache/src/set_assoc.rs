@@ -208,22 +208,21 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    class: LineClass,
-    stamp: u64,
-}
+// Per-way state bits. A zero byte is an invalid way: a zeroed array is an
+// empty cache, and no line address can alias "invalid" (a one-set cache
+// uses all 2^64 tag values, so the tag itself has no room for a sentinel).
+const VALID: u8 = 1;
+const DIRTY: u8 = 2;
+const REMOTE: u8 = 4;
 
-const INVALID_WAY: Way = Way {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    class: LineClass::Local,
-    stamp: 0,
-};
+#[inline]
+const fn class_of(meta: u8) -> LineClass {
+    if meta & REMOTE == 0 {
+        LineClass::Local
+    } else {
+        LineClass::Remote
+    }
+}
 
 /// A set-associative, LRU, optionally way-partitioned cache tag array.
 ///
@@ -232,11 +231,23 @@ const INVALID_WAY: Way = Way {
 /// every way. Lookups always consult **all** ways (the paper's "lazy
 /// eviction": repartitioning never moves data, it only constrains future
 /// victim selection).
+///
+/// Way state is three parallel arrays indexed `set * ways + way`: a lookup
+/// scans one set's tags, a flush only the state bytes. The first fill
+/// allocates them, so a cache nothing is ever installed in (most L1s of a
+/// large machine on a small kernel) costs no memory and no zeroing.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: u64,
-    ways: u16,
-    array: Vec<Way>,
+    ways: usize,
+    /// Line index held by each way; stale (ignored) where `meta` is zero.
+    tags: Vec<u64>,
+    /// LRU stamp of each way's last touch.
+    stamps: Vec<u64>,
+    /// `VALID | DIRTY | REMOTE` bits of each way.
+    meta: Vec<u8>,
+    /// Valid ways, kept so occupancy is O(1) and a flush can stop early.
+    resident: u64,
     partition: Option<WayPartition>,
     stamp: u64,
     stats: CacheStats,
@@ -263,8 +274,11 @@ impl SetAssocCache {
         }
         SetAssocCache {
             sets,
-            ways: config.ways,
-            array: vec![INVALID_WAY; (sets * config.ways as u64) as usize],
+            ways: config.ways as usize,
+            tags: Vec::new(),
+            stamps: Vec::new(),
+            meta: Vec::new(),
+            resident: 0,
             partition,
             stamp: 0,
             stats: CacheStats::default(),
@@ -290,7 +304,7 @@ impl SetAssocCache {
     /// Associativity.
     #[inline]
     pub fn num_ways(&self) -> u16 {
-        self.ways
+        self.ways as u16
     }
 
     /// The current way partition, if partitioned.
@@ -309,7 +323,7 @@ impl SetAssocCache {
             self.partition.is_some(),
             "cache was built without a partition"
         );
-        assert_eq!(partition.total_ways(), self.ways);
+        assert_eq!(partition.total_ways() as usize, self.ways);
         if self.partition != Some(partition) {
             self.obs.repartitions.inc();
         }
@@ -317,45 +331,51 @@ impl SetAssocCache {
         self.partition = Some(partition);
     }
 
+    /// Index of way 0 of `line`'s set (a mask for power-of-two set counts).
     #[inline]
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() % self.sets) as usize
+    fn set_base(&self, line: LineAddr) -> usize {
+        let mask = self.sets - 1;
+        let set = if self.sets & mask == 0 {
+            line.raw() & mask
+        } else {
+            line.raw() % self.sets
+        };
+        set as usize * self.ways
     }
 
+    /// Array index of the valid way holding `line` in the set at `base`.
     #[inline]
-    fn set_slice_mut(&mut self, set: usize) -> &mut [Way] {
-        let base = set * self.ways as usize;
-        &mut self.array[base..base + self.ways as usize]
+    fn find(&self, base: usize, line: LineAddr) -> Option<usize> {
+        if self.resident == 0 {
+            return None; // also covers the not-yet-allocated arrays
+        }
+        let tags = &self.tags[base..base + self.ways];
+        let meta = &self.meta[base..base + self.ways];
+        (0..self.ways)
+            .find(|&w| tags[w] == line.raw() && meta[w] != 0)
+            .map(|w| base + w)
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
+    /// Shared probe: on hit refreshes recency, ORs `extra` into the way's
+    /// state bits and counts the hit under the line's class.
+    #[inline]
+    fn probe(&mut self, line: LineAddr, extra: u8) -> bool {
+        let Some(i) = self.find(self.set_base(line), line) else {
+            return false;
+        };
         self.stamp += 1;
-        let stamp = self.stamp;
-        self.set_slice_mut(set)[way].stamp = stamp;
-    }
-
-    fn find(&self, line: LineAddr) -> Option<usize> {
-        let set = self.set_index(line);
-        let base = set * self.ways as usize;
-        (0..self.ways as usize)
-            .find(|&w| self.array[base + w].valid && self.array[base + w].tag == line.raw())
+        self.stamps[i] = self.stamp;
+        self.meta[i] |= extra;
+        match class_of(self.meta[i]) {
+            LineClass::Local => self.stats.local_hits.inc(),
+            LineClass::Remote => self.stats.remote_hits.inc(),
+        }
+        true
     }
 
     /// Read probe: returns `true` on hit and updates recency + statistics.
     pub fn probe_read(&mut self, line: LineAddr) -> bool {
-        match self.find(line) {
-            Some(way) => {
-                let set = self.set_index(line);
-                let class = self.set_slice_mut(set)[way].class;
-                self.touch(set, way);
-                match class {
-                    LineClass::Local => self.stats.local_hits.inc(),
-                    LineClass::Remote => self.stats.remote_hits.inc(),
-                }
-                true
-            }
-            None => false,
-        }
+        self.probe(line, 0)
     }
 
     /// Records the miss class for a read that missed (kept separate from
@@ -371,22 +391,7 @@ impl SetAssocCache {
     /// Write probe: on hit updates recency and, when `mark_dirty`, dirties
     /// the line (write-back caches). Returns `true` on hit.
     pub fn probe_write(&mut self, line: LineAddr, mark_dirty: bool) -> bool {
-        match self.find(line) {
-            Some(way) => {
-                let set = self.set_index(line);
-                let class = self.set_slice_mut(set)[way].class;
-                self.touch(set, way);
-                if mark_dirty {
-                    self.set_slice_mut(set)[way].dirty = true;
-                }
-                match class {
-                    LineClass::Local => self.stats.local_hits.inc(),
-                    LineClass::Remote => self.stats.remote_hits.inc(),
-                }
-                true
-            }
-            None => false,
-        }
+        self.probe(line, DIRTY * mark_dirty as u8)
     }
 
     /// Installs `line` with the given class and dirtiness, evicting if
@@ -398,85 +403,94 @@ impl SetAssocCache {
     /// keeps the *old* sticky dirty bit OR the new one).
     pub fn fill(&mut self, line: LineAddr, class: LineClass, dirty: bool) -> Option<EvictedLine> {
         self.stats.fills.inc();
-        let set = self.set_index(line);
-        if let Some(way) = self.find(line) {
-            self.touch(set, way);
-            let slot = &mut self.set_slice_mut(set)[way];
-            slot.dirty |= dirty;
-            slot.class = class;
+        self.stamp += 1;
+        if self.meta.is_empty() {
+            let lines = self.sets as usize * self.ways;
+            (self.tags, self.stamps, self.meta) = (vec![0; lines], vec![0; lines], vec![0; lines]);
+        }
+        let base = self.set_base(line);
+        let remote = class == LineClass::Remote;
+        let bits = VALID | (DIRTY * dirty as u8) | (REMOTE * remote as u8);
+        if let Some(i) = self.find(base, line) {
+            self.stamps[i] = self.stamp;
+            self.meta[i] = (self.meta[i] & DIRTY) | bits;
             return None;
         }
         let range = match self.partition {
             Some(p) => p.ways_for(class),
-            None => 0..self.ways as usize,
+            None => 0..self.ways,
         };
-        let base = set * self.ways as usize;
+        let meta = &self.meta[base..base + self.ways];
+        let stamps = &self.stamps[base..base + self.ways];
         // Prefer an invalid way in range, then an invalid way anywhere (a
         // partition only constrains *contended* allocation — reserving
-        // empty ways for an absent class would waste capacity), then LRU
-        // within the allowed range.
-        let victim_way = range
+        // empty ways for an absent class would waste capacity), then LRU in
+        // range (either class may sit there: repartitioning evicts lazily).
+        let victim = range
             .clone()
-            .find(|&w| !self.array[base + w].valid)
-            .or_else(|| (0..self.ways as usize).find(|&w| !self.array[base + w].valid))
+            .find(|&w| meta[w] == 0)
+            .or_else(|| meta.iter().position(|&m| m == 0))
             .unwrap_or_else(|| {
-                // LRU among the allowed range (lines of either class may sit
-                // there — lazy eviction after repartitioning).
                 range
-                    .clone()
-                    .min_by_key(|&w| self.array[base + w].stamp)
+                    .min_by_key(|&w| stamps[w])
                     // simlint: allow(S004, reason = "partition ranges are validated non-empty at construction")
                     .expect("way range is never empty")
             });
-        let victim = self.array[base + victim_way];
-        let evicted = if victim.valid {
+        let i = base + victim;
+        let old = self.meta[i];
+        let evicted = if old == 0 {
+            self.resident += 1;
+            None
+        } else {
             self.stats.evictions.inc();
-            if victim.dirty {
+            if old & DIRTY != 0 {
                 self.stats.dirty_evictions.inc();
             }
             Some(EvictedLine {
-                line: LineAddr::from_index(victim.tag),
-                dirty: victim.dirty,
-                class: victim.class,
+                line: LineAddr::from_index(self.tags[i]),
+                dirty: old & DIRTY != 0,
+                class: class_of(old),
             })
-        } else {
-            None
         };
-        self.stamp += 1;
-        self.array[base + victim_way] = Way {
-            tag: line.raw(),
-            valid: true,
-            dirty,
-            class,
-            stamp: self.stamp,
-        };
+        self.tags[i] = line.raw();
+        self.stamps[i] = self.stamp;
+        self.meta[i] = bits;
         evicted
     }
 
     /// Whether `line` is resident (no recency/statistics side effects).
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.find(line).is_some()
+        self.find(self.set_base(line), line).is_some()
     }
 
-    /// Bulk software-coherence invalidation of every line matching `pred`.
-    /// Returns the count invalidated plus the dirty lines needing
-    /// writebacks.
+    /// Bulk software-coherence invalidation of every line matching `pred`,
+    /// visited in array (set-major) order. Returns the count invalidated
+    /// plus the dirty lines needing writebacks.
     pub fn invalidate_where(
         &mut self,
         mut pred: impl FnMut(LineAddr, LineClass) -> bool,
     ) -> FlushOutcome {
         let mut outcome = FlushOutcome::default();
-        for slot in &mut self.array {
-            if slot.valid && pred(LineAddr::from_index(slot.tag), slot.class) {
+        // Stops once every resident line was seen: at once when empty.
+        let mut unseen = self.resident;
+        for (m, &tag) in self.meta.iter_mut().zip(&self.tags) {
+            if unseen == 0 {
+                break;
+            }
+            if *m == 0 {
+                continue;
+            }
+            unseen -= 1;
+            let line = LineAddr::from_index(tag);
+            if pred(line, class_of(*m)) {
                 outcome.invalidated += 1;
-                if slot.dirty {
-                    outcome
-                        .dirty_writebacks
-                        .push(LineAddr::from_index(slot.tag));
+                if *m & DIRTY != 0 {
+                    outcome.dirty_writebacks.push(line);
                 }
-                *slot = INVALID_WAY;
+                *m = 0;
             }
         }
+        self.resident -= outcome.invalidated;
         outcome
     }
 
@@ -487,15 +501,13 @@ impl SetAssocCache {
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> u64 {
-        self.array.iter().filter(|w| w.valid).count() as u64
+        self.resident
     }
 
     /// Number of valid lines of `class`.
     pub fn resident_lines_of(&self, class: LineClass) -> u64 {
-        self.array
-            .iter()
-            .filter(|w| w.valid && w.class == class)
-            .count() as u64
+        let of_class = |&&m: &&u8| m != 0 && class_of(m) == class;
+        self.meta.iter().filter(of_class).count() as u64
     }
 
     /// Cache statistics.

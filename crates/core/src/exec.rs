@@ -361,12 +361,10 @@ impl NumaGpuSystem {
                     // In-flight fills and wakeups for the dead SM are
                     // dropped at their handlers; clear the replay state so
                     // nothing resurrects a freed warp slot.
-                    for op in &mut shard.pending_ops[li] {
-                        *op = None;
-                    }
-                    for st in &mut shard.warp_mem[li] {
-                        *st = Default::default();
-                    }
+                    let first = shard.warp_index(li, WarpSlot::new(0));
+                    let warps = first..first + shard.cfg.sm.max_warps as usize;
+                    shard.pending_ops[warps.clone()].fill(None);
+                    shard.warp_mem[warps].fill(Default::default());
                     // Evicted CTAs go back to the *front* of this socket's
                     // queue, preserving launch order.
                     for cta in evicted.iter().rev() {
@@ -685,7 +683,8 @@ impl SocketShard {
                     self.sms[i].dispatch_cta_into(cta, program, &mut slots);
                     let sm = self.base_sm + i as u32;
                     for &slot in &slots {
-                        self.warp_mem[i][slot.index()] = Default::default();
+                        let wi = self.warp_index(i, slot);
+                        self.warp_mem[wi] = Default::default();
                         // Deterministic per-warp jitter staggers first
                         // issues so near-simultaneous first touches spread
                         // across sockets instead of following event order.
@@ -715,15 +714,16 @@ impl SocketShard {
             // freed and its CTAs already requeued elsewhere.
             return;
         }
-        let op = match self.pending_ops[li][slot.index()].take() {
+        let wi = self.warp_index(li, slot);
+        let op = match self.pending_ops[wi].take() {
             Some(op) => op,
             None => match self.sms[li].next_op(slot) {
                 Some(op) => op,
                 None => {
                     // Trace exhausted: wait for outstanding loads, then
                     // retire (and maybe complete the CTA).
-                    if self.warp_mem[li][slot.index()].outstanding > 0 {
-                        self.warp_mem[li][slot.index()].draining = true;
+                    if self.warp_mem[wi].outstanding > 0 {
+                        self.warp_mem[wi].draining = true;
                         return;
                     }
                     if self.sms[li].retire_warp(slot).is_some() {
@@ -774,7 +774,7 @@ impl SocketShard {
                                 // warp keeps issuing until the scoreboard
                                 // fills (memory-level parallelism), then
                                 // blocks until a fill wakes it.
-                                let st = &mut self.warp_mem[li][slot.index()];
+                                let st = &mut self.warp_mem[wi];
                                 st.outstanding += 1;
                                 if (st.outstanding as u32) < self.cfg.sm.max_pending_loads as u32 {
                                     self.queue
@@ -784,7 +784,7 @@ impl SocketShard {
                                 }
                             }
                             L1ReadOutcome::MshrFull => {
-                                self.pending_ops[li][slot.index()] = Some(op);
+                                self.pending_ops[wi] = Some(op);
                                 self.sms[li].park_retry(slot);
                             }
                         }
@@ -823,7 +823,8 @@ impl SocketShard {
         }
         self.sms[li].l1_fill_into(line, class, &mut woken);
         for &slot in &woken {
-            let st = &mut self.warp_mem[li][slot.index()];
+            let wi = self.warp_index(li, slot);
+            let st = &mut self.warp_mem[wi];
             debug_assert!(st.outstanding > 0, "fill without outstanding load");
             st.outstanding -= 1;
             if st.blocked {

@@ -231,10 +231,11 @@ pub(crate) struct SocketShard {
     pub ctas: VecDeque<CtaId>,
     pub sms: Vec<Sm>,
     /// Pending (not yet successfully issued) memory op per warp slot,
-    /// parked on MSHR-full and replayed on retry.
-    pub pending_ops: Vec<Vec<Option<WarpOp>>>,
+    /// parked on MSHR-full and replayed on retry. Like `warp_mem`, one
+    /// flat array indexed by [`Self::warp_index`].
+    pub pending_ops: Vec<Option<WarpOp>>,
     /// Per-warp memory scoreboard: outstanding loads and wait state.
-    pub warp_mem: Vec<Vec<WarpMemState>>,
+    pub warp_mem: Vec<WarpMemState>,
     pub l2: SetAssocCache,
     pub dram: Dram,
     /// Request-direction crossbar (SM -> L2/switch).
@@ -298,6 +299,7 @@ const _: fn() = || {
 impl SocketShard {
     fn new(cfg: &Arc<SystemConfig>, socket: SocketId) -> Self {
         let sms_per_socket = cfg.sm.sms_per_socket as u32;
+        let warp_slots = sms_per_socket as usize * cfg.sm.max_warps as usize;
         let l1_partition = if cfg.cache_mode == CacheMode::NumaAwareDynamic && cfg.partition_l1 {
             Some(WayPartition::balanced(cfg.l1.ways))
         } else {
@@ -317,12 +319,8 @@ impl SocketShard {
             sms: (0..sms_per_socket)
                 .map(|_| Sm::new(&cfg.sm, &cfg.l1, l1_partition))
                 .collect(),
-            pending_ops: (0..sms_per_socket)
-                .map(|_| vec![None; cfg.sm.max_warps as usize])
-                .collect(),
-            warp_mem: (0..sms_per_socket)
-                .map(|_| vec![WarpMemState::default(); cfg.sm.max_warps as usize])
-                .collect(),
+            pending_ops: vec![None; warp_slots],
+            warp_mem: vec![WarpMemState::default(); warp_slots],
             l2: SetAssocCache::new(&cfg.l2, l2_partition),
             dram: Dram::new(cfg.dram),
             noc_req: ServiceQueue::new(cfg.noc.bytes_per_cycle),
@@ -348,6 +346,12 @@ impl SocketShard {
             hop_latency: switch_hop_latency(&cfg.link),
             cfg: Arc::clone(cfg),
         }
+    }
+
+    /// Index of `slot` of local SM `li` in `pending_ops` / `warp_mem`.
+    #[inline]
+    pub(crate) fn warp_index(&self, li: usize, slot: WarpSlot) -> usize {
+        li * self.cfg.sm.max_warps as usize + slot.index()
     }
 
     /// Schedules a memory-path stage event in this shard's queue, tracking

@@ -3,6 +3,12 @@
 use numa_gpu_types::{Counter, LineAddr, PageId, PagePlacement, SocketId};
 use std::collections::BTreeMap;
 
+/// Pages per first-touch chunk: 4 KiB of home bytes per 256 MiB of addresses.
+const CHUNK_PAGES: u64 = 4096;
+
+/// Home byte of an untouched page; socket indices stop at 254 (`u8` count).
+const UNPLACED: u8 = u8::MAX;
+
 /// Per-page migration bookkeeping for
 /// [`PagePlacement::FirstTouchMigrate`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,7 +58,11 @@ pub struct PlacementStats {
 pub struct PageTable {
     policy: PagePlacement,
     num_sockets: u8,
-    first_touch: BTreeMap<PageId, SocketId>,
+    /// First-touch homes: a page-indexed byte table in [`CHUNK_PAGES`]-page
+    /// chunks sorted by chunk number. Chunked, not capped with a map behind:
+    /// one path for any address, memory proportional to the chunks touched
+    /// (page 2^40 costs one chunk), ascending enumeration by construction.
+    first_touch: Vec<(u64, Box<[u8]>)>,
     migration: BTreeMap<PageId, MigrationState>,
     stats: PlacementStats,
 }
@@ -68,7 +78,7 @@ impl PageTable {
         PageTable {
             policy,
             num_sockets,
-            first_touch: BTreeMap::new(),
+            first_touch: Vec::new(),
             migration: BTreeMap::new(),
             stats: PlacementStats::default(),
         }
@@ -90,9 +100,9 @@ impl PageTable {
         match self.policy {
             PagePlacement::FineInterleave => SocketId::new((line.raw() % n) as u8),
             PagePlacement::PageInterleave => SocketId::new((line.page().index() % n) as u8),
-            PagePlacement::FirstTouch => self.first_touch_home(line.page(), requester),
+            PagePlacement::FirstTouch => self.place(line.page(), requester, false),
             PagePlacement::FirstTouchMigrate { migrate_threshold } => {
-                let home = self.first_touch_home(line.page(), requester);
+                let home = self.place(line.page(), requester, false);
                 if home == requester {
                     // A local access resets any remote run.
                     self.migration.remove(&line.page());
@@ -109,7 +119,7 @@ impl PageTable {
                 }
                 if st.run >= migrate_threshold.max(1) {
                     self.migration.remove(&line.page());
-                    self.first_touch.insert(line.page(), requester);
+                    self.place(line.page(), requester, true);
                     self.stats.pages_migrated.inc();
                     return requester;
                 }
@@ -118,12 +128,33 @@ impl PageTable {
         }
     }
 
-    fn first_touch_home(&mut self, page: PageId, requester: SocketId) -> SocketId {
-        let stats = &mut self.stats;
-        *self.first_touch.entry(page).or_insert_with(|| {
-            stats.pages_placed.inc();
-            requester
-        })
+    /// Position of `page`'s chunk in `first_touch` (`Err`: where it would go).
+    fn chunk_at(&self, page: PageId) -> Result<usize, usize> {
+        let chunk = page.index() / CHUNK_PAGES;
+        self.first_touch.binary_search_by_key(&chunk, |c| c.0)
+    }
+
+    /// Makes `socket` the home of `page` if it has none (a counted placement)
+    /// or `overwrite` is set (a migration); returns the home now in force.
+    fn place(&mut self, page: PageId, socket: SocketId, overwrite: bool) -> SocketId {
+        let at = self.chunk_at(page).unwrap_or_else(|at| {
+            let homes = vec![UNPLACED; CHUNK_PAGES as usize].into_boxed_slice();
+            self.first_touch
+                .insert(at, (page.index() / CHUNK_PAGES, homes));
+            at
+        });
+        let home = &mut self.first_touch[at].1[(page.index() % CHUNK_PAGES) as usize];
+        if *home == UNPLACED || overwrite {
+            assert!(
+                socket.index() < self.num_sockets as usize,
+                "home socket outside the system"
+            );
+            if *home == UNPLACED {
+                self.stats.pages_placed.inc();
+            }
+            *home = socket.index() as u8;
+        }
+        SocketId::new(*home)
     }
 
     /// Resolves `line`'s home without placing anything: `Some` when the
@@ -154,11 +185,7 @@ impl PageTable {
     pub fn commit_claim(&mut self, page: PageId, socket: SocketId) {
         match self.policy {
             PagePlacement::FirstTouch | PagePlacement::FirstTouchMigrate { .. } => {
-                let stats = &mut self.stats;
-                self.first_touch.entry(page).or_insert_with(|| {
-                    stats.pages_placed.inc();
-                    socket
-                });
+                self.place(page, socket, false);
             }
             PagePlacement::FineInterleave | PagePlacement::PageInterleave => {}
         }
@@ -178,7 +205,9 @@ impl PageTable {
             PagePlacement::FineInterleave => None, // sub-page granularity
             PagePlacement::PageInterleave => Some(SocketId::new((page.index() % n) as u8)),
             PagePlacement::FirstTouch | PagePlacement::FirstTouchMigrate { .. } => {
-                self.first_touch.get(&page).copied()
+                let homes = &self.first_touch[self.chunk_at(page).ok()?].1;
+                let home = homes[(page.index() % CHUNK_PAGES) as usize];
+                (home != UNPLACED).then(|| SocketId::new(home))
             }
         }
     }
@@ -186,15 +215,22 @@ impl PageTable {
     /// Number of pages placed so far (first-touch only; interleaved policies
     /// report zero because placement is computed, not recorded).
     pub fn resident_pages(&self) -> usize {
-        self.first_touch.len()
+        self.placements().count()
     }
 
     /// All recorded first-touch placements in ascending page order. The
-    /// order depends only on the set of placed pages — never on the order
-    /// the placements happened — so snapshots built from it are stable
-    /// across runs and thread schedules.
+    /// order is structural — chunks sorted by number, pages by index within
+    /// a chunk — never the order the placements happened, so snapshots
+    /// built from it are stable across runs and thread schedules.
     pub fn placements(&self) -> impl Iterator<Item = (PageId, SocketId)> + '_ {
-        self.first_touch.iter().map(|(p, s)| (*p, *s))
+        self.first_touch.iter().flat_map(|(chunk, homes)| {
+            let first = chunk * CHUNK_PAGES;
+            homes
+                .iter()
+                .enumerate()
+                .filter(|(_, &home)| home != UNPLACED)
+                .map(move |(i, &home)| (PageId::from_index(first + i as u64), SocketId::new(home)))
+        })
     }
 
     /// Placement statistics.
@@ -397,9 +433,8 @@ mod tests {
     #[test]
     fn placements_enumerate_in_page_order_regardless_of_touch_order() {
         // Touch the same pages in two different orders; the placement
-        // snapshot must come out identical. This is the determinism
-        // property the BTreeMap backing guarantees (simlint rule D001) —
-        // a hash map would enumerate these in a process-varying order.
+        // snapshot must come out identical: the table enumerates in index
+        // order, whatever order the pages were placed in.
         let touch = |order: &[u64]| {
             let mut pt = PageTable::new(PagePlacement::FirstTouch, 4);
             for &page in order {

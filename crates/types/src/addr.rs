@@ -100,7 +100,7 @@ impl LineAddr {
     /// Page containing this line.
     #[inline]
     pub const fn page(self) -> PageId {
-        PageId(self.0 * LINE_SIZE / PAGE_SIZE)
+        PageId(self.0 / (PAGE_SIZE / LINE_SIZE))
     }
 }
 
@@ -172,6 +172,12 @@ mod tests {
             let a = Addr::new(raw);
             assert_eq!(a.line().page(), a.page());
         }
+    }
+
+    #[test]
+    fn page_of_the_last_line_does_not_overflow() {
+        let last = LineAddr::from_index(u64::MAX);
+        assert_eq!(last.page().index(), u64::MAX / (PAGE_SIZE / LINE_SIZE));
     }
 
     #[test]

@@ -168,9 +168,36 @@ pub struct PatternProgram {
     chunk_lines: u64,
     chunk_index: u64,
     num_chunks: u64,
-    emitted: Vec<u32>,
-    compute_next: Vec<bool>,
-    rngs: Vec<DetRng>,
+    /// First line of this CTA's own chunk.
+    own_base: u64,
+    /// The pattern's one per-op constant, worked out once: clamped tile
+    /// length (`Tiled`), hot / output / shared line count (`HotCold` /
+    /// `Reduction` / `SharedRead`) or wrapped chunk shift (`Shifted`).
+    hoisted: u64,
+    per_warp: Vec<WarpGen>,
+}
+
+/// One warp's generator state, kept together so a CTA costs one allocation
+/// and an op touches one cache line of it.
+#[derive(Debug)]
+struct WarpGen {
+    rng: DetRng,
+    /// Memory ops emitted so far.
+    emitted: u32,
+    /// `emitted % tile`, stepped instead of divided (`Tiled` only).
+    tile_pos: u32,
+    compute_next: bool,
+}
+
+/// `x % n`, dividing only when `x` is out of range — a stream shorter than
+/// its chunk, or a chunk index already inside the grid, never is.
+#[inline]
+fn wrap(x: u64, n: u64) -> u64 {
+    if x < n {
+        x
+    } else {
+        x % n
+    }
 }
 
 impl PatternProgram {
@@ -181,8 +208,21 @@ impl PatternProgram {
         // walking past the region.
         let num_chunks = (spec.ctas as u64).min(region_lines);
         let chunk_lines = (region_lines / num_chunks).max(1);
+        let chunk_index = cta.index() as u64 % num_chunks;
+        let region_base_line = spec.region_offset / LINE_SIZE;
+        let clamped_lines = |bytes: u64| (bytes / LINE_SIZE).clamp(1, region_lines);
+        let hoisted = match spec.pattern {
+            Pattern::Tiled { reuse } => (spec.ops_per_warp as u64 / reuse.max(1) as u64)
+                .max(1)
+                .min(chunk_lines),
+            Pattern::HotCold { hot_bytes, .. } => clamped_lines(hot_bytes),
+            Pattern::Reduction { output_bytes } => clamped_lines(output_bytes),
+            Pattern::SharedRead { shared_bytes, .. } => clamped_lines(shared_bytes),
+            Pattern::Shifted { shift_chunks, .. } => shift_chunks % num_chunks,
+            Pattern::Streaming | Pattern::RandomUniform | Pattern::Stencil { .. } => 0,
+        };
         let warps = spec.warps_per_cta;
-        let rngs = (0..warps)
+        let per_warp = (0..warps)
             .map(|w| {
                 // Mix spec seed, CTA, and warp into one 64-bit seed.
                 let s = spec
@@ -190,7 +230,12 @@ impl PatternProgram {
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add((cta.index() as u64) << 20)
                     .wrapping_add(w as u64 + 1);
-                DetRng::seed_from_u64(s)
+                WarpGen {
+                    rng: DetRng::seed_from_u64(s),
+                    emitted: 0,
+                    tile_pos: 0,
+                    compute_next: spec.compute_per_mem > 0,
+                }
             })
             .collect();
         PatternProgram {
@@ -199,169 +244,100 @@ impl PatternProgram {
             ops_per_warp: spec.ops_per_warp,
             compute_per_mem: spec.compute_per_mem,
             read_fraction: spec.read_fraction,
-            region_base_line: spec.region_offset / LINE_SIZE,
+            region_base_line,
             region_lines,
             chunk_lines,
-            chunk_index: cta.index() as u64 % num_chunks,
+            chunk_index,
             num_chunks,
-            emitted: vec![0; warps as usize],
-            compute_next: vec![spec.compute_per_mem > 0; warps as usize],
-            rngs,
+            own_base: region_base_line + chunk_index * chunk_lines,
+            hoisted,
+            per_warp,
         }
     }
 
-    fn chunk_base_line(&self, chunk: u64) -> u64 {
-        self.region_base_line + (chunk % self.num_chunks) * self.chunk_lines
-    }
-
-    /// Streaming position for op `k` of warp `w` within `chunk`.
-    ///
-    /// Warps interleave over consecutive lines (warp 0 takes line 0, warp 1
-    /// line 1, …), the layout coalesced GPU kernels produce — so a page
-    /// whose first touch landed remotely is shared evenly by all warps
-    /// instead of serializing one straggler.
-    fn stream_line(&self, chunk: u64, w: u32, k: u32) -> u64 {
-        let within = k as u64 * self.warps as u64 + w as u64;
-        self.chunk_base_line(chunk) + within % self.chunk_lines
-    }
-
-    fn gen_op(&mut self, w: u32, k: u32) -> WarpOp {
-        let wi = w as usize;
-        let read_fraction = self.read_fraction;
-        let is_read = |rng: &mut DetRng| rng.random_bool(read_fraction);
-        match self.pattern {
-            Pattern::Streaming => {
-                let line = self.stream_line(self.chunk_index, w, k);
-                let kind = if is_read(&mut self.rngs[wi]) {
-                    MemKind::Read
+    /// The next memory op of warp `w` (its `emitted`-th).
+    fn gen_op(&mut self, w: u32) -> WarpOp {
+        let (region, lines, hoisted) = (self.region_base_line, self.region_lines, self.hoisted);
+        let (me, chunks) = (self.chunk_index, self.num_chunks);
+        let st = &mut self.per_warp[w as usize];
+        // Streaming position within a chunk. Warps interleave over
+        // consecutive lines (warp 0 takes line 0, warp 1 line 1, …), the
+        // layout coalesced GPU kernels produce — so a page whose first
+        // touch landed remotely is shared evenly by all warps instead of
+        // serializing one straggler.
+        let within = st.emitted as u64 * self.warps as u64 + w as u64;
+        let stream = |chunk_base: u64| chunk_base + wrap(within, self.chunk_lines);
+        let base_of = |chunk: u64| region + wrap(chunk, chunks) * self.chunk_lines;
+        let rng = &mut st.rng;
+        let mut read_fraction = self.read_fraction;
+        let line = match self.pattern {
+            Pattern::Streaming => stream(self.own_base),
+            Pattern::Tiled { .. } => {
+                let pos = st.tile_pos as u64;
+                st.tile_pos = if pos + 1 == hoisted {
+                    0
                 } else {
-                    MemKind::Write
+                    st.tile_pos + 1
                 };
-                mem(line, kind)
+                self.own_base + wrap(w as u64 * hoisted + pos, self.chunk_lines)
             }
-            Pattern::Tiled { reuse } => {
-                let tile = (self.ops_per_warp as u64 / reuse.max(1) as u64).max(1);
-                let tile = tile.min(self.chunk_lines);
-                let within = (w as u64 * tile + k as u64 % tile) % self.chunk_lines;
-                let line = self.chunk_base_line(self.chunk_index) + within;
-                let kind = if is_read(&mut self.rngs[wi]) {
-                    MemKind::Read
-                } else {
-                    MemKind::Write
-                };
-                mem(line, kind)
-            }
-            Pattern::RandomUniform => {
-                let line = self.region_base_line + self.rngs[wi].random_range(0..self.region_lines);
-                let kind = if is_read(&mut self.rngs[wi]) {
-                    MemKind::Read
-                } else {
-                    MemKind::Write
-                };
-                mem(line, kind)
-            }
-            Pattern::HotCold {
-                hot_fraction,
-                hot_bytes,
-            } => {
-                let hot_lines = (hot_bytes / LINE_SIZE).clamp(1, self.region_lines);
-                let rng = &mut self.rngs[wi];
-                let line = if rng.random_bool(hot_fraction) {
-                    self.region_base_line + rng.random_range(0..hot_lines)
-                } else {
-                    self.region_base_line + rng.random_range(0..self.region_lines)
-                };
-                let kind = if is_read(&mut self.rngs[wi]) {
-                    MemKind::Read
-                } else {
-                    MemKind::Write
-                };
-                mem(line, kind)
+            Pattern::RandomUniform => region + rng.random_range(0..lines),
+            Pattern::HotCold { hot_fraction, .. } => {
+                let hot = rng.random_bool(hot_fraction);
+                region + rng.random_range(0..if hot { hoisted } else { lines })
             }
             Pattern::Stencil { halo_fraction } => {
-                let rng = &mut self.rngs[wi];
-                let chunk = if rng.random_bool(halo_fraction) {
-                    let left = rng.random_bool(0.5);
-                    if left {
-                        (self.chunk_index + self.num_chunks - 1) % self.num_chunks
-                    } else {
-                        (self.chunk_index + 1) % self.num_chunks
-                    }
+                let chunk = if !rng.random_bool(halo_fraction) {
+                    me
+                } else if rng.random_bool(0.5) {
+                    me.checked_sub(1).unwrap_or(chunks - 1)
                 } else {
-                    self.chunk_index
+                    me + 1
                 };
-                let line = self.stream_line(chunk, w, k);
-                let kind = if is_read(&mut self.rngs[wi]) {
-                    MemKind::Read
-                } else {
-                    MemKind::Write
-                };
-                mem(line, kind)
+                stream(base_of(chunk))
             }
-            Pattern::Reduction { output_bytes } => {
-                if is_read(&mut self.rngs[wi]) {
-                    mem(self.stream_line(self.chunk_index, w, k), MemKind::Read)
-                } else {
-                    let out_lines = (output_bytes / LINE_SIZE).clamp(1, self.region_lines);
-                    let line = self.region_base_line + self.rngs[wi].random_range(0..out_lines);
-                    mem(line, MemKind::Write)
+            Pattern::Reduction { .. } => {
+                if rng.random_bool(read_fraction) {
+                    return mem(stream(self.own_base), MemKind::Read);
                 }
+                return mem(region + rng.random_range(0..hoisted), MemKind::Write);
             }
             Pattern::Shifted {
                 shift_chunks,
                 shifted_fraction,
             } => {
-                let rng = &mut self.rngs[wi];
-                let chunk = if rng.random_bool(shifted_fraction) {
-                    let shift = if shift_chunks == 0 {
-                        // All-to-all: any chunk but this one (degenerate
-                        // single-chunk regions stay local).
-                        if self.num_chunks > 1 {
-                            1 + rng.random_range(0..self.num_chunks - 1)
-                        } else {
-                            0
-                        }
-                    } else {
-                        shift_chunks % self.num_chunks
-                    };
-                    self.chunk_index + shift
+                let shift = if !rng.random_bool(shifted_fraction) {
+                    0
+                } else if shift_chunks != 0 {
+                    hoisted
+                } else if chunks > 1 {
+                    // All-to-all: any chunk but this one (degenerate
+                    // single-chunk regions stay local).
+                    1 + rng.random_range(0..chunks - 1)
                 } else {
-                    self.chunk_index
+                    0
                 };
-                let line = self.stream_line(chunk, w, k);
-                let kind = if is_read(&mut self.rngs[wi]) {
-                    MemKind::Read
-                } else {
-                    MemKind::Write
-                };
-                mem(line, kind)
+                stream(base_of(me + shift))
             }
             Pattern::SharedRead {
                 shared_fraction,
-                shared_bytes,
                 shared_read_fraction,
+                ..
             } => {
-                let rng = &mut self.rngs[wi];
                 if rng.random_bool(shared_fraction) {
-                    let shared_lines = (shared_bytes / LINE_SIZE).clamp(1, self.region_lines);
-                    let line = self.region_base_line + rng.random_range(0..shared_lines);
-                    let kind = if rng.random_bool(shared_read_fraction) {
-                        MemKind::Read
-                    } else {
-                        MemKind::Write
-                    };
-                    mem(line, kind)
+                    read_fraction = shared_read_fraction;
+                    region + rng.random_range(0..hoisted)
                 } else {
-                    let line = self.stream_line(self.chunk_index, w, k);
-                    let kind = if is_read(&mut self.rngs[wi]) {
-                        MemKind::Read
-                    } else {
-                        MemKind::Write
-                    };
-                    mem(line, kind)
+                    stream(self.own_base)
                 }
             }
-        }
+        };
+        let kind = if rng.random_bool(read_fraction) {
+            MemKind::Read
+        } else {
+            MemKind::Write
+        };
+        mem(line, kind)
     }
 }
 
@@ -378,20 +354,18 @@ impl CtaProgram for PatternProgram {
     }
 
     fn next_op(&mut self, warp: u32) -> Option<WarpOp> {
-        let w = warp as usize;
-        let k = self.emitted[w];
-        if k >= self.ops_per_warp {
+        let st = &mut self.per_warp[warp as usize];
+        if st.emitted >= self.ops_per_warp {
             return None;
         }
-        if self.compute_next[w] {
-            self.compute_next[w] = false;
+        if st.compute_next {
+            st.compute_next = false;
             return Some(WarpOp::compute(self.compute_per_mem));
         }
-        let op = self.gen_op(warp, k);
-        self.emitted[w] = k + 1;
-        if self.compute_per_mem > 0 {
-            self.compute_next[w] = true;
-        }
+        let op = self.gen_op(warp);
+        let st = &mut self.per_warp[warp as usize];
+        st.emitted += 1;
+        st.compute_next = self.compute_per_mem > 0;
         Some(op)
     }
 }
