@@ -18,11 +18,13 @@
 //!    hundreds of
 //!    independent `(config, workload)` runs scales with cores.
 
+use crate::store::KeyedJob;
 use numa_gpu_core::{NumaGpuSystem, SimReport};
 use numa_gpu_exec::{Job, Reporter, ThreadPool};
 use numa_gpu_faults::FaultPlan;
 use numa_gpu_runtime::Workload;
 use numa_gpu_types::{SimError, SystemConfig, TopologyKind};
+use numa_gpu_workloads::Scale;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -140,8 +142,7 @@ impl SimJob {
 /// An ordered, deduplicated batch of simulations to execute.
 ///
 /// Build one per experiment (or share across experiments), then hand it to
-/// [`Runner::execute`](crate::Runner::execute) — or run it standalone with
-/// [`SimPlan::execute`].
+/// [`Runner::execute`](crate::Runner::execute).
 #[derive(Debug, Clone, Default)]
 pub struct SimPlan {
     jobs: Vec<SimJob>,
@@ -305,7 +306,7 @@ impl SimPlan {
     /// work).
     pub fn retain(&mut self, mut keep: impl FnMut(&JobKey) -> bool) {
         self.jobs.retain(|j| keep(&j.key));
-        self.seen.retain(|k| self.jobs.iter().any(|j| &j.key == k));
+        self.seen = self.jobs.iter().map(|j| j.key.clone()).collect();
     }
 
     /// Number of planned jobs.
@@ -323,36 +324,43 @@ impl SimPlan {
         &self.jobs
     }
 
-    /// Executes every job on a pool of `threads` workers and returns each
-    /// job with its outcome, in submission order.
-    ///
-    /// Worker progress (one line per simulation) goes through `reporter`,
-    /// so lines from concurrent jobs cannot shear.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the job's key in the message) if any simulation
-    /// panics; see [`ThreadPool::run`].
-    pub fn execute(
-        self,
-        threads: usize,
-        reporter: &Arc<Reporter>,
-    ) -> Vec<(SimJob, Result<Arc<SimReport>, SimError>)> {
-        let pool_jobs = self
-            .jobs
-            .into_iter()
-            .map(|job| {
-                let reporter = reporter.clone();
-                let label = job.key.display();
-                Job::new(label.clone(), move || {
-                    reporter.line(&format!("  sim {label}"));
-                    let outcome = job.try_run().map(Arc::new);
-                    (job, outcome)
-                })
-            })
-            .collect();
-        ThreadPool::new(threads).run(pool_jobs)
+    /// Seals every planned job with its store key at `scale`, in
+    /// submission order: the form [`execute`] and the store take.
+    pub fn into_keyed(self, scale: &Scale) -> Vec<KeyedJob> {
+        let seal = |job| KeyedJob::new(job, scale);
+        self.jobs.into_iter().map(seal).collect()
     }
+}
+
+/// Executes every job on a pool of `threads` workers and returns each job
+/// with its outcome, in submission order — the one executor behind
+/// [`Runner`](crate::Runner).
+///
+/// Worker progress (one line per simulation) goes through `reporter`, so
+/// lines from concurrent jobs cannot shear.
+///
+/// # Panics
+///
+/// Panics (with the job's key in the message) if any simulation panics;
+/// see [`ThreadPool::run`].
+pub fn execute(
+    jobs: Vec<KeyedJob>,
+    threads: usize,
+    reporter: &Arc<Reporter>,
+) -> Vec<(KeyedJob, Result<Arc<SimReport>, SimError>)> {
+    let pool_jobs = jobs
+        .into_iter()
+        .map(|keyed| {
+            let reporter = reporter.clone();
+            let label = keyed.job().key.display();
+            Job::new(label.clone(), move || {
+                reporter.line(&format!("  sim {label}"));
+                let outcome = keyed.job().try_run().map(Arc::new);
+                (keyed, outcome)
+            })
+        })
+        .collect();
+    ThreadPool::new(threads).run(pool_jobs)
 }
 
 #[cfg(test)]
@@ -432,5 +440,11 @@ mod tests {
         assert_eq!(plan.len(), 1);
         assert_eq!(plan.jobs()[0].key.label, "b");
         assert!(!plan.is_empty());
+        // The dedup set follows the survivors: a dropped key can be
+        // planned again, a kept one still collapses.
+        plan.job("a", configs::single(), &w);
+        plan.job("b", configs::locality(4), &w);
+        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.jobs()[1].key.label, "a");
     }
 }

@@ -11,7 +11,7 @@
 //! declared panics naming its key, so a mistyped label fails loudly
 //! instead of silently simulating a second configuration.
 
-use crate::plan::{JobKey, SimPlan};
+use crate::plan::{execute, JobKey, SimPlan};
 use crate::store::{DiskStore, StoreEvent, StoreStats};
 use numa_gpu_core::{ProfileReport, SimReport};
 use numa_gpu_exec::Reporter;
@@ -152,7 +152,7 @@ impl Runner {
     }
 
     /// The backing store's ordered decision log, if one is attached.
-    pub fn store_events(&self) -> Option<&[StoreEvent]> {
+    pub fn store_events(&self) -> Option<Vec<StoreEvent>> {
         self.store.as_ref().map(|s| s.events())
     }
 
@@ -204,35 +204,35 @@ impl Runner {
         if self.profile {
             plan.override_profile(true);
         }
-        if let Some(store) = self.store.as_mut() {
-            // Disk read-through runs after the overrides so the store
-            // policy sees each job's *effective* config (topology changes
-            // results, `obs` decides what a hit may carry; the
-            // canonicalized knobs are hashed out either way).
-            for job in plan.jobs() {
-                if let Some(report) = store.load_job(job, &self.scale) {
-                    self.cache.insert(job.key.clone(), Arc::new(report));
+        // Each entry derives its store key once, after the overrides, so
+        // the store policy sees the job's *effective* config (topology
+        // changes results, `obs` decides what a hit may carry; the
+        // canonicalized knobs are hashed out either way) and the write
+        // after a cold run reuses the key of the read that missed.
+        let mut cold = plan.into_keyed(&self.scale);
+        if let Some(store) = &self.store {
+            cold.retain(|job| match store.load_job(job) {
+                Some(report) => {
+                    self.cache.insert(job.job().key.clone(), Arc::new(report));
+                    false
                 }
-            }
-            plan.retain(|key| !self.cache.contains_key(key));
-            if plan.is_empty() {
-                return Ok(());
-            }
+                None => true,
+            });
         }
-        for (job, outcome) in plan.execute(self.jobs, &self.reporter) {
-            let report = outcome.map_err(|e| (job.key.clone(), e))?;
+        for (job, outcome) in execute(cold, self.jobs, &self.reporter) {
+            let report = outcome.map_err(|e| (job.job().key.clone(), e))?;
             self.runs += 1;
-            if let Some(store) = self.store.as_mut() {
+            if let Some(store) = &self.store {
                 // A failed write is reported, not fatal: the result is
                 // still memoized in memory and the sweep continues.
-                if let Err(err) = store.save_job(&job, &self.scale, &report) {
+                if let Err(err) = store.save_job(&job, &report) {
                     self.reporter.error(&format!(
                         "store: write failed for {}: {err}",
-                        job.key.display()
+                        job.job().key.display()
                     ));
                 }
             }
-            self.cache.insert(job.key, report);
+            self.cache.insert(job.job().key.clone(), report);
         }
         Ok(())
     }

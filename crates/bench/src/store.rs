@@ -42,6 +42,8 @@ use numa_gpu_types::SystemConfig;
 use numa_gpu_workloads::Scale;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 pub use numa_gpu_testkit::fnv1a64;
 
@@ -108,6 +110,35 @@ impl StoreKey {
             fnv1a64_twisted(material.as_bytes())
         );
         StoreKey { material, hash }
+    }
+}
+
+/// A job sealed with the [`StoreKey`] derived from it — the only form in
+/// which a job meets the store. A submit or plan entry pays for the key
+/// once, here, and carries it from its first read to its write; the fields
+/// are private and the job is lent out read-only, so no caller can pair a
+/// job with another job's key or change the configuration after keying.
+#[derive(Debug, Clone)]
+pub struct KeyedJob {
+    job: SimJob,
+    key: StoreKey,
+}
+
+impl KeyedJob {
+    /// Seals `job` with its key at `scale`.
+    pub fn new(job: SimJob, scale: &Scale) -> KeyedJob {
+        let key = StoreKey::new(&job.key, &job.cfg, scale);
+        KeyedJob { job, key }
+    }
+
+    /// The job.
+    pub fn job(&self) -> &SimJob {
+        &self.job
+    }
+
+    /// The key derived from the job.
+    pub fn key(&self) -> &StoreKey {
+        &self.key
     }
 }
 
@@ -197,12 +228,24 @@ impl StoreStats {
 /// <root>/tmp/<name>.<seq>          in-flight writes (atomically renamed)
 /// <root>/corrupt/<name>.<seq>      quarantined entries
 /// ```
+///
+/// Reads and writes take `&self` and do their file I/O, checksum and codec
+/// work unlocked, so the daemon's threads overlap; only the decision log
+/// sits behind a mutex. Writes of one key commit by atomic rename (the last
+/// wins, all carry the same bytes); a quarantine racing a heal of the same
+/// entry can at worst set the fresh entry aside too: one more recompute.
 #[derive(Debug)]
 pub struct DiskStore {
     root: PathBuf,
+    log: Mutex<Log>,
+    /// Uniquifies temp and quarantine file names.
+    seq: AtomicU64,
+}
+
+#[derive(Debug, Default)]
+struct Log {
     stats: StoreStats,
     events: Vec<StoreEvent>,
-    seq: u64,
 }
 
 impl DiskStore {
@@ -217,18 +260,34 @@ impl DiskStore {
         std::fs::create_dir_all(root.join("store/v1"))?;
         std::fs::create_dir_all(root.join("tmp"))?;
         std::fs::create_dir_all(root.join("corrupt"))?;
-        let mut store = DiskStore {
+        let store = DiskStore {
             root,
-            stats: StoreStats::default(),
-            events: Vec::new(),
-            seq: 0,
+            log: Mutex::default(),
+            seq: AtomicU64::new(0),
         };
         let swept = store.sweep_temp()?;
         if swept > 0 {
-            store.stats.temp_swept = swept;
-            store.events.push(StoreEvent::TempSwept(swept));
+            store.record(StoreEvent::TempSwept(swept));
         }
         Ok(store)
+    }
+
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().expect("no update can panic half way")
+    }
+
+    /// Appends one decision to the log and counts it: the only writer of
+    /// either, so the counters are a fold of the events.
+    fn record(&self, event: StoreEvent) {
+        let mut log = self.log();
+        match event {
+            StoreEvent::Hit(_) => log.stats.hits += 1,
+            StoreEvent::Miss(_) => log.stats.misses += 1,
+            StoreEvent::Write(_) => log.stats.writes += 1,
+            StoreEvent::Quarantined(..) => log.stats.quarantined += 1,
+            StoreEvent::TempSwept(swept) => log.stats.temp_swept += swept,
+        }
+        log.events.push(event);
     }
 
     /// Removes everything under `tmp/` — a temp file only exists while a
@@ -257,12 +316,12 @@ impl DiskStore {
 
     /// Lifetime counters.
     pub fn stats(&self) -> StoreStats {
-        self.stats
+        self.log().stats
     }
 
     /// The ordered decision log (hits, misses, writes, quarantines).
-    pub fn events(&self) -> &[StoreEvent] {
-        &self.events
+    pub fn events(&self) -> Vec<StoreEvent> {
+        self.log().events.clone()
     }
 
     /// Loads the result stored under `key`, or `None` on a miss.
@@ -271,29 +330,18 @@ impl DiskStore {
     /// carrying foreign key material) is quarantined into `corrupt/` and
     /// reported as a miss — the caller recomputes and the next
     /// [`DiskStore::save`] heals the entry.
-    pub fn load(&mut self, key: &StoreKey) -> Option<SimReport> {
+    pub fn load(&self, key: &StoreKey) -> Option<SimReport> {
         let path = self.entry_path(key);
-        let raw = match std::fs::read_to_string(&path) {
-            Ok(raw) => raw,
-            Err(_) => {
-                self.stats.misses += 1;
-                self.events.push(StoreEvent::Miss(key.hash.clone()));
-                return None;
+        match std::fs::read_to_string(&path).map(|raw| Self::parse_entry(&raw, key)) {
+            Ok(Ok(report)) => {
+                self.record(StoreEvent::Hit(key.hash.clone()));
+                return Some(report);
             }
-        };
-        match Self::parse_entry(&raw, key) {
-            Ok(report) => {
-                self.stats.hits += 1;
-                self.events.push(StoreEvent::Hit(key.hash.clone()));
-                Some(report)
-            }
-            Err(kind) => {
-                self.quarantine(&path, key, kind);
-                self.stats.misses += 1;
-                self.events.push(StoreEvent::Miss(key.hash.clone()));
-                None
-            }
+            Ok(Err(kind)) => self.quarantine(&path, key, kind),
+            Err(_) => {}
         }
+        self.record(StoreEvent::Miss(key.hash.clone()));
+        None
     }
 
     /// Parses one entry file: a header line
@@ -327,19 +375,17 @@ impl DiskStore {
 
     /// Moves a corrupt entry aside (never deletes it) under a unique name
     /// in `corrupt/`.
-    fn quarantine(&mut self, path: &Path, key: &StoreKey, kind: CorruptKind) {
-        self.seq += 1;
+    fn quarantine(&self, path: &Path, key: &StoreKey, kind: CorruptKind) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let dest = self
             .root
             .join("corrupt")
-            .join(format!("{}.{}.{}", key.hash, kind, self.seq));
+            .join(format!("{}.{}.{}", key.hash, kind, seq));
         // A rename failure (e.g. the file vanished) still counts as a
         // quarantine decision: the entry is gone either way and the caller
         // recomputes.
         let _ = std::fs::rename(path, &dest);
-        self.stats.quarantined += 1;
-        self.events
-            .push(StoreEvent::Quarantined(key.hash.clone(), kind));
+        self.record(StoreEvent::Quarantined(key.hash.clone(), kind));
     }
 
     /// Persists `report` under `key` via temp-file + atomic rename.
@@ -353,7 +399,7 @@ impl DiskStore {
     ///
     /// Propagates I/O errors; an entry is either fully committed or not
     /// visible at all.
-    pub fn save(&mut self, key: &StoreKey, report: &SimReport) -> std::io::Result<()> {
+    pub fn save(&self, key: &StoreKey, report: &SimReport) -> std::io::Result<()> {
         let encoded = match encode_report(report) {
             Ok(doc) => doc,
             Err(CodecError::Ineligible(_)) => return Ok(()),
@@ -377,11 +423,11 @@ impl DiskStore {
             ),
         ])
         .to_string();
-        self.seq += 1;
-        let tmp =
-            self.root
-                .join("tmp")
-                .join(format!("{}.{}.{}", key.hash, std::process::id(), self.seq));
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let tmp = self
+            .root
+            .join("tmp")
+            .join(format!("{}.{}.{seq}", key.hash, std::process::id()));
         {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(header.as_bytes())?;
@@ -390,8 +436,7 @@ impl DiskStore {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, self.entry_path(key))?;
-        self.stats.writes += 1;
-        self.events.push(StoreEvent::Write(key.hash.clone()));
+        self.record(StoreEvent::Write(key.hash.clone()));
         Ok(())
     }
 
@@ -402,22 +447,21 @@ impl DiskStore {
         !job.cfg.obs.metrics && !job.cfg.obs.trace
     }
 
-    /// The one place a job reads the store: derives the [`StoreKey`] from
-    /// `job` and `scale` and applies the whole read policy from the job's
-    /// own configuration, so every front end (`figures`, `simulate`, the
-    /// daemon) gets the same answer from the same entry.
+    /// The one place a job reads the store: applies the whole read policy
+    /// from the job's own configuration, so every front end (`figures`,
+    /// `simulate`, the daemon) gets the same answer from the same entry.
     ///
     /// * A metrics or trace job never reads the store.
     /// * A job that did not ask for a profile gets a stored one stripped,
     ///   so a warm report equals the cold one whoever filled the cache.
     /// * A job that asked for a profile misses on an entry without one;
     ///   the [`DiskStore::save_job`] after its run heals the entry.
-    pub fn load_job(&mut self, job: &SimJob, scale: &Scale) -> Option<SimReport> {
-        if !Self::serves(job) {
+    pub fn load_job(&self, keyed: &KeyedJob) -> Option<SimReport> {
+        if !Self::serves(&keyed.job) {
             return None;
         }
-        let mut report = self.load(&StoreKey::new(&job.key, &job.cfg, scale))?;
-        if !job.cfg.obs.profile {
+        let mut report = self.load(&keyed.key)?;
+        if !keyed.job.cfg.obs.profile {
             report.profile = None;
         } else if report.profile.is_none() {
             return None;
@@ -431,16 +475,11 @@ impl DiskStore {
     /// # Errors
     ///
     /// As [`DiskStore::save`].
-    pub fn save_job(
-        &mut self,
-        job: &SimJob,
-        scale: &Scale,
-        report: &SimReport,
-    ) -> std::io::Result<()> {
-        if !Self::serves(job) {
+    pub fn save_job(&self, keyed: &KeyedJob, report: &SimReport) -> std::io::Result<()> {
+        if !Self::serves(&keyed.job) {
             return Ok(());
         }
-        self.save(&StoreKey::new(&job.key, &job.cfg, scale), report)
+        self.save(&keyed.key, report)
     }
 }
 
@@ -532,17 +571,17 @@ mod tests {
     fn job_policy_follows_the_jobs_own_obs_config() {
         let dir = std::env::temp_dir().join(format!("numa-gpu-policy-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut store = DiskStore::open(&dir).unwrap();
+        let store = DiskStore::open(&dir).unwrap();
         let scale = Scale::quick();
         let wl = numa_gpu_workloads::by_name("Other-Bitcoin-Crypto", &scale).unwrap();
         let mut plan = crate::SimPlan::new();
         plan.job("loc2", configs::locality(2), &wl);
-        let plain = plan.jobs()[0].clone();
         let with = |f: fn(&mut numa_gpu_types::ObsConfig)| {
-            let mut job = plain.clone();
+            let mut job = plan.jobs()[0].clone();
             f(&mut job.cfg.obs);
-            job
+            KeyedJob::new(job, &scale)
         };
+        let plain = with(|_| ());
         let profiled = with(|o| o.profile = true);
         let bare = SimReport {
             total_cycles: 7,
@@ -552,22 +591,22 @@ mod tests {
         rich.profile = Some(numa_gpu_core::ProfileReport::new());
 
         // Plain hit; a profile-wanting job misses on the profile-less entry.
-        store.save_job(&plain, &scale, &bare).unwrap();
-        assert_eq!(store.load_job(&plain, &scale), Some(bare.clone()));
-        assert_eq!(store.load_job(&profiled, &scale), None);
+        store.save_job(&plain, &bare).unwrap();
+        assert_eq!(store.load_job(&plain), Some(bare.clone()));
+        assert_eq!(store.load_job(&profiled), None);
         // Its rewrite heals the entry; the plain job gets the profile stripped.
-        store.save_job(&profiled, &scale, &rich).unwrap();
-        assert_eq!(store.load_job(&profiled, &scale), Some(rich.clone()));
-        assert_eq!(store.load_job(&plain, &scale), Some(bare.clone()));
+        store.save_job(&profiled, &rich).unwrap();
+        assert_eq!(store.load_job(&profiled), Some(rich.clone()));
+        assert_eq!(store.load_job(&plain), Some(bare.clone()));
 
         // Metrics and trace jobs share the key but touch nothing.
         let before = store.stats();
         for job in [with(|o| o.metrics = true), with(|o| o.trace = true)] {
-            assert_eq!(store.load_job(&job, &scale), None);
-            store.save_job(&job, &scale, &bare).unwrap();
+            assert_eq!(store.load_job(&job), None);
+            store.save_job(&job, &bare).unwrap();
         }
         assert_eq!(store.stats(), before, "bypassing jobs never reach the disk");
-        assert_eq!(store.load_job(&profiled, &scale), Some(rich));
+        assert_eq!(store.load_job(&profiled), Some(rich));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -180,6 +180,35 @@ fn version_skewed_entry_is_quarantined_not_misread() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The header line is parsed before its checksum can vouch for anything, so
+/// it is the one place raw disk bytes meet the recursive JSON parser. 100k
+/// `[` used to recurse 100k frames deep and overflow the stack — an abort
+/// of `figures`, `simulate --cache-dir` or the daemon on every request for
+/// that job, not a panic anything could contain.
+#[test]
+fn deeply_nested_header_is_quarantined_not_a_stack_overflow() {
+    let dir = tmpdir("deep");
+    let (cold, _) = sweep(&dir);
+    let entries = entry_paths(&dir);
+    let raw = std::fs::read_to_string(&entries[0]).unwrap();
+    let (_, payload) = raw.split_once('\n').unwrap();
+    std::fs::write(&entries[0], format!("{}\n{payload}", "[".repeat(100_000))).unwrap();
+
+    let (healed, healed_runner) = sweep(&dir);
+    assert_eq!(cold, healed, "recomputed reports must be byte-identical");
+    assert_eq!(healed_runner.warm_hits(), 1);
+    assert_eq!(healed_runner.runs(), 1);
+    let events = healed_runner.store_events().expect("store attached");
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, StoreEvent::Quarantined(_, CorruptKind::BadHeader))),
+        "expected a bad-header quarantine, got {events:?}"
+    );
+    assert_eq!(corrupt_count(&dir), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn event_log_is_deterministic_for_a_deterministic_access_sequence() {
     let dir_a = tmpdir("det-a");

@@ -1,8 +1,8 @@
 //! A minimal blocking client for the daemon's line protocol, used by
 //! `simulate submit`, the tests, and the CI crash-recovery job.
 
-use crate::protocol::JobSpec;
-use std::io::{BufRead, BufReader, Write};
+use crate::protocol::{JobSpec, LineSender};
+use std::io::{BufRead, BufReader};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -34,7 +34,7 @@ impl Submission {
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<UnixStream>,
-    writer: UnixStream,
+    writer: LineSender<UnixStream>,
 }
 
 impl Client {
@@ -48,8 +48,14 @@ impl Client {
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             reader,
-            writer: stream,
+            writer: LineSender::new(stream),
         })
+    }
+
+    /// Sends one request line in one write.
+    fn send(&mut self, request: std::fmt::Arguments<'_>) -> std::io::Result<()> {
+        self.writer.line(request);
+        self.writer.flush()
     }
 
     fn read_line(&mut self) -> std::io::Result<String> {
@@ -69,7 +75,7 @@ impl Client {
     ///
     /// Errors on I/O failure or an unexpected reply.
     pub fn ping(&mut self) -> std::io::Result<()> {
-        writeln!(self.writer, "PING")?;
+        self.send(format_args!("PING"))?;
         let reply = self.read_line()?;
         if reply == "PONG" {
             Ok(())
@@ -84,7 +90,7 @@ impl Client {
     ///
     /// Errors on I/O failure or an unexpected reply.
     pub fn stats(&mut self) -> std::io::Result<String> {
-        writeln!(self.writer, "STATS")?;
+        self.send(format_args!("STATS"))?;
         let reply = self.read_line()?;
         reply
             .strip_prefix("STATS ")
@@ -98,7 +104,7 @@ impl Client {
     ///
     /// Errors on I/O failure or an unexpected reply.
     pub fn shutdown(&mut self) -> std::io::Result<()> {
-        writeln!(self.writer, "SHUTDOWN")?;
+        self.send(format_args!("SHUTDOWN"))?;
         let reply = self.read_line()?;
         if reply.starts_with("OK") {
             Ok(())
@@ -115,7 +121,7 @@ impl Client {
     /// Errors on I/O failure or a protocol violation; a *job* failure is
     /// a successful submission with [`Submission::error`] set.
     pub fn submit(&mut self, spec: &JobSpec) -> std::io::Result<Submission> {
-        writeln!(self.writer, "SUBMIT {}", spec.to_line())?;
+        self.send(format_args!("SUBMIT {}", spec.to_line()))?;
         let ack = self.read_line()?;
         let mut parts = ack.split_whitespace();
         let (id, hash) = match (parts.next(), parts.next(), parts.next()) {

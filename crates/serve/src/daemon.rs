@@ -21,9 +21,9 @@
 //! | Client disconnect mid-job       | send on closed channel   | job completes and caches anyway |
 
 use crate::journal::Journal;
-use crate::protocol::{JobSpec, Request};
+use crate::protocol::{JobSpec, LineSender, Request};
 use numa_gpu_bench::codec::encode_report;
-use numa_gpu_bench::{DiskStore, StoreKey};
+use numa_gpu_bench::{DiskStore, KeyedJob};
 use numa_gpu_core::SimReport;
 use numa_gpu_exec::{Deadline, Dispatcher, Reporter};
 use numa_gpu_testkit::json::Json;
@@ -79,7 +79,7 @@ enum JobMsg {
 }
 
 struct Shared {
-    store: Mutex<DiskStore>,
+    store: DiskStore,
     journal: Mutex<Journal>,
     dispatcher: Dispatcher,
     reporter: Arc<Reporter>,
@@ -138,7 +138,7 @@ impl Daemon {
         let store = DiskStore::open(&config.cache_dir)?;
         let (journal, pending) = Journal::open(&config.cache_dir.join("journal"))?;
         let shared = Arc::new(Shared {
-            store: Mutex::new(store),
+            store,
             journal: Mutex::new(journal),
             dispatcher: Dispatcher::new(config.workers),
             reporter: Arc::new(Reporter::stderr(config.verbose)),
@@ -158,10 +158,21 @@ impl Daemon {
                 "serve: replaying journaled job: {}",
                 spec.to_line()
             ));
-            // Results deliver to a dropped receiver: replay has no client,
-            // it exists to warm the store and clear the journal.
-            let (tx, _rx) = mpsc::channel();
-            submit_to_pool(&shared, spec, tx);
+            match keyed(&spec) {
+                // Results deliver to a dropped receiver: replay has no
+                // client, it exists to warm the store and clear the journal.
+                Ok(job) => {
+                    let (tx, _rx) = mpsc::channel();
+                    submit_to_pool(&shared, spec, job, tx);
+                }
+                // Can only happen on a journal replayed from a different
+                // build (e.g. a workload was renamed); drop the entry rather
+                // than replaying it forever.
+                Err(_) => {
+                    let _ = shared.journal.lock().unwrap().record_done(&spec);
+                    shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
         Ok(Daemon { listener, shared })
     }
@@ -170,6 +181,15 @@ impl Daemon {
     /// reaches zero once the replayed jobs complete).
     pub fn in_flight(&self) -> u64 {
         self.shared.dispatcher.in_flight()
+    }
+
+    /// Serves one connection on the calling thread — request lines from
+    /// `reader`, replies to `writer` — until the peer closes or sends
+    /// `SHUTDOWN`. [`serve`](Daemon::serve) runs this once per accepted
+    /// socket; any `BufRead`/`Write` pair will do, so a test can see every
+    /// `write` a reply takes.
+    pub fn serve_connection(&self, reader: impl BufRead, writer: impl Write) {
+        handle_connection(&self.shared, reader, writer);
     }
 
     /// Serves connections until a `SHUTDOWN` request, then drains the
@@ -194,7 +214,11 @@ impl Daemon {
                 }
             };
             let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || handle_connection(&shared, stream));
+            std::thread::spawn(move || {
+                if let Ok(reader) = stream.try_clone() {
+                    handle_connection(&shared, BufReader::new(reader), stream);
+                }
+            });
         }
         self.shared.reporter.line("serve: draining in-flight jobs");
         self.shared.dispatcher.drain();
@@ -205,19 +229,18 @@ impl Daemon {
 }
 
 /// One thread per connection: read request lines, write response lines.
-fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) {
-    let reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
-    let mut writer = stream;
+/// Replies queue in a [`LineSender`] and leave when the request is done —
+/// one write per request, a warm hit's `ACK`/`EVENT`/`RESULT` included —
+/// or earlier where [`handle_submit`] is about to block.
+fn handle_connection(shared: &Arc<Shared>, reader: impl BufRead, writer: impl Write) {
+    let mut reply = LineSender::new(writer);
     for line in reader.lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let keep_going = handle_request(shared, &line, &mut writer);
-        if !keep_going {
+        let keep_going = handle_request(shared, &line, &mut reply);
+        if reply.flush().is_err() || !keep_going {
             break;
         }
     }
@@ -225,21 +248,12 @@ fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) {
 
 /// Handles one request line; returns `false` when the connection should
 /// close (shutdown).
-fn handle_request(shared: &Arc<Shared>, line: &str, writer: &mut UnixStream) -> bool {
+fn handle_request(shared: &Arc<Shared>, line: &str, reply: &mut LineSender<impl Write>) -> bool {
     match Request::parse(line) {
-        Err(msg) => {
-            let _ = writeln!(writer, "ERROR 0 parse {msg}");
-            true
-        }
-        Ok(Request::Ping) => {
-            let _ = writeln!(writer, "PONG");
-            true
-        }
+        Err(msg) => reply.line(format_args!("ERROR 0 parse {msg}")),
+        Ok(Request::Ping) => reply.line(format_args!("PONG")),
         Ok(Request::Stats) => {
-            let stats = {
-                let store = shared.store.lock().unwrap();
-                store.stats()
-            };
+            let stats = shared.store.stats();
             let doc = Json::obj([
                 ("done", Json::UInt(shared.jobs_done.load(Ordering::Relaxed))),
                 (
@@ -254,52 +268,54 @@ fn handle_request(shared: &Arc<Shared>, line: &str, writer: &mut UnixStream) -> 
                 ("in_flight", Json::UInt(shared.dispatcher.in_flight())),
                 ("store", stats.to_json()),
             ]);
-            let _ = writeln!(writer, "STATS {doc}");
-            true
+            reply.line(format_args!("STATS {doc}"));
         }
         Ok(Request::Shutdown) => {
             shared.shutting_down.store(true, Ordering::SeqCst);
-            let _ = writeln!(writer, "OK draining");
-            // Unblock the accept loop so it observes the flag.
+            reply.line(format_args!("OK draining"));
+            // The reply leaves first: once the accept loop is unblocked and
+            // observes the flag, the process may exit under this thread.
+            let _ = reply.flush();
             let _ = UnixStream::connect(&shared.socket);
-            false
+            return false;
         }
-        Ok(Request::Submit(spec)) => {
-            handle_submit(shared, spec, writer);
-            true
-        }
+        Ok(Request::Submit(spec)) => handle_submit(shared, spec, reply),
     }
+    true
 }
 
-fn handle_submit(shared: &Arc<Shared>, spec: JobSpec, writer: &mut UnixStream) {
+/// Resolves `spec` into its job, sealed with the one store key it carries
+/// from the `ACK` through the warm read, the pre-run check and the write.
+fn keyed(spec: &JobSpec) -> Result<KeyedJob, String> {
+    Ok(KeyedJob::new(spec.to_job()?, &spec.scale()))
+}
+
+fn handle_submit(shared: &Arc<Shared>, spec: JobSpec, reply: &mut LineSender<impl Write>) {
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    let job = match spec.to_job() {
+    let job = match keyed(&spec) {
         Ok(job) => job,
         Err(msg) => {
-            let _ = writeln!(writer, "ERROR {id} parse {msg}");
+            reply.line(format_args!("ERROR {id} parse {msg}"));
             return;
         }
     };
-    let scale = spec.scale();
-    let hash = StoreKey::new(&job.key, &job.cfg, &scale).hash;
-    let _ = writeln!(writer, "ACK {id} {hash}");
+    reply.line(format_args!("ACK {id} {}", job.key().hash));
 
     // Warm path: serve straight from the store (a corrupt entry
     // quarantines inside the load and falls through to the cold path).
-    let warm = shared.store.lock().unwrap().load_job(&job, &scale);
-    if let Some(report) = warm {
-        let _ = writeln!(writer, "EVENT {id} warm");
+    if let Some(report) = shared.store.load_job(&job) {
+        reply.line(format_args!("EVENT {id} warm"));
         match encode_report(&report) {
-            Ok(doc) => {
-                let _ = writeln!(writer, "RESULT {id} {doc}");
-            }
-            Err(e) => {
-                let _ = writeln!(writer, "ERROR {id} transient cached entry unencodable: {e}");
-            }
+            Ok(doc) => reply.line(format_args!("RESULT {id} {doc}")),
+            Err(e) => reply.line(format_args!(
+                "ERROR {id} transient cached entry unencodable: {e}"
+            )),
         }
         return;
     }
 
+    // The ACK leaves before the journal's fsync, as it always has.
+    let _ = reply.flush();
     if let Err(e) = shared.journal.lock().unwrap().record_queued(&spec) {
         shared
             .reporter
@@ -310,9 +326,9 @@ fn handle_submit(shared: &Arc<Shared>, spec: JobSpec, writer: &mut UnixStream) {
             .map_or(shared.default_deadline, Duration::from_secs),
     );
     let (tx, rx) = mpsc::channel();
-    let _ = writeln!(writer, "EVENT {id} queued");
-    if !submit_to_pool(shared, spec, tx) {
-        let _ = writeln!(writer, "ERROR {id} transient daemon is shutting down");
+    reply.line(format_args!("EVENT {id} queued"));
+    if !submit_to_pool(shared, spec, job, tx) {
+        reply.line(format_args!("ERROR {id} transient daemon is shutting down"));
         return;
     }
 
@@ -320,38 +336,39 @@ fn handle_submit(shared: &Arc<Shared>, spec: JobSpec, writer: &mut UnixStream) {
     // deadline expires. On expiry the job keeps running in the background
     // — its result still lands in the store for the next submit.
     loop {
+        // Nothing may sit queued while this thread waits.
+        let _ = reply.flush();
         match rx.recv_timeout(deadline.remaining()) {
             Ok(JobMsg::Event(word)) => {
-                let _ = writeln!(writer, "EVENT {id} {word}");
+                reply.line(format_args!("EVENT {id} {word}"));
+                continue;
             }
-            Ok(JobMsg::Done(doc)) => {
-                let _ = writeln!(writer, "RESULT {id} {doc}");
-                return;
-            }
+            Ok(JobMsg::Done(doc)) => reply.line(format_args!("RESULT {id} {doc}")),
             Ok(JobMsg::Failed { class, msg }) => {
-                let _ = writeln!(writer, "ERROR {id} {class} {msg}");
-                return;
+                reply.line(format_args!("ERROR {id} {class} {msg}"));
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                let _ = writeln!(
-                    writer,
-                    "ERROR {id} deadline wall-clock budget exhausted; the job continues \
-                     in the background and will be served warm once complete"
-                );
-                return;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+            Err(mpsc::RecvTimeoutError::Timeout) => reply.line(format_args!(
+                "ERROR {id} deadline wall-clock budget exhausted; the job continues \
+                 in the background and will be served warm once complete"
+            )),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {}
         }
+        return;
     }
 }
 
 /// Queues a job on the pool. The worker closure owns the full supervised
 /// lifecycle: retry loop, store write-through, journal `done`.
-fn submit_to_pool(shared: &Arc<Shared>, spec: JobSpec, tx: mpsc::Sender<JobMsg>) -> bool {
+fn submit_to_pool(
+    shared: &Arc<Shared>,
+    spec: JobSpec,
+    job: KeyedJob,
+    tx: mpsc::Sender<JobMsg>,
+) -> bool {
     let worker_shared = Arc::clone(shared);
     let events = tx.clone();
     shared.dispatcher.submit(
-        move || run_supervised(&worker_shared, &spec, &events),
+        move || run_supervised(&worker_shared, &spec, job, &events),
         move |outcome| {
             let msg = match outcome {
                 numa_gpu_exec::JobOutcome::Done(msg) => msg,
@@ -369,31 +386,20 @@ fn submit_to_pool(shared: &Arc<Shared>, spec: JobSpec, tx: mpsc::Sender<JobMsg>)
 }
 
 /// Runs one job under the retry policy. Returns the message to deliver.
-fn run_supervised(shared: &Arc<Shared>, spec: &JobSpec, events: &mpsc::Sender<JobMsg>) -> JobMsg {
-    let job = match spec.to_job() {
-        // Can only happen on a journal replayed from a different build
-        // (e.g. a workload was renamed); drop the entry rather than
-        // replaying it forever.
-        Err(msg) => {
-            let _ = shared.journal.lock().unwrap().record_done(spec);
-            shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            return JobMsg::Failed {
-                class: "parse",
-                msg,
-            };
-        }
-        Ok(job) => job,
-    };
-    let scale = spec.scale();
+fn run_supervised(
+    shared: &Arc<Shared>,
+    spec: &JobSpec,
+    job: KeyedJob,
+    events: &mpsc::Sender<JobMsg>,
+) -> JobMsg {
     // A replayed (or raced) job may already be in the store: done.
-    let stored = shared.store.lock().unwrap().load_job(&job, &scale);
-    if let Some(report) = stored {
+    if let Some(report) = shared.store.load_job(&job) {
         let _ = shared.journal.lock().unwrap().record_done(spec);
         return deliver_done(shared, spec, &report);
     }
     shared
         .reporter
-        .line(&format!("serve: sim {}", job.key.display()));
+        .line(&format!("serve: sim {}", job.job().key.display()));
     let attempts = RETRY_BACKOFF_MS.len() + 1;
     for attempt in 0..attempts {
         if attempt > 0 {
@@ -402,10 +408,9 @@ fn run_supervised(shared: &Arc<Shared>, spec: &JobSpec, events: &mpsc::Sender<Jo
             let _ = events.send(JobMsg::Event(format!("retry:{attempt}")));
             std::thread::sleep(Duration::from_millis(delay));
         }
-        match catch_unwind(AssertUnwindSafe(|| job.try_run())) {
+        match catch_unwind(AssertUnwindSafe(|| job.job().try_run())) {
             Ok(Ok(report)) => {
-                let saved = shared.store.lock().unwrap().save_job(&job, &scale, &report);
-                match saved {
+                match shared.store.save_job(&job, &report) {
                     Ok(()) => {
                         let _ = shared.journal.lock().unwrap().record_done(spec);
                         return deliver_done(shared, spec, &report);

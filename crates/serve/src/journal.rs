@@ -55,9 +55,8 @@ impl Journal {
         let tmp = dir.join(format!("journal.tmp.{}", std::process::id()));
         {
             let mut f = File::create(&tmp)?;
-            for spec in &pending {
-                writeln!(f, "queued {}", spec.to_line())?;
-            }
+            let queued = |spec: &JobSpec| format!("queued {}\n", spec.to_line());
+            f.write_all(pending.iter().map(queued).collect::<String>().as_bytes())?;
             f.sync_all()?;
         }
         std::fs::rename(&tmp, &path)?;
@@ -68,7 +67,10 @@ impl Journal {
     /// Pairs `queued`/`done` edges; unmatched `queued` lines are pending.
     fn replay(raw: &str) -> Vec<JobSpec> {
         let mut pending: Vec<(String, JobSpec)> = Vec::new();
-        for line in raw.lines() {
+        // A record is one `write` ending in its newline, so a tail without
+        // one is torn — and could parse as a job nobody submitted.
+        let whole = raw.rfind('\n').map_or("", |end| &raw[..end]);
+        for line in whole.lines() {
             if let Some(spec_line) = line.strip_prefix("queued ") {
                 if let Ok(spec) = JobSpec::parse(spec_line) {
                     let hash = spec_hash(&spec);
@@ -79,7 +81,7 @@ impl Journal {
             } else if let Some(hash) = line.strip_prefix("done ") {
                 pending.retain(|(h, _)| h != hash.trim());
             }
-            // Anything else is a torn line from a crash mid-append: skip.
+            // Anything else is damage: skip.
         }
         pending.into_iter().map(|(_, spec)| spec).collect()
     }
@@ -91,8 +93,7 @@ impl Journal {
     ///
     /// Propagates I/O errors.
     pub fn record_queued(&mut self, spec: &JobSpec) -> std::io::Result<()> {
-        writeln!(self.file, "queued {}", spec.to_line())?;
-        self.file.sync_all()
+        self.append(format!("queued {}\n", spec.to_line()))
     }
 
     /// Records that a job's result is durably in the store.
@@ -101,7 +102,13 @@ impl Journal {
     ///
     /// Propagates I/O errors.
     pub fn record_done(&mut self, spec: &JobSpec) -> std::io::Result<()> {
-        writeln!(self.file, "done {}", spec_hash(spec))?;
+        self.append(format!("done {}\n", spec_hash(spec)))
+    }
+
+    /// Appends one record in one `write`, so a crash can tear it only at
+    /// its end (replay skips a torn tail), then syncs.
+    fn append(&mut self, record: String) -> std::io::Result<()> {
+        self.file.write_all(record.as_bytes())?;
         self.file.sync_all()
     }
 
@@ -162,24 +169,23 @@ mod tests {
             let (mut j, _) = Journal::open(&dir).unwrap();
             j.record_queued(&spec("A")).unwrap();
         }
-        // A crash mid-append leaves a partial line with no newline.
-        let mut f = OpenOptions::new()
-            .append(true)
-            .open(dir.join("journal.log"))
-            .unwrap();
-        f.write_all(b"queued workload=B conf").unwrap();
-        drop(f);
-        let (_j, pending) = Journal::open(&dir).unwrap();
-        // The torn token `conf` is not key=value, so B's line is dropped
-        // entirely — acceptable: B's append never completed, so B was
-        // never durably acknowledged.
-        assert_eq!(
-            pending
-                .iter()
-                .map(|s| s.workload.as_str())
-                .collect::<Vec<_>>(),
-            ["A"]
-        );
+        // Wherever a crash cuts the one write of a record, replay gives
+        // the whole records before it: never a job read off a prefix
+        // (`queued workload=B config=numa` is a valid spec, on 4 sockets;
+        // B's append never completed, so B was never durably acknowledged),
+        // and a `done` cut short of its newline un-queues nothing.
+        let b = "queued workload=B config=numa sockets=8 timeline=0 scale=quick\n";
+        for record in [b.to_string(), format!("done {}\n", spec_hash(&spec("A")))] {
+            for cut in 1..record.len() {
+                let log = OpenOptions::new()
+                    .append(true)
+                    .open(dir.join("journal.log"));
+                let torn = &record.as_bytes()[..cut];
+                log.unwrap().write_all(torn).unwrap();
+                let (_j, pending) = Journal::open(&dir).unwrap();
+                assert_eq!(pending, [spec("A")], "cut at {cut} of {record:?}");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

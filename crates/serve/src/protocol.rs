@@ -31,6 +31,53 @@ use numa_gpu_bench::{configs, JobKey, SimJob};
 use numa_gpu_faults::FaultPlan;
 use numa_gpu_types::SystemConfig;
 use numa_gpu_workloads::{by_name, Scale};
+use std::fmt::Write as _;
+
+/// The write half of a connection, in either direction: whole lines only.
+/// [`line`](LineSender::line) queues one line — whatever `\r` or `\n` its
+/// text carries (a panic payload has several lines) is flattened to spaces,
+/// so no message can desynchronise the protocol — and
+/// [`flush`](LineSender::flush) hands everything queued to the stream in
+/// one `write_all`, so the peer never wakes to a fragment of a line.
+#[derive(Debug)]
+pub struct LineSender<W> {
+    out: W,
+    queued: String,
+}
+
+impl<W: std::io::Write> LineSender<W> {
+    /// Wraps the stream `out`.
+    pub fn new(out: W) -> LineSender<W> {
+        LineSender {
+            out,
+            queued: String::new(),
+        }
+    }
+
+    /// Queues `text` as one line.
+    pub fn line(&mut self, text: std::fmt::Arguments<'_>) {
+        let start = self.queued.len();
+        let _ = self.queued.write_fmt(text);
+        let line_break = |b: &u8| matches!(b, b'\r' | b'\n');
+        if self.queued.as_bytes()[start..].iter().any(line_break) {
+            let flat = self.queued[start..].replace(['\r', '\n'], " ");
+            self.queued.replace_range(start.., &flat);
+        }
+        self.queued.push('\n');
+    }
+
+    /// Sends the queued lines in one write (`write_all` makes no call for
+    /// an empty queue).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the stream's I/O error; the queue is emptied either way.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        let sent = self.out.write_all(self.queued.as_bytes());
+        self.queued.clear();
+        sent
+    }
+}
 
 /// Which named configuration family a job runs under (the label grammar
 /// mirrors `bench::configs`).

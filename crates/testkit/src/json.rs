@@ -89,6 +89,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -127,7 +128,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
                 write!(f, "]")
             }
@@ -138,7 +139,8 @@ impl fmt::Display for Json {
                         write!(f, ",")?;
                     }
                     write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    write!(f, ":")?;
+                    v.fmt(f)?;
                 }
                 write!(f, "}}")
             }
@@ -146,20 +148,29 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` quoted, one `write_str` per run of characters that need no
+/// escape. Every byte that needs one is ASCII, so each run boundary is a
+/// character boundary.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    f.write_str("\"")?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        f.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
         }
     }
-    write!(f, "\"")
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
 }
 
 /// Parse error with a byte offset.
@@ -179,9 +190,14 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting [`Json::parse`] accepts: it recurses once per level, and
+/// a stack overflow is an abort, not a panic a caller can contain.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -221,29 +237,45 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let v = match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => self.string().map(Json::Str),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
-        }
+        };
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // One slice per run up to the next quote or backslash: both are
+            // ASCII, so the run starts and ends on character boundaries.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|b| matches!(b, b'"' | b'\\'))
+                .unwrap_or(rest.len());
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| self.err("bad UTF-8"))?);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // The run ended at a backslash.
+                Some(_) => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
                     self.pos += 1;
@@ -273,14 +305,6 @@ impl<'a> Parser<'a> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad UTF-8"))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }

@@ -237,3 +237,39 @@ fn cache_dir_is_untouched_by_metrics_and_failed_runs() {
     );
     assert!(out.stdout.is_empty() && entries(&dir) == 0);
 }
+
+/// `serve` + `submit` as separate processes, the way CI and users run them:
+/// cold then warm is byte-identical, and the reply to `--shutdown` reaches
+/// its client although the daemon process exits right behind it (replies
+/// are queued per request, so this one must leave before the accept loop
+/// is told to stop).
+#[test]
+fn daemon_processes_answer_cold_warm_and_shutdown() {
+    let dir = cache_dir("daemon");
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = format!("{dir}/sock");
+    let submit = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(["submit", "--socket", &socket])
+            .args(args)
+            .output()
+            .expect("submit runs")
+    };
+    for round in 0..5 {
+        let mut daemon = Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(["serve", "--socket", &socket, "--cache-dir", &dir])
+            .spawn()
+            .expect("serve starts");
+        while !submit(&["--ping"]).status.success() {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let job = ["workload=Other-Bitcoin-Crypto", "sockets=2"];
+        let (first, again) = (submit(&job), submit(&job));
+        assert!(first.status.success() && first.stdout == again.stdout);
+        let warm = String::from_utf8_lossy(&again.stderr).contains("event: warm");
+        assert!(warm, "round {round}: the resubmit must be warm");
+        let bye = submit(&["--shutdown"]);
+        assert!(bye.status.success(), "round {round}: {bye:?}");
+        assert!(daemon.wait().expect("serve exits").success());
+    }
+}
