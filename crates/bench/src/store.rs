@@ -30,9 +30,10 @@
 //! version and an FNV-1a checksum of its payload; a truncated, bit-flipped
 //! or otherwise corrupt entry is detected on read, moved into `corrupt/`
 //! (quarantined for post-mortem, never silently deleted), and the result
-//! is recomputed and rewritten. Every store decision is appended to a
-//! deterministic [`StoreEvent`] log so tests can assert the exact recovery
-//! path taken.
+//! is recomputed and rewritten. Every store decision is counted in
+//! [`StoreStats`] and appended to a deterministic [`StoreEvent`] log (the
+//! newest [`EVENT_LOG_CAP`] are kept) so tests can assert the exact
+//! recovery path taken.
 
 use crate::codec::{decode_report, encode_report, CodecError, REPORT_FORMAT_VERSION};
 use crate::plan::{JobKey, SimJob};
@@ -40,6 +41,7 @@ use numa_gpu_core::SimReport;
 use numa_gpu_testkit::json::Json;
 use numa_gpu_types::SystemConfig;
 use numa_gpu_workloads::Scale;
+use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -242,10 +244,17 @@ pub struct DiskStore {
     seq: AtomicU64,
 }
 
+/// Decisions the log retains. A daemon answers warm loads for as long as
+/// it lives, so the log drops its oldest event past this many; the
+/// counters stay exact.
+pub const EVENT_LOG_CAP: usize = 1024;
+
 #[derive(Debug, Default)]
 struct Log {
     stats: StoreStats,
-    events: Vec<StoreEvent>,
+    events: VecDeque<StoreEvent>,
+    /// Events dropped from the front of `events` to hold the cap.
+    dropped: u64,
 }
 
 impl DiskStore {
@@ -277,7 +286,7 @@ impl DiskStore {
     }
 
     /// Appends one decision to the log and counts it: the only writer of
-    /// either, so the counters are a fold of the events.
+    /// either, so the counters are a fold of every event ever recorded.
     fn record(&self, event: StoreEvent) {
         let mut log = self.log();
         match event {
@@ -287,7 +296,11 @@ impl DiskStore {
             StoreEvent::Quarantined(..) => log.stats.quarantined += 1,
             StoreEvent::TempSwept(swept) => log.stats.temp_swept += swept,
         }
-        log.events.push(event);
+        if log.events.len() == EVENT_LOG_CAP {
+            log.events.pop_front();
+            log.dropped += 1;
+        }
+        log.events.push_back(event);
     }
 
     /// Removes everything under `tmp/` — a temp file only exists while a
@@ -319,9 +332,16 @@ impl DiskStore {
         self.log().stats
     }
 
-    /// The ordered decision log (hits, misses, writes, quarantines).
+    /// The ordered decision log (hits, misses, writes, quarantines): the
+    /// newest [`EVENT_LOG_CAP`] decisions.
     pub fn events(&self) -> Vec<StoreEvent> {
-        self.log().events.clone()
+        self.log().events.iter().cloned().collect()
+    }
+
+    /// Decisions older than the ones [`Self::events`] returns, dropped to
+    /// hold the cap.
+    pub fn events_dropped(&self) -> u64 {
+        self.log().dropped
     }
 
     /// Loads the result stored under `key`, or `None` on a miss.
@@ -607,6 +627,33 @@ mod tests {
         }
         assert_eq!(store.stats(), before, "bypassing jobs never reach the disk");
         assert_eq!(store.load_job(&profiled), Some(rich));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A daemon's store answers warm loads for as long as it lives: the
+    /// log must stop growing while the counters keep counting.
+    #[test]
+    fn event_log_is_capped_and_stats_stay_exact() {
+        let dir = std::env::temp_dir().join(format!("numa-gpu-logcap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let key = StoreKey::new(
+            &JobKey::new("loc2", "w", false),
+            &configs::locality(2),
+            &Scale::quick(),
+        );
+        store.save(&key, &SimReport::default()).unwrap();
+        for _ in 0..10_000 {
+            assert!(store.load(&key).is_some());
+        }
+        let events = store.events();
+        assert_eq!(events.len(), EVENT_LOG_CAP);
+        assert!(events
+            .iter()
+            .all(|e| *e == StoreEvent::Hit(key.hash.clone())));
+        assert_eq!(store.events_dropped(), 10_001 - EVENT_LOG_CAP as u64);
+        assert_eq!(store.stats().hits, 10_000);
+        assert_eq!(store.stats().writes, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

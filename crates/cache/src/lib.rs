@@ -36,5 +36,5 @@ mod set_assoc;
 pub use controller::{PartitionAction, PartitionController};
 pub use mshr::{MshrAllocation, MshrFile};
 pub use set_assoc::{
-    CacheObs, CacheStats, EvictedLine, FlushOutcome, LineClass, SetAssocCache, WayPartition,
+    CacheStats, EvictedLine, FlushOutcome, LineClass, SetAssocCache, WayPartition,
 };

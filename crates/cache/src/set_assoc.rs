@@ -1,17 +1,6 @@
 //! Set-associative cache array with NUMA-class way partitioning.
 
-use numa_gpu_obs::{CounterHandle, GaugeHandle};
 use numa_gpu_types::{CacheConfig, Counter, LineAddr};
-
-/// Observability handles for a partitioned cache, installed via
-/// [`SetAssocCache::set_obs`]. Default handles are disabled no-ops.
-#[derive(Debug, Clone, Default)]
-pub struct CacheObs {
-    /// Partition installs that changed the way split.
-    pub repartitions: CounterHandle,
-    /// Ways currently allocated to the local class.
-    pub local_ways: GaugeHandle,
-}
 
 /// NUMA class of a cached line: homed in this socket's DRAM or a remote
 /// socket's.
@@ -251,7 +240,8 @@ pub struct SetAssocCache {
     partition: Option<WayPartition>,
     stamp: u64,
     stats: CacheStats,
-    obs: CacheObs,
+    /// Partition installs that changed the way split.
+    repartitions: u64,
 }
 
 impl SetAssocCache {
@@ -282,16 +272,7 @@ impl SetAssocCache {
             partition,
             stamp: 0,
             stats: CacheStats::default(),
-            obs: CacheObs::default(),
-        }
-    }
-
-    /// Installs observability handles (disabled no-op handles by default)
-    /// and publishes the current way split to the gauge.
-    pub fn set_obs(&mut self, obs: CacheObs) {
-        self.obs = obs;
-        if let Some(p) = self.partition {
-            self.obs.local_ways.set(p.local_ways() as u64);
+            repartitions: 0,
         }
     }
 
@@ -325,10 +306,15 @@ impl SetAssocCache {
         );
         assert_eq!(partition.total_ways() as usize, self.ways);
         if self.partition != Some(partition) {
-            self.obs.repartitions.inc();
+            self.repartitions += 1;
         }
-        self.obs.local_ways.set(partition.local_ways() as u64);
         self.partition = Some(partition);
+    }
+
+    /// Partition installs that changed the way split.
+    #[inline]
+    pub fn repartitions(&self) -> u64 {
+        self.repartitions
     }
 
     /// Index of way 0 of `line`'s set (a mask for power-of-two set counts).
@@ -536,21 +522,13 @@ mod tests {
 
     #[test]
     fn obs_counts_repartitions_and_tracks_way_split() {
-        use numa_gpu_obs::MetricsRegistry;
-
-        let mut reg = MetricsRegistry::new();
         let mut c = SetAssocCache::new(&cfg(16, 4), Some(WayPartition::balanced(4)));
-        c.set_obs(CacheObs {
-            repartitions: reg.counter("l2.repartitions"),
-            local_ways: reg.gauge("l2.local_ways"),
-        });
-        assert_eq!(reg.snapshot().gauge("l2.local_ways"), Some(2));
+        assert_eq!(c.partition().map(|p| p.local_ways()), Some(2));
         c.set_partition(WayPartition::with_local_ways(1, 4));
         c.set_partition(WayPartition::with_local_ways(1, 4)); // no change
         c.set_partition(WayPartition::with_local_ways(3, 4));
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("l2.repartitions"), Some(2));
-        assert_eq!(snap.gauge("l2.local_ways"), Some(3));
+        assert_eq!(c.repartitions(), 2);
+        assert_eq!(c.partition().map(|p| p.local_ways()), Some(3));
     }
 
     #[test]

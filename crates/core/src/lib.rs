@@ -81,21 +81,6 @@ pub fn run_workload(
     sys.run(workload)
 }
 
-/// Like [`run_workload`] but with per-sample link timeline recording
-/// enabled (Figure 5).
-///
-/// # Errors
-///
-/// As for [`run_workload`].
-pub fn run_workload_with_timeline(
-    cfg: numa_gpu_types::SystemConfig,
-    workload: &numa_gpu_runtime::Workload,
-) -> Result<SimReport, numa_gpu_types::SimError> {
-    let mut sys = NumaGpuSystem::new(cfg)?;
-    sys.enable_link_timeline();
-    sys.run(workload)
-}
-
 /// Like [`run_workload`] but with a [`FaultPlan`](numa_gpu_faults::FaultPlan)
 /// installed before the run. An empty plan yields a report byte-identical
 /// to [`run_workload`]'s.

@@ -19,12 +19,12 @@ use crate::power::average_link_power_w;
 use crate::report::{SimReport, SocketReport};
 use numa_gpu_cache::LineClass;
 use numa_gpu_cache::{CacheStats, PartitionController, SetAssocCache, WayPartition};
-use numa_gpu_engine::{CrossMessage, EventQueue, ServiceQueue, Watchdog};
+use numa_gpu_engine::{CrossMessage, EventQueue, EventQueueStats, ServiceQueue, Watchdog};
 use numa_gpu_exec::ThreadPool;
 use numa_gpu_faults::{AppliedFault, FaultPlan, LinkResilience, ResilienceReport};
-use numa_gpu_interconnect::{switch_hop_latency, GpuLink, Topology};
+use numa_gpu_interconnect::{switch_hop_latency, GpuLink, LinkDirection, Topology};
 use numa_gpu_mem::{Dram, PageTable};
-use numa_gpu_obs::{ProfileReport, TraceEvent};
+use numa_gpu_obs::{MetricValue, MetricsSnapshot, Pow2Histogram, ProfileReport, TraceEvent};
 use numa_gpu_runtime::{Kernel, Workload};
 use numa_gpu_sm::Sm;
 use numa_gpu_types::{
@@ -462,7 +462,7 @@ pub struct NumaGpuSystem {
     /// Cross-partition message deliveries count as progress like any other
     /// shard event, so barrier-heavy runs never trip the stall detector.
     pub(crate) watchdog: Watchdog,
-    /// Metrics registry, trace sink, and Fig-5 timelines (see `observe`).
+    /// Trace sink and Fig-5 timelines (see `observe`).
     pub(crate) obs: ObsState,
     pub(crate) sms_per_socket: u32,
     /// Persistent merge buffer for the window barrier; outboxes drain into
@@ -512,21 +512,7 @@ impl NumaGpuSystem {
             }
         }
 
-        // Observability: registration happens once here, in socket order, so
-        // snapshots are byte-stable across runs. All SMs of a socket share
-        // clones of the same handles (socket-level cardinality).
-        let mut obs = ObsState::new(&cfg.obs, sockets);
-        if obs.registry.is_some() {
-            for (s, shard) in shards.iter_mut().enumerate() {
-                let h = obs.socket_handles(s);
-                for sm in &mut shard.sms {
-                    sm.set_obs(h.sm.clone());
-                }
-                shard.l2.set_obs(h.l2);
-                shard.dram.set_obs(h.dram);
-                shard.link.set_obs(h.link);
-            }
-        }
+        let obs = ObsState::new(&cfg.obs, sockets);
         let pages = PageTable::new(cfg.placement, cfg.num_sockets);
         let budget = if cfg.watchdog.max_cycles > 0 {
             Some(cycles_to_ticks(cfg.watchdog.max_cycles))
@@ -717,31 +703,15 @@ impl NumaGpuSystem {
         let reads_remote: u64 = self.shards.iter().map(|s| s.reads_remote_class).sum();
         let reads = reads_local + reads_remote;
         let link_timelines = std::mem::take(&mut self.obs.timelines);
-        if let Some(reg) = &mut self.obs.registry {
-            // Engine-level high-water marks, published once at end of run:
-            // aggregated over every partition queue plus the control queue.
-            let mut pushes = self.control.stats().pushes;
-            let mut pops = self.control.stats().pops;
-            let mut max_len = self.control.stats().max_len;
-            for shard in &self.shards {
-                let st = shard.queue.stats();
-                pushes += st.pushes;
-                pops += st.pops;
-                max_len = max_len.max(st.max_len);
-            }
-            reg.gauge("engine.events_scheduled").set(pushes);
-            reg.gauge("engine.events_dispatched").set(pops);
-            reg.gauge("engine.queue_max_len").set(max_len as u64);
-        }
-        // The profile is assembled from counters the simulator maintains
-        // regardless of the flag, so enabling it cannot change any other
-        // report field. When metrics are also on, the profile rides along
-        // in the snapshot as `profile.*` counters.
+        // Both are assembled from counters the simulator maintains
+        // regardless of the flags, so enabling either cannot change any
+        // other report field.
         let profile = self.cfg.obs.profile.then(|| self.build_profile());
-        if let (Some(p), Some(reg)) = (&profile, &mut self.obs.registry) {
-            p.publish(reg);
-        }
-        let metrics = self.obs.registry.as_ref().map(|r| r.snapshot());
+        let metrics = self
+            .cfg
+            .obs
+            .metrics
+            .then(|| self.build_metrics(profile.as_ref()));
         let trace_events = self.obs.take_trace();
         let resilience = self.fault_state.as_ref().map(|fs| {
             // Access edges first (edge id == socket), then the fabric's
@@ -799,16 +769,57 @@ impl NumaGpuSystem {
         }
     }
 
-    /// Assembles the self-profile: every subsystem's monotonic work
-    /// counters, attributed to fixed scopes in a fixed order (so the JSON
-    /// encoding is byte-stable). Pure read of state that exists whether or
-    /// not profiling is enabled — see `numa_gpu_obs::profiler` for the
-    /// timing-invariance argument.
-    fn build_profile(&self) -> ProfileReport {
-        let mut p = ProfileReport::new();
+    /// Assembles the metrics snapshot: per socket, the instruments watching
+    /// the paper's two mechanisms (§4 lane allocation, §5 cache
+    /// partitioning) and what feeds them; then the engine's queue totals;
+    /// then, when the profile is also on, its counters as `profile.*`.
+    /// Names, kinds and order are fixed, so the encoding is byte-stable.
+    /// Like [`Self::build_profile`], a pure read of state every run keeps.
+    fn build_metrics(&self, profile: Option<&ProfileReport>) -> MetricsSnapshot {
+        use LinkDirection::{Egress, Ingress};
+        use MetricValue::{Counter, Gauge, Histogram};
+        let mut entries = Vec::new();
+        for (s, shard) in self.shards.iter().enumerate() {
+            let mut stalls = 0u64;
+            let mut occupancy = Pow2Histogram::default();
+            for sm in &shard.sms {
+                stalls += sm.stats().mshr_stalls.get();
+                occupancy.merge(sm.mshr_occupancy());
+            }
+            let (l2, dram, link) = (&shard.l2, &shard.dram, &shard.link);
+            let local_ways = l2.partition().map_or(0, |p| p.local_ways());
+            let hist = |h: &Pow2Histogram| Histogram(h.summary().clone());
+            let mut put = |layer: &str, name: &str, value: MetricValue| {
+                entries.push((format!("{layer}.s{s}.{name}"), value));
+            };
+            put("sm", "issue_stalls", Counter(stalls));
+            put("sm", "mshr_occupancy", hist(&occupancy));
+            put("l2", "repartitions", Counter(l2.repartitions()));
+            put("l2", "local_ways", Gauge(local_ways as u64));
+            put("dram", "row_hits", Counter(dram.row_hits()));
+            put("dram", "row_misses", Counter(dram.row_misses()));
+            let (egress, ingress) = (link.backlog_cycles(Egress), link.backlog_cycles(Ingress));
+            put("link", "egress_backlog_cycles", hist(egress));
+            put("link", "ingress_backlog_cycles", hist(ingress));
+            put("link", "conflicts", Counter(link.stats().conflicts.get()));
+        }
+        let q = self.queue_totals();
+        entries.extend([
+            ("engine.events_scheduled".to_string(), Gauge(q.pushes)),
+            ("engine.events_dispatched".to_string(), Gauge(q.pops)),
+            ("engine.queue_max_len".to_string(), Gauge(q.max_len as u64)),
+        ]);
+        for scope in profile.iter().flat_map(|p| &p.scopes) {
+            for (name, value) in &scope.counters {
+                entries.push((format!("profile.{}.{name}", scope.name), Counter(*value)));
+            }
+        }
+        MetricsSnapshot { entries }
+    }
 
-        // Engine: event-queue traffic (split by calendar-queue path),
-        // window barriers, and the cross-partition merge plane.
+    /// Event-queue traffic summed over every partition queue plus the
+    /// control queue (`max_len` is the largest single queue's peak).
+    fn queue_totals(&self) -> EventQueueStats {
         let mut q = self.control.stats();
         for shard in &self.shards {
             let s = shard.queue.stats();
@@ -822,6 +833,20 @@ impl NumaGpuSystem {
             q.rebases += s.rebases;
             q.rebuilds += s.rebuilds;
         }
+        q
+    }
+
+    /// Assembles the self-profile: every subsystem's monotonic work
+    /// counters, attributed to fixed scopes in a fixed order (so the JSON
+    /// encoding is byte-stable). Pure read of state that exists whether or
+    /// not profiling is enabled — see `numa_gpu_obs::profiler` for the
+    /// timing-invariance argument.
+    fn build_profile(&self) -> ProfileReport {
+        let mut p = ProfileReport::new();
+
+        // Engine: event-queue traffic (split by calendar-queue path),
+        // window barriers, and the cross-partition merge plane.
+        let q = self.queue_totals();
         p.scope("engine")
             .count("events_scheduled", q.pushes)
             .count("events_popped", q.pops)

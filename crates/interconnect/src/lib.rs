@@ -27,6 +27,6 @@ mod switch;
 mod topology;
 
 pub use balancer::{BalanceAction, LinkBalancer};
-pub use link::{GpuLink, LinkDirection, LinkObs, LinkSample, LinkStats};
+pub use link::{GpuLink, LinkDirection, LinkSample, LinkStats};
 pub use switch::{switch_hop_latency, Switch};
 pub use topology::{EdgeSpec, Hop, Node, Topology};

@@ -2,7 +2,7 @@
 
 use crate::balancer::{BalanceAction, LinkBalancer};
 use numa_gpu_engine::ServiceQueue;
-use numa_gpu_obs::{CounterHandle, HistogramHandle};
+use numa_gpu_obs::Pow2Histogram;
 use numa_gpu_types::{cycles_to_ticks, ticks_to_cycles, Counter, LinkConfig, LinkMode, Tick};
 
 /// Direction of travel relative to the owning GPU socket.
@@ -23,21 +23,6 @@ impl LinkDirection {
             LinkDirection::Ingress => LinkDirection::Egress,
         }
     }
-}
-
-/// Observability handles for one link, installed via [`GpuLink::set_obs`].
-///
-/// Default handles are disabled no-ops, so an uninstrumented link pays one
-/// branch per send.
-#[derive(Debug, Clone, Default)]
-pub struct LinkObs {
-    /// Queueing delay (in cycles) each egress packet saw on arrival.
-    pub egress_backlog_cycles: HistogramHandle,
-    /// Queueing delay (in cycles) each ingress packet saw on arrival.
-    pub ingress_backlog_cycles: HistogramHandle,
-    /// Sends that found the direction busy and had to queue — the switch
-    /// arbitration conflict count.
-    pub conflicts: CounterHandle,
 }
 
 /// One point of the Fig-5-style utilization timeline.
@@ -66,6 +51,9 @@ pub struct LinkStats {
     pub lane_turns: Counter,
     /// Equalization steps performed.
     pub equalizations: Counter,
+    /// Sends that found their direction busy and had to queue — the switch
+    /// arbitration conflict count.
+    pub conflicts: Counter,
 }
 
 /// A GPU↔switch link built from individually reversible lanes.
@@ -109,7 +97,9 @@ pub struct GpuLink {
     mode: LinkMode,
     pending_gain: Option<(Tick, LinkDirection)>,
     stats: LinkStats,
-    obs: LinkObs,
+    /// Queueing delay (in cycles) each packet saw on arrival, indexed by
+    /// `LinkDirection as usize`.
+    backlog_cycles: [Pow2Histogram; 2],
 }
 
 impl GpuLink {
@@ -143,13 +133,8 @@ impl GpuLink {
             mode: config.mode,
             pending_gain: None,
             stats: LinkStats::default(),
-            obs: LinkObs::default(),
+            backlog_cycles: Default::default(),
         }
-    }
-
-    /// Installs observability handles (disabled no-op handles by default).
-    pub fn set_obs(&mut self, obs: LinkObs) {
-        self.obs = obs;
     }
 
     /// Lanes currently assigned to `dir` (including a lane still in its
@@ -192,22 +177,13 @@ impl GpuLink {
         self.apply_pending(now);
         let backlog = self.queue(dir).next_free().saturating_sub(now);
         if backlog > 0 {
-            self.obs.conflicts.inc();
+            self.stats.conflicts.inc();
         }
         match dir {
-            LinkDirection::Egress => {
-                self.stats.egress_bytes.add(bytes as u64);
-                self.obs
-                    .egress_backlog_cycles
-                    .observe(ticks_to_cycles(backlog));
-            }
-            LinkDirection::Ingress => {
-                self.stats.ingress_bytes.add(bytes as u64);
-                self.obs
-                    .ingress_backlog_cycles
-                    .observe(ticks_to_cycles(backlog));
-            }
+            LinkDirection::Egress => self.stats.egress_bytes.add(bytes as u64),
+            LinkDirection::Ingress => self.stats.ingress_bytes.add(bytes as u64),
         }
+        self.backlog_cycles[dir as usize].observe(ticks_to_cycles(backlog));
         self.queue_mut(dir).service(now, bytes)
     }
 
@@ -372,6 +348,11 @@ impl GpuLink {
         self.stats
     }
 
+    /// Queueing delay (in cycles) each packet sent in `dir` saw on arrival.
+    pub fn backlog_cycles(&self, dir: LinkDirection) -> &Pow2Histogram {
+        &self.backlog_cycles[dir as usize]
+    }
+
     /// Total busy ticks in `dir` since construction.
     pub fn total_busy(&self, dir: LinkDirection) -> Tick {
         self.queue(dir).total_busy()
@@ -525,37 +506,16 @@ mod tests {
 
     #[test]
     fn obs_handles_record_backlog_and_conflicts() {
-        use numa_gpu_obs::MetricsRegistry;
-
-        let mut reg = MetricsRegistry::new();
-        let obs = LinkObs {
-            egress_backlog_cycles: reg.histogram("link.egress_backlog_cycles"),
-            ingress_backlog_cycles: reg.histogram("link.ingress_backlog_cycles"),
-            conflicts: reg.counter("link.conflicts"),
-        };
         let mut l = GpuLink::new(&cfg(LinkMode::StaticSymmetric));
-        l.set_obs(obs);
         // First send finds an idle link; the second queues behind it.
         l.send(0, LinkDirection::Egress, 6400);
         l.send(0, LinkDirection::Egress, 128);
         l.send(0, LinkDirection::Ingress, 128);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("link.conflicts"), Some(1));
-        let numa_gpu_obs::MetricValue::Histogram(h) =
-            snap.get("link.egress_backlog_cycles").unwrap()
-        else {
-            panic!("not a histogram");
-        };
+        assert_eq!(l.stats().conflicts.get(), 1);
+        let h = l.backlog_cycles(LinkDirection::Egress).summary();
         assert_eq!(h.count, 2);
         assert_eq!(h.max, 100); // 6400 B / 64 B-per-cycle backlog
-    }
-
-    #[test]
-    fn default_link_obs_is_noop() {
-        let mut l = GpuLink::new(&cfg(LinkMode::StaticSymmetric));
-        l.send(0, LinkDirection::Egress, 6400);
-        l.send(0, LinkDirection::Egress, 128); // conflicts handle disabled: no panic, no state
-        assert_eq!(l.stats().egress_bytes.get(), 6528);
+        assert_eq!(l.backlog_cycles(LinkDirection::Ingress).summary().count, 1);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub const RULES: &[Rule] = &[
         id: "S002",
         summary: "no interior-mutability types in fields of shard-owned state (SocketShard field-type closure)",
         rationale: "Cell/Mutex/atomic fields let concurrently running shards mutate state the window barrier never merges",
-        fix: "make the field plain data owned by the shard, or register the type with `simlint: shared(reason = ...)`",
+        fix: "make the field plain data owned by the shard; an audited exception is excused where it stands with `allow(S002, reason = ...)`",
     },
     Rule {
         id: "S003",
@@ -94,7 +94,7 @@ pub const RULES: &[Rule] = &[
         id: "P001",
         summary: "malformed simlint pragma",
         rationale: "a pragma that fails to parse would otherwise silently suppress nothing",
-        fix: "use `allow(RULE, reason = \"...\")` or `shared(reason = \"...\")` with a non-empty reason",
+        fix: "use `allow(RULE, reason = \"...\")` with a non-empty reason",
     },
     Rule {
         id: "P002",
@@ -191,31 +191,6 @@ impl Finding {
     }
 }
 
-/// One entry in the shared-state registry: a type deliberately excluded
-/// from the shard-isolation closure via `simlint: shared(reason = ...)`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SharedEntry {
-    /// Type name the pragma covers.
-    pub type_name: String,
-    /// File the pragma (and type declaration) live in.
-    pub file: String,
-    /// 1-based line of the pragma comment.
-    pub line: u32,
-    /// The pragma's reason string.
-    pub reason: String,
-}
-
-impl SharedEntry {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("type", Json::Str(self.type_name.clone())),
-            ("file", Json::Str(self.file.clone())),
-            ("line", Json::UInt(self.line as u64)),
-            ("reason", Json::Str(self.reason.clone())),
-        ])
-    }
-}
-
 /// Result of linting a whole workspace.
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {
@@ -225,9 +200,6 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// Manifests scanned.
     pub manifests_scanned: usize,
-    /// The shared-state registry: every type excluded from the S002
-    /// closure, with its reviewed reason — auditable in one place.
-    pub shared_types: Vec<SharedEntry>,
 }
 
 impl LintReport {
@@ -235,8 +207,6 @@ impl LintReport {
     pub fn normalize(&mut self) {
         self.findings.sort();
         self.findings.dedup();
-        self.shared_types.sort();
-        self.shared_types.dedup();
     }
 
     /// Whether the workspace is clean.
@@ -249,7 +219,7 @@ impl LintReport {
     /// environment-dependent is recorded.
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("simlint", Json::UInt(2)),
+            ("simlint", Json::UInt(3)),
             ("files_scanned", Json::UInt(self.files_scanned as u64)),
             (
                 "manifests_scanned",
@@ -258,10 +228,6 @@ impl LintReport {
             (
                 "findings",
                 Json::Arr(self.findings.iter().map(Finding::to_json).collect()),
-            ),
-            (
-                "shared",
-                Json::Arr(self.shared_types.iter().map(SharedEntry::to_json).collect()),
             ),
         ])
     }
@@ -353,7 +319,6 @@ mod tests {
             findings: vec![f("b.rs", 2), f("a.rs", 9), f("b.rs", 2)],
             files_scanned: 2,
             manifests_scanned: 0,
-            shared_types: Vec::new(),
         };
         r.normalize();
         assert_eq!(r.findings.len(), 2);
@@ -372,18 +337,12 @@ mod tests {
             }],
             files_scanned: 1,
             manifests_scanned: 1,
-            shared_types: vec![SharedEntry {
-                type_name: "CounterHandle".into(),
-                file: "crates/obs/src/metrics.rs".into(),
-                line: 30,
-                reason: "metric sink".into(),
-            }],
         };
         let a = r.to_json().to_string();
         let b = r.to_json().to_string();
         assert_eq!(a, b);
         let parsed = Json::parse(&a).expect("report JSON reparses");
-        assert_eq!(parsed.get("simlint").and_then(Json::as_u64), Some(2));
+        assert_eq!(parsed.get("simlint").and_then(Json::as_u64), Some(3));
         // Findings carry the catalogue rationale inline.
         let finding = &parsed
             .get("findings")
@@ -393,11 +352,6 @@ mod tests {
             .get("rationale")
             .and_then(Json::as_str)
             .is_some_and(|r| r.contains("Reporter")));
-        let shared = &parsed.get("shared").and_then(Json::as_array).expect("arr")[0];
-        assert_eq!(
-            shared.get("type").and_then(Json::as_str),
-            Some("CounterHandle")
-        );
     }
 
     #[test]
@@ -412,7 +366,6 @@ mod tests {
             }],
             files_scanned: 1,
             manifests_scanned: 0,
-            shared_types: Vec::new(),
         };
         let text = r.to_sarif().to_string();
         assert_eq!(text, r.to_sarif().to_string(), "SARIF must be byte-stable");

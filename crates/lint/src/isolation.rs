@@ -13,10 +13,8 @@
 //! * **S002** — no interior-mutability types (`Cell`, `RefCell`,
 //!   `Mutex`, atomics, …) in fields of *shard-owned* types: the set of
 //!   types transitively reachable from `SocketShard`'s fields through the
-//!   workspace type graph. Deliberately shared types opt out via a
-//!   `simlint: shared(reason = ...)` pragma on their declaration, which
-//!   both stops closure expansion and records the type in the report's
-//!   auditable shared registry.
+//!   workspace type graph. No type opts out of the closure; an audited
+//!   field is excused where it stands, with `allow(S002, reason = ...)`.
 //! * **S003** — no `unsafe` in sim crates (keeps the crates'
 //!   `#![forbid(unsafe_code)]` honest even if someone edits the attribute).
 //! * **S004** — call-graph-aware panic audit, superseding the textual
@@ -38,9 +36,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::findings::{Finding, SharedEntry};
+use crate::findings::Finding;
 use crate::items::FileItems;
-use crate::pragma::Pragma;
 
 /// Type names whose closure membership roots the S002 check.
 pub const SHARD_SEEDS: &[&str] = &["SocketShard"];
@@ -78,37 +75,14 @@ pub struct SimFile<'a> {
     pub sim_lib: bool,
     /// The file's item set.
     pub items: &'a FileItems,
-    /// Parsed pragmas (only `shared` clauses matter here).
-    pub pragmas: &'a [Pragma],
-}
-
-/// Output of the isolation pass.
-#[derive(Debug, Default)]
-pub struct IsolationOutput {
-    /// Raw S-rule findings (pragma application happens per file, later).
-    pub findings: Vec<Finding>,
-    /// Consumed shared-registry entries, for the report.
-    pub shared_types: Vec<SharedEntry>,
-    /// `(line, col)` positions, per file, of `shared` pragmas the closure
-    /// actually consumed; unconsumed ones rot to P002.
-    pub used_shared: BTreeMap<String, Vec<(u32, u32)>>,
-}
-
-/// A registered shared type: where its pragma sits and why.
-struct SharedReg {
-    file: String,
-    pragma_line: u32,
-    pragma_col: u32,
-    reason: String,
 }
 
 struct Graph<'a> {
     files: &'a [SimFile<'a>],
     /// Type name → defining `(file index, type index)` sites, all files.
     types: BTreeMap<&'a str, Vec<(usize, usize)>>,
-    /// Shared registry: type name → pragma site.
-    shared: BTreeMap<&'a str, SharedReg>,
-    out: IsolationOutput,
+    /// Raw S-rule findings (pragma application happens per file, later).
+    out: Vec<Finding>,
 }
 
 impl<'a> Graph<'a> {
@@ -119,34 +93,15 @@ impl<'a> Graph<'a> {
                 types.entry(&t.name).or_default().push((fi, ti));
             }
         }
-        // A `shared` pragma registers the type declared in its covered
-        // window. The registry spans all files: the obs metric handles sim
-        // crates hold are declared outside the sim crates.
-        let mut shared = BTreeMap::new();
-        for f in files {
-            for p in f.pragmas.iter().filter(|p| p.shared) {
-                for t in &f.items.types {
-                    if t.line >= p.line && t.line <= p.cover_end {
-                        shared.entry(t.name.as_str()).or_insert(SharedReg {
-                            file: f.path.to_string(),
-                            pragma_line: p.line,
-                            pragma_col: p.col,
-                            reason: p.reason.clone(),
-                        });
-                    }
-                }
-            }
-        }
         Graph {
             files,
             types,
-            shared,
-            out: IsolationOutput::default(),
+            out: Vec::new(),
         }
     }
 
     fn push(&mut self, fi: usize, line: u32, col: u32, rule: &'static str, message: String) {
-        self.out.findings.push(Finding {
+        self.out.push(Finding {
             file: self.files[fi].path.to_string(),
             line,
             col,
@@ -195,26 +150,6 @@ impl<'a> Graph<'a> {
         }
     }
 
-    /// Marks a shared pragma consumed and records its registry entry.
-    fn consume_shared(&mut self, name: &str) {
-        let Some(reg) = self.shared.get(name) else {
-            return;
-        };
-        let entry = SharedEntry {
-            type_name: name.to_string(),
-            file: reg.file.clone(),
-            line: reg.pragma_line,
-            reason: reg.reason.clone(),
-        };
-        let pos = (reg.pragma_line, reg.pragma_col);
-        self.out
-            .used_shared
-            .entry(reg.file.clone())
-            .or_default()
-            .push(pos);
-        self.out.shared_types.push(entry);
-    }
-
     /// S002: interior mutability in the shard-owned type closure.
     fn s002(&mut self) {
         let mut seeds: Vec<String> = Vec::new();
@@ -234,11 +169,6 @@ impl<'a> Graph<'a> {
             if !visited.insert(name.clone()) {
                 continue;
             }
-            if self.shared.contains_key(name.as_str()) {
-                // Deliberately shared: registry-audited, closure stops here.
-                self.consume_shared(&name);
-                continue;
-            }
             let Some(defs) = self.types.get(name.as_str()).cloned() else {
                 continue;
             };
@@ -255,8 +185,7 @@ impl<'a> Graph<'a> {
                                 format!(
                                     "interior-mutability type `{}` in a field of `{}`, \
                                      which is shard-owned (reachable from SocketShard); \
-                                     make it plain shard-local data, or register the \
-                                     type with `simlint: shared(reason = ...)`",
+                                     make it plain shard-local data",
                                     tr.name, name
                                 ),
                             );
@@ -500,21 +429,14 @@ impl<'a> Graph<'a> {
 
 /// Runs S001–S005 over the merged item graph. Deterministic: all maps are
 /// ordered and traversal order is fixed by the (sorted) input file order.
-pub fn run_isolation(files: &[SimFile<'_>]) -> IsolationOutput {
+pub fn run_isolation(files: &[SimFile<'_>]) -> Vec<Finding> {
     let mut g = Graph::build(files);
     g.s001();
     g.s002();
     g.s003();
     g.s004();
     g.s005();
-    let mut out = g.out;
-    for positions in out.used_shared.values_mut() {
-        positions.sort_unstable();
-        positions.dedup();
-    }
-    out.shared_types.sort();
-    out.shared_types.dedup();
-    out
+    g.out
 }
 
 #[cfg(test)]
@@ -522,7 +444,6 @@ mod tests {
     use super::*;
     use crate::items::parse_items;
     use crate::lexer::lex;
-    use crate::pragma::parse_pragma;
     use crate::rules::mark_test_skipped;
 
     fn items_of(src: &str) -> FileItems {
@@ -538,9 +459,8 @@ mod tests {
             crate_name: "core",
             sim_lib: true,
             items: &items,
-            pragmas: &[],
         }];
-        run_isolation(&files).findings
+        run_isolation(&files)
     }
 
     fn ids(findings: &[Finding]) -> Vec<(&'static str, u32, u32)> {
@@ -566,43 +486,6 @@ mod tests {
         // Only the closure member is flagged, at the exact RefCell span.
         assert_eq!(ids(&hits), vec![("S002", 3, 23)]);
         assert!(hits[0].message.contains("`Obs`"));
-    }
-
-    #[test]
-    fn s002_shared_pragma_stops_expansion_and_is_consumed() {
-        let src = "pub struct SocketShard { sm: Sm }\n\
-                   pub struct Sm { obs: Obs }\n\
-                   pub struct Obs { hot: RefCell<u32> }\n";
-        let items = items_of(src);
-        let mut pragma = parse_pragma(
-            "shared(reason = \"snapshot order canonical\")",
-            "f.rs",
-            3,
-            1,
-        )
-        .expect("valid");
-        pragma.cover_end = 3;
-        let pragmas = [pragma];
-        let files = [SimFile {
-            path: "crates/core/src/system.rs",
-            crate_name: "core",
-            sim_lib: true,
-            items: &items,
-            pragmas: &pragmas,
-        }];
-        let out = run_isolation(&files);
-        assert!(
-            out.findings.is_empty(),
-            "shared type is excluded: {:?}",
-            out.findings
-        );
-        assert_eq!(out.shared_types.len(), 1);
-        assert_eq!(out.shared_types[0].type_name, "Obs");
-        assert_eq!(out.shared_types[0].reason, "snapshot order canonical");
-        assert_eq!(
-            out.used_shared.get("crates/core/src/system.rs"),
-            Some(&vec![(3, 1)])
-        );
     }
 
     #[test]
@@ -660,20 +543,18 @@ mod tests {
                 crate_name: "core",
                 sim_lib: true,
                 items: &sim,
-                pragmas: &[],
             },
             SimFile {
                 path: "crates/obs/src/metrics.rs",
                 crate_name: "obs",
                 sim_lib: false,
                 items: &obs,
-                pragmas: &[],
             },
         ];
         let out = run_isolation(&files);
         // The closure reaches Handle in obs (S002 fires there: the field is
         // shard-reachable), but obs's own static mut is out of scope.
-        assert_eq!(ids(&out.findings), vec![("S002", 1, 24)]);
-        assert_eq!(out.findings[0].file, "crates/obs/src/metrics.rs");
+        assert_eq!(ids(&out), vec![("S002", 1, 24)]);
+        assert_eq!(out[0].file, "crates/obs/src/metrics.rs");
     }
 }

@@ -28,8 +28,7 @@
 //! check and a deterministic [`workspace`] walker complete the pipeline.
 //! Findings carry stable rule IDs (see [`findings::RULES`]) and can be
 //! suppressed only at the site via `simlint:` [`pragma`]s that must name
-//! the rule and a reason; deliberately shared types register through
-//! `shared(...)` pragmas into an auditable registry.
+//! the rule and a reason.
 //!
 //! Run it as a CLI (`cargo run -p numa-gpu-lint`, binary name `simlint`;
 //! `--format json|sarif`, `--explain RULE`) or let the integration-test

@@ -159,8 +159,7 @@ pub fn analyze_manifest(path: &str, src: &str) -> Vec<Finding> {
         }
     }
     close_sub(&mut open_sub, &mut raw);
-    // Manifests have no item graph: no shared pragmas can be consumed.
-    let mut out = apply_pragmas(path, pragmas, raw, &[]);
+    let mut out = apply_pragmas(path, pragmas, raw);
     out.sort();
     out.dedup();
     out

@@ -1,5 +1,4 @@
-//! The `simlint:` pragma system: site-local `allow` suppressions and the
-//! `shared` type registry.
+//! The `simlint:` pragma system: site-local `allow` suppressions.
 //!
 //! A violation is suppressed *at the site*, with a reason, by a comment of
 //! the form (shown here split so this file does not pragma itself):
@@ -8,20 +7,11 @@
 //! <comment-start> simlint: allow(D001, reason = "waiters drain in insertion order")
 //! ```
 //!
-//! A type is registered as deliberately shared (excluded from the S002
-//! shard-isolation closure) the same way:
-//!
-//! ```text
-//! <comment-start> simlint: shared(reason = "metric sink; snapshot order is canonical")
-//! ```
-//!
 //! Grammar, after the `simlint:` marker:
 //!
 //! ```text
-//! pragma  := clause+
-//! clause  := allow | shared
+//! pragma  := allow+
 //! allow   := "allow" "(" rule ("," rule)* "," "reason" "=" string ")"
-//! shared  := "shared" "(" "reason" "=" string ")"
 //! rule    := one of the allowable rule IDs (see findings::ALLOWABLE_RULES)
 //! string  := '"' non-empty text '"'
 //! ```
@@ -30,12 +20,11 @@
 //! the statement that starts on its line or the line directly below** —
 //! the statement extends to its terminating `;`, a field-list `,`, or the
 //! close of the block it opens, so a rustfmt-split multi-line `use` or a
-//! whole attributed `fn` is covered by one pragma above it. A `shared`
-//! pragma attaches to the type declaration inside the same coverage
-//! window. Anything else is an error:
+//! whole attributed `fn` is covered by one pragma above it. Anything else
+//! is an error:
 //!
 //! * malformed grammar, unknown rule, empty reason → **P001**
-//! * a pragma that suppresses nothing / registers nothing → **P002**
+//! * a pragma that suppresses nothing → **P002**
 //!
 //! There is deliberately no file-level or baseline suppression: every
 //! pragma is local and carries its justification.
@@ -45,16 +34,11 @@ use crate::findings::{rule_id, Finding, ALLOWABLE_RULES};
 /// The marker that starts a pragma inside a comment.
 pub const MARKER: &str = "simlint:";
 
-/// One parsed pragma: `allow` clauses and/or a `shared` registration.
+/// One parsed pragma: one or more `allow` clauses.
 #[derive(Debug, Clone)]
 pub struct Pragma {
-    /// Rule IDs the `allow` clauses suppress (empty for a pure `shared`
-    /// pragma).
+    /// Rule IDs the `allow` clauses suppress.
     pub rules: Vec<&'static str>,
-    /// Whether a `shared(...)` clause registers the covered type.
-    pub shared: bool,
-    /// The (last) reason string, kept for the shared-type registry.
-    pub reason: String,
     /// 1-based line of the pragma comment.
     pub line: u32,
     /// 1-based column of the pragma comment.
@@ -86,9 +70,9 @@ fn p001(file: &str, line: u32, col: u32, message: String) -> Finding {
     }
 }
 
-/// Splits a `reason = "..."` suffix off a clause body, validating the
-/// quoting. Returns (text before `reason`, reason contents).
-fn split_reason(inner: &str) -> Result<(&str, &str), String> {
+/// Splits a `reason = "..."` suffix off a clause body, validating that the
+/// reason is a non-empty quoted string. Returns the text before `reason`.
+fn split_reason(inner: &str) -> Result<&str, String> {
     let Some(pos) = inner.find("reason") else {
         return Err(format!(
             "clause is missing `reason = \"...\"` (every suppression must \
@@ -101,7 +85,7 @@ fn split_reason(inner: &str) -> Result<(&str, &str), String> {
     };
     let tail = tail.trim();
     if tail.len() > 2 && tail.starts_with('"') && tail.ends_with('"') {
-        Ok((&inner[..pos], &tail[1..tail.len() - 1]))
+        Ok(&inner[..pos])
     } else {
         Err("reason must be a non-empty double-quoted string".to_string())
     }
@@ -117,23 +101,17 @@ pub fn parse_pragma(
 ) -> Result<Pragma, Finding> {
     let bad = |msg: String| p001(file, line, col, msg);
     let mut rules: Vec<&'static str> = Vec::new();
-    let mut shared = false;
-    let mut reason = String::new();
     let mut rest = after_marker.trim();
     if rest.is_empty() {
         return Err(bad(format!(
             "pragma has no clause; expected `allow(RULE, reason = \"...\")` \
-             with RULE one of {ALLOWABLE_RULES:?}, or `shared(reason = \"...\")`"
+             with RULE one of {ALLOWABLE_RULES:?}"
         )));
     }
     while !rest.is_empty() {
-        let (is_shared, tail) = if let Some(t) = rest.strip_prefix("allow") {
-            (false, t)
-        } else if let Some(t) = rest.strip_prefix("shared") {
-            (true, t)
-        } else {
+        let Some(tail) = rest.strip_prefix("allow") else {
             return Err(bad(format!(
-                "expected `allow(...)` or `shared(...)`, found `{}`",
+                "expected `allow(...)`, found `{}`",
                 rest.chars().take(30).collect::<String>()
             )));
         };
@@ -153,19 +131,7 @@ pub fn parse_pragma(
         // `RULE, RULE, reason = "..."` — the reason is the trailing quoted
         // string and may itself contain commas, so split it off before
         // splitting the rule list.
-        let (head, r) = split_reason(inner).map_err(&bad)?;
-        reason = r.to_string();
-        if is_shared {
-            let head = head.trim().trim_end_matches(',').trim();
-            if !head.is_empty() {
-                return Err(bad(format!(
-                    "`shared(...)` takes only a reason (it registers the \
-                     covered type declaration), found `{head}`"
-                )));
-            }
-            shared = true;
-            continue;
-        }
+        let head = split_reason(inner).map_err(&bad)?;
         let mut named = 0usize;
         for part in head.split(',') {
             let part = part.trim();
@@ -186,8 +152,6 @@ pub fn parse_pragma(
     }
     Ok(Pragma {
         rules,
-        shared,
-        reason,
         line,
         col,
         cover_end: line + 1,
@@ -196,23 +160,17 @@ pub fn parse_pragma(
 
 /// Applies pragmas to raw rule findings: suppressed findings are removed,
 /// pragmas that suppress nothing become P002 findings, and parse failures
-/// surface as P001. `used_shared` holds `(line, col)` positions of shared
-/// pragmas the isolation pass consumed (a shared clause that registered
-/// nothing rots like a dead allow). Returns the surviving findings.
+/// surface as P001. Returns the surviving findings.
 pub fn apply_pragmas(
     file: &str,
     pragmas: Vec<Result<Pragma, Finding>>,
     raw: Vec<Finding>,
-    used_shared: &[(u32, u32)],
 ) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut parsed = Vec::new();
     for p in pragmas {
         match p {
-            Ok(p) => {
-                let used = p.shared && used_shared.contains(&(p.line, p.col));
-                parsed.push((p, used));
-            }
+            Ok(p) => parsed.push((p, false)),
             Err(f) => out.push(f),
         }
     }
@@ -230,20 +188,15 @@ pub fn apply_pragmas(
     }
     for (p, used) in parsed {
         if !used {
-            let what = if p.shared && p.rules.is_empty() {
-                "registers no type declaration in its covered statement".to_string()
-            } else {
-                format!(
-                    "allows {:?} but suppresses nothing in its covered statement",
-                    p.rules
-                )
-            };
             out.push(Finding {
                 file: file.to_string(),
                 line: p.line,
                 col: p.col,
                 rule: "P002",
-                message: format!("pragma {what}; remove it"),
+                message: format!(
+                    "pragma allows {:?} but suppresses nothing in its covered statement; remove it",
+                    p.rules
+                ),
             });
         }
     }
@@ -269,8 +222,6 @@ mod tests {
         let p =
             parse_pragma("allow(D001, reason = \"ok here\")", "f.rs", 3, 9).expect("valid pragma");
         assert_eq!(p.rules, vec!["D001"]);
-        assert_eq!(p.reason, "ok here");
-        assert!(!p.shared);
         assert!(p.covers(&finding("D001", 3)));
         assert!(p.covers(&finding("D001", 4)));
         assert!(!p.covers(&finding("D001", 5)));
@@ -301,26 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_shared_clause() {
-        let p = parse_pragma(
-            "shared(reason = \"metric sink, snapshot order canonical\")",
-            "f.rs",
-            4,
-            1,
-        )
-        .expect("valid shared pragma");
-        assert!(p.shared);
-        assert!(p.rules.is_empty());
-        assert_eq!(p.reason, "metric sink, snapshot order canonical");
-        // A shared clause naming a rule is malformed.
-        let err = parse_pragma("shared(S002, reason = \"x\")", "f.rs", 4, 1).expect_err("bad");
-        assert_eq!(err.rule, "P001");
-        // Missing reason is malformed.
-        let err = parse_pragma("shared()", "f.rs", 4, 1).expect_err("bad");
-        assert_eq!(err.rule, "P001");
-    }
-
-    #[test]
     fn missing_reason_is_p001() {
         let err = parse_pragma("allow(D001)", "f.rs", 2, 1).expect_err("must fail");
         assert_eq!(err.rule, "P001");
@@ -345,10 +276,12 @@ mod tests {
     #[test]
     fn garbage_is_p001() {
         assert_eq!(parse_pragma("", "f", 1, 1).expect_err("e").rule, "P001");
-        assert_eq!(
-            parse_pragma("deny(D001)", "f", 1, 1).expect_err("e").rule,
-            "P001"
-        );
+        for retired in ["deny(D001)", "shared(reason = \"x\")"] {
+            assert_eq!(
+                parse_pragma(retired, "f", 1, 1).expect_err("e").rule,
+                "P001"
+            );
+        }
         assert_eq!(
             parse_pragma("allow(D001, reason = \"x\"", "f", 1, 1)
                 .expect_err("e")
@@ -365,21 +298,10 @@ mod tests {
             "f.rs",
             vec![p1, p2],
             vec![finding("D001", 4), finding("O001", 7)],
-            &[],
         );
         // D001@4 suppressed; O001@7 survives; pragma@90 unused → P002.
         assert_eq!(out.len(), 2);
         assert!(out.iter().any(|f| f.rule == "O001" && f.line == 7));
         assert!(out.iter().any(|f| f.rule == "P002" && f.line == 90));
-    }
-
-    #[test]
-    fn shared_pragmas_rot_unless_consumed() {
-        let used = parse_pragma("shared(reason = \"x\")", "f.rs", 3, 9);
-        let dead = parse_pragma("shared(reason = \"y\")", "f.rs", 40, 1);
-        let out = apply_pragmas("f.rs", vec![used, dead], vec![], &[(3, 9)]);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].rule == "P002" && out[0].line == 40);
-        assert!(out[0].message.contains("registers no type"));
     }
 }

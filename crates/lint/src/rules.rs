@@ -527,24 +527,16 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
 /// the same pieces across files instead.
 pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
     let fa = analyze_file(path, src);
-    let parsed: Vec<Pragma> = fa
-        .pragmas
-        .iter()
-        .filter_map(|p| p.as_ref().ok().cloned())
-        .collect();
     let scope = FileScope::classify(path);
     let sim = SimFile {
         path,
         crate_name: crate_of(path),
         sim_lib: scope.sim_lib,
         items: &fa.items,
-        pragmas: &parsed,
     };
-    let iso = run_isolation(&[sim]);
     let mut raw = fa.raw;
-    raw.extend(iso.findings);
-    let used = iso.used_shared.get(path).cloned().unwrap_or_default();
-    let mut out = apply_pragmas(path, fa.pragmas, raw, &used);
+    raw.extend(run_isolation(&[sim]));
+    let mut out = apply_pragmas(path, fa.pragmas, raw);
     out.sort();
     out.dedup();
     out

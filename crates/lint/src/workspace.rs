@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use crate::findings::{Finding, LintReport};
 use crate::isolation::{run_isolation, SimFile};
 use crate::manifest::analyze_manifest;
-use crate::pragma::{apply_pragmas, Pragma};
+use crate::pragma::apply_pragmas;
 use crate::rules::{analyze_file, crate_of, FileAnalysis, FileScope};
 
 fn rel(root: &Path, path: &Path) -> String {
@@ -115,32 +115,19 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     }
 
     // Pass 2: the cross-file isolation rules over the merged item graph.
-    let parsed_pragmas: Vec<Vec<Pragma>> = analyses
-        .iter()
-        .map(|(_, fa)| {
-            fa.pragmas
-                .iter()
-                .filter_map(|p| p.as_ref().ok().cloned())
-                .collect()
-        })
-        .collect();
     let sim_files: Vec<SimFile<'_>> = analyses
         .iter()
-        .zip(&parsed_pragmas)
-        .map(|((path, fa), pragmas)| SimFile {
+        .map(|(path, fa)| SimFile {
             path,
             crate_name: crate_of(path),
             sim_lib: FileScope::classify(path).sim_lib,
             items: &fa.items,
-            pragmas,
         })
         .collect();
-    let iso = run_isolation(&sim_files);
     let mut iso_by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for f in iso.findings {
+    for f in run_isolation(&sim_files) {
         iso_by_file.entry(f.file.clone()).or_default().push(f);
     }
-    report.shared_types = iso.shared_types;
 
     // Pragma settlement per file.
     for (path, fa) in analyses.iter() {
@@ -148,14 +135,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         if let Some(extra) = iso_by_file.remove(path.as_str()) {
             raw.extend(extra);
         }
-        let used = iso
-            .used_shared
-            .get(path.as_str())
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
         report
             .findings
-            .extend(apply_pragmas(path, fa.pragmas.clone(), raw, used));
+            .extend(apply_pragmas(path, fa.pragmas.clone(), raw));
     }
 
     report.normalize();
@@ -253,19 +235,6 @@ mod tests {
         assert_eq!(s002.len(), 1);
         assert_eq!(s002[0].file, "crates/obs/src/lib.rs");
         assert_eq!((s002[0].line, s002[0].col), (1, 24));
-
-        // Registering the type shared clears the finding and fills the
-        // report registry.
-        write(
-            &root.join("crates/obs/src/lib.rs"),
-            "// simlint: shared(reason = \"snapshot order is canonical\")\n\
-             pub struct Handle { m: Mutex<u32> }\n",
-        );
-        let report = lint_workspace(&root).expect("lint");
-        assert!(report.findings.iter().all(|f| f.rule != "S002"));
-        assert!(report.findings.iter().all(|f| f.rule != "P002"));
-        assert_eq!(report.shared_types.len(), 1);
-        assert_eq!(report.shared_types[0].type_name, "Handle");
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -1,7 +1,6 @@
 //! Per-socket DRAM (on-package HBM) model.
 
 use numa_gpu_engine::ServiceQueue;
-use numa_gpu_obs::CounterHandle;
 use numa_gpu_types::{cycles_to_ticks, Counter, DramConfig, LineAddr, Tick};
 
 /// Row buffer size assumed by the open-row locality model, in bytes.
@@ -9,19 +8,6 @@ pub const ROW_BYTES: u64 = 8192;
 
 /// Number of banks assumed by the open-row locality model.
 pub const NUM_BANKS: usize = 16;
-
-/// Observability handles for one DRAM, installed via [`Dram::set_obs`].
-///
-/// Row-locality accounting is stats-only: it classifies each addressed
-/// access as a row-buffer hit or miss without changing the timing model.
-/// Default handles are disabled no-ops.
-#[derive(Debug, Clone, Default)]
-pub struct DramObs {
-    /// Addressed accesses that found their row open in the bank.
-    pub row_hits: CounterHandle,
-    /// Addressed accesses that had to open a new row.
-    pub row_misses: CounterHandle,
-}
 
 /// DRAM access statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,9 +40,12 @@ pub struct Dram {
     queue: ServiceQueue,
     latency: Tick,
     stats: DramStats,
-    obs: DramObs,
     /// Open row per bank (stats-only open-row locality model).
     open_rows: [Option<u64>; NUM_BANKS],
+    /// Addressed accesses that found their row open in the bank.
+    row_hits: u64,
+    /// Addressed accesses that had to open a new row.
+    row_misses: u64,
     /// End of the current ECC-retry window (0 when healthy). Requests
     /// issued before this tick pay `ecc_penalty` extra latency.
     ecc_until: Tick,
@@ -75,16 +64,12 @@ impl Dram {
             queue: ServiceQueue::new(config.bytes_per_cycle),
             latency: cycles_to_ticks(config.latency_cycles as u64),
             stats: DramStats::default(),
-            obs: DramObs::default(),
             open_rows: [None; NUM_BANKS],
+            row_hits: 0,
+            row_misses: 0,
             ecc_until: 0,
             ecc_penalty: 0,
         }
-    }
-
-    /// Installs observability handles (disabled no-op handles by default).
-    pub fn set_obs(&mut self, obs: DramObs) {
-        self.obs = obs;
     }
 
     /// Classifies an addressed access against the per-bank open rows.
@@ -94,9 +79,9 @@ impl Dram {
         let bank = ((raw / ROW_BYTES) as usize) % NUM_BANKS;
         let row = raw / (ROW_BYTES * NUM_BANKS as u64);
         if self.open_rows[bank] == Some(row) {
-            self.obs.row_hits.inc();
+            self.row_hits += 1;
         } else {
-            self.obs.row_misses.inc();
+            self.row_misses += 1;
             self.open_rows[bank] = Some(row);
         }
     }
@@ -178,6 +163,16 @@ impl Dram {
     pub fn stats(&self) -> DramStats {
         self.stats
     }
+
+    /// Addressed accesses that found their row open in the bank.
+    pub fn row_hits(&self) -> u64 {
+        self.row_hits
+    }
+
+    /// Addressed accesses that had to open a new row.
+    pub fn row_misses(&self) -> u64 {
+        self.row_misses
+    }
 }
 
 #[cfg(test)]
@@ -234,14 +229,7 @@ mod tests {
 
     #[test]
     fn row_model_classifies_hits_and_misses() {
-        use numa_gpu_obs::MetricsRegistry;
-
-        let mut reg = MetricsRegistry::new();
         let mut d = dram();
-        d.set_obs(DramObs {
-            row_hits: reg.counter("dram.row_hits"),
-            row_misses: reg.counter("dram.row_misses"),
-        });
         let line = |raw: u64| numa_gpu_types::Addr::new(raw).line();
         // Two lines in the same 8 KiB row: miss (opens row) then hit.
         d.read_line(0, line(0), 128);
@@ -250,13 +238,12 @@ mod tests {
         d.read_line(0, line(ROW_BYTES * NUM_BANKS as u64), 128);
         // Back to the original row: miss again.
         d.write_line(0, line(256), 128);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("dram.row_hits"), Some(1));
-        assert_eq!(snap.counter("dram.row_misses"), Some(3));
+        assert_eq!(d.row_hits(), 1);
+        assert_eq!(d.row_misses(), 3);
         // Distinct banks never conflict.
         d.read_line(0, line(ROW_BYTES), 128); // bank 1
         d.read_line(0, line(ROW_BYTES + 128), 128);
-        assert_eq!(reg.snapshot().counter("dram.row_hits"), Some(2));
+        assert_eq!(d.row_hits(), 2);
     }
 
     #[test]

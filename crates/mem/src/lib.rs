@@ -24,5 +24,5 @@
 mod dram;
 mod page_table;
 
-pub use dram::{Dram, DramObs, DramStats, NUM_BANKS, ROW_BYTES};
+pub use dram::{Dram, DramStats, NUM_BANKS, ROW_BYTES};
 pub use page_table::{PageTable, PlacementStats};

@@ -6,11 +6,11 @@
 //! the simulator needs more than end-of-run aggregates. This crate is the
 //! one uniform mechanism every model crate reports through:
 //!
-//! - [`MetricsRegistry`]: named counters, gauges, and power-of-two
-//!   histograms that components register at build time and update through
-//!   cheap shared handles ([`CounterHandle`], [`GaugeHandle`],
-//!   [`HistogramHandle`]). Disabled handles are no-ops, so instrumentation
-//!   can stay in the hot path unconditionally.
+//! - [`MetricsSnapshot`]: named counters, gauges, and power-of-two
+//!   histograms, folded at report time from plain fields each component
+//!   owns and always maintains ([`Pow2Histogram`] is the one value type
+//!   that needs more than a `u64`). Metrics on and off do the same work
+//!   until the report is built.
 //! - [`TraceEvent`] + [`RingBufferSink`]: a cycle-stamped structured
 //!   event trace emitted from the engine's event loop and from lane-turn /
 //!   repartition decision points, recorded into a bounded in-memory ring.
@@ -23,21 +23,20 @@
 //!
 //! # Determinism
 //!
-//! Every output is byte-stable: snapshots list metrics in registration
-//! order, trace export stable-sorts by start cycle, and all encoding goes
-//! through `testkit::json`. Two runs with the same configuration and seed
-//! produce identical bytes.
+//! Every output is byte-stable: snapshots list metrics in the fixed order
+//! the fold pushes them, trace export stable-sorts by start cycle, and all
+//! encoding goes through `testkit::json`. Two runs with the same
+//! configuration and seed produce identical bytes.
 //!
 //! # Example
 //!
 //! ```
-//! use numa_gpu_obs::{chrome_trace, MetricsRegistry, RingBufferSink, TraceEvent};
+//! use numa_gpu_obs::{chrome_trace, Pow2Histogram, RingBufferSink, TraceEvent};
 //!
-//! // Components register metrics once and keep handles.
-//! let mut reg = MetricsRegistry::new();
-//! let stalls = reg.counter("sm.s0.issue_stalls");
-//! stalls.add(3);
-//! assert_eq!(reg.snapshot().counter("sm.s0.issue_stalls"), Some(3));
+//! // A component owns its histogram; the report merges per-SM ones.
+//! let mut occupancy = Pow2Histogram::default();
+//! occupancy.observe(3);
+//! assert_eq!(occupancy.summary().max, 3);
 //!
 //! // The system records cycle-stamped events into a bounded ring and
 //! // exports what it retained as a Chrome trace.
@@ -56,9 +55,6 @@ pub mod profiler;
 pub mod trace;
 
 pub use chrome::{chrome_event_json, chrome_trace, TRACE_PID};
-pub use metrics::{
-    CounterHandle, GaugeHandle, HistogramHandle, HistogramSummary, MetricKind, MetricValue,
-    MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{HistogramSummary, MetricValue, MetricsSnapshot, Pow2Histogram};
 pub use profiler::{ProfileReport, ProfileScope};
 pub use trace::{RingBufferSink, TraceEvent, TracePhase, TraceValue};

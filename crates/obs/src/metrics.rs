@@ -1,140 +1,84 @@
-//! Named metrics: counters, gauges, and power-of-two histograms.
+//! Metric values: the power-of-two histogram a component owns by value,
+//! and the ordered snapshot the system folds every instrument into at
+//! report time.
 //!
-//! Components register their metrics once at build time and keep cheap
-//! shared handles; the registry snapshots every metric in registration
-//! order, so the snapshot (and its JSON encoding) is byte-stable across
-//! identical runs.
+//! Nothing here is shared: a component counts into its own plain fields
+//! whether or not `--metrics` is on, and `NumaGpuSystem::build_metrics`
+//! reads them once the run is over. The snapshot lists metrics in the
+//! order that fold pushes them, so it (and its JSON encoding) is
+//! byte-stable across identical runs.
 
 use numa_gpu_testkit::json::Json;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
-/// Kind of a registered metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MetricKind {
-    /// Monotonically increasing event count.
-    Counter,
-    /// Last-set value (occupancy, way split, high-water mark).
-    Gauge,
-    /// Distribution over power-of-two buckets.
-    Histogram,
-}
-
-/// A shared counter handle.
+/// A distribution over power-of-two buckets, owned by the component that
+/// feeds it.
 ///
-/// The default handle is *disabled*: every operation is a no-op, so model
-/// code can increment unconditionally and pays one branch when
-/// observability is off.
+/// `buckets` grows to the highest bucket a sample has reached, so the four
+/// scalar fields and the vector header share one cache line and an MSHR
+/// occupancy histogram never holds more buckets than its file can fill.
 ///
-/// Handles are `Send + Sync` (atomic cells) so per-socket model state can
-/// cross into the windowed executor's worker threads. Writes use relaxed
-/// ordering: during a window each cell has a single writer, and the
-/// barrier's thread join orders everything before the next read.
-// simlint: shared(reason = "single writer per window; barrier join publishes before any read")
-#[derive(Debug, Clone, Default)]
-pub struct CounterHandle(Option<Arc<AtomicU64>>);
-
-impl CounterHandle {
-    /// A handle that records nothing.
-    pub fn disabled() -> Self {
-        CounterHandle(None)
-    }
-
-    /// Whether this handle is backed by a registry.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Adds `n` (saturating).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if let Some(c) = &self.0 {
-            let v = c.load(Ordering::Relaxed);
-            c.store(v.saturating_add(n), Ordering::Relaxed);
-        }
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value (`0` when disabled).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// A shared gauge handle (see [`CounterHandle`] for the disabled-default
-/// contract).
-// simlint: shared(reason = "single writer per window; barrier join publishes before any read")
-#[derive(Debug, Clone, Default)]
-pub struct GaugeHandle(Option<Arc<AtomicU64>>);
-
-impl GaugeHandle {
-    /// A handle that records nothing.
-    pub fn disabled() -> Self {
-        GaugeHandle(None)
-    }
-
-    /// Whether this handle is backed by a registry.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Sets the gauge to `v`.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        if let Some(c) = &self.0 {
-            c.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises the gauge to `v` if it is below (high-water mark tracking).
-    #[inline]
-    pub fn set_max(&self, v: u64) {
-        if let Some(c) = &self.0 {
-            let cur = c.load(Ordering::Relaxed);
-            c.store(cur.max(v), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (`0` when disabled).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// Backing state of one histogram.
+/// # Examples
+///
+/// ```
+/// use numa_gpu_obs::Pow2Histogram;
+///
+/// let mut a = Pow2Histogram::default();
+/// a.observe(0);
+/// a.observe(5);
+/// let mut b = Pow2Histogram::default();
+/// b.observe(1000);
+/// a.merge(&b);
+/// let s = a.summary();
+/// assert_eq!((s.count, s.sum, s.min, s.max), (3, 1005, 0, 1000));
+/// assert_eq!(s.buckets.len(), 11); // 1000 is in [512, 1024)
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct HistogramData {
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    /// `buckets[b]` counts samples with `floor(log2(v)) + 1 == b`
-    /// (bucket 0 holds the zeros); grown on demand.
-    buckets: Vec<u64>,
-}
+pub struct Pow2Histogram(HistogramSummary);
 
-impl HistogramData {
-    fn observe(&mut self, v: u64) {
-        if self.count == 0 || v < self.min {
-            self.min = v;
+impl Pow2Histogram {
+    /// Records one sample.
+    #[inline]
+    pub fn observe(&mut self, v: u64) {
+        let h = &mut self.0;
+        if h.count == 0 || v < h.min {
+            h.min = v;
         }
-        if v > self.max {
-            self.max = v;
+        if v > h.max {
+            h.max = v;
         }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
+        h.count += 1;
+        h.sum = h.sum.saturating_add(v);
         let b = bucket_of(v);
-        if self.buckets.len() <= b {
-            self.buckets.resize(b + 1, 0);
+        if h.buckets.len() <= b {
+            h.buckets.resize(b + 1, 0);
         }
-        self.buckets[b] += 1;
+        h.buckets[b] += 1;
+    }
+
+    /// Folds `other`'s samples in: the result equals one histogram fed
+    /// both sample streams, in any order.
+    pub fn merge(&mut self, other: &Pow2Histogram) {
+        let (h, o) = (&mut self.0, &other.0);
+        if o.count == 0 {
+            return;
+        }
+        if h.count == 0 || o.min < h.min {
+            h.min = o.min;
+        }
+        h.max = h.max.max(o.max);
+        h.count += o.count;
+        h.sum = h.sum.saturating_add(o.sum);
+        if h.buckets.len() < o.buckets.len() {
+            h.buckets.resize(o.buckets.len(), 0);
+        }
+        for (mine, theirs) in h.buckets.iter_mut().zip(&o.buckets) {
+            *mine += theirs;
+        }
+    }
+
+    /// What has been recorded so far.
+    pub fn summary(&self) -> &HistogramSummary {
+        &self.0
     }
 }
 
@@ -142,215 +86,6 @@ impl HistogramData {
 /// covers `[2^(b-1), 2^b)`.
 fn bucket_of(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
-}
-
-/// A shared histogram handle (see [`CounterHandle`] for the
-/// disabled-default contract).
-// simlint: shared(reason = "lock is only contended across windows, never within one; single writer per window")
-#[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(Option<Arc<Mutex<HistogramData>>>);
-
-impl HistogramHandle {
-    /// A handle that records nothing.
-    pub fn disabled() -> Self {
-        HistogramHandle(None)
-    }
-
-    /// Whether this handle is backed by a registry.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Records one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous observer panicked while holding the histogram
-    /// lock (poisoning; cannot happen in model code, which never panics
-    /// mid-observation).
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        if let Some(h) = &self.0 {
-            h.lock().expect("histogram lock poisoned").observe(v);
-        }
-    }
-
-    /// Number of samples recorded (`0` when disabled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histogram lock is poisoned (see [`Self::observe`]).
-    pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |h| h.lock().expect("histogram lock poisoned").count)
-    }
-}
-
-enum MetricCell {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicU64>),
-    Histogram(Arc<Mutex<HistogramData>>),
-}
-
-impl MetricCell {
-    fn kind(&self) -> MetricKind {
-        match self {
-            MetricCell::Counter(_) => MetricKind::Counter,
-            MetricCell::Gauge(_) => MetricKind::Gauge,
-            MetricCell::Histogram(_) => MetricKind::Histogram,
-        }
-    }
-}
-
-/// A registry of named metrics.
-///
-/// Registration is idempotent: asking for the same name (and kind) again
-/// returns a handle sharing the same cell, which is how e.g. all 64 SMs of
-/// a socket aggregate into one per-socket counter. Snapshots list metrics
-/// in first-registration order, making the encoding deterministic.
-///
-/// # Examples
-///
-/// ```
-/// use numa_gpu_obs::MetricsRegistry;
-///
-/// let mut reg = MetricsRegistry::new();
-/// let stalls = reg.counter("sm.s0.issue_stalls");
-/// let occ = reg.histogram("sm.s0.mshr_occupancy");
-/// stalls.inc();
-/// stalls.add(2);
-/// occ.observe(5);
-///
-/// // A second registration under the same name shares the same cell.
-/// reg.counter("sm.s0.issue_stalls").add(1);
-/// assert_eq!(stalls.get(), 4);
-///
-/// let snap = reg.snapshot();
-/// assert_eq!(snap.counter("sm.s0.issue_stalls"), Some(4));
-/// let json = snap.to_json().to_string();
-/// assert!(json.starts_with("{\"sm.s0.issue_stalls\":4"));
-/// ```
-#[derive(Default)]
-pub struct MetricsRegistry {
-    entries: Vec<(String, MetricCell)>,
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry")
-            .field("metrics", &self.entries.len())
-            .finish()
-    }
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no metrics are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn find(&self, name: &str, kind: MetricKind) -> Option<&MetricCell> {
-        let cell = self
-            .entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| c)?;
-        assert!(
-            cell.kind() == kind,
-            "metric `{name}` already registered as {:?}, requested {kind:?}",
-            cell.kind()
-        );
-        Some(cell)
-    }
-
-    /// Registers (or re-attaches to) a counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered with a different kind.
-    pub fn counter(&mut self, name: &str) -> CounterHandle {
-        if let Some(MetricCell::Counter(c)) = self.find(name, MetricKind::Counter) {
-            return CounterHandle(Some(c.clone()));
-        }
-        let cell = Arc::new(AtomicU64::new(0));
-        self.entries
-            .push((name.to_string(), MetricCell::Counter(cell.clone())));
-        CounterHandle(Some(cell))
-    }
-
-    /// Registers (or re-attaches to) a gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered with a different kind.
-    pub fn gauge(&mut self, name: &str) -> GaugeHandle {
-        if let Some(MetricCell::Gauge(c)) = self.find(name, MetricKind::Gauge) {
-            return GaugeHandle(Some(c.clone()));
-        }
-        let cell = Arc::new(AtomicU64::new(0));
-        self.entries
-            .push((name.to_string(), MetricCell::Gauge(cell.clone())));
-        GaugeHandle(Some(cell))
-    }
-
-    /// Registers (or re-attaches to) a histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered with a different kind.
-    pub fn histogram(&mut self, name: &str) -> HistogramHandle {
-        if let Some(MetricCell::Histogram(h)) = self.find(name, MetricKind::Histogram) {
-            return HistogramHandle(Some(h.clone()));
-        }
-        let cell = Arc::new(Mutex::new(HistogramData::default()));
-        self.entries
-            .push((name.to_string(), MetricCell::Histogram(cell.clone())));
-        HistogramHandle(Some(cell))
-    }
-
-    /// Captures every metric's current value, in registration order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a histogram lock is poisoned (see
-    /// [`HistogramHandle::observe`]).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            entries: self
-                .entries
-                .iter()
-                .map(|(name, cell)| {
-                    let value = match cell {
-                        MetricCell::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                        MetricCell::Gauge(c) => MetricValue::Gauge(c.load(Ordering::Relaxed)),
-                        MetricCell::Histogram(h) => {
-                            let h = h.lock().expect("histogram lock poisoned");
-                            MetricValue::Histogram(HistogramSummary {
-                                count: h.count,
-                                sum: h.sum,
-                                min: h.min,
-                                max: h.max,
-                                buckets: h.buckets.clone(),
-                            })
-                        }
-                    };
-                    (name.clone(), value)
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Point-in-time value of one metric.
@@ -380,10 +115,10 @@ pub struct HistogramSummary {
     pub buckets: Vec<u64>,
 }
 
-/// An ordered, immutable capture of every registered metric.
+/// An ordered capture of every instrument's value at the end of a run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
-    /// `(name, value)` pairs in first-registration order.
+    /// `(name, value)` pairs in the order they were pushed.
     pub entries: Vec<(String, MetricValue)>,
 }
 
@@ -409,7 +144,7 @@ impl MetricsSnapshot {
         }
     }
 
-    /// JSON object keyed by metric name, in registration order — the
+    /// JSON object keyed by metric name, in `entries` order — the
     /// encoding is byte-stable for identical runs.
     pub fn to_json(&self) -> Json {
         Json::Obj(
@@ -439,105 +174,104 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numa_gpu_testkit::gen::{ints, one_of, vecs};
+    use numa_gpu_testkit::{prop_assert_eq, prop_check};
 
-    #[test]
-    fn disabled_handles_are_noops() {
-        let c = CounterHandle::disabled();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        assert!(!c.is_enabled());
-        let g = GaugeHandle::disabled();
-        g.set(9);
-        assert_eq!(g.get(), 0);
-        let h = HistogramHandle::disabled();
-        h.observe(3);
-        assert_eq!(h.count(), 0);
+    fn fed(samples: &[u64]) -> Pow2Histogram {
+        let mut h = Pow2Histogram::default();
+        for &v in samples {
+            h.observe(v);
+        }
+        h
     }
 
-    #[test]
-    fn handles_are_send_and_sync() {
-        // The windowed executor moves per-socket handle bundles into
-        // scoped worker threads; losing these bounds would break it.
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<CounterHandle>();
-        assert_send_sync::<GaugeHandle>();
-        assert_send_sync::<HistogramHandle>();
-        assert_send_sync::<MetricsRegistry>();
-    }
-
-    #[test]
-    fn handles_share_cells_by_name() {
-        let mut reg = MetricsRegistry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3);
-        assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_clash_panics() {
-        let mut reg = MetricsRegistry::new();
-        let _ = reg.counter("x");
-        let _ = reg.gauge("x");
-    }
-
-    #[test]
-    fn gauge_set_max_tracks_high_water() {
-        let mut reg = MetricsRegistry::new();
-        let g = reg.gauge("hw");
-        g.set_max(5);
-        g.set_max(3);
-        assert_eq!(g.get(), 5);
-        g.set(1);
-        assert_eq!(g.get(), 1);
+    /// The summary written down from its definition, not from `observe`.
+    fn by_definition(samples: &[u64]) -> HistogramSummary {
+        let max = samples.iter().copied().max().unwrap_or(0);
+        let mut buckets = vec![
+            0;
+            if samples.is_empty() {
+                0
+            } else {
+                bucket_of(max) + 1
+            }
+        ];
+        for &v in samples {
+            buckets[bucket_of(v)] += 1;
+        }
+        HistogramSummary {
+            count: samples.len() as u64,
+            sum: samples.iter().fold(0, |acc, &v| acc.saturating_add(v)),
+            min: samples.iter().copied().min().unwrap_or(0),
+            max,
+            buckets,
+        }
     }
 
     #[test]
     fn histogram_buckets_by_power_of_two() {
-        let mut reg = MetricsRegistry::new();
-        let h = reg.histogram("lat");
-        for v in [0, 1, 2, 3, 4, 1000] {
-            h.observe(v);
-        }
-        let snap = reg.snapshot();
-        let MetricValue::Histogram(s) = snap.get("lat").unwrap() else {
-            panic!("not a histogram");
+        assert_eq!(*fed(&[]).summary(), HistogramSummary::default());
+        let zero = HistogramSummary {
+            count: 1,
+            buckets: vec![1],
+            ..HistogramSummary::default()
         };
-        assert_eq!(s.count, 6);
-        assert_eq!(s.sum, 1010);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 1000);
-        assert_eq!(s.buckets[0], 1); // the zero
-        assert_eq!(s.buckets[1], 1); // 1
-        assert_eq!(s.buckets[2], 2); // 2, 3
-        assert_eq!(s.buckets[3], 1); // 4
-        assert_eq!(s.buckets[10], 1); // 1000 in [512, 1024)
+        assert_eq!(*fed(&[0]).summary(), zero);
+        let mixed = HistogramSummary {
+            count: 6,
+            sum: 1010,
+            min: 0,
+            max: 1000,
+            // the zero; 1; 2 and 3; 4; then 1000 in [512, 1024)
+            buckets: vec![1, 1, 2, 1, 0, 0, 0, 0, 0, 0, 1],
+        };
+        assert_eq!(*fed(&[0, 1, 2, 3, 4, 1000]).summary(), mixed);
+    }
+
+    prop_check! {
+        /// Merging per-part histograms equals one histogram fed every
+        /// sample, and both equal the definition — so folding 64 SMs'
+        /// histograms at report time reads what one shared cell read.
+        fn merge_equals_feeding_the_concatenation(
+            samples in vecs(
+                one_of(vec![ints(0u64..16), ints(0u64..100_000), ints(u64::MAX - 8..u64::MAX)]),
+                0..48,
+            ),
+            parts in ints(1usize..6),
+        ) {
+            let mut merged = Pow2Histogram::default();
+            for part in samples.chunks(samples.len().div_ceil(parts).max(1)) {
+                merged.merge(&fed(part));
+            }
+            merged.merge(&Pow2Histogram::default());
+            prop_assert_eq!(&merged, &fed(&samples));
+            prop_assert_eq!(merged.summary(), &by_definition(&samples));
+        }
+    }
+
+    fn sample_snapshot() -> MetricsSnapshot {
+        MetricsSnapshot {
+            entries: vec![
+                ("z".to_string(), MetricValue::Counter(1)),
+                ("a".to_string(), MetricValue::Gauge(2)),
+            ],
+        }
     }
 
     #[test]
     fn snapshot_preserves_registration_order_and_is_stable() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("z").add(1);
-        reg.gauge("a").set(2);
-        let s1 = reg.snapshot().to_json().to_string();
-        let s2 = reg.snapshot().to_json().to_string();
+        let s1 = sample_snapshot().to_json().to_string();
+        let s2 = sample_snapshot().to_json().to_string();
         assert_eq!(s1, s2);
         assert_eq!(s1, r#"{"z":1,"a":2}"#);
     }
 
     #[test]
     fn snapshot_lookup_helpers() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("c").add(7);
-        reg.gauge("g").set(8);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("c"), Some(7));
-        assert_eq!(snap.gauge("g"), Some(8));
-        assert_eq!(snap.counter("g"), None);
+        let snap = sample_snapshot();
+        assert_eq!(snap.counter("z"), Some(1));
+        assert_eq!(snap.gauge("a"), Some(2));
+        assert_eq!(snap.counter("a"), None);
         assert!(snap.get("missing").is_none());
     }
 }

@@ -40,7 +40,6 @@
 //! assert!(table.contains("events_popped"));
 //! ```
 
-use crate::metrics::MetricsRegistry;
 use numa_gpu_testkit::json::Json;
 
 /// Work counters attributed to one subsystem.
@@ -78,8 +77,7 @@ impl ProfileScope {
 /// the simulator's own monotonic counters.
 ///
 /// Scopes and counters keep insertion order; construction code must add
-/// them in a fixed order so the encoding is byte-stable (the same
-/// discipline as [`MetricsRegistry`] registration order).
+/// them in a fixed order so the encoding is byte-stable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileReport {
     /// Attribution scopes in insertion order.
@@ -115,19 +113,6 @@ impl ProfileReport {
             .iter()
             .find(|(n, _)| n == counter)
             .map(|(_, v)| *v)
-    }
-
-    /// Publishes every counter into `registry` as `profile.<scope>.<name>`,
-    /// so profiles ride along in metrics snapshots when both observability
-    /// planes are enabled.
-    pub fn publish(&self, registry: &mut MetricsRegistry) {
-        for scope in &self.scopes {
-            for (name, value) in &scope.counters {
-                registry
-                    .counter(&format!("profile.{}.{}", scope.name, name))
-                    .add(*value);
-            }
-        }
     }
 
     /// Machine-readable form: `{"scopes": [{"name", "counters": {...}}]}`
@@ -215,15 +200,6 @@ mod tests {
                 .as_u64(),
             Some(10)
         );
-    }
-
-    #[test]
-    fn publish_exports_prefixed_counters() {
-        let mut reg = MetricsRegistry::new();
-        sample().publish(&mut reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("profile.engine.events_popped"), Some(10));
-        assert_eq!(snap.counter("profile.mem.dram_requests"), Some(3));
     }
 
     #[test]

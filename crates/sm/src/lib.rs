@@ -15,4 +15,4 @@
 
 mod sm;
 
-pub use sm::{L1ReadOutcome, Sm, SmObs, SmStats};
+pub use sm::{L1ReadOutcome, Sm, SmStats};

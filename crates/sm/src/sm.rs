@@ -3,7 +3,7 @@
 use numa_gpu_cache::{
     FlushOutcome, LineClass, MshrAllocation, MshrFile, SetAssocCache, WayPartition,
 };
-use numa_gpu_obs::{CounterHandle, HistogramHandle};
+use numa_gpu_obs::Pow2Histogram;
 use numa_gpu_types::{
     CacheConfig, Counter, CtaId, CtaProgram, LineAddr, SmConfig, Tick, WarpOp, WarpSlot,
     TICKS_PER_CYCLE,
@@ -23,19 +23,6 @@ pub enum L1ReadOutcome {
     MshrFull,
 }
 
-/// Observability handles for an SM, installed via [`Sm::set_obs`].
-///
-/// Socket-level aggregation is the intended cardinality: every SM of a
-/// socket shares clones of the same handles. Default handles are disabled
-/// no-ops.
-#[derive(Debug, Clone, Default)]
-pub struct SmObs {
-    /// Warp issue attempts lost to MSHR-full stalls.
-    pub issue_stalls: CounterHandle,
-    /// MSHR file occupancy sampled at each L1 miss allocation.
-    pub mshr_occupancy: HistogramHandle,
-}
-
 /// Per-SM statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SmStats {
@@ -43,7 +30,7 @@ pub struct SmStats {
     pub ctas_completed: Counter,
     /// Warp ops issued (compute + memory).
     pub ops_issued: Counter,
-    /// Warp-cycles lost to MSHR-full stalls (retry parks).
+    /// Warp issue attempts lost to MSHR-full stalls (retry parks).
     pub mshr_stalls: Counter,
 }
 
@@ -120,7 +107,8 @@ pub struct Sm {
     retry_queue: VecDeque<WarpSlot>,
     enabled: bool,
     stats: SmStats,
-    obs: SmObs,
+    /// MSHR file occupancy sampled at each primary L1 miss.
+    mshr_occupancy: Pow2Histogram,
 }
 
 impl Sm {
@@ -151,14 +139,8 @@ impl Sm {
             retry_queue: VecDeque::new(),
             enabled: true,
             stats: SmStats::default(),
-            obs: SmObs::default(),
+            mshr_occupancy: Pow2Histogram::default(),
         }
-    }
-
-    /// Installs observability handles (disabled no-op handles by default).
-    /// All SMs of a socket typically share clones of the same handles.
-    pub fn set_obs(&mut self, obs: SmObs) {
-        self.obs = obs;
     }
 
     /// Whether a CTA of `warps` warps can be dispatched right now. A
@@ -334,13 +316,12 @@ impl Sm {
         self.l1.record_miss(class);
         match self.mshrs.allocate(line, slot) {
             MshrAllocation::Primary => {
-                self.obs.mshr_occupancy.observe(self.mshrs.in_use() as u64);
+                self.mshr_occupancy.observe(self.mshrs.in_use() as u64);
                 L1ReadOutcome::MissPrimary
             }
             MshrAllocation::Merged => L1ReadOutcome::MissMerged,
             MshrAllocation::Full => {
                 self.stats.mshr_stalls.inc();
-                self.obs.issue_stalls.inc();
                 L1ReadOutcome::MshrFull
             }
         }
@@ -411,6 +392,11 @@ impl Sm {
     /// SM statistics.
     pub fn stats(&self) -> SmStats {
         self.stats
+    }
+
+    /// MSHR file occupancy, one sample per primary L1 miss.
+    pub fn mshr_occupancy(&self) -> &Pow2Histogram {
+        &self.mshr_occupancy
     }
 }
 
@@ -584,15 +570,7 @@ mod tests {
 
     #[test]
     fn obs_records_stalls_and_mshr_occupancy() {
-        use numa_gpu_obs::{MetricValue, MetricsRegistry};
-
-        let mut reg = MetricsRegistry::new();
-        let obs = SmObs {
-            issue_stalls: reg.counter("sm.issue_stalls"),
-            mshr_occupancy: reg.histogram("sm.mshr_occupancy"),
-        };
         let mut sm = make_sm(); // 4 MSHRs
-        sm.set_obs(obs);
         for i in 0..4 {
             sm.l1_read(line(i), LineClass::Local, WarpSlot::new(i as u16));
         }
@@ -600,11 +578,8 @@ mod tests {
             sm.l1_read(line(99), LineClass::Local, WarpSlot::new(5)),
             L1ReadOutcome::MshrFull
         );
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("sm.issue_stalls"), Some(1));
-        let MetricValue::Histogram(h) = snap.get("sm.mshr_occupancy").unwrap() else {
-            panic!("not a histogram");
-        };
+        assert_eq!(sm.stats().mshr_stalls.get(), 1);
+        let h = sm.mshr_occupancy().summary();
         assert_eq!(h.count, 4); // one sample per primary miss
         assert_eq!(h.max, 4); // file full at the last allocation
     }

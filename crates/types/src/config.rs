@@ -244,9 +244,9 @@ impl LinkConfig {
 /// simulated timing — only what gets recorded about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ObsConfig {
-    /// Register and update the sim-wide metrics registry (SM issue stalls,
-    /// MSHR occupancy, link backlog, DRAM row locality, repartitions) and
-    /// fold a snapshot into the report.
+    /// Fold a metrics snapshot (SM issue stalls, MSHR occupancy, link
+    /// backlog, DRAM row locality, repartitions) into the report, read at
+    /// report time from counters the components keep on every run.
     pub metrics: bool,
     /// Emit cycle-stamped structured trace events (kernel spans, lane
     /// turns, repartition decisions, link-utilization counters) into the
@@ -377,7 +377,7 @@ pub struct SystemConfig {
     /// Apply dynamic way partitioning to the L1 caches as well as the L2
     /// (the paper partitions both; disabling is an ablation).
     pub partition_l1: bool,
-    /// Observability switches (metrics registry + event tracing). Defaults
+    /// Observability switches (metrics snapshot + event tracing). Defaults
     /// to fully off; never affects simulated timing.
     pub obs: ObsConfig,
     /// Forward-progress watchdog (cycle budget + stall detector). Defaults

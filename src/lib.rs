@@ -28,7 +28,7 @@
 //! | [`runtime`] | kernel decomposition, CTA scheduling (§3) |
 //! | [`core`] | the assembled [`NumaGpuSystem`](core::NumaGpuSystem) |
 //! | [`workloads`] | the 41 Table 2 benchmarks as synthetic generators |
-//! | [`obs`] | metrics registry, event tracing, Chrome-trace export |
+//! | [`obs`] | metrics snapshot, event tracing, Chrome-trace export |
 //! | [`exec`] | deterministic fixed-worker thread pool for sweep fan-out |
 //! | [`faults`] | deterministic fault injection plans and resilience metrics |
 //!
