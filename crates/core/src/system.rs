@@ -684,11 +684,16 @@ impl NumaGpuSystem {
                     .map(|p| (p.local_ways(), p.remote_ways())),
             })
             .collect();
+        let egress_bytes: u64 = sockets.iter().map(|s| s.egress_bytes).sum();
+        debug_assert_eq!(
+            egress_bytes,
+            sockets.iter().map(|s| s.ingress_bytes).sum::<u64>(),
+            "access links received a different byte count than they sent"
+        );
         // Access-link egress counts each cross-socket transfer once;
         // interior links charge exactly one direction per traversal, so
         // their byte totals add without double counting (zero on the star).
-        let interconnect_bytes: u64 =
-            sockets.iter().map(|s| s.egress_bytes).sum::<u64>() + self.fabric.interior_bytes();
+        let interconnect_bytes = egress_bytes + self.fabric.interior_bytes();
         let mut l1 = CacheStats::default();
         for sm in self.shards.iter().flat_map(|shard| shard.sms.iter()) {
             let s = sm.l1_stats();

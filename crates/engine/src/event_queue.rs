@@ -8,7 +8,7 @@ use numa_gpu_types::{Tick, TICKS_PER_CYCLE};
 ///
 /// 512 cycles covers the event horizon of an unloaded machine — lookahead
 /// windows are ~64 cycles and DRAM round trips ~100 — so there almost every
-/// push is an O(1) bucket append. A saturated DRAM or link queues
+/// push is an O(1) bucket link. A saturated DRAM or link queues
 /// completions further out than that, and CTA dispatch jitter reaches 518
 /// cycles; those pushes take the overflow. Power of two so the ring index
 /// is a mask.
@@ -16,6 +16,8 @@ const NUM_BUCKETS: usize = 512;
 const WINDOW: u64 = NUM_BUCKETS as u64;
 const BUCKET_MASK: u64 = WINDOW - 1;
 const OCC_WORDS: usize = NUM_BUCKETS / 64;
+/// End of a slot list.
+const NIL: u32 = u32::MAX;
 
 /// A timestamped event queue with FIFO ordering among events scheduled for
 /// the same tick, implemented as a bucketed calendar queue.
@@ -36,21 +38,30 @@ const OCC_WORDS: usize = NUM_BUCKETS / 64;
 ///   handling and a window barrier delivers at or after the window it
 ///   closed, so a simulation never pushes below the origin, however far
 ///   ahead of it the next pending event is.
-/// - The **active** bucket is the earliest non-empty one, at or after the
-///   origin with only empty buckets between the two. It is kept sorted in
-///   descending `(tick, seq)` order, so the next event pops from its back
-///   in O(1).
+/// - The **active** cycle is the earliest non-empty one, at or after the
+///   origin with only empty cycles between the two. Its events sit by value
+///   in one reused **run**, sorted descending by `(tick, seq)`, so the next
+///   event pops from the run's back in O(1).
+///
+/// Every other window event lives in one **slab** of slots. Each bucket is
+/// a singly linked list of slots, and freed slots form a last-freed-first
+/// free list, so a push writes into the slot an activation freed most
+/// recently — memory the host touched a few events earlier. The heap is
+/// therefore bounded by the peak of pending window events plus one run,
+/// not by each bucket's own high-water mark.
 ///
 /// The push paths, cheapest first:
 ///
-/// - Pushes into window cycles after the active one are O(1) unsorted
-///   appends; a bucket is sorted once, when the active cursor reaches it.
-/// - Pushes into the active cycle insert in sorted position — an append
-///   when the event is not earlier than everything pending in the cycle
-///   (the common same-cycle wakeup), a short memmove otherwise. A push
+/// - Pushes into window cycles after the active one link in at the head of
+///   their bucket's list in O(1); a bucket's events move into the run and
+///   are sorted once, when the active cursor reaches it.
+/// - Pushes into the active cycle insert in sorted position in the run — an
+///   append when the event is not earlier than everything pending in the
+///   cycle (the common same-cycle wakeup), a short memmove otherwise. A push
 ///   between the origin and the active cycle finds its bucket empty and
-///   makes it the active one: the follow-up at `now + δ` of a handler that
-///   runs while the next pending event is a DRAM backlog away.
+///   makes it the active one, linking the old run back onto its bucket's
+///   list: the follow-up at `now + δ` of a handler that runs while the next
+///   pending event is a DRAM backlog away.
 /// - Events beyond the window go to a sorted **overflow** deque (ascending:
 ///   the far future is appended at the back and the near future drains from
 ///   the front as the origin moves up). Samplers, backlogged DRAM and link
@@ -66,11 +77,11 @@ const OCC_WORDS: usize = NUM_BUCKETS / 64;
 ///   O(n log n) sort, redistribute).
 ///
 /// Pop order is unchanged from a binary heap because every bucketed event
-/// lies inside the window and every overflow event beyond it, so the active
-/// bucket — the earliest non-empty cycle — holds the minimum whenever any
-/// bucket is occupied, and the overflow's front does otherwise; within a
-/// cycle events are ordered by the full `(tick, seq)` key. Where the origin
-/// sits decides only which path a push takes, never what pops next.
+/// lies inside the window and every overflow event beyond it, so the run —
+/// the earliest non-empty cycle — holds the minimum whenever any bucket is
+/// occupied, and the overflow's front does otherwise; within a cycle events
+/// are ordered by the full `(tick, seq)` key. Where the origin sits decides
+/// only which path a push takes, never what pops next.
 ///
 /// # Examples
 ///
@@ -88,16 +99,24 @@ const OCC_WORDS: usize = NUM_BUCKETS / 64;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Ring of per-cycle buckets, indexed by `cycle & BUCKET_MASK`.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Bitmap of non-empty buckets (bit `i` covers `buckets[i]`).
+    /// Slots of every window event outside the run, each on one bucket list
+    /// or on the free list.
+    slab: Vec<Slot<E>>,
+    /// Head of the free list: the slot freed last.
+    free: u32,
+    /// Head slot of each ring bucket's list, indexed by `cycle & BUCKET_MASK`.
+    heads: [u32; NUM_BUCKETS],
+    /// The active cycle's events, sorted descending by `(tick, seq)`; empty
+    /// exactly when no bucket is occupied.
+    run: Vec<Entry<E>>,
+    /// Bitmap of non-empty buckets (bit `i` covers bucket `i`'s list, and
+    /// the run for the active bucket).
     occupied: [u64; OCC_WORDS],
     /// First cycle of the window: the cycle of the last pop, until a push
     /// into an empty queue, a rebase or a rebuild re-anchors it.
     origin: u64,
-    /// Cycle of the active (earliest non-empty, sorted) bucket;
-    /// `origin + WINDOW` while no bucket is occupied, so that every window
-    /// push compares at or below it.
+    /// Cycle of the run; `origin + WINDOW` while no bucket is occupied, so
+    /// that every window push compares at or below it.
     active: u64,
     /// Events beyond the window, ascending `(tick, seq)`.
     overflow: VecDeque<Entry<E>>,
@@ -126,7 +145,7 @@ pub struct EventQueueStats {
     pub pops: u64,
     /// High-water mark of pending events.
     pub max_len: usize,
-    /// Pushes appended unsorted to a later window bucket (the O(1) path).
+    /// Pushes linked unsorted into a later window bucket (the O(1) path).
     pub bucket_pushes: u64,
     /// Pushes inserted in sorted position in the active cycle, counting
     /// those that made an empty cycle at or after *now* the active one.
@@ -163,6 +182,14 @@ impl<E> Entry<E> {
     }
 }
 
+/// A slab slot: an event and the next slot on its bucket list, or nothing
+/// and the next slot on the free list.
+#[derive(Debug)]
+struct Slot<E> {
+    entry: Option<Entry<E>>,
+    next: u32,
+}
+
 /// Cycle a tick falls in (bucket granularity).
 #[inline]
 fn cycle_of(at: Tick) -> u64 {
@@ -179,7 +206,10 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            heads: [NIL; NUM_BUCKETS],
+            run: Vec::new(),
             occupied: [0; OCC_WORDS],
             origin: 0,
             active: WINDOW,
@@ -220,9 +250,7 @@ impl<E> EventQueue<E> {
             self.push_outside_window(cycle, entry);
         } else if cycle > self.active {
             self.bucket_pushes += 1;
-            let idx = bucket_index(cycle);
-            self.buckets[idx].push(entry);
-            self.set_occupied(idx);
+            self.link(bucket_index(cycle), entry);
         } else {
             self.sorted_pushes += 1;
             self.insert_active(cycle, entry);
@@ -238,18 +266,13 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(Tick, E)> {
-        let idx = bucket_index(self.active);
-        let Some(entry) = self.buckets[idx].pop() else {
+        let Some(entry) = self.run.pop() else {
             return self.pop_overflow();
         };
-        debug_assert_eq!(
-            Some(entry.at),
-            self.next_at,
-            "active bucket held the minimum"
-        );
+        debug_assert_eq!(Some(entry.at), self.next_at, "the run held the minimum");
         self.len -= 1;
         self.pops += 1;
-        match self.buckets[idx].last() {
+        match self.run.last() {
             Some(next) if self.origin == self.active => self.next_at = Some(next.at),
             _ => self.settle(),
         }
@@ -302,27 +325,47 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Inserts into the bucket of `cycle`, which is the active one or lies
-    /// between the origin and it. In the second case the bucket is empty
-    /// and becomes the active one. The active bucket is sorted descending
-    /// by `(tick, seq)` so the minimum pops from the back.
+    /// Links `entry` in at the head of bucket `idx`'s list, in the slot
+    /// freed last (a new one when none is free).
+    #[inline]
+    fn link(&mut self, idx: usize, entry: Entry<E>) {
+        let entry = Some(entry);
+        let next = std::mem::replace(&mut self.heads[idx], self.free);
+        // `NIL` indexes past the slab: no free slot.
+        match self.slab.get_mut(self.free as usize) {
+            Some(slot) => self.free = std::mem::replace(slot, Slot { entry, next }).next,
+            None => {
+                self.heads[idx] = self.slab.len() as u32;
+                self.slab.push(Slot { entry, next });
+            }
+        }
+        self.set_occupied(idx);
+    }
+
+    /// Inserts into the cycle `cycle`, which is the active one or lies
+    /// between the origin and it. In the second case its bucket is empty
+    /// and it becomes the active one; the old run goes back onto its
+    /// bucket's list, to be sorted again when the cursor returns to it.
     fn insert_active(&mut self, cycle: u64, entry: Entry<E>) {
         debug_assert!(self.origin <= cycle && cycle <= self.active);
-        self.active = cycle;
-        let idx = bucket_index(cycle);
-        let bucket = &mut self.buckets[idx];
+        if cycle != self.active {
+            while let Some(e) = self.run.pop() {
+                self.link(bucket_index(self.active), e);
+            }
+            self.active = cycle;
+        }
         let key = entry.key();
-        match bucket.last() {
+        match self.run.last() {
             // Earlier than everything pending in this cycle (the common
             // same-cycle wakeup: a fresh seq at the cycle's current front).
-            Some(last) if key < last.key() => bucket.push(entry),
+            Some(last) if key < last.key() => self.run.push(entry),
             Some(_) => {
-                let pos = bucket.partition_point(|e| e.key() > key);
-                bucket.insert(pos, entry);
+                let pos = self.run.partition_point(|e| e.key() > key);
+                self.run.insert(pos, entry);
             }
             None => {
-                bucket.push(entry);
-                self.set_occupied(idx);
+                self.run.push(entry);
+                self.set_occupied(bucket_index(cycle));
             }
         }
     }
@@ -377,7 +420,7 @@ impl<E> EventQueue<E> {
         self.pop()
     }
 
-    /// The rest of a pop that was the first from its bucket, the last, or
+    /// The rest of a pop that was the first from its cycle, the last, or
     /// both: moves the origin up to the popped cycle, and the active cursor
     /// on to the next non-empty cycle if this one drained.
     #[inline(never)]
@@ -386,12 +429,11 @@ impl<E> EventQueue<E> {
             self.origin = self.active;
             self.promote();
         }
-        let idx = bucket_index(self.active);
-        if let Some(next) = self.buckets[idx].last() {
+        if let Some(next) = self.run.last() {
             self.next_at = Some(next.at);
             return;
         }
-        self.clear_occupied(idx);
+        self.clear_occupied(bucket_index(self.active));
         let end = self.origin + WINDOW;
         match self.next_occupied(self.active + 1, end) {
             Some(cycle) => {
@@ -411,50 +453,46 @@ impl<E> EventQueue<E> {
         let limit = self.origin + WINDOW;
         while let Some(entry) = self.overflow.pop_front_if(|e| cycle_of(e.at) < limit) {
             self.promotions += 1;
-            let idx = bucket_index(cycle_of(entry.at));
-            self.buckets[idx].push(entry);
-            self.set_occupied(idx);
+            self.link(bucket_index(cycle_of(entry.at)), entry);
         }
     }
 
-    /// Sorts the (new) active bucket and refreshes the cached minimum.
+    /// Moves the (new) active bucket's list into the empty run, sorts it
+    /// and refreshes the cached minimum.
     fn activate(&mut self) {
-        let idx = bucket_index(self.active);
-        let bucket = &mut self.buckets[idx];
-        // `(tick, seq)` keys are unique, so an unstable sort is a total
-        // (and therefore deterministic) order.
-        bucket.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-        self.next_at = bucket.last().map(|e| e.at);
+        let mut at = std::mem::replace(&mut self.heads[bucket_index(self.active)], NIL);
+        while let Some(slot) = self.slab.get_mut(at as usize) {
+            self.run.extend(slot.entry.take());
+            let next = std::mem::replace(&mut slot.next, self.free);
+            (self.free, at) = (at, next);
+        }
+        // Keys are unique, so the unstable sort is deterministic; a list is
+        // LIFO, so events pushed in key order arrive already descending.
+        self.run
+            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        self.next_at = self.run.last().map(|e| e.at);
         debug_assert!(self.next_at.is_some(), "activated an empty bucket");
     }
 
     /// Rebuilds the calendar around a push earlier than the current window,
-    /// which becomes the window's first event. Only occupied buckets
-    /// (bitmap-guided) are drained, so the cost is proportional to the
-    /// pending population, not the ring size.
+    /// which becomes the window's first event. The slab is drained whole,
+    /// so the cost is proportional to the peak pending population, not the
+    /// ring size.
     fn rebuild_with(&mut self, entry: Entry<E>) {
         self.origin = cycle_of(entry.at);
         self.active = self.origin;
         let mut all: Vec<Entry<E>> = Vec::with_capacity(self.len + 1);
-        for (w, &word) in self.occupied.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                all.append(&mut self.buckets[idx]);
-            }
-        }
+        all.append(&mut self.run);
+        all.extend(self.slab.drain(..).filter_map(|slot| slot.entry));
+        (self.free, self.heads, self.occupied) = (NIL, [NIL; NUM_BUCKETS], [0; OCC_WORDS]);
         all.extend(self.overflow.drain(..));
         all.push(entry);
         all.sort_unstable_by_key(Entry::key);
-        self.occupied = [0; OCC_WORDS];
         let limit = self.origin + WINDOW;
         for e in all {
             let cycle = cycle_of(e.at);
             if cycle < limit {
-                let idx = bucket_index(cycle);
-                self.buckets[idx].push(e);
-                self.set_occupied(idx);
+                self.link(bucket_index(cycle), e);
             } else {
                 self.overflow.push_back(e);
             }
@@ -480,36 +518,61 @@ impl<E> EventQueue<E> {
     }
 
     /// Panics unless the calendar's structural invariants hold. O(pending
-    /// events); for tests, which call it between operations.
+    /// events plus slab slots); for tests, which call it between operations.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let end = self.origin + WINDOW;
-        let mut bucketed = 0;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            let bit = self.occupied[idx / 64] >> (idx % 64) & 1 == 1;
-            assert_eq!(bit, !bucket.is_empty(), "bitmap out of step at {idx}");
-            bucketed += bucket.len();
-            for e in bucket {
-                let cycle = cycle_of(e.at);
-                assert_eq!(bucket_index(cycle), idx, "event in the wrong bucket");
-                assert!(
-                    (self.active..end).contains(&cycle),
-                    "bucketed cycle {cycle} outside [active {}, window end {end})",
-                    self.active
-                );
-            }
-        }
-        assert_eq!(bucketed + self.overflow.len(), self.len, "len out of step");
+        let idle = self.active == end;
         assert!(
             (self.origin..=end).contains(&self.active),
             "active cursor outside the window"
         );
-        assert_eq!(self.active == end, bucketed == 0, "active cursor is stale");
-        let active = &self.buckets[bucket_index(self.active)];
+        // Every slot is on exactly one list: a bucket's, holding an event,
+        // or the free list, holding none.
+        let mut seen = vec![false; self.slab.len()];
+        let mut walk = |mut at: u32, live: bool| {
+            let mut slots = Vec::new();
+            while let Some(slot) = self.slab.get(at as usize) {
+                let twice = std::mem::replace(&mut seen[at as usize], true);
+                assert!(!twice, "slot {at} on two lists");
+                assert_eq!(slot.entry.is_some(), live, "slot {at} on the wrong list");
+                slots.push(slot.entry.as_ref());
+                at = slot.next;
+            }
+            slots
+        };
+        let mut bucketed = 0;
+        for (idx, &head) in self.heads.iter().enumerate() {
+            let listed = walk(head, true);
+            let active = !idle && bucket_index(self.active) == idx;
+            let bit = self.occupied[idx / 64] >> (idx % 64) & 1 == 1;
+            let occupied = active || !listed.is_empty();
+            assert_eq!(bit, occupied, "bitmap out of step at {idx}");
+            assert!(!active || listed.is_empty(), "the active cycle is listed");
+            bucketed += listed.len();
+            for e in listed.into_iter().flatten() {
+                let cycle = cycle_of(e.at);
+                assert_eq!(bucket_index(cycle), idx, "event in the wrong bucket");
+                assert!(
+                    self.active < cycle && cycle < end,
+                    "listed cycle {cycle} outside (active {}, window end {end})",
+                    self.active
+                );
+            }
+        }
+        let free = walk(self.free, false).len();
+        assert_eq!(bucketed + free, self.slab.len(), "live + free slots ≠ slab");
+        assert_eq!(self.run.is_empty(), idle, "active cursor is stale");
         assert!(
-            active.windows(2).all(|w| w[0].key() > w[1].key()),
-            "active bucket is not sorted descending"
+            self.run.iter().all(|e| cycle_of(e.at) == self.active),
+            "run event outside the active cycle"
         );
+        assert!(
+            self.run.windows(2).all(|w| w[0].key() > w[1].key()),
+            "run is not sorted descending"
+        );
+        let pending = bucketed + self.run.len() + self.overflow.len();
+        assert_eq!(pending, self.len, "len out of step");
         assert!(
             self.overflow
                 .iter()
@@ -521,10 +584,7 @@ impl<E> EventQueue<E> {
             self.overflow.iter().all(|e| cycle_of(e.at) >= end),
             "overflow event inside the window"
         );
-        let min = match active.last() {
-            Some(e) => Some(e.at),
-            None => self.overflow.front().map(|e| e.at),
-        };
+        let min = self.run.last().or(self.overflow.front()).map(|e| e.at);
         assert_eq!(self.next_at, min, "cached minimum is stale");
         let s = self.stats();
         assert_eq!(
@@ -684,6 +744,48 @@ mod tests {
         assert!(pending.is_empty());
         assert_eq!(q.stats().promotions, 1_000);
         assert_eq!((q.stats().rebuilds, q.stats().rebases), (0, 0));
+    }
+
+    #[test]
+    fn push_below_a_non_empty_active_cycle_relinks_its_run() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut q = EventQueue::new();
+        let mut heap = BinaryHeap::new();
+        let mut id = 0u64;
+        let mut push = |q: &mut EventQueue<u64>, heap: &mut BinaryHeap<_>, cycle: u64, sub| {
+            let at = cycle * TICKS_PER_CYCLE + sub;
+            q.push(at, id);
+            heap.push(Reverse((at, id)));
+            id += 1;
+            q.check_invariants();
+        };
+        push(&mut q, &mut heap, 0, 0);
+        for sub in [900, 100, 500, 100] {
+            push(&mut q, &mut heap, 10, sub);
+        }
+        let Reverse((at, first)) = heap.pop().unwrap();
+        assert_eq!(q.pop(), Some((at, first)));
+        q.check_invariants();
+        // The pop left the origin at cycle 0 and activated cycle 10's four
+        // events; a follow-up at cycle 5 must put them back on their list.
+        assert_eq!((q.origin, q.active, q.run.len()), (0, 10, 4));
+        push(&mut q, &mut heap, 5, 7);
+        assert_eq!((q.active, q.run.len()), (5, 1));
+        assert_ne!(q.heads[10], NIL, "the old run is listed again");
+        push(&mut q, &mut heap, 10, 3);
+        push(&mut q, &mut heap, 5, 1);
+        push(&mut q, &mut heap, 7, 0);
+        // And once more from a two-event run.
+        push(&mut q, &mut heap, 3, 9);
+        assert_eq!((q.active, q.run.len()), (3, 1));
+        while let Some(Reverse((at, id))) = heap.pop() {
+            assert_eq!(q.pop(), Some((at, id)));
+            q.check_invariants();
+        }
+        assert_eq!(q.pop(), None);
+        let s = q.stats();
+        assert_eq!((s.rebases, s.rebuilds, s.overflow_pushes), (0, 0, 0));
     }
 
     #[test]

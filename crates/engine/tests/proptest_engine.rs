@@ -1,7 +1,7 @@
 //! Property tests for the simulation engine.
 
 use numa_gpu_engine::{EventQueue, ServiceQueue};
-use numa_gpu_testkit::gen::{ints, pairs, vecs};
+use numa_gpu_testkit::gen::{ints, pairs, triples, vecs};
 use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check};
 use numa_gpu_types::TICKS_PER_CYCLE;
 
@@ -91,14 +91,27 @@ prop_check! {
             }
         }
     }
+}
+
+prop_check! {
+    // Each case checks the invariants after every one of its thousands of
+    // pushes and pops, so fewer cases cover more checked operations than
+    // the default count did before the bursts.
+    #![config = numa_gpu_testkit::prop::Config::new().cases(64)]
 
     /// Causal traffic, the only kind a simulation makes: every push is at or
     /// after the tick of the last pop, up to four calendar windows ahead of
-    /// it, with pops interleaved and now and then a full drain. The pop
-    /// sequence is that of a reference min-heap keyed by `(tick, seq)`, and
-    /// however deep the backlog gets the calendar never rebases or rebuilds.
+    /// it, the near wakeups in same-cycle bursts of up to 64 events (so an
+    /// activation walks a long bucket list), with pops interleaved and now
+    /// and then a full drain. The pop sequence is that of a reference
+    /// min-heap keyed by `(tick, seq)`, the invariants hold after every push
+    /// and pop, and however deep the backlog gets the calendar never rebases
+    /// or rebuilds.
     fn event_queue_causal_traffic_never_rebuilds(
-        ops in vecs(pairs(ints(0u64..16), ints(0u64..4 * 512 * TICKS_PER_CYCLE)), 1..400)
+        ops in vecs(
+            triples(ints(0u64..16), ints(0u64..4 * 512 * TICKS_PER_CYCLE), ints(1u64..65)),
+            1..400
+        )
     ) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -109,7 +122,7 @@ prop_check! {
         let mut now = 0u64;
         q.push(now, usize::MAX);
         heap.push(Reverse((now, seq, usize::MAX)));
-        for (i, (op, x)) in ops.iter().enumerate() {
+        for (i, (op, x, burst)) in ops.iter().enumerate() {
             let pops = match *op {
                 0..=5 => 1,
                 15 => usize::MAX,
@@ -132,16 +145,26 @@ prop_check! {
                     9..=11 => x % (300 * TICKS_PER_CYCLE),
                     _ => *x,
                 };
-                seq += 1;
-                q.push(now + delta, i);
-                heap.push(Reverse((now + delta, seq, i)));
-                q.check_invariants();
+                // Wakeups come in bursts spread over the rest of the cycle
+                // of `now + delta`; the farther pushes stay single.
+                let base = now + delta;
+                let room = TICKS_PER_CYCLE - base % TICKS_PER_CYCLE;
+                let burst = if *op <= 8 { *burst } else { 1 };
+                for k in 0..burst {
+                    let (at, payload) = (base + k * 97 % room, i * 64 + k as usize);
+                    seq += 1;
+                    q.push(at, payload);
+                    heap.push(Reverse((at, seq, payload)));
+                    q.check_invariants();
+                }
             }
         }
         let s = q.stats();
         prop_assert_eq!((s.rebuilds, s.rebases), (0, 0));
     }
+}
 
+prop_check! {
     /// `pop_if_before(bound)` pops exactly when the head tick is strictly
     /// below the bound, and never disturbs the queue otherwise.
     fn event_queue_pop_if_before_agrees_with_peek(

@@ -128,6 +128,14 @@ fn quick_matrix_reports_match_the_recorded_hashes() {
         let wl = by_name(name, &scale).expect("catalog workload");
         let plan = FaultPlan::parse(faults).expect("fault grammar");
         let report = run_workload_with_faults(cfg.clone(), &wl, &plan).expect("clean run");
+        // Link-byte conservation: every byte one socket's access link sends
+        // is received by another's, the faulted ring included.
+        let egress: u64 = report.sockets.iter().map(|s| s.egress_bytes).sum();
+        let ingress: u64 = report.sockets.iter().map(|s| s.ingress_bytes).sum();
+        assert_eq!(
+            egress, ingress,
+            "{name} on {label}: link bytes not conserved"
+        );
         let mut observed = cfg;
         observed.obs = ObsConfig {
             metrics: true,
