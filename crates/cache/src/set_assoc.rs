@@ -419,7 +419,6 @@ impl SetAssocCache {
             .unwrap_or_else(|| {
                 range
                     .min_by_key(|&w| stamps[w])
-                    // simlint: allow(S004, reason = "partition ranges are validated non-empty at construction")
                     .expect("way range is never empty")
             });
         let i = base + victim;

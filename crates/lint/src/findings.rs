@@ -8,9 +8,7 @@ use numa_gpu_testkit::json::Json;
 /// in the JSON/SARIF reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rule {
-    /// Stable rule ID (`D001`, `S002`, …). IDs are append-only — a retired
-    /// rule keeps its ID reserved so old pragmas and CI logs never change
-    /// meaning.
+    /// Stable rule ID (`D001`, `S002`, …).
     pub id: &'static str,
     /// One-line summary for `--list-rules` and the SARIF rule table.
     pub summary: &'static str,
@@ -20,9 +18,8 @@ pub struct Rule {
     pub fix: &'static str,
 }
 
-/// The rule catalogue. IDs are append-only — a retired rule (A001,
-/// superseded by the call-graph-aware S004) keeps its ID reserved so old
-/// pragmas and CI logs never change meaning.
+/// The rule catalogue. A rule stays only while it guards determinism or
+/// shard isolation; DESIGN.md §9 keeps the ledger of what each has caught.
 pub const RULES: &[Rule] = &[
     Rule {
         id: "D001",
@@ -49,24 +46,6 @@ pub const RULES: &[Rule] = &[
         fix: "inherit with `workspace = true` or give an explicit `path = ...`",
     },
     Rule {
-        id: "A001",
-        summary: "(superseded by S004) no unwrap/expect/panic! in non-test library code of simulation crates",
-        rationale: "retired: the textual panic scan is superseded by the call-graph-aware S004 reachability analysis",
-        fix: "rename remaining `allow(A001, ...)` pragmas to S004, or delete them if S004 no longer fires",
-    },
-    Rule {
-        id: "O001",
-        summary: "no direct println!/eprintln! in library code (use exec::Reporter or a bin)",
-        rationale: "library output bypasses the Reporter's buffering and interleaves nondeterministically under --jobs N",
-        fix: "route output through exec::Reporter, or keep the print in a bin",
-    },
-    Rule {
-        id: "S001",
-        summary: "no static mut / interior-mutable static items in simulation crates",
-        rationale: "global mutable state is shared by every shard that can name it, bypassing the partition boundary",
-        fix: "move the state into SocketShard (or the serial control plane) and thread it explicitly",
-    },
-    Rule {
         id: "S002",
         summary: "no interior-mutability types in fields of shard-owned state (SocketShard field-type closure)",
         rationale: "Cell/Mutex/atomic fields let concurrently running shards mutate state the window barrier never merges",
@@ -74,21 +53,9 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "S003",
-        summary: "no unsafe blocks or functions in simulation crates",
-        rationale: "unsafe code can smuggle aliasing and data races past the shard-isolation discipline the S-rules check",
+        summary: "no `unsafe` in simulation-crate library code",
+        rationale: "unsafe code can smuggle aliasing and data races past the shard-isolation discipline S002 checks",
         fix: "rewrite safely; sim crates carry #![forbid(unsafe_code)] and simlint keeps the attribute honest",
-    },
-    Rule {
-        id: "S004",
-        summary: "no panic path (unwrap/expect/panic!-family) reachable from a public sim-crate entry point",
-        rationale: "a panic inside a shard poisons the window barrier and kills the whole partitioned run",
-        fix: "return a typed error, or pragma the audited invariant with `allow(S004, reason = ...)`",
-    },
-    Rule {
-        id: "S005",
-        summary: "cross-partition payload types must be plain data (no Rc/Arc/reference fields)",
-        rationale: "a shared pointer in an XMsg aliases shard state across the partition boundary the barrier merge cannot see",
-        fix: "send owned plain data (ids, lines, ticks); resolve shared lookups on the receiving shard",
     },
     Rule {
         id: "P001",
@@ -105,20 +72,12 @@ pub const RULES: &[Rule] = &[
 ];
 
 /// Rule IDs a pragma may suppress (the pragma meta-rules cannot suppress
-/// themselves; A001 stays allowable so historical branches degrade to P002
-/// instead of P001).
-pub const ALLOWABLE_RULES: &[&str] = &[
-    "D001", "D002", "D003", "Z001", "A001", "O001", "S001", "S002", "S003", "S004", "S005",
-];
+/// themselves). A pragma naming anything else is a P001.
+pub const ALLOWABLE_RULES: &[&str] = &["D001", "D002", "D003", "Z001", "S002", "S003"];
 
 /// Resolves a user-supplied rule name to its catalogue entry.
 pub fn rule_info(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == name)
-}
-
-/// Resolves a user-supplied rule name to its catalogue ID.
-pub fn rule_id(name: &str) -> Option<&'static str> {
-    rule_info(name).map(|r| r.id)
 }
 
 /// One diagnostic: a rule violation (or pragma problem) at an exact span.
@@ -332,7 +291,7 @@ mod tests {
                 file: "x.rs".into(),
                 line: 1,
                 col: 2,
-                rule: "O001",
+                rule: "D001",
                 message: "msg".into(),
             }],
             files_scanned: 1,
@@ -351,7 +310,7 @@ mod tests {
         assert!(finding
             .get("rationale")
             .and_then(Json::as_str)
-            .is_some_and(|r| r.contains("Reporter")));
+            .is_some_and(|r| r.contains("iteration order")));
     }
 
     #[test]
@@ -397,9 +356,9 @@ mod tests {
     #[test]
     fn every_allowable_rule_is_in_the_catalogue() {
         for r in ALLOWABLE_RULES {
-            assert!(rule_id(r).is_some(), "{r} missing from catalogue");
+            assert!(rule_info(r).is_some(), "{r} missing from catalogue");
         }
-        assert!(rule_id("D999").is_none());
+        assert!(rule_info("D999").is_none());
         // Every catalogue entry has non-empty explain fields.
         for r in RULES {
             assert!(!r.summary.is_empty() && !r.rationale.is_empty() && !r.fix.is_empty());

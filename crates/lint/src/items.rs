@@ -1,83 +1,38 @@
-//! The item-graph pass: parses one file's token stream into items.
+//! The type-definition pass: parses one file's token stream into the
+//! `struct`/`enum`/`union` definitions it declares.
 //!
-//! The token-stream rules (D/A/O) see code one token window at a time;
-//! the shard-isolation rules (S001–S005) need *structure*: which types a
-//! `SocketShard` field can reach, which functions a public entry point can
-//! call, where a payload enum's fields live. This module turns the
-//! [`lexer`](crate::lexer) stream into that structure — a deliberately
-//! small subset of a Rust parser, in the same spirit as the lexer:
-//!
-//! * **modules** (`mod x { ... }` nesting tracked as a `::`-joined path),
-//! * **type definitions** (`struct`/`enum`/`union` with every field's
-//!   type identifiers and their exact spans),
-//! * **impl blocks** (inherent and trait impls; methods carry the self
-//!   type as their owner),
-//! * **functions** (visibility, receiver owner, intra-crate call sites by
-//!   name, panic sites, `unsafe` markers),
-//! * **statics/consts** (mutability and type identifiers).
+//! The token-stream rules see code one token window at a time; the S002
+//! closure needs *structure*: which types a `SocketShard` field can reach.
+//! This module turns the [`lexer`](crate::lexer) stream into that
+//! structure — a deliberately small subset of a Rust parser, in the same
+//! spirit as the lexer. It records every type definition with each
+//! field's type identifiers and their exact spans, and skips everything
+//! else: `impl`/`trait`/`fn` items from head to balanced body,
+//! `use`/`type`/`static`/`const` items to their `;`, any other token one at
+//! a time — which walks straight into inline `mod x { ... }` bodies.
 //!
 //! Like the lexer, the parser is panic-free on arbitrary token soup: every
-//! loop advances the cursor, unknown constructs are skipped token by
-//! token, and unbalanced delimiters terminate at end of input (fuzzed in
-//! `tests/items_props.rs`). Misparses degrade to *missing* graph edges,
-//! and the isolation rules are written so a missing edge can only lose a
-//! finding inside an already-malformed file — never invent one.
+//! loop advances the cursor and unbalanced delimiters terminate at end of
+//! input (fuzzed in `tests/items_props.rs`). A misparse degrades to a
+//! *missing* type or field, which can only lose an S002 finding inside an
+//! already-malformed file — never invent one.
 //!
-//! Known approximations, all conservative for the rules built on top:
+//! Known approximations, all conservative for S002:
 //!
 //! * Trait objects (`dyn Kernel`) stop closure expansion — a trait has no
-//!   fields to check. The S-rule docs call this out.
-//! * Call resolution is by name within the crate (see
-//!   [`isolation`](crate::isolation)), not full type inference; unresolved
-//!   method calls link to every same-named method, over-approximating
-//!   reachability.
+//!   fields to check.
+//! * Types defined inside fn bodies are not recorded.
 //! * `>>`/`<<` inside const-generic expressions can confuse angle-bracket
 //!   depth; the parser resynchronizes at the next item keyword.
 
 use crate::lexer::{TokKind, Token};
 
-/// Keywords never collected as type or call identifiers.
+/// Keywords never collected as type identifiers.
 const KEYWORDS: &[&str] = &[
-    "as",
-    "async",
-    "await",
-    "box",
-    "break",
-    "const",
-    "continue",
-    "crate",
-    "default",
-    "dyn",
-    "else",
-    "enum",
-    "extern",
-    "fn",
-    "for",
-    "if",
-    "impl",
-    "in",
-    "let",
-    "loop",
-    "macro_rules",
-    "match",
-    "mod",
-    "move",
-    "mut",
-    "pub",
-    "ref",
-    "return",
-    "self",
-    "static",
-    "struct",
-    "super",
-    "trait",
-    "type",
-    "union",
-    "unsafe",
-    "use",
-    "where",
-    "while",
-    "yield",
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "default", "dyn", "else",
+    "enum", "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
+    "mut", "pub", "ref", "return", "self", "static", "struct", "super", "trait", "type", "union",
+    "unsafe", "use", "where", "while", "yield",
 ];
 
 /// One identifier appearing in type position, with its exact span.
@@ -91,150 +46,46 @@ pub struct TypeRef {
     pub col: u32,
 }
 
-/// One field (or tuple/variant slot) of a type definition.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FieldDef {
-    /// Every identifier in the field's type, in source order.
-    pub types: Vec<TypeRef>,
-    /// Whether the field's type contains a `&` reference.
-    pub has_ref: bool,
-}
-
-/// What kind of type definition this is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TypeKind {
-    /// `struct` (named, tuple, or unit) or `union`.
-    Struct,
-    /// `enum` — fields are the union of all variant payloads.
-    Enum,
-}
-
 /// One `struct`/`enum`/`union` definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypeDef {
     /// Type name.
     pub name: String,
-    /// Enclosing `::`-joined module path within the file (empty at root).
-    pub module: String,
     /// 1-based line of the name token.
     pub line: u32,
     /// 1-based column of the name token.
     pub col: u32,
-    /// Struct or enum.
-    pub kind: TypeKind,
-    /// All fields (for enums: all variant payload slots).
-    pub fields: Vec<FieldDef>,
-    /// Whether a `#[derive(...)]` attribute on the item names `Copy`.
-    pub derives_copy: bool,
-}
-
-/// Item visibility, reduced to what entry-point analysis needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vis {
-    /// Plain `pub` — visible outside the crate.
-    Pub,
-    /// `pub(crate)` / `pub(super)` / `pub(in ...)` — crate-internal.
-    Scoped,
-    /// Private.
-    Private,
-}
-
-/// One call site inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallRef {
-    /// Callee name.
-    pub name: String,
-    /// Path qualifier directly before `::` (with `Self` resolved to the
-    /// enclosing impl's type), if any.
-    pub qual: Option<String>,
-    /// Whether this is a `.name(...)` method call.
-    pub method: bool,
-}
-
-/// One panic-capable site inside (or outside) a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PanicSite {
-    /// What was found (`panic!`, `.unwrap()`, …).
-    pub what: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-}
-
-/// One `fn` item.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnDef {
-    /// Function name.
-    pub name: String,
-    /// Self type for methods (impl blocks and trait bodies), `None` for
-    /// free functions.
-    pub owner: Option<String>,
-    /// Enclosing module path.
-    pub module: String,
-    /// Visibility of the `fn` item itself.
-    pub vis: Vis,
-    /// Whether the fn sits in a trait impl or trait declaration — callable
-    /// through the trait, so always a reachability entry point.
-    pub via_trait: bool,
-    /// 1-based line of the name token.
-    pub line: u32,
-    /// 1-based column of the name token.
-    pub col: u32,
-    /// Call sites in the body, in source order.
-    pub calls: Vec<CallRef>,
-    /// Panic sites in the body, in source order.
-    pub panics: Vec<PanicSite>,
-    /// Whether the fn is declared `unsafe`.
-    pub is_unsafe: bool,
-}
-
-/// One `static` item.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticDef {
-    /// Item name.
-    pub name: String,
-    /// Whether it is `static mut`.
-    pub is_mut: bool,
-    /// Identifiers in the declared type.
-    pub types: Vec<TypeRef>,
-    /// 1-based line of the `static` keyword.
-    pub line: u32,
-    /// 1-based column of the `static` keyword.
-    pub col: u32,
-}
-
-/// Everything the item pass extracted from one file.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FileItems {
-    /// Type definitions.
-    pub types: Vec<TypeDef>,
-    /// Function items.
-    pub fns: Vec<FnDef>,
-    /// Static items.
-    pub statics: Vec<StaticDef>,
-    /// Spans of `unsafe` keywords outside test code.
-    pub unsafe_sites: Vec<(u32, u32)>,
-    /// Type identifiers appearing inside `CrossMessage<...>` /
-    /// `CrossMsg<...>` generic arguments — seeds for the S005 payload
-    /// closure.
-    pub payload_args: Vec<TypeRef>,
-    /// Panic sites outside any `fn` body (const/static initializers);
-    /// unconditionally reachable.
-    pub top_panics: Vec<PanicSite>,
+    /// One entry per field (for enums: per variant payload slot), each the
+    /// identifiers of that field's type in source order.
+    pub fields: Vec<Vec<TypeRef>>,
 }
 
 fn is_kw(s: &str) -> bool {
     KEYWORDS.contains(&s)
 }
 
+/// Joint delimiter depth change of one punct token. `angles` counts
+/// `<`/`>` as brackets (`<<`/`>>` twice): right in type position, wrong in
+/// expressions, where they compare.
+pub(crate) fn depth_delta(t: &Token, angles: bool) -> i32 {
+    if t.kind != TokKind::Punct {
+        return 0;
+    }
+    match t.text.as_str() {
+        "(" | "[" | "{" => 1,
+        ")" | "]" | "}" => -1,
+        "<" if angles => 1,
+        ">" if angles => -1,
+        "<<" if angles => 2,
+        ">>" if angles => -2,
+        _ => 0,
+    }
+}
+
 struct Parser<'a> {
     toks: Vec<&'a Token>,
     i: usize,
-    mods: Vec<String>,
-    owner: Option<String>,
-    via_trait: bool,
-    out: FileItems,
+    out: Vec<TypeDef>,
 }
 
 impl<'a> Parser<'a> {
@@ -252,19 +103,6 @@ impl<'a> Parser<'a> {
             .is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
     }
 
-    fn punct_at(&self, n: usize, s: &str) -> bool {
-        self.tok(n)
-            .is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
-    }
-
-    fn bump(&mut self) -> Option<&'a Token> {
-        let t = self.toks.get(self.i).copied();
-        if t.is_some() {
-            self.i += 1;
-        }
-        t
-    }
-
     /// Consumes an identifier and returns it, or `None` without advancing.
     fn ident(&mut self) -> Option<&'a Token> {
         match self.tok(0) {
@@ -276,208 +114,114 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Joint delimiter depth change of one punct token (angle brackets
-    /// included; `<<`/`>>` count twice).
-    fn depth_delta(t: &Token) -> i32 {
-        if t.kind != TokKind::Punct {
-            return 0;
-        }
-        match t.text.as_str() {
-            "(" | "[" | "{" | "<" => 1,
-            ")" | "]" | "}" | ">" => -1,
-            "<<" => 2,
-            ">>" => -2,
-            _ => 0,
-        }
-    }
-
     /// Consumes tokens until joint depth returns to zero after the opening
-    /// delimiter the cursor sits on. Tolerates EOF.
+    /// delimiter the cursor sits on (angles count only when it is a `<`).
+    /// Tolerates EOF.
     fn skip_balanced(&mut self) {
+        let angles = self.at_punct("<");
         let mut depth = 0i32;
-        while let Some(t) = self.bump() {
-            depth += Self::depth_delta(t);
+        while let Some(t) = self.tok(0) {
+            self.i += 1;
+            depth += depth_delta(t, angles);
             if depth <= 0 {
                 return;
             }
         }
     }
 
-    /// Consumes tokens up to and including a `;` at joint depth zero.
-    fn skip_to_semi(&mut self) {
+    /// Advances to the first punct from `stops` at joint depth zero (or
+    /// EOF), leaving the cursor on it; returns the identifiers passed,
+    /// which in type position are the type's identifiers.
+    fn scan(&mut self, stops: &[&str], angles: bool) -> Vec<TypeRef> {
+        let mut refs = Vec::new();
         let mut depth = 0i32;
         while let Some(t) = self.tok(0) {
-            if depth <= 0 && t.kind == TokKind::Punct && t.text == ";" {
-                self.i += 1;
-                return;
+            if depth <= 0 && t.kind == TokKind::Punct && stops.contains(&t.text.as_str()) {
+                break;
             }
-            depth += Self::depth_delta(t);
+            if t.kind == TokKind::Ident && !is_kw(&t.text) {
+                refs.push(TypeRef {
+                    name: t.text.clone(),
+                    line: t.line,
+                    col: t.col,
+                });
+            }
+            depth += depth_delta(t, angles);
             self.i += 1;
         }
+        refs
     }
 
-    /// Consumes a leading run of attributes; returns whether any names
-    /// `Copy` inside a `derive`.
-    fn attrs(&mut self) -> bool {
-        let mut derives_copy = false;
-        loop {
-            let inner = self.at_punct("#") && self.punct_at(1, "!") && self.punct_at(2, "[");
-            let outer = self.at_punct("#") && self.punct_at(1, "[");
-            if !(inner || outer) {
-                return derives_copy;
+    /// Consumes tokens up to and including a `;` at joint depth zero.
+    fn skip_to_semi(&mut self) {
+        self.scan(&[";"], false);
+        self.i += 1;
+    }
+
+    /// Consumes a leading run of attributes.
+    fn attrs(&mut self) {
+        while self.at_punct("#") {
+            self.i += 1;
+            if self.at_punct("!") {
+                self.i += 1;
             }
-            self.i += if inner { 2 } else { 1 };
-            let start = self.i;
-            self.skip_balanced();
-            let mut saw_derive = false;
-            let mut saw_copy = false;
-            for t in &self.toks[start..self.i] {
-                if t.kind == TokKind::Ident {
-                    saw_derive |= t.text == "derive";
-                    saw_copy |= t.text == "Copy";
-                }
+            if self.at_punct("[") {
+                self.skip_balanced();
             }
-            derives_copy |= saw_derive && saw_copy;
         }
     }
 
     /// Consumes a visibility marker if present.
-    fn vis(&mut self) -> Vis {
-        if !self.at_ident("pub") {
-            return Vis::Private;
-        }
-        self.i += 1;
-        if self.at_punct("(") {
-            self.skip_balanced();
-            Vis::Scoped
-        } else {
-            Vis::Pub
+    fn vis(&mut self) {
+        if self.at_ident("pub") {
+            self.i += 1;
+            if self.at_punct("(") {
+                self.skip_balanced();
+            }
         }
     }
 
-    /// Collects type identifiers (and a `&`-reference flag) until a joint
-    /// depth-zero terminator from `stops`; leaves the cursor on the
-    /// terminator. Also harvests `CrossMessage<...>` payload seeds.
-    fn type_refs(&mut self, stops: &[&str], field: &mut FieldDef) {
-        let mut depth = 0i32;
-        let mut payload_until = -1i32;
-        while let Some(t) = self.tok(0) {
-            if depth <= 0 && t.kind == TokKind::Punct && stops.contains(&t.text.as_str()) {
+    /// `( T, U, ... )` tuple fields; the cursor sits on the `(`.
+    fn tuple_fields(&mut self, out: &mut Vec<Vec<TypeRef>>) {
+        self.i += 1;
+        loop {
+            self.vis();
+            let f = self.scan(&[",", ")"], true);
+            if !f.is_empty() {
+                out.push(f);
+            }
+            let comma = self.at_punct(",");
+            self.i += 1;
+            if !comma {
                 return;
             }
-            if t.kind == TokKind::Punct && (t.text == "&" || t.text == "&&") {
-                field.has_ref = true;
-            }
-            if t.kind == TokKind::Ident && !is_kw(&t.text) {
-                let r = TypeRef {
-                    name: t.text.clone(),
-                    line: t.line,
-                    col: t.col,
-                };
-                if payload_until >= 0 && depth > payload_until {
-                    self.out.payload_args.push(r.clone());
-                }
-                if (t.text == "CrossMessage" || t.text == "CrossMsg") && self.punct_at(1, "<") {
-                    payload_until = depth;
-                }
-                field.types.push(r);
-            }
-            let d = Self::depth_delta(t);
-            depth += d;
-            // Only a *closing* token ends the payload argument window —
-            // the marker ident itself sits at the window's own depth.
-            if payload_until >= 0 && d < 0 && depth <= payload_until {
-                payload_until = -1;
-            }
-            self.i += 1;
         }
     }
 
-    fn parse_struct(&mut self, kind: TypeKind, derives_copy: bool) {
-        let Some(name) = self.ident() else { return };
-        let mut def = TypeDef {
-            name: name.text.clone(),
-            module: self.mods.join("::"),
-            line: name.line,
-            col: name.col,
-            kind,
-            fields: Vec::new(),
-            derives_copy,
-        };
-        if self.at_punct("<") {
-            self.skip_balanced();
-        }
-        // `where` clause before the body.
-        if self.at_ident("where") {
-            let mut scratch = FieldDef::default();
-            self.type_refs(&["{", ";", "("], &mut scratch);
-        }
-        if self.at_punct("(") {
-            // Tuple struct: one field per comma segment.
-            self.i += 1;
-            loop {
-                let mut f = FieldDef::default();
-                self.vis();
-                self.type_refs(&[",", ")"], &mut f);
-                if !f.types.is_empty() || f.has_ref {
-                    def.fields.push(f);
-                }
-                match self.bump() {
-                    Some(t) if t.text == "," => continue,
-                    _ => break,
-                }
-            }
-            self.skip_to_semi();
-        } else if self.at_punct("{") {
-            self.i += 1;
-            while !self.at_punct("}") && self.tok(0).is_some() {
-                self.attrs();
-                self.vis();
-                if self.ident().is_none() {
-                    self.i += 1;
-                    continue;
-                }
-                if !self.at_punct(":") {
-                    continue;
-                }
+    /// `{ name: T, ... }` named fields; the cursor sits on the `{`.
+    fn named_fields(&mut self, out: &mut Vec<Vec<TypeRef>>) {
+        self.i += 1;
+        while !self.at_punct("}") && self.tok(0).is_some() {
+            self.attrs();
+            self.vis();
+            if self.ident().is_none() {
                 self.i += 1;
-                let mut f = FieldDef::default();
-                self.type_refs(&[",", "}"], &mut f);
-                def.fields.push(f);
-                if self.at_punct(",") {
-                    self.i += 1;
-                }
+                continue;
             }
-            self.i += 1; // closing brace
-        } else {
-            self.skip_to_semi();
+            if !self.at_punct(":") {
+                continue;
+            }
+            self.i += 1;
+            out.push(self.scan(&[",", "}"], true));
+            if self.at_punct(",") {
+                self.i += 1;
+            }
         }
-        self.out.types.push(def);
+        self.i += 1;
     }
 
-    fn parse_enum(&mut self, derives_copy: bool) {
-        let Some(name) = self.ident() else { return };
-        let mut def = TypeDef {
-            name: name.text.clone(),
-            module: self.mods.join("::"),
-            line: name.line,
-            col: name.col,
-            kind: TypeKind::Enum,
-            fields: Vec::new(),
-            derives_copy,
-        };
-        if self.at_punct("<") {
-            self.skip_balanced();
-        }
-        if self.at_ident("where") {
-            let mut scratch = FieldDef::default();
-            self.type_refs(&["{", ";"], &mut scratch);
-        }
-        if !self.at_punct("{") {
-            self.skip_to_semi();
-            self.out.types.push(def);
-            return;
-        }
+    /// Enum variants with their payload slots; the cursor sits on the `{`.
+    fn variants(&mut self, out: &mut Vec<Vec<TypeRef>>) {
         self.i += 1;
         while !self.at_punct("}") && self.tok(0).is_some() {
             self.attrs();
@@ -486,419 +230,89 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if self.at_punct("(") {
-                self.i += 1;
-                loop {
-                    let mut f = FieldDef::default();
-                    self.type_refs(&[",", ")"], &mut f);
-                    if !f.types.is_empty() || f.has_ref {
-                        def.fields.push(f);
-                    }
-                    match self.bump() {
-                        Some(t) if t.text == "," => continue,
-                        _ => break,
-                    }
-                }
+                self.tuple_fields(out);
             } else if self.at_punct("{") {
-                self.i += 1;
-                while !self.at_punct("}") && self.tok(0).is_some() {
-                    self.attrs();
-                    if self.ident().is_none() {
-                        self.i += 1;
-                        continue;
-                    }
-                    if !self.at_punct(":") {
-                        continue;
-                    }
-                    self.i += 1;
-                    let mut f = FieldDef::default();
-                    self.type_refs(&[",", "}"], &mut f);
-                    def.fields.push(f);
-                    if self.at_punct(",") {
-                        self.i += 1;
-                    }
-                }
-                self.i += 1;
+                self.named_fields(out);
             }
-            if self.at_punct("=") {
-                // Explicit discriminant: skip the expression.
-                self.i += 1;
-                let mut depth = 0i32;
-                while let Some(t) = self.tok(0) {
-                    if depth <= 0 && t.kind == TokKind::Punct && (t.text == "," || t.text == "}") {
-                        break;
-                    }
-                    depth += Self::depth_delta(t);
-                    self.i += 1;
-                }
-            }
+            // An explicit discriminant is an expression, not a field.
+            self.scan(&[",", "}"], false);
             if self.at_punct(",") {
                 self.i += 1;
             }
         }
         self.i += 1;
-        self.out.types.push(def);
     }
 
-    /// Self type of an `impl` head: the last identifier at angle depth
-    /// zero of the path segment run.
-    fn impl_path_name(&mut self) -> Option<String> {
-        let mut depth = 0i32;
-        let mut name = None;
-        while let Some(t) = self.tok(0) {
-            if depth <= 0 {
-                if t.kind == TokKind::Punct && (t.text == "{" || t.text == ";") {
-                    break;
-                }
-                if t.kind == TokKind::Ident && (t.text == "for" || t.text == "where") {
-                    break;
-                }
-                if t.kind == TokKind::Ident && !is_kw(&t.text) {
-                    name = Some(t.text.clone());
-                }
-            }
-            depth += Self::depth_delta(t);
-            self.i += 1;
-        }
-        name
-    }
-
-    fn parse_impl(&mut self) {
-        if self.at_punct("<") {
-            self.skip_balanced();
-        }
-        if self.at_punct("!") {
-            self.i += 1;
-        }
-        let first = self.impl_path_name();
-        let (self_ty, via_trait) = if self.at_ident("for") {
-            self.i += 1;
-            (self.impl_path_name(), true)
-        } else {
-            (first, false)
-        };
-        if self.at_ident("where") {
-            let mut scratch = FieldDef::default();
-            self.type_refs(&["{", ";"], &mut scratch);
-        }
-        if !self.at_punct("{") {
-            self.skip_to_semi();
-            return;
-        }
-        self.i += 1;
-        let saved = (self.owner.take(), self.via_trait);
-        self.owner = self_ty;
-        self.via_trait = via_trait;
-        self.items_until_close();
-        (self.owner, self.via_trait) = saved;
-    }
-
-    fn parse_trait(&mut self) {
+    /// A `struct`/`union` (or, with `is_enum`, an `enum`) after its keyword.
+    fn parse_type(&mut self, is_enum: bool) {
         let Some(name) = self.ident() else { return };
-        if self.at_punct("<") {
-            self.skip_balanced();
-        }
-        // Supertrait bounds / where clause.
-        let mut scratch = FieldDef::default();
-        self.type_refs(&["{", ";"], &mut scratch);
-        if !self.at_punct("{") {
-            self.skip_to_semi();
-            return;
-        }
-        self.i += 1;
-        let saved = (self.owner.take(), self.via_trait);
-        self.owner = Some(name.text.clone());
-        self.via_trait = true;
-        self.items_until_close();
-        (self.owner, self.via_trait) = saved;
-    }
-
-    fn parse_fn(&mut self, vis: Vis, is_unsafe: bool) {
-        let Some(name) = self.ident() else { return };
-        let mut def = FnDef {
+        let mut def = TypeDef {
             name: name.text.clone(),
-            owner: self.owner.clone(),
-            module: self.mods.join("::"),
-            vis,
-            via_trait: self.via_trait,
             line: name.line,
             col: name.col,
-            calls: Vec::new(),
-            panics: Vec::new(),
-            is_unsafe,
+            fields: Vec::new(),
         };
         if self.at_punct("<") {
             self.skip_balanced();
         }
-        if self.at_punct("(") {
-            self.skip_balanced();
+        if self.at_ident("where") {
+            self.scan(&["{", ";"], true);
         }
-        // Return type and where clause: scan to the body or `;`.
-        let mut scratch = FieldDef::default();
-        self.type_refs(&["{", ";"], &mut scratch);
-        if self.at_punct("{") {
-            self.scan_body(&mut def);
-        } else {
-            self.i += 1; // `;` — trait method declaration without a body
-        }
-        self.out.fns.push(def);
-    }
-
-    /// Scans a `{ ... }` fn body for call sites, panic sites, and `unsafe`
-    /// blocks. Cursor sits on the opening brace.
-    fn scan_body(&mut self, def: &mut FnDef) {
-        let mut depth = 0i32;
-        while let Some(t) = self.bump() {
-            match t.kind {
-                TokKind::Punct => {
-                    depth += Self::depth_delta(t);
-                    if depth <= 0 {
-                        return;
-                    }
-                }
-                TokKind::Ident => {
-                    if t.text == "unsafe" {
-                        self.out.unsafe_sites.push((t.line, t.col));
-                        continue;
-                    }
-                    // `name!` panic-family macro.
-                    if self.at_punct("!")
-                        && matches!(
-                            t.text.as_str(),
-                            "panic" | "unreachable" | "todo" | "unimplemented"
-                        )
-                    {
-                        def.panics.push(PanicSite {
-                            what: format!("{}!", t.text),
-                            line: t.line,
-                            col: t.col,
-                        });
-                        continue;
-                    }
-                    // `.unwrap(` / `.expect(`.
-                    let prev_dot = self.i >= 2
-                        && self.toks[self.i - 2].kind == TokKind::Punct
-                        && self.toks[self.i - 2].text == ".";
-                    if prev_dot
-                        && self.at_punct("(")
-                        && matches!(t.text.as_str(), "unwrap" | "expect")
-                    {
-                        def.panics.push(PanicSite {
-                            what: format!(".{}()", t.text),
-                            line: t.line,
-                            col: t.col,
-                        });
-                        // Fall through: also a method call (resolved to
-                        // nothing — Option/Result aren't crate types).
-                    }
-                    // Call site: `ident (`, skipping definitions (`fn x(`).
-                    if self.at_punct("(") && !is_kw(&t.text) {
-                        let prev = |n: usize| {
-                            (self.i > n)
-                                .then(|| self.toks[self.i - 1 - n])
-                                .filter(|p| p.kind == TokKind::Punct || p.kind == TokKind::Ident)
-                        };
-                        let after_fn = prev(1).is_some_and(|p| p.text == "fn");
-                        if after_fn {
-                            continue;
-                        }
-                        let method = prev(1).is_some_and(|p| p.text == ".");
-                        let mut qual = None;
-                        if prev(1).is_some_and(|p| p.text == "::") {
-                            if let Some(q) = prev(2) {
-                                if q.kind == TokKind::Ident && !is_kw(&q.text) {
-                                    qual = if q.text == "Self" {
-                                        self.owner.clone()
-                                    } else {
-                                        Some(q.text.clone())
-                                    };
-                                }
-                            }
-                        }
-                        def.calls.push(CallRef {
-                            name: t.text.clone(),
-                            qual,
-                            method,
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn parse_static(&mut self, kw: &'a Token) {
-        let is_mut = if self.at_ident("mut") {
-            self.i += 1;
-            true
-        } else {
-            false
-        };
-        let Some(name) = self.ident() else {
+        if is_enum && self.at_punct("{") {
+            self.variants(&mut def.fields);
+        } else if self.at_punct("{") {
+            self.named_fields(&mut def.fields);
+        } else if self.at_punct("(") {
+            self.tuple_fields(&mut def.fields);
             self.skip_to_semi();
-            return;
-        };
-        let mut f = FieldDef::default();
-        if self.at_punct(":") {
-            self.i += 1;
-            self.type_refs(&["=", ";"], &mut f);
+        } else {
+            self.skip_to_semi();
         }
-        self.skip_to_semi();
-        self.out.statics.push(StaticDef {
-            name: name.text.clone(),
-            is_mut,
-            types: f.types,
-            line: kw.line,
-            col: kw.col,
-        });
+        self.out.push(def);
     }
 
-    /// Parses items until the matching `}` of the block the cursor is in.
-    fn items_until_close(&mut self) {
-        while let Some(t) = self.tok(0) {
-            if t.kind == TokKind::Punct && t.text == "}" {
-                self.i += 1;
-                return;
-            }
-            self.parse_item();
-        }
-    }
-
-    /// Parses one item (or skips one token on anything unrecognized).
+    /// Parses one item, or steps over one token of anything else: item
+    /// modifiers (`unsafe`, `async`, `extern "C"`), and `mod x {` and its
+    /// closing `}`, so module bodies parse in line.
     fn parse_item(&mut self) {
-        let derives_copy = self.attrs();
-        let vis = self.vis();
-        // Modifier run before the item keyword.
-        let mut is_unsafe = false;
-        loop {
-            if self.at_ident("unsafe") {
-                let t = self.tok(0).expect("checked");
-                self.out.unsafe_sites.push((t.line, t.col));
-                is_unsafe = true;
-                self.i += 1;
-            } else if self.at_ident("default") || self.at_ident("async") || self.at_ident("const") {
-                // `const` here is only a modifier when `fn` follows; a
-                // `const NAME: ...` item is handled below.
-                if self.at_ident("const")
-                    && !self
-                        .tok(1)
-                        .is_some_and(|t| t.text == "fn" || t.text == "unsafe")
-                {
-                    self.i += 1; // const item: skip keyword
-                    let start = self.i;
-                    self.scan_const_initializer();
-                    let _ = start;
-                    return;
-                }
-                self.i += 1;
-            } else if self.at_ident("extern") {
-                self.i += 1;
-                if self.tok(0).is_some_and(|t| matches!(t.kind, TokKind::Str)) {
-                    self.i += 1;
-                }
+        self.attrs();
+        self.vis();
+        let Some(t) = self.tok(0) else { return };
+        self.i += 1;
+        if t.kind != TokKind::Ident {
+            return;
+        }
+        match t.text.as_str() {
+            "struct" | "union" => self.parse_type(false),
+            "enum" => self.parse_type(true),
+            "impl" | "trait" | "fn" => {
+                // Head (generics, signature, bounds) to the body or `;`.
+                self.scan(&["{", ";"], true);
                 if self.at_punct("{") {
                     self.skip_balanced();
-                    return;
-                }
-                if self.at_ident("crate") {
-                    self.skip_to_semi();
-                    return;
-                }
-            } else {
-                break;
-            }
-        }
-        let Some(t) = self.tok(0) else { return };
-        match (t.kind, t.text.as_str()) {
-            (TokKind::Ident, "mod") => {
-                self.i += 1;
-                let Some(name) = self.ident() else { return };
-                if self.at_punct("{") {
-                    self.i += 1;
-                    self.mods.push(name.text.clone());
-                    self.items_until_close();
-                    self.mods.pop();
                 } else {
-                    self.skip_to_semi();
+                    self.i += 1;
                 }
             }
-            (TokKind::Ident, "struct") => {
-                self.i += 1;
-                self.parse_struct(TypeKind::Struct, derives_copy);
-            }
-            (TokKind::Ident, "union") => {
-                self.i += 1;
-                self.parse_struct(TypeKind::Struct, derives_copy);
-            }
-            (TokKind::Ident, "enum") => {
-                self.i += 1;
-                self.parse_enum(derives_copy);
-            }
-            (TokKind::Ident, "impl") => {
-                self.i += 1;
-                self.parse_impl();
-            }
-            (TokKind::Ident, "trait") => {
-                self.i += 1;
-                self.parse_trait();
-            }
-            (TokKind::Ident, "fn") => {
-                self.i += 1;
-                self.parse_fn(vis, is_unsafe);
-            }
-            (TokKind::Ident, "static") => {
-                self.i += 1;
-                self.parse_static(t);
-            }
-            (TokKind::Ident, "use") | (TokKind::Ident, "type") => {
-                self.skip_to_semi();
-            }
-            (TokKind::Ident, "macro_rules") => {
-                self.i += 1; // macro_rules
+            // `const fn` is a modifier; a `const NAME: T = ...;` item is not.
+            "const" if !self.at_ident("fn") && !self.at_ident("unsafe") => self.skip_to_semi(),
+            "use" | "type" | "static" => self.skip_to_semi(),
+            "macro_rules" => {
                 self.i += 1; // !
                 self.ident();
                 if self.at_punct("{") || self.at_punct("(") || self.at_punct("[") {
                     self.skip_balanced();
                 }
             }
-            _ => {
-                self.i += 1;
-            }
-        }
-    }
-
-    /// Skips a `const NAME: T = expr;` item, recording panic sites in the
-    /// initializer as top-level panics (always reachable).
-    fn scan_const_initializer(&mut self) {
-        let mut depth = 0i32;
-        while let Some(t) = self.tok(0) {
-            if depth <= 0 && t.kind == TokKind::Punct && t.text == ";" {
-                self.i += 1;
-                return;
-            }
-            if t.kind == TokKind::Ident
-                && self.punct_at(1, "!")
-                && matches!(
-                    t.text.as_str(),
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                )
-            {
-                self.out.top_panics.push(PanicSite {
-                    what: format!("{}!", t.text),
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-            depth += Self::depth_delta(t);
-            self.i += 1;
+            _ => {}
         }
     }
 }
 
-/// Parses one file's token stream into its item set. `skip` marks
-/// test-gated tokens (from [`crate::rules::mark_test_skipped`]);
-/// skipped and comment tokens never
-/// enter the graph. Never panics, whatever the input.
-pub fn parse_items(toks: &[Token], skip: &[bool]) -> FileItems {
+/// Parses one file's token stream into its type definitions. `skip` marks
+/// test-gated tokens (from [`crate::rules::mark_test_skipped`]); skipped
+/// and comment tokens are never parsed. Never panics, whatever the input.
+pub fn parse_types(toks: &[Token], skip: &[bool]) -> Vec<TypeDef> {
     let sig: Vec<&Token> = toks
         .iter()
         .enumerate()
@@ -908,17 +322,10 @@ pub fn parse_items(toks: &[Token], skip: &[bool]) -> FileItems {
     let mut p = Parser {
         toks: sig,
         i: 0,
-        mods: Vec::new(),
-        owner: None,
-        via_trait: false,
-        out: FileItems::default(),
+        out: Vec::new(),
     };
     while p.tok(0).is_some() {
-        let before = p.i;
         p.parse_item();
-        if p.i == before {
-            p.i += 1; // guarantee progress on pathological input
-        }
     }
     p.out
 }
@@ -929,132 +336,83 @@ mod tests {
     use crate::lexer::lex;
     use crate::rules::mark_test_skipped;
 
-    fn parse(src: &str) -> FileItems {
+    fn parse(src: &str) -> Vec<TypeDef> {
         let toks = lex(src);
         let skip = mark_test_skipped(&toks);
-        parse_items(&toks, &skip)
+        parse_types(&toks, &skip)
+    }
+
+    fn names(refs: &[TypeRef]) -> Vec<&str> {
+        refs.iter().map(|r| r.name.as_str()).collect()
     }
 
     #[test]
     fn struct_fields_carry_type_refs_with_spans() {
-        let items = parse("pub struct Shard {\n    queue: EventQueue<Ev>,\n    n: u32,\n}\n");
-        assert_eq!(items.types.len(), 1);
-        let t = &items.types[0];
+        let types = parse("pub struct Shard {\n    queue: EventQueue<Ev>,\n    n: u32,\n}\n");
+        assert_eq!(types.len(), 1);
+        let t = &types[0];
         assert_eq!(t.name, "Shard");
-        assert_eq!(t.kind, TypeKind::Struct);
         assert_eq!(t.fields.len(), 2);
-        let names: Vec<&str> = t.fields[0].types.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, vec!["EventQueue", "Ev"]);
-        assert_eq!(
-            (t.fields[0].types[0].line, t.fields[0].types[0].col),
-            (2, 12)
-        );
+        assert_eq!(names(&t.fields[0]), vec!["EventQueue", "Ev"]);
+        assert_eq!((t.fields[0][0].line, t.fields[0][0].col), (2, 12));
     }
 
     #[test]
-    fn tuple_structs_enums_and_derive_copy() {
-        let items = parse(
+    fn tuple_structs_and_enum_variants() {
+        let types = parse(
             "#[derive(Debug, Clone, Copy)]\npub struct Id(pub u8);\n\
-             enum Msg { Read { line: LineAddr }, Ack, Pair(SocketId, Tick) }\n",
+             enum Msg { Read { line: LineAddr }, Ack, Pair(SocketId, Tick), Code = K }\n",
         );
-        assert_eq!(items.types.len(), 2);
-        assert!(items.types[0].derives_copy);
-        assert_eq!(items.types[0].fields.len(), 1);
-        let msg = &items.types[1];
-        assert!(!msg.derives_copy);
-        assert_eq!(msg.kind, TypeKind::Enum);
-        let all: Vec<&str> = msg
-            .fields
-            .iter()
-            .flat_map(|f| f.types.iter().map(|r| r.name.as_str()))
-            .collect();
+        assert_eq!(types.len(), 2);
+        assert_eq!(
+            types[0].fields,
+            vec![vec![TypeRef {
+                name: "u8".into(),
+                line: 2,
+                col: 19
+            }]]
+        );
+        let all: Vec<&str> = types[1].fields.iter().flat_map(|f| names(f)).collect();
         assert_eq!(all, vec!["LineAddr", "SocketId", "Tick"]);
     }
 
     #[test]
-    fn impl_methods_carry_owner_and_calls() {
-        let items = parse(
-            "impl Shard {\n    pub fn run(&mut self) { self.step(); helper(); Other::make(); }\n\
-             \n    fn step(&mut self) {}\n}\nfn helper() {}\n",
+    fn impl_trait_and_fn_bodies_are_skipped() {
+        // Nothing inside an impl, trait or fn body is a type definition
+        // the closure can reach; the parser resumes right after each one,
+        // whatever comparisons (`<`, `>`) the bodies hold.
+        let types = parse(
+            "impl<T: Fn() -> u8> std::fmt::Display for CrossMessage<T> where T: Copy {\n\
+             fn fmt(&self) { if a < b { struct Local { c: Cell<u8> } } }\n}\n\
+             pub trait Tick { fn tick(&mut self) -> Option<u8> { None } }\n\
+             pub const unsafe fn f() {}\nconst N: bool = A < B;\n\
+             pub struct After { a: A }\n",
         );
-        assert_eq!(items.fns.len(), 3);
-        let run = &items.fns[0];
-        assert_eq!(run.name, "run");
-        assert_eq!(run.owner.as_deref(), Some("Shard"));
-        assert_eq!(run.vis, Vis::Pub);
-        assert!(!run.via_trait);
-        let calls: Vec<(&str, Option<&str>, bool)> = run
-            .calls
-            .iter()
-            .map(|c| (c.name.as_str(), c.qual.as_deref(), c.method))
-            .collect();
-        assert_eq!(
-            calls,
-            vec![
-                ("step", None, true),
-                ("helper", None, false),
-                ("make", Some("Other"), false),
-            ]
-        );
-        assert_eq!(items.fns[2].owner, None);
-    }
-
-    #[test]
-    fn trait_impls_and_self_quals() {
-        let items = parse(
-            "impl std::fmt::Display for CrossMessage<M> {\n\
-             fn fmt(&self) { Self::helper(); }\n}\n",
-        );
-        let fmt = &items.fns[0];
-        assert!(fmt.via_trait);
-        assert_eq!(fmt.owner.as_deref(), Some("CrossMessage"));
-        assert_eq!(fmt.calls[0].qual.as_deref(), Some("CrossMessage"));
-    }
-
-    #[test]
-    fn panic_sites_and_unsafe_are_recorded() {
-        let items = parse(
-            "fn f(o: Option<u32>) -> u32 {\n    if o.is_none() { panic!(\"boom\"); }\n    \
-             o.unwrap()\n}\nunsafe fn g() {}\nfn h() { unsafe { std::hint::unreachable_unchecked() } }\n",
-        );
-        let f = &items.fns[0];
-        assert_eq!(f.panics.len(), 2);
-        assert_eq!(f.panics[0].what, "panic!");
-        assert_eq!((f.panics[0].line, f.panics[0].col), (2, 22));
-        assert_eq!(f.panics[1].what, ".unwrap()");
-        assert!(items.fns[1].is_unsafe);
-        assert_eq!(items.unsafe_sites.len(), 2);
-    }
-
-    #[test]
-    fn statics_and_payload_seeds() {
-        let items = parse(
-            "static mut GLOBAL: u64 = 0;\nstatic TABLE: BTreeMap<u32, u32> = BTreeMap::new();\n\
-             struct Holder { buf: Vec<CrossMessage<(SocketId, XMsg)>> }\n",
-        );
-        assert_eq!(items.statics.len(), 2);
-        assert!(items.statics[0].is_mut);
-        assert!(!items.statics[1].is_mut);
-        assert_eq!(items.statics[1].types[0].name, "BTreeMap");
-        let seeds: Vec<&str> = items.payload_args.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(seeds, vec!["SocketId", "XMsg"]);
+        assert_eq!(types.len(), 1);
+        assert_eq!(types[0].name, "After");
+        assert_eq!((types[0].line, types[0].col), (7, 12));
     }
 
     #[test]
     fn cfg_test_items_are_excluded() {
-        let items = parse(
-            "fn real() {}\n#[cfg(test)]\nmod tests {\n    struct Fixture { c: RefCell<u32> }\n    \
-             fn t() { panic!(); }\n}\n",
+        let types = parse(
+            "struct Real { c: u32 }\n#[cfg(test)]\nmod tests {\n    \
+             struct Fixture { c: RefCell<u32> }\n}\n",
         );
-        assert_eq!(items.fns.len(), 1);
-        assert_eq!(items.fns[0].name, "real");
-        assert!(items.types.is_empty());
+        assert_eq!(types.len(), 1);
+        assert_eq!(types[0].name, "Real");
     }
 
     #[test]
     fn modules_nest_in_the_path() {
-        let items = parse("mod a {\n    pub mod b {\n        pub struct X { y: Y }\n    }\n}\n");
-        assert_eq!(items.types[0].module, "a::b");
+        // The parser follows inline modules down to the types they hold.
+        let types = parse("mod a {\n    pub mod b {\n        pub struct X { y: Y }\n    }\n}\n");
+        assert_eq!(types.len(), 1);
+        assert_eq!(
+            (types[0].name.as_str(), types[0].line, types[0].col),
+            ("X", 3, 20)
+        );
+        assert_eq!(names(&types[0].fields[0]), vec!["Y"]);
     }
 
     #[test]

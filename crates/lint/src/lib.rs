@@ -11,24 +11,26 @@
 //! span-accurate diagnostic that fails `cargo test` and CI.
 //!
 //! The partitioned event loop raises the stakes: `SocketShard`s run
-//! concurrently between window barriers, so shared mutable state reachable
-//! from a shard, interior mutability smuggled across the partition
-//! boundary, or a panic path inside shard code breaks determinism (or the
-//! whole run) in ways the dynamic byte-compare in CI only catches after
-//! the fact, on the inputs it happens to run. The S-rule pack makes that
+//! concurrently between window barriers, so interior mutability reachable
+//! from a shard, or `unsafe` code the type system cannot vouch for, breaks
+//! determinism in ways the dynamic byte-compare in CI only catches after
+//! the fact, on the inputs it happens to run. S002 and S003 make that
 //! isolation discipline machine-checked.
+//!
+//! The catalogue ([`findings::RULES`]) holds only rules that guard
+//! determinism or shard isolation; DESIGN.md §9 records what each has
+//! caught, and `tests/caught.rs` keeps every historical catch firing.
 //!
 //! The analyzer is deliberately zero-dependency and runs in two passes: a
 //! minimal hand-rolled Rust [`lexer`] (comment-, string-, raw-string- and
 //! char-literal-aware — no `syn`) feeds both the token-stream [`rules`]
-//! engine and the [`items`] parser, which turns each file into an item
-//! graph (types with field types, impl blocks, fns with call and panic
-//! sites, statics). The [`isolation`] pass then runs the shard-isolation
-//! rules S001–S005 over the merged graph. A line-oriented [`manifest`]
-//! check and a deterministic [`workspace`] walker complete the pipeline.
-//! Findings carry stable rule IDs (see [`findings::RULES`]) and can be
-//! suppressed only at the site via `simlint:` [`pragma`]s that must name
-//! the rule and a reason.
+//! engine (D001–D003, S003) and the [`items`] parser, which recovers each
+//! file's `struct`/`enum`/`union` definitions with their field types. The
+//! [`isolation`] pass then walks the S002 closure from `SocketShard` over
+//! the whole workspace's types. A line-oriented [`manifest`] check (Z001)
+//! and a deterministic [`workspace`] walker complete the pipeline.
+//! Findings can be suppressed only at the site via `simlint:` [`pragma`]s
+//! that must name the rule and a reason.
 //!
 //! Run it as a CLI (`cargo run -p numa-gpu-lint`, binary name `simlint`;
 //! `--format json|sarif`, `--explain RULE`) or let the integration-test

@@ -23,13 +23,14 @@
 //! whole attributed `fn` is covered by one pragma above it. Anything else
 //! is an error:
 //!
-//! * malformed grammar, unknown rule, empty reason → **P001**
+//! * malformed grammar, unknown rule (a deleted rule's ID included),
+//!   empty reason → **P001**
 //! * a pragma that suppresses nothing → **P002**
 //!
 //! There is deliberately no file-level or baseline suppression: every
 //! pragma is local and carries its justification.
 
-use crate::findings::{rule_id, Finding, ALLOWABLE_RULES};
+use crate::findings::{Finding, ALLOWABLE_RULES};
 
 /// The marker that starts a pragma inside a comment.
 pub const MARKER: &str = "simlint:";
@@ -138,12 +139,12 @@ pub fn parse_pragma(
             if part.is_empty() {
                 continue;
             }
-            if !ALLOWABLE_RULES.contains(&part) {
+            let Some(&id) = ALLOWABLE_RULES.iter().find(|r| **r == part) else {
                 return Err(bad(format!(
                     "unknown or non-allowable rule `{part}`; allowable: {ALLOWABLE_RULES:?}"
                 )));
-            }
-            rules.push(rule_id(part).unwrap_or("P001"));
+            };
+            rules.push(id);
             named += 1;
         }
         if named == 0 {
@@ -225,7 +226,7 @@ mod tests {
         assert!(p.covers(&finding("D001", 3)));
         assert!(p.covers(&finding("D001", 4)));
         assert!(!p.covers(&finding("D001", 5)));
-        assert!(!p.covers(&finding("A001", 3)));
+        assert!(!p.covers(&finding("D003", 3)));
     }
 
     #[test]
@@ -242,13 +243,13 @@ mod tests {
     #[test]
     fn parses_multi_rule_and_multi_clause() {
         let p = parse_pragma(
-            "allow(D001, S004, reason = \"x\") allow(O001, reason = \"y\")",
+            "allow(D001, S002, reason = \"x\") allow(Z001, reason = \"y\")",
             "f.rs",
             1,
             1,
         )
         .expect("valid pragma");
-        assert_eq!(p.rules, vec!["D001", "S004", "O001"]);
+        assert_eq!(p.rules, vec!["D001", "S002", "Z001"]);
     }
 
     #[test]
@@ -264,6 +265,12 @@ mod tests {
         assert_eq!(err.rule, "P001");
         let err = parse_pragma("allow(P002, reason = \"x\")", "f.rs", 2, 1).expect_err("meta rule");
         assert_eq!(err.rule, "P001");
+        // A deleted rule's ID is just another unknown rule.
+        for deleted in ["A001", "O001", "S001", "S004", "S005"] {
+            let src = format!("allow({deleted}, reason = \"x\")");
+            let err = parse_pragma(&src, "f.rs", 2, 1).expect_err("deleted rule");
+            assert_eq!(err.rule, "P001");
+        }
     }
 
     #[test]
@@ -293,15 +300,15 @@ mod tests {
     #[test]
     fn apply_suppresses_and_reports_unused() {
         let p1 = parse_pragma("allow(D001, reason = \"x\")", "f.rs", 3, 1);
-        let p2 = parse_pragma("allow(S004, reason = \"x\")", "f.rs", 90, 1);
+        let p2 = parse_pragma("allow(S002, reason = \"x\")", "f.rs", 90, 1);
         let out = apply_pragmas(
             "f.rs",
             vec![p1, p2],
-            vec![finding("D001", 4), finding("O001", 7)],
+            vec![finding("D001", 4), finding("D003", 7)],
         );
-        // D001@4 suppressed; O001@7 survives; pragma@90 unused → P002.
+        // D001@4 suppressed; D003@7 survives; pragma@90 unused → P002.
         assert_eq!(out.len(), 2);
-        assert!(out.iter().any(|f| f.rule == "O001" && f.line == 7));
+        assert!(out.iter().any(|f| f.rule == "D003" && f.line == 7));
         assert!(out.iter().any(|f| f.rule == "P002" && f.line == 90));
     }
 }

@@ -7,11 +7,11 @@
 //!
 //! | Scope | Crates | Rules |
 //! |---|---|---|
-//! | simulation | engine, sm, cache, mem, interconnect, faults, core, runtime, workloads | D001, D003, S001–S005 |
+//! | simulation | engine, sm, cache, mem, interconnect, faults, core, runtime, workloads | D001, D003, S002, S003 |
 //! | artifact plane | bench (tables/figures flow through it) | D001, D003 |
 //! | wall-clock-allowed | bench, exec, serve (timing/deadline/backoff paths) | exempt from D002 |
-//! | bins (`src/bin/**`, `src/main.rs`) | any | exempt from O001 and the S-rules |
-//! | everything else | all crates incl. the root facade | D002, O001 |
+//! | bins (`src/bin/**`, `src/main.rs`) | any | exempt from S002/S003 |
+//! | everything else | all crates incl. the root facade | D002 |
 //!
 //! Test code is exempt from every source rule: integration tests,
 //! benches and examples are not scanned at all, and `#[cfg(test)]` /
@@ -21,18 +21,18 @@
 //!
 //! ## Two passes
 //!
-//! [`analyze_file`] runs the per-file phase: token-stream rules (D/O),
-//! pragma collection with statement-range widening, and the
-//! [`items`](crate::items) parse. Its [`FileAnalysis`] output is pure in
-//! the file contents. The cross-file [`isolation`](crate::isolation)
-//! pass then runs over all item sets, and
+//! [`analyze_file`] runs the per-file phase: token-stream rules (D001–D003
+//! and S003), pragma collection with statement-range widening, and the
+//! [`items`](crate::items) type parse. Its [`FileAnalysis`] output is pure
+//! in the file contents. The cross-file S002 [`isolation`](crate::isolation)
+//! closure then runs over all files' types, and
 //! [`pragma::apply_pragmas`](crate::pragma::apply_pragmas) settles
 //! suppressions per file. [`analyze_source`] bundles all of that
 //! for a single standalone file.
 
 use crate::findings::Finding;
 use crate::isolation::{run_isolation, SimFile};
-use crate::items::{parse_items, FileItems};
+use crate::items::{depth_delta, parse_types, TypeDef};
 use crate::lexer::{lex, TokKind, Token};
 use crate::pragma::{apply_pragmas, parse_pragma, Pragma, MARKER};
 
@@ -51,7 +51,7 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// Crate a workspace-relative path belongs to (the root facade package is
 /// reported as `numa-gpu`).
-pub fn crate_of(path: &str) -> &str {
+fn crate_of(path: &str) -> &str {
     if let Some(rest) = path.strip_prefix("crates/") {
         rest.split('/').next().unwrap_or("")
     } else {
@@ -62,17 +62,13 @@ pub fn crate_of(path: &str) -> &str {
 /// Where a file sits in the workspace, and therefore which rules apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileScope {
-    /// D001 (hash collections) applies.
-    pub d001: bool,
+    /// D001 (hash collections) and D003 (float determinism) apply.
+    pub d001_d003: bool,
     /// D002 (wall clock) applies.
     pub d002: bool,
-    /// D003 (float determinism) applies.
-    pub d003: bool,
-    /// O001 (direct output) applies.
-    pub o001: bool,
-    /// The shard-isolation pack S001–S005 applies (sim-crate library
-    /// code). Files outside this scope still contribute *items* to the
-    /// type graph — the closure can reach types declared anywhere.
+    /// S003 applies and a `SocketShard` here roots the S002 closure
+    /// (sim-crate library code). Files outside this scope still contribute
+    /// *types* to the closure — it can reach types declared anywhere.
     pub sim_lib: bool,
 }
 
@@ -87,10 +83,8 @@ impl FileScope {
             .any(|seg| matches!(seg, "tests" | "benches" | "examples"));
         if exempt {
             return FileScope {
-                d001: false,
+                d001_d003: false,
                 d002: false,
-                d003: false,
-                o001: false,
                 sim_lib: false,
             };
         }
@@ -98,13 +92,11 @@ impl FileScope {
         let is_bin = path.contains("/bin/") || path.ends_with("src/main.rs");
         let sim = SIM_CRATES.contains(&crate_name);
         FileScope {
-            d001: sim || crate_name == "bench",
+            d001_d003: sim || crate_name == "bench",
             // serve is a non-SIM crate: wall-clock deadlines and retry
             // backoff are its whole point, so `Instant` is permitted
             // there; nothing in serve is reachable from sim crates.
             d002: !matches!(crate_name, "bench" | "exec" | "serve"),
-            d003: sim || crate_name == "bench",
-            o001: !is_bin,
             sim_lib: sim && !is_bin,
         }
     }
@@ -224,18 +216,6 @@ fn collect_pragmas(toks: &[Token], skip: &[bool], file: &str) -> Vec<Result<Prag
 /// starting in its window keeps the two-line default (and most likely rots
 /// to P002).
 fn widen_pragmas(toks: &[Token], skip: &[bool], pragmas: &mut [Result<Pragma, Finding>]) {
-    let delta = |t: &Token| -> i32 {
-        if t.kind != TokKind::Punct {
-            return 0;
-        }
-        match t.text.as_str() {
-            "(" | "[" | "{" | "<" => 1,
-            ")" | "]" | "}" | ">" => -1,
-            "<<" => 2,
-            ">>" => -2,
-            _ => 0,
-        }
-    };
     for p in pragmas.iter_mut().filter_map(|p| p.as_mut().ok()) {
         let Some(start) = toks.iter().enumerate().position(|(i, t)| {
             !t.kind.is_comment()
@@ -273,7 +253,7 @@ fn widen_pragmas(toks: &[Token], skip: &[bool], pragmas: &mut [Result<Pragma, Fi
                     _ => {}
                 }
             }
-            depth += delta(t);
+            depth += depth_delta(t, true);
             prev_line = t.line;
         }
         p.cover_end = end.unwrap_or(prev_line).max(p.line + 1);
@@ -440,35 +420,23 @@ fn rule_d003(c: &mut Ctx<'_>) {
     }
 }
 
-fn rule_o001(c: &mut Ctx<'_>) {
+fn rule_s003(c: &mut Ctx<'_>) {
     for si in 0..c.sig.len() {
-        if !c.active(si) {
-            continue;
-        }
-        let Some(t) = c.tok(si) else { continue };
-        if t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "println" | "eprintln" | "print" | "eprint" | "dbg"
-            )
-            && c.sig_is_punct(si + 1, "!")
-        {
-            let mac = t.text.clone();
+        if c.active(si) && c.sig_is_ident(si, "unsafe") {
             c.push(
-                "O001",
+                "S003",
                 si,
-                format!(
-                    "direct `{mac}!` output in library code; route output through \
-                     `exec::Reporter` or keep it in a bin"
-                ),
+                "`unsafe` in a simulation crate; the shard-isolation rules cannot \
+                 see past it — rewrite safely"
+                    .to_string(),
             );
         }
     }
 }
 
 /// The per-file analysis phase: everything derivable from one file's bytes
-/// alone — the cross-file isolation pass and pragma settlement compute
-/// from these.
+/// alone — the cross-file S002 closure and pragma settlement compute from
+/// these.
 #[derive(Debug, Clone)]
 pub struct FileAnalysis {
     /// Raw token-rule findings (pre-pragma).
@@ -476,8 +444,8 @@ pub struct FileAnalysis {
     /// Parsed pragmas (parse failures carried as P001 findings), with
     /// statement-widened coverage.
     pub pragmas: Vec<Result<Pragma, Finding>>,
-    /// The file's item set for the graph pass.
-    pub items: FileItems,
+    /// The file's type definitions for the S002 closure.
+    pub types: Vec<TypeDef>,
 }
 
 /// Runs the per-file phase on one source file. `path` is workspace-relative
@@ -499,40 +467,36 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
         file: path,
         raw: Vec::new(),
     };
-    if scope.d001 {
+    if scope.d001_d003 {
         rule_d001(&mut ctx);
+        rule_d003(&mut ctx);
     }
     if scope.d002 {
         rule_d002(&mut ctx);
     }
-    if scope.d003 {
-        rule_d003(&mut ctx);
-    }
-    if scope.o001 {
-        rule_o001(&mut ctx);
+    if scope.sim_lib {
+        rule_s003(&mut ctx);
     }
     let raw = std::mem::take(&mut ctx.raw);
     let mut pragmas = collect_pragmas(&toks, &skip, path);
     widen_pragmas(&toks, &skip, &mut pragmas);
-    let items = parse_items(&toks, &skip);
+    let types = parse_types(&toks, &skip);
     FileAnalysis {
         raw,
         pragmas,
-        items,
+        types,
     }
 }
 
 /// Lints one Rust source file standalone: per-file phase, a single-file
-/// isolation pass, then pragma settlement. The workspace walker composes
-/// the same pieces across files instead.
+/// S002 closure, then pragma settlement. The workspace walker composes the
+/// same pieces across files instead.
 pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
     let fa = analyze_file(path, src);
-    let scope = FileScope::classify(path);
     let sim = SimFile {
         path,
-        crate_name: crate_of(path),
-        sim_lib: scope.sim_lib,
-        items: &fa.items,
+        sim_lib: FileScope::classify(path).sim_lib,
+        types: &fa.types,
     };
     let mut raw = fa.raw;
     raw.extend(run_isolation(&[sim]));
@@ -558,26 +522,22 @@ mod tests {
 
     #[test]
     fn scope_classification() {
-        assert!(FileScope::classify("crates/engine/src/event.rs").d001);
-        assert!(FileScope::classify("crates/bench/src/runner.rs").d001);
-        assert!(!FileScope::classify("crates/obs/src/lib.rs").d001);
+        assert!(FileScope::classify("crates/engine/src/event.rs").d001_d003);
+        assert!(FileScope::classify("crates/bench/src/runner.rs").d001_d003);
+        assert!(!FileScope::classify("crates/obs/src/lib.rs").d001_d003);
         assert!(!FileScope::classify("crates/bench/src/lib.rs").d002);
         assert!(!FileScope::classify("crates/exec/src/reporter.rs").d002);
         assert!(FileScope::classify("crates/engine/src/lib.rs").d002);
         assert!(FileScope::classify("src/lib.rs").d002);
         // serve: wall-clock allowed (deadlines/backoff), but not a sim
-        // crate — D001/D003/S-rules stay off, O001 stays on for lib code.
+        // crate — D001/D003 and the S-rules stay off.
         let serve = FileScope::classify("crates/serve/src/daemon.rs");
         assert!(!serve.d002);
-        assert!(!serve.d001);
+        assert!(!serve.d001_d003);
         assert!(!serve.sim_lib);
-        assert!(serve.o001);
         assert!(FileScope::classify("crates/cache/src/mshr.rs").sim_lib);
         assert!(!FileScope::classify("crates/bench/src/lib.rs").sim_lib);
         assert!(!FileScope::classify("crates/sm/src/bin/tool.rs").sim_lib);
-        assert!(FileScope::classify("crates/obs/src/lib.rs").o001);
-        assert!(!FileScope::classify("crates/bench/src/main.rs").o001);
-        assert!(!FileScope::classify("src/bin/sweep.rs").o001);
     }
 
     #[test]
@@ -634,45 +594,22 @@ mod tests {
     }
 
     #[test]
-    fn s004_fires_on_reachable_panics_only() {
-        // Public fn: its panics are reachable by definition.
+    fn s003_flags_unsafe() {
         assert_eq!(
-            rules_at(SIM, "pub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n"),
-            vec![("S004", 1, 37)]
+            rules_at(SIM, "pub fn f() { unsafe { core::hint::spin_loop() } }\n"),
+            vec![("S003", 1, 14)]
         );
         assert_eq!(
-            rules_at(SIM, "pub fn f() { panic!(\"boom\"); }\n"),
-            vec![("S004", 1, 14)]
+            rules_at(SIM, "unsafe impl Send for X {}\n"),
+            vec![("S003", 1, 1)]
         );
-        // Private fn reached from a public one: flagged, with the path.
-        let src = "pub fn entry() { helper(); }\nfn helper() { todo!(); }\n";
-        assert_eq!(rules_at(SIM, src), vec![("S004", 2, 15)]);
-        // Private fn nothing public reaches: not a finding.
-        assert!(rules_at(SIM, "fn dead() { panic!(); }\n").is_empty());
-        // Negative: non-sim crates, test code, non-panicking cousins.
-        assert!(rules_at(PLAIN, "pub fn f(o: Option<u32>) -> u32 { o.unwrap() }\n").is_empty());
-        assert!(rules_at(SIM, "#[test]\nfn t() { o.unwrap(); }\n").is_empty());
-        assert!(rules_at(SIM, "pub fn f(o: Option<u32>) -> u32 { o.unwrap_or(3) }\n").is_empty());
-        assert!(rules_at(SIM, "pub fn f() { debug_assert!(true); }\n").is_empty());
-    }
-
-    #[test]
-    fn o001_positive_and_negative() {
-        assert_eq!(
-            rules_at(PLAIN, "println!(\"x = {x}\");\n"),
-            vec![("O001", 1, 1)]
-        );
-        assert_eq!(
-            rules_at(PLAIN, "eprintln!(\"warn\");\n"),
-            vec![("O001", 1, 1)]
-        );
-        assert_eq!(rules_at(PLAIN, "dbg!(x);\n"), vec![("O001", 1, 1)]);
-        // Negative: bins may print; test code may print; writeln! to an
-        // explicit sink is the sanctioned path.
-        assert!(rules_at("crates/bench/src/main.rs", "println!(\"ok\");\n").is_empty());
-        assert!(rules_at("src/bin/tool.rs", "println!(\"ok\");\n").is_empty());
-        assert!(rules_at(PLAIN, "#[test]\nfn t() { println!(\"dbg\"); }\n").is_empty());
-        assert!(rules_at(PLAIN, "writeln!(out, \"row\").ok();\n").is_empty());
+        // Negative: non-sim crates, sim-crate bins, test code, the lint
+        // attribute that forbids it.
+        let src = "pub fn f() { unsafe { core::hint::spin_loop() } }\n";
+        assert!(rules_at(PLAIN, src).is_empty());
+        assert!(rules_at("crates/sm/src/bin/tool.rs", src).is_empty());
+        assert!(rules_at(SIM, &format!("#[cfg(test)]\n{src}")).is_empty());
+        assert!(rules_at(SIM, "#![forbid(unsafe_code)]\n").is_empty());
     }
 
     #[test]
@@ -707,9 +644,10 @@ mod tests {
         let src = "// simlint: allow(D001, reason = \"drained through sorted buffer\")\n\
                    use std::collections::{\n    BTreeMap,\n    HashMap,\n};\n";
         assert!(rules_at(SIM, src).is_empty(), "statement coverage");
-        // A pragma above an attributed fn covers panics through the fn body.
-        let src = "// simlint: allow(S004, reason = \"table checked at startup\")\n\
-                   #[inline]\npub fn pick(i: usize) -> u32 {\n    TABLE.get(i).copied().unwrap()\n}\n";
+        // A pragma above an attributed fn covers findings through the fn
+        // body.
+        let src = "// simlint: allow(D003, reason = \"sums in slice order\")\n\
+                   #[inline]\npub fn total(v: &[f64]) -> f64 {\n    v.iter().sum::<f64>()\n}\n";
         assert!(rules_at(SIM, src).is_empty(), "fn body coverage");
         // Coverage stops at the statement end: a finding *after* it still
         // fires.
@@ -720,16 +658,16 @@ mod tests {
 
     #[test]
     fn test_skip_handles_inner_attribute_and_items() {
-        let src = "#![cfg(test)]\nuse std::collections::HashMap;\npub fn f() { o.unwrap(); }\n";
+        let src = "#![cfg(test)]\nuse std::collections::HashMap;\n\
+                   pub fn f() -> f64 { v.iter().sum::<f64>() }\n";
         assert!(rules_at(SIM, src).is_empty());
         // An attributed fn with nested braces is skipped exactly.
-        let src = "#[test]\nfn t() {\n    if x { o.unwrap(); }\n}\npub fn real() { o.unwrap(); }\n";
-        let hits = rules_at(SIM, src);
-        assert_eq!(hits, vec![("S004", 5, 19)]);
+        let src = "#[test]\nfn t() {\n    if x { let m: HashMap<u8, u8>; }\n}\n\
+                   pub fn real() { let m: HashMap<u8, u8>; }\n";
+        assert_eq!(rules_at(SIM, src), vec![("D001", 5, 24)]);
         // `#[cfg(test)] mod` skips the whole module body.
-        let src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { panic!(); }\n}\npub fn f() { panic!(); }\n";
-        let hits = rules_at(SIM, src);
-        assert_eq!(hits, vec![("S004", 5, 14)]);
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() -> f64 { v.iter().sum::<f64>() }\n}\n\
+                   pub fn f() -> f64 { v.iter().sum::<f64>() }\n";
+        assert_eq!(rules_at(SIM, src), vec![("D003", 5, 30)]);
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! Analysis runs in two passes. First the per-file phase
 //! ([`rules::analyze_file`](crate::rules::analyze_file)) — token rules,
-//! pragma collection, item parse. Then the cross-file
-//! [`isolation`](crate::isolation) pass runs over *all* item sets
-//! (S001–S005 need the whole type and call graph), and pragma settlement
+//! pragma collection, type parse. Then the cross-file S002
+//! [`isolation`](crate::isolation) closure runs over *all* files' types
+//! (a shard can hold a type declared in any crate), and pragma settlement
 //! closes out each file.
 //!
 //! Paths are reported workspace-relative with `/` separators and the file
@@ -30,7 +30,7 @@ use crate::findings::{Finding, LintReport};
 use crate::isolation::{run_isolation, SimFile};
 use crate::manifest::analyze_manifest;
 use crate::pragma::apply_pragmas;
-use crate::rules::{analyze_file, crate_of, FileAnalysis, FileScope};
+use crate::rules::{analyze_file, FileAnalysis, FileScope};
 
 fn rel(root: &Path, path: &Path) -> String {
     let r = path.strip_prefix(root).unwrap_or(path);
@@ -114,14 +114,13 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         report.files_scanned += 1;
     }
 
-    // Pass 2: the cross-file isolation rules over the merged item graph.
+    // Pass 2: the cross-file S002 closure over every file's types.
     let sim_files: Vec<SimFile<'_>> = analyses
         .iter()
         .map(|(path, fa)| SimFile {
             path,
-            crate_name: crate_of(path),
             sim_lib: FileScope::classify(path).sim_lib,
-            items: &fa.items,
+            types: &fa.types,
         })
         .collect();
     let mut iso_by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
@@ -201,12 +200,12 @@ mod tests {
         );
         write(
             &root.join("crates/sm/src/lib.rs"),
-            "pub fn f() { panic!(); }\nuse std::collections::HashSet;\n",
+            "pub fn f() { unsafe { g() } }\nuse std::collections::HashSet;\n",
         );
         let a = lint_workspace(&root).expect("lint").to_json().to_string();
         let b = lint_workspace(&root).expect("lint").to_json().to_string();
         assert_eq!(a, b);
-        assert!(a.contains("\"Z001\"") && a.contains("\"S004\"") && a.contains("\"D001\""));
+        assert!(a.contains("\"Z001\"") && a.contains("\"S003\"") && a.contains("\"D001\""));
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -1,19 +1,19 @@
-//! Property + pinned-unit suite for the item-graph pass and file
-//! scoping. The isolation rules are only as good as the graph the item
-//! parser recovers, so the parser must stay total (never panic) and must
-//! keep type/fn structure exact on the shapes the workspace actually
-//! uses: nested generics, trait impls, cfg-gated test modules.
+//! Property + pinned-unit suite for the type-definition pass and file
+//! scoping. The S002 closure is only as good as the types the parser
+//! recovers, so the parser must stay total (never panic) and must keep
+//! field types exact on the shapes the workspace actually uses: nested
+//! generics and cfg-gated test modules.
 
-use numa_gpu_lint::items::{parse_items, FileItems, TypeKind, Vis};
+use numa_gpu_lint::items::{parse_types, TypeDef};
 use numa_gpu_lint::lexer::lex;
 use numa_gpu_lint::rules::{mark_test_skipped, FileScope};
 use numa_gpu_testkit::gen::{ints, pairs, select, strings, vecs};
 use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check};
 
-fn items_of(src: &str) -> FileItems {
+fn types_of(src: &str) -> Vec<TypeDef> {
     let toks = lex(src);
     let skip = mark_test_skipped(&toks);
-    parse_items(&toks, &skip)
+    parse_types(&toks, &skip)
 }
 
 // ---------------------------------------------------------------------
@@ -25,10 +25,10 @@ fn items_of(src: &str) -> FileItems {
 #[test]
 fn classify_nested_bin_under_a_sim_crate() {
     // Determinism rules still apply to sim-crate binaries, but they are
-    // not shard library code (O001 and the S pack are off).
+    // not shard library code (the S pack is off).
     let s = FileScope::classify("crates/core/src/bin/partition_probe.rs");
-    assert!(s.d001 && s.d002 && s.d003);
-    assert!(!s.o001 && !s.sim_lib);
+    assert!(s.d001_d003 && s.d002);
+    assert!(!s.sim_lib);
 }
 
 #[test]
@@ -41,7 +41,7 @@ fn classify_tests_tree_under_a_crate_is_exempt() {
     ] {
         let s = FileScope::classify(p);
         assert!(
-            !s.d001 && !s.d002 && !s.d003 && !s.o001 && !s.sim_lib,
+            !s.d001_d003 && !s.d002 && !s.sim_lib,
             "{p} must be exempt from every rule, got {s:?}"
         );
     }
@@ -50,20 +50,20 @@ fn classify_tests_tree_under_a_crate_is_exempt() {
 #[test]
 fn classify_root_binary_and_sim_libraries() {
     // Root `src/bin/simulate.rs` belongs to the top-level crate: not a
-    // sim crate, and binaries may print.
+    // sim crate.
     let s = FileScope::classify("src/bin/simulate.rs");
-    assert!(!s.d001 && s.d002 && !s.o001 && !s.sim_lib);
+    assert!(!s.d001_d003 && s.d002 && !s.sim_lib);
     // Plain sim-crate library code gets the full pack.
     let s = FileScope::classify("crates/engine/src/lib.rs");
-    assert!(s.d001 && s.d002 && s.d003 && s.o001 && s.sim_lib);
+    assert!(s.d001_d003 && s.d002 && s.sim_lib);
     // obs is deliberately outside the sim set: it still contributes
-    // items to the type graph, but the S pack does not fire there.
+    // types to the S002 closure, but the S pack does not fire there.
     let s = FileScope::classify("crates/obs/src/metrics.rs");
-    assert!(!s.d001 && s.d002 && !s.sim_lib);
+    assert!(!s.d001_d003 && s.d002 && !s.sim_lib);
 }
 
 // ---------------------------------------------------------------------
-// Item-parser properties.
+// Type-parser properties.
 // ---------------------------------------------------------------------
 
 prop_check! {
@@ -73,7 +73,7 @@ prop_check! {
 
     // Arbitrarily deep generic nesting — including the greedy `>>` lex at
     // the tail — must recover both every wrapper layer and the innermost
-    // payload type, with has_ref untouched.
+    // payload type.
     fn nested_generics_recover_every_layer(
         (depth, wrapper) in pairs(ints(1usize..6), select(vec!["Vec", "Box", "Option"])),
     ) {
@@ -82,64 +82,32 @@ prop_check! {
             ty = format!("{wrapper}<{ty}>");
         }
         let src = format!("pub struct S {{ f: {ty} }}\n");
-        let items = items_of(&src);
-        prop_assert_eq!(items.types.len(), 1);
-        prop_assert_eq!(items.types[0].kind, TypeKind::Struct);
-        prop_assert_eq!(items.types[0].fields.len(), 1);
-        let field = &items.types[0].fields[0];
-        prop_assert!(!field.has_ref);
-        let names: Vec<&str> = field.types.iter().map(|t| t.name.as_str()).collect();
+        let types = types_of(&src);
+        prop_assert_eq!(types.len(), 1);
+        prop_assert_eq!(types[0].fields.len(), 1);
+        let names: Vec<&str> = types[0].fields[0].iter().map(|t| t.name.as_str()).collect();
         prop_assert_eq!(names.iter().filter(|n| **n == wrapper).count(), depth);
         prop_assert_eq!(names.iter().filter(|n| **n == "Payload").count(), 1);
     }
 
-    // Every trait-impl method must carry its concrete owner and the
-    // via_trait flag — S004 treats those as reachability entry points, so
-    // losing either hides panic paths.
-    fn trait_impl_methods_carry_owner_and_via_trait(
-        n in ints(1usize..5),
-    ) {
-        let mut src = String::from("pub trait Tick { fn tick(&mut self); }\n");
-        for i in 0..n {
-            src.push_str(&format!(
-                "struct S{i};\nimpl Tick for S{i} {{ fn tick(&mut self) {{ self.step(); }} }}\n"
-            ));
-        }
-        let items = items_of(&src);
-        for i in 0..n {
-            let owner = format!("S{i}");
-            let f = items
-                .fns
-                .iter()
-                .find(|f| f.owner.as_deref() == Some(owner.as_str()))
-                .expect("impl method parsed");
-            prop_assert_eq!(f.name.as_str(), "tick");
-            prop_assert!(f.via_trait);
-            prop_assert!(f.calls.iter().any(|c| c.name == "step" && c.method));
-        }
-    }
-
-    // `#[cfg(test)]` modules contribute nothing to the graph no matter
-    // what they contain — panics in test helpers must never reach S004.
+    // `#[cfg(test)]` modules contribute nothing no matter what they
+    // contain — a cell in a test fixture must never reach S002.
     fn cfg_test_modules_contribute_nothing(
         n in ints(0usize..4),
     ) {
-        let mut src = String::from("pub fn live() {}\n#[cfg(test)]\nmod tests {\n");
+        let mut src = String::from("pub struct Live { n: u32 }\n#[cfg(test)]\nmod tests {\n");
         for i in 0..n {
-            src.push_str(&format!("    fn t{i}() {{ panic!(\"boom\"); }}\n"));
+            src.push_str(&format!("    struct T{i} {{ c: RefCell<u32> }}\n"));
         }
         src.push_str("}\n");
-        let items = items_of(&src);
-        prop_assert_eq!(items.fns.len(), 1);
-        prop_assert_eq!(items.fns[0].name.as_str(), "live");
-        prop_assert_eq!(items.fns[0].vis, Vis::Pub);
-        prop_assert!(items.fns[0].panics.is_empty());
-        prop_assert!(items.top_panics.is_empty());
+        let types = types_of(&src);
+        prop_assert_eq!(types.len(), 1);
+        prop_assert_eq!(types[0].name.as_str(), "Live");
     }
 
     // Totality: the parser must survive arbitrary interleavings of item
     // keywords, unbalanced brackets and raw byte soup. Misparses may lose
-    // graph edges; they may never panic (the linter gates every build).
+    // types or fields; they may never panic (the linter gates every build).
     fn parser_never_panics_on_keyword_and_byte_soup(
         (frags, soup) in pairs(
             vecs(
@@ -157,9 +125,9 @@ prop_check! {
         let src = format!("{} {soup}", frags.join(" "));
         let toks = lex(&src);
         let skip = mark_test_skipped(&toks);
-        let items = parse_items(&toks, &skip);
-        // The graph is well-formed even when the input is not.
-        prop_assert!(items.fns.iter().all(|f| !f.name.is_empty()));
-        prop_assert!(items.types.iter().all(|t| !t.name.is_empty()));
+        let types = parse_types(&toks, &skip);
+        // The output is well-formed even when the input is not.
+        prop_assert!(types.iter().all(|t| !t.name.is_empty()));
+        prop_assert!(types.iter().flat_map(|t| t.fields.iter().flatten()).all(|r| !r.name.is_empty()));
     }
 }

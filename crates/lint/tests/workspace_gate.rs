@@ -100,7 +100,7 @@ fn seeded_hashmap_in_engine_fails_with_span_accurate_d001() {
 }
 
 /// Seeding a `RefCell` into the shard-owned type closure makes the gate
-/// fail with a span-accurate S002 — the canary for the item-graph
+/// fail with a span-accurate S002 — the canary for the type-closure
 /// pipeline (parser → workspace type index → isolation closure). The
 /// reach is transitive: the cell hides one hop away from `SocketShard`.
 #[test]

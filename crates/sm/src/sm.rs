@@ -226,7 +226,7 @@ impl Sm {
             self.can_accept_cta(warps),
             "dispatch_cta without capacity check"
         );
-        // simlint: allow(S004, reason = "can_accept_cta assert above guarantees free slots")
+        // The can_accept_cta assert above guarantees free slots.
         let cta_slot = self.free_cta_slots.pop().expect("checked above");
         self.ctas[cta_slot as usize] = Some(CtaRuntime {
             cta,
@@ -236,7 +236,7 @@ impl Sm {
         self.resident_ctas += 1;
         self.active_warp_count += warps;
         for warp_in_cta in 0..warps {
-            // simlint: allow(S004, reason = "can_accept_cta assert above guarantees free slots")
+            // The can_accept_cta assert above guarantees free slots.
             let slot = self.free_warp_slots.pop().expect("checked above");
             self.warp_cta_slot[slot as usize] = cta_slot;
             self.warp_in_cta[slot as usize] = warp_in_cta;
@@ -256,7 +256,6 @@ impl Sm {
         assert!(cta_slot != NO_CTA, "next_op on empty warp slot");
         let rt = self.ctas[cta_slot as usize]
             .as_mut()
-            // simlint: allow(S004, reason = "a resident warp always points at its live CTA slot")
             .expect("warp points at live CTA");
         let op = rt.program.next_op(self.warp_in_cta[slot.index()]);
         if op.is_some() {
@@ -280,7 +279,6 @@ impl Sm {
         self.free_warp_slots.push(slot.index() as u16);
         let rt = self.ctas[cta_slot as usize]
             .as_mut()
-            // simlint: allow(S004, reason = "a resident warp always points at its live CTA slot")
             .expect("warp points at live CTA");
         rt.warps_outstanding -= 1;
         if rt.warps_outstanding == 0 {

@@ -465,7 +465,8 @@ fn build_kernels(name: &str, p: Params) -> Vec<KernelSpec> {
             ks
         }
         "Other-Bitcoin-Crypto" => arch::compute_bound(p, 1),
-        // simlint: allow(S004, reason = "private fn fed only from the static catalog table; an unknown name is a table/builder mismatch")
+        // Private fn fed only from the static catalog table: an unknown
+        // name is a table/builder mismatch.
         other => panic!("unknown workload name: {other}"),
     }
 }
