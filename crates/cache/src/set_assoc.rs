@@ -225,20 +225,27 @@ const fn class_of(meta: u8) -> LineClass {
 /// scans one set's tags, a flush only the state bytes. The first fill
 /// allocates them, so a cache nothing is ever installed in (most L1s of a
 /// large machine on a small kernel) costs no memory and no zeroing.
+///
+/// Recency is one byte a way (ten with tag and state): the way's LRU rank
+/// in its set (0 = most recent), stored XOR the way index so a zeroed set
+/// decodes to the permutation `0..ways`. A touch moves the way to rank 0
+/// and ages the ways more recent than it; the victim is the highest rank in
+/// the class's way range. Ranks pick victims only in a set whose every way
+/// is valid, i.e. touched since it was last invalid, so they pick exactly
+/// the way a last-touch timestamp would.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: u64,
     ways: usize,
     /// Line index held by each way; stale (ignored) where `meta` is zero.
     tags: Vec<u64>,
-    /// LRU stamp of each way's last touch.
-    stamps: Vec<u64>,
+    /// LRU rank of each way within its set, XOR the way index.
+    ranks: Vec<u8>,
     /// `VALID | DIRTY | REMOTE` bits of each way.
     meta: Vec<u8>,
     /// Valid ways, kept so occupancy is O(1) and a flush can stop early.
     resident: u64,
     partition: Option<WayPartition>,
-    stamp: u64,
     stats: CacheStats,
     /// Partition installs that changed the way split.
     repartitions: u64,
@@ -250,11 +257,13 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets/ways) or if a
-    /// partition's way count disagrees with the config.
+    /// Panics if the geometry is degenerate (zero sets/ways), if the
+    /// associativity exceeds [`CacheConfig::MAX_WAYS`] (recency ranks are
+    /// bytes), or if a partition's way count disagrees with the config.
     pub fn new(config: &CacheConfig, partition: Option<WayPartition>) -> Self {
         let sets = config.num_sets();
         assert!(sets > 0 && config.ways > 0, "degenerate cache geometry");
+        assert!(config.ways <= CacheConfig::MAX_WAYS, "ways above MAX_WAYS");
         if let Some(p) = partition {
             assert_eq!(
                 p.total_ways(),
@@ -266,11 +275,10 @@ impl SetAssocCache {
             sets,
             ways: config.ways as usize,
             tags: Vec::new(),
-            stamps: Vec::new(),
+            ranks: Vec::new(),
             meta: Vec::new(),
             resident: 0,
             partition,
-            stamp: 0,
             stats: CacheStats::default(),
             repartitions: 0,
         }
@@ -342,15 +350,32 @@ impl SetAssocCache {
             .map(|w| base + w)
     }
 
+    /// Makes array index `i` the most recent way of the set at `base`: the
+    /// ways more recent than it age by one rank, it takes rank 0.
+    #[inline]
+    fn touch(&mut self, base: usize, i: usize) {
+        let ranks = &mut self.ranks[base..base + self.ways];
+        let way = i - base;
+        let old = ranks[way] ^ way as u8;
+        if old == 0 {
+            return;
+        }
+        for (w, r) in ranks.iter_mut().enumerate() {
+            let rank = *r ^ w as u8;
+            *r = (rank + (rank < old) as u8) ^ w as u8;
+        }
+        ranks[way] = way as u8;
+    }
+
     /// Shared probe: on hit refreshes recency, ORs `extra` into the way's
     /// state bits and counts the hit under the line's class.
     #[inline]
     fn probe(&mut self, line: LineAddr, extra: u8) -> bool {
-        let Some(i) = self.find(self.set_base(line), line) else {
+        let base = self.set_base(line);
+        let Some(i) = self.find(base, line) else {
             return false;
         };
-        self.stamp += 1;
-        self.stamps[i] = self.stamp;
+        self.touch(base, i);
         self.meta[i] |= extra;
         match class_of(self.meta[i]) {
             LineClass::Local => self.stats.local_hits.inc(),
@@ -389,16 +414,15 @@ impl SetAssocCache {
     /// keeps the *old* sticky dirty bit OR the new one).
     pub fn fill(&mut self, line: LineAddr, class: LineClass, dirty: bool) -> Option<EvictedLine> {
         self.stats.fills.inc();
-        self.stamp += 1;
         if self.meta.is_empty() {
             let lines = self.sets as usize * self.ways;
-            (self.tags, self.stamps, self.meta) = (vec![0; lines], vec![0; lines], vec![0; lines]);
+            (self.tags, self.ranks, self.meta) = (vec![0; lines], vec![0; lines], vec![0; lines]);
         }
         let base = self.set_base(line);
         let remote = class == LineClass::Remote;
         let bits = VALID | (DIRTY * dirty as u8) | (REMOTE * remote as u8);
         if let Some(i) = self.find(base, line) {
-            self.stamps[i] = self.stamp;
+            self.touch(base, i);
             self.meta[i] = (self.meta[i] & DIRTY) | bits;
             return None;
         }
@@ -407,7 +431,7 @@ impl SetAssocCache {
             None => 0..self.ways,
         };
         let meta = &self.meta[base..base + self.ways];
-        let stamps = &self.stamps[base..base + self.ways];
+        let ranks = &self.ranks[base..base + self.ways];
         // Prefer an invalid way in range, then an invalid way anywhere (a
         // partition only constrains *contended* allocation — reserving
         // empty ways for an absent class would waste capacity), then LRU in
@@ -418,7 +442,7 @@ impl SetAssocCache {
             .or_else(|| meta.iter().position(|&m| m == 0))
             .unwrap_or_else(|| {
                 range
-                    .min_by_key(|&w| stamps[w])
+                    .max_by_key(|&w| ranks[w] ^ w as u8)
                     .expect("way range is never empty")
             });
         let i = base + victim;
@@ -438,7 +462,7 @@ impl SetAssocCache {
             })
         };
         self.tags[i] = line.raw();
-        self.stamps[i] = self.stamp;
+        self.touch(base, i);
         self.meta[i] = bits;
         evicted
     }
@@ -499,6 +523,22 @@ impl SetAssocCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
+
+    /// Panics unless every allocated set's ranks decode to a permutation of
+    /// `0..ways` and `resident` counts the valid ways. O(lines); for tests.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        let valid = self.meta.iter().filter(|&&m| m != 0).count() as u64;
+        assert_eq!(self.resident, valid, "resident count drifted");
+        for set in self.ranks.chunks(self.ways) {
+            let mut seen = [false; CacheConfig::MAX_WAYS as usize];
+            for (w, &r) in set.iter().enumerate() {
+                let rank = (r ^ w as u8) as usize;
+                assert!(rank < self.ways && !seen[rank], "bad ranks {set:?}");
+                seen[rank] = true;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -556,6 +596,42 @@ mod tests {
         let ev = c.fill(line(10), LineClass::Local, false).unwrap();
         assert_eq!(ev.line, line(1));
         assert!(c.contains(line(0)));
+    }
+
+    #[test]
+    fn lru_holds_at_the_widest_rank_byte() {
+        // 1 set x 256 ways: ranks span the whole byte.
+        let wide = CacheConfig {
+            size_bytes: 256 * LINE_SIZE,
+            ways: 256,
+            hit_latency_cycles: 1,
+            write_policy: WritePolicy::WriteBack,
+        };
+        let mut c = SetAssocCache::new(&wide, None);
+        for i in 0..256 {
+            assert!(c.fill(line(i), LineClass::Local, false).is_none());
+        }
+        c.probe_read(line(0));
+        c.check_invariants();
+        for victim in 1..256 {
+            let ev = c.fill(line(1000 + victim), LineClass::Local, false);
+            assert_eq!(ev.map(|e| e.line), Some(line(victim)));
+        }
+        let ev = c.fill(line(2000), LineClass::Local, false);
+        assert_eq!(ev.map(|e| e.line), Some(line(0)));
+        c.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "ways above MAX_WAYS")]
+    fn ranks_cap_associativity() {
+        let c = CacheConfig {
+            size_bytes: 257 * LINE_SIZE,
+            ways: 257,
+            hit_latency_cycles: 1,
+            write_policy: WritePolicy::WriteBack,
+        };
+        let _ = SetAssocCache::new(&c, None);
     }
 
     #[test]

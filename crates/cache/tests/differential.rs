@@ -10,7 +10,7 @@ use numa_gpu_cache::{
     CacheStats, EvictedLine, FlushOutcome, LineClass, MshrAllocation, MshrFile, SetAssocCache,
     WayPartition,
 };
-use numa_gpu_testkit::gen::{bools, ints, quads, triples, vecs};
+use numa_gpu_testkit::gen::{bools, ints, quads, select, triples, vecs};
 use numa_gpu_testkit::{prop_assert_eq, prop_check};
 use numa_gpu_types::{CacheConfig, LineAddr, WritePolicy, LINE_SIZE};
 use std::collections::BTreeMap;
@@ -194,10 +194,12 @@ impl RefMshr {
 }
 
 prop_check! {
-    /// Random geometry (1-way, non-power-of-two set counts, partitioned or
-    /// not), random operation stream with `set_partition` mid-stream.
+    /// Random geometry (1-way up to the L2's 16 ways and past it,
+    /// non-power-of-two set counts, partitioned or not), random operation
+    /// stream with `set_partition` mid-stream. The model keeps `u64` LRU
+    /// stamps, so this is also the oracle for the flat cache's rank bytes.
     fn set_assoc_matches_the_array_of_structs_model(
-        ways in ints(1u16..9),
+        ways in select((1u16..9).chain([15, 16, 17, 32]).collect()),
         sets in ints(1u64..13),
         partitioned in bools(),
         ops in vecs(quads(ints(0u8..10), ints(0u64..64), bools(), bools()), 1..400)
@@ -255,6 +257,7 @@ prop_check! {
             prop_assert_eq!(flat.resident_lines_of(LineClass::Local), local);
             prop_assert_eq!(flat.resident_lines_of(LineClass::Remote), remote);
             prop_assert_eq!(flat.resident_lines(), local + remote);
+            flat.check_invariants();
         }
         // The final flush enumerates whatever is left in array order.
         prop_assert_eq!(flat.invalidate_all(), model.invalidate_where(|_, _| true));

@@ -110,15 +110,17 @@ impl DetRng {
     #[inline]
     pub fn bounded_u64(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bounded_u64 needs a nonzero bound");
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (bound as u128);
-            let low = m as u64;
-            if low >= bound.wrapping_neg() % bound {
-                return (m >> 64) as u64;
+        let mut m = (self.next_u64() as u128) * (bound as u128);
+        // The rejection threshold `2^64 mod bound` is below `bound`, so a
+        // low half at or above `bound` is accepted without the division.
+        if (m as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (m as u64) < threshold {
+                // Rejected: retry to stay unbiased.
+                m = (self.next_u64() as u128) * (bound as u128);
             }
-            // Rejected: retry to stay unbiased.
         }
+        (m >> 64) as u64
     }
 
     /// Uniform value in the half-open range.
@@ -269,6 +271,35 @@ mod tests {
         }
         for c in counts {
             assert!((9_000..11_000).contains(&c), "skewed bucket: {c}");
+        }
+    }
+
+    #[test]
+    fn bounded_divides_only_on_the_slow_path_but_draws_the_same_stream() {
+        /// The form that computes the threshold on every draw.
+        fn bounded_reference(rng: &mut DetRng, bound: u64) -> u64 {
+            loop {
+                let m = (rng.next_u64() as u128) * (bound as u128);
+                if m as u64 >= bound.wrapping_neg() % bound {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+        // 2^k ± 1 covers 3 and 2^63 + 1, the bound rejecting most often.
+        let mut bounds = vec![1, 2, u64::MAX];
+        for k in 2..64 {
+            bounds.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        for bound in bounds {
+            let (mut fast, mut reference) =
+                (DetRng::seed_from_u64(bound), DetRng::seed_from_u64(bound));
+            for _ in 0..10_000 {
+                assert_eq!(
+                    fast.bounded_u64(bound),
+                    bounded_reference(&mut reference, bound)
+                );
+            }
+            assert_eq!(fast, reference, "bound {bound} consumed a different stream");
         }
     }
 

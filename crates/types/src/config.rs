@@ -156,6 +156,10 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// Highest associativity a cache may have: the tag array keeps each
+    /// way's LRU rank within its set in one byte.
+    pub const MAX_WAYS: u16 = 256;
+
     /// Number of sets implied by the geometry.
     ///
     /// # Panics
@@ -530,8 +534,12 @@ impl SystemConfig {
             return Err(ConfigError::new("max_pending_loads must be nonzero"));
         }
         for (name, c) in [("l1", &self.l1), ("l2", &self.l2)] {
-            if c.ways == 0 {
-                return Err(ConfigError::new(format!("{name}: ways must be nonzero")));
+            if c.ways == 0 || c.ways > CacheConfig::MAX_WAYS {
+                return Err(ConfigError::new(format!(
+                    "{name}: ways must be in 1..={}, got {}",
+                    CacheConfig::MAX_WAYS,
+                    c.ways
+                )));
             }
             if c.size_bytes == 0 || c.size_bytes % (LINE_SIZE * c.ways as u64) != 0 {
                 return Err(ConfigError::new(format!(
@@ -651,6 +659,25 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = SystemConfig::pascal_single();
         c.l1.ways = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn associativity_capped_at_a_rank_byte() {
+        // 512 lines: a multiple of line_size * ways at both 256 and 512.
+        let mut c = SystemConfig::pascal_single();
+        c.l2.size_bytes = 512 * LINE_SIZE;
+        c.l2.ways = 256;
+        c.validate().unwrap();
+        c.l2.ways = 512;
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.message().contains("l2: ways must be in 1..=256"),
+            "{err}"
+        );
+        let mut c = SystemConfig::pascal_single();
+        c.l1.size_bytes = 512 * LINE_SIZE;
+        c.l1.ways = 257;
         assert!(c.validate().is_err());
     }
 
