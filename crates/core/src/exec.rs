@@ -300,15 +300,8 @@ impl NumaGpuSystem {
                 edge,
                 healthy_lanes,
             } => {
-                // Edge ids below the socket count hit the access links in
-                // the shards; higher ids hit the fabric's interior links.
                 let e = edge as usize;
-                let link = if e < self.shards.len() {
-                    Some(&mut self.shards[e].link)
-                } else {
-                    self.fabric.link_mut(e)
-                };
-                if let Some(link) = link {
+                if let Some(link) = self.link_mut(e) {
                     let nominal = link.nominal_lanes();
                     let healthy = link.set_lane_health(now, healthy_lanes);
                     if let Some(fs) = &mut self.fault_state {
@@ -328,13 +321,7 @@ impl NumaGpuSystem {
                 edge,
                 window_cycles,
             } => {
-                let e = edge as usize;
-                let link = if e < self.shards.len() {
-                    Some(&mut self.shards[e].link)
-                } else {
-                    self.fabric.link_mut(e)
-                };
-                if let Some(link) = link {
+                if let Some(link) = self.link_mut(edge as usize) {
                     link.retrain(now, cycles_to_ticks(window_cycles as u64));
                 }
             }
@@ -422,38 +409,21 @@ impl NumaGpuSystem {
         // resets the sampling window, so this is the only point where the
         // utilizations the decision saw are observable.
         let observing = self.obs.record_timeline || self.obs.tracing();
-        let samples: Vec<numa_gpu_interconnect::LinkSample> = if observing {
-            self.shards.iter().map(|s| s.link.sample_point(t)).collect()
-        } else {
-            Vec::new()
-        };
-        let interior_samples: Vec<(usize, numa_gpu_interconnect::LinkSample)> = if observing {
-            self.fabric.interior_sample_points(t)
-        } else {
-            Vec::new()
-        };
-        let actions: Vec<BalanceAction> = self
-            .shards
-            .iter_mut()
-            .map(|s| s.link.sample_and_rebalance(t, SATURATION_THRESHOLD))
-            .collect();
-        // Interior fabric edges run the same balancer, serially in edge
-        // order on the control plane (empty on the star fabric).
-        let interior_actions: Vec<(usize, BalanceAction)> = self
-            .fabric
-            .interior_sample_and_rebalance(t, SATURATION_THRESHOLD);
+        // Every link runs the same per-GPU balancer, serially in edge order:
+        // access links (edge == socket), then interior fabric links.
+        let (mut samples, mut actions) = (Vec::new(), Vec::new());
+        for (e, link) in self.links_mut() {
+            if observing {
+                samples.push((e, link.sample_point(t)));
+            }
+            actions.push((e, link.sample_and_rebalance(t, SATURATION_THRESHOLD)));
+        }
         // Resilience: the first non-Hold rebalance after a lane degradation
-        // is the balancer's recovery response; record its latency. Access
-        // edges (edge == socket) and interior edges share the bookkeeping.
+        // is the balancer's recovery response; record its latency.
         let mut recoveries: Vec<(usize, u64)> = Vec::new();
         if let Some(fs) = &mut self.fault_state {
             let cycle = ticks_to_cycles(t);
-            let all_actions = actions
-                .iter()
-                .enumerate()
-                .map(|(s, a)| (s, *a))
-                .chain(interior_actions.iter().copied());
-            for (e, action) in all_actions {
+            for &(e, action) in &actions {
                 if action == BalanceAction::Hold {
                     continue;
                 }
@@ -464,76 +434,52 @@ impl NumaGpuSystem {
                 }
             }
         }
+        let sockets = self.shards.len();
         if self.obs.record_timeline {
-            for (s, sample) in samples.iter().enumerate() {
-                self.obs.timelines[s].push(*sample);
+            // Fig-5 timelines follow the access links only.
+            for &(s, sample) in &samples[..sockets] {
+                self.obs.timelines[s].push(sample);
             }
         }
         if self.obs.tracing() {
             let cycle = ticks_to_cycles(t);
-            for (s, sample) in samples.iter().enumerate() {
+            let name = |e: usize| {
+                if e < sockets {
+                    format!("link.s{e}")
+                } else {
+                    format!("link.e{e}")
+                }
+            };
+            for &(e, sample) in &samples {
                 self.obs.emit(
-                    TraceEvent::counter(format!("link.s{s}.util"), "link", cycle, s as u32)
+                    TraceEvent::counter(format!("{}.util", name(e)), "link", cycle, e as u32)
                         .arg("egress", sample.egress_util)
                         .arg("ingress", sample.ingress_util),
                 );
                 self.obs.emit(
-                    TraceEvent::counter(format!("link.s{s}.lanes"), "link", cycle, s as u32)
+                    TraceEvent::counter(format!("{}.lanes", name(e)), "link", cycle, e as u32)
                         .arg("egress", sample.egress_lanes as u64)
                         .arg("ingress", sample.ingress_lanes as u64),
                 );
             }
-            for (e, sample) in &interior_samples {
-                self.obs.emit(
-                    TraceEvent::counter(format!("link.e{e}.util"), "link", cycle, *e as u32)
-                        .arg("egress", sample.egress_util)
-                        .arg("ingress", sample.ingress_util),
-                );
-                self.obs.emit(
-                    TraceEvent::counter(format!("link.e{e}.lanes"), "link", cycle, *e as u32)
-                        .arg("egress", sample.egress_lanes as u64)
-                        .arg("ingress", sample.ingress_lanes as u64),
-                );
-            }
-            for (s, action) in actions.iter().enumerate() {
-                if *action != BalanceAction::Hold {
+            for (&(e, action), (_, sample)) in actions.iter().zip(&samples) {
+                if action != BalanceAction::Hold {
                     self.obs.emit(
                         TraceEvent::instant(
-                            format!("link.s{s}.{action:?}"),
+                            format!("{}.{action:?}", name(e)),
                             "rebalance",
                             cycle,
-                            s as u32,
+                            e as u32,
                         )
-                        .arg("egress_util", samples[s].egress_util)
-                        .arg("ingress_util", samples[s].ingress_util),
+                        .arg("egress_util", sample.egress_util)
+                        .arg("ingress_util", sample.ingress_util),
                     );
                 }
             }
-            for (e, action) in &interior_actions {
-                if *action != BalanceAction::Hold {
-                    let mut ev = TraceEvent::instant(
-                        format!("link.e{e}.{action:?}"),
-                        "rebalance",
-                        cycle,
-                        *e as u32,
-                    );
-                    if let Some((_, sample)) = interior_samples.iter().find(|(ie, _)| ie == e) {
-                        ev = ev
-                            .arg("egress_util", sample.egress_util)
-                            .arg("ingress_util", sample.ingress_util);
-                    }
-                    self.obs.emit(ev);
-                }
-            }
-            for (e, latency) in &recoveries {
-                let label = if *e < self.shards.len() {
-                    format!("link.s{e}.recovered")
-                } else {
-                    format!("link.e{e}.recovered")
-                };
+            for &(e, latency) in &recoveries {
                 self.obs.emit(
-                    TraceEvent::instant(label, "fault", cycle, *e as u32)
-                        .arg("recovery_cycles", *latency),
+                    TraceEvent::instant(format!("{}.recovered", name(e)), "fault", cycle, e as u32)
+                        .arg("recovery_cycles", latency),
                 );
             }
         }

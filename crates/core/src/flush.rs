@@ -112,10 +112,9 @@ impl NumaGpuSystem {
         // allocates the even split "at initial kernel launch" and adapts
         // from there (resetting every launch would re-pay the convergence
         // tax each kernel).
-        for shard in &mut self.shards {
-            shard.link.reset_symmetric(ready);
+        for (_, link) in self.links_mut() {
+            link.reset_symmetric(ready);
         }
-        self.fabric.reset_interior_symmetric(ready);
         ready
     }
 }

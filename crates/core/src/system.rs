@@ -22,7 +22,7 @@ use numa_gpu_cache::{CacheStats, PartitionController, SetAssocCache, WayPartitio
 use numa_gpu_engine::{CrossMessage, EventQueue, EventQueueStats, ServiceQueue, Watchdog};
 use numa_gpu_exec::ThreadPool;
 use numa_gpu_faults::{AppliedFault, FaultPlan, LinkResilience, ResilienceReport};
-use numa_gpu_interconnect::{switch_hop_latency, GpuLink, LinkDirection, Topology};
+use numa_gpu_interconnect::{GpuLink, LinkDirection, Topology};
 use numa_gpu_mem::{Dram, PageTable};
 use numa_gpu_obs::{MetricValue, MetricsSnapshot, Pow2Histogram, ProfileReport, TraceEvent};
 use numa_gpu_runtime::{Kernel, Workload};
@@ -164,9 +164,9 @@ pub(crate) struct FaultState {
     pub disabled_sms: u32,
     /// Resident CTAs evicted from disabled SMs and requeued.
     pub requeued_ctas: u32,
-    /// Per-edge cycle of the earliest still-unanswered lane degradation
-    /// (indexed by fabric edge id; access edges first, so index == socket
-    /// on the star fabric).
+    /// Per-edge cycle at which the open lane degradation began, cleared
+    /// by a full restore (indexed by fabric edge id; access edges first,
+    /// so index == socket on the star fabric).
     pub degraded_at: Vec<Option<u64>>,
     /// Per-edge balancer recovery latency in cycles (first non-Hold
     /// rebalance after the degradation).
@@ -297,7 +297,9 @@ const _: fn() = || {
 };
 
 impl SocketShard {
-    fn new(cfg: &Arc<SystemConfig>, socket: SocketId) -> Self {
+    /// A socket's partition around its access `link`, detached from the
+    /// fabric; `hop_latency` is the fabric's access-hop latency.
+    fn new(cfg: &Arc<SystemConfig>, socket: SocketId, link: GpuLink, hop_latency: Tick) -> Self {
         let sms_per_socket = cfg.sm.sms_per_socket as u32;
         let warp_slots = sms_per_socket as usize * cfg.sm.max_warps as usize;
         let l1_partition = if cfg.cache_mode == CacheMode::NumaAwareDynamic && cfg.partition_l1 {
@@ -325,7 +327,7 @@ impl SocketShard {
             dram: Dram::new(cfg.dram),
             noc_req: ServiceQueue::new(cfg.noc.bytes_per_cycle),
             noc_resp: ServiceQueue::new(cfg.noc.bytes_per_cycle),
-            link: GpuLink::new(&cfg.link),
+            link,
             ctl: PartitionController::new(cfg.l2.ways),
             queue: EventQueue::new(),
             outbox: Vec::new(),
@@ -343,7 +345,7 @@ impl SocketShard {
             buf_reuses: 0,
             noc_latency: cycles_to_ticks(cfg.noc.latency_cycles as u64),
             l2_hit_latency: cycles_to_ticks(cfg.l2.hit_latency_cycles as u64),
-            hop_latency: switch_hop_latency(&cfg.link),
+            hop_latency,
             cfg: Arc::clone(cfg),
         }
     }
@@ -427,7 +429,8 @@ pub struct NumaGpuSystem {
     /// into the shards at construction; the interior switch↔switch links
     /// stay here and are only ever charged at serial points (the barrier
     /// merge, the boundary flush, the control plane), so richer topologies
-    /// keep the byte-identical determinism argument of the star.
+    /// keep the byte-identical determinism argument of the star. Reach a
+    /// link by edge id through [`Self::links`] or [`Self::link_mut`].
     pub(crate) fabric: Topology,
     pub(crate) pages: PageTable,
     /// The shared control partition: balancer/cache sampling and fault
@@ -498,19 +501,16 @@ impl NumaGpuSystem {
         let sms_per_socket = cfg.sm.sms_per_socket as u32;
         let cfg = Arc::new(cfg);
 
-        let mut shards: Vec<SocketShard> = (0..sockets)
-            .map(|s| SocketShard::new(&cfg, SocketId::new(s as u8)))
-            .collect();
-
         // The fabric owns every link at construction; each socket's access
         // link is detached into its shard so windowed execution can drive
         // it without synchronization. Interior links stay with the fabric.
         let mut fabric = Topology::new(cfg.topology, &cfg.link, cfg.num_sockets)?;
-        for shard in &mut shards {
-            if let Some(link) = fabric.detach_access_link(shard.socket) {
-                shard.link = link;
-            }
-        }
+        let hop_latency = fabric.access_hop_latency();
+        let shards: Vec<SocketShard> = fabric
+            .detach_access_links()
+            .enumerate()
+            .map(|(s, link)| SocketShard::new(&cfg, SocketId::new(s as u8), link, hop_latency))
+            .collect();
 
         let obs = ObsState::new(&cfg.obs, sockets);
         let pages = PageTable::new(cfg.placement, cfg.num_sockets);
@@ -534,7 +534,7 @@ impl NumaGpuSystem {
 
         Ok(NumaGpuSystem {
             lookahead: fabric.min_hop_latency(),
-            hop_latency: fabric.access_hop_latency(),
+            hop_latency,
             sms_per_socket,
             cfg,
             shards,
@@ -564,6 +564,32 @@ impl NumaGpuSystem {
         &self.cfg
     }
 
+    /// Every fabric link as `(edge, link)`, in edge-id order: the shards'
+    /// access links first (edge == socket), then the fabric's interior
+    /// links (none on the star).
+    pub(crate) fn links(&self) -> impl Iterator<Item = (usize, &GpuLink)> {
+        let access = self.shards.iter().map(|shard| &shard.link).enumerate();
+        access.chain(self.fabric.interior_links())
+    }
+
+    /// [`Self::links`], mutably.
+    pub(crate) fn links_mut(&mut self) -> impl Iterator<Item = (usize, &mut GpuLink)> {
+        let access = self
+            .shards
+            .iter_mut()
+            .map(|shard| &mut shard.link)
+            .enumerate();
+        access.chain(self.fabric.interior_links_mut())
+    }
+
+    /// The link of fabric edge `edge` (`None` if out of range).
+    pub(crate) fn link_mut(&mut self, edge: usize) -> Option<&mut GpuLink> {
+        match self.shards.get_mut(edge) {
+            Some(shard) => Some(&mut shard.link),
+            None => self.fabric.link_mut(edge),
+        }
+    }
+
     /// Enables per-sample link utilization recording (Fig 5 timelines).
     /// Call before [`Self::run`].
     pub fn enable_link_timeline(&mut self) {
@@ -580,7 +606,7 @@ impl NumaGpuSystem {
     /// Returns [`SimError::InvalidFaultPlan`] if the plan references
     /// sockets, fabric edges, lanes, or SMs outside this system's shape.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), SimError> {
-        let lanes_total = self.cfg.link.lanes_per_direction.saturating_mul(2);
+        let lanes_total = self.cfg.link.lanes_per_direction * 2;
         let total_sms = self.shards.len() as u32 * self.sms_per_socket;
         let num_edges = self.fabric.num_edges().min(u8::MAX as usize) as u8;
         plan.validate(self.cfg.num_sockets, num_edges, lanes_total, total_sms)?;
@@ -693,7 +719,12 @@ impl NumaGpuSystem {
         // Access-link egress counts each cross-socket transfer once;
         // interior links charge exactly one direction per traversal, so
         // their byte totals add without double counting (zero on the star).
-        let interconnect_bytes = egress_bytes + self.fabric.interior_bytes();
+        let interior: u64 = self
+            .fabric
+            .interior_links()
+            .map(|(_, link)| link.stats().egress_bytes.get() + link.stats().ingress_bytes.get())
+            .sum();
+        let interconnect_bytes = egress_bytes + interior;
         let mut l1 = CacheStats::default();
         for sm in self.shards.iter().flat_map(|shard| shard.sms.iter()) {
             let s = sm.l1_stats();
@@ -719,32 +750,15 @@ impl NumaGpuSystem {
             .then(|| self.build_metrics(profile.as_ref()));
         let trace_events = self.obs.take_trace();
         let resilience = self.fault_state.as_ref().map(|fs| {
-            // Access edges first (edge id == socket), then the fabric's
-            // interior edges — absent on the star, so star reports are
-            // byte-identical to the pre-topology format.
-            let mut links: Vec<LinkResilience> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(s, shard)| LinkResilience {
-                    edge: s as u8,
-                    nominal_lane_cycles: total_cycles * shard.link.nominal_lanes() as u64,
-                    available_lane_cycles: shard.link.available_lane_ticks(self.now)
-                        / TICKS_PER_CYCLE,
-                    recovery_cycles: fs.recovery[s],
+            let links = self
+                .links()
+                .map(|(e, link)| LinkResilience {
+                    edge: e as u8,
+                    nominal_lane_cycles: total_cycles * link.nominal_lanes() as u64,
+                    available_lane_cycles: link.available_lane_ticks(self.now) / TICKS_PER_CYCLE,
+                    recovery_cycles: fs.recovery[e],
                 })
                 .collect();
-            for e in self.fabric.interior_edge_ids() {
-                if let Some(link) = self.fabric.link(e) {
-                    links.push(LinkResilience {
-                        edge: e as u8,
-                        nominal_lane_cycles: total_cycles * link.nominal_lanes() as u64,
-                        available_lane_cycles: link.available_lane_ticks(self.now)
-                            / TICKS_PER_CYCLE,
-                        recovery_cycles: fs.recovery[e],
-                    });
-                }
-            }
             ResilienceReport {
                 applied: fs.applied.clone(),
                 links,
@@ -926,23 +940,19 @@ impl NumaGpuSystem {
             .count("page_lookups", pt.lookups.get())
             .count("pages_placed", pt.pages_placed.get());
 
-        // Interconnect: NoC service requests and fabric-link traffic
-        // (access links in the shards plus any interior fabric edges).
-        let (mut noc, mut egress, mut ingress, mut turns) = (0u64, 0u64, 0u64, 0u64);
-        for shard in &self.shards {
-            noc += shard.noc_req.total_requests() + shard.noc_resp.total_requests();
-            let s = shard.link.stats();
+        // Interconnect: NoC service requests and traffic over every fabric
+        // link.
+        let noc: u64 = self
+            .shards
+            .iter()
+            .map(|shard| shard.noc_req.total_requests() + shard.noc_resp.total_requests())
+            .sum();
+        let (mut egress, mut ingress, mut turns) = (0u64, 0u64, 0u64);
+        for (_, link) in self.links() {
+            let s = link.stats();
             egress += s.egress_bytes.get();
             ingress += s.ingress_bytes.get();
             turns += s.lane_turns.get();
-        }
-        for e in self.fabric.interior_edge_ids() {
-            if let Some(link) = self.fabric.link(e) {
-                let s = link.stats();
-                egress += s.egress_bytes.get();
-                ingress += s.ingress_bytes.get();
-                turns += s.lane_turns.get();
-            }
         }
         p.scope("interconnect")
             .count("noc_requests", noc)

@@ -335,7 +335,7 @@ impl fmt::Display for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numa_gpu_testkit::gen::ints;
+    use numa_gpu_testkit::gen::{ints, one_of, pairs, quads, select, strings, vecs, Gen};
     use numa_gpu_testkit::{prop_assert_eq, prop_check};
 
     #[test]
@@ -443,11 +443,46 @@ mod tests {
         p.validate(1, 1, 2, 1).unwrap();
     }
 
+    /// Atom-shaped text: each atom is one of the grammar's shapes (or a
+    /// garbled one) around numbers at and past each field's bounds.
+    fn grammar_soup() -> Gen<String> {
+        let tokens = |list: &'static str| select(list.split('|').collect());
+        let shape = select(vec![
+            ("lanes:s", "@", "="),
+            ("retrain:s", "@", "+"),
+            ("dram:s", "@", "+"),
+            ("sm:", "-", "@"),
+            ("sm:", "@", ""),
+            ("lanes:", "=", "@"),
+            ("s", ":", "+"),
+        ]);
+        let num = tokens(concat!(
+            "0|1|7|42|255|256|5000|65535|65536|4294967295|4294967296|",
+            "18446744073709551615|18446744073709551616|+3|-|"
+        ));
+        let atom = quads(
+            shape,
+            num.clone(),
+            pairs(num.clone(), num),
+            tokens(";|,| ; "),
+        )
+        .map(|((k, m1, m2), a, (b, c), sep)| format!("{k}{a}{m1}{b}{m2}{c}{sep}"));
+        vecs(atom, 1..4).map(|atoms| atoms.concat())
+    }
+
     prop_check! {
         /// The spec grammar round-trips for any seeded plan.
         fn grammar_round_trips(seed in ints(0u64..1_000_000)) {
             let plan = FaultPlan::random(seed, 8, 16, 512, 1_000_000);
             prop_assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
+        }
+
+        /// `parse` never panics on arbitrary or grammar-shaped text, and
+        /// every plan it accepts round-trips through `Display`.
+        fn parse_survives_arbitrary_text(text in one_of(vec![strings(0..200), grammar_soup()])) {
+            if let Ok(plan) = FaultPlan::parse(&text) {
+                prop_assert_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan), "from {:?}", text);
+            }
         }
     }
 

@@ -23,9 +23,12 @@ pub struct LinkResilience {
     pub nominal_lane_cycles: u64,
     /// Lane-cycles actually available (integral of healthy lanes).
     pub available_lane_cycles: u64,
-    /// Cycles from the first lane degradation on this link to the lane
-    /// balancer's first rebalance after it (`None`: never degraded, or the
-    /// balancer never reacted before the run ended).
+    /// Cycles from the start of the link's open degradation to the lane
+    /// balancer's first rebalance after it. A degradation starts at the
+    /// first lane loss since the last full restore, so a restore followed
+    /// by a new loss restarts the clock; only the first response per link
+    /// is recorded (`None`: never degraded, or the balancer never reacted
+    /// before the run ended).
     pub recovery_cycles: Option<u64>,
 }
 

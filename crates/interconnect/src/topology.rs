@@ -1,6 +1,7 @@
 //! Composable inter-socket fabric topologies with per-hop routing.
 //!
-//! Generalizes the paper's single-switch star (Figure 1) into a graph of
+//! The paper's fabric (Figure 1) is one switch with a reversible-lane link
+//! per GPU; this module models it, and richer shapes, as one graph of
 //! nodes (GPU sockets and switches) connected by [`GpuLink`]-backed edges.
 //! Four shapes are provided (see [`TopologyKind`]): the star the paper
 //! evaluates, a bidirectional ring, a 2D mesh with X-then-Y routing, and a
@@ -12,17 +13,17 @@
 //! socket `i`'s *access* edge (the socket↔fabric link the paper's per-GPU
 //! lane balancer manages); interior switch↔switch edges follow in
 //! construction order. This keeps edge ids `0..n` interchangeable with
-//! socket indices, so existing fault plans and per-socket link reports keep
-//! their meaning on every topology.
+//! socket indices, so fault plans and per-socket link reports mean the
+//! same thing on every topology.
 //!
 //! Every hop charges lane occupancy on its edge's [`GpuLink`] plus the
 //! edge's propagation latency. Access edges pay half the configured one-way
-//! link latency — exactly the old switch model, where socket→socket is two
-//! access hops of `latency_cycles / 2` each. Interior backplane hops are
-//! modeled at half an access hop (`latency_cycles / 4`): switch-to-switch
-//! traces are short compared to the socket↔switch cable. The consequence,
-//! relied on by the partitioned executor, is that the minimum adjacent-hop
-//! latency equals the access-hop latency only in the star fabric.
+//! link latency, so a star transfer (two access hops) pays the full
+//! `latency_cycles`. Interior backplane hops are modeled at half an access
+//! hop (`latency_cycles / 4`): switch-to-switch traces are short compared
+//! to the socket↔switch cable. The consequence, relied on by the
+//! partitioned executor, is that the minimum adjacent-hop latency equals
+//! the access-hop latency only in the star fabric.
 //!
 //! Routes are precomputed at construction into a flat table indexed by
 //! `(from, to)`; routing is therefore deterministic and allocation-free on
@@ -51,10 +52,10 @@
 //! assert!(arrival > egress_clear);
 //! ```
 
-use crate::link::{GpuLink, LinkDirection, LinkSample};
-use crate::switch::switch_hop_latency;
-use crate::BalanceAction;
-use numa_gpu_types::{ConfigError, LinkConfig, SimError, SocketId, Tick, TopologyKind};
+use crate::link::{GpuLink, LinkDirection};
+use numa_gpu_types::{
+    cycles_to_ticks, ConfigError, LinkConfig, SimError, SocketId, Tick, TopologyKind,
+};
 
 /// A vertex of the fabric graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,19 +93,18 @@ pub struct Hop {
 /// A composable inter-socket fabric: sockets and switches joined by
 /// [`GpuLink`]-backed edges, with deterministic precomputed route tables.
 ///
-/// Built standalone it is a drop-in generalization of [`crate::Switch`]:
-/// [`Topology::route`] charges egress, per-hop traversal, and ingress and
-/// returns the same `(egress_clear, arrival)` pair as
-/// [`crate::Switch::transfer_timed`] — bit-identical for the star shape.
-/// Inside the core simulator the access links are detached into the socket
-/// partitions (see [`Topology::detach_access_link`]) and only the interior
-/// hops are charged here, at deterministic serial points.
+/// Built standalone, [`Topology::route`] carries a transfer end to end:
+/// the source's egress lanes, every hop in between, and the destination's
+/// ingress lanes. Inside the core simulator the access links are detached
+/// into the socket partitions (see [`Topology::detach_access_links`]) and
+/// only the interior hops are charged here, at deterministic serial
+/// points.
 #[derive(Debug, Clone)]
 pub struct Topology {
     kind: TopologyKind,
     num_sockets: u8,
     edges: Vec<EdgeSpec>,
-    /// One link per edge; `None` after `detach_access_link`.
+    /// One link per edge; `None` after `detach_access_links`.
     links: Vec<Option<GpuLink>>,
     /// Full hop path for `from * n + to`; empty when `from == to`.
     routes: Vec<Vec<Hop>>,
@@ -125,7 +125,7 @@ impl Topology {
         if num_sockets == 0 {
             return Err(ConfigError::new("topology needs at least one socket"));
         }
-        let access = switch_hop_latency(config);
+        let access = cycles_to_ticks(config.latency_cycles as u64) / 2;
         // Interior switch-to-switch traces are short backplane hops; model
         // them at half an access hop. Never zero, so windows stay nonempty.
         let interior = (access / 2).max(1);
@@ -166,11 +166,6 @@ impl Topology {
         self.edges.len()
     }
 
-    /// Edge ids of the interior (switch↔switch) hops.
-    pub fn interior_edge_ids(&self) -> std::ops::Range<usize> {
-        self.num_sockets as usize..self.edges.len()
-    }
-
     /// The edge list (index = edge id).
     pub fn edges(&self) -> &[EdgeSpec] {
         &self.edges
@@ -191,8 +186,8 @@ impl Topology {
         self.path(from, to).len()
     }
 
-    /// Propagation latency of an access (socket↔fabric) hop, in ticks —
-    /// the half-latency of the old switch model.
+    /// Propagation latency of an access (socket↔fabric) hop, in ticks:
+    /// half the configured one-way link latency.
     pub fn access_hop_latency(&self) -> Tick {
         self.access_hop_latency
     }
@@ -212,9 +207,9 @@ impl Topology {
 
     /// Sends `bytes` along the full precomputed route, charging lane
     /// occupancy and propagation on every hop in order. Returns
-    /// `(egress_clear, arrival)` exactly like
-    /// [`crate::Switch::transfer_timed`]: the tick the packet clears the
-    /// source's access lanes, and the tick it arrives at the destination.
+    /// `(egress_clear, arrival)`: the tick the packet clears the source's
+    /// access lanes (store backpressure), and the tick it arrives at the
+    /// destination.
     ///
     /// # Errors
     ///
@@ -273,8 +268,7 @@ impl Topology {
     /// deterministic serial points (window barriers, flush, control plane).
     ///
     /// For the star fabric there are no interior hops and `at` is returned
-    /// unchanged, which is what keeps star reports byte-identical to the
-    /// pre-topology model. Degenerate endpoints also return `at` unchanged.
+    /// unchanged. Degenerate endpoints also return `at` unchanged.
     pub fn interior_traverse(
         &mut self,
         from: SocketId,
@@ -299,14 +293,12 @@ impl Topology {
         t
     }
 
-    /// Moves socket `s`'s access link out of the fabric (the core gives it
-    /// to the socket's partition so parallel windows never share link
-    /// state). Returns `None` if out of range or already detached.
-    pub fn detach_access_link(&mut self, socket: SocketId) -> Option<GpuLink> {
-        if socket.index() >= self.num_sockets as usize {
-            return None;
-        }
-        self.links[socket.index()].take()
+    /// Moves the access links still attached out of the fabric, in socket
+    /// order (the core gives each to its socket's partition so parallel
+    /// windows never share link state).
+    pub fn detach_access_links(&mut self) -> impl Iterator<Item = GpuLink> + '_ {
+        let n = self.num_sockets as usize;
+        self.links[..n].iter_mut().filter_map(Option::take)
     }
 
     /// Immutable access to one edge's link (`None` if out of range or
@@ -322,47 +314,19 @@ impl Topology {
         self.links.get_mut(edge).and_then(|l| l.as_mut())
     }
 
-    /// Captures each attached interior link's utilization point for the
-    /// window ending at `now`, in edge-id order.
-    pub fn interior_sample_points(&self, now: Tick) -> Vec<(usize, LinkSample)> {
-        self.interior_edge_ids()
-            .filter_map(|e| self.links[e].as_ref().map(|l| (e, l.sample_point(now))))
-            .collect()
+    /// The interior (switch↔switch) links as `(edge, link)`, in edge-id
+    /// order; empty on the star fabric.
+    pub fn interior_links(&self) -> impl Iterator<Item = (usize, &GpuLink)> {
+        let n = self.num_sockets as usize;
+        let links = self.links[n..].iter().enumerate();
+        links.filter_map(move |(i, l)| l.as_ref().map(|l| (n + i, l)))
     }
 
-    /// Runs one balancer period on every attached interior link, in edge-id
-    /// order; returns `(edge, action)` pairs.
-    pub fn interior_sample_and_rebalance(
-        &mut self,
-        now: Tick,
-        threshold: f64,
-    ) -> Vec<(usize, BalanceAction)> {
-        let ids: Vec<usize> = self.interior_edge_ids().collect();
-        ids.into_iter()
-            .filter_map(|e| {
-                self.links[e]
-                    .as_mut()
-                    .map(|l| (e, l.sample_and_rebalance(now, threshold)))
-            })
-            .collect()
-    }
-
-    /// Resets every attached interior link to the symmetric kernel-launch
-    /// lane split (access links are reset by their owning partitions).
-    pub fn reset_interior_symmetric(&mut self, now: Tick) {
-        for e in self.num_sockets as usize..self.links.len() {
-            if let Some(l) = self.links[e].as_mut() {
-                l.reset_symmetric(now);
-            }
-        }
-    }
-
-    /// Total bytes moved over the interior hops (both directions).
-    pub fn interior_bytes(&self) -> u64 {
-        self.interior_edge_ids()
-            .filter_map(|e| self.links[e].as_ref())
-            .map(|l| l.stats().egress_bytes.get() + l.stats().ingress_bytes.get())
-            .sum()
+    /// [`Self::interior_links`], mutably.
+    pub fn interior_links_mut(&mut self) -> impl Iterator<Item = (usize, &mut GpuLink)> {
+        let n = self.num_sockets as usize;
+        let links = self.links[n..].iter_mut().enumerate();
+        links.filter_map(move |(i, l)| l.as_mut().map(|l| (n + i, l)))
     }
 }
 
@@ -434,7 +398,8 @@ impl TopologyBuilder {
     }
 
     /// The paper's fabric: every socket on one central switch, no interior
-    /// edges. Routes are exactly the old `Switch::transfer` path.
+    /// edges. Every route is the source's egress, then the destination's
+    /// ingress.
     fn star(self) -> Built {
         Built {
             edges: self.access_edges(|_| Node::Switch(0)),
@@ -603,7 +568,6 @@ impl TopologyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Switch;
     use numa_gpu_types::{ticks_to_cycles, LinkMode};
 
     fn cfg() -> LinkConfig {
@@ -625,7 +589,7 @@ mod tests {
     fn star_has_no_interior_edges_and_two_hop_routes() {
         let t = Topology::new(TopologyKind::Star, &cfg(), 8).unwrap();
         assert_eq!(t.num_edges(), 8);
-        assert_eq!(t.interior_edge_ids().len(), 0);
+        assert_eq!(t.interior_links().count(), 0);
         for a in 0..8 {
             for b in 0..8 {
                 let expect = if a == b { 0 } else { 2 };
@@ -637,22 +601,20 @@ mod tests {
 
     #[test]
     fn star_route_matches_switch_exactly() {
-        // The differential contract: the star topology must reproduce the
-        // old Switch arrival and egress-clear ticks bit for bit, including
-        // queueing state carried across transfers.
-        let c = cfg();
-        let mut sw = Switch::new(&c, 4).unwrap();
-        let mut topo = Topology::new(TopologyKind::Star, &c, 4).unwrap();
-        let transfers = [
-            (0u64, 0u8, 1u8, 6400u32),
-            (0, 0, 2, 144),
-            (10, 2, 0, 144),
-            (10, 3, 1, 16),
-            (500, 1, 0, 128),
-            (500, 0, 1, 6400),
+        // The paper's single-switch timing, pinned as `(egress_clear,
+        // arrival)` ticks with queueing state carried across transfers. At
+        // 64 B/cycle and 1024 ticks a cycle, 6400 B occupy a direction for
+        // 102_400 ticks, and each access hop adds 65_536 (64 cycles).
+        let mut topo = Topology::new(TopologyKind::Star, &cfg(), 4).unwrap();
+        let table = [
+            ((0u64, 0u8, 1u8, 6400u32), (102_400, 335_872)),
+            ((0, 0, 2, 144), (104_704, 238_080)),
+            ((10, 2, 0, 144), (2_314, 135_690)),
+            ((10, 3, 1, 16), (266, 336_128)),
+            ((500, 1, 0, 128), (2_548, 137_738)),
+            ((500, 0, 1, 6400), (207_104, 440_576)),
         ];
-        for &(now, from, to, bytes) in &transfers {
-            let want = sw.transfer_timed(now, s(from), s(to), bytes).unwrap();
+        for ((now, from, to, bytes), want) in table {
             let got = topo.route(now, s(from), s(to), bytes).unwrap();
             assert_eq!(got, want, "transfer {now} {from}->{to} {bytes}B");
         }
@@ -733,21 +695,30 @@ mod tests {
         assert_eq!(small.hop_count(s(0), s(3)), 2);
     }
 
+    /// Bytes moved over the interior hops, both directions.
+    fn bytes_inside(t: &Topology) -> u64 {
+        let bytes = |l: &GpuLink| l.stats().egress_bytes.get() + l.stats().ingress_bytes.get();
+        t.interior_links().map(|(_, l)| bytes(l)).sum()
+    }
+
     #[test]
     fn interior_traverse_is_identity_on_star() {
         let mut t = Topology::new(TopologyKind::Star, &cfg(), 4).unwrap();
         assert_eq!(t.interior_traverse(s(0), s(3), 1234, 144), 1234);
-        assert_eq!(t.interior_bytes(), 0);
+        assert_eq!(bytes_inside(&t), 0);
     }
 
     #[test]
     fn interior_traverse_charges_interior_hops_only() {
         let mut t = Topology::new(TopologyKind::Ring, &cfg(), 4).unwrap();
-        let before = t.interior_bytes();
         let out = t.interior_traverse(s(0), s(1), 1000, 144);
         // One interior segment: service time plus the short hop latency.
         assert!(out > 1000);
-        assert_eq!(t.interior_bytes() - before, 144);
+        assert_eq!(bytes_inside(&t), 144);
+        assert_eq!(
+            t.interior_links().map(|(e, _)| e).collect::<Vec<_>>(),
+            [4, 5, 6, 7]
+        );
         // Access links untouched by interior traversal.
         assert_eq!(t.link(0).unwrap().stats().egress_bytes.get(), 0);
     }
@@ -755,9 +726,9 @@ mod tests {
     #[test]
     fn detached_access_link_fails_standalone_routing() {
         let mut t = Topology::new(TopologyKind::Star, &cfg(), 2).unwrap();
-        let link = t.detach_access_link(s(0));
-        assert!(link.is_some());
-        assert!(t.detach_access_link(s(0)).is_none());
+        assert_eq!(t.detach_access_links().count(), 2);
+        assert_eq!(t.detach_access_links().count(), 0);
+        assert!(t.link(0).is_none());
         let err = t.route(0, s(0), s(1), 128).unwrap_err();
         assert!(matches!(err, SimError::InvalidRoute { .. }));
         // Interior traversal still works (star: identity).

@@ -1,9 +1,9 @@
 //! Property tests for the reversible-lane link.
 
-use numa_gpu_interconnect::{GpuLink, LinkDirection, Switch};
+use numa_gpu_interconnect::{GpuLink, LinkDirection, Topology};
 use numa_gpu_testkit::gen::{bools, ints, pairs, triples, vecs};
 use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_assume, prop_check};
-use numa_gpu_types::{cycles_to_ticks, LinkConfig, LinkMode, SocketId};
+use numa_gpu_types::{cycles_to_ticks, LinkConfig, LinkMode, SocketId, TopologyKind};
 
 fn cfg(mode: LinkMode) -> LinkConfig {
     LinkConfig {
@@ -69,23 +69,26 @@ prop_check! {
         prop_assert_eq!(link.lanes(LinkDirection::Ingress), 8);
     }
 
-    /// A switch transfer always arrives no earlier than the wire latency
-    /// plus the minimum occupancy, and loads exactly the two endpoint links.
+    /// A transfer across the star switch always arrives no earlier than
+    /// the wire latency plus the minimum occupancy, and loads exactly the
+    /// two endpoint links.
     fn switch_transfer_bounds(
         bytes in ints(1u32..100_000),
         from in ints(0u8..4),
         to in ints(0u8..4)
     ) {
         prop_assume!(from != to);
-        let mut sw = Switch::new(&cfg(LinkMode::StaticSymmetric), 4).unwrap();
-        let arrive = sw
-            .transfer(0, SocketId::new(from), SocketId::new(to), bytes)
+        let mut star = Topology::new(TopologyKind::Star, &cfg(LinkMode::StaticSymmetric), 4).unwrap();
+        let (_, arrive) = star
+            .route(0, SocketId::new(from), SocketId::new(to), bytes)
             .unwrap();
         let min_occ = (bytes as u64 * 1024).div_ceil(64);
         prop_assert!(arrive >= cycles_to_ticks(128) + 2 * min_occ);
-        prop_assert_eq!(sw.link(SocketId::new(from)).stats().egress_bytes.get(), bytes as u64);
-        prop_assert_eq!(sw.link(SocketId::new(to)).stats().ingress_bytes.get(), bytes as u64);
-        prop_assert_eq!(sw.total_bytes(), 2 * bytes as u64);
+        let stats = |s: u8| star.link(s as usize).unwrap().stats();
+        prop_assert_eq!(stats(from).egress_bytes.get(), bytes as u64);
+        prop_assert_eq!(stats(to).ingress_bytes.get(), bytes as u64);
+        let total: u64 = (0..4).map(|s| stats(s).egress_bytes.get() + stats(s).ingress_bytes.get()).sum();
+        prop_assert_eq!(total, 2 * bytes as u64);
     }
 
     /// Double-bandwidth mode is never slower than the static link for the

@@ -554,6 +554,14 @@ impl SystemConfig {
         if self.link.lanes_per_direction == 0 || self.link.lane_bytes_per_cycle == 0 {
             return Err(ConfigError::new("link lanes and lane rate must be nonzero"));
         }
+        // A link pools both directions' lanes in one `u8` lane total.
+        let max_lanes = u8::MAX / 2;
+        if self.link.lanes_per_direction > max_lanes {
+            return Err(ConfigError::new(format!(
+                "link: lanes_per_direction must be in 1..={max_lanes}, got {}",
+                self.link.lanes_per_direction
+            )));
+        }
         if self.link.sample_time_cycles == 0 || self.cache_sample_time_cycles == 0 {
             return Err(ConfigError::new("sample times must be nonzero"));
         }
@@ -679,6 +687,20 @@ mod tests {
         c.l1.size_bytes = 512 * LINE_SIZE;
         c.l1.ways = 257;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn link_lanes_capped_so_the_lane_total_fits_a_byte() {
+        let mut c = SystemConfig::pascal_single();
+        c.link.lanes_per_direction = 127;
+        c.validate().unwrap();
+        c.link.lanes_per_direction = 128;
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.message()
+                .contains("lanes_per_direction must be in 1..=127"),
+            "{err}"
+        );
     }
 
     #[test]

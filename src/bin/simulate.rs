@@ -369,7 +369,7 @@ fn main() {
         (None, Some(seed)) => Some(FaultPlan::random(
             seed,
             cfg.num_sockets,
-            cfg.link.lanes_per_direction.saturating_mul(2),
+            cfg.link.lanes_per_direction * 2,
             cfg.num_sockets as u32 * cfg.sm.sms_per_socket as u32,
             FAULT_HORIZON_CYCLES,
         )),
