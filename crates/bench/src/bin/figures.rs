@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures [--quick] [--jobs N] [--sim-threads N] [--profile] [--out DIR]
-//!         [--cache-dir DIR] [--topology star|ring|mesh|fattree] [artifact...]
+//!         [--cache-dir DIR] [artifact...]
 //!
 //! artifacts: table1 table2 fig2 fig3 fig5 fig6 fig6-sens fig8 fig9
 //!            fig9-wb fig10 fig11 power ablations resilience
@@ -20,18 +20,17 @@
 //! `--profile` prints a work-attribution table summed over every
 //! simulation at the end; it never changes the artifacts themselves (the
 //! profile is assembled at report time from counters the simulator
-//! maintains unconditionally). `--topology` reruns the paper figures on a
-//! different fabric (default star, the paper's switch); the `scaling` and
-//! `collective` artifacts pin their own per-curve topologies and ignore
-//! the flag. `--cache-dir DIR` backs the in-memory memo with the on-disk
-//! content-addressed store: a second run of the same figures serves every
-//! simulation warm from disk and prints byte-identical artifacts (warm-hit
-//! counts go to stderr at the end).
+//! maintains unconditionally). `--cache-dir DIR` backs the in-memory memo
+//! with the on-disk content-addressed store: a second run of the same
+//! figures serves every simulation warm from disk and prints
+//! byte-identical artifacts (warm-hit counts go to stderr at the end).
+//! A `--out` or `--cache-dir` directory that cannot be used exits 2.
+//! The paper figures run on the star fabric; `scaling` and `collective`
+//! sweep every fabric (`simulate --topology` runs one workload on any).
 
 use numa_gpu_bench::{experiments, Runner};
 use numa_gpu_exec::ThreadPool;
 use numa_gpu_workloads::Scale;
-use std::io::Write;
 use std::time::Instant;
 
 const ALL: [&str; 17] = [
@@ -59,10 +58,17 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
     eprintln!(
         "usage: figures [--quick] [--jobs N] [--sim-threads N] [--profile] [--out DIR] \
-         [--cache-dir DIR] [--topology star|ring|mesh|fattree] [artifact...]\n\n\
+         [--cache-dir DIR] [artifact...]\n\n\
          artifacts (default: all): {}",
         ALL.join(" ")
     );
+    std::process::exit(2);
+}
+
+/// Prints why the directory given to `flag` cannot be used, then exits
+/// with status 2.
+fn dir_error(flag: &str, dir: &str, e: std::io::Error) -> ! {
+    eprintln!("{flag} {dir}: {e}");
     std::process::exit(2);
 }
 
@@ -74,7 +80,6 @@ fn main() {
     let mut jobs = ThreadPool::available().workers();
     let mut sim_threads: Option<u16> = None;
     let mut cache_dir = None;
-    let mut topology = None;
     let mut selected: Vec<&str> = Vec::new();
     // One pass, each flag consuming its value where it stands, so a value
     // can never be mistaken for an artifact name (or the reverse).
@@ -104,16 +109,6 @@ fn main() {
                     ))
                 }));
             }
-            "--topology" => {
-                let v = value("--topology");
-                topology = Some(
-                    numa_gpu_types::TopologyKind::from_flag(&v).unwrap_or_else(|| {
-                        usage(&format!(
-                            "--topology expects star|ring|mesh|fattree, got `{v}`"
-                        ))
-                    }),
-                );
-            }
             flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
             name if ALL.contains(&name) => selected.push(name),
             other => usage(&format!("unknown artifact `{other}`")),
@@ -128,21 +123,17 @@ fn main() {
     if let Some(threads) = sim_threads {
         runner = runner.sim_threads(threads);
     }
-    if let Some(kind) = topology {
-        runner = runner.topology(kind);
-    }
     if profile {
         runner = runner.profile();
     }
     if let Some(dir) = &cache_dir {
-        runner = runner.cache_dir(dir).unwrap_or_else(|e| {
-            eprintln!("--cache-dir {dir}: {e}");
-            std::process::exit(2);
-        });
+        runner = runner
+            .cache_dir(dir)
+            .unwrap_or_else(|e| dir_error("--cache-dir", dir, e));
     }
     eprintln!("using {} worker thread(s)", runner.job_count());
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).expect("create output dir");
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| dir_error("--out", dir, e));
     }
 
     for name in &selected {
@@ -170,9 +161,8 @@ fn main() {
         };
         println!("{text}");
         if let Some(dir) = &out_dir {
-            let path = format!("{dir}/{name}.txt");
-            let mut f = std::fs::File::create(&path).expect("create artifact file");
-            f.write_all(text.as_bytes()).expect("write artifact");
+            std::fs::write(format!("{dir}/{name}.txt"), &text)
+                .unwrap_or_else(|e| dir_error("--out", dir, e));
         }
         eprintln!(
             "<<< {name} done in {:.1?} ({} sims so far)",

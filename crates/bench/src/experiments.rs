@@ -5,17 +5,22 @@
 //! Every experiment is two-phase: it first *declares* the simulations it
 //! needs as a [`SimPlan`] and hands them to [`Runner::execute`] (which
 //! fans not-yet-cached jobs out over the worker pool), then *assembles*
-//! its table serially from the memoized reports. The assembly phase is
-//! pure memo lookups by `(label, workload)` — [`Runner::lookup`] panics
-//! on a job the plan never declared rather than simulating it — so each
-//! `(label, config)` pairing is stated once, in the plan, and tables are
-//! byte-identical at every `--jobs` count.
+//! its table serially from the memoized reports ([`Runner::lookup`]
+//! panics on a job the plan never declared rather than simulating it).
+//! Most paper figures are one declaration: a baseline `(label, config)`
+//! and its variants, which `speedups` turns into the plan and into one
+//! row per workload of each variant's speedup over the baseline. So each
+//! `(label, config)` pairing is stated once, and tables are byte-identical
+//! at every `--jobs` count.
 
 use crate::{configs, geomean, JobKey, Row, Runner, SimPlan, Table};
 use numa_gpu_faults::FaultPlan;
 use numa_gpu_runtime::Workload;
 use numa_gpu_types::{CacheMode, SystemConfig, TopologyKind, WritePolicy};
 use numa_gpu_workloads::{catalog, collectives, study_set};
+
+/// A labelled configuration: one design point of a sweep.
+type Variant = (String, SystemConfig);
 
 /// Sample times (cycles) swept in Figure 6.
 pub const FIG6_SAMPLE_TIMES: [u32; 4] = [1_000, 5_000, 10_000, 50_000];
@@ -52,8 +57,52 @@ fn study(runner: &Runner) -> Vec<Workload> {
 }
 
 /// Labels a config for a [`SimPlan::cross`] variant list.
-fn v(label: impl Into<String>, cfg: SystemConfig) -> (String, SystemConfig) {
+fn v(label: impl Into<String>, cfg: SystemConfig) -> Variant {
     (label.into(), cfg)
+}
+
+/// Runs `baseline` and `variants` over `wls` as one [`SimPlan::cross`]
+/// and returns one row per workload, in `wls` order, of each variant's
+/// speedup over the baseline.
+fn speedups(
+    runner: &mut Runner,
+    wls: &[Workload],
+    baseline: &Variant,
+    variants: &[Variant],
+) -> Vec<Row> {
+    let mut all = vec![baseline.clone()];
+    all.extend_from_slice(variants);
+    runner.execute(SimPlan::cross(&all, wls));
+    wls.iter()
+        .map(|wl| {
+            let base = runner.lookup(&baseline.0, wl);
+            let values = variants
+                .iter()
+                .map(|(label, _)| runner.lookup(label, wl).speedup_over(&base))
+                .collect();
+            Row::new(wl.meta.name.clone(), values)
+        })
+        .collect()
+}
+
+/// The geomean of each column of `rows`.
+fn geomeans(rows: &[Row]) -> Vec<f64> {
+    let width = rows.first().map_or(0, |r| r.values.len());
+    (0..width)
+        .map(|i| geomean(&rows.iter().map(|r| r.values[i]).collect::<Vec<_>>()))
+        .collect()
+}
+
+/// A per-workload figure: `rows` sorted by `key`, largest first (ties keep
+/// their order), then the arithmetic- and geometric-mean rows.
+fn ranked(title: &str, headers: &[&str], mut rows: Vec<Row>, key: fn(&Row) -> f64) -> Table {
+    rows.sort_by(|a, b| key(b).partial_cmp(&key(a)).unwrap());
+    let mut t = Table::new(title, headers);
+    for r in rows {
+        t.push(r);
+    }
+    t.push_means();
+    t
 }
 
 /// Table 1: the simulation parameters actually in force (from
@@ -159,39 +208,19 @@ pub fn fig2(runner: &Runner) -> Table {
 /// between theoretical and locality speedup, as in the paper.
 pub fn fig3(runner: &mut Runner) -> Table {
     let wls = workloads(runner);
-    runner.execute(SimPlan::cross(&fig3_variants(), &wls));
-    let mut rows = Vec::new();
-    for wl in &wls {
-        let single = runner.lookup("single", wl);
-        let trad = runner.lookup("trad4", wl);
-        let loc = runner.lookup("loc4", wl);
-        let hypo = runner.lookup("hypo4", wl);
-        rows.push(Row::new(
-            wl.meta.name.clone(),
-            vec![
-                trad.speedup_over(&single),
-                loc.speedup_over(&single),
-                hypo.speedup_over(&single),
-            ],
-        ));
-    }
-    rows.sort_by(|a, b| {
-        let gap = |r: &Row| r.values[2] - r.values[1];
-        gap(b).partial_cmp(&gap(a)).unwrap()
-    });
-    let mut t = Table::new(
+    let sweep = fig3_variants();
+    let (single, variants) = sweep.split_first().expect("fig3 has a baseline");
+    ranked(
         "Figure 3: runtime policies on a 4-socket NUMA GPU (speedup vs 1 GPU)",
         &["traditional", "locality-opt", "hypothetical-4x"],
-    );
-    for r in rows {
-        t.push(r);
-    }
-    t.push_means();
-    t
+        speedups(runner, &wls, single, variants),
+        |r| r.values[2] - r.values[1],
+    )
 }
 
-/// The Figure-3 configuration sweep (also the plan behind the repo
-/// benchmark's `sweep_cold` / `sweep_warm` workloads).
+/// The Figure-3 configuration sweep, single-GPU baseline first (also the
+/// plan behind the repo benchmark's `sweep_cold` / `sweep_warm`
+/// workloads).
 pub fn fig3_variants() -> Vec<(String, SystemConfig)> {
     vec![
         v("single", configs::single()),
@@ -232,64 +261,38 @@ pub fn fig5(runner: &mut Runner) -> String {
 /// upper bound (the paper's left-to-right order).
 pub fn fig6(runner: &mut Runner) -> Table {
     let wls = study(runner);
-    let mut variants = vec![v("loc4", configs::locality(4))];
-    for st in FIG6_SAMPLE_TIMES {
-        variants.push(v(format!("dyn4-{st}"), configs::dynamic_link(4, st)));
-    }
+    let mut variants: Vec<Variant> = FIG6_SAMPLE_TIMES
+        .iter()
+        .map(|&st| v(format!("dyn4-{st}"), configs::dynamic_link(4, st)))
+        .collect();
     variants.push(v("2xbw4", configs::double_bandwidth(4)));
-    runner.execute(SimPlan::cross(&variants, &wls));
-
-    let mut rows = Vec::new();
-    for wl in &wls {
-        let base = runner.lookup("loc4", wl);
-        let mut values = Vec::new();
-        for st in FIG6_SAMPLE_TIMES {
-            let dyn_r = runner.lookup(&format!("dyn4-{st}"), wl);
-            values.push(dyn_r.speedup_over(&base));
-        }
-        let dbl = runner.lookup("2xbw4", wl);
-        values.push(dbl.speedup_over(&base));
-        rows.push(Row::new(wl.meta.name.clone(), values));
-    }
-    rows.sort_by(|a, b| b.values[4].partial_cmp(&a.values[4]).unwrap());
-    let mut t = Table::new(
+    ranked(
         "Figure 6: dynamic link adaptivity (speedup vs static symmetric links)",
         &["1K-cyc", "5K-cyc", "10K-cyc", "50K-cyc", "2x-BW"],
-    );
-    for r in rows {
-        t.push(r);
-    }
-    t.push_means();
-    t
+        speedups(runner, &wls, &v("loc4", configs::locality(4)), &variants),
+        |r| r.values[4],
+    )
 }
 
 /// §4.1 sensitivity: lane switch time 10/100/500 cycles at the 5K-cycle
 /// sample time (geomean speedup over the static baseline).
 pub fn fig6_switch_sensitivity(runner: &mut Runner) -> Table {
     let wls = study(runner);
-    let mut variants = vec![v("loc4", configs::locality(4))];
-    for sw in SWITCH_TIMES {
-        let mut cfg = configs::dynamic_link(4, 5_000);
-        cfg.link.switch_time_cycles = sw;
-        variants.push(v(format!("dyn4-sw{sw}"), cfg));
-    }
-    runner.execute(SimPlan::cross(&variants, &wls));
-
+    let variants: Vec<Variant> = SWITCH_TIMES
+        .iter()
+        .map(|&sw| {
+            let mut cfg = configs::dynamic_link(4, 5_000);
+            cfg.link.switch_time_cycles = sw;
+            v(format!("dyn4-sw{sw}"), cfg)
+        })
+        .collect();
+    let rows = speedups(runner, &wls, &v("loc4", configs::locality(4)), &variants);
     let mut t = Table::new(
         "S4.1 sensitivity: lane switch time (geomean speedup vs static links)",
         &["geomean-speedup"],
     );
-    for sw in SWITCH_TIMES {
-        let mut speedups = Vec::new();
-        for wl in &wls {
-            let base = runner.lookup("loc4", wl);
-            let r = runner.lookup(&format!("dyn4-sw{sw}"), wl);
-            speedups.push(r.speedup_over(&base));
-        }
-        t.push(Row::new(
-            format!("switch-{sw}-cycles"),
-            vec![geomean(&speedups)],
-        ));
+    for (sw, gm) in SWITCH_TIMES.iter().zip(geomeans(&rows)) {
+        t.push(Row::new(format!("switch-{sw}-cycles"), vec![gm]));
     }
     t
 }
@@ -298,43 +301,20 @@ pub fn fig6_switch_sensitivity(runner: &mut Runner) -> Table {
 /// mem-side local-only baseline. Sorted by the NUMA-aware column.
 pub fn fig8(runner: &mut Runner) -> Table {
     let wls = study(runner);
-    let variants = vec![
-        v("loc4", configs::locality(4)),
-        v(
-            "cache-static",
-            configs::cache(4, CacheMode::StaticRemoteCache),
-        ),
-        v("cache-shared", configs::cache(4, CacheMode::SharedCoherent)),
-        v("cache-numa", configs::cache(4, CacheMode::NumaAwareDynamic)),
+    let memside = v("loc4", configs::locality(4));
+    let cache = |label: &str, mode| v(label, configs::cache(4, mode));
+    let variants = [
+        memside.clone(),
+        cache("cache-static", CacheMode::StaticRemoteCache),
+        cache("cache-shared", CacheMode::SharedCoherent),
+        cache("cache-numa", CacheMode::NumaAwareDynamic),
     ];
-    runner.execute(SimPlan::cross(&variants, &wls));
-
-    let mut rows = Vec::new();
-    for wl in &wls {
-        let memside = runner.lookup("loc4", wl);
-        let stat = runner.lookup("cache-static", wl);
-        let shared = runner.lookup("cache-shared", wl);
-        let na = runner.lookup("cache-numa", wl);
-        rows.push(Row::new(
-            wl.meta.name.clone(),
-            vec![
-                1.0,
-                stat.speedup_over(&memside),
-                shared.speedup_over(&memside),
-                na.speedup_over(&memside),
-            ],
-        ));
-    }
-    rows.sort_by(|a, b| b.values[3].partial_cmp(&a.values[3]).unwrap());
-    let mut t = Table::new(
+    ranked(
         "Figure 8: NUMA-aware cache partitioning (speedup vs mem-side L2)",
         &["mem-side", "static-50/50", "shared-coherent", "numa-aware"],
-    );
-    for r in rows {
-        t.push(r);
-    }
-    t.push_means();
-    t
+        speedups(runner, &wls, &memside, &variants),
+        |r| r.values[3],
+    )
 }
 
 /// Figure 9: overhead of extending SW coherence into the L2 — performance
@@ -342,61 +322,34 @@ pub fn fig8(runner: &mut Runner) -> Table {
 /// (`>1` = the flush costs performance).
 pub fn fig9(runner: &mut Runner) -> Table {
     let wls = study(runner);
-    let mut icfg = configs::cache(4, CacheMode::NumaAwareDynamic);
-    icfg.ideal_no_l2_invalidate = true;
-    let variants = vec![
-        v("cache-numa", configs::cache(4, CacheMode::NumaAwareDynamic)),
-        v("cache-numa-ideal", icfg),
-    ];
-    runner.execute(SimPlan::cross(&variants, &wls));
-
-    let mut rows = Vec::new();
-    for wl in &wls {
-        let real = runner.lookup("cache-numa", wl);
-        let ideal = runner.lookup("cache-numa-ideal", wl);
-        rows.push(Row::new(
-            wl.meta.name.clone(),
-            vec![
-                ideal.speedup_over(&real),
-                100.0 * (ideal.speedup_over(&real) - 1.0),
-            ],
-        ));
+    let mut ideal = configs::cache(4, CacheMode::NumaAwareDynamic);
+    ideal.ideal_no_l2_invalidate = true;
+    let real = v("cache-numa", configs::cache(4, CacheMode::NumaAwareDynamic));
+    let mut rows = speedups(runner, &wls, &real, &[v("cache-numa-ideal", ideal)]);
+    for r in &mut rows {
+        r.values.push(100.0 * (r.values[0] - 1.0));
     }
-    rows.sort_by(|a, b| b.values[1].partial_cmp(&a.values[1]).unwrap());
-    let mut t = Table::new(
+    ranked(
         "Figure 9: SW coherence invalidation overhead in the L2",
         &["ideal-vs-real", "overhead-pct"],
-    );
-    for r in rows {
-        t.push(r);
-    }
-    t.push_means();
-    t
+        rows,
+        |r| r.values[1],
+    )
 }
 
 /// §5.2 sensitivity: write-back vs write-through L2 under the NUMA-aware
 /// design (geomean of WB speedup over WT).
 pub fn fig9_writeback(runner: &mut Runner) -> Table {
     let wls = study(runner);
-    let mut wtc = configs::cache(4, CacheMode::NumaAwareDynamic);
-    wtc.l2.write_policy = WritePolicy::WriteThrough;
-    let variants = vec![
-        v("cache-numa", configs::cache(4, CacheMode::NumaAwareDynamic)),
-        v("cache-numa-wt", wtc),
-    ];
-    runner.execute(SimPlan::cross(&variants, &wls));
-
-    let mut speedups = Vec::new();
-    for wl in &wls {
-        let wb = runner.lookup("cache-numa", wl);
-        let wt = runner.lookup("cache-numa-wt", wl);
-        speedups.push(wb.speedup_over(&wt));
-    }
+    let mut wt = configs::cache(4, CacheMode::NumaAwareDynamic);
+    wt.l2.write_policy = WritePolicy::WriteThrough;
+    let wb = v("cache-numa", configs::cache(4, CacheMode::NumaAwareDynamic));
+    let rows = speedups(runner, &wls, &v("cache-numa-wt", wt), &[wb]);
     let mut t = Table::new(
         "S5.2 sensitivity: write-back vs write-through L2 (NUMA-aware design)",
         &["geomean-WB-over-WT"],
     );
-    t.push(Row::new("study-set", vec![geomean(&speedups)]));
+    t.push(Row::new("study-set", geomeans(&rows)));
     t
 }
 
@@ -404,40 +357,14 @@ pub fn fig9_writeback(runner: &mut Runner) -> Table {
 /// NUMA-aware caches only, both, and the 4× hypothetical, all vs one GPU.
 pub fn fig10(runner: &mut Runner) -> Table {
     let wls = workloads(runner);
-    let variants = vec![
-        v("single", configs::single()),
+    let variants = [
         v("loc4", configs::locality(4)),
         v("dyn4-5000", configs::dynamic_link(4, 5_000)),
         v("cache-numa", configs::cache(4, CacheMode::NumaAwareDynamic)),
         v("aware4", configs::numa_aware(4)),
         v("hypo4", configs::hypothetical(4)),
     ];
-    runner.execute(SimPlan::cross(&variants, &wls));
-
-    let mut rows = Vec::new();
-    for wl in &wls {
-        let single = runner.lookup("single", wl);
-        let loc = runner.lookup("loc4", wl);
-        let dyn_r = runner.lookup("dyn4-5000", wl);
-        let cache = runner.lookup("cache-numa", wl);
-        let both = runner.lookup("aware4", wl);
-        let hypo = runner.lookup("hypo4", wl);
-        rows.push(Row::new(
-            wl.meta.name.clone(),
-            vec![
-                loc.speedup_over(&single),
-                dyn_r.speedup_over(&single),
-                cache.speedup_over(&single),
-                both.speedup_over(&single),
-                hypo.speedup_over(&single),
-            ],
-        ));
-    }
-    rows.sort_by(|a, b| {
-        let gap = |r: &Row| r.values[4] - r.values[3];
-        gap(b).partial_cmp(&gap(a)).unwrap()
-    });
-    let mut t = Table::new(
+    ranked(
         "Figure 10: combined NUMA-aware GPU (speedup vs 1 GPU)",
         &[
             "SW-baseline",
@@ -446,65 +373,33 @@ pub fn fig10(runner: &mut Runner) -> Table {
             "combined",
             "hypo-4x",
         ],
-    );
-    for r in rows {
-        t.push(r);
-    }
-    t.push_means();
-    t
+        speedups(runner, &wls, &v("single", configs::single()), &variants),
+        |r| r.values[4] - r.values[3],
+    )
 }
 
 /// Figure 11: 2/4/8-socket NUMA-aware scalability against the equally
 /// scaled hypothetical single GPUs, over all 41 workloads.
 pub fn fig11(runner: &mut Runner) -> Table {
     let wls = workloads(runner);
-    let mut variants = vec![v("single", configs::single())];
-    for n in [2u8, 4, 8] {
-        variants.push(v(format!("aware{n}"), configs::numa_aware(n)));
-    }
-    for n in [2u8, 4, 8] {
-        variants.push(v(format!("hypo{n}"), configs::hypothetical(n)));
-    }
-    runner.execute(SimPlan::cross(&variants, &wls));
-
-    let mut rows = Vec::new();
-    for wl in &wls {
-        let single = runner.lookup("single", wl);
-        let mut values = Vec::new();
-        for n in [2u8, 4, 8] {
-            let aware = runner.lookup(&format!("aware{n}"), wl);
-            values.push(aware.speedup_over(&single));
-        }
-        for n in [2u8, 4, 8] {
-            let hypo = runner.lookup(&format!("hypo{n}"), wl);
-            values.push(hypo.speedup_over(&single));
-        }
-        rows.push(Row::new(wl.meta.name.clone(), values));
-    }
-    rows.sort_by(|a, b| a.values[2].partial_cmp(&b.values[2]).unwrap());
-    let mut t = Table::new(
+    let sockets = [2u8, 4, 8];
+    let aware = sockets.map(|n| v(format!("aware{n}"), configs::numa_aware(n)));
+    let hypo = sockets.map(|n| v(format!("hypo{n}"), configs::hypothetical(n)));
+    let single = v("single", configs::single());
+    let mut t = ranked(
         "Figure 11: 1-8 socket scalability (speedup vs 1 GPU)",
         &[
             "aware-2s", "aware-4s", "aware-8s", "hypo-2x", "hypo-4x", "hypo-8x",
         ],
+        speedups(runner, &wls, &single, &[aware, hypo].concat()),
+        // Smallest 8-socket speedup first.
+        |r| -r.values[2],
     );
-    for r in rows {
-        t.push(r);
-    }
-    t.push_means();
     // Efficiency vs theoretical scaling, from the geometric means.
-    let gm = &t.rows[t.rows.len() - 1].values.clone();
-    t.push(Row::new(
-        "Efficiency-pct(aware/hypo)",
-        vec![
-            100.0 * gm[0] / gm[3],
-            100.0 * gm[1] / gm[4],
-            100.0 * gm[2] / gm[5],
-            100.0,
-            100.0,
-            100.0,
-        ],
-    ));
+    let gm = t.rows.last().expect("mean rows pushed").values.clone();
+    let mut efficiency: Vec<f64> = (0..3).map(|i| 100.0 * gm[i] / gm[i + 3]).collect();
+    efficiency.extend([100.0; 3]);
+    t.push(Row::new("Efficiency-pct(aware/hypo)", efficiency));
     t
 }
 
@@ -584,8 +479,7 @@ pub fn resilience(runner: &mut Runner) -> Table {
             ],
         ));
     }
-    rows.sort_by(|a, b| b.values[0].partial_cmp(&a.values[0]).unwrap());
-    let mut t = Table::new(
+    ranked(
         "Resilience: NUMA-aware 4-socket under injected faults (vs clean run)",
         &[
             "slowdown",
@@ -593,79 +487,47 @@ pub fn resilience(runner: &mut Runner) -> Table {
             "recovery-cycles",
             "requeued-ctas",
         ],
-    );
-    for r in rows {
-        t.push(r);
-    }
-    t.push_means();
-    t
+        rows,
+        |r| r.values[0],
+    )
 }
 
 /// Design-choice ablations beyond the paper: L1 partitioning on/off,
 /// partition sample time, and placement policy under the NUMA-aware design.
 pub fn ablations(runner: &mut Runner) -> Table {
+    use numa_gpu_types::{CtaSchedulingPolicy, PagePlacement};
+    let aware = |label: &str, tweak: fn(&mut SystemConfig)| {
+        let mut cfg = configs::numa_aware(4);
+        tweak(&mut cfg);
+        v(label, cfg)
+    };
+    let variants = [
+        aware("aware4", |_| {}),
+        aware("aware-no-l1-partition", |c| c.partition_l1 = false),
+        aware("aware-sample-1k", |c| c.cache_sample_time_cycles = 1_000),
+        aware("aware-sample-20k", |c| c.cache_sample_time_cycles = 20_000),
+        aware("aware-page-interleave", |c| {
+            c.placement = PagePlacement::PageInterleave
+        }),
+        aware("aware-cta-interleave", |c| {
+            c.cta_policy = CtaSchedulingPolicy::Interleave
+        }),
+        aware("aware-page-migration", |c| {
+            c.placement = PagePlacement::FirstTouchMigrate {
+                migrate_threshold: 64,
+            }
+        }),
+        aware("aware-mlp-1", |c| c.sm.max_pending_loads = 1),
+        aware("aware-mlp-8", |c| c.sm.max_pending_loads = 8),
+    ];
+    let wls = study(runner);
+    let rows = speedups(runner, &wls, &v("loc4", configs::locality(4)), &variants);
     let mut t = Table::new(
         "Ablations (geomean speedup vs SW baseline, study set)",
         &["geomean-speedup"],
     );
-    let variants: Vec<(&str, SystemConfig)> = vec![
-        ("aware4", configs::numa_aware(4)),
-        ("aware-no-l1-partition", {
-            let mut c = configs::numa_aware(4);
-            c.partition_l1 = false;
-            c
-        }),
-        ("aware-sample-1k", {
-            let mut c = configs::numa_aware(4);
-            c.cache_sample_time_cycles = 1_000;
-            c
-        }),
-        ("aware-sample-20k", {
-            let mut c = configs::numa_aware(4);
-            c.cache_sample_time_cycles = 20_000;
-            c
-        }),
-        ("aware-page-interleave", {
-            let mut c = configs::numa_aware(4);
-            c.placement = numa_gpu_types::PagePlacement::PageInterleave;
-            c
-        }),
-        ("aware-cta-interleave", {
-            let mut c = configs::numa_aware(4);
-            c.cta_policy = numa_gpu_types::CtaSchedulingPolicy::Interleave;
-            c
-        }),
-        ("aware-page-migration", {
-            let mut c = configs::numa_aware(4);
-            c.placement = numa_gpu_types::PagePlacement::FirstTouchMigrate {
-                migrate_threshold: 64,
-            };
-            c
-        }),
-        ("aware-mlp-1", {
-            let mut c = configs::numa_aware(4);
-            c.sm.max_pending_loads = 1;
-            c
-        }),
-        ("aware-mlp-8", {
-            let mut c = configs::numa_aware(4);
-            c.sm.max_pending_loads = 8;
-            c
-        }),
-    ];
-    let wls = study(runner);
-    let mut all = vec![v("loc4", configs::locality(4))];
-    all.extend(variants.iter().map(|(label, cfg)| v(*label, cfg.clone())));
-    runner.execute(SimPlan::cross(&all, &wls));
-
-    for (label, _) in variants {
-        let mut speedups = Vec::new();
-        for wl in &wls {
-            let base = runner.lookup("loc4", wl);
-            let r = runner.lookup(label, wl);
-            speedups.push(r.speedup_over(&base));
-        }
-        t.push(Row::new(label, vec![geomean(&speedups)]));
+    for ((label, _), gm) in variants.iter().zip(geomeans(&rows)) {
+        t.push(Row::new(label.clone(), vec![gm]));
     }
     t
 }
@@ -682,9 +544,6 @@ const SCALING_COLLECTIVES: [&str; 2] = ["Coll-AllReduce-Ring", "Coll-AllToAll"];
 /// 8/16/32 sockets on each of the four fabrics, reported as speedup over
 /// the single-GPU baseline. Collectives are shaped by the socket count, so
 /// their baselines are keyed per machine shape (`single-16s` etc.).
-///
-/// All fabric runs are *pinned* topology jobs: a global `--topology`
-/// override leaves this sweep intact.
 pub fn topology_scaling(runner: &mut Runner) -> Table {
     let base_wls: Vec<Workload> = SCALING_WORKLOAD_NAMES
         .iter()
@@ -715,12 +574,12 @@ pub fn topology_scaling(runner: &mut Runner) -> Table {
             let label = format!("aware{n}-{}", kind.flag_name());
             let cfg = configs::numa_aware_topo(n, kind);
             for wl in &base_wls {
-                plan.topology_job(&label, cfg.clone(), wl);
+                plan.job(&label, cfg.clone(), wl);
             }
             for (m, cw) in &coll {
                 if *m == n {
                     for wl in cw {
-                        plan.topology_job(&label, cfg.clone(), wl);
+                        plan.job(&label, cfg.clone(), wl);
                     }
                 }
             }
@@ -785,7 +644,7 @@ pub fn collective_balance(runner: &mut Runner) -> Table {
     for kind in SCALING_TOPOLOGIES {
         let label = format!("dyn8-{}", kind.flag_name());
         for wl in &wls {
-            plan.topology_job(&label, configs::dynamic_link_topo(N, SAMPLE, kind), wl);
+            plan.job(&label, configs::dynamic_link_topo(N, SAMPLE, kind), wl);
         }
     }
     runner.execute(plan);
@@ -820,6 +679,22 @@ mod tests {
         Runner::new(numa_gpu_workloads::Scale::quick())
     }
 
+    /// Pins an artifact's quick-scale text by its fnv1a64, recorded before
+    /// figure assembly moved onto one declaration routine: a change to how
+    /// tables are put together must not move a byte of them.
+    fn assert_pinned(name: &str, text: &str, golden: u64) {
+        let got = numa_gpu_testkit::fnv1a64(text.as_bytes());
+        assert_eq!(got, golden, "{name} bytes moved (now {got:#018x})");
+    }
+
+    #[test]
+    fn simulation_free_artifacts_are_pinned() {
+        let r = quick_runner();
+        assert_pinned("table1", &table1(), 0xe9b21d0f49604e6a);
+        assert_pinned("table2", &table2(&r).to_string(), 0x19fb558a8fc3b926);
+        assert_pinned("fig2", &fig2(&r).to_string(), 0x3a42266e2daa0ad3);
+    }
+
     #[test]
     fn table1_mentions_key_parameters() {
         let s = table1();
@@ -845,8 +720,8 @@ mod tests {
     }
 
     /// The one full-catalog sweep that runs un-ignored: besides the table
-    /// shape it pins that assembly is lookup-only — the simulations run
-    /// are exactly the declared plan, no more.
+    /// shape and bytes it pins that assembly is lookup-only — the
+    /// simulations run are exactly the declared plan, no more.
     #[test]
     fn fig3_runs_at_quick_scale() {
         let mut r = quick_runner().jobs(numa_gpu_exec::ThreadPool::available().workers());
@@ -855,6 +730,7 @@ mod tests {
         assert!(t.rows.iter().all(|row| row.values.iter().all(|v| *v > 0.0)));
         let declared = SimPlan::cross(&fig3_variants(), &workloads(&r)).len();
         assert_eq!(r.runs(), declared as u64, "fig3 ran outside its plan");
+        assert_pinned("fig3", &t.to_string(), 0xc48e61f74e338210);
     }
 
     // Full-harness smoke tests: run with `cargo test -- --ignored` (each
@@ -911,6 +787,7 @@ mod tests {
         let csv = fig5(&mut r);
         assert!(csv.starts_with("cycle,gpu,"));
         assert!(csv.contains("kernel_start,"));
+        assert_pinned("fig5", &csv, 0xf66539341c85f69a);
     }
 
     #[test]

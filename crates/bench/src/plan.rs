@@ -23,7 +23,7 @@ use numa_gpu_core::{NumaGpuSystem, SimReport};
 use numa_gpu_exec::{Job, Reporter, ThreadPool};
 use numa_gpu_faults::FaultPlan;
 use numa_gpu_runtime::Workload;
-use numa_gpu_types::{SimError, SystemConfig, TopologyKind};
+use numa_gpu_types::{SimError, SystemConfig};
 use numa_gpu_workloads::Scale;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -107,12 +107,6 @@ pub struct SimJob {
     pub workload: Workload,
     /// Fault plan to install before the run (`None` for a clean run).
     pub faults: Option<FaultPlan>,
-    /// Whether this job's fabric topology is part of its identity (the
-    /// topology-sweep experiments pin one topology per label).
-    /// [`SimPlan::override_topology`] skips pinned jobs, so a global
-    /// `--topology` override cannot silently rewrite a sweep into four
-    /// copies of the same fabric.
-    pub topology_pinned: bool,
 }
 
 impl SimJob {
@@ -213,34 +207,6 @@ impl SimPlan {
         )
     }
 
-    /// Adds a simulation whose fabric topology is part of its identity:
-    /// the job's label encodes the topology (e.g. `"aware8-ring"`) and
-    /// [`SimPlan::override_topology`] leaves it alone. Use for
-    /// topology-sweep experiments; plain [`SimPlan::job`]s stay subject to
-    /// the global `--topology` override.
-    pub fn topology_job(
-        &mut self,
-        label: &str,
-        cfg: SystemConfig,
-        workload: &Workload,
-    ) -> &mut Self {
-        let before = self.jobs.len();
-        self.push(
-            JobKey::new(label, workload.meta.name.clone(), false),
-            cfg,
-            workload,
-            None,
-        );
-        // Only pin the job this call actually added — a deduplicated key
-        // must not pin whatever job happens to be last.
-        if self.jobs.len() > before {
-            if let Some(job) = self.jobs.last_mut() {
-                job.topology_pinned = true;
-            }
-        }
-        self
-    }
-
     /// Adds a job under an explicit key — the general form behind the
     /// helpers above, for a job that is both timeline-recording and
     /// fault-injected (`simulate --timeline --faults`). A non-empty
@@ -258,7 +224,6 @@ impl SimPlan {
                 cfg,
                 workload: workload.clone(),
                 faults,
-                topology_pinned: false,
             });
         }
         self
@@ -272,21 +237,6 @@ impl SimPlan {
     pub fn override_sim_threads(&mut self, threads: u16) {
         for job in &mut self.jobs {
             job.cfg.sim_threads = threads;
-        }
-    }
-
-    /// Overrides the fabric topology on every planned configuration whose
-    /// topology is *not* pinned (see [`SimPlan::topology_job`]). Unlike
-    /// `sim_threads` this changes simulation results, so the override must
-    /// be uniform for a whole process run (the `figures --topology` flag):
-    /// within one run every non-pinned job uses the same fabric, so the
-    /// memo stays consistent even though the topology is not part of the
-    /// job key.
-    pub fn override_topology(&mut self, kind: TopologyKind) {
-        for job in &mut self.jobs {
-            if !job.topology_pinned {
-                job.cfg.topology = kind;
-            }
         }
     }
 

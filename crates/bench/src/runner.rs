@@ -16,7 +16,7 @@ use crate::store::{DiskStore, StoreEvent, StoreStats};
 use numa_gpu_core::{ProfileReport, SimReport};
 use numa_gpu_exec::Reporter;
 use numa_gpu_runtime::Workload;
-use numa_gpu_types::{SimError, TopologyKind};
+use numa_gpu_types::SimError;
 use numa_gpu_workloads::Scale;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,7 +32,6 @@ pub struct Runner {
     runs: u64,
     jobs: usize,
     sim_threads: Option<u16>,
-    topology: Option<TopologyKind>,
     profile: bool,
     reporter: Arc<Reporter>,
 }
@@ -59,7 +58,6 @@ impl Runner {
             runs: 0,
             jobs: 1,
             sim_threads: None,
-            topology: None,
             profile: false,
             reporter: Arc::new(Reporter::stderr(false)),
         }
@@ -101,17 +99,6 @@ impl Runner {
     /// the override is not part of the cache key by design.
     pub fn sim_threads(mut self, threads: u16) -> Self {
         self.sim_threads = Some(threads);
-        self
-    }
-
-    /// Overrides the fabric topology on every simulation this runner
-    /// executes, *except* jobs that pin their own topology (the sweep
-    /// experiments — see [`SimPlan::topology_job`]). Unlike `sim_threads`
-    /// this changes results, so it must be set once for the whole process
-    /// (the `figures --topology` flag) — every non-pinned job then runs on
-    /// the same fabric and the memo stays internally consistent.
-    pub fn topology(mut self, kind: TopologyKind) -> Self {
-        self.topology = Some(kind);
         self
     }
 
@@ -198,17 +185,14 @@ impl Runner {
         if let Some(threads) = self.sim_threads {
             plan.override_sim_threads(threads);
         }
-        if let Some(kind) = self.topology {
-            plan.override_topology(kind);
-        }
         if self.profile {
             plan.override_profile(true);
         }
         // Each entry derives its store key once, after the overrides, so
-        // the store policy sees the job's *effective* config (topology
-        // changes results, `obs` decides what a hit may carry; the
-        // canonicalized knobs are hashed out either way) and the write
-        // after a cold run reuses the key of the read that missed.
+        // the store policy sees the job's *effective* config (`obs`
+        // decides what a hit may carry; the canonicalized knobs are
+        // hashed out either way) and the write after a cold run reuses
+        // the key of the read that missed.
         let mut cold = plan.into_keyed(&self.scale);
         if let Some(store) = &self.store {
             cold.retain(|job| match store.load_job(job) {

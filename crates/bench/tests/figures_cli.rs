@@ -10,13 +10,30 @@ fn figures() -> Command {
 
 #[test]
 fn unknown_flag_and_missing_value_exit_2_with_usage() {
-    for args in [&["--quik", "table1"][..], &["table1", "--out"][..]] {
+    for args in [
+        &["--quik", "table1"][..],
+        &["table1", "--out"][..],
+        &["--topology", "ring", "table1"][..],
+    ] {
         let out = figures().args(args).output().expect("figures runs");
         assert_eq!(out.status.code(), Some(2), "figures {args:?}");
         assert!(out.stdout.is_empty(), "nothing may run for {args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("usage: figures"), "figures {args:?}: {err}");
     }
+}
+
+#[test]
+fn an_unwritable_out_dir_exits_2_naming_it() {
+    let args = ["--out", "/dev/null/x", "fig2"];
+    let out = figures().args(args).output().expect("figures runs");
+    assert_eq!(out.status.code(), Some(2), "figures {args:?}");
+    assert!(out.stdout.is_empty(), "nothing may run for {args:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--out /dev/null/x: "),
+        "figures {args:?}: {err}"
+    );
 }
 
 #[test]

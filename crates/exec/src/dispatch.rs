@@ -15,6 +15,7 @@
 //! "must finish within N seconds" budgets, which the simulation itself —
 //! cycle-accurate and wall-clock-oblivious by design — cannot express.
 
+use crate::panic_message;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -238,18 +239,6 @@ fn worker_loop(shared: &Shared) {
             let _guard = shared.queue.lock().unwrap();
             shared.idle.notify_all();
         }
-    }
-}
-
-/// Best-effort extraction of a panic payload's message (the two shapes
-/// `panic!` actually produces, then a fallback).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

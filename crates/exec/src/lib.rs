@@ -48,3 +48,15 @@ mod reporter;
 pub use dispatch::{Deadline, Dispatcher, JobOutcome};
 pub use pool::{Job, ThreadPool};
 pub use reporter::Reporter;
+
+/// Best-effort extraction of a caught panic payload's message: the two
+/// shapes `panic!` produces (`&str` and `String`), then a fallback.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}

@@ -25,7 +25,7 @@ use crate::protocol::{JobSpec, LineSender, Request};
 use numa_gpu_bench::codec::encode_report;
 use numa_gpu_bench::{DiskStore, KeyedJob};
 use numa_gpu_core::SimReport;
-use numa_gpu_exec::{Deadline, Dispatcher, Reporter};
+use numa_gpu_exec::{panic_message, Deadline, Dispatcher, Reporter};
 use numa_gpu_testkit::json::Json;
 use numa_gpu_types::RetryClass;
 use std::io::{BufRead, BufReader, Write};
@@ -453,11 +453,7 @@ fn run_supervised(
                 }
             },
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let msg = panic_message(payload.as_ref());
                 if attempt + 1 < attempts {
                     shared
                         .reporter

@@ -289,7 +289,6 @@ impl JobSpec {
             cfg: self.config.config(self.sockets),
             workload,
             faults,
-            topology_pinned: false,
         })
     }
 }
@@ -338,6 +337,8 @@ impl Request {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numa_gpu_testkit::gen::{one_of, select, strings, triples, vecs, Gen};
+    use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check};
 
     #[test]
     fn submit_round_trips_through_canonical_line() {
@@ -386,6 +387,42 @@ mod tests {
             Request::parse("SUBMIT workload=w").unwrap(),
             Request::Submit(_)
         ));
+    }
+
+    /// Request-shaped text: a verb (mostly `SUBMIT`), a workload token,
+    /// then `key=value` tokens whose values sit on and just past each
+    /// key's grammar.
+    fn token_soup() -> Gen<String> {
+        let words = |list: &'static str| select(list.split('|').collect::<Vec<_>>());
+        let verb = words("SUBMIT|SUBMIT|SUBMIT|SUBMIT|PING|STATS|submit|");
+        let workload = words("workload=Rodinia-Euler3D|workload=x|workload=a=b|workload=|");
+        let token = one_of(vec![
+            words("config=single|config=numa|config=page|config=traditional|config=alien"),
+            words("sockets=2|sockets=255|sockets=+4|sockets=256|sockets=-1"),
+            words("timeline=0|timeline=1|timeline=true|timeline=2"),
+            words("scale=quick|scale=full|scale=huge"),
+            words("faults=lanes:s1@5000=8|faults=dram:s0@2000+300;sm:0-3@9|faults=|faults=sm:x"),
+            words("deadline=30|deadline=+7|deadline=18446744073709551615|deadline=-1"),
+            words("workload=Other-Stream-Triad|work=1|=|x"),
+        ]);
+        triples(verb, workload, vecs(token, 0..6))
+            .map(|(verb, workload, tokens)| format!("{verb} {workload} {}", tokens.join(" ")))
+    }
+
+    prop_check! {
+        /// `Request::parse` never panics on arbitrary or request-shaped
+        /// text; every spec it accepts round-trips through its canonical
+        /// line (what the journal stores), and its fault plan parses.
+        fn request_parse_survives_arbitrary_text(
+            text in one_of(vec![strings(0..200), token_soup()])
+        ) {
+            if let Ok(Request::Submit(spec)) = Request::parse(&text) {
+                prop_assert_eq!(JobSpec::parse(&spec.to_line()), Ok(spec.clone()), "from {:?}", text);
+                if let Some(faults) = &spec.faults {
+                    prop_assert!(FaultPlan::parse(faults).is_ok(), "from {:?}", text);
+                }
+            }
+        }
     }
 
     #[test]
