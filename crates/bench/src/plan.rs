@@ -119,8 +119,7 @@ impl SimJob {
     /// configured machine, or the simulation errors out. Callers decide
     /// what that means: [`Runner::execute`](crate::Runner::execute) panics
     /// (experiment plans are statically valid), `simulate` exits 3, the
-    /// daemon classifies it via
-    /// [`SimError::retry_class`](numa_gpu_types::SimError::retry_class).
+    /// daemon fails the job fast (a re-run would fail the same way).
     pub fn try_run(&self) -> Result<SimReport, SimError> {
         let mut sys = NumaGpuSystem::new(self.cfg.clone())?;
         if self.key.timeline {

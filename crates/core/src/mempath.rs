@@ -170,17 +170,7 @@ impl SocketShard {
     ) {
         let write_back = self.cfg.l2.write_policy == WritePolicy::WriteBack;
         let accept = if home == self.socket {
-            let done = if write_back {
-                if !self.l2.probe_write(line, true) {
-                    // Write-allocate without fetch (coalesced full-line
-                    // writes, the common GPU case).
-                    self.fill_l2(t, line, LineClass::Local, true, pages);
-                }
-                t
-            } else {
-                let _ = self.l2.probe_write(line, false);
-                self.dram.write_line(t, line, LINE_BYTES)
-            };
+            let done = self.absorb_write_at_home(t, line, pages);
             self.write_drain = self.write_drain.max(done);
             t
         } else if self.cfg.cache_mode.caches_remote() && write_back {
@@ -260,6 +250,8 @@ impl SocketShard {
     fn absorb_write_at_home(&mut self, t: Tick, line: LineAddr, pages: &mut PagesView<'_>) -> Tick {
         if self.cfg.l2.write_policy == WritePolicy::WriteBack {
             if !self.l2.probe_write(line, true) {
+                // Write-allocate without fetch (coalesced full-line
+                // writes, the common GPU case).
                 self.fill_l2(t, line, LineClass::Local, true, pages);
             }
             t

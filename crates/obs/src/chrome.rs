@@ -38,7 +38,7 @@ pub fn chrome_event_json(e: &TraceEvent) -> Json {
             Json::Obj(
                 e.args
                     .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_json()))
+                    .map(|(k, v)| (k.to_string(), v.clone()))
                     .collect(),
             ),
         ));

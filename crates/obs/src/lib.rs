@@ -57,4 +57,4 @@ pub mod trace;
 pub use chrome::{chrome_event_json, chrome_trace, TRACE_PID};
 pub use metrics::{HistogramSummary, MetricValue, MetricsSnapshot, Pow2Histogram};
 pub use profiler::{ProfileReport, ProfileScope};
-pub use trace::{RingBufferSink, TraceEvent, TracePhase, TraceValue};
+pub use trace::{RingBufferSink, TraceEvent, TracePhase};

@@ -28,49 +28,6 @@ impl TracePhase {
     }
 }
 
-/// A typed argument value attached to a trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceValue {
-    /// Unsigned integer.
-    UInt(u64),
-    /// Signed integer.
-    Int(i64),
-    /// Floating point.
-    Float(f64),
-    /// Short string (category, decision label, …).
-    Str(String),
-}
-
-impl TraceValue {
-    /// Converts to the in-tree [`Json`] value.
-    pub fn to_json(&self) -> Json {
-        match self {
-            TraceValue::UInt(v) => Json::UInt(*v),
-            TraceValue::Int(v) => Json::Int(*v),
-            TraceValue::Float(v) => Json::Float(*v),
-            TraceValue::Str(s) => Json::Str(s.clone()),
-        }
-    }
-}
-
-impl From<u64> for TraceValue {
-    fn from(v: u64) -> Self {
-        TraceValue::UInt(v)
-    }
-}
-
-impl From<f64> for TraceValue {
-    fn from(v: f64) -> Self {
-        TraceValue::Float(v)
-    }
-}
-
-impl From<&str> for TraceValue {
-    fn from(v: &str) -> Self {
-        TraceValue::Str(v.to_string())
-    }
-}
-
 /// One structured, cycle-stamped trace record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -87,7 +44,7 @@ pub struct TraceEvent {
     /// Track the event renders on (socket id, or a synthetic lane id).
     pub track: u32,
     /// Structured arguments, in insertion order.
-    pub args: Vec<(&'static str, TraceValue)>,
+    pub args: Vec<(&'static str, Json)>,
 }
 
 impl TraceEvent {
@@ -147,7 +104,7 @@ impl TraceEvent {
     }
 
     /// Attaches one argument (builder style).
-    pub fn arg(mut self, key: &'static str, value: impl Into<TraceValue>) -> Self {
+    pub fn arg(mut self, key: &'static str, value: impl Into<Json>) -> Self {
         self.args.push((key, value.into()));
         self
     }

@@ -7,7 +7,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 /// How a submission resolved, as seen by the client.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Submission {
     /// Job id assigned by the daemon.
     pub id: u64,
@@ -69,19 +69,27 @@ impl Client {
         Ok(line.trim_end().to_string())
     }
 
+    /// Sends `request` and returns its one-line reply past `expect`, the
+    /// reply's required prefix.
+    fn exchange(&mut self, request: &str, expect: &str) -> std::io::Result<String> {
+        self.send(format_args!("{request}"))?;
+        let reply = self.read_line()?;
+        match reply.strip_prefix(expect) {
+            Some(rest) => Ok(rest.to_string()),
+            None => Err(protocol_error(&format!(
+                "expected {}, got `{reply}`",
+                expect.trim_end()
+            ))),
+        }
+    }
+
     /// Liveness probe.
     ///
     /// # Errors
     ///
     /// Errors on I/O failure or an unexpected reply.
     pub fn ping(&mut self) -> std::io::Result<()> {
-        self.send(format_args!("PING"))?;
-        let reply = self.read_line()?;
-        if reply == "PONG" {
-            Ok(())
-        } else {
-            Err(protocol_error(&format!("expected PONG, got `{reply}`")))
-        }
+        self.exchange("PING", "PONG").map(drop)
     }
 
     /// Fetches the daemon's counters as a raw JSON string.
@@ -90,12 +98,7 @@ impl Client {
     ///
     /// Errors on I/O failure or an unexpected reply.
     pub fn stats(&mut self) -> std::io::Result<String> {
-        self.send(format_args!("STATS"))?;
-        let reply = self.read_line()?;
-        reply
-            .strip_prefix("STATS ")
-            .map(str::to_string)
-            .ok_or_else(|| protocol_error(&format!("expected STATS, got `{reply}`")))
+        self.exchange("STATS", "STATS ")
     }
 
     /// Asks the daemon to drain and stop.
@@ -104,13 +107,7 @@ impl Client {
     ///
     /// Errors on I/O failure or an unexpected reply.
     pub fn shutdown(&mut self) -> std::io::Result<()> {
-        self.send(format_args!("SHUTDOWN"))?;
-        let reply = self.read_line()?;
-        if reply.starts_with("OK") {
-            Ok(())
-        } else {
-            Err(protocol_error(&format!("expected OK, got `{reply}`")))
-        }
+        self.exchange("SHUTDOWN", "OK").map(drop)
     }
 
     /// Submits a job and blocks until it resolves (result, error, or
@@ -123,51 +120,33 @@ impl Client {
     pub fn submit(&mut self, spec: &JobSpec) -> std::io::Result<Submission> {
         self.send(format_args!("SUBMIT {}", spec.to_line()))?;
         let ack = self.read_line()?;
+        let mut sub = Submission::default();
         let mut parts = ack.split_whitespace();
-        let (id, hash) = match (parts.next(), parts.next(), parts.next()) {
-            (Some("ACK"), Some(id), Some(hash)) => (
-                id.parse::<u64>()
-                    .map_err(|_| protocol_error(&format!("bad ACK id in `{ack}`")))?,
-                hash.to_string(),
-            ),
-            _ => {
-                // A parse failure arrives as ERROR without an ACK.
-                if let Some((id, class, msg)) = parse_error_line(&ack) {
-                    return Ok(Submission {
-                        id,
-                        hash: String::new(),
-                        events: Vec::new(),
-                        result: None,
-                        error: Some((class, msg)),
-                    });
-                }
-                return Err(protocol_error(&format!("expected ACK, got `{ack}`")));
-            }
-        };
-        let mut events = Vec::new();
+        if let (Some("ACK"), Some(id), Some(hash)) = (parts.next(), parts.next(), parts.next()) {
+            sub.id = id
+                .parse()
+                .map_err(|_| protocol_error(&format!("bad ACK id in `{ack}`")))?;
+            sub.hash = hash.to_string();
+        } else {
+            // A parse failure arrives as ERROR without an ACK.
+            let (id, class, msg) = parse_error_line(&ack)
+                .ok_or_else(|| protocol_error(&format!("expected ACK, got `{ack}`")))?;
+            sub.id = id;
+            sub.error = Some((class, msg));
+            return Ok(sub);
+        }
         loop {
             let line = self.read_line()?;
             if let Some(rest) = line.strip_prefix("EVENT ") {
                 if let Some((_, word)) = rest.split_once(' ') {
-                    events.push(word.to_string());
+                    sub.events.push(word.to_string());
                 }
             } else if let Some(rest) = line.strip_prefix("RESULT ") {
-                let doc = rest.split_once(' ').map(|(_, d)| d.to_string());
-                return Ok(Submission {
-                    id,
-                    hash,
-                    events,
-                    result: doc,
-                    error: None,
-                });
+                sub.result = rest.split_once(' ').map(|(_, d)| d.to_string());
+                return Ok(sub);
             } else if let Some((_, class, msg)) = parse_error_line(&line) {
-                return Ok(Submission {
-                    id,
-                    hash,
-                    events,
-                    result: None,
-                    error: Some((class, msg)),
-                });
+                sub.error = Some((class, msg));
+                return Ok(sub);
             } else {
                 return Err(protocol_error(&format!("unexpected line `{line}`")));
             }

@@ -12,8 +12,9 @@
 //! | Failure                         | Detected by              | Policy |
 //! |---------------------------------|--------------------------|--------|
 //! | Invalid request                 | protocol parse           | `ERROR … parse`, connection lives on |
-//! | Deterministic [`SimError`](numa_gpu_types::SimError) | `retry_class()`          | fail fast: `ERROR … deterministic` |
-//! | Worker panic                    | `catch_unwind` (2 layers)| bounded retries, deterministic backoff |
+//! | [`SimError`](numa_gpu_types::SimError) | `try_run` returns it | fail fast: `ERROR … deterministic` (a re-run fails the same way) |
+//! | Job panic                       | the [`Dispatcher`]       | `ERROR … transient`; journal entry stays pending |
+//! | Store write fails               | `save_job` error         | retry the write on a fixed backoff; deliver the result either way |
 //! | Hung/slow job                   | wall-clock [`Deadline`]  | `ERROR … deadline`; job finishes in background and still warms the store |
 //! | Sim-level hang                  | cycle watchdog (in-sim)  | surfaces as a deterministic `SimError` |
 //! | Corrupt store entry             | checksum on read         | quarantined + recomputed (store layer) |
@@ -25,21 +26,19 @@ use crate::protocol::{JobSpec, LineSender, Request};
 use numa_gpu_bench::codec::encode_report;
 use numa_gpu_bench::{DiskStore, KeyedJob};
 use numa_gpu_core::SimReport;
-use numa_gpu_exec::{panic_message, Deadline, Dispatcher, Reporter};
+use numa_gpu_exec::{Deadline, Dispatcher, JobOutcome, Reporter};
 use numa_gpu_testkit::json::Json;
-use numa_gpu_types::RetryClass;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-/// Delay before each retry of a transiently failing job, in
-/// milliseconds; `RETRY_BACKOFF_MS.len() + 1` total attempts. Fixed, so a
-/// given failure sequence always waits the same deterministic delays — no
-/// randomized jitter to make test runs flaky.
+/// Delay before each retry of a failed store write, in milliseconds;
+/// `RETRY_BACKOFF_MS.len() + 1` total attempts. Fixed, so a given failure
+/// sequence always waits the same deterministic delays — no randomized
+/// jitter to make test runs flaky.
 const RETRY_BACKOFF_MS: [u64; 3] = [25, 100, 400];
 
 /// Everything the daemon needs to start.
@@ -253,20 +252,14 @@ fn handle_request(shared: &Arc<Shared>, line: &str, reply: &mut LineSender<impl 
         Err(msg) => reply.line(format_args!("ERROR 0 parse {msg}")),
         Ok(Request::Ping) => reply.line(format_args!("PONG")),
         Ok(Request::Stats) => {
-            let stats = shared.store.stats();
+            let count = |counter: &AtomicU64| Json::UInt(counter.load(Ordering::Relaxed));
             let doc = Json::obj([
-                ("done", Json::UInt(shared.jobs_done.load(Ordering::Relaxed))),
-                (
-                    "failed",
-                    Json::UInt(shared.jobs_failed.load(Ordering::Relaxed)),
-                ),
-                (
-                    "retries",
-                    Json::UInt(shared.retries.load(Ordering::Relaxed)),
-                ),
+                ("done", count(&shared.jobs_done)),
+                ("failed", count(&shared.jobs_failed)),
+                ("retries", count(&shared.retries)),
                 ("panics", Json::UInt(shared.dispatcher.panic_count())),
                 ("in_flight", Json::UInt(shared.dispatcher.in_flight())),
-                ("store", stats.to_json()),
+                ("store", shared.store.stats().to_json()),
             ]);
             reply.line(format_args!("STATS {doc}"));
         }
@@ -279,7 +272,7 @@ fn handle_request(shared: &Arc<Shared>, line: &str, reply: &mut LineSender<impl 
             let _ = UnixStream::connect(&shared.socket);
             return false;
         }
-        Ok(Request::Submit(spec)) => handle_submit(shared, spec, reply),
+        Ok(Request::Submit(spec)) => handle_submit(shared, keyed(&spec), spec, reply),
     }
     true
 }
@@ -290,14 +283,16 @@ fn keyed(spec: &JobSpec) -> Result<KeyedJob, String> {
     Ok(KeyedJob::new(spec.to_job()?, &spec.scale()))
 }
 
-fn handle_submit(shared: &Arc<Shared>, spec: JobSpec, reply: &mut LineSender<impl Write>) {
+fn handle_submit(
+    shared: &Arc<Shared>,
+    job: Result<KeyedJob, String>,
+    spec: JobSpec,
+    reply: &mut LineSender<impl Write>,
+) {
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    let job = match keyed(&spec) {
+    let job = match job {
         Ok(job) => job,
-        Err(msg) => {
-            reply.line(format_args!("ERROR {id} parse {msg}"));
-            return;
-        }
+        Err(msg) => return reply.line(format_args!("ERROR {id} parse {msg}")),
     };
     reply.line(format_args!("ACK {id} {}", job.key().hash));
 
@@ -357,8 +352,10 @@ fn handle_submit(shared: &Arc<Shared>, spec: JobSpec, reply: &mut LineSender<imp
     }
 }
 
-/// Queues a job on the pool. The worker closure owns the full supervised
-/// lifecycle: retry loop, store write-through, journal `done`.
+/// Queues a job on the pool. The worker closure owns the supervised
+/// lifecycle — store write-through, journal `done` — and the dispatcher is
+/// the one panic boundary: a panicking job fails `transient`, its journal
+/// entry left pending.
 fn submit_to_pool(
     shared: &Arc<Shared>,
     spec: JobSpec,
@@ -366,26 +363,29 @@ fn submit_to_pool(
     tx: mpsc::Sender<JobMsg>,
 ) -> bool {
     let worker_shared = Arc::clone(shared);
+    let done_shared = Arc::clone(shared);
     let events = tx.clone();
     shared.dispatcher.submit(
         move || run_supervised(&worker_shared, &spec, job, &events),
         move |outcome| {
             let msg = match outcome {
-                numa_gpu_exec::JobOutcome::Done(msg) => msg,
-                // The in-closure catch_unwind already contains panics;
-                // this is the dispatcher's backstop (e.g. a panic inside
-                // our own retry bookkeeping).
-                numa_gpu_exec::JobOutcome::Panicked(msg) => JobMsg::Failed {
-                    class: "transient",
-                    msg,
-                },
+                JobOutcome::Done(msg) => msg,
+                JobOutcome::Panicked(msg) => {
+                    done_shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
+                    JobMsg::Failed {
+                        class: "transient",
+                        msg,
+                    }
+                }
             };
             let _ = tx.send(msg);
         },
     )
 }
 
-/// Runs one job under the retry policy. Returns the message to deliver.
+/// Runs one job and writes its report through to the store, retrying a
+/// failed write on the [`RETRY_BACKOFF_MS`] schedule. Returns the message
+/// to deliver.
 fn run_supervised(
     shared: &Arc<Shared>,
     spec: &JobSpec,
@@ -400,75 +400,34 @@ fn run_supervised(
     shared
         .reporter
         .line(&format!("serve: sim {}", job.job().key.display()));
-    let attempts = RETRY_BACKOFF_MS.len() + 1;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            let delay = RETRY_BACKOFF_MS[attempt - 1];
-            shared.retries.fetch_add(1, Ordering::Relaxed);
-            let _ = events.send(JobMsg::Event(format!("retry:{attempt}")));
-            std::thread::sleep(Duration::from_millis(delay));
+    let report = match job.job().try_run() {
+        Ok(report) => report,
+        Err(sim_err) => {
+            let _ = shared.journal.lock().unwrap().record_done(spec);
+            shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
+            return JobMsg::Failed {
+                class: "deterministic",
+                msg: sim_err.to_string(),
+            };
         }
-        match catch_unwind(AssertUnwindSafe(|| job.job().try_run())) {
-            Ok(Ok(report)) => {
-                match shared.store.save_job(&job, &report) {
-                    Ok(()) => {
-                        let _ = shared.journal.lock().unwrap().record_done(spec);
-                        return deliver_done(shared, spec, &report);
-                    }
-                    // Store I/O is the canonical transient failure:
-                    // retry the *write* by retrying the attempt (the
-                    // recompute is wasted work but keeps the logic to a
-                    // single loop; store writes almost never fail).
-                    Err(e) if attempt + 1 < attempts => {
-                        shared
-                            .reporter
-                            .line(&format!("serve: store write failed (will retry): {e}"));
-                        continue;
-                    }
-                    Err(_) => {
-                        // Out of retries for the store — the result is
-                        // still correct, deliver it; the journal keeps
-                        // the entry pending so a restart recomputes it
-                        // into the store.
-                        return deliver_done(shared, spec, &report);
-                    }
-                }
-            }
-            Ok(Err(sim_err)) => match sim_err.retry_class() {
-                RetryClass::Deterministic => {
-                    let _ = shared.journal.lock().unwrap().record_done(spec);
-                    shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                    return JobMsg::Failed {
-                        class: "deterministic",
-                        msg: sim_err.to_string(),
-                    };
-                }
-                RetryClass::Transient if attempt + 1 < attempts => continue,
-                RetryClass::Transient => {
-                    shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                    return JobMsg::Failed {
-                        class: "transient",
-                        msg: sim_err.to_string(),
-                    };
-                }
-            },
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                if attempt + 1 < attempts {
-                    shared
-                        .reporter
-                        .line(&format!("serve: contained panic (will retry): {msg}"));
-                    continue;
-                }
-                shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                return JobMsg::Failed {
-                    class: "transient",
-                    msg,
-                };
-            }
-        }
+    };
+    let mut saved = shared.store.save_job(&job, &report);
+    for (attempt, delay) in (1..).zip(RETRY_BACKOFF_MS) {
+        let Err(e) = &saved else { break };
+        shared
+            .reporter
+            .line(&format!("serve: store write failed (will retry): {e}"));
+        shared.retries.fetch_add(1, Ordering::Relaxed);
+        let _ = events.send(JobMsg::Event(format!("retry:{attempt}")));
+        std::thread::sleep(Duration::from_millis(delay));
+        saved = shared.store.save_job(&job, &report);
     }
-    unreachable!("retry loop always returns")
+    // Out of retries the result is still correct: deliver it, and leave
+    // the journal entry pending so a restart recomputes it into the store.
+    if saved.is_ok() {
+        let _ = shared.journal.lock().unwrap().record_done(spec);
+    }
+    deliver_done(shared, spec, &report)
 }
 
 fn deliver_done(shared: &Arc<Shared>, spec: &JobSpec, report: &SimReport) -> JobMsg {
@@ -479,5 +438,70 @@ fn deliver_done(shared: &Arc<Shared>, spec: &JobSpec, report: &SimReport) -> Job
             class: "transient",
             msg: format!("report for {} unencodable: {e}", spec.to_line()),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use numa_gpu_runtime::Kernel;
+    use numa_gpu_types::{CtaId, CtaProgram};
+
+    /// A kernel the simulator refuses at launch: a CTA with no warps.
+    struct NoWarps;
+
+    impl Kernel for NoWarps {
+        fn num_ctas(&self) -> u32 {
+            1
+        }
+
+        fn warps_per_cta(&self) -> u32 {
+            0
+        }
+
+        fn cta(&self, _: CtaId) -> Box<dyn CtaProgram> {
+            unreachable!("a kernel with no warps never launches")
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_transient_once_at_the_dispatcher() {
+        let dir =
+            std::env::temp_dir().join(format!("numa-gpu-daemon-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = DaemonConfig::new(dir.join("sock"), dir.join("cache"));
+        let daemon = Daemon::bind(config).expect("bind");
+        let spec = JobSpec::parse("workload=Other-Bitcoin-Crypto sockets=2").unwrap();
+        let mut job = spec.to_job().unwrap();
+        job.workload.kernels = vec![Arc::new(NoWarps)];
+        let job = KeyedJob::new(job, &spec.scale());
+
+        let mut out = Vec::new();
+        let mut reply = LineSender::new(&mut out);
+        handle_submit(&daemon.shared, Ok(job), spec.clone(), &mut reply);
+        handle_request(&daemon.shared, "STATS", &mut reply);
+        reply.flush().unwrap();
+        drop(reply);
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+
+        // One run, no retries: ACK, queued, the panic as a transient error.
+        assert_eq!(lines.len(), 4, "{text}");
+        assert!(lines[0].starts_with("ACK 1 "), "{text}");
+        assert_eq!(lines[1], "EVENT 1 queued");
+        assert!(
+            lines[2].starts_with("ERROR 1 transient kernel warps_per_cta 0"),
+            "{text}"
+        );
+        assert!(
+            lines[3].contains(r#""failed":1,"retries":0,"panics":1"#),
+            "{text}"
+        );
+        // The journal keeps the job pending, so a restart would retry it.
+        let journal = std::fs::read_to_string(dir.join("cache/journal/journal.log")).unwrap();
+        assert_eq!(journal, format!("queued {}\n", spec.to_line()));
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

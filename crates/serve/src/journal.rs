@@ -41,14 +41,16 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; a malformed line is skipped (see module
+    /// Propagates I/O errors (a missing journal is an empty one); a
+    /// malformed line, invalid UTF-8 included, is skipped (see module
     /// docs), never fatal.
     pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<JobSpec>)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("journal.log");
-        let pending = match std::fs::read_to_string(&path) {
-            Ok(raw) => Self::replay(&raw),
-            Err(_) => Vec::new(),
+        let pending = match std::fs::read(&path) {
+            Ok(raw) => Self::replay(&String::from_utf8_lossy(&raw)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
         };
         // Compact via temp+rename: the journal is either the old bytes or
         // the compacted bytes, never a prefix of the new ones.
@@ -186,6 +188,23 @@ mod tests {
                 assert_eq!(pending, [spec("A")], "cut at {cut} of {record:?}");
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_skipped_not_the_journal() {
+        let dir = tmpdir("utf8");
+        let valid = format!("queued {}\n", spec("A").to_line());
+        let mut raw = valid.clone().into_bytes();
+        raw.extend_from_slice(b"queu\xffed workload=B\n");
+        std::fs::write(dir.join("journal.log"), raw).unwrap();
+        let (_j, pending) = Journal::open(&dir).unwrap();
+        assert_eq!(pending, [spec("A")]);
+        // Compaction kept the valid job on disk.
+        let compacted = std::fs::read_to_string(dir.join("journal.log")).unwrap();
+        assert_eq!(compacted, valid);
+        let (_j, pending) = Journal::open(&dir).unwrap();
+        assert_eq!(pending, [spec("A")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,9 +12,8 @@
 //!   journaled with `fsync` and replayed on restart ([`Journal`]);
 //! * torn or corrupt cache entries are quarantined and recomputed at the
 //!   store layer, invisible to clients;
-//! * a panicking or transiently failing job is retried on a bounded
-//!   deterministic backoff schedule; deterministic
-//!   [`SimError`](numa_gpu_types::SimError)s fail fast;
+//! * a failing or panicking job fails fast (a job is a pure function of
+//!   its spec); a failed store write retries on a fixed backoff;
 //! * a hung job trips a wall-clock [`Deadline`](numa_gpu_exec::Deadline)
 //!   at the serving layer (the in-sim cycle watchdog covers sim-level
 //!   hangs) — and still warms the store when it eventually finishes;

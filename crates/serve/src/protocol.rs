@@ -95,49 +95,69 @@ pub enum ConfigChoice {
     NumaAware,
 }
 
+/// One configuration preset: a [`ConfigChoice`] with its `config=` token,
+/// its sweep-style label for a socket count (e.g. `loc4`) and its
+/// configuration.
+struct Preset {
+    choice: ConfigChoice,
+    token: &'static str,
+    label: fn(u8) -> String,
+    config: fn(u8) -> SystemConfig,
+}
+
+/// The presets, one row per [`ConfigChoice`] in declaration order.
+const PRESETS: [Preset; 5] = [
+    Preset {
+        choice: ConfigChoice::Single,
+        token: "single",
+        label: |_| "single".to_string(),
+        config: |_| configs::single(),
+    },
+    Preset {
+        choice: ConfigChoice::Traditional,
+        token: "traditional",
+        label: |n| format!("trad{n}"),
+        config: configs::traditional,
+    },
+    Preset {
+        choice: ConfigChoice::PageInterleaved,
+        token: "page",
+        label: |n| format!("page{n}"),
+        config: configs::page_interleaved,
+    },
+    Preset {
+        choice: ConfigChoice::Locality,
+        token: "locality",
+        label: |n| format!("loc{n}"),
+        config: configs::locality,
+    },
+    Preset {
+        choice: ConfigChoice::NumaAware,
+        token: "numa",
+        label: |n| format!("numa{n}"),
+        config: configs::numa_aware,
+    },
+];
+
 impl ConfigChoice {
     fn parse(s: &str) -> Result<ConfigChoice, String> {
-        match s {
-            "single" => Ok(ConfigChoice::Single),
-            "traditional" => Ok(ConfigChoice::Traditional),
-            "page" => Ok(ConfigChoice::PageInterleaved),
-            "locality" => Ok(ConfigChoice::Locality),
-            "numa" => Ok(ConfigChoice::NumaAware),
-            other => Err(format!(
-                "unknown config `{other}` (expected single|traditional|page|locality|numa)"
-            )),
-        }
+        let preset = PRESETS.iter().find(|p| p.token == s).ok_or_else(|| {
+            let tokens: Vec<&str> = PRESETS.iter().map(|p| p.token).collect();
+            format!("unknown config `{s}` (expected {})", tokens.join("|"))
+        })?;
+        Ok(preset.choice)
     }
 
     fn token(self) -> &'static str {
-        match self {
-            ConfigChoice::Single => "single",
-            ConfigChoice::Traditional => "traditional",
-            ConfigChoice::PageInterleaved => "page",
-            ConfigChoice::Locality => "locality",
-            ConfigChoice::NumaAware => "numa",
-        }
+        PRESETS[self as usize].token
     }
 
-    /// The sweep-style label this choice runs under (e.g. `loc4`).
     fn label(self, sockets: u8) -> String {
-        match self {
-            ConfigChoice::Single => "single".to_string(),
-            ConfigChoice::Traditional => format!("trad{sockets}"),
-            ConfigChoice::PageInterleaved => format!("page{sockets}"),
-            ConfigChoice::Locality => format!("loc{sockets}"),
-            ConfigChoice::NumaAware => format!("numa{sockets}"),
-        }
+        (PRESETS[self as usize].label)(sockets)
     }
 
     fn config(self, sockets: u8) -> SystemConfig {
-        match self {
-            ConfigChoice::Single => configs::single(),
-            ConfigChoice::Traditional => configs::traditional(sockets),
-            ConfigChoice::PageInterleaved => configs::page_interleaved(sockets),
-            ConfigChoice::Locality => configs::locality(sockets),
-            ConfigChoice::NumaAware => configs::numa_aware(sockets),
-        }
+        (PRESETS[self as usize].config)(sockets)
     }
 }
 
@@ -156,8 +176,9 @@ pub struct JobSpec {
     pub timeline: bool,
     /// Run at full paper scale instead of quick scale.
     pub full_scale: bool,
-    /// Fault plan string (`FaultPlan::parse` grammar), if any.
-    pub faults: Option<String>,
+    /// Fault plan, if any (parsed once, at submit time, so a bad plan is
+    /// a parse error rather than a failure deep inside a worker).
+    pub faults: Option<FaultPlan>,
     /// Wall-clock supervision budget, seconds (daemon default if absent).
     pub deadline_secs: Option<u64>,
 }
@@ -179,6 +200,7 @@ impl JobSpec {
             faults: None,
             deadline_secs: None,
         };
+        let mut faults = None;
         for token in tokens.split_whitespace() {
             let (key, value) = token
                 .split_once('=')
@@ -191,7 +213,13 @@ impl JobSpec {
                         .parse()
                         .map_err(|_| format!("bad sockets `{value}`"))?;
                 }
-                "timeline" => spec.timeline = parse_bool(key, value)?,
+                "timeline" => {
+                    spec.timeline = match value {
+                        "0" | "false" => false,
+                        "1" | "true" => true,
+                        other => return Err(format!("bad timeline `{other}` (0|1)")),
+                    };
+                }
                 "scale" => {
                     spec.full_scale = match value {
                         "quick" => false,
@@ -199,7 +227,7 @@ impl JobSpec {
                         other => return Err(format!("bad scale `{other}` (quick|full)")),
                     };
                 }
-                "faults" => spec.faults = Some(value.to_string()),
+                "faults" => faults = Some(value),
                 "deadline" => {
                     spec.deadline_secs = Some(
                         value
@@ -216,16 +244,15 @@ impl JobSpec {
         if spec.workload.contains(char::is_whitespace) {
             return Err("workload names cannot contain whitespace".to_string());
         }
-        if let Some(f) = &spec.faults {
-            // Validate eagerly so a bad plan is a parse error at submit
-            // time, not a failure deep inside a worker.
-            FaultPlan::parse(f).map_err(|e| format!("bad faults `{f}`: {e}"))?;
-        }
+        spec.faults = faults
+            .map(|f| FaultPlan::parse(f).map_err(|e| format!("bad faults `{f}`: {e}")))
+            .transpose()?;
         Ok(spec)
     }
 
-    /// Canonical single-line form (fixed key order); the journal stores
-    /// exactly these bytes and [`JobSpec::parse`] round-trips them.
+    /// Canonical single-line form (fixed key order, the fault plan in its
+    /// canonical `Display` with the separator spaces dropped); the journal
+    /// stores exactly these bytes and [`JobSpec::parse`] round-trips them.
     pub fn to_line(&self) -> String {
         let mut line = format!(
             "workload={} config={} sockets={} timeline={} scale={}",
@@ -235,8 +262,8 @@ impl JobSpec {
             u8::from(self.timeline),
             if self.full_scale { "full" } else { "quick" },
         );
-        if let Some(f) = &self.faults {
-            line.push_str(&format!(" faults={f}"));
+        if let Some(plan) = &self.faults {
+            line.push_str(&format!(" faults={}", plan.to_string().replace(' ', "")));
         }
         if let Some(d) = self.deadline_secs {
             line.push_str(&format!(" deadline={d}"));
@@ -261,12 +288,8 @@ impl JobSpec {
             self.timeline,
         );
         match &self.faults {
-            // Canonicalize through the parsed plan's Display, matching
-            // how `SimPlan::fault_job` builds scenarios.
-            Some(f) => match FaultPlan::parse(f) {
-                Ok(plan) => key.with_scenario(plan.to_string()),
-                Err(_) => key.with_scenario(f.clone()),
-            },
+            // The plan's Display, as `SimPlan::fault_job` labels scenarios.
+            Some(plan) => key.with_scenario(plan.to_string()),
             None => key,
         }
     }
@@ -275,29 +298,16 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message if the workload name is unknown or the fault
-    /// plan does not parse.
+    /// Returns a message if the workload name is unknown.
     pub fn to_job(&self) -> Result<SimJob, String> {
         let workload = by_name(&self.workload, &self.scale())
             .ok_or_else(|| format!("unknown workload `{}`", self.workload))?;
-        let faults = match &self.faults {
-            Some(f) => Some(FaultPlan::parse(f).map_err(|e| format!("bad faults: {e}"))?),
-            None => None,
-        };
         Ok(SimJob {
             key: self.job_key(),
             cfg: self.config.config(self.sockets),
             workload,
-            faults,
+            faults: self.faults.clone(),
         })
-    }
-}
-
-fn parse_bool(key: &str, value: &str) -> Result<bool, String> {
-    match value {
-        "0" | "false" => Ok(false),
-        "1" | "true" => Ok(true),
-        other => Err(format!("bad {key} `{other}` (0|1)")),
     }
 }
 
@@ -338,7 +348,7 @@ impl Request {
 mod tests {
     use super::*;
     use numa_gpu_testkit::gen::{one_of, select, strings, triples, vecs, Gen};
-    use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check};
+    use numa_gpu_testkit::{prop_assert_eq, prop_check};
 
     #[test]
     fn submit_round_trips_through_canonical_line() {
@@ -379,6 +389,14 @@ mod tests {
     }
 
     #[test]
+    fn every_preset_answers_for_its_own_choice() {
+        for preset in &PRESETS {
+            assert_eq!(ConfigChoice::parse(preset.token), Ok(preset.choice));
+            assert_eq!(preset.choice.token(), preset.token);
+        }
+    }
+
+    #[test]
     fn request_verbs_parse() {
         assert_eq!(Request::parse("PING").unwrap(), Request::Ping);
         assert_eq!(Request::parse("STATS").unwrap(), Request::Stats);
@@ -411,16 +429,13 @@ mod tests {
 
     prop_check! {
         /// `Request::parse` never panics on arbitrary or request-shaped
-        /// text; every spec it accepts round-trips through its canonical
-        /// line (what the journal stores), and its fault plan parses.
+        /// text, and every spec it accepts, fault plan included,
+        /// round-trips through its canonical line (what the journal stores).
         fn request_parse_survives_arbitrary_text(
             text in one_of(vec![strings(0..200), token_soup()])
         ) {
             if let Ok(Request::Submit(spec)) = Request::parse(&text) {
-                prop_assert_eq!(JobSpec::parse(&spec.to_line()), Ok(spec.clone()), "from {:?}", text);
-                if let Some(faults) = &spec.faults {
-                    prop_assert!(FaultPlan::parse(faults).is_ok(), "from {:?}", text);
-                }
+                prop_assert_eq!(JobSpec::parse(&spec.to_line()), Ok(spec), "from {:?}", text);
             }
         }
     }

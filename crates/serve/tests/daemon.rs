@@ -152,6 +152,31 @@ fn journal_replay_recomputes_pending_jobs_into_the_store() {
 }
 
 #[test]
+fn a_failed_store_write_is_retried_and_the_result_still_delivered() {
+    let (socket, cache) = paths("store-retry");
+    let handle = start(&socket, &cache);
+    // No entry can land under a plain file where the store's directory was.
+    let store_dir = cache.join("store/v1");
+    std::fs::remove_dir_all(&store_dir).unwrap();
+    std::fs::write(&store_dir, "not a directory").unwrap();
+
+    let mut client = Client::connect(&socket).expect("connect");
+    let job = spec("workload=Other-Bitcoin-Crypto config=locality sockets=2");
+    let sub = client.submit(&job).expect("submit");
+    assert_eq!(sub.events, ["queued", "retry:1", "retry:2", "retry:3"]);
+    assert!(sub.error.is_none(), "{:?}", sub.error);
+    assert!(sub.result.is_some());
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("\"retries\":3"), "stats: {stats}");
+    // The result never reached the store, so the job stays pending.
+    let journal = std::fs::read_to_string(cache.join("journal/journal.log")).unwrap();
+    assert_eq!(journal, format!("queued {}\n", job.to_line()));
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("serve thread");
+}
+
+#[test]
 fn concurrent_clients_get_byte_identical_results() {
     let (socket, cache) = paths("hammer");
     let handle = start(&socket, &cache);

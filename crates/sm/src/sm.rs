@@ -354,11 +354,6 @@ impl Sm {
         self.mshrs.recycled_allocations()
     }
 
-    /// Whether a fill for `line` is already outstanding.
-    pub fn l1_miss_outstanding(&self, line: LineAddr) -> bool {
-        self.mshrs.is_outstanding(line)
-    }
-
     /// Parks a warp that hit MSHR-full, to be retried on the next fill.
     pub fn park_retry(&mut self, slot: WarpSlot) {
         self.retry_queue.push_back(slot);

@@ -101,6 +101,24 @@ impl Json {
     }
 }
 
+impl From<u64> for Json {
+    fn from(v: u64) -> Self {
+        Json::UInt(v)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Self {
+        Json::Float(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Self {
+        Json::Str(v.to_string())
+    }
+}
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -83,12 +83,6 @@ impl DetRng {
         result
     }
 
-    /// Next 32-bit output (upper half of the 64-bit stream).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn random_f64(&mut self) -> f64 {

@@ -502,12 +502,6 @@ impl SystemConfig {
         self.num_sockets as u32 * self.sm.sms_per_socket as u32
     }
 
-    /// Maximum concurrently resident warps per CTA the SM geometry allows.
-    #[inline]
-    pub fn warps_per_sm(&self) -> u32 {
-        self.sm.max_warps as u32
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors

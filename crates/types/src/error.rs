@@ -48,6 +48,7 @@ impl Error for ConfigError {}
 /// Every variant is diagnosable from its fields alone: the cycle at which
 /// the run stopped plus the progress counters needed to tell a scheduler
 /// deadlock from a fault-induced stall or an exhausted cycle budget.
+/// A run is a pure function of its inputs, so a re-run fails the same way.
 ///
 /// # Examples
 ///
@@ -95,40 +96,6 @@ pub enum SimError {
         /// What was wrong with the requested route.
         message: String,
     },
-}
-
-/// How a failed simulation should be handled by a supervising layer (the
-/// serving daemon's retry policy is built on this classification).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryClass {
-    /// The failure is a pure function of the job: re-running the same job
-    /// reproduces it exactly, so a supervisor must fail fast and report.
-    Deterministic,
-    /// The failure depends on ambient state (I/O, resources, a worker
-    /// crash) and a bounded retry may succeed.
-    Transient,
-}
-
-impl SimError {
-    /// Classifies this error for a supervising retry policy.
-    ///
-    /// The simulator is deterministic by construction — every `SimError`
-    /// it can currently produce (invalid config, scheduler deadlock,
-    /// exhausted cycle budget, bad fault plan, unroutable transfer)
-    /// reproduces identically on a re-run, so all variants classify as
-    /// [`RetryClass::Deterministic`]. Transient failures exist only at
-    /// the serving layer (store I/O, worker panics) and are classified
-    /// there; this method is the single place to amend if a genuinely
-    /// transient simulation failure is ever introduced.
-    pub fn retry_class(&self) -> RetryClass {
-        match self {
-            SimError::Config(_)
-            | SimError::Deadlock { .. }
-            | SimError::CycleLimit { .. }
-            | SimError::InvalidFaultPlan { .. }
-            | SimError::InvalidRoute { .. } => RetryClass::Deterministic,
-        }
-    }
 }
 
 impl From<ConfigError> for SimError {
@@ -222,31 +189,6 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("invalid route"));
         assert!(s.contains("socket 7"));
-    }
-
-    #[test]
-    fn every_sim_error_is_deterministic_today() {
-        let errors = [
-            SimError::Config(ConfigError::new("bad")),
-            SimError::Deadlock {
-                cycle: 1,
-                outstanding_ctas: 1,
-                inflight_mem: 0,
-            },
-            SimError::CycleLimit {
-                limit_cycles: 10,
-                at_cycle: 11,
-            },
-            SimError::InvalidFaultPlan {
-                message: "x".into(),
-            },
-            SimError::InvalidRoute {
-                message: "x".into(),
-            },
-        ];
-        for e in errors {
-            assert_eq!(e.retry_class(), RetryClass::Deterministic, "{e}");
-        }
     }
 
     #[test]

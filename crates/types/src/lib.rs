@@ -34,7 +34,7 @@ pub use config::{
     ObsConfig, PagePlacement, SmConfig, SystemConfig, TopologyKind, WatchdogConfig, WritePolicy,
     HEADER_BYTES, SATURATION_THRESHOLD,
 };
-pub use error::{ConfigError, RetryClass, SimError};
+pub use error::{ConfigError, SimError};
 pub use ids::{CtaId, KernelId, SmIndex, SocketId, WarpSlot};
 pub use ops::{CtaProgram, MemKind, WarpOp};
 pub use stats::Counter;

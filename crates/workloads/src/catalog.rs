@@ -1,10 +1,14 @@
 //! The 41 evaluation workloads (paper Table 2), with normalized names
 //! (the paper's typos `Rodnia-Pathfinder` / `cudann` are corrected).
+//!
+//! A workload is one row of `TABLE2`: its name, its paper metadata and the
+//! archetype builder of its synthetic kernels, stated nowhere else.
 
 use crate::archetypes::{self as arch, Params};
 use crate::patterns::{KernelSpec, PatternKernel};
 use crate::scale::Scale;
-use numa_gpu_runtime::{Kernel, Suite, Workload, WorkloadMeta};
+use numa_gpu_runtime::Suite::{self, Hpc, Lonestar, Ml, Other, Rodinia};
+use numa_gpu_runtime::{Kernel, Workload, WorkloadMeta};
 use std::sync::Arc;
 
 /// One row of Table 2 plus its archetype mapping.
@@ -17,459 +21,209 @@ struct Entry {
     /// software-only locality (excluded from the microarchitecture study
     /// set but kept in final means).
     grey: bool,
+    /// Builds the workload's kernel sequence.
+    kernels: fn(Params) -> Vec<KernelSpec>,
 }
 
-/// All 41 workload names, in Table 2 order.
-pub const WORKLOAD_NAMES: [&str; 41] = [
-    "ML-GoogLeNet-cudnn-Lev2",
-    "ML-AlexNet-cudnn-Lev2",
-    "ML-OverFeat-cudnn-Lev3",
-    "ML-AlexNet-cudnn-Lev4",
-    "ML-AlexNet-ConvNet2",
-    "Rodinia-Backprop",
-    "Rodinia-Euler3D",
-    "Rodinia-BFS",
-    "Rodinia-Gaussian",
-    "Rodinia-Hotspot",
-    "Rodinia-Kmeans",
-    "Rodinia-Pathfinder",
-    "Rodinia-Srad",
-    "HPC-SNAP",
-    "HPC-Nekbone-Large",
-    "HPC-MiniAMR",
-    "HPC-MiniContact-Mesh1",
-    "HPC-MiniContact-Mesh2",
-    "HPC-Lulesh-Unstruct-Mesh1",
-    "HPC-Lulesh-Unstruct-Mesh2",
-    "HPC-AMG",
-    "HPC-RSBench",
-    "HPC-MCB",
-    "HPC-NAMD2.9",
-    "HPC-RabbitCT",
-    "HPC-Lulesh",
-    "HPC-CoMD",
-    "HPC-CoMD-Wa",
-    "HPC-CoMD-Ta",
-    "HPC-HPGMG-UVM",
-    "HPC-HPGMG",
-    "Lonestar-SP",
-    "Lonestar-MST-Graph",
-    "Lonestar-MST-Mesh",
-    "Lonestar-SSSP-Wln",
-    "Lonestar-DMR",
-    "Lonestar-SSSP-Wlc",
-    "Lonestar-SSSP",
-    "Other-Stream-Triad",
-    "Other-Optix-Raytracing",
-    "Other-Bitcoin-Crypto",
-];
-
-const TABLE2: [Entry; 41] = [
+const fn row(
+    name: &'static str,
+    suite: Suite,
+    paper_ctas: u64,
+    paper_mb: u64,
+    grey: bool,
+    kernels: fn(Params) -> Vec<KernelSpec>,
+) -> Entry {
     Entry {
-        name: "ML-GoogLeNet-cudnn-Lev2",
-        suite: Suite::Ml,
-        paper_ctas: 6272,
-        paper_mb: 1205,
-        grey: false,
-    },
-    Entry {
-        name: "ML-AlexNet-cudnn-Lev2",
-        suite: Suite::Ml,
-        paper_ctas: 1250,
-        paper_mb: 832,
-        grey: false,
-    },
-    Entry {
-        name: "ML-OverFeat-cudnn-Lev3",
-        suite: Suite::Ml,
-        paper_ctas: 1800,
-        paper_mb: 388,
-        grey: true,
-    },
-    Entry {
-        name: "ML-AlexNet-cudnn-Lev4",
-        suite: Suite::Ml,
-        paper_ctas: 1014,
-        paper_mb: 32,
-        grey: false,
-    },
-    Entry {
-        name: "ML-AlexNet-ConvNet2",
-        suite: Suite::Ml,
-        paper_ctas: 6075,
-        paper_mb: 97,
-        grey: true,
-    },
-    Entry {
-        name: "Rodinia-Backprop",
-        suite: Suite::Rodinia,
-        paper_ctas: 4096,
-        paper_mb: 160,
-        grey: true,
-    },
-    Entry {
-        name: "Rodinia-Euler3D",
-        suite: Suite::Rodinia,
-        paper_ctas: 1008,
-        paper_mb: 25,
-        grey: false,
-    },
-    Entry {
-        name: "Rodinia-BFS",
-        suite: Suite::Rodinia,
-        paper_ctas: 1954,
-        paper_mb: 38,
-        grey: false,
-    },
-    Entry {
-        name: "Rodinia-Gaussian",
-        suite: Suite::Rodinia,
-        paper_ctas: 2599,
-        paper_mb: 78,
-        grey: false,
-    },
-    Entry {
-        name: "Rodinia-Hotspot",
-        suite: Suite::Rodinia,
-        paper_ctas: 7396,
-        paper_mb: 64,
-        grey: false,
-    },
-    Entry {
-        name: "Rodinia-Kmeans",
-        suite: Suite::Rodinia,
-        paper_ctas: 3249,
-        paper_mb: 221,
-        grey: true,
-    },
-    Entry {
-        name: "Rodinia-Pathfinder",
-        suite: Suite::Rodinia,
-        paper_ctas: 4630,
-        paper_mb: 1570,
-        grey: false,
-    },
-    Entry {
-        name: "Rodinia-Srad",
-        suite: Suite::Rodinia,
-        paper_ctas: 16384,
-        paper_mb: 98,
-        grey: true,
-    },
-    Entry {
-        name: "HPC-SNAP",
-        suite: Suite::Hpc,
-        paper_ctas: 200,
-        paper_mb: 744,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-Nekbone-Large",
-        suite: Suite::Hpc,
-        paper_ctas: 5583,
-        paper_mb: 294,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-MiniAMR",
-        suite: Suite::Hpc,
-        paper_ctas: 76033,
-        paper_mb: 2752,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-MiniContact-Mesh1",
-        suite: Suite::Hpc,
-        paper_ctas: 250,
-        paper_mb: 21,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-MiniContact-Mesh2",
-        suite: Suite::Hpc,
-        paper_ctas: 15423,
-        paper_mb: 257,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-Lulesh-Unstruct-Mesh1",
-        suite: Suite::Hpc,
-        paper_ctas: 435,
-        paper_mb: 19,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-Lulesh-Unstruct-Mesh2",
-        suite: Suite::Hpc,
-        paper_ctas: 4940,
-        paper_mb: 208,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-AMG",
-        suite: Suite::Hpc,
-        paper_ctas: 241_549,
-        paper_mb: 3744,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-RSBench",
-        suite: Suite::Hpc,
-        paper_ctas: 7813,
-        paper_mb: 19,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-MCB",
-        suite: Suite::Hpc,
-        paper_ctas: 5001,
-        paper_mb: 162,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-NAMD2.9",
-        suite: Suite::Hpc,
-        paper_ctas: 3888,
-        paper_mb: 88,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-RabbitCT",
-        suite: Suite::Hpc,
-        paper_ctas: 131_072,
-        paper_mb: 524,
-        grey: true,
-    },
-    Entry {
-        name: "HPC-Lulesh",
-        suite: Suite::Hpc,
-        paper_ctas: 12_202,
-        paper_mb: 578,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-CoMD",
-        suite: Suite::Hpc,
-        paper_ctas: 3588,
-        paper_mb: 319,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-CoMD-Wa",
-        suite: Suite::Hpc,
-        paper_ctas: 13_691,
-        paper_mb: 393,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-CoMD-Ta",
-        suite: Suite::Hpc,
-        paper_ctas: 5724,
-        paper_mb: 394,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-HPGMG-UVM",
-        suite: Suite::Hpc,
-        paper_ctas: 10_436,
-        paper_mb: 1975,
-        grey: false,
-    },
-    Entry {
-        name: "HPC-HPGMG",
-        suite: Suite::Hpc,
-        paper_ctas: 10_506,
-        paper_mb: 1571,
-        grey: false,
-    },
-    Entry {
-        name: "Lonestar-SP",
-        suite: Suite::Lonestar,
-        paper_ctas: 75,
-        paper_mb: 8,
-        grey: false,
-    },
-    Entry {
-        name: "Lonestar-MST-Graph",
-        suite: Suite::Lonestar,
-        paper_ctas: 770,
-        paper_mb: 86,
-        grey: false,
-    },
-    Entry {
-        name: "Lonestar-MST-Mesh",
-        suite: Suite::Lonestar,
-        paper_ctas: 895,
-        paper_mb: 75,
-        grey: false,
-    },
-    Entry {
-        name: "Lonestar-SSSP-Wln",
-        suite: Suite::Lonestar,
-        paper_ctas: 60,
-        paper_mb: 21,
-        grey: false,
-    },
-    Entry {
-        name: "Lonestar-DMR",
-        suite: Suite::Lonestar,
-        paper_ctas: 82,
-        paper_mb: 248,
-        grey: true,
-    },
-    Entry {
-        name: "Lonestar-SSSP-Wlc",
-        suite: Suite::Lonestar,
-        paper_ctas: 163,
-        paper_mb: 21,
-        grey: false,
-    },
-    Entry {
-        name: "Lonestar-SSSP",
-        suite: Suite::Lonestar,
-        paper_ctas: 1046,
-        paper_mb: 38,
-        grey: false,
-    },
-    Entry {
-        name: "Other-Stream-Triad",
-        suite: Suite::Other,
-        paper_ctas: 699_051,
-        paper_mb: 3146,
-        grey: true,
-    },
-    Entry {
-        name: "Other-Optix-Raytracing",
-        suite: Suite::Other,
-        paper_ctas: 3072,
-        paper_mb: 87,
-        grey: false,
-    },
-    Entry {
-        name: "Other-Bitcoin-Crypto",
-        suite: Suite::Other,
-        paper_ctas: 60,
-        paper_mb: 5898,
-        grey: true,
-    },
-];
+        name,
+        suite,
+        paper_ctas,
+        paper_mb,
+        grey,
+        kernels,
+    }
+}
 
 const MB: u64 = 1024 * 1024;
 
-/// Builds the kernel sequence for one named workload.
-fn build_kernels(name: &str, p: Params) -> Vec<KernelSpec> {
-    let fp = p.footprint;
-    match name {
-        // ML: dense layers with tile reuse; AlexNet-Lev2 has the
-        // channel-reduction phases where dynamic links shine.
-        "ML-GoogLeNet-cudnn-Lev2" => arch::tiled(p, 4, 6, 12),
-        "ML-AlexNet-cudnn-Lev2" => {
-            let mut ks = arch::irregular_shared(p, 2, 0.4, (fp / 4).min(3 * MB), 0.85);
-            ks.extend(arch::reduction_phased(p, 2, fp / 16));
-            ks
-        }
-        "ML-OverFeat-cudnn-Lev3" => arch::streaming(p, 2, 0.8),
-        "ML-AlexNet-cudnn-Lev4" => arch::tiled(p, 3, 8, 10),
-        "ML-AlexNet-ConvNet2" => arch::streaming(p, 2, 0.75),
-
-        // Rodinia.
-        "Rodinia-Backprop" => arch::streaming(p, 2, 0.7),
-        "Rodinia-Euler3D" => {
-            let mut ks = arch::irregular_shared_rw(p, 2, 0.8, (fp / 8).min(5 * MB / 2), 0.6, 0.65);
-            for k in &mut ks {
-                k.ops_per_warp *= 3;
-            }
-            ks
-        }
-        "Rodinia-BFS" => arch::hot_cold(p, 3, 0.55, MB, 0.75),
-        "Rodinia-Gaussian" => arch::irregular_shared(p, 3, 0.35, (fp / 8).min(MB), 0.7),
-        "Rodinia-Hotspot" => arch::stencil(p, 3, 0.08),
-        "Rodinia-Kmeans" => arch::streaming(p, 2, 0.85),
-        "Rodinia-Pathfinder" => arch::stencil(p, 3, 0.04),
-        "Rodinia-Srad" => arch::streaming(p, 3, 0.7),
-
-        // HPC.
-        "HPC-SNAP" => arch::stencil(p, 3, 0.12),
-        "HPC-Nekbone-Large" => {
-            let mut ks = arch::tiled(p, 2, 4, 8);
-            ks.extend(arch::reduction_phased(p, 2, fp / 32));
-            ks
-        }
-        "HPC-MiniAMR" => arch::stencil(p, 2, 0.05),
-        "HPC-MiniContact-Mesh1" => arch::irregular_shared(p, 3, 0.5, fp / 2, 0.75),
-        "HPC-MiniContact-Mesh2" => {
-            let mut ks = arch::irregular_shared(p, 3, 0.45, 4 * MB, 0.75);
-            for k in &mut ks {
-                k.ops_per_warp = p.scale.ops(48);
-            }
-            ks
-        }
-        "HPC-Lulesh-Unstruct-Mesh1" => arch::irregular_shared_rw(p, 4, 0.65, 2 * MB, 0.6, 0.6),
-        "HPC-Lulesh-Unstruct-Mesh2" => arch::irregular_shared_rw(p, 4, 0.6, 2 * MB, 0.6, 0.6),
-        "HPC-AMG" => arch::hot_cold(p, 3, 0.55, 7 * MB / 2, 0.6),
-        "HPC-RSBench" => {
-            let mut ks = arch::irregular_shared(p, 4, 0.9, 4 * MB, 0.95);
-            for k in &mut ks {
-                k.compute_per_mem = 8;
-            }
-            ks
-        }
-        "HPC-MCB" => {
-            let mut ks = arch::hot_cold(p, 3, 0.6, 7 * MB / 2, 0.7);
-            for k in &mut ks {
-                k.ops_per_warp = p.scale.ops(48);
-            }
-            ks
-        }
-        "HPC-NAMD2.9" => arch::irregular_shared(p, 3, 0.35, MB, 0.8),
-        "HPC-RabbitCT" => arch::tiled(p, 2, 6, 16),
-        "HPC-Lulesh" => {
-            let mut ks = arch::hot_cold(p, 2, 0.45, 2 * MB, 0.6);
-            ks.extend(arch::reduction_phased(p, 1, fp / 32));
-            ks
-        }
-        "HPC-CoMD" => arch::irregular_shared(p, 3, 0.5, 2 * MB, 0.8),
-        "HPC-CoMD-Wa" => {
-            let mut ks = arch::irregular_shared(p, 3, 0.45, 4 * MB, 0.8);
-            for k in &mut ks {
-                k.ops_per_warp = p.scale.ops(48);
-            }
-            ks
-        }
-        "HPC-CoMD-Ta" => {
-            let mut ks = arch::irregular_shared(p, 4, 0.7, 4 * MB, 0.9);
-            for k in &mut ks {
-                k.ops_per_warp = p.scale.ops(48);
-            }
-            ks
-        }
-        "HPC-HPGMG-UVM" => arch::reduction_phased(p, 3, fp / 64),
-        "HPC-HPGMG" => arch::reduction_phased(p, 3, fp / 32),
-
-        // Lonestar.
-        "Lonestar-SP" => arch::irregular_shared(p, 3, 0.7, fp / 2, 0.85),
-        "Lonestar-MST-Graph" => arch::irregular_shared(p, 3, 0.55, MB, 0.75),
-        "Lonestar-MST-Mesh" => arch::irregular_shared(p, 4, 0.6, MB, 0.75),
-        "Lonestar-SSSP-Wln" => arch::hot_cold(p, 3, 0.5, fp / 8, 0.7),
-        "Lonestar-DMR" => arch::streaming(p, 2, 0.7),
-        "Lonestar-SSSP-Wlc" => arch::hot_cold(p, 3, 0.5, fp / 8, 0.7),
-        "Lonestar-SSSP" => arch::hot_cold(p, 3, 0.55, MB, 0.72),
-
-        // Other.
-        "Other-Stream-Triad" => arch::streaming(p, 1, 0.67),
-        "Other-Optix-Raytracing" => {
-            let mut ks = arch::irregular_shared(p, 3, 0.8, MB, 1.0);
-            for k in &mut ks {
-                k.compute_per_mem = 10;
-            }
-            ks
-        }
-        "Other-Bitcoin-Crypto" => arch::compute_bound(p, 1),
-        // Private fn fed only from the static catalog table: an unknown
-        // name is a table/builder mismatch.
-        other => panic!("unknown workload name: {other}"),
-    }
+/// `ks` with `edit` applied to every kernel.
+fn each(mut ks: Vec<KernelSpec>, edit: impl Fn(&mut KernelSpec)) -> Vec<KernelSpec> {
+    ks.iter_mut().for_each(edit);
+    ks
 }
+
+/// `ks` followed by `more` (moved, not cloned).
+fn then(mut ks: Vec<KernelSpec>, more: Vec<KernelSpec>) -> Vec<KernelSpec> {
+    ks.extend(more);
+    ks
+}
+
+/// Table 2 in paper order: name, suite, CTAs, footprint (MB), grey box,
+/// and the kernels that reproduce the benchmark's communication class.
+const TABLE2: [Entry; 41] = [
+    // ML: dense layers with tile reuse; AlexNet-Lev2 has the
+    // channel-reduction phases where dynamic links shine.
+    row("ML-GoogLeNet-cudnn-Lev2", Ml, 6272, 1205, false, |p| {
+        arch::tiled(p, 4, 6, 12)
+    }),
+    row("ML-AlexNet-cudnn-Lev2", Ml, 1250, 832, false, |p| {
+        let shared = arch::irregular_shared(p, 2, 0.4, (p.footprint / 4).min(3 * MB), 0.85);
+        then(shared, arch::reduction_phased(p, 2, p.footprint / 16))
+    }),
+    row("ML-OverFeat-cudnn-Lev3", Ml, 1800, 388, true, |p| {
+        arch::streaming(p, 2, 0.8)
+    }),
+    row("ML-AlexNet-cudnn-Lev4", Ml, 1014, 32, false, |p| {
+        arch::tiled(p, 3, 8, 10)
+    }),
+    row("ML-AlexNet-ConvNet2", Ml, 6075, 97, true, |p| {
+        arch::streaming(p, 2, 0.75)
+    }),
+    // Rodinia.
+    row("Rodinia-Backprop", Rodinia, 4096, 160, true, |p| {
+        arch::streaming(p, 2, 0.7)
+    }),
+    row("Rodinia-Euler3D", Rodinia, 1008, 25, false, |p| {
+        let bytes = (p.footprint / 8).min(5 * MB / 2);
+        each(
+            arch::irregular_shared_rw(p, 2, 0.8, bytes, 0.6, 0.65),
+            |k| k.ops_per_warp *= 3,
+        )
+    }),
+    row("Rodinia-BFS", Rodinia, 1954, 38, false, |p| {
+        arch::hot_cold(p, 3, 0.55, MB, 0.75)
+    }),
+    row("Rodinia-Gaussian", Rodinia, 2599, 78, false, |p| {
+        arch::irregular_shared(p, 3, 0.35, (p.footprint / 8).min(MB), 0.7)
+    }),
+    row("Rodinia-Hotspot", Rodinia, 7396, 64, false, |p| {
+        arch::stencil(p, 3, 0.08)
+    }),
+    row("Rodinia-Kmeans", Rodinia, 3249, 221, true, |p| {
+        arch::streaming(p, 2, 0.85)
+    }),
+    row("Rodinia-Pathfinder", Rodinia, 4630, 1570, false, |p| {
+        arch::stencil(p, 3, 0.04)
+    }),
+    row("Rodinia-Srad", Rodinia, 16384, 98, true, |p| {
+        arch::streaming(p, 3, 0.7)
+    }),
+    // HPC.
+    row("HPC-SNAP", Hpc, 200, 744, false, |p| {
+        arch::stencil(p, 3, 0.12)
+    }),
+    row("HPC-Nekbone-Large", Hpc, 5583, 294, false, |p| {
+        then(
+            arch::tiled(p, 2, 4, 8),
+            arch::reduction_phased(p, 2, p.footprint / 32),
+        )
+    }),
+    row("HPC-MiniAMR", Hpc, 76033, 2752, false, |p| {
+        arch::stencil(p, 2, 0.05)
+    }),
+    row("HPC-MiniContact-Mesh1", Hpc, 250, 21, false, |p| {
+        arch::irregular_shared(p, 3, 0.5, p.footprint / 2, 0.75)
+    }),
+    row("HPC-MiniContact-Mesh2", Hpc, 15423, 257, false, |p| {
+        each(arch::irregular_shared(p, 3, 0.45, 4 * MB, 0.75), |k| {
+            k.ops_per_warp = p.scale.ops(48)
+        })
+    }),
+    row("HPC-Lulesh-Unstruct-Mesh1", Hpc, 435, 19, false, |p| {
+        arch::irregular_shared_rw(p, 4, 0.65, 2 * MB, 0.6, 0.6)
+    }),
+    row("HPC-Lulesh-Unstruct-Mesh2", Hpc, 4940, 208, false, |p| {
+        arch::irregular_shared_rw(p, 4, 0.6, 2 * MB, 0.6, 0.6)
+    }),
+    row("HPC-AMG", Hpc, 241_549, 3744, false, |p| {
+        arch::hot_cold(p, 3, 0.55, 7 * MB / 2, 0.6)
+    }),
+    row("HPC-RSBench", Hpc, 7813, 19, false, |p| {
+        each(arch::irregular_shared(p, 4, 0.9, 4 * MB, 0.95), |k| {
+            k.compute_per_mem = 8
+        })
+    }),
+    row("HPC-MCB", Hpc, 5001, 162, false, |p| {
+        each(arch::hot_cold(p, 3, 0.6, 7 * MB / 2, 0.7), |k| {
+            k.ops_per_warp = p.scale.ops(48)
+        })
+    }),
+    row("HPC-NAMD2.9", Hpc, 3888, 88, false, |p| {
+        arch::irregular_shared(p, 3, 0.35, MB, 0.8)
+    }),
+    row("HPC-RabbitCT", Hpc, 131_072, 524, true, |p| {
+        arch::tiled(p, 2, 6, 16)
+    }),
+    row("HPC-Lulesh", Hpc, 12_202, 578, false, |p| {
+        then(
+            arch::hot_cold(p, 2, 0.45, 2 * MB, 0.6),
+            arch::reduction_phased(p, 1, p.footprint / 32),
+        )
+    }),
+    row("HPC-CoMD", Hpc, 3588, 319, false, |p| {
+        arch::irregular_shared(p, 3, 0.5, 2 * MB, 0.8)
+    }),
+    row("HPC-CoMD-Wa", Hpc, 13_691, 393, false, |p| {
+        each(arch::irregular_shared(p, 3, 0.45, 4 * MB, 0.8), |k| {
+            k.ops_per_warp = p.scale.ops(48)
+        })
+    }),
+    row("HPC-CoMD-Ta", Hpc, 5724, 394, false, |p| {
+        each(arch::irregular_shared(p, 4, 0.7, 4 * MB, 0.9), |k| {
+            k.ops_per_warp = p.scale.ops(48)
+        })
+    }),
+    row("HPC-HPGMG-UVM", Hpc, 10_436, 1975, false, |p| {
+        arch::reduction_phased(p, 3, p.footprint / 64)
+    }),
+    row("HPC-HPGMG", Hpc, 10_506, 1571, false, |p| {
+        arch::reduction_phased(p, 3, p.footprint / 32)
+    }),
+    // Lonestar.
+    row("Lonestar-SP", Lonestar, 75, 8, false, |p| {
+        arch::irregular_shared(p, 3, 0.7, p.footprint / 2, 0.85)
+    }),
+    row("Lonestar-MST-Graph", Lonestar, 770, 86, false, |p| {
+        arch::irregular_shared(p, 3, 0.55, MB, 0.75)
+    }),
+    row("Lonestar-MST-Mesh", Lonestar, 895, 75, false, |p| {
+        arch::irregular_shared(p, 4, 0.6, MB, 0.75)
+    }),
+    row("Lonestar-SSSP-Wln", Lonestar, 60, 21, false, |p| {
+        arch::hot_cold(p, 3, 0.5, p.footprint / 8, 0.7)
+    }),
+    row("Lonestar-DMR", Lonestar, 82, 248, true, |p| {
+        arch::streaming(p, 2, 0.7)
+    }),
+    row("Lonestar-SSSP-Wlc", Lonestar, 163, 21, false, |p| {
+        arch::hot_cold(p, 3, 0.5, p.footprint / 8, 0.7)
+    }),
+    row("Lonestar-SSSP", Lonestar, 1046, 38, false, |p| {
+        arch::hot_cold(p, 3, 0.55, MB, 0.72)
+    }),
+    // Other.
+    row("Other-Stream-Triad", Other, 699_051, 3146, true, |p| {
+        arch::streaming(p, 1, 0.67)
+    }),
+    row("Other-Optix-Raytracing", Other, 3072, 87, false, |p| {
+        each(arch::irregular_shared(p, 3, 0.8, MB, 1.0), |k| {
+            k.compute_per_mem = 10
+        })
+    }),
+    row("Other-Bitcoin-Crypto", Other, 60, 5898, true, |p| {
+        arch::compute_bound(p, 1)
+    }),
+];
+
+/// All 41 workload names, in Table 2 order.
+pub const WORKLOAD_NAMES: [&str; 41] = {
+    let mut names = [""; 41];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = TABLE2[i].name;
+        i += 1;
+    }
+    names
+};
 
 fn build(entry: &Entry, index: u64, scale: &Scale) -> Workload {
     let params = Params {
@@ -478,7 +232,7 @@ fn build(entry: &Entry, index: u64, scale: &Scale) -> Workload {
         seed: 0xC0FFEE ^ (index * 0x1234_5678_9ABC),
         scale: *scale,
     };
-    let kernels: Vec<Arc<dyn Kernel>> = build_kernels(entry.name, params)
+    let kernels: Vec<Arc<dyn Kernel>> = (entry.kernels)(params)
         .into_iter()
         .map(|spec| Arc::new(PatternKernel::new(spec)) as Arc<dyn Kernel>)
         .collect();

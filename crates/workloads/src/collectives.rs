@@ -20,16 +20,6 @@ use crate::scale::Scale;
 use numa_gpu_runtime::{Kernel, Suite, Workload, WorkloadMeta};
 use std::sync::Arc;
 
-/// The collective workload names, in fixed order.
-pub const COLLECTIVE_NAMES: [&str; 6] = [
-    "Coll-AllReduce-Ring",
-    "Coll-AllReduce-Ring-NUMA",
-    "Coll-AllReduce-Tree",
-    "Coll-AllReduce-Tree-NUMA",
-    "Coll-AllToAll",
-    "Coll-AllToAll-NUMA",
-];
-
 /// Ring exchange steps are capped so >8-socket rings stay tractable: the
 /// traffic pattern of every step past the first few is identical.
 const MAX_RING_STEPS: u32 = 8;
@@ -137,18 +127,39 @@ fn all_to_all(p: &CollParams, shifted_fraction: f64) -> Vec<KernelSpec> {
     )]
 }
 
-fn build(index: u64, name: &str, num_sockets: u8, scale: &Scale) -> Workload {
-    let p = params(index, num_sockets, scale);
-    let specs = match name {
-        "Coll-AllReduce-Ring" => all_reduce_ring(&p, num_sockets, 0.5),
-        "Coll-AllReduce-Ring-NUMA" => all_reduce_ring(&p, num_sockets, 0.2),
-        "Coll-AllReduce-Tree" => all_reduce_tree(&p, num_sockets, false),
-        "Coll-AllReduce-Tree-NUMA" => all_reduce_tree(&p, num_sockets, true),
-        "Coll-AllToAll" => all_to_all(&p, 0.9),
-        "Coll-AllToAll-NUMA" => all_to_all(&p, 0.3),
-        other => panic!("unknown collective name: {other}"),
-    };
-    let kernels: Vec<Arc<dyn Kernel>> = specs
+/// Builds a collective's exchange schedule for a machine of the given
+/// socket count.
+type Schedule = fn(&CollParams, u8) -> Vec<KernelSpec>;
+
+/// Every collective, in fixed order: its name and its schedule.
+const COLLECTIVES: [(&str, Schedule); 6] = [
+    ("Coll-AllReduce-Ring", |p, n| all_reduce_ring(p, n, 0.5)),
+    ("Coll-AllReduce-Ring-NUMA", |p, n| {
+        all_reduce_ring(p, n, 0.2)
+    }),
+    ("Coll-AllReduce-Tree", |p, n| all_reduce_tree(p, n, false)),
+    ("Coll-AllReduce-Tree-NUMA", |p, n| {
+        all_reduce_tree(p, n, true)
+    }),
+    ("Coll-AllToAll", |p, _| all_to_all(p, 0.9)),
+    ("Coll-AllToAll-NUMA", |p, _| all_to_all(p, 0.3)),
+];
+
+/// The collective workload names, in fixed order.
+pub const COLLECTIVE_NAMES: [&str; 6] = {
+    let mut names = [""; 6];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = COLLECTIVES[i].0;
+        i += 1;
+    }
+    names
+};
+
+fn build(index: usize, num_sockets: u8, scale: &Scale) -> Workload {
+    let (name, schedule) = COLLECTIVES[index];
+    let p = params(index as u64, num_sockets, scale);
+    let kernels: Vec<Arc<dyn Kernel>> = schedule(&p, num_sockets)
         .into_iter()
         .map(|spec| Arc::new(PatternKernel::new(spec)) as Arc<dyn Kernel>)
         .collect();
@@ -168,10 +179,8 @@ fn build(index: u64, name: &str, num_sockets: u8, scale: &Scale) -> Workload {
 /// Builds every collective workload for a machine of `num_sockets`
 /// sockets, in [`COLLECTIVE_NAMES`] order.
 pub fn collectives(num_sockets: u8, scale: &Scale) -> Vec<Workload> {
-    COLLECTIVE_NAMES
-        .iter()
-        .enumerate()
-        .map(|(i, name)| build(i as u64, name, num_sockets, scale))
+    (0..COLLECTIVES.len())
+        .map(|i| build(i, num_sockets, scale))
         .collect()
 }
 
@@ -187,11 +196,8 @@ pub fn collectives(num_sockets: u8, scale: &Scale) -> Vec<Workload> {
 /// assert!(collective_by_name("Rodinia-BFS", 8, &Scale::quick()).is_none());
 /// ```
 pub fn collective_by_name(name: &str, num_sockets: u8, scale: &Scale) -> Option<Workload> {
-    COLLECTIVE_NAMES
-        .iter()
-        .enumerate()
-        .find(|(_, n)| **n == name)
-        .map(|(i, n)| build(i as u64, n, num_sockets, scale))
+    let index = COLLECTIVE_NAMES.iter().position(|n| *n == name)?;
+    Some(build(index, num_sockets, scale))
 }
 
 #[cfg(test)]
