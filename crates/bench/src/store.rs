@@ -42,10 +42,11 @@ use numa_gpu_testkit::json::Json;
 use numa_gpu_types::SystemConfig;
 use numa_gpu_workloads::Scale;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub use numa_gpu_testkit::fnv1a64;
 
@@ -77,16 +78,6 @@ impl StoreKey {
     /// Derives the store key for a job: its [`JobKey`] identity plus the
     /// canonicalized configuration fingerprint and workload scale.
     pub fn new(key: &JobKey, cfg: &SystemConfig, scale: &Scale) -> StoreKey {
-        let mut canonical = cfg.clone();
-        // Report-invariant knobs are pinned so a warm cache answers every
-        // equivalent request: reports are byte-identical at any
-        // `sim_threads` setting, observability toggles only *add* fields
-        // (and observability runs bypass the store), and the watchdog can
-        // only abort a run — it cannot change a successful report.
-        canonical.sim_threads = 1;
-        canonical.obs = Default::default();
-        canonical.watchdog = Default::default();
-        let config_fp = fnv1a64(format!("{canonical:?}").as_bytes());
         let scale_fp = format!(
             "cta/{}:{}..{} fp/{} ops/{}",
             scale.cta_divisor,
@@ -95,17 +86,15 @@ impl StoreKey {
             scale.footprint_divisor,
             scale.ops_percent
         );
-        // Sorted field names, encoded through the JSON writer so every
-        // label/workload string is escaped — canonical by construction.
-        let material = Json::obj([
-            ("config", Json::Str(format!("{config_fp:016x}"))),
-            (
-                "job",
-                Json::parse(&key.canonical_json()).expect("canonical_json is valid JSON"),
-            ),
-            ("scale", Json::Str(scale_fp)),
-        ])
-        .to_string();
+        // Sorted field names; every string goes through the JSON writer's
+        // escaping (`canonical_json` is that writer's output), so the
+        // material is canonical by construction.
+        let material = format!(
+            r#"{{"config":"{:016x}","job":{},"scale":{}}}"#,
+            config_fingerprint(cfg),
+            key.canonical_json(),
+            Json::Str(scale_fp)
+        );
         let hash = format!(
             "{:016x}{:016x}",
             fnv1a64(material.as_bytes()),
@@ -113,6 +102,47 @@ impl StoreKey {
         );
         StoreKey { material, hash }
     }
+}
+
+/// Distinct canonical configurations whose fingerprints a process keeps:
+/// a whole `figures` run uses a few dozen.
+const FINGERPRINT_MEMO_CAP: usize = 64;
+
+/// FNV-1a of the `Debug` text of `cfg` with its report-invariant knobs
+/// pinned, computed once per distinct canonical configuration per process.
+///
+/// Report-invariant knobs are pinned so a warm cache answers every
+/// equivalent request: reports are byte-identical at any `sim_threads`
+/// setting, observability toggles only *add* fields (and observability
+/// runs bypass the store), and the watchdog can only abort a run — it
+/// cannot change a successful report.
+///
+/// The memo answers by `==`, which is sound because `==` implies identical
+/// `Debug` text: `SystemConfig` has no float field (it is `Eq`, asserted
+/// below), so every field is an integer, a bool or an enum of those, and
+/// derived `Debug` prints each as a function of its value alone. The oldest
+/// memo entry gives way once [`FINGERPRINT_MEMO_CAP`] are held.
+fn config_fingerprint(cfg: &SystemConfig) -> u64 {
+    const _: fn() = || {
+        fn no_float_field<T: Eq>() {}
+        no_float_field::<SystemConfig>();
+    };
+    static MEMO: Mutex<VecDeque<(SystemConfig, u64)>> = Mutex::new(VecDeque::new());
+    let mut canonical = cfg.clone();
+    canonical.sim_threads = 1;
+    canonical.obs = Default::default();
+    canonical.watchdog = Default::default();
+    // Plain values: a panic elsewhere cannot leave the memo half updated.
+    let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(_, fp)) = memo.iter().find(|(seen, _)| *seen == canonical) {
+        return fp;
+    }
+    let fp = fnv1a64(format!("{canonical:?}").as_bytes());
+    if memo.len() == FINGERPRINT_MEMO_CAP {
+        memo.pop_front();
+    }
+    memo.push_back((canonical, fp));
+    fp
 }
 
 /// A job sealed with the [`StoreKey`] derived from it — the only form in
@@ -147,14 +177,16 @@ impl KeyedJob {
 /// Why an entry was quarantined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptKind {
-    /// The file had no parseable header line.
+    /// The file had no parseable header line, or one that every other
+    /// check passed but that is not the line the writer emits.
     BadHeader,
     /// The header named a format version this build does not read.
     VersionMismatch,
     /// The payload checksum did not match the header (bit flip or
     /// truncation).
     ChecksumMismatch,
-    /// The payload parsed but did not decode as a report.
+    /// The payload parsed but did not decode as a report, or decoded but
+    /// is not laid out as the writer lays it out.
     BadPayload,
     /// The payload decoded but its embedded key material was not the
     /// requested one (a 128-bit hash collision, or a hand-renamed file).
@@ -219,6 +251,22 @@ impl StoreStats {
             ("temp_swept", Json::UInt(self.temp_swept)),
         ])
     }
+}
+
+/// An entry's first line: the format version and the checksum of the
+/// `payload` on its second line. The writer emits it and a hit compares
+/// the whole line, so both are checked in one comparison.
+fn entry_header(payload: &str) -> String {
+    format!(
+        r#"{{"format":{REPORT_FORMAT_VERSION},"checksum":"{:016x}"}}"#,
+        fnv1a64(payload.as_bytes())
+    )
+}
+
+/// A payload up to its report: `{"key":<material>,"report":`. The writer
+/// appends the encoded report and `}`; a hit strips exactly these bytes.
+fn payload_prefix(material: &str) -> String {
+    format!(r#"{{"key":{material},"report":"#)
 }
 
 /// The on-disk content-addressed result store.
@@ -346,13 +394,18 @@ impl DiskStore {
 
     /// Loads the result stored under `key`, or `None` on a miss.
     ///
-    /// A corrupt entry (torn, truncated, bit-flipped, wrong version, or
-    /// carrying foreign key material) is quarantined into `corrupt/` and
-    /// reported as a miss — the caller recomputes and the next
+    /// A corrupt entry (torn, truncated, bit-flipped, not UTF-8, wrong
+    /// version, or carrying foreign key material) is quarantined into
+    /// `corrupt/` and reported as a miss — the caller recomputes and the next
     /// [`DiskStore::save`] heals the entry.
     pub fn load(&self, key: &StoreKey) -> Option<SimReport> {
         let path = self.entry_path(key);
-        match std::fs::read_to_string(&path).map(|raw| Self::parse_entry(&raw, key)) {
+        // Bytes, not a string: an entry that is not UTF-8 is damage the
+        // checks below quarantine, not a miss that lets the next write
+        // rename over the evidence.
+        let read =
+            std::fs::read(&path).map(|raw| Self::parse_entry(&String::from_utf8_lossy(&raw), key));
+        match read {
             Ok(Ok(report)) => {
                 self.record(StoreEvent::Hit(key.hash.clone()));
                 return Some(report);
@@ -364,33 +417,58 @@ impl DiskStore {
         None
     }
 
-    /// Parses one entry file: a header line
-    /// `{"format":V,"checksum":"<16hex>"}` followed by the payload
-    /// document `{"key":<material>,"report":{...}}` on the second line.
+    /// Reads one entry file: the header line [`entry_header`] of the
+    /// payload, then the payload — [`payload_prefix`] of the key material,
+    /// one report object and `}`. A hit is byte checks (format version and
+    /// checksum in one comparison, the key material byte for byte) and the
+    /// report's decode; anything else is only classified.
     fn parse_entry(raw: &str, key: &StoreKey) -> Result<SimReport, CorruptKind> {
-        let (header_line, payload) = raw.split_once('\n').ok_or(CorruptKind::BadHeader)?;
-        let header = Json::parse(header_line).map_err(|_| CorruptKind::BadHeader)?;
-        let version = header
-            .get("format")
-            .and_then(Json::as_u64)
-            .ok_or(CorruptKind::BadHeader)?;
-        if version != REPORT_FORMAT_VERSION {
-            return Err(CorruptKind::VersionMismatch);
+        raw.split_once('\n')
+            .filter(|&(header, payload)| header == entry_header(payload))
+            .and_then(|(_, payload)| payload.strip_prefix(payload_prefix(&key.material).as_str()))
+            .and_then(|rest| rest.strip_suffix('}'))
+            .and_then(|report| Json::parse(report).ok())
+            .and_then(|report| decode_report(&report).ok())
+            .ok_or_else(|| Self::corrupt_kind(raw, key))
+    }
+
+    /// Names what is wrong with an entry [`Self::parse_entry`] rejected, by
+    /// parsing it into trees step by step. It never returns a report, so
+    /// the byte checks stay the one way to a hit.
+    fn corrupt_kind(raw: &str, key: &StoreKey) -> CorruptKind {
+        let tree_checks = || {
+            let (header_line, payload) = raw.split_once('\n').ok_or(CorruptKind::BadHeader)?;
+            let header = Json::parse(header_line).map_err(|_| CorruptKind::BadHeader)?;
+            let version = header
+                .get("format")
+                .and_then(Json::as_u64)
+                .ok_or(CorruptKind::BadHeader)?;
+            if version != REPORT_FORMAT_VERSION {
+                return Err(CorruptKind::VersionMismatch);
+            }
+            let checksum = header
+                .get("checksum")
+                .and_then(Json::as_str)
+                .ok_or(CorruptKind::BadHeader)?;
+            if checksum != format!("{:016x}", fnv1a64(payload.as_bytes())) {
+                return Err(CorruptKind::ChecksumMismatch);
+            }
+            let doc = Json::parse(payload).map_err(|_| CorruptKind::BadPayload)?;
+            let material = doc.get("key").ok_or(CorruptKind::BadPayload)?.to_string();
+            if material != key.material {
+                return Err(CorruptKind::KeyMismatch);
+            }
+            let report = doc.get("report").ok_or(CorruptKind::BadPayload)?;
+            decode_report(report).map_err(|_| CorruptKind::BadPayload)?;
+            Ok(header_line == entry_header(payload))
+        };
+        match tree_checks() {
+            Err(kind) => kind,
+            // Every tree check passed, yet the bytes are not the layout the
+            // writer emits (a reordered header or payload, say).
+            Ok(true) => CorruptKind::BadPayload,
+            Ok(false) => CorruptKind::BadHeader,
         }
-        let checksum = header
-            .get("checksum")
-            .and_then(Json::as_str)
-            .ok_or(CorruptKind::BadHeader)?;
-        if checksum != format!("{:016x}", fnv1a64(payload.as_bytes())) {
-            return Err(CorruptKind::ChecksumMismatch);
-        }
-        let doc = Json::parse(payload).map_err(|_| CorruptKind::BadPayload)?;
-        let material = doc.get("key").ok_or(CorruptKind::BadPayload)?.to_string();
-        if material != key.material {
-            return Err(CorruptKind::KeyMismatch);
-        }
-        let report = doc.get("report").ok_or(CorruptKind::BadPayload)?;
-        decode_report(report).map_err(|_| CorruptKind::BadPayload)
     }
 
     /// Moves a corrupt entry aside (never deletes it) under a unique name
@@ -427,22 +505,9 @@ impl DiskStore {
                 return Err(std::io::Error::other(msg));
             }
         };
-        let payload = Json::obj([
-            (
-                "key",
-                Json::parse(&key.material).expect("key material is valid JSON"),
-            ),
-            ("report", encoded),
-        ])
-        .to_string();
-        let header = Json::obj([
-            ("format", Json::UInt(REPORT_FORMAT_VERSION)),
-            (
-                "checksum",
-                Json::Str(format!("{:016x}", fnv1a64(payload.as_bytes()))),
-            ),
-        ])
-        .to_string();
+        let mut payload = payload_prefix(&key.material);
+        write!(payload, "{encoded}}}").expect("writing to a String cannot fail");
+        let header = entry_header(&payload);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let tmp = self
             .root
@@ -584,6 +649,55 @@ mod tests {
         );
     }
 
+    /// The memo answers exactly what formatting the canonical configuration
+    /// would, on a first and a repeated lookup, and past its capacity.
+    #[test]
+    fn fingerprint_memo_equals_the_direct_computation() {
+        let direct = |cfg: &SystemConfig| {
+            let mut canonical = cfg.clone();
+            canonical.sim_threads = 1;
+            canonical.obs = Default::default();
+            canonical.watchdog = Default::default();
+            fnv1a64(format!("{canonical:?}").as_bytes())
+        };
+        let presets: [fn(u8) -> SystemConfig; 5] = [
+            |_| configs::single(),
+            configs::traditional,
+            configs::page_interleaved,
+            configs::locality,
+            configs::numa_aware,
+        ];
+        let mut cfgs: Vec<SystemConfig> = presets
+            .iter()
+            .flat_map(|preset| [2, 4, 8].map(preset))
+            .collect();
+        cfgs.extend(
+            crate::experiments::fig3_variants()
+                .into_iter()
+                .map(|(_, c)| c),
+        );
+        cfgs.extend((1..=8).map(SystemConfig::numa_aware_sockets));
+        for cfg in &cfgs {
+            let mut knobs = cfg.clone();
+            knobs.sim_threads = 8;
+            knobs.obs = numa_gpu_types::ObsConfig::full();
+            knobs.watchdog.max_cycles = 123_456;
+            knobs.watchdog.stall_cycles = 789;
+            for _ in 0..2 {
+                assert_eq!(config_fingerprint(cfg), direct(cfg), "{cfg:?}");
+                assert_eq!(config_fingerprint(&knobs), config_fingerprint(cfg));
+            }
+        }
+        // More distinct configurations than the memo holds still answer
+        // right after the oldest give way.
+        for period in 0..FINGERPRINT_MEMO_CAP as u32 + 8 {
+            let mut cfg = configs::numa_aware(4);
+            cfg.cache_sample_time_cycles = 1_000 + period;
+            assert_eq!(config_fingerprint(&cfg), direct(&cfg));
+        }
+        assert_eq!(config_fingerprint(&cfgs[0]), direct(&cfgs[0]));
+    }
+
     /// The whole job-level policy in one place: plain hit, profile
     /// stripped, profile-wanted miss healed by the rewrite, and the
     /// metrics/trace bypass on both the read and the write side.
@@ -654,6 +768,93 @@ mod tests {
         assert_eq!(store.events_dropped(), 10_001 - EVENT_LOG_CAP as u64);
         assert_eq!(store.stats().hits, 10_000);
         assert_eq!(store.stats().writes, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One entry's exact bytes, recorded from the writer that filled the
+    /// stores already on disk: the layout helpers can drift from neither
+    /// the old writer nor the old reader without this failing.
+    #[test]
+    fn one_entry_is_pinned_byte_for_byte() {
+        const ENTRY: &str = concat!(
+            r#"{"format":1,"checksum":"26a11bf025e20e87"}"#,
+            "\n",
+            r#"{"key":{"config":"a88828b574b03719","job":{"label":"loc\"2","#,
+            r#""scenario":"lanes:s1@5000=8","timeline":true,"workload":"Rodinia-Euler3D"},"#,
+            r#""scale":"cta/64:16..128 fp/96 ops/25"},"report":{"version":1,"#,
+            r#""workload":"Rodinia-Euler3D","total_cycles":12345,"kernel_cycles":[100,200],"#,
+            r#""kernel_start_cycles":[0,100],"sockets":[],"link_timelines":[],"#,
+            r#""l1":{"local_hits":0,"local_misses":0,"remote_hits":0,"remote_misses":0,"#,
+            r#""fills":0,"evictions":0,"dirty_evictions":0},"#,
+            r#""remote_read_fraction_bits":4598175219545276416,"interconnect_bytes":4096,"#,
+            r#""link_power_w_bits":0,"resilience":null,"profile":null}}"#,
+        );
+        let dir = std::env::temp_dir().join(format!("numa-gpu-pinned-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let key = StoreKey::new(
+            &JobKey::new("loc\"2", "Rodinia-Euler3D", true).with_scenario("lanes:s1@5000=8"),
+            &configs::locality(2),
+            &Scale::quick(),
+        );
+        let report = SimReport {
+            workload: "Rodinia-Euler3D".into(),
+            total_cycles: 12_345,
+            kernel_cycles: vec![100, 200],
+            kernel_start_cycles: vec![0, 100],
+            remote_read_fraction: 0.25,
+            interconnect_bytes: 4096,
+            ..SimReport::default()
+        };
+        store.save(&key, &report).unwrap();
+        let path = store.entry_path(&key);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), ENTRY);
+        std::fs::write(&path, ENTRY).unwrap();
+        assert_eq!(store.load(&key), Some(report));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An entry every tree check accepts but whose bytes are not the
+    /// written layout is quarantined, never served: the byte checks are
+    /// the one way to a hit.
+    #[test]
+    fn a_valid_entry_in_another_layout_is_quarantined_not_served() {
+        let dir = std::env::temp_dir().join(format!("numa-gpu-layout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let key = StoreKey::new(
+            &JobKey::new("loc2", "w", false),
+            &configs::locality(2),
+            &Scale::quick(),
+        );
+        let report = SimReport::default();
+        let doc = encode_report(&report).unwrap();
+        let payload = format!(r#"{{"key":{},"report":{doc}}}"#, key.material);
+        let swapped = format!(r#"{{"report":{doc},"key":{}}}"#, key.material);
+        let checksum = format!("{:016x}", fnv1a64(payload.as_bytes()));
+        for (entry, kind) in [
+            (
+                format!("{{\"checksum\":\"{checksum}\",\"format\":1}}\n{payload}"),
+                CorruptKind::BadHeader,
+            ),
+            (
+                format!("{}\n{swapped}", entry_header(&swapped)),
+                CorruptKind::BadPayload,
+            ),
+        ] {
+            std::fs::write(store.entry_path(&key), entry).unwrap();
+            assert_eq!(store.load(&key), None);
+            let events = store.events();
+            assert_eq!(
+                events[events.len() - 2..],
+                [
+                    StoreEvent::Quarantined(key.hash.clone(), kind),
+                    StoreEvent::Miss(key.hash.clone())
+                ]
+            );
+        }
+        store.save(&key, &report).unwrap();
+        assert_eq!(store.load(&key), Some(report));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -95,33 +95,48 @@ fn truncated_entry_is_quarantined_and_recomputed_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A low bit keeps the byte ASCII; the high bit makes the entry invalid
+/// UTF-8, which must be quarantined like any other flip rather than read
+/// as a miss and renamed over by the next write.
 #[test]
 fn bit_flipped_entry_is_quarantined_and_recomputed_byte_identically() {
-    let dir = tmpdir("bitflip");
-    let (cold, _) = sweep(&dir);
-    let entries = entry_paths(&dir);
+    for mask in [0x04u8, 0x80] {
+        let dir = tmpdir(&format!("bitflip-{mask:02x}"));
+        let (cold, _) = sweep(&dir);
+        let entries = entry_paths(&dir);
 
-    // Flip one bit deep in the payload of each entry.
-    for path in &entries {
-        let mut bytes = std::fs::read(path).unwrap();
-        let mid = bytes.len() * 3 / 4;
-        bytes[mid] ^= 0x04;
-        std::fs::write(path, &bytes).unwrap();
+        // Flip one bit deep in the payload of each entry.
+        for path in &entries {
+            let mut bytes = std::fs::read(path).unwrap();
+            let mid = bytes.len() * 3 / 4;
+            bytes[mid] ^= mask;
+            std::fs::write(path, &bytes).unwrap();
+        }
+
+        let (healed, healed_runner) = sweep(&dir);
+        assert_eq!(cold, healed, "mask {mask:#04x}");
+        assert_eq!(healed_runner.warm_hits(), 0, "both entries were corrupt");
+        assert_eq!(healed_runner.runs(), 2);
+        let stats = healed_runner.store_stats().unwrap();
+        assert_eq!(stats.quarantined, 2, "mask {mask:#04x}");
+        assert_eq!(stats.writes, 2, "both entries rewritten");
+        let quarantined: Vec<_> = std::fs::read_dir(dir.join("corrupt"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(quarantined.len(), 2);
+        assert!(
+            quarantined
+                .iter()
+                .all(|name| name.contains(".checksum-mismatch.")),
+            "mask {mask:#04x}: {quarantined:?}"
+        );
+
+        let (warm, warm_runner) = sweep(&dir);
+        assert_eq!(cold, warm);
+        assert_eq!(warm_runner.warm_hits(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-
-    let (healed, healed_runner) = sweep(&dir);
-    assert_eq!(cold, healed);
-    assert_eq!(healed_runner.warm_hits(), 0, "both entries were corrupt");
-    assert_eq!(healed_runner.runs(), 2);
-    let stats = healed_runner.store_stats().unwrap();
-    assert_eq!(stats.quarantined, 2);
-    assert_eq!(stats.writes, 2, "both entries rewritten");
-    assert_eq!(corrupt_count(&dir), 2);
-
-    let (warm, warm_runner) = sweep(&dir);
-    assert_eq!(cold, warm);
-    assert_eq!(warm_runner.warm_hits(), 2);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -349,7 +349,7 @@ pub const HEADER_BYTES: u32 = 16;
 /// cfg.validate().expect("Table 1 config is valid");
 /// assert_eq!(cfg.total_sms(), 256);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Number of GPU sockets (1 for the single-GPU baselines).
     pub num_sockets: u8,
