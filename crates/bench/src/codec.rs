@@ -14,7 +14,11 @@
 //!   through the store;
 //! * decodes defensively — any malformed document yields a
 //!   [`CodecError`], never a panic, so a corrupt store entry degrades to
-//!   a cache miss.
+//!   a cache miss;
+//! * has one decoder, [`decode_report_text`]: one pass of a [`Reader`]
+//!   (`testkit::json`'s one lexer also carries the parser and the writer)
+//!   over the writer's text, which decodes only if re-encoding its report
+//!   gives it back byte for byte. [`decode_report`] decodes a tree's text.
 //!
 //! The optional self-profile *is* encoded: it is plain counter data and
 //! `figures --profile --cache-dir` must aggregate over warm hits too.
@@ -22,7 +26,7 @@
 use numa_gpu_core::{cache_stats_json, ProfileReport, SimReport, SocketReport};
 use numa_gpu_faults::{AppliedFault, LinkResilience, ResilienceReport};
 use numa_gpu_interconnect::LinkSample;
-use numa_gpu_testkit::json::Json;
+use numa_gpu_testkit::json::{Json, JsonError, Reader};
 
 /// Version of the payload encoding. Bump whenever the report shape or the
 /// simulator's observable behaviour changes incompatibly; old entries then
@@ -166,204 +170,193 @@ fn malformed(msg: impl Into<String>) -> CodecError {
     CodecError::Malformed(msg.into())
 }
 
-fn field<'a>(doc: &'a Json, name: &str) -> Result<&'a Json, CodecError> {
-    doc.get(name)
-        .ok_or_else(|| malformed(format!("missing field `{name}`")))
+impl From<JsonError> for CodecError {
+    fn from(e: JsonError) -> Self {
+        malformed(e.to_string())
+    }
 }
 
-fn get_u64(doc: &Json, name: &str) -> Result<u64, CodecError> {
-    field(doc, name)?
-        .as_u64()
-        .ok_or_else(|| malformed(format!("field `{name}` is not a u64")))
-}
-
-fn get_f64_bits(doc: &Json, name: &str) -> Result<f64, CodecError> {
-    Ok(f64::from_bits(get_u64(doc, name)?))
-}
-
-fn get_str(doc: &Json, name: &str) -> Result<String, CodecError> {
-    Ok(field(doc, name)?
-        .as_str()
-        .ok_or_else(|| malformed(format!("field `{name}` is not a string")))?
-        .to_string())
-}
-
-fn get_arr<'a>(doc: &'a Json, name: &str) -> Result<&'a [Json], CodecError> {
-    field(doc, name)?
-        .as_array()
-        .ok_or_else(|| malformed(format!("field `{name}` is not an array")))
-}
-
-fn get_u64s(doc: &Json, name: &str) -> Result<Vec<u64>, CodecError> {
-    get_arr(doc, name)?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| malformed(format!("`{name}` element is not a u64")))
-        })
-        .collect()
-}
-
-/// Decodes a stored report.
+/// Decodes a stored report from a tree: the tree's text through
+/// [`decode_report_text`], the one decoder.
 ///
 /// # Errors
 ///
-/// [`CodecError::Malformed`] on any structural mismatch, including a
-/// format-version difference (old entries must recompute, not mis-decode).
+/// As [`decode_report_text`].
 pub fn decode_report(doc: &Json) -> Result<SimReport, CodecError> {
-    let version = get_u64(doc, "version")?;
+    decode_report_text(&doc.to_string())
+}
+
+/// Decodes a stored report from the text [`encode_report`]'s document
+/// writes, in one pass and without a tree.
+///
+/// # Errors
+///
+/// [`CodecError::Malformed`] on any byte the writer would not have
+/// written, including a format-version difference (old entries must
+/// recompute, not mis-decode).
+pub fn decode_report_text(text: &str) -> Result<SimReport, CodecError> {
+    let r = &mut Reader::new(text);
+    r.open(b'{')?;
+    let version = r.key("version")?.u64()?;
     if version != REPORT_FORMAT_VERSION {
         return Err(malformed(format!(
             "payload version {version}, expected {REPORT_FORMAT_VERSION}"
         )));
     }
-    let sockets = get_arr(doc, "sockets")?
-        .iter()
-        .map(decode_socket)
-        .collect::<Result<Vec<_>, _>>()?;
-    let link_timelines = get_arr(doc, "link_timelines")?
-        .iter()
-        .map(|tl| {
-            tl.as_array()
-                .ok_or_else(|| malformed("timeline is not an array"))?
-                .iter()
-                .map(decode_sample)
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let resilience = match field(doc, "resilience")? {
-        Json::Null => None,
-        r => Some(decode_resilience(r)?),
-    };
-    let profile = match field(doc, "profile")? {
-        Json::Null => None,
-        p => Some(decode_profile(p)?),
-    };
-    Ok(SimReport {
-        workload: get_str(doc, "workload")?,
-        total_cycles: get_u64(doc, "total_cycles")?,
-        kernel_cycles: get_u64s(doc, "kernel_cycles")?,
-        kernel_start_cycles: get_u64s(doc, "kernel_start_cycles")?,
-        sockets,
-        link_timelines,
-        l1: decode_cache_stats(field(doc, "l1")?)?,
-        remote_read_fraction: get_f64_bits(doc, "remote_read_fraction_bits")?,
-        interconnect_bytes: get_u64(doc, "interconnect_bytes")?,
-        link_power_w: get_f64_bits(doc, "link_power_w_bits")?,
+    let report = SimReport {
+        workload: r.key("workload")?.string()?,
+        total_cycles: r.key("total_cycles")?.u64()?,
+        kernel_cycles: list(r.key("kernel_cycles")?, |r| Ok(r.u64()?))?,
+        kernel_start_cycles: list(r.key("kernel_start_cycles")?, |r| Ok(r.u64()?))?,
+        sockets: list(r.key("sockets")?, read_socket)?,
+        link_timelines: list(r.key("link_timelines")?, |r| list(r, read_sample))?,
+        l1: read_cache_stats(r.key("l1")?)?,
+        remote_read_fraction: f64::from_bits(r.key("remote_read_fraction_bits")?.u64()?),
+        interconnect_bytes: r.key("interconnect_bytes")?.u64()?,
+        link_power_w: f64::from_bits(r.key("link_power_w_bits")?.u64()?),
         metrics: None,
         trace_events: Vec::new(),
-        resilience,
-        profile,
-    })
-}
-
-fn decode_socket(doc: &Json) -> Result<SocketReport, CodecError> {
-    let l2_partition = match field(doc, "l2_partition")? {
-        Json::Null => None,
-        Json::Arr(pair) if pair.len() == 2 => {
-            let part = |v: &Json| -> Result<u16, CodecError> {
-                let raw = v
-                    .as_u64()
-                    .ok_or_else(|| malformed("l2_partition element is not a u64"))?;
-                u16::try_from(raw).map_err(|_| malformed("l2_partition element exceeds u16"))
-            };
-            Some((part(&pair[0])?, part(&pair[1])?))
-        }
-        _ => return Err(malformed("l2_partition is not null or a pair")),
+        resilience: optional(r.key("resilience")?, read_resilience)?,
+        profile: optional(r.key("profile")?, read_profile)?,
     };
-    Ok(SocketReport {
-        egress_bytes: get_u64(doc, "egress_bytes")?,
-        ingress_bytes: get_u64(doc, "ingress_bytes")?,
-        dram_bytes: get_u64(doc, "dram_bytes")?,
-        l2: decode_cache_stats(field(doc, "l2")?)?,
-        lane_turns: get_u64(doc, "lane_turns")?,
-        equalizations: get_u64(doc, "equalizations")?,
-        l2_partition,
-    })
+    r.end_object()?;
+    r.finish()?;
+    Ok(report)
 }
 
-fn decode_cache_stats(doc: &Json) -> Result<numa_gpu_cache::CacheStats, CodecError> {
+type Decoded<T> = Result<T, CodecError>;
+
+/// Reads an array, each item with `item`.
+fn list<T>(r: &mut Reader, item: impl Fn(&mut Reader) -> Decoded<T>) -> Decoded<Vec<T>> {
+    r.open(b'[')?;
+    let mut out = Vec::new();
+    while r.next_item()? {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+/// Reads `null` as `None`, anything else with `value`.
+fn optional<T>(r: &mut Reader, value: impl Fn(&mut Reader) -> Decoded<T>) -> Decoded<Option<T>> {
+    if r.null() {
+        Ok(None)
+    } else {
+        value(r).map(Some)
+    }
+}
+
+/// Reads a `u64` that must fit `T`.
+fn narrow<T: TryFrom<u64>>(r: &mut Reader, what: &str) -> Decoded<T> {
+    T::try_from(r.u64()?).map_err(|_| malformed(format!("`{what}` out of range")))
+}
+
+fn read_socket(r: &mut Reader) -> Decoded<SocketReport> {
+    r.open(b'{')?;
+    let socket = SocketReport {
+        egress_bytes: r.key("egress_bytes")?.u64()?,
+        ingress_bytes: r.key("ingress_bytes")?.u64()?,
+        dram_bytes: r.key("dram_bytes")?.u64()?,
+        l2: read_cache_stats(r.key("l2")?)?,
+        lane_turns: r.key("lane_turns")?.u64()?,
+        equalizations: r.key("equalizations")?.u64()?,
+        l2_partition: optional(r.key("l2_partition")?, |r| {
+            match list(r, |r| narrow(r, "l2_partition"))?[..] {
+                [local, remote] => Ok((local, remote)),
+                _ => Err(malformed("l2_partition is not a pair")),
+            }
+        })?,
+    };
+    r.end_object()?;
+    Ok(socket)
+}
+
+fn read_cache_stats(r: &mut Reader) -> Decoded<numa_gpu_cache::CacheStats> {
     let mut s = numa_gpu_cache::CacheStats::default();
-    s.local_hits.add(get_u64(doc, "local_hits")?);
-    s.local_misses.add(get_u64(doc, "local_misses")?);
-    s.remote_hits.add(get_u64(doc, "remote_hits")?);
-    s.remote_misses.add(get_u64(doc, "remote_misses")?);
-    s.fills.add(get_u64(doc, "fills")?);
-    s.evictions.add(get_u64(doc, "evictions")?);
-    s.dirty_evictions.add(get_u64(doc, "dirty_evictions")?);
+    r.open(b'{')?;
+    for (name, counter) in [
+        ("local_hits", &mut s.local_hits),
+        ("local_misses", &mut s.local_misses),
+        ("remote_hits", &mut s.remote_hits),
+        ("remote_misses", &mut s.remote_misses),
+        ("fills", &mut s.fills),
+        ("evictions", &mut s.evictions),
+        ("dirty_evictions", &mut s.dirty_evictions),
+    ] {
+        counter.add(r.key(name)?.u64()?);
+    }
+    r.end_object()?;
     Ok(s)
 }
 
-fn decode_sample(doc: &Json) -> Result<LinkSample, CodecError> {
-    let lanes = |name: &str| -> Result<u8, CodecError> {
-        u8::try_from(get_u64(doc, name)?).map_err(|_| malformed(format!("`{name}` exceeds u8")))
+fn read_sample(r: &mut Reader) -> Decoded<LinkSample> {
+    r.open(b'{')?;
+    let sample = LinkSample {
+        cycle: r.key("cycle")?.u64()?,
+        egress_util: f64::from_bits(r.key("egress_util_bits")?.u64()?),
+        ingress_util: f64::from_bits(r.key("ingress_util_bits")?.u64()?),
+        egress_lanes: narrow(r.key("egress_lanes")?, "egress_lanes")?,
+        ingress_lanes: narrow(r.key("ingress_lanes")?, "ingress_lanes")?,
     };
-    Ok(LinkSample {
-        cycle: get_u64(doc, "cycle")?,
-        egress_util: get_f64_bits(doc, "egress_util_bits")?,
-        ingress_util: get_f64_bits(doc, "ingress_util_bits")?,
-        egress_lanes: lanes("egress_lanes")?,
-        ingress_lanes: lanes("ingress_lanes")?,
-    })
+    r.end_object()?;
+    Ok(sample)
 }
 
-fn decode_resilience(doc: &Json) -> Result<ResilienceReport, CodecError> {
-    let applied = get_arr(doc, "applied")?
-        .iter()
-        .map(|f| {
-            Ok(AppliedFault {
-                cycle: get_u64(f, "cycle")?,
-                description: get_str(f, "description")?,
-            })
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    let links = get_arr(doc, "links")?
-        .iter()
-        .map(|l| {
-            Ok(LinkResilience {
-                edge: u8::try_from(get_u64(l, "edge")?)
-                    .map_err(|_| malformed("`edge` exceeds u8"))?,
-                nominal_lane_cycles: get_u64(l, "nominal_lane_cycles")?,
-                available_lane_cycles: get_u64(l, "available_lane_cycles")?,
-                recovery_cycles: match field(l, "recovery_cycles")? {
-                    Json::Null => None,
-                    v => Some(
-                        v.as_u64()
-                            .ok_or_else(|| malformed("`recovery_cycles` is not a u64"))?,
-                    ),
-                },
-            })
-        })
-        .collect::<Result<Vec<_>, CodecError>>()?;
-    Ok(ResilienceReport {
+fn read_resilience(r: &mut Reader) -> Decoded<ResilienceReport> {
+    r.open(b'{')?;
+    let applied = list(r.key("applied")?, |r| {
+        r.open(b'{')?;
+        let fault = AppliedFault {
+            cycle: r.key("cycle")?.u64()?,
+            description: r.key("description")?.string()?,
+        };
+        r.end_object()?;
+        Ok(fault)
+    })?;
+    let links = list(r.key("links")?, |r| {
+        r.open(b'{')?;
+        let link = LinkResilience {
+            edge: narrow(r.key("edge")?, "edge")?,
+            nominal_lane_cycles: r.key("nominal_lane_cycles")?.u64()?,
+            available_lane_cycles: r.key("available_lane_cycles")?.u64()?,
+            recovery_cycles: optional(r.key("recovery_cycles")?, |r| Ok(r.u64()?))?,
+        };
+        r.end_object()?;
+        Ok(link)
+    })?;
+    let res = ResilienceReport {
         applied,
         links,
-        disabled_sms: u32::try_from(get_u64(doc, "disabled_sms")?)
-            .map_err(|_| malformed("`disabled_sms` exceeds u32"))?,
-        requeued_ctas: u32::try_from(get_u64(doc, "requeued_ctas")?)
-            .map_err(|_| malformed("`requeued_ctas` exceeds u32"))?,
-    })
+        disabled_sms: narrow(r.key("disabled_sms")?, "disabled_sms")?,
+        requeued_ctas: narrow(r.key("requeued_ctas")?, "requeued_ctas")?,
+    };
+    r.end_object()?;
+    Ok(res)
 }
 
-fn decode_profile(doc: &Json) -> Result<ProfileReport, CodecError> {
+/// Reads a profile. A repeated scope or counter name is malformed: the
+/// writer never emits one, and [`ProfileReport::scope`] would merge it.
+fn read_profile(r: &mut Reader) -> Decoded<ProfileReport> {
     let mut p = ProfileReport::new();
-    for scope in get_arr(doc, "scopes")? {
-        let name = get_str(scope, "name")?;
-        let out = p.scope(&name);
-        match field(scope, "counters")? {
-            Json::Obj(fields) => {
-                for (counter, value) in fields {
-                    out.count(
-                        counter,
-                        value
-                            .as_u64()
-                            .ok_or_else(|| malformed("profile counter is not a u64"))?,
-                    );
-                }
-            }
-            _ => return Err(malformed("`counters` is not an object")),
+    r.open(b'{')?;
+    r.key("scopes")?.open(b'[')?;
+    while r.next_item()? {
+        r.open(b'{')?;
+        let name = r.key("name")?.string()?;
+        if p.scopes.iter().any(|s| s.name == name) {
+            return Err(malformed(format!("profile scope `{name}` repeats")));
         }
+        let scope = p.scope(&name);
+        r.key("counters")?.open(b'{')?;
+        while let Some(counter) = r.next_key()? {
+            if scope.counters.iter().any(|(n, _)| *n == counter) {
+                return Err(malformed(format!("profile counter `{counter}` repeats")));
+            }
+            let value = r.u64()?;
+            scope.counters.push((counter, value));
+        }
+        r.end_object()?;
     }
+    r.end_object()?;
     Ok(p)
 }
 
@@ -455,6 +448,24 @@ mod tests {
             if let Ok(doc) = Json::parse(prefix) {
                 assert!(decode_report(&doc).is_err(), "cut at {cut} decoded");
             }
+        }
+    }
+
+    /// The writer never repeats a profile scope or counter, and a decode
+    /// that merged or kept one would give a report that is not this text.
+    #[test]
+    fn repeated_profile_names_are_malformed() {
+        let mut r = run(false, None, false);
+        let mut profile = ProfileReport::new();
+        profile.scope("a").count("x", 1).count("y", 2);
+        profile.scope("b");
+        r.profile = Some(profile);
+        let text = encode_report(&r).unwrap().to_string();
+        assert!(decode_report_text(&text).is_ok());
+        for (from, to) in [(r#""name":"b""#, r#""name":"a""#), (r#""y":2"#, r#""x":2"#)] {
+            let repeated = text.replace(from, to);
+            let err = decode_report_text(&repeated).unwrap_err();
+            assert!(err.to_string().contains("repeats"), "{err}");
         }
     }
 

@@ -402,9 +402,12 @@ impl DiskStore {
         let path = self.entry_path(key);
         // Bytes, not a string: an entry that is not UTF-8 is damage the
         // checks below quarantine, not a miss that lets the next write
-        // rename over the evidence.
-        let read =
-            std::fs::read(&path).map(|raw| Self::parse_entry(&String::from_utf8_lossy(&raw), key));
+        // rename over the evidence. Only such an entry pays the lossy decode.
+        let read = std::fs::read(&path).map(|raw| {
+            let text = String::from_utf8(raw)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+            Self::parse_entry(&text, key)
+        });
         match read {
             Ok(Ok(report)) => {
                 self.record(StoreEvent::Hit(key.hash.clone()));
@@ -420,15 +423,15 @@ impl DiskStore {
     /// Reads one entry file: the header line [`entry_header`] of the
     /// payload, then the payload — [`payload_prefix`] of the key material,
     /// one report object and `}`. A hit is byte checks (format version and
-    /// checksum in one comparison, the key material byte for byte) and the
-    /// report's decode; anything else is only classified.
+    /// checksum in one comparison, the key material byte for byte) and one
+    /// pull decode of the report in the writer's layout, with no tree;
+    /// anything else is only classified.
     fn parse_entry(raw: &str, key: &StoreKey) -> Result<SimReport, CorruptKind> {
         raw.split_once('\n')
             .filter(|&(header, payload)| header == entry_header(payload))
             .and_then(|(_, payload)| payload.strip_prefix(payload_prefix(&key.material).as_str()))
             .and_then(|rest| rest.strip_suffix('}'))
-            .and_then(|report| Json::parse(report).ok())
-            .and_then(|report| decode_report(&report).ok())
+            .and_then(|report| crate::codec::decode_report_text(report).ok())
             .ok_or_else(|| Self::corrupt_kind(raw, key))
     }
 

@@ -7,9 +7,13 @@
 //! recovery path taken.
 
 use numa_gpu_bench::store::CorruptKind;
-use numa_gpu_bench::{configs, Runner, SimPlan, StoreEvent};
+use numa_gpu_bench::{configs, DiskStore, JobKey, Runner, SimPlan, StoreEvent, StoreKey};
+use numa_gpu_core::{NumaGpuSystem, SimReport};
+use numa_gpu_testkit::gen::ints;
+use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check, Config, DetRng};
 use numa_gpu_workloads::{by_name, Scale};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 const WORKLOAD: &str = "Other-Bitcoin-Crypto";
 
@@ -245,4 +249,80 @@ fn event_log_is_deterministic_for_a_deterministic_access_sequence() {
         .all(|e| matches!(e, StoreEvent::Hit(_))));
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// One simulated report, run once per test process.
+fn real_report() -> &'static SimReport {
+    static REPORT: OnceLock<SimReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let wl = by_name(WORKLOAD, &Scale::quick()).expect("catalog workload");
+        let mut sys = NumaGpuSystem::new(configs::locality(2)).expect("valid config");
+        sys.enable_link_timeline();
+        sys.run(&wl).expect("runs")
+    })
+}
+
+prop_check! {
+    #![config = Config::new().cases(64)]
+
+    /// Whatever bytes an entry holds — random ones, or the valid entry
+    /// after one flip, truncation or inserted byte — a load returns `None`
+    /// without panicking, quarantines the file, and the next save heals it.
+    fn arbitrary_entry_bytes_are_quarantined_and_healed(
+        damage in ints(0u8..4),
+        seed in ints(0u64..u64::MAX),
+    ) {
+        let dir = tmpdir("arbitrary");
+        let store = DiskStore::open(&dir).expect("store opens");
+        let key = StoreKey::new(
+            &JobKey::new("loc2", WORKLOAD, true),
+            &configs::locality(2),
+            &Scale::quick(),
+        );
+        let report = real_report();
+        store.save(&key, report).expect("saves");
+        let path = entry_paths(&dir).pop().expect("one entry");
+        let valid = std::fs::read(&path).expect("readable");
+        let mut rng = DetRng::seed_from_u64(seed);
+        let at = rng.gen_range(0..valid.len());
+        let byte = rng.next_u64() as u8;
+        let bytes = match damage {
+            0 => (0..rng.gen_range(0usize..2048)).map(|_| rng.next_u64() as u8).collect(),
+            1 => {
+                let mut b = valid.clone();
+                b[at] ^= byte.max(1);
+                b
+            }
+            2 => valid[..at].to_vec(),
+            _ => {
+                let mut b = valid.clone();
+                b.insert(at, byte);
+                b
+            }
+        };
+        std::fs::write(&path, &bytes).expect("writable");
+
+        prop_assert_eq!(store.load(&key), None);
+        let events = store.events();
+        prop_assert!(
+            matches!(
+                &events[..],
+                [StoreEvent::Write(_), StoreEvent::Quarantined(q, _), StoreEvent::Miss(m)]
+                    if *q == key.hash && *m == key.hash
+            ),
+            "{:?}",
+            events
+        );
+        let quarantined: Vec<PathBuf> = std::fs::read_dir(dir.join("corrupt"))
+            .expect("corrupt dir exists")
+            .map(|e| e.expect("readable").path())
+            .collect();
+        prop_assert_eq!(quarantined.len(), 1);
+        prop_assert_eq!(std::fs::read(&quarantined[0]).ok(), Some(bytes));
+        prop_assert!(!path.exists());
+
+        store.save(&key, report).expect("saves");
+        prop_assert_eq!(store.load(&key), Some(report.clone()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -1,4 +1,5 @@
-//! A tiny JSON value type with an encoder and a recursive-descent parser.
+//! A tiny JSON value type: one lexer, and on it a recursive-descent
+//! parser, a writer ([`Json`]'s `Display`) and a pull [`Reader`].
 //!
 //! Replaces the `serde` derives the workspace used to carry: stats and
 //! report types build their `to_json` by hand (a few lines each). Objects
@@ -46,7 +47,8 @@ impl Json {
         match self {
             Json::UInt(v) => Some(*v),
             Json::Int(v) if *v >= 0 => Some(*v as u64),
-            Json::Float(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which no `u64` holds.
+            Json::Float(v) if *v >= 0.0 && v.fract() == 0.0 && *v < u64::MAX as f64 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -86,11 +88,7 @@ impl Json {
     /// Returns [`JsonError`] with a byte offset on malformed input or
     /// trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Parser::new(text, false);
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -129,8 +127,10 @@ impl fmt::Display for Json {
             Json::Float(v) => {
                 if v.is_finite() {
                     // Keep a fractional marker so floats re-parse as floats.
-                    if v.fract() == 0.0 && v.abs() < 1e15 {
-                        write!(f, "{v:.1}")
+                    // `Display` never writes an exponent, so the integral
+                    // values are exactly those it writes without a `.`.
+                    if v.fract() == 0.0 {
+                        write!(f, "{v}.0")
                     } else {
                         write!(f, "{v}")
                     }
@@ -216,9 +216,20 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Accept only the writer's string escaping (a [`Reader`]'s lexer).
+    strict: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str, strict: bool) -> Self {
+        Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            strict,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -226,6 +237,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -236,6 +248,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -282,7 +295,7 @@ impl<'a> Parser<'a> {
             let rest = &self.bytes[self.pos..];
             let run = rest
                 .iter()
-                .position(|b| matches!(b, b'"' | b'\\'))
+                .position(|&b| b == b'"' || b == b'\\' || (self.strict && b < 0x20))
                 .unwrap_or(rest.len());
             out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| self.err("bad UTF-8"))?);
             self.pos += run;
@@ -292,6 +305,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(out);
                 }
+                Some(b) if b < 0x20 => return Err(self.err("unescaped control character")),
                 // The run ended at a backslash.
                 Some(_) => {
                     self.pos += 1;
@@ -300,12 +314,12 @@ impl<'a> Parser<'a> {
                     match esc {
                         b'"' => out.push('"'),
                         b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
+                        b'/' if !self.strict => out.push('/'),
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
+                        b'b' if !self.strict => out.push('\u{8}'),
+                        b'f' if !self.strict => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
                                 .bytes
@@ -315,6 +329,12 @@ impl<'a> Parser<'a> {
                                 std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
+                            // The writer spells only controls without a
+                            // short form this way, in lowercase hex.
+                            let other_form = code > 0x1f || matches!(code, 0x09 | 0x0a | 0x0d);
+                            if self.strict && (other_form || hex != format!("{code:04x}")) {
+                                return Err(self.err("unknown escape"));
+                            }
                             self.pos += 4;
                             out.push(
                                 char::from_u32(code)
@@ -328,21 +348,29 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Moves past a run of ASCII digits.
+    #[inline]
+    fn digits(&mut self) {
+        self.pos += self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+    }
+
+    /// Lexes one number: its bytes, and whether it has a fraction or an
+    /// exponent.
+    #[inline]
+    fn number_token(&mut self) -> (&'a [u8], bool) {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        self.digits();
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -350,12 +378,14 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        (&self.bytes[start..self.pos], is_float)
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let (text, is_float) = self.number_token();
+        let text = std::str::from_utf8(text).expect("number bytes are ASCII");
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::UInt(v));
@@ -418,6 +448,126 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("expected `,` or `}`")),
             }
         }
+    }
+}
+
+/// A pull reader, on [`Json::parse`]'s lexer, of text [`Json`]'s `Display`
+/// wrote: the caller names each key in the writer's order, so a document
+/// decodes in one pass without a tree. It accepts only the writer's bytes (no
+/// whitespace, `u64`s without sign or leading zero, the writer's escaping),
+/// so two texts it reads alike are one text; anything else is a
+/// [`JsonError`]. Per-token methods are `#[inline]`: a call costs as much as a token.
+pub struct Reader<'a> {
+    lex: Parser<'a>,
+    /// Nothing read yet in the innermost open container: no `,` comes next.
+    first: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        let lex = Parser::new(text, true);
+        Reader { lex, first: true }
+    }
+
+    /// Reads `bracket`: the `{` or `[` that opens an object or an array.
+    #[inline]
+    pub fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        self.lex.expect(bracket)?;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Reads the `}` that closes an object.
+    #[inline]
+    pub fn end_object(&mut self) -> Result<(), JsonError> {
+        self.lex.expect(b'}')?;
+        // The object was a value, so its container now holds an item.
+        self.first = false;
+        Ok(())
+    }
+
+    #[inline]
+    fn separator(&mut self) -> Result<(), JsonError> {
+        if std::mem::replace(&mut self.first, false) {
+            return Ok(());
+        }
+        self.lex.expect(b',')
+    }
+
+    /// Reads the key `name`, one the writer writes without escapes, and `:`.
+    #[inline]
+    pub fn key(&mut self, name: &str) -> Result<&mut Self, JsonError> {
+        self.separator()?;
+        let tail = &self.lex.bytes[self.lex.pos..];
+        let end = name.len() + 1;
+        if tail.first() != Some(&b'"')
+            || tail.get(1..end) != Some(name.as_bytes())
+            || tail.get(end..end + 2) != Some(b"\":")
+        {
+            return Err(self.lex.err(&format!("expected key `{name}`")));
+        }
+        self.lex.pos += end + 2;
+        Ok(self)
+    }
+
+    /// Reads the next key of an object whose keys the caller cannot name,
+    /// or `None` once it has read the `}` that closes the object.
+    pub fn next_key(&mut self) -> Result<Option<String>, JsonError> {
+        if self.lex.peek() == Some(b'}') {
+            return self.end_object().map(|()| None);
+        }
+        self.separator()?;
+        let key = self.lex.string()?;
+        self.lex.expect(b':').map(|()| Some(key))
+    }
+
+    /// Steps to the next item of an array: `true` before an item, `false`
+    /// once it has read the `]` that closes the array.
+    #[inline]
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        if self.lex.peek() == Some(b']') {
+            self.lex.pos += 1;
+            self.first = false;
+            return Ok(false);
+        }
+        self.separator().map(|()| true)
+    }
+
+    /// Reads a `u64` as the writer writes one: digits only, no leading zero.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, JsonError> {
+        let (digits, is_float) = self.lex.number_token();
+        let canonical = !is_float
+            && digits.first().is_some_and(u8::is_ascii_digit)
+            && (digits.len() == 1 || digits[0] != b'0');
+        // Under 20 digits cannot overflow; 20 compare as their values do.
+        if !canonical
+            || digits.len() > 20
+            || (digits.len() == 20 && digits > b"18446744073709551615")
+        {
+            return Err(self.lex.err("expected a canonical u64"));
+        }
+        Ok(digits.iter().fold(0, |v, &d| v * 10 + u64::from(d - b'0')))
+    }
+
+    /// Reads a string in the writer's escaping.
+    pub fn string(&mut self) -> Result<String, JsonError> {
+        self.lex.string()
+    }
+
+    /// Reads `null` if it comes next, and says whether it did.
+    pub fn null(&mut self) -> bool {
+        let null = self.lex.bytes[self.lex.pos..].starts_with(b"null");
+        self.lex.pos += if null { 4 } else { 0 };
+        null
+    }
+
+    /// Checks that the whole text has been read.
+    pub fn finish(&self) -> Result<(), JsonError> {
+        self.lex
+            .peek()
+            .map_or(Ok(()), |_| Err(self.lex.err("trailing characters")))
     }
 }
 
@@ -488,6 +638,92 @@ mod tests {
         assert_eq!(v.to_string(), "3.0");
         assert_eq!(Json::parse("3.0").unwrap().as_f64(), Some(3.0));
         assert!(matches!(Json::parse("3.0").unwrap(), Json::Float(_)));
+        // At 1e15 and up too, where `{v:.1}` used to give way to `{v}`.
+        for (v, text) in [
+            (1e15, "1000000000000000.0"),
+            (-3e16, "-30000000000000000.0"),
+            (-0.0, "-0.0"),
+        ] {
+            assert_eq!(Json::Float(v).to_string(), text);
+            assert!(matches!(Json::parse(text), Ok(Json::Float(f)) if f.to_bits() == v.to_bits()));
+        }
+    }
+
+    #[test]
+    fn as_u64_is_exact_or_none() {
+        // `u64::MAX as f64` is 2^64 itself: no `u64` holds it.
+        assert_eq!(Json::Float(2f64.powi(64)).as_u64(), None);
+        // The largest `f64` below 2^64.
+        assert_eq!(
+            Json::Float(2f64.powi(64) - 2048.0).as_u64(),
+            Some(u64::MAX - 2047)
+        );
+        assert_eq!(Json::Float(-0.0).as_u64(), Some(0));
+    }
+
+    /// A reader takes the writer's bytes and nothing else.
+    #[test]
+    fn reader_accepts_only_the_writers_bytes() {
+        let read = |text: &str| -> Result<(Vec<u64>, String, bool, Vec<String>), JsonError> {
+            let mut r = Reader::new(text);
+            r.open(b'{')?;
+            let mut n = Vec::new();
+            r.key("n")?.open(b'[')?;
+            while r.next_item()? {
+                n.push(r.u64()?);
+            }
+            let s = r.key("s")?.string()?;
+            let null = r.key("o")?.null();
+            let mut keys = Vec::new();
+            r.key("m")?.open(b'{')?;
+            while let Some(k) = r.next_key()? {
+                keys.push(k);
+                r.u64()?;
+            }
+            r.end_object()?;
+            r.finish()?;
+            Ok((n, s, null, keys))
+        };
+        let s = "a\"\\\n\r\t\u{1}\u{7f}é";
+        let doc = Json::obj([
+            ("n", Json::Arr(vec![Json::UInt(0), Json::UInt(u64::MAX)])),
+            ("s", Json::Str(s.into())),
+            ("o", Json::Null),
+            ("m", Json::Obj(vec![("k\"".into(), Json::UInt(1))])),
+        ]);
+        let text = doc.to_string();
+        let want = (
+            vec![0, u64::MAX],
+            s.to_string(),
+            true,
+            vec!["k\"".to_string()],
+        );
+        assert_eq!(read(&text), Ok(want));
+        let ok = r#"{"n":[],"s":"","o":null,"m":{}}"#;
+        assert!(read(ok).is_ok());
+        for bad in [
+            format!("{text} "),
+            format!(" {text}"),
+            ok.replace(":[]", ": []"),
+            ok.replace("[]", "[01]"),
+            ok.replace("[]", "[-1]"),
+            ok.replace("[]", "[1.0]"),
+            ok.replace("[]", "[1e1]"),
+            ok.replace("[]", "[18446744073709551616]"),
+            ok.replace("[]", "[1,]"),
+            ok.replace("[]", "[,1]"),
+            ok.replace("{}", r#"{"a":1,}"#),
+            ok.replace(r#""s":"""#, r#""s":"\/""#),
+            ok.replace(r#""s":"""#, r#""s":"\u0041""#),
+            ok.replace(r#""s":"""#, r#""s":"\u000a""#),
+            ok.replace(r#""s":"""#, r#""s":"\u001F""#),
+            ok.replace(r#""s":"""#, r#""s":"\u+01f""#),
+            ok.replace(r#""s":"""#, "\"s\":\"\u{1}\""),
+            ok.replace("null", "nul"),
+            ok.replace(r#""n":[],"s":"""#, r#""s":"","n":[]"#),
+        ] {
+            assert!(read(&bad).is_err(), "accepted `{bad}`");
+        }
     }
 
     #[test]

@@ -71,6 +71,20 @@ prop_check! {
         }
     }
 
+    fn every_finite_float_reparses_as_the_same_float(bits in ints(0u64..u64::MAX)) {
+        let v = f64::from_bits(bits);
+        let text = Json::Float(v).to_string();
+        if v.is_finite() {
+            let back = match Json::parse(&text) {
+                Ok(Json::Float(f)) => Some(f.to_bits()),
+                _ => None,
+            };
+            prop_assert_eq!(back, Some(bits), "{} wrote `{}`", v, text);
+        } else {
+            prop_assert_eq!(text, "null");
+        }
+    }
+
     fn nesting_is_bounded_at_any_depth(depth in ints(1usize..400)) {
         for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
             let text = format!("{}1{}", open.repeat(depth), close.repeat(depth));
