@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! figures [--quick] [--jobs N] [--sim-threads N] [--profile] [--out DIR]
+//! figures [--quick] [--jobs N] [--profile] [--out DIR]
 //!         [--cache-dir DIR] [artifact...]
 //!
 //! artifacts: table1 table2 fig2 fig3 fig5 fig6 fig6-sens fig8 fig9
@@ -13,11 +13,9 @@
 //! `--quick` uses the reduced workload scale (CI-sized); default is the
 //! full committed scale. `--jobs N` runs up to `N` simulations in parallel
 //! (default: available parallelism; `1` reproduces the serial behavior
-//! exactly — output is byte-identical either way). `--sim-threads N`
-//! parallelizes *inside* each simulation via the partitioned event loop
-//! (0 = auto; output is byte-identical at every setting, default 1). With
-//! `--out DIR` each artifact is also written to `DIR/<name>.txt`.
-//! `--profile` prints a work-attribution table summed over every
+//! exactly — output is byte-identical either way); each simulation runs
+//! on one thread. With `--out DIR` each artifact is also written to
+//! `DIR/<name>.txt`. `--profile` prints a work-attribution table summed over every
 //! simulation at the end; it never changes the artifacts themselves (the
 //! profile is assembled at report time from counters the simulator
 //! maintains unconditionally). `--cache-dir DIR` backs the in-memory memo
@@ -57,7 +55,7 @@ const ALL: [&str; 17] = [
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
     eprintln!(
-        "usage: figures [--quick] [--jobs N] [--sim-threads N] [--profile] [--out DIR] \
+        "usage: figures [--quick] [--jobs N] [--profile] [--out DIR] \
          [--cache-dir DIR] [artifact...]\n\n\
          artifacts (default: all): {}",
         ALL.join(" ")
@@ -78,7 +76,6 @@ fn main() {
     let mut profile = false;
     let mut out_dir = None;
     let mut jobs = ThreadPool::available().workers();
-    let mut sim_threads: Option<u16> = None;
     let mut cache_dir = None;
     let mut selected: Vec<&str> = Vec::new();
     // One pass, each flag consuming its value where it stands, so a value
@@ -101,14 +98,6 @@ fn main() {
                     usage(&format!("--jobs expects a positive integer, got `{v}`"))
                 });
             }
-            "--sim-threads" => {
-                let v = value("--sim-threads");
-                sim_threads = Some(v.parse().unwrap_or_else(|_| {
-                    usage(&format!(
-                        "--sim-threads expects an integer (0 = auto), got `{v}`"
-                    ))
-                }));
-            }
             flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
             name if ALL.contains(&name) => selected.push(name),
             other => usage(&format!("unknown artifact `{other}`")),
@@ -120,9 +109,6 @@ fn main() {
 
     let scale = if quick { Scale::quick() } else { Scale::full() };
     let mut runner = Runner::new(scale).verbose().jobs(jobs);
-    if let Some(threads) = sim_threads {
-        runner = runner.sim_threads(threads);
-    }
     if profile {
         runner = runner.profile();
     }

@@ -228,23 +228,11 @@ impl SimPlan {
         self
     }
 
-    /// Overrides `sim_threads` on every planned configuration — the
-    /// intra-run parallelism knob. Reports are byte-identical at every
-    /// setting (the partitioned event loop guarantees it), which is why
-    /// this is *not* part of the job key: a memoized report answers for
-    /// every thread count.
-    pub fn override_sim_threads(&mut self, threads: u16) {
-        for job in &mut self.jobs {
-            job.cfg.sim_threads = threads;
-        }
-    }
-
-    /// Enables the self-profiler on every planned configuration. Like
-    /// [`SimPlan::override_sim_threads`] this is *not* part of the job
-    /// key: the profile is assembled at report time from counters the
-    /// simulation maintains unconditionally, so every other report field
-    /// is byte-identical with it on or off and a memoized report still
-    /// answers every table lookup.
+    /// Enables the self-profiler on every planned configuration. This is
+    /// *not* part of the job key: the profile is assembled at report time
+    /// from counters the simulation maintains unconditionally, so every
+    /// other report field is byte-identical with it on or off and a
+    /// memoized report still answers every table lookup.
     pub fn override_profile(&mut self, on: bool) {
         for job in &mut self.jobs {
             job.cfg.obs.profile = on;

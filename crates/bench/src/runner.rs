@@ -31,7 +31,6 @@ pub struct Runner {
     store: Option<DiskStore>,
     runs: u64,
     jobs: usize,
-    sim_threads: Option<u16>,
     profile: bool,
     reporter: Arc<Reporter>,
 }
@@ -57,7 +56,6 @@ impl Runner {
             store: None,
             runs: 0,
             jobs: 1,
-            sim_threads: None,
             profile: false,
             reporter: Arc::new(Reporter::stderr(false)),
         }
@@ -93,21 +91,12 @@ impl Runner {
         self
     }
 
-    /// Overrides `SystemConfig::sim_threads` on every simulation this
-    /// runner executes (0 = auto-size to the machine). Reports are
-    /// byte-identical at every setting, so memoized results stay valid —
-    /// the override is not part of the cache key by design.
-    pub fn sim_threads(mut self, threads: u16) -> Self {
-        self.sim_threads = Some(threads);
-        self
-    }
-
     /// Enables the self-profiler on every simulation this runner executes.
     /// The profile is assembled at report time from counters the
     /// simulation maintains unconditionally, so every other report field
-    /// is byte-identical with it on or off — which is why, like
-    /// `sim_threads`, it is not part of the cache key. Read the
-    /// accumulated attribution back with [`Runner::aggregate_profile`].
+    /// is byte-identical with it on or off — which is why it is not part
+    /// of the cache key. Read the accumulated attribution back with
+    /// [`Runner::aggregate_profile`].
     pub fn profile(mut self) -> Self {
         self.profile = true;
         self
@@ -181,9 +170,6 @@ impl Runner {
         plan.retain(|key| !self.cache.contains_key(key));
         if plan.is_empty() {
             return Ok(());
-        }
-        if let Some(threads) = self.sim_threads {
-            plan.override_sim_threads(threads);
         }
         if self.profile {
             plan.override_profile(true);

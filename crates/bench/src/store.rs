@@ -15,7 +15,7 @@
 //! * a fingerprint of the **canonicalized** [`SystemConfig`] — the full
 //!   configuration with the report-invariant knobs (`sim_threads`, `obs`,
 //!   `watchdog`) reset to fixed values, because reports are byte-identical
-//!   across those settings by contract;
+//!   across those settings by contract (`sim_threads` is ignored);
 //! * the workload [`Scale`] — quick and full runs of the same workload
 //!   name are different simulations.
 //!
@@ -112,8 +112,8 @@ const FINGERPRINT_MEMO_CAP: usize = 64;
 /// pinned, computed once per distinct canonical configuration per process.
 ///
 /// Report-invariant knobs are pinned so a warm cache answers every
-/// equivalent request: reports are byte-identical at any `sim_threads`
-/// setting, observability toggles only *add* fields (and observability
+/// equivalent request: `sim_threads` is ignored by the simulator,
+/// observability toggles only *add* fields (and observability
 /// runs bypass the store), and the watchdog can only abort a run — it
 /// cannot change a successful report.
 ///

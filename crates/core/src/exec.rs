@@ -6,13 +6,13 @@
 //! The loop repeatedly picks the earliest pending shard event `start`,
 //! opens a window `[start, w_end)` with
 //! `w_end = conservative_window(start, lookahead, next_control_tick)`,
-//! runs every shard's events inside the window (concurrently on the
-//! `exec` thread pool when `sim_threads > 1`), and then executes a
-//! *barrier*: cross-partition outboxes are merged in canonical
-//! `(tick, partition, seq)` order and delivered, first-touch page claims
-//! are arbitrated, and global counters fold. Control-plane events
-//! (samplers, fault stamps) run serially between windows, after same-tick
-//! shard events — the control partition sorts last.
+//! runs every shard's events inside the window, one shard after another
+//! in partition order, and then executes a *barrier*: cross-partition
+//! outboxes are merged in canonical `(tick, partition, seq)` order and
+//! delivered, first-touch page claims are arbitrated, and global counters
+//! fold. Control-plane events (samplers, fault stamps) run serially
+//! between windows, after same-tick shard events — the control partition
+//! sorts last.
 //!
 //! The lookahead is the fabric's minimum adjacent-hop latency
 //! (`Topology::min_hop_latency`). It is sound because the first hop out
@@ -28,10 +28,10 @@
 //! event at tick `c` bounds `w_end` to `c + 1`, and everything it
 //! schedules lands at least the dispatch latency later.
 //!
-//! Identical state evolution at every `sim_threads` value follows from
-//! shard isolation: inside a window a shard touches only its own state
-//! (plus a read-only page table), so the execution interleaving chosen by
-//! the pool cannot be observed.
+//! Inside a window a shard touches only its own state (plus a read-only
+//! page table, except under reactive migration), so the order in which
+//! shards run a window cannot be observed: only the barrier's canonical
+//! merge decides what crosses between them.
 
 use crate::system::{Ev, FaultState, NumaGpuSystem, PagesView, SocketShard};
 use numa_gpu_cache::LineClass;
@@ -145,37 +145,19 @@ impl NumaGpuSystem {
         Ok(())
     }
 
-    /// Runs every shard up to (exclusive) `w_end`, concurrently when the
-    /// pool has more than one worker and the page-placement policy allows a
-    /// shared page table.
+    /// Runs every shard up to (exclusive) `w_end`, in partition order.
     fn run_windows(&mut self, w_end: Tick) {
-        if matches!(self.cfg.placement, PagePlacement::FirstTouchMigrate { .. }) {
-            // Reactive migration mutates the page table on remote accesses,
-            // so these runs hold the exclusive borrow and advance shards in
-            // partition order — same windows, same barriers, same results,
-            // at every `sim_threads` value.
-            for shard in &mut self.shards {
-                let mut pages = PagesView::Exclusive(&mut self.pages);
-                shard.run_window(w_end, &mut pages);
-            }
-        } else if self.pool.workers() == 1 {
-            for shard in &mut self.shards {
-                let mut pages = PagesView::Shared(&self.pages);
-                shard.run_window(w_end, &mut pages);
-            }
-        } else {
-            let pages = &self.pages;
-            let tasks: Vec<_> = self
-                .shards
-                .iter_mut()
-                .map(|shard| {
-                    move || {
-                        let mut view = PagesView::Shared(pages);
-                        shard.run_window(w_end, &mut view);
-                    }
-                })
-                .collect();
-            self.pool.run_scoped(tasks);
+        // Reactive migration mutates the page table on remote accesses, so
+        // those runs hold the exclusive borrow; every other policy reads
+        // the table and leaves first-touch claims for the barrier.
+        let migrate = matches!(self.cfg.placement, PagePlacement::FirstTouchMigrate { .. });
+        for shard in &mut self.shards {
+            let mut pages = if migrate {
+                PagesView::Exclusive(&mut self.pages)
+            } else {
+                PagesView::Shared(&self.pages)
+            };
+            shard.run_window(w_end, &mut pages);
         }
     }
 
@@ -185,8 +167,8 @@ impl NumaGpuSystem {
     fn barrier_fold(&mut self) -> Result<(), SimError> {
         // Cross-partition messages, gathered in partition order and merged
         // into the canonical (tick, partition, seq) order. Delivery pushes
-        // are in merged order, so destination queues see an identical
-        // insertion sequence at every thread count. Outboxes drain in place
+        // are in merged order, so a destination queue's insertion sequence
+        // never depends on the order shards ran. Outboxes drain in place
         // and the merge buffer persists across barriers, so the steady
         // state allocates nothing here.
         self.barriers += 1;
@@ -204,7 +186,7 @@ impl NumaGpuSystem {
         for m in merge_buf.iter() {
             let (dest, msg) = m.payload;
             // Interior fabric hops are charged here, in canonical merge
-            // order — deterministic at every thread count, and the
+            // order — independent of shard run order, and the
             // identity on the star (no interior edges). In-flight
             // accounting happened at emission (`send_cross`); the XArrive
             // pop decrements it.

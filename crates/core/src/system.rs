@@ -6,13 +6,10 @@
 //! [`SocketShard`] bundling the socket's SMs, L2, DRAM, NoC, and switch
 //! link — plus a shared *control partition* for the cross-cutting plane
 //! (link balancer sampling, cache repartition sampling, fault injection).
-//! Shards advance concurrently inside conservative lookahead windows and
-//! exchange cross-socket traffic as explicit [`XMsg`] messages, merged
+//! Shards advance one after another inside conservative lookahead windows
+//! and exchange cross-socket traffic as explicit [`XMsg`] messages, merged
 //! deterministically at window barriers (see `exec` for the executor and
-//! `mempath` for the message plane). Reports are byte-identical at every
-//! `sim_threads` setting because the windowed algorithm itself — window
-//! boundaries, merge order, per-shard event order — never depends on how
-//! many worker threads happen to execute it.
+//! `mempath` for the message plane).
 
 use crate::observe::ObsState;
 use crate::power::average_link_power_w;
@@ -20,7 +17,6 @@ use crate::report::{SimReport, SocketReport};
 use numa_gpu_cache::LineClass;
 use numa_gpu_cache::{CacheStats, PartitionController, SetAssocCache, WayPartition};
 use numa_gpu_engine::{CrossMessage, EventQueue, EventQueueStats, ServiceQueue, Watchdog};
-use numa_gpu_exec::ThreadPool;
 use numa_gpu_faults::{AppliedFault, FaultPlan, LinkResilience, ResilienceReport};
 use numa_gpu_interconnect::{GpuLink, LinkDirection, Topology};
 use numa_gpu_mem::{Dram, PageTable};
@@ -203,12 +199,11 @@ pub(crate) struct WarpMemState {
 /// borrow: computed policies answer directly, and unplaced first-touch
 /// pages become shard-local *claims* committed at the barrier. Reactive
 /// migration mutates the table on remote accesses, so those runs hold an
-/// exclusive borrow and the executor advances shards sequentially — still
-/// windowed, still deterministic, independent of `sim_threads`.
+/// exclusive borrow. Both run the same windows and barriers.
 pub(crate) enum PagesView<'a> {
-    /// Read-only table shared across concurrently running shards.
+    /// Read-only table shared by every shard in a window.
     Shared(&'a PageTable),
-    /// Exclusive table for the sequential (migration-policy) schedule.
+    /// Exclusive table for reactive-migration runs.
     Exclusive(&'a mut PageTable),
 }
 
@@ -217,9 +212,8 @@ pub(crate) enum PagesView<'a> {
 /// queue and the cross-partition outbox. Events carry *global* SM ids; the
 /// shard translates to its local slice via `base_sm`.
 ///
-/// All fields a window touches live here, so a shard can run on a worker
-/// thread with no synchronization beyond the barrier. `Send` is required
-/// (and checked below) for exactly that move.
+/// All fields a window touches live here, so what one shard does inside a
+/// window reaches another only through the barrier.
 pub(crate) struct SocketShard {
     pub socket: SocketId,
     pub base_sm: u32,
@@ -243,8 +237,8 @@ pub(crate) struct SocketShard {
     /// Response-direction crossbar (L2/switch -> SM).
     pub noc_resp: ServiceQueue,
     /// This socket's fabric access link (egress and ingress lanes),
-    /// detached from the topology's edge table at construction so the
-    /// shard can drive it without synchronization.
+    /// detached from the topology's edge table at construction so a
+    /// window drives it without touching the fabric.
     pub link: GpuLink,
     pub ctl: PartitionController,
     /// This partition's event queue.
@@ -286,15 +280,6 @@ pub(crate) struct SocketShard {
     /// each message leg pays to cross between this socket and its switch.
     pub hop_latency: Tick,
 }
-
-// Shards move onto pool worker threads inside windows; this fails to
-// compile if any component stops being thread-safe.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<SocketShard>();
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<PageTable>();
-};
 
 impl SocketShard {
     /// A socket's partition around its access `link`, detached from the
@@ -437,8 +422,6 @@ pub struct NumaGpuSystem {
     /// stamps. Always handled serially, after same-tick shard events (the
     /// control partition sorts as the highest partition index).
     pub(crate) control: EventQueue<Ev>,
-    /// Worker pool for intra-window shard execution (`sim_threads`).
-    pub(crate) pool: ThreadPool,
     /// Conservative lookahead: the minimum adjacent-hop latency over the
     /// fabric, bounding window width. Sound because the first hop out of
     /// any socket costs at least this much; equal to `hop_latency` on the
@@ -483,7 +466,6 @@ impl std::fmt::Debug for NumaGpuSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NumaGpuSystem")
             .field("sockets", &self.cfg.num_sockets)
-            .field("sim_threads", &self.pool.workers())
             .field("now_cycles", &ticks_to_cycles(self.now))
             .finish_non_exhaustive()
     }
@@ -502,8 +484,8 @@ impl NumaGpuSystem {
         let cfg = Arc::new(cfg);
 
         // The fabric owns every link at construction; each socket's access
-        // link is detached into its shard so windowed execution can drive
-        // it without synchronization. Interior links stay with the fabric.
+        // link is detached into its shard, so a window drives it without
+        // touching the fabric. Interior links stay with the fabric.
         let mut fabric = Topology::new(cfg.topology, &cfg.link, cfg.num_sockets)?;
         let hop_latency = fabric.access_hop_latency();
         let shards: Vec<SocketShard> = fabric
@@ -523,15 +505,6 @@ impl NumaGpuSystem {
             budget,
             cycles_to_ticks(cfg.watchdog.effective_stall_cycles()),
         );
-        // `0` auto-sizes to the machine; anything else is taken literally.
-        // Either way there is no point running more workers than partitions.
-        let requested = if cfg.sim_threads == 0 {
-            ThreadPool::available().workers()
-        } else {
-            cfg.sim_threads as usize
-        };
-        let pool = ThreadPool::new(requested.min(sockets).max(1));
-
         Ok(NumaGpuSystem {
             lookahead: fabric.min_hop_latency(),
             hop_latency,
@@ -541,7 +514,6 @@ impl NumaGpuSystem {
             fabric,
             pages,
             control: EventQueue::new(),
-            pool,
             now: 0,
             outstanding_ctas: 0,
             inflight_mem: 0,

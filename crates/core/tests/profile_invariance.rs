@@ -1,6 +1,6 @@
 //! Timing invariance of the self-profiler: enabling `obs.profile` must
 //! change exactly one thing — the report's `profile` field — and nothing
-//! else, at any `sim_threads` setting. The profile is assembled at report
+//! else. The profile is assembled at report
 //! time from counters the simulation maintains unconditionally, so these
 //! tests pin the "cannot perturb timing" contract end to end.
 
@@ -8,10 +8,9 @@ use numa_gpu_core::run_workload;
 use numa_gpu_types::SystemConfig;
 use numa_gpu_workloads::{by_name, Scale};
 
-fn cfg(profile: bool, sim_threads: u16) -> SystemConfig {
+fn cfg(profile: bool) -> SystemConfig {
     let mut cfg = SystemConfig::numa_aware_sockets(4);
     cfg.obs.profile = profile;
-    cfg.sim_threads = sim_threads;
     cfg
 }
 
@@ -19,8 +18,8 @@ fn cfg(profile: bool, sim_threads: u16) -> SystemConfig {
 fn profile_on_changes_only_the_profile_field() {
     for name in ["Rodinia-Euler3D", "Other-Stream-Triad"] {
         let wl = by_name(name, &Scale::quick()).unwrap();
-        let off = run_workload(cfg(false, 1), &wl).unwrap();
-        let on = run_workload(cfg(true, 1), &wl).unwrap();
+        let off = run_workload(cfg(false), &wl).unwrap();
+        let on = run_workload(cfg(true), &wl).unwrap();
 
         assert!(off.profile.is_none(), "{name}: profiling defaults off");
         assert!(on.profile.is_some(), "{name}: profile requested but absent");
@@ -44,27 +43,9 @@ fn profile_on_changes_only_the_profile_field() {
 }
 
 #[test]
-fn profile_is_byte_identical_across_sim_threads() {
-    let wl = by_name("Rodinia-Euler3D", &Scale::quick()).unwrap();
-    let serial = run_workload(cfg(true, 1), &wl).unwrap();
-    for threads in [2, 4] {
-        let parallel = run_workload(cfg(true, threads), &wl).unwrap();
-        assert_eq!(
-            serial, parallel,
-            "profiled report differs at sim_threads={threads}"
-        );
-        assert_eq!(
-            serial.to_json().to_string(),
-            parallel.to_json().to_string(),
-            "profiled JSON differs at sim_threads={threads}"
-        );
-    }
-}
-
-#[test]
 fn profile_counters_reconcile_with_the_report() {
     let wl = by_name("Rodinia-Euler3D", &Scale::quick()).unwrap();
-    let report = run_workload(cfg(true, 1), &wl).unwrap();
+    let report = run_workload(cfg(true), &wl).unwrap();
     let p = report.profile.as_ref().unwrap();
 
     // The attribution is drawn from the same counters the report itself
@@ -132,7 +113,7 @@ fn backlog_never_rebuilds_the_event_calendar() {
 #[test]
 fn profile_rides_along_in_metrics_when_both_are_on() {
     let wl = by_name("Other-Stream-Triad", &Scale::quick()).unwrap();
-    let mut with_both = cfg(true, 1);
+    let mut with_both = cfg(true);
     with_both.obs.metrics = true;
     let report = run_workload(with_both, &wl).unwrap();
     let snap = report.metrics.as_ref().unwrap();

@@ -103,22 +103,20 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Runs a batch of *borrowing* closures and returns the results in
-    /// submission order.
+    /// The batch loop under [`ThreadPool::run`]: runs `tasks` and returns
+    /// their results in submission order.
     ///
-    /// Unlike [`ThreadPool::run`], tasks are not `'static`: they may borrow
-    /// from the caller's stack (the windowed simulation executor hands each
-    /// worker a `&mut` partition plus shared read-only state). Workers are
-    /// scoped to this call, claim tasks through an atomic cursor, and are
-    /// joined before it returns. With one worker the batch runs inline on
-    /// the calling thread, reproducing serial execution exactly.
+    /// Workers are scoped to this call, claim tasks through an atomic
+    /// cursor, and are joined before it returns. With one worker the batch
+    /// runs inline on the calling thread, reproducing serial execution
+    /// exactly.
     ///
     /// # Panics
     ///
     /// If a task panics, the panic payload of the lowest submission index
     /// is re-raised here once all workers have drained (deterministic
     /// regardless of which worker hit it first).
-    pub fn run_scoped<T, F>(&self, tasks: Vec<F>) -> Vec<T>
+    fn run_scoped<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
         F: FnOnce() -> T + Send,
@@ -251,8 +249,8 @@ mod tests {
 
     #[test]
     fn scoped_tasks_borrow_caller_state() {
-        // The whole point of run_scoped: tasks mutate disjoint slices of a
-        // stack-local vector, no 'static required.
+        // Tasks may mutate disjoint slices of a stack-local vector: no
+        // 'static required.
         let pool = ThreadPool::new(4);
         let mut parts: Vec<Vec<u64>> = (0..8).map(|i| vec![i]).collect();
         let tasks: Vec<_> = parts

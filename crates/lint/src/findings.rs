@@ -8,7 +8,7 @@ use numa_gpu_testkit::json::Json;
 /// in the JSON/SARIF reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rule {
-    /// Stable rule ID (`D001`, `S002`, …).
+    /// Stable rule ID (`D001`, `S003`, …).
     pub id: &'static str,
     /// One-line summary for `--list-rules` and the SARIF rule table.
     pub summary: &'static str,
@@ -18,8 +18,8 @@ pub struct Rule {
     pub fix: &'static str,
 }
 
-/// The rule catalogue. A rule stays only while it guards determinism or
-/// shard isolation; DESIGN.md §9 keeps the ledger of what each has caught.
+/// The rule catalogue. A rule stays only while it guards determinism;
+/// DESIGN.md §9 keeps the ledger of what each has caught.
 pub const RULES: &[Rule] = &[
     Rule {
         id: "D001",
@@ -46,15 +46,9 @@ pub const RULES: &[Rule] = &[
         fix: "inherit with `workspace = true` or give an explicit `path = ...`",
     },
     Rule {
-        id: "S002",
-        summary: "no interior-mutability types in fields of shard-owned state (SocketShard field-type closure)",
-        rationale: "Cell/Mutex/atomic fields let concurrently running shards mutate state the window barrier never merges",
-        fix: "make the field plain data owned by the shard; an audited exception is excused where it stands with `allow(S002, reason = ...)`",
-    },
-    Rule {
         id: "S003",
         summary: "no `unsafe` in simulation-crate library code",
-        rationale: "unsafe code can smuggle aliasing and data races past the shard-isolation discipline S002 checks",
+        rationale: "unsafe code can read uninitialized memory or alias mutable state, and no token rule can see what it does",
         fix: "rewrite safely; sim crates carry #![forbid(unsafe_code)] and simlint keeps the attribute honest",
     },
     Rule {
@@ -73,7 +67,7 @@ pub const RULES: &[Rule] = &[
 
 /// Rule IDs a pragma may suppress (the pragma meta-rules cannot suppress
 /// themselves). A pragma naming anything else is a P001.
-pub const ALLOWABLE_RULES: &[&str] = &["D001", "D002", "D003", "Z001", "S002", "S003"];
+pub const ALLOWABLE_RULES: &[&str] = &["D001", "D002", "D003", "Z001", "S003"];
 
 /// Resolves a user-supplied rule name to its catalogue entry.
 pub fn rule_info(name: &str) -> Option<&'static Rule> {
@@ -320,8 +314,8 @@ mod tests {
                 file: "crates/engine/src/lib.rs".into(),
                 line: 7,
                 col: 21,
-                rule: "S002",
-                message: "interior mutability".into(),
+                rule: "S003",
+                message: "unsafe block".into(),
             }],
             files_scanned: 1,
             manifests_scanned: 0,
@@ -342,7 +336,7 @@ mod tests {
             .get("results")
             .and_then(Json::as_array)
             .expect("results")[0];
-        assert_eq!(result.get("ruleId").and_then(Json::as_str), Some("S002"));
+        assert_eq!(result.get("ruleId").and_then(Json::as_str), Some("S003"));
         let region = result
             .get("locations")
             .and_then(Json::as_array)

@@ -243,13 +243,13 @@ mod tests {
     #[test]
     fn parses_multi_rule_and_multi_clause() {
         let p = parse_pragma(
-            "allow(D001, S002, reason = \"x\") allow(Z001, reason = \"y\")",
+            "allow(D001, S003, reason = \"x\") allow(Z001, reason = \"y\")",
             "f.rs",
             1,
             1,
         )
         .expect("valid pragma");
-        assert_eq!(p.rules, vec!["D001", "S002", "Z001"]);
+        assert_eq!(p.rules, vec!["D001", "S003", "Z001"]);
     }
 
     #[test]
@@ -266,7 +266,7 @@ mod tests {
         let err = parse_pragma("allow(P002, reason = \"x\")", "f.rs", 2, 1).expect_err("meta rule");
         assert_eq!(err.rule, "P001");
         // A deleted rule's ID is just another unknown rule.
-        for deleted in ["A001", "O001", "S001", "S004", "S005"] {
+        for deleted in ["A001", "O001", "S001", "S002", "S004", "S005"] {
             let src = format!("allow({deleted}, reason = \"x\")");
             let err = parse_pragma(&src, "f.rs", 2, 1).expect_err("deleted rule");
             assert_eq!(err.rule, "P001");
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn apply_suppresses_and_reports_unused() {
         let p1 = parse_pragma("allow(D001, reason = \"x\")", "f.rs", 3, 1);
-        let p2 = parse_pragma("allow(S002, reason = \"x\")", "f.rs", 90, 1);
+        let p2 = parse_pragma("allow(S003, reason = \"x\")", "f.rs", 90, 1);
         let out = apply_pragmas(
             "f.rs",
             vec![p1, p2],

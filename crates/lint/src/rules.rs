@@ -7,10 +7,10 @@
 //!
 //! | Scope | Crates | Rules |
 //! |---|---|---|
-//! | simulation | engine, sm, cache, mem, interconnect, faults, core, runtime, workloads | D001, D003, S002, S003 |
+//! | simulation | engine, sm, cache, mem, interconnect, faults, core, runtime, workloads | D001, D003, S003 |
 //! | artifact plane | bench (tables/figures flow through it) | D001, D003 |
 //! | wall-clock-allowed | bench, exec, serve (timing/deadline/backoff paths) | exempt from D002 |
-//! | bins (`src/bin/**`, `src/main.rs`) | any | exempt from S002/S003 |
+//! | bins (`src/bin/**`, `src/main.rs`) | any | exempt from S003 |
 //! | everything else | all crates incl. the root facade | D002 |
 //!
 //! Test code is exempt from every source rule: integration tests,
@@ -19,20 +19,12 @@
 //! attribute whose argument list mentions `test` — but not `not(test)` —
 //! skips the item it is attached to).
 //!
-//! ## Two passes
-//!
-//! [`analyze_file`] runs the per-file phase: token-stream rules (D001–D003
-//! and S003), pragma collection with statement-range widening, and the
-//! [`items`](crate::items) type parse. Its [`FileAnalysis`] output is pure
-//! in the file contents. The cross-file S002 [`isolation`](crate::isolation)
-//! closure then runs over all files' types, and
-//! [`pragma::apply_pragmas`](crate::pragma::apply_pragmas) settles
-//! suppressions per file. [`analyze_source`] bundles all of that
-//! for a single standalone file.
+//! Every rule needs only the file it reports on: [`analyze_source`] runs
+//! the token-stream rules (D001–D003 and S003), collects pragmas with
+//! statement-range widening, and settles suppressions with
+//! [`pragma::apply_pragmas`](crate::pragma::apply_pragmas).
 
 use crate::findings::Finding;
-use crate::isolation::{run_isolation, SimFile};
-use crate::items::{depth_delta, parse_types, TypeDef};
 use crate::lexer::{lex, TokKind, Token};
 use crate::pragma::{apply_pragmas, parse_pragma, Pragma, MARKER};
 
@@ -66,9 +58,7 @@ pub struct FileScope {
     pub d001_d003: bool,
     /// D002 (wall clock) applies.
     pub d002: bool,
-    /// S003 applies and a `SocketShard` here roots the S002 closure
-    /// (sim-crate library code). Files outside this scope still contribute
-    /// *types* to the closure — it can reach types declared anywhere.
+    /// S003 applies (sim-crate library code).
     pub sim_lib: bool,
 }
 
@@ -108,6 +98,21 @@ fn is_punct(t: &Token, s: &str) -> bool {
 
 fn is_ident(t: &Token, s: &str) -> bool {
     t.kind == TokKind::Ident && t.text == s
+}
+
+/// Joint delimiter depth change of one punct token, counting `<`/`>` as
+/// brackets (`<<`/`>>` twice).
+fn depth_delta(t: &Token) -> i32 {
+    if t.kind != TokKind::Punct {
+        return 0;
+    }
+    match t.text.as_str() {
+        "(" | "[" | "{" | "<" => 1,
+        ")" | "]" | "}" | ">" => -1,
+        "<<" => 2,
+        ">>" => -2,
+        _ => 0,
+    }
 }
 
 /// Marks every token belonging to a `test`-gated item (attribute included)
@@ -253,7 +258,7 @@ fn widen_pragmas(toks: &[Token], skip: &[bool], pragmas: &mut [Result<Pragma, Fi
                     _ => {}
                 }
             }
-            depth += depth_delta(t, true);
+            depth += depth_delta(t);
             prev_line = t.line;
         }
         p.cover_end = end.unwrap_or(prev_line).max(p.line + 1);
@@ -426,7 +431,7 @@ fn rule_s003(c: &mut Ctx<'_>) {
             c.push(
                 "S003",
                 si,
-                "`unsafe` in a simulation crate; the shard-isolation rules cannot \
+                "`unsafe` in a simulation crate; the determinism rules cannot \
                  see past it — rewrite safely"
                     .to_string(),
             );
@@ -434,23 +439,9 @@ fn rule_s003(c: &mut Ctx<'_>) {
     }
 }
 
-/// The per-file analysis phase: everything derivable from one file's bytes
-/// alone — the cross-file S002 closure and pragma settlement compute from
-/// these.
-#[derive(Debug, Clone)]
-pub struct FileAnalysis {
-    /// Raw token-rule findings (pre-pragma).
-    pub raw: Vec<Finding>,
-    /// Parsed pragmas (parse failures carried as P001 findings), with
-    /// statement-widened coverage.
-    pub pragmas: Vec<Result<Pragma, Finding>>,
-    /// The file's type definitions for the S002 closure.
-    pub types: Vec<TypeDef>,
-}
-
-/// Runs the per-file phase on one source file. `path` is workspace-relative
-/// and decides which token rules apply.
-pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
+/// Lints one Rust source file: token rules, then pragma settlement.
+/// `path` is workspace-relative and decides which token rules apply.
+pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
     let toks = lex(src);
     let skip = mark_test_skipped(&toks);
     let scope = FileScope::classify(path);
@@ -480,27 +471,7 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
     let raw = std::mem::take(&mut ctx.raw);
     let mut pragmas = collect_pragmas(&toks, &skip, path);
     widen_pragmas(&toks, &skip, &mut pragmas);
-    let types = parse_types(&toks, &skip);
-    FileAnalysis {
-        raw,
-        pragmas,
-        types,
-    }
-}
-
-/// Lints one Rust source file standalone: per-file phase, a single-file
-/// S002 closure, then pragma settlement. The workspace walker composes the
-/// same pieces across files instead.
-pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
-    let fa = analyze_file(path, src);
-    let sim = SimFile {
-        path,
-        sim_lib: FileScope::classify(path).sim_lib,
-        types: &fa.types,
-    };
-    let mut raw = fa.raw;
-    raw.extend(run_isolation(&[sim]));
-    let mut out = apply_pragmas(path, fa.pragmas, raw);
+    let mut out = apply_pragmas(path, pragmas, raw);
     out.sort();
     out.dedup();
     out
@@ -530,7 +501,7 @@ mod tests {
         assert!(FileScope::classify("crates/engine/src/lib.rs").d002);
         assert!(FileScope::classify("src/lib.rs").d002);
         // serve: wall-clock allowed (deadlines/backoff), but not a sim
-        // crate — D001/D003 and the S-rules stay off.
+        // crate — D001/D003 and S003 stay off.
         let serve = FileScope::classify("crates/serve/src/daemon.rs");
         assert!(!serve.d002);
         assert!(!serve.d001_d003);

@@ -1,4 +1,4 @@
-//! Deterministic workspace walker and two-pass orchestration.
+//! Deterministic workspace walker.
 //!
 //! Scans, in sorted order:
 //!
@@ -8,29 +8,20 @@
 //!
 //! `tests/`, `benches/` and `examples/` directories are *not* scanned:
 //! test and example code is exempt from every rule by design, exactly like
-//! `#[cfg(test)]` items inside `src/`.
-//!
-//! Analysis runs in two passes. First the per-file phase
-//! ([`rules::analyze_file`](crate::rules::analyze_file)) — token rules,
-//! pragma collection, type parse. Then the cross-file S002
-//! [`isolation`](crate::isolation) closure runs over *all* files' types
-//! (a shard can hold a type declared in any crate), and pragma settlement
-//! closes out each file.
+//! `#[cfg(test)]` items inside `src/`. Each file is linted on its own
+//! ([`rules::analyze_source`](crate::rules::analyze_source)).
 //!
 //! Paths are reported workspace-relative with `/` separators and the file
 //! list is sorted before analysis, so the report is byte-identical across
 //! runs and platforms.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::findings::{Finding, LintReport};
-use crate::isolation::{run_isolation, SimFile};
+use crate::findings::LintReport;
 use crate::manifest::analyze_manifest;
-use crate::pragma::apply_pragmas;
-use crate::rules::{analyze_file, FileAnalysis, FileScope};
+use crate::rules::analyze_source;
 
 fn rel(root: &Path, path: &Path) -> String {
     let r = path.strip_prefix(root).unwrap_or(path);
@@ -104,39 +95,10 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         rust_files(&dir.join("src"), &mut sources)?;
     }
 
-    // Pass 1: per-file analysis.
-    let mut analyses: Vec<(String, FileAnalysis)> = Vec::new();
     for s in sources {
-        let path = rel(root, &s);
         let src = fs::read_to_string(&s)?;
-        let fa = analyze_file(&path, &src);
-        analyses.push((path, fa));
+        report.findings.extend(analyze_source(&rel(root, &s), &src));
         report.files_scanned += 1;
-    }
-
-    // Pass 2: the cross-file S002 closure over every file's types.
-    let sim_files: Vec<SimFile<'_>> = analyses
-        .iter()
-        .map(|(path, fa)| SimFile {
-            path,
-            sim_lib: FileScope::classify(path).sim_lib,
-            types: &fa.types,
-        })
-        .collect();
-    let mut iso_by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for f in run_isolation(&sim_files) {
-        iso_by_file.entry(f.file.clone()).or_default().push(f);
-    }
-
-    // Pragma settlement per file.
-    for (path, fa) in analyses.iter() {
-        let mut raw = fa.raw.clone();
-        if let Some(extra) = iso_by_file.remove(path.as_str()) {
-            raw.extend(extra);
-        }
-        report
-            .findings
-            .extend(apply_pragmas(path, fa.pragmas.clone(), raw));
     }
 
     report.normalize();
@@ -206,34 +168,6 @@ mod tests {
         let b = lint_workspace(&root).expect("lint").to_json().to_string();
         assert_eq!(a, b);
         assert!(a.contains("\"Z001\"") && a.contains("\"S003\"") && a.contains("\"D001\""));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn isolation_rules_cross_crate_boundaries() {
-        let root = temp_root("xcrate");
-        write(&root.join("Cargo.toml"), "[workspace]\n");
-        write(&root.join("crates/core/Cargo.toml"), "[package]\n");
-        write(&root.join("crates/obs/Cargo.toml"), "[package]\n");
-        write(
-            &root.join("crates/core/src/lib.rs"),
-            "pub struct SocketShard { h: Handle }\n",
-        );
-        // The interior-mutable field lives in a non-sim crate but is
-        // reachable from SocketShard — S002 must still see it.
-        write(
-            &root.join("crates/obs/src/lib.rs"),
-            "pub struct Handle { m: Mutex<u32> }\n",
-        );
-        let report = lint_workspace(&root).expect("lint");
-        let s002: Vec<_> = report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "S002")
-            .collect();
-        assert_eq!(s002.len(), 1);
-        assert_eq!(s002[0].file, "crates/obs/src/lib.rs");
-        assert_eq!((s002[0].line, s002[0].col), (1, 24));
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -10,7 +10,6 @@
 //! |---|---|---|---|
 //! | D001 | a3ce225 (sources from its parent) | `HashMap`/`HashSet` in `mem/page_table.rs`, `bench/runner.rs`, `cache/mshr.rs`, `bench/plan.rs` | `d001_hash_collections_in_page_table_runner_mshr_and_plan` |
 //! | D003 | a3ce225 (sources from its parent) | `.sum::<f64>()` in `bench::geomean` and `bench::amean` | `d003_float_sums_in_geomean_and_amean` |
-//! | S002 | 118936c (sources from 38df3c6) | `CounterHandle`/`GaugeHandle`/`HistogramHandle` reachable from `SocketShard` | `s002_metric_handles_reachable_from_socket_shard` |
 //! | D002 | — | no historical catch | `rules::tests::d002_positive_and_negative` |
 //! | Z001 | — | no historical catch | `manifest::tests::crate_deps_must_inherit_or_path` |
 //! | S003 | — | no historical catch | `rules::tests::s003_flags_unsafe` |
@@ -156,70 +155,6 @@ fn d003_float_sums_in_geomean_and_amean() {
         vec![
             at("crates/bench/src/lib.rs", 39, 22, "D003"),
             at("crates/bench/src/lib.rs", 48, 23, "D003"),
-        ]
-    );
-}
-
-#[test]
-fn s002_metric_handles_reachable_from_socket_shard() {
-    // SocketShard -> Sm -> SmObs -> {Counter,Histogram}Handle and
-    // SocketShard -> SetAssocCache -> CacheObs -> {Counter,Gauge}Handle:
-    // the cells sit in obs, outside the sim crates, three hops from the shard.
-    let found = lint_fixture(
-        "s002",
-        &[
-            (
-                "crates/core/src/system.rs",
-                &[
-                    (223, "pub(crate) struct SocketShard {"),
-                    (232, "    pub sms: Vec<Sm>,"),
-                    (238, "    pub l2: SetAssocCache,"),
-                    (239, "}"),
-                ],
-            ),
-            (
-                "crates/sm/src/sm.rs",
-                &[
-                    (32, "pub struct SmObs {"),
-                    (34, "    pub issue_stalls: CounterHandle,"),
-                    (36, "    pub mshr_occupancy: HistogramHandle,"),
-                    (37, "}"),
-                    (101, "pub struct Sm {"),
-                    (123, "    obs: SmObs,"),
-                    (124, "}"),
-                ],
-            ),
-            (
-                "crates/cache/src/set_assoc.rs",
-                &[
-                    (9, "pub struct CacheObs {"),
-                    (11, "    pub repartitions: CounterHandle,"),
-                    (13, "    pub local_ways: GaugeHandle,"),
-                    (14, "}"),
-                    (236, "pub struct SetAssocCache {"),
-                    (243, "    obs: CacheObs,"),
-                    (244, "}"),
-                ],
-            ),
-            (
-                "crates/obs/src/metrics.rs",
-                &[
-                    (35, "pub struct CounterHandle(Option<Arc<AtomicU64>>);"),
-                    (74, "pub struct GaugeHandle(Option<Arc<AtomicU64>>);"),
-                    (
-                        151,
-                        "pub struct HistogramHandle(Option<Arc<Mutex<HistogramData>>>);",
-                    ),
-                ],
-            ),
-        ],
-    );
-    assert_eq!(
-        found,
-        vec![
-            at("crates/obs/src/metrics.rs", 35, 37, "S002"),
-            at("crates/obs/src/metrics.rs", 74, 35, "S002"),
-            at("crates/obs/src/metrics.rs", 151, 39, "S002"),
         ]
     );
 }

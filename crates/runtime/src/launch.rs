@@ -93,18 +93,6 @@ impl LaunchPlan {
         cta
     }
 
-    /// Returns CTAs to `socket`'s pending queue, at the front so evicted
-    /// work re-dispatches before untouched work. Used when fault injection
-    /// disables an SM mid-kernel: its resident CTAs restart elsewhere on
-    /// the same socket (no cross-socket stealing, matching dispatch).
-    pub fn requeue_front(&mut self, socket: SocketId, ctas: &[CtaId]) {
-        let queue = &mut self.queues[socket.index()];
-        for cta in ctas.iter().rev() {
-            queue.push_front(*cta);
-        }
-        self.remaining += ctas.len() as u32;
-    }
-
     /// CTAs not yet dispatched (across all sockets).
     pub fn remaining(&self) -> u32 {
         self.remaining
@@ -207,22 +195,6 @@ mod tests {
         assert_eq!(plan.remaining_for(SocketId::new(1)), 3);
         assert_eq!(plan.remaining_for(SocketId::new(2)), 2);
         assert_eq!(plan.remaining_for(SocketId::new(3)), 2);
-    }
-
-    #[test]
-    fn requeue_front_preserves_order_and_priority() {
-        let mut plan = LaunchPlan::new(CtaSchedulingPolicy::ContiguousBlock, 8, 2);
-        let s0 = SocketId::new(0);
-        let a = plan.next_for_socket(s0).unwrap();
-        let b = plan.next_for_socket(s0).unwrap();
-        assert_eq!(plan.remaining(), 6);
-        plan.requeue_front(s0, &[a, b]);
-        assert_eq!(plan.remaining(), 8);
-        assert_eq!(plan.remaining_for(s0), 4);
-        // Evicted CTAs come back first, in their original relative order.
-        assert_eq!(plan.next_for_socket(s0), Some(a));
-        assert_eq!(plan.next_for_socket(s0), Some(b));
-        assert_eq!(plan.next_for_socket(s0), Some(CtaId::new(2)));
     }
 
     #[test]

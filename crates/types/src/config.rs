@@ -387,10 +387,9 @@ pub struct SystemConfig {
     /// Forward-progress watchdog (cycle budget + stall detector). Defaults
     /// to off; never affects the timing of a run that completes.
     pub watchdog: WatchdogConfig,
-    /// Worker threads for the intra-run partitioned event loop: `1` runs
-    /// the windowed executor serially, `0` sizes it to the machine's
-    /// available parallelism, and any value is clamped to the number of
-    /// socket partitions. Reports are byte-identical at every setting.
+    /// Ignored: a simulation always runs on one thread. The field stays
+    /// only so existing callers that assign it still compile; the result
+    /// store canonicalizes it out of its key. It will be removed.
     pub sim_threads: u16,
 }
 

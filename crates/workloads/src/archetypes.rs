@@ -147,23 +147,6 @@ pub(crate) fn irregular_shared_rw(
         .collect()
 }
 
-/// Uniformly random traffic over the whole footprint with a balanced
-/// read/write mix: saturates both link directions so only more raw
-/// bandwidth helps. Kept for constructing fully cache-hostile baselines
-/// (the shipped catalog favours [`hot_cold`], which adds the reuse the
-/// paper's AMG/Lulesh-class workloads demonstrably have).
-#[allow(dead_code)]
-pub(crate) fn random_mixed(p: Params, kernels: u32, read_fraction: f64) -> Vec<KernelSpec> {
-    (0..kernels as u64)
-        .map(|i| KernelSpec {
-            read_fraction,
-            warps_per_cta: 8,
-            ops_per_warp: p.scale.ops(32),
-            ..p.base("random", i, Pattern::RandomUniform)
-        })
-        .collect()
-}
-
 /// Random with a hot working set (frontier / worklist workloads — BFS,
 /// SSSP, MCB class).
 pub(crate) fn hot_cold(
@@ -253,7 +236,6 @@ mod tests {
         all.extend(tiled(params(), 1, 8, 12));
         all.extend(stencil(params(), 1, 0.1));
         all.extend(irregular_shared(params(), 1, 0.8, 1 << 20, 0.9));
-        all.extend(random_mixed(params(), 1, 0.6));
         all.extend(hot_cold(params(), 1, 0.5, 1 << 20, 0.7));
         all.extend(reduction_phased(params(), 1, 1 << 20));
         for spec in all {

@@ -16,9 +16,6 @@ pub enum Pattern {
         /// How many passes over the tile the trace makes.
         reuse: u32,
     },
-    /// Uniformly random lines over the whole region (no locality of any
-    /// kind; saturates links in both directions under NUMA).
-    RandomUniform,
     /// Random with a hot subset: `hot_fraction` of accesses land in the
     /// first `hot_bytes` of the region.
     HotCold {
@@ -219,7 +216,7 @@ impl PatternProgram {
             Pattern::Reduction { output_bytes } => clamped_lines(output_bytes),
             Pattern::SharedRead { shared_bytes, .. } => clamped_lines(shared_bytes),
             Pattern::Shifted { shift_chunks, .. } => shift_chunks % num_chunks,
-            Pattern::Streaming | Pattern::RandomUniform | Pattern::Stencil { .. } => 0,
+            Pattern::Streaming | Pattern::Stencil { .. } => 0,
         };
         let warps = spec.warps_per_cta;
         let per_warp = (0..warps)
@@ -281,7 +278,6 @@ impl PatternProgram {
                 };
                 self.own_base + wrap(w as u64 * hoisted + pos, self.chunk_lines)
             }
-            Pattern::RandomUniform => region + rng.random_range(0..lines),
             Pattern::HotCold { hot_fraction, .. } => {
                 let hot = rng.random_bool(hot_fraction);
                 region + rng.random_range(0..if hot { hoisted } else { lines })
@@ -374,6 +370,12 @@ impl CtaProgram for PatternProgram {
 mod tests {
     use super::*;
 
+    /// Uniformly random lines over the whole region: no access is hot.
+    const UNIFORM: Pattern = Pattern::HotCold {
+        hot_fraction: 0.0,
+        hot_bytes: 4096,
+    };
+
     fn spec(pattern: Pattern) -> KernelSpec {
         KernelSpec {
             name: "k".into(),
@@ -417,7 +419,7 @@ mod tests {
 
     #[test]
     fn deterministic_regeneration() {
-        let s = spec(Pattern::RandomUniform);
+        let s = spec(UNIFORM);
         let mut a = PatternProgram::new(&s, CtaId::new(3));
         let mut b = PatternProgram::new(&s, CtaId::new(3));
         assert_eq!(collect_ops(&mut a, 1), collect_ops(&mut b, 1));
@@ -425,7 +427,7 @@ mod tests {
 
     #[test]
     fn different_ctas_different_streams() {
-        let s = spec(Pattern::RandomUniform);
+        let s = spec(UNIFORM);
         let mut a = PatternProgram::new(&s, CtaId::new(0));
         let mut b = PatternProgram::new(&s, CtaId::new(1));
         assert_ne!(collect_ops(&mut a, 0), collect_ops(&mut b, 0));
@@ -453,7 +455,6 @@ mod tests {
         for pattern in [
             Pattern::Streaming,
             Pattern::Tiled { reuse: 4 },
-            Pattern::RandomUniform,
             Pattern::HotCold {
                 hot_fraction: 0.8,
                 hot_bytes: 4096,

@@ -62,7 +62,6 @@ fn cases() -> Vec<(&'static str, KernelSpec)> {
     vec![
         ("streaming", base.clone()),
         ("tiled", spec(Pattern::Tiled { reuse: 8 })),
-        ("random_uniform", spec(Pattern::RandomUniform)),
         (
             "hot_cold",
             spec(Pattern::HotCold {
@@ -111,13 +110,6 @@ fn cases() -> Vec<(&'static str, KernelSpec)> {
             KernelSpec {
                 compute_per_mem: 0,
                 ..base.clone()
-            },
-        ),
-        (
-            "random_no_compute",
-            KernelSpec {
-                compute_per_mem: 0,
-                ..spec(Pattern::RandomUniform)
             },
         ),
         // More CTAs than lines: chunks are one line and CTAs wrap.
@@ -183,7 +175,6 @@ fn cases() -> Vec<(&'static str, KernelSpec)> {
 const GOLDEN: &[(&str, u64)] = &[
     ("streaming", 0x2501f808abc0bd04),
     ("tiled", 0xc375ce5386663c18),
-    ("random_uniform", 0xa5d744e90ef9c6d3),
     ("hot_cold", 0x1744f95f2bf5e15c),
     ("stencil", 0x31db9faaeb1c2cf7),
     ("reduction", 0x94cd9e1beb53bc59),
@@ -192,7 +183,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("shifted_all_to_all", 0xaea27f98bfac7856),
     ("shared_read", 0xc72412980a1c11b8),
     ("streaming_no_compute", 0x7659b0f496c164e0),
-    ("random_no_compute", 0x5cf3124980c7bf61),
     ("streaming_ctas_exceed_lines", 0xe170a8d59e35d04c),
     ("stencil_ctas_exceed_lines", 0xe0c2e1ec3dcd2016),
     ("tiled_tile_exceeds_chunk", 0x99f50aa8ba532544),

@@ -10,7 +10,6 @@ fn arb_pattern() -> Gen<Pattern> {
     one_of(vec![
         just(Pattern::Streaming),
         ints(1u32..16).map(|reuse| Pattern::Tiled { reuse }),
-        just(Pattern::RandomUniform),
         pairs(floats(0.0..1.0), ints(1u64..1_000_000)).map(|(hot_fraction, hot_bytes)| {
             Pattern::HotCold {
                 hot_fraction,

@@ -16,8 +16,6 @@
 //!          [--baseline]            # also run the single-GPU baseline
 //!          [--jobs N]              # worker threads (with --baseline, runs both sims
 //!                                  # concurrently; output is byte-identical to --jobs 1)
-//!          [--sim-threads N]       # event-loop partitions advanced concurrently inside
-//!                                  # one sim (0 = auto); byte-identical at every setting
 //!          [--timeline]            # print the link utilization timeline
 //!          [--metrics]             # collect counters and print the metrics snapshot JSON
 //!          [--profile]             # print the self-profile work-attribution table
@@ -53,7 +51,7 @@ fn usage(msg: &str) -> ! {
          [--topology star|ring|mesh|fattree] \
          [--cache memside|static|shared|numa-aware] [--link static|dynamic|2x] \
          [--placement fine|page|first-touch] [--cta interleave|contiguous] \
-         [--baseline] [--jobs N] [--sim-threads N] [--timeline] [--metrics] [--profile] \
+         [--baseline] [--jobs N] [--timeline] [--metrics] [--profile] \
          [--trace-out FILE] [--faults SPEC] [--fault-seed N] [--max-cycles N] \
          [--cache-dir DIR]\n\
          \x20      simulate serve --socket PATH --cache-dir DIR [--workers N] [--verbose] \
@@ -202,7 +200,6 @@ fn main() {
     let mut cta = CtaSchedulingPolicy::ContiguousBlock;
     let mut baseline = false;
     let mut jobs: usize = 1;
-    let mut sim_threads: u16 = 1;
     let mut timeline = false;
     let mut metrics = false;
     let mut profile = false;
@@ -273,11 +270,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| usage("--jobs must be a positive integer"));
                 jobs = jobs.max(1);
-            }
-            "--sim-threads" => {
-                sim_threads = value("--sim-threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--sim-threads must be an integer (0 = auto)"));
             }
             "--timeline" => timeline = true,
             "--metrics" => metrics = true,
@@ -358,7 +350,6 @@ fn main() {
     cfg.obs.profile = profile;
     cfg.obs.trace = trace_out.is_some();
     cfg.watchdog.max_cycles = max_cycles;
-    cfg.sim_threads = sim_threads;
     cfg.validate().unwrap_or_else(|e| usage(&e.to_string()));
 
     let fault_plan: Option<FaultPlan> = match (&faults_spec, fault_seed) {
@@ -383,7 +374,7 @@ fn main() {
     // `SimPlan` run by the same `Runner` that runs `figures`, so the memo,
     // the store policy and the worker pool are the ones every front end
     // uses. Stdout is byte-identical at any `--jobs` count (printing stays
-    // serial, in a fixed order) and at any `--sim-threads` count.
+    // serial, in a fixed order).
     let mut runner = Runner::new(scale).jobs(jobs);
     match &cache_dir {
         // An ad-hoc trace-file workload's identity lives in a file the

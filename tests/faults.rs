@@ -58,71 +58,6 @@ fn random_plans_are_reproducible_from_the_seed() {
     assert_ne!(FaultPlan::random(43, 4, 16, 256, 100_000), a);
 }
 
-/// Runs `wl_name` under `cfg` (optionally fault-injected) and returns the
-/// two serialized artifacts the determinism battery byte-compares: the
-/// SimReport JSON and the Chrome trace document.
-fn report_and_trace(cfg: SystemConfig, wl_name: &str, faults: Option<&str>) -> (String, String) {
-    let wl = by_name(wl_name, &quick()).unwrap();
-    let mut sys = NumaGpuSystem::new(cfg).unwrap();
-    if let Some(spec) = faults {
-        sys.set_fault_plan(FaultPlan::parse(spec).unwrap()).unwrap();
-    }
-    let r = sys.run(&wl).unwrap();
-    (r.to_json().to_string(), r.chrome_trace().to_string())
-}
-
-/// Intra-run parallelism must not perturb results: the partitioned event
-/// loop merges cross-socket traffic at window barriers in canonical
-/// `(cycle, partition, seq)` order, so report JSON and Chrome trace are
-/// byte-identical at every `sim_threads` setting.
-#[test]
-fn sim_threads_do_not_change_clean_reports() {
-    for sockets in [2, 4, 8] {
-        let mut cfg = SystemConfig::numa_aware_sockets(sockets);
-        cfg.obs.trace = true;
-        cfg.sim_threads = 1;
-        let base = report_and_trace(cfg.clone(), "Rodinia-Euler3D", None);
-        for threads in [2, sockets as u16, 0] {
-            cfg.sim_threads = threads;
-            let run = report_and_trace(cfg.clone(), "Rodinia-Euler3D", None);
-            assert_eq!(
-                base.0, run.0,
-                "{sockets}-socket clean report diverged at sim_threads={threads}"
-            );
-            assert_eq!(
-                base.1, run.1,
-                "{sockets}-socket clean trace diverged at sim_threads={threads}"
-            );
-        }
-    }
-}
-
-/// Same battery under fault injection: the resilience plane (lane loss,
-/// DRAM stalls, SM disables, recovery accounting) lives partly on the
-/// control partition and partly on the shards, so faulted runs exercise
-/// the cross-partition ordering hardest.
-#[test]
-fn sim_threads_do_not_change_faulted_reports() {
-    for sockets in [2, 4, 8] {
-        let mut cfg = SystemConfig::numa_aware_sockets(sockets);
-        cfg.obs.trace = true;
-        cfg.sim_threads = 1;
-        let base = report_and_trace(cfg.clone(), "Rodinia-Euler3D", Some(SCENARIO));
-        for threads in [2, sockets as u16, 0] {
-            cfg.sim_threads = threads;
-            let run = report_and_trace(cfg.clone(), "Rodinia-Euler3D", Some(SCENARIO));
-            assert_eq!(
-                base.0, run.0,
-                "{sockets}-socket faulted report diverged at sim_threads={threads}"
-            );
-            assert_eq!(
-                base.1, run.1,
-                "{sockets}-socket faulted trace diverged at sim_threads={threads}"
-            );
-        }
-    }
-}
-
 /// Regression for the watchdog fix: cross-partition message deliveries
 /// count as forward progress. A barrier-heavy run — fine-interleaved
 /// cache lines plus interleaved CTA scheduling on 2 sockets, so roughly
@@ -137,7 +72,6 @@ fn cross_partition_deliveries_count_as_watchdog_progress() {
     cfg.placement = PagePlacement::FineInterleave;
     cfg.cta_policy = CtaSchedulingPolicy::Interleave;
     cfg.watchdog.stall_cycles = 2_000;
-    cfg.sim_threads = 2;
     let r = run_workload(cfg, &wl).unwrap();
     assert!(
         r.total_cycles > 0,

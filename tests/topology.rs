@@ -1,10 +1,8 @@
 //! Topology-layer integration tests: the star fabric is the paper's
-//! switch (flag and default must match byte for byte), every off-star
-//! fabric stays byte-deterministic at any `sim_threads` count (interior
-//! hops are charged only at serial points, so the partitioned event loop's
-//! guarantee extends to them), and the collective workloads run on every
-//! fabric with their NUMA-aware variants moving strictly less link
-//! traffic.
+//! switch (flag and default must match byte for byte), interior-edge
+//! faults address off-star links deterministically, and the collective
+//! workloads run on every fabric with their NUMA-aware variants moving
+//! strictly less link traffic.
 
 use std::process::Command;
 
@@ -13,16 +11,9 @@ use numa_gpu::faults::FaultPlan;
 use numa_gpu::types::{SystemConfig, TopologyKind};
 use numa_gpu::workloads::{by_name, collective_by_name, Scale};
 
-const OFF_STAR: [TopologyKind; 3] = [
-    TopologyKind::Ring,
-    TopologyKind::Mesh2d,
-    TopologyKind::FatTree,
-];
-
-fn cfg_with(kind: TopologyKind, sockets: u8, sim_threads: u16) -> SystemConfig {
+fn cfg_with(kind: TopologyKind, sockets: u8) -> SystemConfig {
     let mut cfg = SystemConfig::numa_aware_sockets(sockets);
     cfg.topology = kind;
-    cfg.sim_threads = sim_threads;
     cfg
 }
 
@@ -61,47 +52,20 @@ fn star_flag_matches_default_byte_for_byte() {
     );
 }
 
-/// Off-star fabrics keep the partitioned event loop's headline guarantee:
-/// reports are byte-identical at every `sim_threads` setting, because
-/// interior-hop charging happens only at barriers (canonical merge order),
-/// boundary flushes, and the serial control plane.
-#[test]
-fn off_star_fabrics_are_byte_identical_across_sim_threads() {
-    let wl = by_name("Rodinia-Euler3D", &Scale::quick()).unwrap();
-    for kind in OFF_STAR {
-        let serial = run_workload(cfg_with(kind, 8, 1), &wl).unwrap();
-        let parallel = run_workload(cfg_with(kind, 8, 4), &wl).unwrap();
-        assert_eq!(
-            serial.to_json().to_string(),
-            parallel.to_json().to_string(),
-            "{kind:?}: sim_threads must not change the report"
-        );
-    }
-}
-
-/// The same property holds past the old 8-socket ceiling.
-#[test]
-fn sixteen_socket_ring_is_byte_identical_across_sim_threads() {
-    let wl = by_name("Other-Stream-Triad", &Scale::quick()).unwrap();
-    let serial = run_workload(cfg_with(TopologyKind::Ring, 16, 1), &wl).unwrap();
-    let parallel = run_workload(cfg_with(TopologyKind::Ring, 16, 4), &wl).unwrap();
-    assert_eq!(serial.to_json().to_string(), parallel.to_json().to_string());
-}
-
 /// Fault injection addresses links by edge id; on an 8-socket ring edges
 /// 8..16 are interior switch-to-switch links. A plan degrading one must
-/// validate, perturb the run, and stay deterministic across thread counts.
+/// validate, perturb the run, and stay deterministic across runs.
 #[test]
 fn interior_edge_faults_are_valid_and_deterministic() {
     let wl = by_name("Rodinia-Euler3D", &Scale::quick()).unwrap();
     let plan = FaultPlan::parse("lanes:s10@300=8; retrain:s12@600+200").unwrap();
-    let clean = run_workload(cfg_with(TopologyKind::Ring, 8, 1), &wl).unwrap();
-    let a = run_workload_with_faults(cfg_with(TopologyKind::Ring, 8, 1), &wl, &plan).unwrap();
-    let b = run_workload_with_faults(cfg_with(TopologyKind::Ring, 8, 4), &wl, &plan).unwrap();
+    let clean = run_workload(cfg_with(TopologyKind::Ring, 8), &wl).unwrap();
+    let a = run_workload_with_faults(cfg_with(TopologyKind::Ring, 8), &wl, &plan).unwrap();
+    let b = run_workload_with_faults(cfg_with(TopologyKind::Ring, 8), &wl, &plan).unwrap();
     assert_eq!(
         a.to_json().to_string(),
         b.to_json().to_string(),
-        "faulted ring run must be thread-count invariant"
+        "faulted ring run must be deterministic"
     );
     assert_ne!(
         clean.total_cycles, a.total_cycles,
@@ -124,7 +88,7 @@ fn interior_edge_faults_are_valid_and_deterministic() {
 fn interior_edge_fault_is_out_of_range_on_star() {
     let wl = by_name("Other-Stream-Triad", &Scale::quick()).unwrap();
     let plan = FaultPlan::parse("lanes:s10@300=8").unwrap();
-    let err = run_workload_with_faults(cfg_with(TopologyKind::Star, 8, 1), &wl, &plan)
+    let err = run_workload_with_faults(cfg_with(TopologyKind::Star, 8), &wl, &plan)
         .expect_err("edge 10 does not exist on an 8-socket star");
     assert!(
         err.to_string().contains("out of range"),
@@ -144,8 +108,8 @@ fn numa_aware_collectives_move_less_link_traffic() {
         ] {
             let n = collective_by_name(naive, 8, &Scale::quick()).unwrap();
             let a = collective_by_name(aware, 8, &Scale::quick()).unwrap();
-            let rn = run_workload(cfg_with(kind, 8, 1), &n).unwrap();
-            let ra = run_workload(cfg_with(kind, 8, 1), &a).unwrap();
+            let rn = run_workload(cfg_with(kind, 8), &n).unwrap();
+            let ra = run_workload(cfg_with(kind, 8), &a).unwrap();
             assert!(
                 ra.interconnect_bytes < rn.interconnect_bytes,
                 "{kind:?}: {aware} must move less than {naive} ({} vs {})",
@@ -161,7 +125,7 @@ fn numa_aware_collectives_move_less_link_traffic() {
 #[test]
 fn thirty_two_socket_mesh_completes() {
     let wl = by_name("Other-Stream-Triad", &Scale::quick()).unwrap();
-    let r = run_workload(cfg_with(TopologyKind::Mesh2d, 32, 4), &wl).unwrap();
+    let r = run_workload(cfg_with(TopologyKind::Mesh2d, 32), &wl).unwrap();
     assert!(r.total_cycles > 0);
     assert_eq!(r.sockets.len(), 32);
 }
