@@ -29,6 +29,7 @@
 use numa_gpu_bench::{experiments, Runner};
 use numa_gpu_exec::ThreadPool;
 use numa_gpu_workloads::Scale;
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 const ALL: [&str; 17] = [
@@ -94,9 +95,10 @@ fn main() {
             "--cache-dir" => cache_dir = Some(value("--cache-dir")),
             "--jobs" => {
                 let v = value("--jobs");
-                jobs = v.parse().unwrap_or_else(|_| {
-                    usage(&format!("--jobs expects a positive integer, got `{v}`"))
-                });
+                jobs = v.parse::<NonZeroUsize>().map_or_else(
+                    |_| usage(&format!("--jobs expects a positive integer, got `{v}`")),
+                    NonZeroUsize::get,
+                );
             }
             flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
             name if ALL.contains(&name) => selected.push(name),

@@ -269,9 +269,8 @@ impl SimPlan {
     }
 }
 
-/// Executes every job on a pool of `threads` workers and returns each job
-/// with its outcome, in submission order — the one executor behind
-/// [`Runner`](crate::Runner).
+/// Executes every job on `pool` and returns each job with its outcome, in
+/// submission order — the one executor behind [`Runner`](crate::Runner).
 ///
 /// Worker progress (one line per simulation) goes through `reporter`, so
 /// lines from concurrent jobs cannot shear.
@@ -282,7 +281,7 @@ impl SimPlan {
 /// see [`ThreadPool::run`].
 pub fn execute(
     jobs: Vec<KeyedJob>,
-    threads: usize,
+    pool: ThreadPool,
     reporter: &Arc<Reporter>,
 ) -> Vec<(KeyedJob, Result<Arc<SimReport>, SimError>)> {
     let pool_jobs = jobs
@@ -297,7 +296,7 @@ pub fn execute(
             })
         })
         .collect();
-    ThreadPool::new(threads).run(pool_jobs)
+    pool.run(pool_jobs)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 use crate::plan::{execute, JobKey, SimPlan};
 use crate::store::{DiskStore, StoreEvent, StoreStats};
 use numa_gpu_core::{ProfileReport, SimReport};
-use numa_gpu_exec::Reporter;
+use numa_gpu_exec::{Reporter, ThreadPool};
 use numa_gpu_runtime::Workload;
 use numa_gpu_types::SimError;
 use numa_gpu_workloads::Scale;
@@ -30,7 +30,7 @@ pub struct Runner {
     cache: BTreeMap<JobKey, Arc<SimReport>>,
     store: Option<DiskStore>,
     runs: u64,
-    jobs: usize,
+    pool: ThreadPool,
     profile: bool,
     reporter: Arc<Reporter>,
 }
@@ -40,7 +40,7 @@ impl std::fmt::Debug for Runner {
         f.debug_struct("Runner")
             .field("cached", &self.cache.len())
             .field("runs", &self.runs)
-            .field("jobs", &self.jobs)
+            .field("jobs", &self.pool.workers())
             .finish_non_exhaustive()
     }
 }
@@ -55,7 +55,7 @@ impl Runner {
             cache: BTreeMap::new(),
             store: None,
             runs: 0,
-            jobs: 1,
+            pool: ThreadPool::new(1),
             profile: false,
             reporter: Arc::new(Reporter::stderr(false)),
         }
@@ -84,10 +84,11 @@ impl Runner {
         self
     }
 
-    /// Sets the worker-thread count used by [`Runner::execute`] (clamped
-    /// to at least 1). `1` executes plans serially on the calling thread.
+    /// Sets the worker-thread count used by [`Runner::execute`] (the pool
+    /// clamps it to at least 1). `1` executes plans serially on the calling
+    /// thread.
     pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+        self.pool = ThreadPool::new(jobs);
         self
     }
 
@@ -114,7 +115,7 @@ impl Runner {
 
     /// Worker threads used per plan execution.
     pub fn job_count(&self) -> usize {
-        self.jobs
+        self.pool.workers()
     }
 
     /// Reads served warm from the on-disk store (0 without a cache dir).
@@ -189,7 +190,7 @@ impl Runner {
                 None => true,
             });
         }
-        for (job, outcome) in execute(cold, self.jobs, &self.reporter) {
+        for (job, outcome) in execute(cold, self.pool, &self.reporter) {
             let report = outcome.map_err(|e| (job.job().key.clone(), e))?;
             self.runs += 1;
             if let Some(store) = &self.store {

@@ -24,6 +24,22 @@ fn unknown_flag_and_missing_value_exit_2_with_usage() {
 }
 
 #[test]
+fn zero_jobs_exits_2_with_usage() {
+    let out = figures()
+        .args(["--quick", "--jobs", "0", "table1"])
+        .output()
+        .expect("figures runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--jobs expects a positive integer, got `0`")
+            && err.contains("usage: figures"),
+        "{err}"
+    );
+}
+
+#[test]
 fn an_unwritable_out_dir_exits_2_naming_it() {
     let args = ["--out", "/dev/null/x", "fig2"];
     let out = figures().args(args).output().expect("figures runs");

@@ -956,15 +956,16 @@ mod tests {
     use super::*;
     use numa_gpu_types::TopologyKind;
 
-    /// Satellite of the topology refactor: the executor's conservative
-    /// lookahead and the flush path's access-hop latency are distinct
-    /// quantities that coincide only in the star fabric, where the
-    /// cheapest adjacent hop *is* the access hop. Off-star fabrics have
-    /// interior switch-to-switch hops cheaper than the access hop, so the
-    /// lookahead (a lower bound over every adjacent hop) must drop below
-    /// the access-hop latency — if these were still one aliased value,
-    /// either the parallel windows would be unsound or flush timing would
-    /// change on the star fabric.
+    /// The windowed loop's conservative lookahead and the flush path's
+    /// access-hop latency are distinct quantities that coincide only in
+    /// the star fabric, where the cheapest adjacent hop *is* the access
+    /// hop. Off-star fabrics have interior switch-to-switch hops cheaper
+    /// than the access hop, so the lookahead (a lower bound over every
+    /// adjacent hop) must drop below the access-hop latency — if these
+    /// were one aliased value, either a window could admit a message
+    /// emitted inside it or flush timing would change on the star fabric.
+    /// The windows are kept, on one thread, because they keep one socket's
+    /// state hot (DESIGN §13).
     #[test]
     fn lookahead_and_hop_latency_coincide_only_on_star() {
         let star = NumaGpuSystem::new(SystemConfig::numa_sockets(4)).unwrap();

@@ -16,10 +16,12 @@
 //!   paper's controllers can ask "was this ≥99% saturated in the last
 //!   sample period?".
 //!
-//! On top of these, [`conservative_window`] and [`merge_cross`] provide the
-//! windowing and deterministic barrier-merge rules for running one
-//! [`EventQueue`] per partition concurrently (see the `partition` module
-//! docs), and [`Watchdog`] supervises forward progress — cross-partition
+//! On top of these, [`conservative_window`] and [`merge_cross_into`]
+//! provide the windowing and deterministic barrier-merge rules of the
+//! serial windowed loop, which runs one [`EventQueue`] per partition, one
+//! partition after another within each window (see the `partition` module
+//! docs; windows stay because they keep one socket's state hot, DESIGN
+//! §13). [`Watchdog`] supervises forward progress — cross-partition
 //! message deliveries count as progress, so a partition idling at a window
 //! barrier is never mistaken for a deadlock.
 //!
@@ -44,6 +46,6 @@ mod service_queue;
 mod watchdog;
 
 pub use event_queue::{EventQueue, EventQueueStats};
-pub use partition::{conservative_window, merge_cross, merge_cross_into, CrossMessage};
+pub use partition::{conservative_window, merge_cross_into, CrossMessage};
 pub use service_queue::ServiceQueue;
 pub use watchdog::{Watchdog, WatchdogTrip};

@@ -1,17 +1,17 @@
 //! Conservative-lookahead windowing for partitioned event loops.
 //!
-//! The parallel executor splits the machine into per-socket partitions
-//! (each with its own [`EventQueue`](crate::EventQueue)) plus one control
-//! partition for the shared switch/sampler plane. Partitions advance
-//! concurrently inside a *window* `[start, end)` and exchange
+//! The simulator splits the machine into per-socket partitions (each with
+//! its own [`EventQueue`](crate::EventQueue)) plus one control partition
+//! for the shared switch/sampler plane. One thread runs the partitions one
+//! after another inside a *window* `[start, end)`, and they exchange
 //! cross-partition messages only at the window barrier:
 //!
 //! * [`conservative_window`] computes the window end from the lookahead —
 //!   the minimum latency any cross-partition message needs before it can
 //!   affect another partition — and the next control-plane event, which
-//!   must be handled serially.
-//! * [`merge_cross`] folds the per-partition outboxes into the canonical
-//!   deterministic delivery order, stable-sorted by
+//!   runs at the barrier.
+//! * [`merge_cross_into`] folds the per-partition outboxes into the
+//!   canonical deterministic delivery order, stable-sorted by
 //!   `(tick, partition, emission sequence)`.
 //!
 //! Determinism argument: inside a window a partition only reads and writes
@@ -20,7 +20,13 @@
 //! lookahead`, hence land at or after `end` and cannot affect the window
 //! that produced them. Merging at the barrier in `(tick, partition, seq)`
 //! order makes the enqueue order — and therefore every downstream
-//! tie-break — independent of the thread schedule.
+//! tie-break — independent of the order the partitions ran in.
+//!
+//! The windows stay on one thread because they keep one socket's state
+//! hot: a window runs dozens to hundreds of one socket's events in a row,
+//! where one queue in exact `(tick, partition, seq)` order switches
+//! sockets every few events and measured slower on every workload
+//! (DESIGN §13, "Negative results").
 
 use numa_gpu_types::Tick;
 
@@ -53,30 +59,17 @@ pub fn conservative_window(start: Tick, lookahead: Tick, barrier: Option<Tick>) 
 }
 
 /// Merges per-partition outboxes into the canonical cross-partition
-/// delivery order.
+/// delivery order, recycling every buffer.
 ///
-/// `outboxes[p]` holds partition `p`'s messages in emission order as
-/// `(delivery_tick, payload)` pairs. The result is ordered by
-/// `(tick, partition, emission sequence)`: a stable sort by tick alone
-/// preserves the partition-major emission order among equal ticks, which
-/// is exactly the tuple order. Pushing the result into destination queues
-/// in this order gives every message a schedule-independent FIFO sequence
-/// number.
-pub fn merge_cross<M>(outboxes: Vec<Vec<(Tick, M)>>) -> Vec<CrossMessage<M>> {
-    let mut merged = Vec::new();
-    let mut outboxes = outboxes;
-    merge_cross_into(outboxes.iter_mut(), &mut merged);
-    merged
-}
-
-/// Allocation-recycling form of [`merge_cross`]: drains each outbox in
-/// place (keeping its capacity for the next window) and merges into
-/// `merged`, which is cleared first and likewise keeps its capacity.
-///
-/// Run once per window barrier with persistent buffers, the steady state
-/// allocates nothing. The delivery order is identical to [`merge_cross`]:
-/// partition-major gather followed by a stable sort by tick yields the
-/// canonical `(tick, partition, emission sequence)` order.
+/// The `p`-th outbox holds partition `p`'s messages in emission order as
+/// `(delivery_tick, payload)` pairs; each is drained in place (keeping its
+/// capacity for the next window) into `merged`, which is cleared first and
+/// likewise keeps its capacity, so the steady state allocates nothing.
+/// The result is ordered by `(tick, partition, emission sequence)`: a
+/// stable sort by tick alone preserves the partition-major emission order
+/// among equal ticks, which is exactly the tuple order. Pushing the result
+/// into destination queues in this order gives every message a
+/// schedule-independent FIFO sequence number.
 pub fn merge_cross_into<'a, M: 'a>(
     outboxes: impl Iterator<Item = &'a mut Vec<(Tick, M)>>,
     merged: &mut Vec<CrossMessage<M>>,
@@ -117,9 +110,16 @@ mod tests {
         assert_eq!(conservative_window(100, 64, Some(500)), 164);
     }
 
+    /// Runs [`merge_cross_into`] over owned outboxes into a fresh buffer.
+    fn merged<M>(mut outboxes: Vec<Vec<(Tick, M)>>) -> Vec<CrossMessage<M>> {
+        let mut merged = Vec::new();
+        merge_cross_into(outboxes.iter_mut(), &mut merged);
+        merged
+    }
+
     #[test]
     fn merge_orders_by_tick_then_partition_then_seq() {
-        let merged = merge_cross(vec![
+        let merged = merged(vec![
             vec![(20, "p0-a"), (10, "p0-b")],
             vec![(10, "p1-a"), (10, "p1-b")],
             vec![(5, "p2-a")],
@@ -139,21 +139,18 @@ mod tests {
 
     #[test]
     fn merge_of_empty_outboxes_is_empty() {
-        assert!(merge_cross::<u8>(vec![vec![], vec![]]).is_empty());
-        assert!(merge_cross::<u8>(Vec::new()).is_empty());
+        assert!(merged::<u8>(vec![vec![], vec![]]).is_empty());
+        assert!(merged::<u8>(Vec::new()).is_empty());
     }
 
     #[test]
-    fn merge_into_recycles_buffers_and_matches_merge_cross() {
-        let make = || {
-            vec![
-                vec![(20u64, "p0-a"), (10, "p0-b")],
-                vec![(10, "p1-a"), (10, "p1-b")],
-                vec![(5, "p2-a")],
-            ]
-        };
-        let expected = merge_cross(make());
-        let mut outboxes = make();
+    fn merge_into_recycles_buffers() {
+        let mut outboxes = vec![
+            vec![(20u64, "p0-a"), (10, "p0-b")],
+            vec![(10, "p1-a"), (10, "p1-b")],
+            vec![(5, "p2-a")],
+        ];
+        let expected = merged(outboxes.clone());
         let mut merged = Vec::new();
         merged.push(CrossMessage {
             at: 0,

@@ -3,7 +3,7 @@
 //! *any* partitioning, and conservative lookahead never lets a message
 //! land inside the window that emitted it.
 
-use numa_gpu_engine::{conservative_window, merge_cross, EventQueue};
+use numa_gpu_engine::{conservative_window, merge_cross_into, EventQueue};
 use numa_gpu_testkit::gen::{ints, pairs, vecs};
 use numa_gpu_testkit::prop::Config;
 use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check};
@@ -29,7 +29,7 @@ fn single_queue_order(partitions: usize, events: &[(u8, u64)]) -> Vec<(u64, u32,
 }
 
 /// Replays the same events through per-partition queues advanced window by
-/// window, concatenating each barrier's [`merge_cross`] result.
+/// window, concatenating each barrier's [`merge_cross_into`] result.
 fn windowed_order(
     partitions: usize,
     events: &[(u8, u64)],
@@ -40,9 +40,10 @@ fn windowed_order(
         queues[ep as usize % partitions].push(t, i);
     }
     let mut order = Vec::new();
+    let mut merged = Vec::new();
     while let Some(start) = queues.iter().filter_map(|q| q.peek_tick()).min() {
         let end = conservative_window(start, lookahead, None);
-        let batches: Vec<Vec<(u64, usize)>> = queues
+        let mut batches: Vec<Vec<(u64, usize)>> = queues
             .iter_mut()
             .map(|q| {
                 let mut batch = Vec::new();
@@ -53,11 +54,8 @@ fn windowed_order(
                 batch
             })
             .collect();
-        order.extend(
-            merge_cross(batches)
-                .into_iter()
-                .map(|m| (m.at, m.source, m.payload)),
-        );
+        merge_cross_into(batches.iter_mut(), &mut merged);
+        order.extend(merged.iter().map(|m| (m.at, m.source, m.payload)));
     }
     order
 }

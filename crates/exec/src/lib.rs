@@ -8,15 +8,17 @@
 //! * [`ThreadPool`] — a fixed-worker batch executor. Jobs are indexed at
 //!   submission and results are returned **in submission order** no matter
 //!   which worker finishes first, so any output derived from the result
-//!   vector is independent of thread scheduling. A panic inside a worker is
+//!   vector is independent of thread scheduling. A panic inside a job is
 //!   caught and re-raised on the submitting thread, labelled with the job
-//!   that caused it.
-//! * [`Dispatcher`] — a persistent worker pool for long-running services
-//!   (the serving daemon): jobs arrive one at a time over the pool's
-//!   lifetime, each delivers its outcome through a per-job callback, and a
-//!   panicking job is contained (reported as [`JobOutcome::Panicked`])
-//!   rather than taking the worker down. [`Deadline`] supplies the
-//!   wall-clock budgets such services supervise with.
+//!   that caused it. One worker runs the batch on the calling thread; more
+//!   run it on a [`Dispatcher`].
+//! * [`Dispatcher`] — the one worker pool, persistent, for long-running
+//!   services (the serving daemon) and for [`ThreadPool`]'s batches: jobs
+//!   arrive one at a time over the pool's lifetime, each delivers its
+//!   outcome through a per-job callback, and a panicking job is contained
+//!   (reported as [`JobOutcome::Panicked`]) rather than taking the worker
+//!   down. [`Deadline`] supplies the wall-clock budgets such services
+//!   supervise with.
 //! * [`Reporter`] — a mutexed, line-buffered progress logger. Each line is
 //!   formatted completely before a single locked write, so progress output
 //!   from concurrent workers never shears mid-line.
@@ -41,12 +43,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod dispatch;
 mod pool;
 mod reporter;
 
-pub use dispatch::{Deadline, Dispatcher, JobOutcome};
-pub use pool::{Job, ThreadPool};
+pub use pool::{Deadline, Dispatcher, Job, JobOutcome, ThreadPool};
 pub use reporter::Reporter;
 
 /// Best-effort extraction of a caught panic payload's message: the two

@@ -264,8 +264,9 @@ impl Topology {
     /// boundary), and returns the tick it reaches the destination-side
     /// boundary. The two access hops are the caller's responsibility — in
     /// the core they are owned by the socket partitions and charged inside
-    /// the parallel windows, while interior hops are charged here at
-    /// deterministic serial points (window barriers, flush, control plane).
+    /// each partition's run of a window, while interior hops are charged
+    /// here at the points every partition shares (window barriers, flush,
+    /// control plane).
     ///
     /// For the star fabric there are no interior hops and `at` is returned
     /// unchanged. Degenerate endpoints also return `at` unchanged.
@@ -294,8 +295,8 @@ impl Topology {
     }
 
     /// Moves the access links still attached out of the fabric, in socket
-    /// order (the core gives each to its socket's partition so parallel
-    /// windows never share link state).
+    /// order (the core gives each to its socket's partition, so a window's
+    /// run of one partition touches no other partition's link state).
     pub fn detach_access_links(&mut self) -> impl Iterator<Item = GpuLink> + '_ {
         let n = self.num_sockets as usize;
         self.links[..n].iter_mut().filter_map(Option::take)

@@ -123,6 +123,8 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numa_gpu_testkit::gen::{ints, one_of, pairs, select, strings, vecs, Gen};
+    use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -219,5 +221,56 @@ mod tests {
         let (_j, pending) = Journal::open(&dir).unwrap();
         assert_eq!(pending.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The valid records a live daemon writes, for three distinct specs.
+    fn records() -> Vec<Vec<u8>> {
+        let specs = [
+            "workload=A",
+            "workload=B config=numa sockets=8 timeline=1",
+            "workload=C scale=full faults=lanes:s1@5000=8 deadline=30",
+        ];
+        specs
+            .iter()
+            .map(|line| JobSpec::parse(line).unwrap())
+            .flat_map(|spec| {
+                [
+                    format!("queued {}\n", spec.to_line()).into_bytes(),
+                    format!("done {}\n", spec_hash(&spec)).into_bytes(),
+                ]
+            })
+            .collect()
+    }
+
+    /// One stretch of journal bytes: random bytes, a valid record, a
+    /// `queued` line with an arbitrary spec, or a record torn anywhere.
+    fn chunk() -> Gen<Vec<u8>> {
+        let bytes = vecs(ints(0u16..256), 0..24).map(|v| v.into_iter().map(|b| b as u8).collect());
+        let torn = pairs(select(records()), ints(0usize..80))
+            .map(|(record, cut)| record[..cut % record.len()].to_vec());
+        let garbage_spec = strings(0..40).map(|s| format!("queued {s}\n").into_bytes());
+        one_of(vec![bytes, select(records()), garbage_spec, torn])
+    }
+
+    prop_check! {
+        /// Whatever bytes a crash or a disk leaves in the journal, `open`
+        /// neither panics nor fails on them, every spec it replays
+        /// round-trips through its canonical line, and compaction is a
+        /// fixed point: a second `open` replays the same list.
+        fn open_survives_arbitrary_journal_bytes(chunks in vecs(chunk(), 0..12)) {
+            static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = tmpdir(&format!("prop-{case}"));
+            std::fs::write(dir.join("journal.log"), chunks.concat()).unwrap();
+            let first = Journal::open(&dir).map(|(_, pending)| pending);
+            prop_assert!(first.is_ok(), "open failed: {:?}", first);
+            let first = first.unwrap();
+            for spec in &first {
+                prop_assert_eq!(JobSpec::parse(&spec.to_line()), Ok(spec.clone()));
+            }
+            let again = Journal::open(&dir).map(|(_, pending)| pending).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            prop_assert_eq!(again, first, "compaction is not a fixed point");
+        }
     }
 }

@@ -40,6 +40,7 @@ use numa_gpu::types::{
     CacheMode, CtaSchedulingPolicy, LinkMode, PagePlacement, SimError, SystemConfig, TopologyKind,
 };
 use numa_gpu::workloads::{by_name, collective_by_name, Scale, COLLECTIVE_NAMES, WORKLOAD_NAMES};
+use std::num::NonZeroUsize;
 
 /// Time horizon (in cycles) over which `--fault-seed` scatters its faults.
 const FAULT_HORIZON_CYCLES: u64 = 100_000;
@@ -96,9 +97,10 @@ fn serve_main(args: &[String]) {
             "--socket" => socket = Some(value("--socket")),
             "--cache-dir" => cache_dir = Some(value("--cache-dir")),
             "--workers" => {
-                workers = value("--workers")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--workers must be a positive integer"));
+                workers = value("--workers").parse::<NonZeroUsize>().map_or_else(
+                    |_| usage("--workers must be a positive integer"),
+                    NonZeroUsize::get,
+                );
             }
             "--deadline" => {
                 deadline_secs = value("--deadline")
@@ -266,10 +268,10 @@ fn main() {
             }
             "--baseline" => baseline = true,
             "--jobs" => {
-                jobs = value("--jobs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--jobs must be a positive integer"));
-                jobs = jobs.max(1);
+                jobs = value("--jobs").parse::<NonZeroUsize>().map_or_else(
+                    |_| usage("--jobs must be a positive integer"),
+                    NonZeroUsize::get,
+                );
             }
             "--timeline" => timeline = true,
             "--metrics" => metrics = true,

@@ -57,6 +57,54 @@ fn sim_threads_flag_is_a_usage_error() {
     );
 }
 
+/// A worker count is a positive integer: `--jobs 0` and `serve --workers
+/// 0` are usage errors, and the daemon never starts.
+#[test]
+fn zero_worker_count_is_a_usage_error() {
+    let dir = cache_dir("zero-workers");
+    let socket = format!("{dir}/sock");
+    for (args, msg) in [
+        (
+            vec![
+                "--workload",
+                "Other-Bitcoin-Crypto",
+                "--quick",
+                "--jobs",
+                "0",
+            ],
+            "--jobs must be a positive integer",
+        ),
+        (
+            vec![
+                "serve",
+                "--socket",
+                &socket,
+                "--cache-dir",
+                &dir,
+                "--workers",
+                "0",
+            ],
+            "--workers must be a positive integer",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(&args)
+            .output()
+            .expect("simulate binary runs");
+        assert_eq!(out.status.code(), Some(2), "simulate {args:?}");
+        assert!(out.stdout.is_empty(), "nothing may run for {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(msg) && stderr.contains("usage: simulate"),
+            "simulate {args:?}: {stderr}"
+        );
+    }
+    assert!(
+        !std::path::Path::new(&socket).exists(),
+        "the daemon must not start"
+    );
+}
+
 #[test]
 fn timeline_output_is_byte_identical() {
     let args = [
