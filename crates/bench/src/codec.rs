@@ -195,6 +195,11 @@ pub fn decode_report(doc: &Json) -> Result<SimReport, CodecError> {
 /// written, including a format-version difference (old entries must
 /// recompute, not mis-decode).
 pub fn decode_report_text(text: &str) -> Result<SimReport, CodecError> {
+    decode_with_profile_at(text).map(|(report, _)| report)
+}
+
+/// As [`decode_report_text`], and where in `text` the `profile` value starts.
+pub(crate) fn decode_with_profile_at(text: &str) -> Result<(SimReport, usize), CodecError> {
     let r = &mut Reader::new(text);
     r.open(b'{')?;
     let version = r.key("version")?.u64()?;
@@ -203,7 +208,7 @@ pub fn decode_report_text(text: &str) -> Result<SimReport, CodecError> {
             "payload version {version}, expected {REPORT_FORMAT_VERSION}"
         )));
     }
-    let report = SimReport {
+    let mut report = SimReport {
         workload: r.key("workload")?.string()?,
         total_cycles: r.key("total_cycles")?.u64()?,
         kernel_cycles: list(r.key("kernel_cycles")?, |r| Ok(r.u64()?))?,
@@ -217,11 +222,13 @@ pub fn decode_report_text(text: &str) -> Result<SimReport, CodecError> {
         metrics: None,
         trace_events: Vec::new(),
         resilience: optional(r.key("resilience")?, read_resilience)?,
-        profile: optional(r.key("profile")?, read_profile)?,
+        profile: None,
     };
+    let profile_at = r.key("profile")?.offset();
+    report.profile = optional(r, read_profile)?;
     r.end_object()?;
     r.finish()?;
-    Ok(report)
+    Ok((report, profile_at))
 }
 
 type Decoded<T> = Result<T, CodecError>;

@@ -25,7 +25,7 @@ pub mod table;
 
 pub use plan::{JobKey, SimJob, SimPlan};
 pub use runner::Runner;
-pub use store::{DiskStore, KeyedJob, StoreEvent, StoreKey, StoreStats};
+pub use store::{DiskStore, KeyedJob, StoreEvent, StoreHit, StoreKey, StoreStats};
 pub use table::{Row, Table};
 
 /// Geometric mean of positive values (zeroes are skipped).

@@ -12,7 +12,7 @@
 //! instead of silently simulating a second configuration.
 
 use crate::plan::{execute, JobKey, SimPlan};
-use crate::store::{DiskStore, StoreEvent, StoreStats};
+use crate::store::{DiskStore, StoreEvent, StoreHit, StoreStats};
 use numa_gpu_core::{ProfileReport, SimReport};
 use numa_gpu_exec::{Reporter, ThreadPool};
 use numa_gpu_runtime::Workload;
@@ -183,7 +183,7 @@ impl Runner {
         let mut cold = plan.into_keyed(&self.scale);
         if let Some(store) = &self.store {
             cold.retain(|job| match store.load_job(job) {
-                Some(report) => {
+                Some(StoreHit { report, .. }) => {
                     self.cache.insert(job.job().key.clone(), Arc::new(report));
                     false
                 }

@@ -269,6 +269,25 @@ fn payload_prefix(material: &str) -> String {
     format!(r#"{{"key":{material},"report":"#)
 }
 
+/// A store hit: the decoded report and the verified entry it decoded from.
+#[derive(Debug)]
+pub struct StoreHit {
+    /// The decoded report.
+    pub report: SimReport,
+    entry: String,
+    /// Where the report's text, and its `profile` value, start in `entry`.
+    start: usize,
+    profile_at: usize,
+}
+
+impl StoreHit {
+    /// The report as [`encode_report`] writes it, byte for byte: the entry
+    /// up to the payload's closing `}`.
+    pub fn text(&self) -> &str {
+        &self.entry[self.start..self.entry.len() - 1]
+    }
+}
+
 /// The on-disk content-addressed result store.
 ///
 /// Layout under the root directory:
@@ -399,6 +418,11 @@ impl DiskStore {
     /// `corrupt/` and reported as a miss — the caller recomputes and the next
     /// [`DiskStore::save`] heals the entry.
     pub fn load(&self, key: &StoreKey) -> Option<SimReport> {
+        self.hit(key).map(|hit| hit.report)
+    }
+
+    /// [`DiskStore::load`], with the verified bytes the report decoded from.
+    fn hit(&self, key: &StoreKey) -> Option<StoreHit> {
         let path = self.entry_path(key);
         // Bytes, not a string: an entry that is not UTF-8 is damage the
         // checks below quarantine, not a miss that lets the next write
@@ -406,12 +430,12 @@ impl DiskStore {
         let read = std::fs::read(&path).map(|raw| {
             let text = String::from_utf8(raw)
                 .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
-            Self::parse_entry(&text, key)
+            Self::parse_entry(text, key)
         });
         match read {
-            Ok(Ok(report)) => {
+            Ok(Ok(hit)) => {
                 self.record(StoreEvent::Hit(key.hash.clone()));
-                return Some(report);
+                return Some(hit);
             }
             Ok(Err(kind)) => self.quarantine(&path, key, kind),
             Err(_) => {}
@@ -426,13 +450,22 @@ impl DiskStore {
     /// checksum in one comparison, the key material byte for byte) and one
     /// pull decode of the report in the writer's layout, with no tree;
     /// anything else is only classified.
-    fn parse_entry(raw: &str, key: &StoreKey) -> Result<SimReport, CorruptKind> {
-        raw.split_once('\n')
+    fn parse_entry(raw: String, key: &StoreKey) -> Result<StoreHit, CorruptKind> {
+        let text = raw
+            .split_once('\n')
             .filter(|&(header, payload)| header == entry_header(payload))
             .and_then(|(_, payload)| payload.strip_prefix(payload_prefix(&key.material).as_str()))
-            .and_then(|rest| rest.strip_suffix('}'))
-            .and_then(|report| crate::codec::decode_report_text(report).ok())
-            .ok_or_else(|| Self::corrupt_kind(raw, key))
+            .and_then(|rest| rest.strip_suffix('}'));
+        let start = text.map_or(0, |text| raw.len() - 1 - text.len());
+        match text.map(crate::codec::decode_with_profile_at) {
+            Some(Ok((report, at))) => Ok(StoreHit {
+                report,
+                entry: raw,
+                start,
+                profile_at: start + at,
+            }),
+            _ => Err(Self::corrupt_kind(&raw, key)),
+        }
     }
 
     /// Names what is wrong with an entry [`Self::parse_entry`] rejected, by
@@ -474,18 +507,24 @@ impl DiskStore {
         }
     }
 
-    /// Moves a corrupt entry aside (never deletes it) under a unique name
-    /// in `corrupt/`.
+    /// Moves a corrupt entry aside (never deletes it) under a name it claims
+    /// in `corrupt/`, so no earlier quarantine, whoever made it, is lost.
     fn quarantine(&self, path: &Path, key: &StoreKey, kind: CorruptKind) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let dest = self
-            .root
-            .join("corrupt")
-            .join(format!("{}.{}.{}", key.hash, kind, seq));
+        let corrupt = self.root.join("corrupt");
+        let dest = loop {
+            let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+            let dest = corrupt.join(format!("{}.{kind}.{seq}", key.hash));
+            match std::fs::File::create_new(&dest) {
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                _ => break dest,
+            }
+        };
         // A rename failure (e.g. the file vanished) still counts as a
         // quarantine decision: the entry is gone either way and the caller
         // recomputes.
-        let _ = std::fs::rename(path, &dest);
+        if std::fs::rename(path, &dest).is_err() {
+            let _ = std::fs::remove_file(&dest);
+        }
         self.record(StoreEvent::Quarantined(key.hash.clone(), kind));
     }
 
@@ -501,13 +540,15 @@ impl DiskStore {
     /// Propagates I/O errors; an entry is either fully committed or not
     /// visible at all.
     pub fn save(&self, key: &StoreKey, report: &SimReport) -> std::io::Result<()> {
-        let encoded = match encode_report(report) {
-            Ok(doc) => doc,
-            Err(CodecError::Ineligible(_)) => return Ok(()),
-            Err(CodecError::Malformed(msg)) => {
-                return Err(std::io::Error::other(msg));
-            }
-        };
+        match encode_report(report) {
+            Ok(doc) => self.write_entry(key, doc),
+            Err(CodecError::Ineligible(_)) => Ok(()),
+            Err(CodecError::Malformed(msg)) => Err(std::io::Error::other(msg)),
+        }
+    }
+
+    /// Commits the entry of `encoded`, the text [`encode_report`] writes.
+    fn write_entry(&self, key: &StoreKey, encoded: impl std::fmt::Display) -> std::io::Result<()> {
         let mut payload = payload_prefix(&key.material);
         write!(payload, "{encoded}}}").expect("writing to a String cannot fail");
         let header = entry_header(&payload);
@@ -541,20 +582,25 @@ impl DiskStore {
     ///
     /// * A metrics or trace job never reads the store.
     /// * A job that did not ask for a profile gets a stored one stripped,
-    ///   so a warm report equals the cold one whoever filled the cache.
+    ///   from report and text, so a warm hit equals the cold run whoever
+    ///   filled the cache.
     /// * A job that asked for a profile misses on an entry without one;
     ///   the [`DiskStore::save_job`] after its run heals the entry.
-    pub fn load_job(&self, keyed: &KeyedJob) -> Option<SimReport> {
+    pub fn load_job(&self, keyed: &KeyedJob) -> Option<StoreHit> {
         if !Self::serves(&keyed.job) {
             return None;
         }
-        let mut report = self.load(&keyed.key)?;
-        if !keyed.job.cfg.obs.profile {
-            report.profile = None;
-        } else if report.profile.is_none() {
-            return None;
+        let mut hit = self.hit(&keyed.key)?;
+        if keyed.job.cfg.obs.profile {
+            return hit.report.profile.is_some().then_some(hit);
         }
-        Some(report)
+        if hit.report.profile.take().is_some() {
+            // Cut where the profile value starts: the text ends as the
+            // encoder ends a report without one, the entry as a payload.
+            hit.entry.truncate(hit.profile_at);
+            hit.entry.push_str("null}}");
+        }
+        Some(hit)
     }
 
     /// The one place a job writes the store; the write-side twin of
@@ -568,6 +614,15 @@ impl DiskStore {
             return Ok(());
         }
         self.save(&keyed.key, report)
+    }
+
+    /// [`DiskStore::save_job`] of the text [`encode_report`] writes for the
+    /// job's report, for a caller that sends that text on too.
+    pub fn save_job_text(&self, keyed: &KeyedJob, encoded: &str) -> std::io::Result<()> {
+        if !Self::serves(&keyed.job) {
+            return Ok(());
+        }
+        self.write_entry(&keyed.key, encoded)
     }
 }
 
@@ -718,6 +773,7 @@ mod tests {
             f(&mut job.cfg.obs);
             KeyedJob::new(job, &scale)
         };
+        let load = |job: &KeyedJob| store.load_job(job).map(|hit| hit.report);
         let plain = with(|_| ());
         let profiled = with(|o| o.profile = true);
         let bare = SimReport {
@@ -729,21 +785,21 @@ mod tests {
 
         // Plain hit; a profile-wanting job misses on the profile-less entry.
         store.save_job(&plain, &bare).unwrap();
-        assert_eq!(store.load_job(&plain), Some(bare.clone()));
-        assert_eq!(store.load_job(&profiled), None);
+        assert_eq!(load(&plain), Some(bare.clone()));
+        assert_eq!(load(&profiled), None);
         // Its rewrite heals the entry; the plain job gets the profile stripped.
         store.save_job(&profiled, &rich).unwrap();
-        assert_eq!(store.load_job(&profiled), Some(rich.clone()));
-        assert_eq!(store.load_job(&plain), Some(bare.clone()));
+        assert_eq!(load(&profiled), Some(rich.clone()));
+        assert_eq!(load(&plain), Some(bare.clone()));
 
         // Metrics and trace jobs share the key but touch nothing.
         let before = store.stats();
         for job in [with(|o| o.metrics = true), with(|o| o.trace = true)] {
-            assert_eq!(store.load_job(&job), None);
+            assert_eq!(load(&job), None);
             store.save_job(&job, &bare).unwrap();
         }
         assert_eq!(store.stats(), before, "bypassing jobs never reach the disk");
-        assert_eq!(store.load_job(&profiled), Some(rich));
+        assert_eq!(load(&profiled), Some(rich));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,15 +2,19 @@
 //! inverse of [`encode_report`]'s text. Every report round-trips, and every
 //! truncation, byte flip and inserted space of an encoded report is either
 //! rejected or decodes to the report whose encoding is that damaged text
-//! itself: no panic, and no two texts for one report.
+//! itself: no panic, and no two texts for one report. A store hit serves
+//! the bytes the writer writes, a stripped profile included.
 
 use numa_gpu_bench::codec::{decode_report_text, encode_report};
+use numa_gpu_bench::{configs, DiskStore, KeyedJob, SimPlan};
 use numa_gpu_cache::CacheStats;
 use numa_gpu_core::{ProfileReport, SimReport, SocketReport};
 use numa_gpu_faults::{AppliedFault, LinkResilience, ResilienceReport};
 use numa_gpu_interconnect::LinkSample;
 use numa_gpu_testkit::gen::{ints, Gen};
-use numa_gpu_testkit::{prop_assert_eq, prop_check, Config, DetRng};
+use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check, Config, DetRng};
+use numa_gpu_workloads::{by_name, Scale};
+use std::sync::OnceLock;
 
 /// What generated names and descriptions are made of: plain words, every
 /// escape the writer knows, other controls, DEL and multi-byte text.
@@ -199,5 +203,52 @@ prop_check! {
             spaced.insert(i, b' ');
             prop_assert_eq!(not_inverse(&spaced), None, "space at {}", i);
         }
+    }
+}
+
+/// A plain job and a profile-wanting one: one store key, two read policies.
+fn jobs() -> &'static [KeyedJob; 2] {
+    static JOBS: OnceLock<[KeyedJob; 2]> = OnceLock::new();
+    JOBS.get_or_init(|| {
+        let scale = Scale::quick();
+        let wl = by_name("Other-Bitcoin-Crypto", &scale).expect("catalog workload");
+        let mut plan = SimPlan::new();
+        plan.job("loc2", configs::locality(2), &wl);
+        let plain = plan.jobs()[0].clone();
+        let mut profiled = plain.clone();
+        profiled.cfg.obs.profile = true;
+        [
+            KeyedJob::new(plain, &scale),
+            KeyedJob::new(profiled, &scale),
+        ]
+    })
+}
+
+prop_check! {
+    #![config = Config::new().cases(64)]
+
+    /// Whatever the report, a hit's text is what the writer writes for the
+    /// report the hit decoded: for a plain job the stored profile is cut
+    /// out of the bytes exactly as the encoder leaves it out.
+    fn a_hit_serves_the_bytes_the_writer_writes(r in reports()) {
+        let dir = std::env::temp_dir()
+            .join(format!("numa-gpu-codec-hit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).expect("store opens");
+        let [plain, profiled] = jobs();
+        store.save_job(plain, &r).expect("saves");
+
+        let hit = store.load_job(plain).expect("a plain job hits");
+        prop_assert_eq!(hit.text(), encode(&hit.report));
+        let bare = SimReport { profile: None, ..r.clone() };
+        prop_assert_eq!(hit.report, bare);
+        match store.load_job(profiled) {
+            Some(hit) => {
+                prop_assert_eq!(hit.text(), encode(&hit.report));
+                prop_assert_eq!(hit.report, r);
+            }
+            None => prop_assert!(r.profile.is_none(), "a stored profile was not served"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

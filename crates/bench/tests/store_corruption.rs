@@ -251,6 +251,34 @@ fn event_log_is_deterministic_for_a_deterministic_access_sequence() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
+/// A quarantine never renames over an earlier one: two opens of one root,
+/// each of which quarantines the same key, leave two files in `corrupt/`.
+#[test]
+fn quarantines_from_two_opens_of_one_root_are_both_kept() {
+    let dir = tmpdir("two-opens");
+    let key = StoreKey::new(
+        &JobKey::new("loc2", WORKLOAD, false),
+        &configs::locality(2),
+        &Scale::quick(),
+    );
+    for open in 1..=2 {
+        let store = DiskStore::open(&dir).expect("store opens");
+        store.save(&key, &SimReport::default()).expect("saves");
+        let path = entry_paths(&dir).pop().expect("one entry");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() * 3 / 4;
+        bytes[mid] ^= 0x04;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(store.load(&key), None);
+        assert_eq!(
+            corrupt_count(&dir),
+            open,
+            "open {open} kept every quarantine"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One simulated report, run once per test process.
 fn real_report() -> &'static SimReport {
     static REPORT: OnceLock<SimReport> = OnceLock::new();

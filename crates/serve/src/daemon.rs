@@ -3,9 +3,10 @@
 //! One process owns a Unix domain socket, a [`Dispatcher`] worker pool,
 //! the content-addressed [`DiskStore`], and the restart [`Journal`].
 //! Each accepted connection gets its own thread speaking the line
-//! protocol ([`crate::protocol`]); submitted jobs are scheduled on the
-//! pool and deliver progress/result events back to the submitting
-//! connection through a per-job channel.
+//! protocol ([`crate::protocol`]); a warm hit is answered with the store's
+//! bytes, and other jobs are scheduled on the pool and deliver
+//! progress/result events back to the submitting connection through a
+//! per-job channel.
 //!
 //! ## Supervision matrix
 //!
@@ -14,7 +15,7 @@
 //! | Invalid request                 | protocol parse           | `ERROR … parse`, connection lives on |
 //! | [`SimError`](numa_gpu_types::SimError) | `try_run` returns it | fail fast: `ERROR … deterministic` (a re-run fails the same way) |
 //! | Job panic                       | the [`Dispatcher`]       | `ERROR … transient`; journal entry stays pending |
-//! | Store write fails               | `save_job` error         | retry the write on a fixed backoff; deliver the result either way |
+//! | Store write fails               | `save_job_text` error    | retry the write on a fixed backoff; deliver the result either way |
 //! | Hung/slow job                   | wall-clock [`Deadline`]  | `ERROR … deadline`; job finishes in background and still warms the store |
 //! | Sim-level hang                  | cycle watchdog (in-sim)  | surfaces as a deterministic `SimError` |
 //! | Corrupt store entry             | checksum on read         | quarantined + recomputed (store layer) |
@@ -25,7 +26,6 @@ use crate::journal::Journal;
 use crate::protocol::{JobSpec, LineSender, Request};
 use numa_gpu_bench::codec::encode_report;
 use numa_gpu_bench::{DiskStore, KeyedJob};
-use numa_gpu_core::SimReport;
 use numa_gpu_exec::{Deadline, Dispatcher, JobOutcome, Reporter};
 use numa_gpu_testkit::json::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -298,14 +298,9 @@ fn handle_submit(
 
     // Warm path: serve straight from the store (a corrupt entry
     // quarantines inside the load and falls through to the cold path).
-    if let Some(report) = shared.store.load_job(&job) {
+    if let Some(hit) = shared.store.load_job(&job) {
         reply.line(format_args!("EVENT {id} warm"));
-        match encode_report(&report) {
-            Ok(doc) => reply.line(format_args!("RESULT {id} {doc}")),
-            Err(e) => reply.line(format_args!(
-                "ERROR {id} transient cached entry unencodable: {e}"
-            )),
-        }
+        reply.line(format_args!("RESULT {id} {}", hit.text()));
         return;
     }
 
@@ -393,9 +388,10 @@ fn run_supervised(
     events: &mpsc::Sender<JobMsg>,
 ) -> JobMsg {
     // A replayed (or raced) job may already be in the store: done.
-    if let Some(report) = shared.store.load_job(&job) {
+    if let Some(hit) = shared.store.load_job(&job) {
         let _ = shared.journal.lock().unwrap().record_done(spec);
-        return deliver_done(shared, spec, &report);
+        shared.jobs_done.fetch_add(1, Ordering::Relaxed);
+        return JobMsg::Done(hit.text().to_owned());
     }
     shared
         .reporter
@@ -411,7 +407,11 @@ fn run_supervised(
             };
         }
     };
-    let mut saved = shared.store.save_job(&job, &report);
+    // Encoded once: the entry and the `RESULT` carry this text.
+    let encoded = encode_report(&report)
+        .expect("a daemon job records no metrics and no trace")
+        .to_string();
+    let mut saved = shared.store.save_job_text(&job, &encoded);
     for (attempt, delay) in (1..).zip(RETRY_BACKOFF_MS) {
         let Err(e) = &saved else { break };
         shared
@@ -420,25 +420,15 @@ fn run_supervised(
         shared.retries.fetch_add(1, Ordering::Relaxed);
         let _ = events.send(JobMsg::Event(format!("retry:{attempt}")));
         std::thread::sleep(Duration::from_millis(delay));
-        saved = shared.store.save_job(&job, &report);
+        saved = shared.store.save_job_text(&job, &encoded);
     }
     // Out of retries the result is still correct: deliver it, and leave
     // the journal entry pending so a restart recomputes it into the store.
     if saved.is_ok() {
         let _ = shared.journal.lock().unwrap().record_done(spec);
     }
-    deliver_done(shared, spec, &report)
-}
-
-fn deliver_done(shared: &Arc<Shared>, spec: &JobSpec, report: &SimReport) -> JobMsg {
     shared.jobs_done.fetch_add(1, Ordering::Relaxed);
-    match encode_report(report) {
-        Ok(doc) => JobMsg::Done(doc.to_string()),
-        Err(e) => JobMsg::Failed {
-            class: "transient",
-            msg: format!("report for {} unencodable: {e}", spec.to_line()),
-        },
-    }
+    JobMsg::Done(encoded)
 }
 
 #[cfg(test)]

@@ -26,6 +26,9 @@
 //! STATS <json>                store + supervision counters
 //! OK <word>                   reply to SHUTDOWN
 //! ```
+//!
+//! A warm `RESULT` is the store entry's verified report bytes; a cold one is
+//! the report's one encoding, which its entry stores.
 
 use numa_gpu_bench::{configs, JobKey, SimJob};
 use numa_gpu_faults::FaultPlan;

@@ -107,6 +107,47 @@ fn warm_result_does_not_leak_a_profile_left_by_another_front_end() {
     );
 }
 
+/// A warm `RESULT` is the entry's own bytes. An entry saved *with* a
+/// profile, whose names mimic the report's keys, is served to a plain
+/// `SUBMIT` with the profile cut out of the bytes: exactly the `RESULT` a
+/// fresh daemon sends cold, `"profile":null` and all.
+#[test]
+fn warm_result_from_an_entry_with_a_profile_is_the_cold_result() {
+    use numa_gpu_bench::codec::decode_report_text;
+    use numa_gpu_bench::{DiskStore, KeyedJob};
+    use numa_gpu_core::ProfileReport;
+
+    let job = spec("workload=Other-Bitcoin-Crypto config=locality sockets=2");
+    let submit = |socket: &PathBuf, cache: &PathBuf| {
+        let handle = start(socket, cache);
+        let mut client = Client::connect(socket).expect("connect");
+        let sub = client.submit(&job).expect("submit");
+        client.shutdown().expect("shutdown");
+        handle.join().expect("serve thread");
+        sub
+    };
+    let (socket, cache) = paths("splice-cold");
+    let cold = submit(&socket, &cache).result.expect("cold result");
+    assert!(cold.ends_with(r#","profile":null}"#), "{cold}");
+
+    let (socket, cache) = paths("splice-warm");
+    let mut report = decode_report_text(&cold).expect("the cold result decodes");
+    let mut profile = ProfileReport::new();
+    profile
+        .scope(r#""profile":null}"#)
+        .count("profile", 1)
+        .count(r#","profile":"#, 2);
+    report.profile = Some(profile);
+    let keyed = KeyedJob::new(job.to_job().expect("catalog job"), &job.scale());
+    let store = DiskStore::open(&cache).expect("store opens");
+    store.save(keyed.key(), &report).expect("saves");
+    drop(store);
+
+    let warm = submit(&socket, &cache);
+    assert!(warm.was_warm(), "the entry must be served");
+    assert_eq!(warm.result.expect("warm result"), cold);
+}
+
 #[test]
 fn journal_replay_recomputes_pending_jobs_into_the_store() {
     let (socket, cache) = paths("replay");

@@ -563,6 +563,11 @@ impl<'a> Reader<'a> {
         null
     }
 
+    /// The byte offset in the text of what is read next.
+    pub fn offset(&self) -> usize {
+        self.lex.pos
+    }
+
     /// Checks that the whole text has been read.
     pub fn finish(&self) -> Result<(), JsonError> {
         self.lex
