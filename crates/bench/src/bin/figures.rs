@@ -26,6 +26,8 @@
 //! The paper figures run on the star fabric; `scaling` and `collective`
 //! sweep every fabric (`simulate --topology` runs one workload on any).
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use numa_gpu_bench::{experiments, Runner};
 use numa_gpu_exec::ThreadPool;
 use numa_gpu_workloads::Scale;
@@ -125,6 +127,10 @@ fn main() {
     }
 
     for name in &selected {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the per-artifact timer goes to stderr only, never into an artifact"
+        )]
         let t0 = Instant::now();
         eprintln!(">>> {name}");
         let text = match *name {

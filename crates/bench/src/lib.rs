@@ -14,6 +14,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 pub mod codec;
 pub mod configs;
@@ -40,7 +41,7 @@ pub fn geomean(values: &[f64]) -> f64 {
         0.0
     } else {
         // Explicit left fold: summation order is slice order, by
-        // construction, not an optimizer choice (simlint rule D003).
+        // construction (DESIGN §9).
         let total = logs.iter().fold(0.0_f64, |acc, v| acc + v);
         (total / logs.len() as f64).exp()
     }
@@ -52,7 +53,7 @@ pub fn amean(values: &[f64]) -> f64 {
         0.0
     } else {
         // Explicit left fold: summation order is slice order, by
-        // construction, not an optimizer choice (simlint rule D003).
+        // construction (DESIGN §9).
         let total = values.iter().fold(0.0_f64, |acc, v| acc + v);
         total / values.len() as f64
     }

@@ -387,9 +387,10 @@ mod tests {
     fn cached_keys_enumerate_in_key_order_regardless_of_run_order() {
         // Populate two runners with the same jobs in opposite orders; the
         // memo enumeration must come out identical. This is the
-        // determinism property the BTreeMap backing guarantees (simlint
-        // rule D001) — a hash map would enumerate in a process-varying
-        // order and leak run order into anything built from it.
+        // determinism property the BTreeMap backing guarantees (hash maps
+        // are banned in `clippy.toml`) — a hash map would enumerate in a
+        // process-varying order and leak run order into anything built
+        // from it.
         let fill = |jobs: &[(&str, u8)]| {
             let r = executed(Runner::new(Scale::quick()), jobs);
             r.cached_keys().cloned().collect::<Vec<_>>()

@@ -43,6 +43,7 @@ use numa_gpu_types::SystemConfig;
 use numa_gpu_workloads::Scale;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::fs::{File, TryLockError};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -294,7 +295,7 @@ impl StoreHit {
 ///
 /// ```text
 /// <root>/store/v1/<32-hex>.entry   committed entries
-/// <root>/tmp/<name>.<seq>          in-flight writes (atomically renamed)
+/// <root>/tmp/<name>.<pid>.<seq>    in-flight writes (locked, atomically renamed)
 /// <root>/corrupt/<name>.<seq>      quarantined entries
 /// ```
 ///
@@ -370,17 +371,35 @@ impl DiskStore {
         log.events.push_back(event);
     }
 
-    /// Removes everything under `tmp/` — a temp file only exists while a
-    /// writer is mid-flight, so anything found at open is a crash residue.
+    /// Removes every file under `tmp/` that no writer holds. A writer locks
+    /// its temp file from creation to rename, and the lock dies with the
+    /// writer, so a file this sweep can lock is a crash residue while
+    /// another live store's in-flight write is left alone.
     fn sweep_temp(&self) -> std::io::Result<u64> {
         let mut swept = 0;
         for entry in std::fs::read_dir(self.root.join("tmp"))? {
-            let entry = entry?;
-            if std::fs::remove_file(entry.path()).is_ok() {
+            let path = entry?.path();
+            let Ok(file) = File::open(&path) else {
+                continue;
+            };
+            if file.try_lock().is_ok() && std::fs::remove_file(&path).is_ok() {
                 swept += 1;
             }
         }
         Ok(swept)
+    }
+
+    /// Creates `<stem>.<seq>` in `dir` under a name no other store or
+    /// process holds, advancing `seq` past names already taken.
+    fn claim(&self, dir: &Path, stem: &str) -> std::io::Result<(PathBuf, File)> {
+        loop {
+            let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+            let path = dir.join(format!("{stem}.{seq}"));
+            match File::create_new(&path) {
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                file => return Ok((path, file?)),
+            }
+        }
     }
 
     fn entry_path(&self, key: &StoreKey) -> PathBuf {
@@ -510,20 +529,14 @@ impl DiskStore {
     /// Moves a corrupt entry aside (never deletes it) under a name it claims
     /// in `corrupt/`, so no earlier quarantine, whoever made it, is lost.
     fn quarantine(&self, path: &Path, key: &StoreKey, kind: CorruptKind) {
-        let corrupt = self.root.join("corrupt");
-        let dest = loop {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            let dest = corrupt.join(format!("{}.{kind}.{seq}", key.hash));
-            match std::fs::File::create_new(&dest) {
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                _ => break dest,
+        // A failed claim or rename (e.g. the file vanished) still counts as
+        // a quarantine decision: the entry is gone either way and the
+        // caller recomputes.
+        let claimed = self.claim(&self.root.join("corrupt"), &format!("{}.{kind}", key.hash));
+        if let Ok((dest, _)) = claimed {
+            if std::fs::rename(path, &dest).is_err() {
+                let _ = std::fs::remove_file(&dest);
             }
-        };
-        // A rename failure (e.g. the file vanished) still counts as a
-        // quarantine decision: the entry is gone either way and the caller
-        // recomputes.
-        if std::fs::rename(path, &dest).is_err() {
-            let _ = std::fs::remove_file(&dest);
         }
         self.record(StoreEvent::Quarantined(key.hash.clone(), kind));
     }
@@ -552,18 +565,21 @@ impl DiskStore {
         let mut payload = payload_prefix(&key.material);
         write!(payload, "{encoded}}}").expect("writing to a String cannot fail");
         let header = entry_header(&payload);
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let tmp = self
-            .root
-            .join("tmp")
-            .join(format!("{}.{}.{seq}", key.hash, std::process::id()));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(header.as_bytes())?;
-            f.write_all(b"\n")?;
-            f.write_all(payload.as_bytes())?;
-            f.sync_all()?;
-        }
+        let stem = format!("{}.{}", key.hash, std::process::id());
+        let (tmp, mut f) = loop {
+            let (tmp, f) = self.claim(&self.root.join("tmp"), &stem)?;
+            match f.try_lock() {
+                Ok(()) => break (tmp, f),
+                // A sweep locked it before this writer could; it removes it.
+                Err(TryLockError::WouldBlock) => continue,
+                Err(TryLockError::Error(e)) => return Err(e),
+            }
+        };
+        f.write_all(header.as_bytes())?;
+        f.write_all(b"\n")?;
+        f.write_all(payload.as_bytes())?;
+        f.sync_all()?;
+        // Renamed while still locked, so no sweep can take it first.
         std::fs::rename(&tmp, self.entry_path(key))?;
         self.record(StoreEvent::Write(key.hash.clone()));
         Ok(())

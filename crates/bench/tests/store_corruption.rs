@@ -251,6 +251,53 @@ fn event_log_is_deterministic_for_a_deterministic_access_sequence() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
+/// A temp file that another live store on the root holds mid-write (it
+/// keeps it locked until its rename) survives an open; once its writer is
+/// gone, the next open sweeps it.
+#[test]
+fn locked_temp_file_survives_open_and_is_swept_once_unlocked() {
+    let dir = tmpdir("locked-temp");
+    drop(DiskStore::open(&dir).expect("store opens"));
+    let in_flight = dir.join("tmp").join("deadbeef.1234.1");
+    let writer = std::fs::File::create_new(&in_flight).unwrap();
+    writer.lock().unwrap();
+
+    let store = DiskStore::open(&dir).expect("store opens");
+    assert_eq!(store.events(), Vec::new(), "nothing swept");
+    assert!(in_flight.exists(), "a live write is left alone");
+
+    drop(writer);
+    let store = DiskStore::open(&dir).expect("store opens");
+    assert_eq!(store.events(), vec![StoreEvent::TempSwept(1)]);
+    assert!(!in_flight.exists(), "the dead writer's file is swept");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A save never writes into a temp name another store holds, such as a
+/// second store in this process whose counter yields the same name.
+#[test]
+fn save_claims_a_temp_name_no_other_store_holds() {
+    let dir = tmpdir("claimed-temp");
+    let key = StoreKey::new(
+        &JobKey::new("loc2", WORKLOAD, false),
+        &configs::locality(2),
+        &Scale::quick(),
+    );
+    let store = DiskStore::open(&dir).expect("store opens");
+    let taken = dir
+        .join("tmp")
+        .join(format!("{}.{}.1", key.hash, std::process::id()));
+    let other = std::fs::File::create_new(&taken).unwrap();
+    other.lock().unwrap();
+
+    store.save(&key, &SimReport::default()).expect("saves");
+    assert_eq!(store.load(&key), Some(SimReport::default()));
+    assert!(taken.exists(), "the other writer's temp file is untouched");
+    assert_eq!(std::fs::metadata(&taken).unwrap().len(), 0);
+    drop(other);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A quarantine never renames over an earlier one: two opens of one root,
 /// each of which quarantines the same key, leave two files in `corrupt/`.
 #[test]

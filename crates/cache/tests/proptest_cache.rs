@@ -40,7 +40,7 @@ prop_check! {
     /// a flush writeback — no dirty data is silently dropped.
     fn dirty_lines_conserved(lines in vecs(ints(0u64..256), 1..300)) {
         let mut c = SetAssocCache::new(&cfg(2, 8), None);
-        let mut dirty_filled = std::collections::HashSet::new();
+        let mut dirty_filled = std::collections::BTreeSet::new();
         let mut drained = 0u64;
         for l in lines {
             let line = LineAddr::from_index(l);

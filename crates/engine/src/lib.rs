@@ -39,6 +39,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 mod event_queue;
 mod partition;

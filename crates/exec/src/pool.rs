@@ -159,6 +159,10 @@ pub struct Deadline {
 
 impl Deadline {
     /// Starts a deadline `budget` from now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a deadline supervises in wall-clock seconds; it never reaches a report"
+    )]
     pub fn after(budget: Duration) -> Deadline {
         Deadline {
             start: Instant::now(),

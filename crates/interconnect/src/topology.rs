@@ -27,7 +27,7 @@
 //!
 //! Routes are precomputed at construction into a flat table indexed by
 //! `(from, to)`; routing is therefore deterministic and allocation-free on
-//! the send path (simlint D001: arrays, not hash maps).
+//! the send path (arrays, not the hash maps `clippy.toml` bans).
 //!
 //! # Examples
 //!

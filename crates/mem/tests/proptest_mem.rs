@@ -26,7 +26,7 @@ prop_check! {
     /// how many lines of the page are touched.
     fn one_placement_per_page(lines in vecs(pairs(ints(0u64..32), ints(0u8..4)), 1..200)) {
         let mut pt = PageTable::new(PagePlacement::FirstTouch, 4);
-        let mut pages = std::collections::HashSet::new();
+        let mut pages = std::collections::BTreeSet::new();
         for (line_in_page, r) in lines {
             // All addresses within page 7.
             let addr = 7 * PAGE_SIZE + line_in_page * 128;

@@ -15,8 +15,8 @@
 //! once, at report time, from values that exist whether or not profiling is
 //! enabled — so turning the profile on cannot change simulated timing, the
 //! event order, or any other report field. No wall clocks are read
-//! anywhere (the in-tree `simlint` D002 rule forbids `Instant` outside the
-//! bench harness).
+//! anywhere (the workspace `clippy.toml` forbids `Instant::now` outside
+//! the few sites that state why they need it).
 //!
 //! # Reading a profile
 //!

@@ -149,6 +149,10 @@ fn warm_result_from_an_entry_with_a_profile_is_the_cold_result() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the replay poll gives up after a wall-clock bound"
+)]
 fn journal_replay_recomputes_pending_jobs_into_the_store() {
     let (socket, cache) = paths("replay");
     let job = spec("workload=Other-Bitcoin-Crypto config=single");

@@ -80,7 +80,7 @@ prop_check! {
     fn mshr_bookkeeping_exact(lines in vecs(ints(0u64..8), 1..60)) {
         let mut sm = make_sm(64, 8, 4);
         let slots = sm.dispatch_cta(CtaId::new(0), Box::new(NWarps { warps: 60 }));
-        let mut waiting: std::collections::HashMap<u64, Vec<numa_gpu_types::WarpSlot>> =
+        let mut waiting: std::collections::BTreeMap<u64, Vec<numa_gpu_types::WarpSlot>> =
             Default::default();
         let mut used = 0usize;
         for (i, l) in lines.iter().enumerate() {

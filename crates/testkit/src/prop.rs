@@ -128,6 +128,24 @@ where
     }
 }
 
+/// The `(case seed, pinned)` pairs [`run`] drives, in order: the pinned
+/// regression seeds, then `TESTKIT_REPRO`'s one seed if set, else
+/// `TESTKIT_CASES` (default `config.cases`) fresh seeds from the test's
+/// stream.
+fn schedule(name: &str, config: &Config) -> Vec<(u64, bool)> {
+    let cases = env_u64("TESTKIT_CASES")
+        .map(|c| c as u32)
+        .unwrap_or(config.cases);
+    let mut schedule: Vec<(u64, bool)> = config.regressions.iter().map(|&s| (s, true)).collect();
+    if let Some(repro) = env_u64("TESTKIT_REPRO") {
+        schedule.push((repro, true));
+    } else {
+        let mut stream = SplitMix64::new(crate::fnv1a64(name.as_bytes()));
+        schedule.extend((0..cases).map(|_| (stream.next_u64(), false)));
+    }
+    schedule
+}
+
 /// Runs `prop` against values drawn from `gen` under `config`.
 ///
 /// Drives the pinned regression seeds first, then `config.cases` fresh
@@ -143,20 +161,9 @@ where
     T: Clone + std::fmt::Debug + 'static,
     F: Fn(T) -> CaseResult,
 {
-    let cases = env_u64("TESTKIT_CASES")
-        .map(|c| c as u32)
-        .unwrap_or(config.cases);
-    let mut schedule: Vec<(u64, bool)> = config.regressions.iter().map(|&s| (s, true)).collect();
-    if let Some(repro) = env_u64("TESTKIT_REPRO") {
-        schedule.push((repro, true));
-    } else {
-        let mut stream = SplitMix64::new(crate::fnv1a64(name.as_bytes()));
-        schedule.extend((0..cases).map(|_| (stream.next_u64(), false)));
-    }
-
     let mut discards = 0u32;
     let mut executed = 0u32;
-    for (case_seed, pinned) in schedule {
+    for (case_seed, pinned) in schedule(name, &config) {
         let value = gen.sample(&mut DetRng::seed_from_u64(case_seed));
         executed += 1;
         match eval_case(&prop, value.clone()) {
@@ -179,7 +186,10 @@ where
 }
 
 /// Shrinks a counterexample and panics with the final report.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the whole failure context goes into one report"
+)]
 fn report_failure<T, F>(
     name: &str,
     config: &Config,
@@ -284,7 +294,7 @@ macro_rules! prop_check {
                     __gen,
                     |$crate::prop_check!(@pat $($pat),+)| -> $crate::prop::CaseResult {
                         $body
-                        #[allow(unreachable_code)]
+                        #[allow(unreachable_code, reason = "unreachable after a body that always returns")]
                         Ok(())
                     },
                 );
@@ -373,23 +383,19 @@ mod tests {
 
     #[test]
     fn passing_property_runs_all_cases() {
-        let mut count = 0u32;
-        let counter = std::cell::Cell::new(0u32);
-        run(
-            "testkit::pass",
-            Config::new().cases(50),
-            ints(0u64..100),
-            |v| {
-                counter.set(counter.get() + 1);
-                if v < 100 {
-                    Ok(())
-                } else {
-                    Err(Failure::fail("out of range"))
-                }
-            },
-        );
-        count += counter.get();
-        assert_eq!(count, 50);
+        let counter = std::cell::Cell::new(0usize);
+        let config = Config::new().cases(50);
+        // 50, unless `TESTKIT_CASES` or `TESTKIT_REPRO` overrides it.
+        let expected = schedule("testkit::pass", &config).len();
+        run("testkit::pass", config, ints(0u64..100), |v| {
+            counter.set(counter.get() + 1);
+            if v < 100 {
+                Ok(())
+            } else {
+                Err(Failure::fail("out of range"))
+            }
+        });
+        assert_eq!(counter.get(), expected);
     }
 
     #[test]

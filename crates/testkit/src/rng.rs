@@ -321,7 +321,7 @@ mod tests {
         let pool: Vec<u32> = (0..20).collect();
         let picked = rng.sample(&pool, 8);
         assert_eq!(picked.len(), 8);
-        let unique: std::collections::HashSet<_> = picked.iter().collect();
+        let unique: std::collections::BTreeSet<_> = picked.iter().collect();
         assert_eq!(unique.len(), 8);
         assert_eq!(rng.sample(&pool, 100).len(), 20);
     }

@@ -124,6 +124,10 @@ fn runaway_nesting_is_an_error_not_a_stack_overflow() {
 /// string took minutes. Linear, it takes milliseconds; the bound is loose
 /// enough for a debug build on a busy box.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the property under test is a wall-clock bound"
+)]
 fn four_mib_string_parses_and_re_encodes_in_linear_time() {
     let unit = "plain ascii run, then é日本🦀 and \"quoted\" \\ back\tslash\n";
     let s = unit.repeat((4 << 20) / unit.len() + 1);

@@ -149,10 +149,12 @@ mod tests {
 
     #[test]
     fn ids_are_hashable_keys() {
-        use std::collections::HashMap;
-        let mut m = HashMap::new();
-        m.insert(SocketId::new(1), "a");
-        assert_eq!(m[&SocketId::new(1)], "a");
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        assert_eq!(
+            hasher.hash_one(SocketId::new(1)),
+            hasher.hash_one(SocketId::new(1))
+        );
     }
 
     #[test]

@@ -542,7 +542,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let unique: std::collections::HashSet<_> = lines.iter().collect();
+        let unique: std::collections::BTreeSet<_> = lines.iter().collect();
         assert_eq!(unique.len(), 4); // 16 ops / reuse 4
     }
 

@@ -116,7 +116,7 @@ prop_check! {
     /// respected.
     fn mshr_waiters_exact(lines in vecs(ints(0u64..16), 1..100)) {
         let mut m: MshrFile<usize> = MshrFile::new(4);
-        let mut expected: std::collections::HashMap<u64, Vec<usize>> = Default::default();
+        let mut expected: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
         for (i, l) in lines.iter().enumerate() {
             match m.allocate(LineAddr::from_index(*l), i) {
                 MshrAllocation::Primary | MshrAllocation::Merged => {
@@ -145,7 +145,7 @@ prop_check! {
         addrs in vecs(pairs(ints(0u64..1u64 << 30), ints(0u8..8)), 1..200),
     ) {
         let mut pt = PageTable::new(policy, sockets);
-        let mut seen: std::collections::HashMap<u64, SocketId> = Default::default();
+        let mut seen: std::collections::BTreeMap<u64, SocketId> = Default::default();
         for (a, r) in addrs {
             let line = Addr::new(a).line();
             let req = SocketId::new(r % sockets);
