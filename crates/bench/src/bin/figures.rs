@@ -6,7 +6,6 @@
 //!
 //! artifacts: table1 table2 fig2 fig3 fig5 fig6 fig6-sens fig8 fig9
 //!            fig9-wb fig10 fig11 power ablations resilience
-//!            scaling collective
 //!            (default: all)
 //! ```
 //!
@@ -23,8 +22,6 @@
 //! figures serves every simulation warm from disk and prints
 //! byte-identical artifacts (warm-hit counts go to stderr at the end).
 //! A `--out` or `--cache-dir` directory that cannot be used exits 2.
-//! The paper figures run on the star fabric; `scaling` and `collective`
-//! sweep every fabric (`simulate --topology` runs one workload on any).
 
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
@@ -34,7 +31,7 @@ use numa_gpu_workloads::Scale;
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-const ALL: [&str; 17] = [
+const ALL: [&str; 15] = [
     "table1",
     "table2",
     "fig2",
@@ -50,8 +47,6 @@ const ALL: [&str; 17] = [
     "power",
     "ablations",
     "resilience",
-    "scaling",
-    "collective",
 ];
 
 /// Prints `msg` and the usage text, then exits with status 2.
@@ -149,8 +144,6 @@ fn main() {
             "power" => experiments::power(&mut runner).to_string(),
             "ablations" => experiments::ablations(&mut runner).to_string(),
             "resilience" => experiments::resilience(&mut runner).to_string(),
-            "scaling" => experiments::topology_scaling(&mut runner).to_string(),
-            "collective" => experiments::collective_balance(&mut runner).to_string(),
             _ => unreachable!("validated above"),
         };
         println!("{text}");

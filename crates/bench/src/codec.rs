@@ -145,8 +145,9 @@ fn encode_resilience(r: &ResilienceReport) -> Json {
                 r.links
                     .iter()
                     .map(|l| {
+                        // The store's key for the socket is "edge".
                         Json::obj([
-                            ("edge", Json::UInt(l.edge as u64)),
+                            ("edge", Json::UInt(l.socket as u64)),
                             ("nominal_lane_cycles", Json::UInt(l.nominal_lane_cycles)),
                             ("available_lane_cycles", Json::UInt(l.available_lane_cycles)),
                             (
@@ -322,7 +323,7 @@ fn read_resilience(r: &mut Reader) -> Decoded<ResilienceReport> {
     let links = list(r.key("links")?, |r| {
         r.open(b'{')?;
         let link = LinkResilience {
-            edge: narrow(r.key("edge")?, "edge")?,
+            socket: narrow(r.key("edge")?, "edge")?,
             nominal_lane_cycles: r.key("nominal_lane_cycles")?.u64()?,
             available_lane_cycles: r.key("available_lane_cycles")?.u64()?,
             recovery_cycles: optional(r.key("recovery_cycles")?, |r| Ok(r.u64()?))?,

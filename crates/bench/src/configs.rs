@@ -1,8 +1,6 @@
 //! Named system configurations used across the experiments.
 
-use numa_gpu_types::{
-    CacheMode, CtaSchedulingPolicy, LinkMode, PagePlacement, SystemConfig, TopologyKind,
-};
+use numa_gpu_types::{CacheMode, CtaSchedulingPolicy, LinkMode, PagePlacement, SystemConfig};
 
 /// The single-GPU baseline every speedup is measured against.
 pub fn single() -> SystemConfig {
@@ -65,23 +63,6 @@ pub fn numa_aware(n: u8) -> SystemConfig {
 /// The unbuildable `f×`-scaled single GPU (the red theoretical dashes).
 pub fn hypothetical(f: u8) -> SystemConfig {
     SystemConfig::hypothetical_scaled(f)
-}
-
-/// The full NUMA-aware proposal on an explicit fabric topology — the
-/// topology-scaling study's per-curve configuration.
-pub fn numa_aware_topo(n: u8, kind: TopologyKind) -> SystemConfig {
-    let mut cfg = SystemConfig::numa_aware_sockets(n);
-    cfg.topology = kind;
-    cfg
-}
-
-/// Dynamic asymmetric links on an explicit fabric topology — the
-/// collective-balance study's configuration (lane balancer active on the
-/// access links, interior fabric links rebalancing at the same cadence).
-pub fn dynamic_link_topo(n: u8, sample_time_cycles: u32, kind: TopologyKind) -> SystemConfig {
-    let mut cfg = dynamic_link(n, sample_time_cycles);
-    cfg.topology = kind;
-    cfg
 }
 
 #[cfg(test)]

@@ -16,34 +16,14 @@
 use crate::{configs, geomean, JobKey, Row, Runner, SimPlan, Table};
 use numa_gpu_faults::FaultPlan;
 use numa_gpu_runtime::Workload;
-use numa_gpu_types::{CacheMode, SystemConfig, TopologyKind, WritePolicy};
-use numa_gpu_workloads::{catalog, collectives, study_set};
+use numa_gpu_types::{CacheMode, SystemConfig, WritePolicy};
+use numa_gpu_workloads::{catalog, study_set};
 
 /// A labelled configuration: one design point of a sweep.
 type Variant = (String, SystemConfig);
 
 /// Sample times (cycles) swept in Figure 6.
 pub const FIG6_SAMPLE_TIMES: [u32; 4] = [1_000, 5_000, 10_000, 50_000];
-
-/// Socket counts swept in the topology-scaling study (beyond the paper's
-/// 8-socket ceiling).
-pub const SCALING_SOCKETS: [u8; 3] = [8, 16, 32];
-
-/// The four fabric topologies compared in the scaling and collective
-/// studies.
-pub const SCALING_TOPOLOGIES: [TopologyKind; 4] = [
-    TopologyKind::Star,
-    TopologyKind::Ring,
-    TopologyKind::Mesh2d,
-    TopologyKind::FatTree,
-];
-
-/// Catalog workloads the topology studies sweep: one link-saturating HPC
-/// stencil, one irregular shared-structure reader, and one compute-bound
-/// control — the three link-sensitivity classes — kept small because each
-/// runs under every `(topology, socket-count)` pair.
-pub const SCALING_WORKLOAD_NAMES: [&str; 3] =
-    ["HPC-HPGMG-UVM", "Rodinia-BFS", "Other-Bitcoin-Crypto"];
 
 /// Lane switch times (cycles) swept in the §4.1 sensitivity study.
 pub const SWITCH_TIMES: [u32; 3] = [10, 100, 500];
@@ -532,145 +512,6 @@ pub fn ablations(runner: &mut Runner) -> Table {
     t
 }
 
-/// The two collectives carried through the scaling sweep: the
-/// neighbour-exchange ring (rewards fabrics with cheap adjacent hops) and
-/// the uniform all-to-all (rewards bisection bandwidth).
-const SCALING_COLLECTIVES: [&str; 2] = ["Coll-AllReduce-Ring", "Coll-AllToAll"];
-
-/// Beyond the paper: >8-socket scaling curves per fabric topology.
-///
-/// Every `SCALING_WORKLOAD_NAMES` workload plus the
-/// `SCALING_COLLECTIVES` runs under the full NUMA-aware design at
-/// 8/16/32 sockets on each of the four fabrics, reported as speedup over
-/// the single-GPU baseline. Collectives are shaped by the socket count, so
-/// their baselines are keyed per machine shape (`single-16s` etc.).
-pub fn topology_scaling(runner: &mut Runner) -> Table {
-    let base_wls: Vec<Workload> = SCALING_WORKLOAD_NAMES
-        .iter()
-        .map(|n| numa_gpu_workloads::by_name(n, runner.scale()).expect("scaling workload exists"))
-        .collect();
-    let coll: Vec<(u8, Vec<Workload>)> = SCALING_SOCKETS
-        .iter()
-        .map(|&n| {
-            let cw = collectives(n, runner.scale())
-                .into_iter()
-                .filter(|w| SCALING_COLLECTIVES.contains(&w.meta.name.as_str()))
-                .collect();
-            (n, cw)
-        })
-        .collect();
-
-    let mut plan = SimPlan::new();
-    for wl in &base_wls {
-        plan.job("single", configs::single(), wl);
-    }
-    for (n, cw) in &coll {
-        for wl in cw {
-            plan.job(&format!("single-{n}s"), configs::single(), wl);
-        }
-    }
-    for kind in SCALING_TOPOLOGIES {
-        for n in SCALING_SOCKETS {
-            let label = format!("aware{n}-{}", kind.flag_name());
-            let cfg = configs::numa_aware_topo(n, kind);
-            for wl in &base_wls {
-                plan.job(&label, cfg.clone(), wl);
-            }
-            for (m, cw) in &coll {
-                if *m == n {
-                    for wl in cw {
-                        plan.job(&label, cfg.clone(), wl);
-                    }
-                }
-            }
-        }
-    }
-    runner.execute(plan);
-
-    let mut t = Table::new(
-        "Topology scaling: NUMA-aware design, speedup vs 1 GPU",
-        &["8-socket", "16-socket", "32-socket"],
-    );
-    for kind in SCALING_TOPOLOGIES {
-        let flag = kind.flag_name();
-        let mut per_socket: Vec<Vec<f64>> = vec![Vec::new(); SCALING_SOCKETS.len()];
-        for wl in &base_wls {
-            let single = runner.lookup("single", wl);
-            let mut values = Vec::new();
-            for (i, &n) in SCALING_SOCKETS.iter().enumerate() {
-                let r = runner.lookup(&format!("aware{n}-{flag}"), wl);
-                let s = r.speedup_over(&single);
-                per_socket[i].push(s);
-                values.push(s);
-            }
-            t.push(Row::new(format!("{flag}:{}", wl.meta.name), values));
-        }
-        for name in SCALING_COLLECTIVES {
-            let mut values = Vec::new();
-            for (i, (n, cw)) in coll.iter().enumerate() {
-                let wl = cw
-                    .iter()
-                    .find(|w| w.meta.name == name)
-                    .expect("collective subset built above");
-                let single = runner.lookup(&format!("single-{n}s"), wl);
-                let r = runner.lookup(&format!("aware{n}-{flag}"), wl);
-                let s = r.speedup_over(&single);
-                per_socket[i].push(s);
-                values.push(s);
-            }
-            t.push(Row::new(format!("{flag}:{name}"), values));
-        }
-        t.push(Row::new(
-            format!("geomean-{flag}"),
-            per_socket.iter().map(|v| geomean(v)).collect(),
-        ));
-    }
-    t
-}
-
-/// Beyond the paper: lane-balancer behaviour under collective traffic.
-///
-/// Every collective (naive and NUMA-aware variants) runs at 8 sockets on
-/// each fabric with dynamic asymmetric links at the 5K-cycle sample time.
-/// Speedup is vs the same collective on the star fabric; lane turns count
-/// reversals on the access links, and link-MiB covers the whole fabric
-/// (access plus interior hops), exposing how much extra distance and
-/// rebalancing each fabric incurs under exchange traffic.
-pub fn collective_balance(runner: &mut Runner) -> Table {
-    const N: u8 = 8;
-    const SAMPLE: u32 = 5_000;
-    let wls = collectives(N, runner.scale());
-    let mut plan = SimPlan::new();
-    for kind in SCALING_TOPOLOGIES {
-        let label = format!("dyn8-{}", kind.flag_name());
-        for wl in &wls {
-            plan.job(&label, configs::dynamic_link_topo(N, SAMPLE, kind), wl);
-        }
-    }
-    runner.execute(plan);
-
-    let mut t = Table::new(
-        "Collective balance: dynamic links per fabric (8 sockets, 5K-cycle sample)",
-        &["speedup-vs-star", "lane-turns", "link-MiB"],
-    );
-    for kind in SCALING_TOPOLOGIES {
-        let flag = kind.flag_name();
-        for wl in &wls {
-            let star = runner.lookup("dyn8-star", wl);
-            let r = runner.lookup(&format!("dyn8-{flag}"), wl);
-            t.push(Row::new(
-                format!("{flag}:{}", wl.meta.name),
-                vec![
-                    r.speedup_over(&star),
-                    r.lane_turns() as f64,
-                    (r.interconnect_bytes >> 20) as f64,
-                ],
-            ));
-        }
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,73 +629,6 @@ mod tests {
         assert!(csv.starts_with("cycle,gpu,"));
         assert!(csv.contains("kernel_start,"));
         assert_pinned("fig5", &csv, 0xf66539341c85f69a);
-    }
-
-    #[test]
-    fn scaling_workloads_resolve_and_topologies_are_distinct() {
-        for name in SCALING_WORKLOAD_NAMES {
-            assert!(
-                numa_gpu_workloads::by_name(name, &numa_gpu_workloads::Scale::quick()).is_some(),
-                "{name} missing from the catalog"
-            );
-        }
-        for name in SCALING_COLLECTIVES {
-            assert!(numa_gpu_workloads::collective_by_name(
-                name,
-                8,
-                &numa_gpu_workloads::Scale::quick()
-            )
-            .is_some());
-        }
-        let flags: std::collections::BTreeSet<&str> =
-            SCALING_TOPOLOGIES.iter().map(|k| k.flag_name()).collect();
-        assert_eq!(flags.len(), 4);
-    }
-
-    #[test]
-    fn scaling_configs_validate_at_every_swept_shape() {
-        for kind in SCALING_TOPOLOGIES {
-            for n in SCALING_SOCKETS {
-                configs::numa_aware_topo(n, kind).validate().unwrap();
-                configs::dynamic_link_topo(n, 5_000, kind)
-                    .validate()
-                    .unwrap();
-            }
-        }
-    }
-
-    #[test]
-    #[ignore = "slow: 4 fabrics x 3 socket counts x 5 workloads"]
-    fn topology_scaling_runs_at_quick_scale() {
-        let mut r = quick_runner();
-        let t = topology_scaling(&mut r);
-        // 4 topologies x (5 workload rows + 1 geomean row).
-        assert_eq!(t.rows.len(), 4 * 6);
-        // Every speedup is a real positive ratio (quick-scale runs are too
-        // small for the >1x scaling claim itself; the committed artifact
-        // documents the actual curves).
-        let star_gm = t
-            .rows
-            .iter()
-            .find(|r| r.label == "geomean-star")
-            .expect("geomean row present");
-        assert_eq!(star_gm.values.len(), 3);
-        assert!(t
-            .rows
-            .iter()
-            .all(|r| r.values.iter().all(|v| v.is_finite() && *v > 0.0)));
-    }
-
-    #[test]
-    #[ignore = "slow: 4 fabrics x 6 collectives"]
-    fn collective_balance_runs_at_quick_scale() {
-        let mut r = quick_runner();
-        let t = collective_balance(&mut r);
-        assert_eq!(t.rows.len(), 4 * 6);
-        // Star rows compare the fabric against itself.
-        for row in t.rows.iter().filter(|r| r.label.starts_with("star:")) {
-            assert!((row.values[0] - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn resilience(rng: &mut DetRng) -> ResilienceReport {
             .collect(),
         links: (0..rng.gen_range(0usize..4))
             .map(|_| LinkResilience {
-                edge: rng.next_u64() as u8,
+                socket: rng.next_u64() as u8,
                 nominal_lane_cycles: num(rng),
                 available_lane_cycles: num(rng),
                 recovery_cycles: rng.random_bool(0.5).then(|| num(rng)),

@@ -5,7 +5,7 @@
 //!
 //! The loop repeatedly picks the earliest pending shard event `start`,
 //! opens a window `[start, w_end)` with
-//! `w_end = conservative_window(start, lookahead, next_control_tick)`,
+//! `w_end = conservative_window(start, hop_latency, next_control_tick)`,
 //! runs every shard's events inside the window, one shard after another
 //! in partition order, and then executes a *barrier*: cross-partition
 //! outboxes are merged in canonical `(tick, partition, seq)` order and
@@ -14,19 +14,12 @@
 //! between windows, after same-tick shard events — the control partition
 //! sorts last.
 //!
-//! The lookahead is the fabric's minimum adjacent-hop latency
-//! (`Topology::min_hop_latency`). It is sound because the first hop out
-//! of any socket is its access edge, which costs at least the minimum
-//! hop: every cross-socket message pays at least the lookahead before
-//! reaching the switch, so events inside a window can only schedule
-//! cross-partition work at or after the window's end. Interior
-//! switch↔switch hops are charged at the barrier itself, in canonical
-//! merge order — they only ever *delay* deliveries beyond the stamped
-//! switch-boundary tick, so they cannot violate the window bound, and on
-//! the star fabric (no interior edges) the traversal is the identity.
-//! Control events are excluded from windows the same way — a control
-//! event at tick `c` bounds `w_end` to `c + 1`, and everything it
-//! schedules lands at least the dispatch latency later.
+//! The lookahead is the access-hop latency (`Topology::hop_latency`):
+//! every cross-socket message pays it between its source and the switch,
+//! so events inside a window can only schedule cross-partition work at or
+//! after the window's end. Control events are excluded from windows the
+//! same way — a control event at tick `c` bounds `w_end` to `c + 1`, and
+//! everything it schedules lands at least the dispatch latency later.
 //!
 //! Inside a window a shard touches only its own state (plus a read-only
 //! page table, except under reactive migration), so the order in which
@@ -110,7 +103,7 @@ impl NumaGpuSystem {
                         self.step_control()?;
                         continue;
                     }
-                    let w_end = conservative_window(start, self.lookahead, ctrl);
+                    let w_end = conservative_window(start, self.hop_latency, ctrl);
                     self.run_windows(w_end);
                     self.barrier_fold()?;
                     // Control events at the window edge run now, *after*
@@ -180,19 +173,13 @@ impl NumaGpuSystem {
             + u64::from(self.merge_buf.capacity() > 0);
         let shards = &mut self.shards;
         let merge_buf = &mut self.merge_buf;
-        let fabric = &mut self.fabric;
         merge_cross_into(shards.iter_mut().map(|s| &mut s.outbox), merge_buf);
         self.xmsgs_merged += merge_buf.len() as u64;
         for m in merge_buf.iter() {
+            // In-flight accounting happened at emission (`send_cross`);
+            // the XArrive pop decrements it.
             let (dest, msg) = m.payload;
-            // Interior fabric hops are charged here, in canonical merge
-            // order — independent of shard run order, and the
-            // identity on the star (no interior edges). In-flight
-            // accounting happened at emission (`send_cross`); the XArrive
-            // pop decrements it.
-            let at =
-                fabric.interior_traverse(SocketId::new(m.source as u8), dest, m.at, msg.bytes());
-            shards[dest.index()].queue.push(at, Ev::XArrive { msg });
+            shards[dest.index()].queue.push(m.at, Ev::XArrive { msg });
         }
 
         // First-touch claims: the earliest (tick, partition) touch wins,
@@ -279,33 +266,32 @@ impl NumaGpuSystem {
         let cycle = ticks_to_cycles(now);
         match spec.kind {
             FaultKind::LinkLanes {
-                edge,
+                socket,
                 healthy_lanes,
             } => {
-                let e = edge as usize;
-                if let Some(link) = self.link_mut(e) {
-                    let nominal = link.nominal_lanes();
-                    let healthy = link.set_lane_health(now, healthy_lanes);
-                    if let Some(fs) = &mut self.fault_state {
-                        if healthy < nominal {
-                            if fs.degraded_at[e].is_none() {
-                                fs.degraded_at[e] = Some(cycle);
-                            }
-                        } else {
-                            // Fully restored: a later degradation starts a
-                            // fresh recovery measurement.
-                            fs.degraded_at[e] = None;
+                let s = socket as usize;
+                let link = &mut self.shards[s].link;
+                let nominal = link.nominal_lanes();
+                let healthy = link.set_lane_health(now, healthy_lanes);
+                if let Some(fs) = &mut self.fault_state {
+                    if healthy < nominal {
+                        if fs.degraded_at[s].is_none() {
+                            fs.degraded_at[s] = Some(cycle);
                         }
+                    } else {
+                        // Fully restored: a later degradation starts a
+                        // fresh recovery measurement.
+                        fs.degraded_at[s] = None;
                     }
                 }
             }
             FaultKind::LinkRetrain {
-                edge,
+                socket,
                 window_cycles,
             } => {
-                if let Some(link) = self.link_mut(edge as usize) {
-                    link.retrain(now, cycles_to_ticks(window_cycles as u64));
-                }
+                self.shards[socket as usize]
+                    .link
+                    .retrain(now, cycles_to_ticks(window_cycles as u64));
             }
             FaultKind::DramStall {
                 socket,
@@ -391,76 +377,67 @@ impl NumaGpuSystem {
         // resets the sampling window, so this is the only point where the
         // utilizations the decision saw are observable.
         let observing = self.obs.record_timeline || self.obs.tracing();
-        // Every link runs the same per-GPU balancer, serially in edge order:
-        // access links (edge == socket), then interior fabric links.
+        // Every link runs the same per-GPU balancer, serially in socket
+        // order.
         let (mut samples, mut actions) = (Vec::new(), Vec::new());
-        for (e, link) in self.links_mut() {
+        for link in self.links_mut() {
             if observing {
-                samples.push((e, link.sample_point(t)));
+                samples.push(link.sample_point(t));
             }
-            actions.push((e, link.sample_and_rebalance(t, SATURATION_THRESHOLD)));
+            actions.push(link.sample_and_rebalance(t, SATURATION_THRESHOLD));
         }
         // Resilience: the first non-Hold rebalance after a lane degradation
         // is the balancer's recovery response; record its latency.
         let mut recoveries: Vec<(usize, u64)> = Vec::new();
         if let Some(fs) = &mut self.fault_state {
             let cycle = ticks_to_cycles(t);
-            for &(e, action) in &actions {
+            for (s, &action) in actions.iter().enumerate() {
                 if action == BalanceAction::Hold {
                     continue;
                 }
-                if let (Some(degraded), None) = (fs.degraded_at[e], fs.recovery[e]) {
+                if let (Some(degraded), None) = (fs.degraded_at[s], fs.recovery[s]) {
                     let latency = cycle.saturating_sub(degraded);
-                    fs.recovery[e] = Some(latency);
-                    recoveries.push((e, latency));
+                    fs.recovery[s] = Some(latency);
+                    recoveries.push((s, latency));
                 }
             }
         }
-        let sockets = self.shards.len();
         if self.obs.record_timeline {
-            // Fig-5 timelines follow the access links only.
-            for &(s, sample) in &samples[..sockets] {
-                self.obs.timelines[s].push(sample);
+            for (timeline, &sample) in self.obs.timelines.iter_mut().zip(&samples) {
+                timeline.push(sample);
             }
         }
         if self.obs.tracing() {
             let cycle = ticks_to_cycles(t);
-            let name = |e: usize| {
-                if e < sockets {
-                    format!("link.s{e}")
-                } else {
-                    format!("link.e{e}")
-                }
-            };
-            for &(e, sample) in &samples {
+            for (s, sample) in samples.iter().enumerate() {
                 self.obs.emit(
-                    TraceEvent::counter(format!("{}.util", name(e)), "link", cycle, e as u32)
+                    TraceEvent::counter(format!("link.s{s}.util"), "link", cycle, s as u32)
                         .arg("egress", sample.egress_util)
                         .arg("ingress", sample.ingress_util),
                 );
                 self.obs.emit(
-                    TraceEvent::counter(format!("{}.lanes", name(e)), "link", cycle, e as u32)
+                    TraceEvent::counter(format!("link.s{s}.lanes"), "link", cycle, s as u32)
                         .arg("egress", sample.egress_lanes as u64)
                         .arg("ingress", sample.ingress_lanes as u64),
                 );
             }
-            for (&(e, action), (_, sample)) in actions.iter().zip(&samples) {
+            for (s, (&action, sample)) in actions.iter().zip(&samples).enumerate() {
                 if action != BalanceAction::Hold {
                     self.obs.emit(
                         TraceEvent::instant(
-                            format!("{}.{action:?}", name(e)),
+                            format!("link.s{s}.{action:?}"),
                             "rebalance",
                             cycle,
-                            e as u32,
+                            s as u32,
                         )
                         .arg("egress_util", sample.egress_util)
                         .arg("ingress_util", sample.ingress_util),
                     );
                 }
             }
-            for &(e, latency) in &recoveries {
+            for &(s, latency) in &recoveries {
                 self.obs.emit(
-                    TraceEvent::instant(format!("{}.recovered", name(e)), "fault", cycle, e as u32)
+                    TraceEvent::instant(format!("link.s{s}.recovered"), "fault", cycle, s as u32)
                         .arg("recovery_cycles", latency),
                 );
             }

@@ -67,28 +67,19 @@ impl NumaGpuSystem {
                         let done = self.shards[s].dram.write_line(t, line, LINE_BYTES);
                         self.write_drain = self.write_drain.max(done);
                     } else {
-                        // Every message leg applied here, serially: egress
-                        // plus the access hop at the flushing socket, any
-                        // interior fabric hops, then ingress plus the final
-                        // access hop at the home. Note `hop_latency`, not
-                        // the executor's `lookahead` — the two values
-                        // coincide only in the star fabric. The home-side
-                        // absorption is still an event, processed by the
-                        // next kernel's loop (in-flight count keeps the
-                        // loop alive until it drains).
+                        // Both message legs applied here, serially: egress
+                        // plus the access hop at the flushing socket, then
+                        // ingress plus the final access hop at the home.
+                        // The home-side absorption is still an event,
+                        // processed by the next kernel's loop (in-flight
+                        // count keeps the loop alive until it drains).
                         let egress_clear =
                             self.shards[s]
                                 .link
                                 .send(t, LinkDirection::Egress, DATA_PACKET_BYTES);
                         let at_switch = egress_clear + self.hop_latency;
-                        let at_home_switch = self.fabric.interior_traverse(
-                            socket,
-                            home,
-                            at_switch,
-                            DATA_PACKET_BYTES,
-                        );
                         let arrive = self.shards[home.index()].link.send(
-                            at_home_switch,
+                            at_switch,
                             LinkDirection::Ingress,
                             DATA_PACKET_BYTES,
                         ) + self.hop_latency;
@@ -112,7 +103,7 @@ impl NumaGpuSystem {
         // allocates the even split "at initial kernel launch" and adapts
         // from there (resetting every launch would re-pay the convergence
         // tax each kernel).
-        for (_, link) in self.links_mut() {
+        for link in self.links_mut() {
             link.reset_symmetric(ready);
         }
         ready

@@ -111,11 +111,9 @@ impl Ev {
 
 /// A cross-partition message: one leg of socket-to-socket traffic. The
 /// emitting shard pays its egress lanes and the access-hop latency, stamps
-/// the switch-boundary arrival tick, and appends the message to its window
-/// outbox; the barrier charges any interior switch↔switch hops of the
-/// fabric (a no-op on the star), and the destination shard pays ingress
-/// plus the final access hop on delivery — reproducing the monolithic
-/// switch's transfer timing leg for leg on the star topology.
+/// the switch arrival tick, and appends the message to its window outbox;
+/// the destination shard pays ingress plus the final access hop on
+/// delivery — reproducing the switch's transfer timing leg for leg.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum XMsg {
     /// Read request travelling to the home socket (header-sized).
@@ -137,16 +135,6 @@ pub(crate) enum XMsg {
     WriteAck,
 }
 
-impl XMsg {
-    /// Wire size of this message, charged on every hop it traverses.
-    pub(crate) fn bytes(&self) -> u32 {
-        match self {
-            XMsg::ReadReq { .. } | XMsg::WriteAck => crate::mempath::REQ_BYTES,
-            XMsg::ReadResp { .. } | XMsg::WriteData { .. } => crate::mempath::DATA_PACKET_BYTES,
-        }
-    }
-}
-
 /// Fault-injection bookkeeping: the installed plan plus what actually
 /// happened. Present only when a *non-empty* [`FaultPlan`] was installed, so
 /// a zero-fault run is bit-identical to a run with no plan at all.
@@ -160,24 +148,23 @@ pub(crate) struct FaultState {
     pub disabled_sms: u32,
     /// Resident CTAs evicted from disabled SMs and requeued.
     pub requeued_ctas: u32,
-    /// Per-edge cycle at which the open lane degradation began, cleared
-    /// by a full restore (indexed by fabric edge id; access edges first,
-    /// so index == socket on the star fabric).
+    /// Per-socket cycle at which the open lane degradation of its link
+    /// began, cleared by a full restore.
     pub degraded_at: Vec<Option<u64>>,
-    /// Per-edge balancer recovery latency in cycles (first non-Hold
+    /// Per-socket link balancer recovery latency in cycles (first non-Hold
     /// rebalance after the degradation).
     pub recovery: Vec<Option<u64>>,
 }
 
 impl FaultState {
-    fn new(plan: FaultPlan, edges: usize) -> Self {
+    fn new(plan: FaultPlan, sockets: usize) -> Self {
         FaultState {
             plan,
             applied: Vec::new(),
             disabled_sms: 0,
             requeued_ctas: 0,
-            degraded_at: vec![None; edges],
-            recovery: vec![None; edges],
+            degraded_at: vec![None; sockets],
+            recovery: vec![None; sockets],
         }
     }
 }
@@ -236,9 +223,9 @@ pub(crate) struct SocketShard {
     pub noc_req: ServiceQueue,
     /// Response-direction crossbar (L2/switch -> SM).
     pub noc_resp: ServiceQueue,
-    /// This socket's fabric access link (egress and ingress lanes),
-    /// detached from the topology's edge table at construction so a
-    /// window drives it without touching the fabric.
+    /// This socket's link to the switch (egress and ingress lanes), owned
+    /// by the shard so a window drives it without touching another
+    /// socket's state.
     pub link: GpuLink,
     pub ctl: PartitionController,
     /// This partition's event queue.
@@ -282,8 +269,8 @@ pub(crate) struct SocketShard {
 }
 
 impl SocketShard {
-    /// A socket's partition around its access `link`, detached from the
-    /// fabric; `hop_latency` is the fabric's access-hop latency.
+    /// A socket's partition around its switch `link`; `hop_latency` is the
+    /// fabric's access-hop latency.
     fn new(cfg: &Arc<SystemConfig>, socket: SocketId, link: GpuLink, hop_latency: Tick) -> Self {
         let sms_per_socket = cfg.sm.sms_per_socket as u32;
         let warp_slots = sms_per_socket as usize * cfg.sm.max_warps as usize;
@@ -375,8 +362,7 @@ impl SocketShard {
 
     /// Emits a cross-partition message: pays this socket's egress lanes and
     /// the access hop, then parks the message in the outbox for the barrier
-    /// merge (which charges any interior fabric hops). The message is in
-    /// flight until its final stage pops.
+    /// merge. The message is in flight until its final stage pops.
     pub(crate) fn send_cross(&mut self, t: Tick, to: SocketId, msg: XMsg, bytes: u32) -> Tick {
         debug_assert_ne!(to, self.socket, "local traffic must not cross the switch");
         let egress_clear = self
@@ -410,27 +396,15 @@ pub struct NumaGpuSystem {
     pub(crate) cfg: Arc<SystemConfig>,
     /// One event-loop partition per socket.
     pub(crate) shards: Vec<SocketShard>,
-    /// The interconnect fabric. Its per-socket access links are detached
-    /// into the shards at construction; the interior switch↔switch links
-    /// stay here and are only ever charged at serial points (the barrier
-    /// merge, the boundary flush, the control plane), so richer topologies
-    /// keep the byte-identical determinism argument of the star. Reach a
-    /// link by edge id through [`Self::links`] or [`Self::link_mut`].
-    pub(crate) fabric: Topology,
     pub(crate) pages: PageTable,
     /// The shared control partition: balancer/cache sampling and fault
     /// stamps. Always handled serially, after same-tick shard events (the
     /// control partition sorts as the highest partition index).
     pub(crate) control: EventQueue<Ev>,
-    /// Conservative lookahead: the minimum adjacent-hop latency over the
-    /// fabric, bounding window width. Sound because the first hop out of
-    /// any socket costs at least this much; equal to `hop_latency` on the
-    /// star fabric and strictly smaller on shapes with cheaper interior
-    /// hops.
-    pub(crate) lookahead: Tick,
     /// The access-hop latency each socket↔switch message leg pays (half
-    /// the one-way link latency). Distinct from `lookahead`: the two
-    /// values coincide only in the star fabric.
+    /// the one-way link latency). It is also the executor's conservative
+    /// lookahead, bounding window width: every cross-socket message pays
+    /// it before it reaches another socket.
     pub(crate) hop_latency: Tick,
     pub(crate) now: Tick,
     pub(crate) outstanding_ctas: u32,
@@ -483,13 +457,13 @@ impl NumaGpuSystem {
         let sms_per_socket = cfg.sm.sms_per_socket as u32;
         let cfg = Arc::new(cfg);
 
-        // The fabric owns every link at construction; each socket's access
-        // link is detached into its shard, so a window drives it without
-        // touching the fabric. Interior links stay with the fabric.
-        let mut fabric = Topology::new(cfg.topology, &cfg.link, cfg.num_sockets)?;
-        let hop_latency = fabric.access_hop_latency();
+        // Each socket's switch link goes to its shard, so a window drives
+        // it without touching another socket's state.
+        let fabric = Topology::new(cfg.topology, &cfg.link, cfg.num_sockets)?;
+        let hop_latency = fabric.hop_latency();
         let shards: Vec<SocketShard> = fabric
-            .detach_access_links()
+            .into_links()
+            .into_iter()
             .enumerate()
             .map(|(s, link)| SocketShard::new(&cfg, SocketId::new(s as u8), link, hop_latency))
             .collect();
@@ -506,12 +480,10 @@ impl NumaGpuSystem {
             cycles_to_ticks(cfg.watchdog.effective_stall_cycles()),
         );
         Ok(NumaGpuSystem {
-            lookahead: fabric.min_hop_latency(),
             hop_latency,
             sms_per_socket,
             cfg,
             shards,
-            fabric,
             pages,
             control: EventQueue::new(),
             now: 0,
@@ -536,30 +508,14 @@ impl NumaGpuSystem {
         &self.cfg
     }
 
-    /// Every fabric link as `(edge, link)`, in edge-id order: the shards'
-    /// access links first (edge == socket), then the fabric's interior
-    /// links (none on the star).
-    pub(crate) fn links(&self) -> impl Iterator<Item = (usize, &GpuLink)> {
-        let access = self.shards.iter().map(|shard| &shard.link).enumerate();
-        access.chain(self.fabric.interior_links())
+    /// Every socket's switch link, in socket order.
+    pub(crate) fn links(&self) -> impl Iterator<Item = &GpuLink> {
+        self.shards.iter().map(|shard| &shard.link)
     }
 
     /// [`Self::links`], mutably.
-    pub(crate) fn links_mut(&mut self) -> impl Iterator<Item = (usize, &mut GpuLink)> {
-        let access = self
-            .shards
-            .iter_mut()
-            .map(|shard| &mut shard.link)
-            .enumerate();
-        access.chain(self.fabric.interior_links_mut())
-    }
-
-    /// The link of fabric edge `edge` (`None` if out of range).
-    pub(crate) fn link_mut(&mut self, edge: usize) -> Option<&mut GpuLink> {
-        match self.shards.get_mut(edge) {
-            Some(shard) => Some(&mut shard.link),
-            None => self.fabric.link_mut(edge),
-        }
+    pub(crate) fn links_mut(&mut self) -> impl Iterator<Item = &mut GpuLink> {
+        self.shards.iter_mut().map(|shard| &mut shard.link)
     }
 
     /// Enables per-sample link utilization recording (Fig 5 timelines).
@@ -576,16 +532,15 @@ impl NumaGpuSystem {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidFaultPlan`] if the plan references
-    /// sockets, fabric edges, lanes, or SMs outside this system's shape.
+    /// sockets, lanes, or SMs outside this system's shape.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), SimError> {
         let lanes_total = self.cfg.link.lanes_per_direction * 2;
         let total_sms = self.shards.len() as u32 * self.sms_per_socket;
-        let num_edges = self.fabric.num_edges().min(u8::MAX as usize) as u8;
-        plan.validate(self.cfg.num_sockets, num_edges, lanes_total, total_sms)?;
+        plan.validate(self.cfg.num_sockets, lanes_total, total_sms)?;
         self.fault_state = if plan.is_empty() {
             None
         } else {
-            Some(FaultState::new(plan, self.fabric.num_edges()))
+            Some(FaultState::new(plan, self.shards.len()))
         };
         Ok(())
     }
@@ -682,21 +637,13 @@ impl NumaGpuSystem {
                     .map(|p| (p.local_ways(), p.remote_ways())),
             })
             .collect();
-        let egress_bytes: u64 = sockets.iter().map(|s| s.egress_bytes).sum();
+        // Egress counts each cross-socket transfer once.
+        let interconnect_bytes: u64 = sockets.iter().map(|s| s.egress_bytes).sum();
         debug_assert_eq!(
-            egress_bytes,
+            interconnect_bytes,
             sockets.iter().map(|s| s.ingress_bytes).sum::<u64>(),
-            "access links received a different byte count than they sent"
+            "links received a different byte count than they sent"
         );
-        // Access-link egress counts each cross-socket transfer once;
-        // interior links charge exactly one direction per traversal, so
-        // their byte totals add without double counting (zero on the star).
-        let interior: u64 = self
-            .fabric
-            .interior_links()
-            .map(|(_, link)| link.stats().egress_bytes.get() + link.stats().ingress_bytes.get())
-            .sum();
-        let interconnect_bytes = egress_bytes + interior;
         let mut l1 = CacheStats::default();
         for sm in self.shards.iter().flat_map(|shard| shard.sms.iter()) {
             let s = sm.l1_stats();
@@ -724,11 +671,12 @@ impl NumaGpuSystem {
         let resilience = self.fault_state.as_ref().map(|fs| {
             let links = self
                 .links()
-                .map(|(e, link)| LinkResilience {
-                    edge: e as u8,
+                .enumerate()
+                .map(|(s, link)| LinkResilience {
+                    socket: s as u8,
                     nominal_lane_cycles: total_cycles * link.nominal_lanes() as u64,
                     available_lane_cycles: link.available_lane_ticks(self.now) / TICKS_PER_CYCLE,
-                    recovery_cycles: fs.recovery[e],
+                    recovery_cycles: fs.recovery[s],
                 })
                 .collect();
             ResilienceReport {
@@ -912,15 +860,14 @@ impl NumaGpuSystem {
             .count("page_lookups", pt.lookups.get())
             .count("pages_placed", pt.pages_placed.get());
 
-        // Interconnect: NoC service requests and traffic over every fabric
-        // link.
+        // Interconnect: NoC service requests and traffic over every link.
         let noc: u64 = self
             .shards
             .iter()
             .map(|shard| shard.noc_req.total_requests() + shard.noc_resp.total_requests())
             .sum();
         let (mut egress, mut ingress, mut turns) = (0u64, 0u64, 0u64);
-        for (_, link) in self.links() {
+        for link in self.links() {
             let s = link.stats();
             egress += s.egress_bytes.get();
             ingress += s.ingress_bytes.get();
@@ -954,63 +901,13 @@ impl NumaGpuSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numa_gpu_types::TopologyKind;
 
-    /// The windowed loop's conservative lookahead and the flush path's
-    /// access-hop latency are distinct quantities that coincide only in
-    /// the star fabric, where the cheapest adjacent hop *is* the access
-    /// hop. Off-star fabrics have interior switch-to-switch hops cheaper
-    /// than the access hop, so the lookahead (a lower bound over every
-    /// adjacent hop) must drop below the access-hop latency — if these
-    /// were one aliased value, either a window could admit a message
-    /// emitted inside it or flush timing would change on the star fabric.
-    /// The windows are kept, on one thread, because they keep one socket's
-    /// state hot (DESIGN §13).
-    #[test]
-    fn lookahead_and_hop_latency_coincide_only_on_star() {
-        let star = NumaGpuSystem::new(SystemConfig::numa_sockets(4)).unwrap();
-        assert_eq!(star.lookahead, star.hop_latency);
-        for kind in [
-            TopologyKind::Ring,
-            TopologyKind::Mesh2d,
-            TopologyKind::FatTree,
-        ] {
-            let mut cfg = SystemConfig::numa_sockets(8);
-            cfg.topology = kind;
-            let sys = NumaGpuSystem::new(cfg).unwrap();
-            assert!(
-                sys.lookahead < sys.hop_latency,
-                "{kind:?}: lookahead {} must undercut the access hop {}",
-                sys.lookahead,
-                sys.hop_latency
-            );
-            assert!(sys.lookahead > 0, "{kind:?}: lookahead must stay positive");
-        }
-    }
-
-    /// The 1..=32 socket range (relaxed from the old 8-socket cap) builds
-    /// on every topology; edge counts grow past `num_sockets` only when
-    /// interior fabric links exist.
+    /// The whole 1..=32 socket range builds, one switch link per socket.
     #[test]
     fn fabrics_build_across_the_full_socket_range() {
-        for kind in [
-            TopologyKind::Star,
-            TopologyKind::Ring,
-            TopologyKind::Mesh2d,
-            TopologyKind::FatTree,
-        ] {
-            for n in [1u8, 2, 4, 8, 16, 32] {
-                let mut cfg = SystemConfig::numa_sockets(n);
-                cfg.topology = kind;
-                let sys = NumaGpuSystem::new(cfg).unwrap();
-                assert!(
-                    sys.fabric.num_edges() >= n as usize,
-                    "{kind:?}/{n}: every socket needs its access edge"
-                );
-                if kind == TopologyKind::Star {
-                    assert_eq!(sys.fabric.num_edges(), n as usize);
-                }
-            }
+        for n in 1u8..=32 {
+            let sys = NumaGpuSystem::new(SystemConfig::numa_sockets(n)).unwrap();
+            assert_eq!(sys.links().count(), n as usize);
         }
     }
 }

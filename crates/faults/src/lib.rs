@@ -13,13 +13,11 @@
 //! --faults`), or a seeded generator ([`FaultPlan::random`], used by
 //! `--fault-seed`) built on the `testkit` PRNG.
 //!
-//! Link faults address fabric edges: edge ids below the socket count are
-//! the per-socket access links (edge == socket — the only edges a star
-//! fabric has), and interior switch↔switch hops of richer topologies
-//! follow in construction order.
+//! Link faults address sockets: `lanes:s1` and `retrain:s1` hit socket 1's
+//! link to the switch.
 //!
 //! The simulator folds what actually happened into a
-//! [`ResilienceReport`]: the applied-fault timeline, per-edge link lane
+//! [`ResilienceReport`]: the applied-fault timeline, per-socket link lane
 //! availability (achieved vs nominal), recovery latencies of the lane
 //! balancer, and CTA-requeue counts from SM disables.
 //!
@@ -33,7 +31,7 @@
 //! assert_eq!(plan.specs()[0].cycle, 2000); // sorted by cycle
 //! assert!(matches!(
 //!     plan.specs()[1].kind,
-//!     FaultKind::LinkLanes { edge: 1, healthy_lanes: 8 }
+//!     FaultKind::LinkLanes { socket: 1, healthy_lanes: 8 }
 //! ));
 //! // The grammar round-trips.
 //! assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);

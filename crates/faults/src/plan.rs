@@ -26,13 +26,13 @@ fn err(message: impl Into<String>) -> SimError {
 /// let mut plan = FaultPlan::new();
 /// plan.push(FaultSpec::new(
 ///     5_000,
-///     FaultKind::LinkLanes { edge: 1, healthy_lanes: 8 },
+///     FaultKind::LinkLanes { socket: 1, healthy_lanes: 8 },
 /// ));
 /// assert_eq!(plan.to_string(), "lanes:s1@5000=8");
-/// plan.validate(4, 4, 16, 256).unwrap();
+/// plan.validate(4, 16, 256).unwrap();
 /// // Socket 9 does not exist in a 4-socket system:
 /// let bad = FaultPlan::parse("dram:s9@100+10").unwrap();
-/// assert!(bad.validate(4, 4, 16, 256).is_err());
+/// assert!(bad.validate(4, 16, 256).is_err());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct FaultPlan {
@@ -76,11 +76,10 @@ impl FaultPlan {
     ///
     /// Atoms are separated by `;` or `,`:
     ///
-    /// * `lanes:s<E>@<C>=<N>` — at cycle `C`, fabric edge `E`'s link has
-    ///   `N` healthy lanes (both directions pooled; edge == socket for
-    ///   the per-socket access links, interior hops follow);
-    /// * `retrain:s<E>@<C>+<W>` — at cycle `C`, hold fabric edge `E`'s
-    ///   link in a `W`-cycle retrain window;
+    /// * `lanes:s<S>@<C>=<N>` — at cycle `C`, socket `S`'s link has `N`
+    ///   healthy lanes (both directions pooled);
+    /// * `retrain:s<S>@<C>+<W>` — at cycle `C`, hold socket `S`'s link in
+    ///   a `W`-cycle retrain window;
     /// * `dram:s<S>@<C>+<W>` — at cycle `C`, stall socket `S`'s DRAM for
     ///   `W` cycles with ECC-retry latency;
     /// * `sm:<A>[-<B>]@<C>` — at cycle `C`, disable global SMs `A..=B`.
@@ -120,14 +119,12 @@ impl FaultPlan {
             let socket = rng.bounded_u64(num_sockets.max(1) as u64) as u8;
             let window_cycles = 100 + rng.bounded_u64(900) as u32;
             let kind = match rng.bounded_u64(4) {
-                // Random plans stay on the access links (edge == socket) so
-                // a seeded plan is valid on every topology of this shape.
                 0 if lanes_total > 2 => FaultKind::LinkLanes {
-                    edge: socket,
+                    socket,
                     healthy_lanes: (2 + rng.bounded_u64(lanes_total as u64 - 2)) as u8,
                 },
                 1 => FaultKind::LinkRetrain {
-                    edge: socket,
+                    socket,
                     window_cycles,
                 },
                 2 if total_sms > 1 => {
@@ -147,12 +144,9 @@ impl FaultPlan {
         Self::from_specs(specs)
     }
 
-    /// Checks every fault against the machine shape: link edges and DRAM
+    /// Checks every fault against the machine shape: link and DRAM
     /// sockets in range, healthy lane counts in `2..=lanes_total`, SM
     /// ranges ordered and in range, windows nonzero.
-    ///
-    /// `num_link_edges` is the fabric's edge count — `num_sockets` for the
-    /// star fabric, more when the topology has interior switch↔switch hops.
     ///
     /// # Errors
     ///
@@ -160,17 +154,16 @@ impl FaultPlan {
     pub fn validate(
         &self,
         num_sockets: u8,
-        num_link_edges: u8,
         lanes_total: u8,
         total_sms: u32,
     ) -> Result<(), SimError> {
         for spec in &self.specs {
             match spec.kind {
                 FaultKind::LinkLanes {
-                    edge,
+                    socket,
                     healthy_lanes,
                 } => {
-                    check_edge(edge, num_link_edges, spec)?;
+                    check_link(socket, num_sockets, spec)?;
                     if healthy_lanes < 2 || healthy_lanes > lanes_total {
                         return Err(err(format!(
                             "`{spec}`: healthy lanes must be in 2..={lanes_total}"
@@ -178,10 +171,10 @@ impl FaultPlan {
                     }
                 }
                 FaultKind::LinkRetrain {
-                    edge,
+                    socket,
                     window_cycles,
                 } => {
-                    check_edge(edge, num_link_edges, spec)?;
+                    check_link(socket, num_sockets, spec)?;
                     if window_cycles == 0 {
                         return Err(err(format!("`{spec}`: window must be nonzero")));
                     }
@@ -220,10 +213,12 @@ fn check_socket(socket: u8, num_sockets: u8, spec: &FaultSpec) -> Result<(), Sim
     Ok(())
 }
 
-fn check_edge(edge: u8, num_link_edges: u8, spec: &FaultSpec) -> Result<(), SimError> {
-    if edge >= num_link_edges {
+fn check_link(socket: u8, num_sockets: u8, spec: &FaultSpec) -> Result<(), SimError> {
+    // The wording predates the socket-only fabric; the daemon's pinned
+    // replies (`serve/tests/wire.rs`) carry it byte for byte.
+    if socket >= num_sockets {
         return Err(err(format!(
-            "`{spec}`: link edge {edge} out of range (fabric has {num_link_edges})"
+            "`{spec}`: link edge {socket} out of range (fabric has {num_sockets})"
         )));
     }
     Ok(())
@@ -258,14 +253,14 @@ fn parse_atom(atom: &str) -> Result<FaultSpec, SimError> {
         .ok_or_else(|| err(format!("`{atom}`: expected `<kind>:<spec>`")))?;
     match op {
         "lanes" => {
-            let (edge, cycle, lanes) = socket_cycle_value(rest, '=', atom)?;
+            let (socket, cycle, lanes) = socket_cycle_value(rest, '=', atom)?;
             if lanes > u8::MAX as u64 {
                 return Err(err(format!("`{atom}`: lane count too large")));
             }
             Ok(FaultSpec::new(
                 cycle,
                 FaultKind::LinkLanes {
-                    edge,
+                    socket,
                     healthy_lanes: lanes as u8,
                 },
             ))
@@ -278,7 +273,7 @@ fn parse_atom(atom: &str) -> Result<FaultSpec, SimError> {
             let window_cycles = window as u32;
             let kind = if op == "retrain" {
                 FaultKind::LinkRetrain {
-                    edge: socket,
+                    socket,
                     window_cycles,
                 }
             } else {
@@ -377,48 +372,31 @@ mod tests {
     #[test]
     fn validate_checks_machine_shape() {
         let ok = FaultPlan::parse("lanes:s1@5000=8; sm:0-63@1000; retrain:s0@1+10").unwrap();
-        ok.validate(4, 4, 16, 256).unwrap();
+        ok.validate(4, 16, 256).unwrap();
         assert!(FaultPlan::parse("lanes:s4@1=8")
             .unwrap()
-            .validate(4, 4, 16, 256)
+            .validate(4, 16, 256)
             .is_err());
         assert!(FaultPlan::parse("lanes:s0@1=1")
             .unwrap()
-            .validate(4, 4, 16, 256)
+            .validate(4, 16, 256)
             .is_err());
         assert!(FaultPlan::parse("lanes:s0@1=17")
             .unwrap()
-            .validate(4, 4, 16, 256)
+            .validate(4, 16, 256)
             .is_err());
         assert!(FaultPlan::parse("sm:0-256@1")
             .unwrap()
-            .validate(4, 4, 16, 256)
+            .validate(4, 16, 256)
             .is_err());
         assert!(FaultPlan::parse("dram:s0@1+0")
             .unwrap()
-            .validate(4, 4, 16, 256)
+            .validate(4, 16, 256)
             .is_err());
         assert!(FaultPlan::parse("sm:5-4@1")
             .unwrap()
-            .validate(4, 4, 16, 256)
+            .validate(4, 16, 256)
             .is_err());
-    }
-
-    #[test]
-    fn validate_distinguishes_link_edges_from_dram_sockets() {
-        // A ring-like fabric: 4 sockets, 8 link edges. Interior edges are
-        // valid link-fault targets but never DRAM targets.
-        let interior = FaultPlan::parse("lanes:s6@1=8; retrain:s7@2+10").unwrap();
-        interior.validate(4, 8, 16, 256).unwrap();
-        assert!(FaultPlan::parse("lanes:s8@1=8")
-            .unwrap()
-            .validate(4, 8, 16, 256)
-            .is_err());
-        let e = FaultPlan::parse("dram:s6@1+10")
-            .unwrap()
-            .validate(4, 8, 16, 256)
-            .unwrap_err();
-        assert!(e.to_string().contains("socket 6 out of range"), "{e}");
     }
 
     #[test]
@@ -427,7 +405,7 @@ mod tests {
             let a = FaultPlan::random(seed, 4, 16, 256, 100_000);
             let b = FaultPlan::random(seed, 4, 16, 256, 100_000);
             assert_eq!(a, b, "seed {seed} not reproducible");
-            a.validate(4, 4, 16, 256)
+            a.validate(4, 16, 256)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert!(!a.is_empty());
         }
@@ -440,7 +418,7 @@ mod tests {
     #[test]
     fn random_survives_degenerate_shapes() {
         let p = FaultPlan::random(7, 1, 2, 1, 1);
-        p.validate(1, 1, 2, 1).unwrap();
+        p.validate(1, 2, 1).unwrap();
     }
 
     /// Atom-shaped text: each atom is one of the grammar's shapes (or a

@@ -12,13 +12,11 @@ pub struct AppliedFault {
     pub description: String,
 }
 
-/// Per-edge link resilience over one run.
+/// Per-socket link resilience over one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkResilience {
-    /// Fabric edge this row describes. Edge ids below the socket count are
-    /// the per-socket access links (edge == socket, the only edges a star
-    /// fabric has); interior switch↔switch hops follow.
-    pub edge: u8,
+    /// Socket whose link this row describes.
+    pub socket: u8,
     /// Lane-cycles the link would have had with every lane healthy.
     pub nominal_lane_cycles: u64,
     /// Lane-cycles actually available (integral of healthy lanes).
@@ -52,8 +50,7 @@ impl LinkResilience {
 pub struct ResilienceReport {
     /// Faults applied, in application order.
     pub applied: Vec<AppliedFault>,
-    /// Per-edge link availability, in edge-id order (access links first,
-    /// so index == socket for the star fabric).
+    /// Per-socket link availability, in socket order.
     pub links: Vec<LinkResilience>,
     /// SMs disabled by the end of the run.
     pub disabled_sms: u32,
@@ -79,10 +76,8 @@ impl ResilienceReport {
             .links
             .iter()
             .map(|l| {
-                // Key stays "socket" for byte-compatibility: access-edge
-                // ids are socket ids, and star reports only have those.
                 Json::obj([
-                    ("socket", Json::UInt(l.edge as u64)),
+                    ("socket", Json::UInt(l.socket as u64)),
                     ("nominal_lane_cycles", Json::UInt(l.nominal_lane_cycles)),
                     ("available_lane_cycles", Json::UInt(l.available_lane_cycles)),
                     ("availability", Json::Float(l.availability())),
@@ -112,14 +107,14 @@ mod tests {
     #[test]
     fn availability_is_fractional_and_total_on_empty() {
         let l = LinkResilience {
-            edge: 0,
+            socket: 0,
             nominal_lane_cycles: 1000,
             available_lane_cycles: 750,
             recovery_cycles: Some(40),
         };
         assert!((l.availability() - 0.75).abs() < 1e-12);
         let idle = LinkResilience {
-            edge: 1,
+            socket: 1,
             nominal_lane_cycles: 0,
             available_lane_cycles: 0,
             recovery_cycles: None,
@@ -135,7 +130,7 @@ mod tests {
                 description: "link s1: 8 healthy lanes".into(),
             }],
             links: vec![LinkResilience {
-                edge: 1,
+                socket: 1,
                 nominal_lane_cycles: 160_000,
                 available_lane_cycles: 120_000,
                 recovery_cycles: None,

@@ -9,23 +9,20 @@ use std::fmt;
 /// spec-grammar atom accepted by [`FaultPlan::parse`](crate::FaultPlan::parse).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// Set the number of healthy lanes on fabric edge `edge` (both
-    /// directions pooled). Edge ids below the socket count are the
-    /// per-socket access links (edge == socket, the only edges the star
-    /// fabric has); interior switch↔switch hops follow. Values below the
-    /// nominal lane count degrade the link; restoring the nominal count
-    /// heals it.
+    /// Set the number of healthy lanes on socket `socket`'s link (both
+    /// directions pooled). Values below the nominal lane count degrade the
+    /// link; restoring the nominal count heals it.
     LinkLanes {
-        /// Fabric edge whose link is affected.
-        edge: u8,
+        /// Socket whose link is affected.
+        socket: u8,
         /// Healthy lanes remaining across both directions.
         healthy_lanes: u8,
     },
-    /// Hold fabric edge `edge`'s link in a retrain window: both directions
+    /// Hold socket `socket`'s link in a retrain window: both directions
     /// are busy (transfer nothing) for `window_cycles`.
     LinkRetrain {
-        /// Fabric edge whose link is affected.
-        edge: u8,
+        /// Socket whose link is affected.
+        socket: u8,
         /// Length of the retrain window in cycles.
         window_cycles: u32,
     },
@@ -52,13 +49,13 @@ impl FaultKind {
     pub fn describe(&self) -> String {
         match self {
             FaultKind::LinkLanes {
-                edge,
+                socket,
                 healthy_lanes,
-            } => format!("link s{edge}: {healthy_lanes} healthy lanes"),
+            } => format!("link s{socket}: {healthy_lanes} healthy lanes"),
             FaultKind::LinkRetrain {
-                edge,
+                socket,
                 window_cycles,
-            } => format!("link s{edge}: retrain {window_cycles} cycles"),
+            } => format!("link s{socket}: retrain {window_cycles} cycles"),
             FaultKind::DramStall {
                 socket,
                 window_cycles,
@@ -93,13 +90,13 @@ impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.kind {
             FaultKind::LinkLanes {
-                edge,
+                socket,
                 healthy_lanes,
-            } => write!(f, "lanes:s{edge}@{}={healthy_lanes}", self.cycle),
+            } => write!(f, "lanes:s{socket}@{}={healthy_lanes}", self.cycle),
             FaultKind::LinkRetrain {
-                edge,
+                socket,
                 window_cycles,
-            } => write!(f, "retrain:s{edge}@{}+{window_cycles}", self.cycle),
+            } => write!(f, "retrain:s{socket}@{}+{window_cycles}", self.cycle),
             FaultKind::DramStall {
                 socket,
                 window_cycles,
@@ -124,7 +121,7 @@ mod tests {
         let s = FaultSpec::new(
             5000,
             FaultKind::LinkLanes {
-                edge: 1,
+                socket: 1,
                 healthy_lanes: 8,
             },
         );
@@ -132,7 +129,7 @@ mod tests {
         let r = FaultSpec::new(
             100,
             FaultKind::LinkRetrain {
-                edge: 2,
+                socket: 2,
                 window_cycles: 400,
             },
         );

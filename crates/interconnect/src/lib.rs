@@ -8,10 +8,8 @@
 //! other has headroom — recovering up to 2× bandwidth for asymmetric
 //! phases such as parallel reductions.
 //!
-//! [`Topology`] is the one fabric model: the paper's switch is its star
-//! shape, and ring, mesh and fat-tree add interior switch↔switch edges.
-//! Every link is a [`GpuLink`] addressed by edge id — access edges first
-//! (edge == socket), interior edges after.
+//! [`Topology`] is the one fabric model, the paper's switch: one
+//! [`GpuLink`] per socket, indexed by socket.
 //!
 //! # Examples
 //!
@@ -33,11 +31,11 @@ mod topology;
 
 pub use balancer::{BalanceAction, LinkBalancer};
 pub use link::{GpuLink, LinkDirection, LinkSample, LinkStats};
-pub use topology::{EdgeSpec, Hop, Node, Topology};
+pub use topology::Topology;
 
 #[cfg(test)]
 mod switch {
-    //! The paper's switch (Figure 1) is the star [`crate::Topology`]; these
-    //! tests pin its timing and errors through `Topology::route`.
+    //! The paper's switch (Figure 1) is [`crate::Topology`]; these tests
+    //! pin its timing and errors through `Topology::route`.
     mod tests;
 }

@@ -70,54 +70,17 @@ impl CacheMode {
     }
 }
 
-/// Shape of the inter-socket fabric connecting the GPU sockets.
+/// Shape of the inter-socket fabric connecting the GPU sockets: the
+/// single-switch star of Figure 1, the one fabric the paper evaluates.
 ///
-/// The paper evaluates the single-switch star of Figure 1; the other
-/// variants generalize it to composable multi-hop fabrics built from the
-/// same [`LinkConfig`]-described hops. `Star` is the default and is
-/// byte-identical to the pre-topology model.
+/// A one-value enum: the field it fills is part of [`SystemConfig`]'s
+/// `Debug` text, which keys the result store, so it stays until the store
+/// key moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopologyKind {
     /// Every socket attaches to one central switch (the paper's fabric).
     #[default]
     Star,
-    /// Sockets arranged on a bidirectional ring of per-socket switches;
-    /// traffic takes the shorter arc (ties break clockwise).
-    Ring,
-    /// Sockets on a 2D switch grid with deterministic X-then-Y routing.
-    Mesh2d,
-    /// Two-level NVSwitch-style fat-tree: leaf switches host up to four
-    /// sockets each and share one root switch.
-    FatTree,
-}
-
-impl TopologyKind {
-    /// Parses the CLI flag spelling (`star|ring|mesh|fattree`).
-    pub fn from_flag(s: &str) -> Option<Self> {
-        match s {
-            "star" => Some(TopologyKind::Star),
-            "ring" => Some(TopologyKind::Ring),
-            "mesh" => Some(TopologyKind::Mesh2d),
-            "fattree" => Some(TopologyKind::FatTree),
-            _ => None,
-        }
-    }
-
-    /// The CLI flag spelling (inverse of [`TopologyKind::from_flag`]).
-    pub const fn flag_name(self) -> &'static str {
-        match self {
-            TopologyKind::Star => "star",
-            TopologyKind::Ring => "ring",
-            TopologyKind::Mesh2d => "mesh",
-            TopologyKind::FatTree => "fattree",
-        }
-    }
-}
-
-impl std::fmt::Display for TopologyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.flag_name())
-    }
 }
 
 /// Inter-socket link management policy (paper §4).
@@ -365,7 +328,7 @@ pub struct SystemConfig {
     pub noc: NocConfig,
     /// Per-socket switch link.
     pub link: LinkConfig,
-    /// Shape of the inter-socket fabric built from `link`-described hops.
+    /// Shape of the inter-socket fabric (always the star).
     pub topology: TopologyKind,
     /// L2 organization (Figure 7 variants).
     pub cache_mode: CacheMode,
@@ -635,22 +598,6 @@ mod tests {
         c.num_sockets = 33;
         let err = c.validate().unwrap_err();
         assert!(err.message().contains("1..=32"), "stale cap: {err}");
-    }
-
-    #[test]
-    fn topology_defaults_to_star_and_round_trips_flags() {
-        assert_eq!(SystemConfig::pascal_single().topology, TopologyKind::Star);
-        assert_eq!(TopologyKind::default(), TopologyKind::Star);
-        for kind in [
-            TopologyKind::Star,
-            TopologyKind::Ring,
-            TopologyKind::Mesh2d,
-            TopologyKind::FatTree,
-        ] {
-            assert_eq!(TopologyKind::from_flag(kind.flag_name()), Some(kind));
-            assert_eq!(kind.to_string(), kind.flag_name());
-        }
-        assert_eq!(TopologyKind::from_flag("torus"), None);
     }
 
     #[test]

@@ -34,11 +34,9 @@
 
 mod archetypes;
 mod catalog;
-mod collectives;
 mod patterns;
 mod scale;
 
 pub use catalog::{by_name, catalog, study_set, WORKLOAD_NAMES};
-pub use collectives::{collective_by_name, collectives, COLLECTIVE_NAMES};
 pub use patterns::{KernelSpec, Pattern, PatternKernel, PatternProgram};
 pub use scale::Scale;

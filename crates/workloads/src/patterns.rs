@@ -37,22 +37,6 @@ pub enum Pattern {
         /// Size of the shared output region in bytes.
         output_bytes: u64,
     },
-    /// Streaming through the CTA's chunk with `shifted_fraction` of
-    /// accesses landing in the chunk `shift_chunks` positions ahead
-    /// (wrapping) — the exchange step of collective operations. A shift of
-    /// 1 is ring-neighbour traffic (all-reduce), powers of two are tree
-    /// stages, and `shift_chunks == 0` picks a uniformly random *other*
-    /// chunk per access (all-to-all). Under contiguous CTA scheduling and
-    /// first-touch placement, chunk distance maps onto socket distance, so
-    /// these patterns exercise exactly the fabric paths the topology
-    /// provides.
-    Shifted {
-        /// Chunks ahead (wrapping) shifted accesses target; 0 = a random
-        /// non-local chunk per access.
-        shift_chunks: u64,
-        /// Probability of an access targeting the shifted chunk.
-        shifted_fraction: f64,
-    },
     /// `shared_fraction` of accesses touch a shared structure of
     /// `shared_bytes` at the start of the region (graph / lookup-table /
     /// mesh reuse — where NUMA-aware caching wins); the rest stream
@@ -169,7 +153,7 @@ pub struct PatternProgram {
     own_base: u64,
     /// The pattern's one per-op constant, worked out once: clamped tile
     /// length (`Tiled`), hot / output / shared line count (`HotCold` /
-    /// `Reduction` / `SharedRead`) or wrapped chunk shift (`Shifted`).
+    /// `Reduction` / `SharedRead`).
     hoisted: u64,
     per_warp: Vec<WarpGen>,
 }
@@ -215,7 +199,6 @@ impl PatternProgram {
             Pattern::HotCold { hot_bytes, .. } => clamped_lines(hot_bytes),
             Pattern::Reduction { output_bytes } => clamped_lines(output_bytes),
             Pattern::SharedRead { shared_bytes, .. } => clamped_lines(shared_bytes),
-            Pattern::Shifted { shift_chunks, .. } => shift_chunks % num_chunks,
             Pattern::Streaming | Pattern::Stencil { .. } => 0,
         };
         let warps = spec.warps_per_cta;
@@ -297,23 +280,6 @@ impl PatternProgram {
                     return mem(stream(self.own_base), MemKind::Read);
                 }
                 return mem(region + rng.random_range(0..hoisted), MemKind::Write);
-            }
-            Pattern::Shifted {
-                shift_chunks,
-                shifted_fraction,
-            } => {
-                let shift = if !rng.random_bool(shifted_fraction) {
-                    0
-                } else if shift_chunks != 0 {
-                    hoisted
-                } else if chunks > 1 {
-                    // All-to-all: any chunk but this one (degenerate
-                    // single-chunk regions stay local).
-                    1 + rng.random_range(0..chunks - 1)
-                } else {
-                    0
-                };
-                stream(base_of(me + shift))
             }
             Pattern::SharedRead {
                 shared_fraction,
@@ -461,14 +427,6 @@ mod tests {
             },
             Pattern::Stencil { halo_fraction: 0.3 },
             Pattern::Reduction { output_bytes: 4096 },
-            Pattern::Shifted {
-                shift_chunks: 1,
-                shifted_fraction: 0.6,
-            },
-            Pattern::Shifted {
-                shift_chunks: 0,
-                shifted_fraction: 1.0,
-            },
             Pattern::SharedRead {
                 shared_fraction: 0.5,
                 shared_bytes: 65536,
@@ -544,48 +502,6 @@ mod tests {
             .collect();
         let unique: std::collections::BTreeSet<_> = lines.iter().collect();
         assert_eq!(unique.len(), 4); // 16 ops / reuse 4
-    }
-
-    #[test]
-    fn shifted_full_fraction_lands_in_the_next_chunk() {
-        let s = KernelSpec {
-            compute_per_mem: 0,
-            ..spec(Pattern::Shifted {
-                shift_chunks: 1,
-                shifted_fraction: 1.0,
-            })
-        };
-        let region_lines = s.region_bytes / LINE_SIZE;
-        let chunk_lines = region_lines / s.ctas as u64;
-        for cta in 0..s.ctas {
-            let mut p = PatternProgram::new(&s, CtaId::new(cta));
-            for op in collect_ops(&mut p, 0) {
-                if let WarpOp::Mem { addr, .. } = op {
-                    let chunk = (addr.raw() / LINE_SIZE) / chunk_lines;
-                    assert_eq!(chunk, (cta as u64 + 1) % s.ctas as u64);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shifted_all_to_all_avoids_the_local_chunk() {
-        let s = KernelSpec {
-            compute_per_mem: 0,
-            ..spec(Pattern::Shifted {
-                shift_chunks: 0,
-                shifted_fraction: 1.0,
-            })
-        };
-        let region_lines = s.region_bytes / LINE_SIZE;
-        let chunk_lines = region_lines / s.ctas as u64;
-        let mut p = PatternProgram::new(&s, CtaId::new(2));
-        for op in collect_ops(&mut p, 0) {
-            if let WarpOp::Mem { addr, .. } = op {
-                let chunk = (addr.raw() / LINE_SIZE) / chunk_lines;
-                assert_ne!(chunk, 2, "all-to-all access landed locally");
-            }
-        }
     }
 
     #[test]

@@ -77,27 +77,6 @@ fn cases() -> Vec<(&'static str, KernelSpec)> {
             }),
         ),
         (
-            "shifted_ring",
-            spec(Pattern::Shifted {
-                shift_chunks: 1,
-                shifted_fraction: 0.6,
-            }),
-        ),
-        (
-            "shifted_tree_wraps",
-            spec(Pattern::Shifted {
-                shift_chunks: 13,
-                shifted_fraction: 0.5,
-            }),
-        ),
-        (
-            "shifted_all_to_all",
-            spec(Pattern::Shifted {
-                shift_chunks: 0,
-                shifted_fraction: 1.0,
-            }),
-        ),
-        (
             "shared_read",
             spec(Pattern::SharedRead {
                 shared_fraction: 0.5,
@@ -158,16 +137,6 @@ fn cases() -> Vec<(&'static str, KernelSpec)> {
                 })
             },
         ),
-        (
-            "single_chunk_all_to_all",
-            KernelSpec {
-                ctas: 1,
-                ..spec(Pattern::Shifted {
-                    shift_chunks: 0,
-                    shifted_fraction: 1.0,
-                })
-            },
-        ),
     ]
 }
 
@@ -178,9 +147,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("hot_cold", 0x1744f95f2bf5e15c),
     ("stencil", 0x31db9faaeb1c2cf7),
     ("reduction", 0x94cd9e1beb53bc59),
-    ("shifted_ring", 0x6876d8d22addaa19),
-    ("shifted_tree_wraps", 0xec5fe012aee256f5),
-    ("shifted_all_to_all", 0xaea27f98bfac7856),
     ("shared_read", 0xc72412980a1c11b8),
     ("streaming_no_compute", 0x7659b0f496c164e0),
     ("streaming_ctas_exceed_lines", 0xe170a8d59e35d04c),
@@ -188,7 +154,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("tiled_tile_exceeds_chunk", 0x99f50aa8ba532544),
     ("tiled_straddles_chunk_end", 0xbe03681db0bc6304),
     ("hot_cold_hot_exceeds_region", 0xc5b20d4bb723c3b2),
-    ("single_chunk_all_to_all", 0x0171b634acc4fcd1),
 ];
 
 #[test]

@@ -8,7 +8,6 @@
 //! simulate submit --socket PATH --ping|--stats|--shutdown
 //!
 //! simulate --workload Rodinia-Euler3D [--sockets N] [--quick|--full]
-//!          [--topology star|ring|mesh|fattree]
 //!          [--cache memside|static|shared|numa-aware]
 //!          [--link static|dynamic|2x]
 //!          [--placement fine|page|first-touch]
@@ -37,9 +36,9 @@ use numa_gpu::bench::{JobKey, Runner, SimPlan};
 use numa_gpu::faults::FaultPlan;
 use numa_gpu::runtime::Kernel as _;
 use numa_gpu::types::{
-    CacheMode, CtaSchedulingPolicy, LinkMode, PagePlacement, SimError, SystemConfig, TopologyKind,
+    CacheMode, CtaSchedulingPolicy, LinkMode, PagePlacement, SimError, SystemConfig,
 };
-use numa_gpu::workloads::{by_name, collective_by_name, Scale, COLLECTIVE_NAMES, WORKLOAD_NAMES};
+use numa_gpu::workloads::{by_name, Scale, WORKLOAD_NAMES};
 use std::num::NonZeroUsize;
 
 /// Time horizon (in cycles) over which `--fault-seed` scatters its faults.
@@ -49,7 +48,6 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
     eprintln!(
         "usage: simulate --workload NAME [--sockets N] [--quick|--full] \
-         [--topology star|ring|mesh|fattree] \
          [--cache memside|static|shared|numa-aware] [--link static|dynamic|2x] \
          [--placement fine|page|first-touch] [--cta interleave|contiguous] \
          [--baseline] [--jobs N] [--timeline] [--metrics] [--profile] \
@@ -61,10 +59,6 @@ fn usage(msg: &str) -> ! {
     );
     eprintln!("\nworkloads:");
     for n in WORKLOAD_NAMES {
-        eprintln!("  {n}");
-    }
-    eprintln!("\ncollective-traffic workloads (scale with --sockets):");
-    for n in COLLECTIVE_NAMES {
         eprintln!("  {n}");
     }
     std::process::exit(2);
@@ -194,7 +188,6 @@ fn main() {
     }
     let mut workload_name = None;
     let mut sockets: u8 = 4;
-    let mut topology = TopologyKind::Star;
     let mut scale = Scale::full();
     let mut cache = CacheMode::NumaAwareDynamic;
     let mut link = LinkMode::DynamicAsymmetric;
@@ -226,11 +219,6 @@ fn main() {
                 sockets = value("--sockets")
                     .parse()
                     .unwrap_or_else(|_| usage("--sockets must be 1..=32"));
-            }
-            "--topology" => {
-                let v = value("--topology");
-                topology = TopologyKind::from_flag(&v)
-                    .unwrap_or_else(|| usage(&format!("unknown topology `{v}`")));
             }
             "--quick" => scale = Scale::quick(),
             "--full" => scale = Scale::full(),
@@ -324,9 +312,7 @@ fn main() {
         let Some(name) = workload_name else {
             usage("--workload or --from-trace is required");
         };
-        let Some(workload) =
-            by_name(&name, &scale).or_else(|| collective_by_name(&name, sockets, &scale))
-        else {
+        let Some(workload) = by_name(&name, &scale) else {
             usage(&format!("unknown workload `{name}`"));
         };
         workload
@@ -343,7 +329,6 @@ fn main() {
     }
 
     let mut cfg = SystemConfig::numa_sockets(sockets);
-    cfg.topology = topology;
     cfg.cache_mode = cache;
     cfg.link.mode = link;
     cfg.placement = placement;
@@ -354,6 +339,7 @@ fn main() {
     cfg.watchdog.max_cycles = max_cycles;
     cfg.validate().unwrap_or_else(|e| usage(&e.to_string()));
 
+    let lanes_total = cfg.link.lanes_per_direction * 2;
     let fault_plan: Option<FaultPlan> = match (&faults_spec, fault_seed) {
         (Some(_), Some(_)) => usage("--faults and --fault-seed are mutually exclusive"),
         (Some(spec), None) => {
@@ -362,13 +348,17 @@ fn main() {
         (None, Some(seed)) => Some(FaultPlan::random(
             seed,
             cfg.num_sockets,
-            cfg.link.lanes_per_direction * 2,
-            cfg.num_sockets as u32 * cfg.sm.sms_per_socket as u32,
+            lanes_total,
+            cfg.total_sms(),
             FAULT_HORIZON_CYCLES,
         )),
         (None, None) => None,
     };
     if let Some(plan) = &fault_plan {
+        // A plan that does not fit the machine is a usage error, not a
+        // failed run.
+        plan.validate(cfg.num_sockets, lanes_total, cfg.total_sms())
+            .unwrap_or_else(|e| usage(&e.to_string()));
         eprintln!("fault plan: {plan}");
     }
 
@@ -438,15 +428,9 @@ fn main() {
             println!("  cycle {:>10}: {}", f.cycle, f.description);
         }
         for l in &res.links {
-            // Edge ids below the socket count are the per-socket access
-            // links; any interior fabric edges follow.
-            let who = if (l.edge as usize) < report.sockets.len() {
-                format!("GPU{}", l.edge)
-            } else {
-                format!("edge {}", l.edge)
-            };
             println!(
-                "  {who}: link lane availability {:.1}%{}",
+                "  GPU{}: link lane availability {:.1}%{}",
+                l.socket,
                 100.0 * l.availability(),
                 match l.recovery_cycles {
                     Some(c) => format!(", balancer re-allocated after {c} cycles"),

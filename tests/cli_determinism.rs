@@ -35,26 +35,33 @@ fn consecutive_runs_are_byte_identical() {
     );
 }
 
-/// A simulation runs on one thread; the flag that once selected more is
-/// an unknown argument, a usage error.
+/// Usage errors exit 2 with the usage text and run nothing: removed
+/// flags (a simulation runs on one thread; the switch is the only fabric)
+/// are unknown arguments, and a fault plan that names a socket the
+/// machine lacks is rejected before the run.
 #[test]
-fn sim_threads_flag_is_a_usage_error() {
-    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
-        .args([
-            "--workload",
-            "Rodinia-Euler3D",
-            "--quick",
-            "--sim-threads",
-            "2",
-        ])
-        .output()
-        .expect("simulate binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown argument `--sim-threads`"),
-        "{stderr}"
-    );
+fn usage_errors_exit_2_with_usage_text() {
+    for (extra, msg) in [
+        (["--sim-threads", "2"], "unknown argument `--sim-threads`"),
+        (["--topology", "ring"], "unknown argument `--topology`"),
+        (
+            ["--faults", "lanes:s9@1=8"],
+            "`lanes:s9@1=8`: link edge 9 out of range",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(["--workload", "Rodinia-BFS", "--quick", "--sockets", "8"])
+            .args(extra)
+            .output()
+            .expect("simulate binary runs");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        assert!(out.stdout.is_empty(), "{extra:?} must run nothing");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(msg) && stderr.contains("usage: simulate"),
+            "{extra:?}: {stderr}"
+        );
+    }
 }
 
 /// A worker count is a positive integer: `--jobs 0` and `serve --workers

@@ -283,3 +283,12 @@ fn system_run_is_single_use() {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run(&wl)));
     assert!(result.is_err(), "second run must panic");
 }
+
+/// The socket cap is 32: a 32-socket machine builds and completes a run.
+#[test]
+fn thirty_two_socket_star_completes() {
+    let wl = by_name("Other-Stream-Triad", &quick()).unwrap();
+    let r = run_workload(SystemConfig::numa_aware_sockets(32), &wl).unwrap();
+    assert!(r.total_cycles > 0);
+    assert_eq!(r.sockets.len(), 32);
+}

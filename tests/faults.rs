@@ -196,3 +196,17 @@ fn faults_scheduled_past_kernel_end_are_not_reported_as_applied() {
     );
     assert_eq!(r.total_cycles, probe.total_cycles);
 }
+
+/// A link fault must name a socket the machine has: socket 10 on an
+/// 8-socket machine is rejected before the run starts.
+#[test]
+fn link_fault_past_the_last_socket_is_out_of_range() {
+    let wl = by_name("Other-Stream-Triad", &quick()).unwrap();
+    let plan = FaultPlan::parse("lanes:s10@300=8").unwrap();
+    let err = run_workload_with_faults(SystemConfig::numa_aware_sockets(8), &wl, &plan)
+        .expect_err("socket 10 does not exist on an 8-socket machine");
+    assert!(
+        err.to_string().contains("link edge 10 out of range"),
+        "unexpected error: {err}"
+    );
+}

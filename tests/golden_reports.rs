@@ -12,21 +12,14 @@
 
 use numa_gpu::core::run_workload_with_faults;
 use numa_gpu::faults::FaultPlan;
-use numa_gpu::types::{ObsConfig, SystemConfig, TopologyKind};
+use numa_gpu::types::{ObsConfig, SystemConfig};
 use numa_gpu::workloads::{by_name, Scale};
 use numa_gpu_testkit::fnv1a64;
 
 const WORKLOADS: [&str; 3] = ["Rodinia-Euler3D", "Other-Stream-Triad", "HPC-HPGMG-UVM"];
 
-fn ring(sockets: u8) -> SystemConfig {
-    let mut cfg = SystemConfig::numa_aware_sockets(sockets);
-    cfg.topology = TopologyKind::Ring;
-    cfg
-}
-
 /// Every row's workload, configuration and fault plan: the 3 × 3 matrix,
-/// then one ring fabric run clean and one with an access and an interior
-/// edge faulted (the plan CI's topology job uses).
+/// then one NUMA-aware run with one link degraded and another retrained.
 fn rows() -> Vec<(&'static str, &'static str, SystemConfig, &'static str)> {
     let mut rows = Vec::new();
     for name in WORKLOADS {
@@ -39,12 +32,11 @@ fn rows() -> Vec<(&'static str, &'static str, SystemConfig, &'static str)> {
             "",
         ));
     }
-    rows.push(("Rodinia-Euler3D", "ring-8", ring(8), ""));
     rows.push((
         "Rodinia-Euler3D",
-        "ring-8-faulted",
-        ring(8),
-        "lanes:s1@300=8;lanes:s10@300=8;retrain:s12@600+200",
+        "numa-aware-8-faulted",
+        SystemConfig::numa_aware_sockets(8),
+        "lanes:s1@300=8;retrain:s2@600+200",
     ));
     rows
 }
@@ -108,15 +100,9 @@ const GOLDEN: &[(&str, &str, u64, u64)] = &[
     ),
     (
         "Rodinia-Euler3D",
-        "ring-8",
-        0x21d17ec9d6de479d,
-        0x351d805bdd5b2487,
-    ),
-    (
-        "Rodinia-Euler3D",
-        "ring-8-faulted",
-        0xbfaca04302bfb21c,
-        0x4c78ae9677c2044d,
+        "numa-aware-8-faulted",
+        0x3a2ad0f5737fccb3,
+        0x20c5d68d6a618812,
     ),
 ];
 
@@ -128,8 +114,8 @@ fn quick_matrix_reports_match_the_recorded_hashes() {
         let wl = by_name(name, &scale).expect("catalog workload");
         let plan = FaultPlan::parse(faults).expect("fault grammar");
         let report = run_workload_with_faults(cfg.clone(), &wl, &plan).expect("clean run");
-        // Link-byte conservation: every byte one socket's access link sends
-        // is received by another's, the faulted ring included.
+        // Link-byte conservation: every byte one socket's link sends is
+        // received by another's, the faulted run included.
         let egress: u64 = report.sockets.iter().map(|s| s.egress_bytes).sum();
         let ingress: u64 = report.sockets.iter().map(|s| s.ingress_bytes).sum();
         assert_eq!(
