@@ -5,7 +5,7 @@
 //!         [--cache-dir DIR] [artifact...]
 //!
 //! artifacts: table1 table2 fig2 fig3 fig5 fig6 fig6-sens fig8 fig9
-//!            fig9-wb fig10 fig11 power ablations resilience
+//!            fig9-wb fig10 fig11 power ablations
 //!            (default: all)
 //! ```
 //!
@@ -31,7 +31,7 @@ use numa_gpu_workloads::Scale;
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-const ALL: [&str; 15] = [
+const ALL: [&str; 14] = [
     "table1",
     "table2",
     "fig2",
@@ -46,7 +46,6 @@ const ALL: [&str; 15] = [
     "fig11",
     "power",
     "ablations",
-    "resilience",
 ];
 
 /// Prints `msg` and the usage text, then exits with status 2.
@@ -143,7 +142,6 @@ fn main() {
             "fig11" => experiments::fig11(&mut runner).to_string(),
             "power" => experiments::power(&mut runner).to_string(),
             "ablations" => experiments::ablations(&mut runner).to_string(),
-            "resilience" => experiments::resilience(&mut runner).to_string(),
             _ => unreachable!("validated above"),
         };
         println!("{text}");

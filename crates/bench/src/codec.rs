@@ -24,14 +24,13 @@
 //! `figures --profile --cache-dir` must aggregate over warm hits too.
 
 use numa_gpu_core::{cache_stats_json, ProfileReport, SimReport, SocketReport};
-use numa_gpu_faults::{AppliedFault, LinkResilience, ResilienceReport};
 use numa_gpu_interconnect::LinkSample;
 use numa_gpu_testkit::json::{Json, JsonError, Reader};
 
 /// Version of the payload encoding. Bump whenever the report shape or the
 /// simulator's observable behaviour changes incompatibly; old entries then
 /// read as version mismatches and are recomputed instead of mis-decoded.
-pub const REPORT_FORMAT_VERSION: u64 = 1;
+pub const REPORT_FORMAT_VERSION: u64 = 2;
 
 /// Why a report could not be encoded or decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,13 +96,6 @@ pub fn encode_report(r: &SimReport) -> Result<Json, CodecError> {
         ("interconnect_bytes", Json::UInt(r.interconnect_bytes)),
         ("link_power_w_bits", bits(r.link_power_w)),
         (
-            "resilience",
-            match &r.resilience {
-                Some(res) => encode_resilience(res),
-                None => Json::Null,
-            },
-        ),
-        (
             "profile",
             match &r.profile {
                 Some(p) => p.to_json(),
@@ -120,50 +112,6 @@ fn encode_sample(s: &LinkSample) -> Json {
         ("ingress_util_bits", bits(s.ingress_util)),
         ("egress_lanes", Json::UInt(s.egress_lanes as u64)),
         ("ingress_lanes", Json::UInt(s.ingress_lanes as u64)),
-    ])
-}
-
-fn encode_resilience(r: &ResilienceReport) -> Json {
-    Json::obj([
-        (
-            "applied",
-            Json::Arr(
-                r.applied
-                    .iter()
-                    .map(|f| {
-                        Json::obj([
-                            ("cycle", Json::UInt(f.cycle)),
-                            ("description", Json::Str(f.description.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "links",
-            Json::Arr(
-                r.links
-                    .iter()
-                    .map(|l| {
-                        // The store's key for the socket is "edge".
-                        Json::obj([
-                            ("edge", Json::UInt(l.socket as u64)),
-                            ("nominal_lane_cycles", Json::UInt(l.nominal_lane_cycles)),
-                            ("available_lane_cycles", Json::UInt(l.available_lane_cycles)),
-                            (
-                                "recovery_cycles",
-                                match l.recovery_cycles {
-                                    Some(c) => Json::UInt(c),
-                                    None => Json::Null,
-                                },
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("disabled_sms", Json::UInt(r.disabled_sms as u64)),
-        ("requeued_ctas", Json::UInt(r.requeued_ctas as u64)),
     ])
 }
 
@@ -222,7 +170,6 @@ pub(crate) fn decode_with_profile_at(text: &str) -> Result<(SimReport, usize), C
         link_power_w: f64::from_bits(r.key("link_power_w_bits")?.u64()?),
         metrics: None,
         trace_events: Vec::new(),
-        resilience: optional(r.key("resilience")?, read_resilience)?,
         profile: None,
     };
     let profile_at = r.key("profile")?.offset();
@@ -309,38 +256,6 @@ fn read_sample(r: &mut Reader) -> Decoded<LinkSample> {
     Ok(sample)
 }
 
-fn read_resilience(r: &mut Reader) -> Decoded<ResilienceReport> {
-    r.open(b'{')?;
-    let applied = list(r.key("applied")?, |r| {
-        r.open(b'{')?;
-        let fault = AppliedFault {
-            cycle: r.key("cycle")?.u64()?,
-            description: r.key("description")?.string()?,
-        };
-        r.end_object()?;
-        Ok(fault)
-    })?;
-    let links = list(r.key("links")?, |r| {
-        r.open(b'{')?;
-        let link = LinkResilience {
-            socket: narrow(r.key("edge")?, "edge")?,
-            nominal_lane_cycles: r.key("nominal_lane_cycles")?.u64()?,
-            available_lane_cycles: r.key("available_lane_cycles")?.u64()?,
-            recovery_cycles: optional(r.key("recovery_cycles")?, |r| Ok(r.u64()?))?,
-        };
-        r.end_object()?;
-        Ok(link)
-    })?;
-    let res = ResilienceReport {
-        applied,
-        links,
-        disabled_sms: narrow(r.key("disabled_sms")?, "disabled_sms")?,
-        requeued_ctas: narrow(r.key("requeued_ctas")?, "requeued_ctas")?,
-    };
-    r.end_object()?;
-    Ok(res)
-}
-
 /// Reads a profile. A repeated scope or counter name is malformed: the
 /// writer never emits one, and [`ProfileReport::scope`] would merge it.
 fn read_profile(r: &mut Reader) -> Decoded<ProfileReport> {
@@ -375,7 +290,7 @@ mod tests {
     use numa_gpu_core::NumaGpuSystem;
     use numa_gpu_workloads::{by_name, Scale};
 
-    fn run(timeline: bool, faults: Option<&str>, profile: bool) -> SimReport {
+    fn run(timeline: bool, profile: bool) -> SimReport {
         let wl = by_name("Other-Bitcoin-Crypto", &Scale::quick()).unwrap();
         let mut cfg = configs::locality(2);
         cfg.obs.profile = profile;
@@ -383,16 +298,12 @@ mod tests {
         if timeline {
             sys.enable_link_timeline();
         }
-        if let Some(spec) = faults {
-            sys.set_fault_plan(numa_gpu_faults::FaultPlan::parse(spec).unwrap())
-                .unwrap();
-        }
         sys.run(&wl).unwrap()
     }
 
     #[test]
     fn clean_report_roundtrips_exactly() {
-        let r = run(false, None, false);
+        let r = run(false, false);
         let doc = encode_report(&r).unwrap();
         assert_eq!(decode_report(&doc).unwrap(), r);
         // The encoding itself is byte-stable.
@@ -400,9 +311,8 @@ mod tests {
     }
 
     #[test]
-    fn timeline_faulted_profiled_report_roundtrips_exactly() {
-        let r = run(true, Some("lanes:s1@200=8"), true);
-        assert!(r.resilience.is_some());
+    fn timeline_profiled_report_roundtrips_exactly() {
+        let r = run(true, true);
         assert!(r.profile.is_some());
         let doc = encode_report(&r).unwrap();
         let back = decode_report(&doc).unwrap();
@@ -416,7 +326,7 @@ mod tests {
 
     #[test]
     fn observability_reports_are_ineligible() {
-        let mut r = run(false, None, false);
+        let mut r = run(false, false);
         r.metrics = Some(Default::default());
         assert!(matches!(
             encode_report(&r),
@@ -426,10 +336,11 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_malformed() {
-        let r = run(false, None, false);
+        let r = run(false, false);
         let doc = encode_report(&r).unwrap();
         let mut text = doc.to_string();
-        text = text.replace("\"version\":1", "\"version\":999");
+        let version = format!("\"version\":{REPORT_FORMAT_VERSION}");
+        text = text.replace(&version, "\"version\":999");
         let err = decode_report(&Json::parse(&text).unwrap()).unwrap_err();
         assert!(matches!(err, CodecError::Malformed(_)), "{err}");
         assert!(err.to_string().contains("999"));
@@ -439,7 +350,7 @@ mod tests {
     fn float_bits_roundtrip_is_exact_for_awkward_values() {
         // 0.1 has no finite binary expansion; to_bits round-trips anyway.
         for v in [0.1_f64, 1.0 / 3.0, f64::MIN_POSITIVE, 0.0, 1.0] {
-            let mut r = run(false, None, false);
+            let mut r = run(false, false);
             r.remote_read_fraction = v;
             let back = decode_report(&encode_report(&r).unwrap()).unwrap();
             assert_eq!(back.remote_read_fraction.to_bits(), v.to_bits());
@@ -448,7 +359,7 @@ mod tests {
 
     #[test]
     fn truncated_documents_are_malformed_not_panics() {
-        let r = run(false, None, false);
+        let r = run(false, false);
         let text = encode_report(&r).unwrap().to_string();
         for cut in [1, text.len() / 2, text.len() - 1] {
             let prefix = &text[..cut];
@@ -463,7 +374,7 @@ mod tests {
     /// that merged or kept one would give a report that is not this text.
     #[test]
     fn repeated_profile_names_are_malformed() {
-        let mut r = run(false, None, false);
+        let mut r = run(false, false);
         let mut profile = ProfileReport::new();
         profile.scope("a").count("x", 1).count("y", 2);
         profile.scope("b");
@@ -528,11 +439,11 @@ mod tests {
             ..SimReport::default()
         };
         const GOLDEN: &str = concat!(
-            r#"{"version":1,"workload":"golden \"w\"","total_cycles":1000,"kernel_cycles":[600,400],"kernel_start_cycles":[0,600],"#,
+            r#"{"version":2,"workload":"golden \"w\"","total_cycles":1000,"kernel_cycles":[600,400],"kernel_start_cycles":[0,600],"#,
             r#""sockets":[{"egress_bytes":1,"ingress_bytes":2,"dram_bytes":3,"l2":{"local_hits":10,"local_misses":11,"remote_hits":12,"remote_misses":13,"fills":14,"evictions":15,"dirty_evictions":16},"lane_turns":4,"equalizations":5,"l2_partition":[12,4]},"#,
             r#"{"egress_bytes":0,"ingress_bytes":0,"dram_bytes":0,"l2":{"local_hits":20,"local_misses":21,"remote_hits":22,"remote_misses":23,"fills":24,"evictions":25,"dirty_evictions":26},"lane_turns":0,"equalizations":0,"l2_partition":null}],"#,
             r#""link_timelines":[],"l1":{"local_hits":30,"local_misses":31,"remote_hits":32,"remote_misses":33,"fills":34,"evictions":35,"dirty_evictions":36},"#,
-            r#""remote_read_fraction_bits":4598175219545276416,"interconnect_bytes":4096,"link_power_w_bits":4609434218613702656,"resilience":null,"#,
+            r#""remote_read_fraction_bits":4598175219545276416,"interconnect_bytes":4096,"link_power_w_bits":4609434218613702656,"#,
             r#""profile":{"scopes":[{"name":"engine","counters":{"events_popped":41}},{"name":"cache","counters":{"l2_accesses":42,"fills":43}}]}}"#,
         );
         assert_eq!(encode_report(&report).unwrap().to_string(), GOLDEN);

@@ -14,7 +14,6 @@
 //! at every `--jobs` count.
 
 use crate::{configs, geomean, JobKey, Row, Runner, SimPlan, Table};
-use numa_gpu_faults::FaultPlan;
 use numa_gpu_runtime::Workload;
 use numa_gpu_types::{CacheMode, SystemConfig, WritePolicy};
 use numa_gpu_workloads::{catalog, study_set};
@@ -409,69 +408,6 @@ pub fn power(runner: &mut Runner) -> Table {
     t
 }
 
-/// Fault scenario injected by [`resilience`]: a mid-kernel 50% lane
-/// degradation on socket 1's link, an ECC-stall window on socket 0's DRAM,
-/// and two SMs of socket 0 disabled. The canonical grammar string doubles
-/// as the job-key scenario label.
-pub const RESILIENCE_FAULTS: &str = "lanes:s1@3000=8; dram:s0@6000+500; sm:0-1@9000";
-
-/// Resilience study (beyond the paper): every study-set workload under the
-/// NUMA-aware 4-socket design, clean vs the [`RESILIENCE_FAULTS`] scenario.
-/// Reports slowdown-under-fault, achieved link-lane availability on the
-/// degraded socket, the lane balancer's recovery latency, and how many
-/// CTAs had to be requeued off disabled SMs.
-pub fn resilience(runner: &mut Runner) -> Table {
-    let wls = study(runner);
-    let faults = FaultPlan::parse(RESILIENCE_FAULTS).expect("scenario literal parses");
-    let cfg = configs::numa_aware(4);
-    let mut plan = SimPlan::new();
-    for wl in &wls {
-        plan.job("aware4", cfg.clone(), wl);
-        plan.fault_job("aware4", cfg.clone(), wl, &faults);
-    }
-    runner.execute(plan);
-
-    let mut rows = Vec::new();
-    for wl in &wls {
-        let clean = runner.lookup("aware4", wl);
-        let key =
-            JobKey::new("aware4", wl.meta.name.clone(), false).with_scenario(faults.to_string());
-        let faulted = runner.lookup_key(&key);
-        let res = faulted
-            .resilience
-            .as_ref()
-            .expect("fault-injected run reports resilience");
-        let slowdown = if clean.total_cycles == 0 {
-            0.0
-        } else {
-            faulted.total_cycles as f64 / clean.total_cycles as f64
-        };
-        rows.push(Row::new(
-            wl.meta.name.clone(),
-            vec![
-                slowdown,
-                100.0 * res.links[1].availability(),
-                res.links[1]
-                    .recovery_cycles
-                    .map(|c| c as f64)
-                    .unwrap_or(0.0),
-                res.requeued_ctas as f64,
-            ],
-        ));
-    }
-    ranked(
-        "Resilience: NUMA-aware 4-socket under injected faults (vs clean run)",
-        &[
-            "slowdown",
-            "link1-avail-pct",
-            "recovery-cycles",
-            "requeued-ctas",
-        ],
-        rows,
-        |r| r.values[0],
-    )
-}
-
 /// Design-choice ablations beyond the paper: L1 partitioning on/off,
 /// partition sample time, and placement policy under the NUMA-aware design.
 pub fn ablations(runner: &mut Runner) -> Table {
@@ -602,24 +538,6 @@ mod tests {
         let last = t.rows.last().unwrap();
         assert!(last.label.starts_with("Efficiency"));
         assert_eq!(last.values.len(), 6);
-    }
-
-    #[test]
-    fn resilience_scenario_parses_and_round_trips() {
-        let plan = FaultPlan::parse(RESILIENCE_FAULTS).unwrap();
-        assert_eq!(plan.len(), 3);
-        assert_eq!(plan.to_string(), RESILIENCE_FAULTS);
-    }
-
-    #[test]
-    #[ignore = "slow: simulates the study set twice (clean and faulted)"]
-    fn resilience_runs_at_quick_scale() {
-        let mut r = quick_runner();
-        let t = resilience(&mut r);
-        assert_eq!(t.rows.len(), 32 + 2);
-        // Faults overwhelmingly slow runs down; tiny speedups can only come
-        // from second-order scheduling perturbation, so bound from below.
-        assert!(t.rows[..32].iter().all(|row| row.values[0] > 0.9));
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! Splitting declaration from execution buys three things:
 //!
 //! 1. **Dedup by structured key.** Jobs are identified by [`JobKey`]
-//!    (configuration label, workload name, timeline flag, fault scenario),
-//!    so figures sharing baselines enqueue them once and
-//!    string-concatenation key collisions (`"x+timeline"` vs a config
-//!    literally labelled `x+timeline`, or a faulted run aliasing its clean
-//!    baseline) are impossible.
+//!    (configuration label, workload name, timeline flag), so figures
+//!    sharing baselines enqueue them once and string-concatenation key
+//!    collisions (`"x+timeline"` vs a config literally labelled
+//!    `x+timeline`) are impossible.
 //! 2. **Determinism under parallelism.** Each job is an independent pure
 //!    simulation; results are memoized in submission order regardless of
 //!    completion order, and the serial table-assembly phase reads only the
@@ -21,7 +20,6 @@
 use crate::store::KeyedJob;
 use numa_gpu_core::{NumaGpuSystem, SimReport};
 use numa_gpu_exec::{Job, Reporter, ThreadPool};
-use numa_gpu_faults::FaultPlan;
 use numa_gpu_runtime::Workload;
 use numa_gpu_types::{SimError, SystemConfig};
 use numa_gpu_workloads::Scale;
@@ -29,13 +27,10 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Structured identity of one simulation: which configuration, which
-/// workload, whether link-timeline recording is on, and which fault
-/// scenario (if any) is injected.
+/// workload, and whether link-timeline recording is on.
 ///
 /// Replaces the old `(String, String)` cache key whose `"{label}+timeline"`
 /// convention collided with configurations literally labelled that way.
-/// The fault scenario is part of the key for the same reason: a faulted run
-/// must never share a memo slot with the clean baseline of the same label.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobKey {
     /// Configuration label (e.g. `"loc4"`); must uniquely identify the
@@ -45,39 +40,27 @@ pub struct JobKey {
     pub workload: String,
     /// Whether the run records per-sample link timelines (Figure 5).
     pub timeline: bool,
-    /// Canonical fault-scenario label (the [`FaultPlan`] grammar string);
-    /// empty for a clean run.
-    pub scenario: String,
 }
 
 impl JobKey {
-    /// Creates a key for a clean (fault-free) run.
+    /// Creates a key.
     pub fn new(label: impl Into<String>, workload: impl Into<String>, timeline: bool) -> Self {
         JobKey {
             label: label.into(),
             workload: workload.into(),
             timeline,
-            scenario: String::new(),
         }
-    }
-
-    /// Attaches a fault-scenario label, keying this run separately from
-    /// the clean run of the same label and workload.
-    pub fn with_scenario(mut self, scenario: impl Into<String>) -> Self {
-        self.scenario = scenario.into();
-        self
     }
 
     /// Canonical byte encoding for cross-process identity: a sorted-field
     /// JSON document. Every string field goes through the JSON writer's
-    /// escaping, so no label/scenario/workload can forge another key by
+    /// escaping, so no label or workload can forge another key by
     /// concatenation, and the byte form is pinned by a regression test in
     /// [`crate::store`] — the on-disk store hashes exactly these bytes.
     pub fn canonical_json(&self) -> String {
         use numa_gpu_testkit::json::Json;
         Json::obj([
             ("label", Json::Str(self.label.clone())),
-            ("scenario", Json::Str(self.scenario.clone())),
             ("timeline", Json::Bool(self.timeline)),
             ("workload", Json::Str(self.workload.clone())),
         ])
@@ -87,12 +70,7 @@ impl JobKey {
     /// Human-readable form used in progress lines and panic labels.
     pub fn display(&self) -> String {
         let tl = if self.timeline { " (timeline)" } else { "" };
-        let sc = if self.scenario.is_empty() {
-            String::new()
-        } else {
-            format!(" (faults: {})", self.scenario)
-        };
-        format!("[{}]{}{} {}", self.label, tl, sc, self.workload)
+        format!("[{}]{} {}", self.label, tl, self.workload)
     }
 }
 
@@ -105,8 +83,6 @@ pub struct SimJob {
     pub cfg: SystemConfig,
     /// Workload to run (cheap to clone: kernels are shared `Arc`s).
     pub workload: Workload,
-    /// Fault plan to install before the run (`None` for a clean run).
-    pub faults: Option<FaultPlan>,
 }
 
 impl SimJob {
@@ -115,18 +91,15 @@ impl SimJob {
     ///
     /// # Errors
     ///
-    /// The configuration fails validation, the fault plan does not fit the
-    /// configured machine, or the simulation errors out. Callers decide
-    /// what that means: [`Runner::execute`](crate::Runner::execute) panics
-    /// (experiment plans are statically valid), `simulate` exits 3, the
-    /// daemon fails the job fast (a re-run would fail the same way).
+    /// The configuration fails validation or the simulation errors out.
+    /// Callers decide what that means:
+    /// [`Runner::execute`](crate::Runner::execute) panics (experiment plans
+    /// are statically valid), `simulate` exits 3, the daemon fails the job
+    /// fast (a re-run would fail the same way).
     pub fn try_run(&self) -> Result<SimReport, SimError> {
         let mut sys = NumaGpuSystem::new(self.cfg.clone())?;
         if self.key.timeline {
             sys.enable_link_timeline();
-        }
-        if let Some(plan) = &self.faults {
-            sys.set_fault_plan(plan.clone())?;
         }
         sys.run(&self.workload)
     }
@@ -161,14 +134,13 @@ impl SimPlan {
     }
 
     /// Adds a simulation of `workload` under `cfg`. Duplicate keys (same
-    /// label, workload, timeline flag, and fault scenario) are dropped
-    /// silently — that is the cross-figure dedup.
+    /// label, workload and timeline flag) are dropped silently — that is
+    /// the cross-figure dedup.
     pub fn job(&mut self, label: &str, cfg: SystemConfig, workload: &Workload) -> &mut Self {
         self.push(
             JobKey::new(label, workload.meta.name.clone(), false),
             cfg,
             workload,
-            None,
         )
     }
 
@@ -184,45 +156,18 @@ impl SimPlan {
             JobKey::new(label, workload.meta.name.clone(), true),
             cfg,
             workload,
-            None,
-        )
-    }
-
-    /// Adds a fault-injected simulation. The plan's canonical grammar
-    /// string becomes the key's scenario label, so the same label and
-    /// workload under a different (or no) fault plan stays a distinct job.
-    pub fn fault_job(
-        &mut self,
-        label: &str,
-        cfg: SystemConfig,
-        workload: &Workload,
-        faults: &FaultPlan,
-    ) -> &mut Self {
-        self.push(
-            JobKey::new(label, workload.meta.name.clone(), false).with_scenario(faults.to_string()),
-            cfg,
-            workload,
-            Some(faults.clone()),
         )
     }
 
     /// Adds a job under an explicit key — the general form behind the
-    /// helpers above, for a job that is both timeline-recording and
-    /// fault-injected (`simulate --timeline --faults`). A non-empty
-    /// `key.scenario` must be the canonical string of `faults`.
-    pub fn push(
-        &mut self,
-        key: JobKey,
-        cfg: SystemConfig,
-        workload: &Workload,
-        faults: Option<FaultPlan>,
-    ) -> &mut Self {
+    /// helpers above, for a label of the caller's own (`simulate` keys its
+    /// run as `cli`, timeline or not). `key.workload` must name `workload`.
+    pub fn push(&mut self, key: JobKey, cfg: SystemConfig, workload: &Workload) -> &mut Self {
         if self.seen.insert(key.clone()) {
             self.jobs.push(SimJob {
                 key,
                 cfg,
                 workload: workload.clone(),
-                faults,
             });
         }
         self
@@ -325,32 +270,6 @@ mod tests {
         let b = JobKey::new("x", "w", true);
         assert_ne!(a, b);
         assert!(b.display().contains("timeline"));
-    }
-
-    #[test]
-    fn fault_scenario_separates_keys() {
-        let clean = JobKey::new("x", "w", false);
-        let faulted = JobKey::new("x", "w", false).with_scenario("lanes:s1@5000=8");
-        assert_ne!(clean, faulted);
-        assert!(faulted.display().contains("faults: lanes:s1@5000=8"));
-        assert!(!clean.display().contains("faults"));
-    }
-
-    #[test]
-    fn fault_job_is_distinct_from_clean_job() {
-        let w = wl();
-        let plan_spec = FaultPlan::parse("dram:s0@2000+300").unwrap();
-        let mut plan = SimPlan::new();
-        plan.job("loc4", configs::locality(4), &w);
-        plan.fault_job("loc4", configs::locality(4), &w, &plan_spec);
-        plan.fault_job("loc4", configs::locality(4), &w, &plan_spec);
-        assert_eq!(
-            plan.len(),
-            2,
-            "clean and faulted are distinct; dup faulted collapses"
-        );
-        assert_eq!(plan.jobs()[1].key.scenario, "dram:s0@2000+300");
-        assert!(plan.jobs()[1].faults.is_some());
     }
 
     #[test]

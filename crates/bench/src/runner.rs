@@ -250,8 +250,7 @@ impl Runner {
         self.lookup_key(&JobKey::new(label, workload.meta.name.clone(), false))
     }
 
-    /// The memoized report for `key` (any timeline flag or fault
-    /// scenario).
+    /// The memoized report for `key` (either timeline flag).
     ///
     /// # Panics
     ///
@@ -349,38 +348,6 @@ mod tests {
         // can end before the first sample tick, so `plain` being empty is
         // the invariant we can always assert).
         assert!(plain.link_timelines.iter().all(|t| t.is_empty()));
-    }
-
-    /// Regression, mirroring `timeline_key_cannot_collide_with_label_concatenation`:
-    /// a fault-injected run must never share a memo slot with the clean
-    /// baseline of the same label and workload — the scenario string is
-    /// part of the structured key, so the memo cannot hand a faulted
-    /// report to a figure asking for the clean one (or vice versa).
-    #[test]
-    fn fault_scenario_cannot_collide_with_clean_baseline() {
-        use numa_gpu_faults::FaultPlan;
-
-        let wl = quick_workload();
-        let faults = FaultPlan::parse("lanes:s1@200=8").unwrap();
-        let mut r = Runner::new(Scale::quick());
-        let mut plan = SimPlan::new();
-        plan.job("loc4", configs::locality(4), &wl);
-        plan.fault_job("loc4", configs::locality(4), &wl, &faults);
-        r.execute(plan);
-        assert_eq!(
-            r.runs(),
-            2,
-            "clean and faulted must be distinct simulations"
-        );
-        let clean_key = JobKey::new("loc4", wl.meta.name.clone(), false);
-        let fault_key = clean_key.clone().with_scenario(faults.to_string());
-        let clean = r.cached(&clean_key).unwrap();
-        let faulted = r.cached(&fault_key).unwrap();
-        assert!(!Arc::ptr_eq(&clean, &faulted));
-        // Only the faulted run carries resilience data; the clean baseline
-        // must be untouched by the fault machinery.
-        assert!(clean.resilience.is_none());
-        assert!(faulted.resilience.is_some());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! document combining
 //!
 //! * [`JobKey::canonical_json`] — the structured job identity (label,
-//!   scenario, timeline flag, workload), JSON-escaped so no label can
-//!   collide with another by string concatenation;
+//!   timeline flag, workload), JSON-escaped so no label can collide with
+//!   another by string concatenation;
 //! * a fingerprint of the **canonicalized** [`SystemConfig`] — the full
 //!   configuration with the report-invariant knobs (`sim_threads`, `obs`,
 //!   `watchdog`) reset to fixed values, because reports are byte-identical
@@ -653,15 +653,15 @@ mod tests {
     /// entries recompute through the quarantine path.
     #[test]
     fn canonical_job_key_encoding_and_hash_are_pinned() {
-        let key = JobKey::new("loc4", "Rodinia-Euler3D", true).with_scenario("lanes:s1@5000=8");
+        let key = JobKey::new("loc4", "Rodinia-Euler3D", true);
         let canonical = key.canonical_json();
         assert_eq!(
             canonical,
-            r#"{"label":"loc4","scenario":"lanes:s1@5000=8","timeline":true,"workload":"Rodinia-Euler3D"}"#
+            r#"{"label":"loc4","timeline":true,"workload":"Rodinia-Euler3D"}"#
         );
         assert_eq!(
             format!("{:016x}", fnv1a64(canonical.as_bytes())),
-            "09c3bce8a09fe9ed"
+            "cf26e8cd9eeebef6"
         );
     }
 
@@ -852,23 +852,23 @@ mod tests {
     #[test]
     fn one_entry_is_pinned_byte_for_byte() {
         const ENTRY: &str = concat!(
-            r#"{"format":1,"checksum":"26a11bf025e20e87"}"#,
+            r#"{"format":2,"checksum":"86309fde821af5f7"}"#,
             "\n",
             r#"{"key":{"config":"a88828b574b03719","job":{"label":"loc\"2","#,
-            r#""scenario":"lanes:s1@5000=8","timeline":true,"workload":"Rodinia-Euler3D"},"#,
-            r#""scale":"cta/64:16..128 fp/96 ops/25"},"report":{"version":1,"#,
+            r#""timeline":true,"workload":"Rodinia-Euler3D"},"#,
+            r#""scale":"cta/64:16..128 fp/96 ops/25"},"report":{"version":2,"#,
             r#""workload":"Rodinia-Euler3D","total_cycles":12345,"kernel_cycles":[100,200],"#,
             r#""kernel_start_cycles":[0,100],"sockets":[],"link_timelines":[],"#,
             r#""l1":{"local_hits":0,"local_misses":0,"remote_hits":0,"remote_misses":0,"#,
             r#""fills":0,"evictions":0,"dirty_evictions":0},"#,
             r#""remote_read_fraction_bits":4598175219545276416,"interconnect_bytes":4096,"#,
-            r#""link_power_w_bits":0,"resilience":null,"profile":null}}"#,
+            r#""link_power_w_bits":0,"profile":null}}"#,
         );
         let dir = std::env::temp_dir().join(format!("numa-gpu-pinned-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = DiskStore::open(&dir).unwrap();
         let key = StoreKey::new(
-            &JobKey::new("loc\"2", "Rodinia-Euler3D", true).with_scenario("lanes:s1@5000=8"),
+            &JobKey::new("loc\"2", "Rodinia-Euler3D", true),
             &configs::locality(2),
             &Scale::quick(),
         );
@@ -909,7 +909,9 @@ mod tests {
         let checksum = format!("{:016x}", fnv1a64(payload.as_bytes()));
         for (entry, kind) in [
             (
-                format!("{{\"checksum\":\"{checksum}\",\"format\":1}}\n{payload}"),
+                format!(
+                    "{{\"checksum\":\"{checksum}\",\"format\":{REPORT_FORMAT_VERSION}}}\n{payload}"
+                ),
                 CorruptKind::BadHeader,
             ),
             (

@@ -9,15 +9,14 @@ use numa_gpu_bench::codec::{decode_report_text, encode_report};
 use numa_gpu_bench::{configs, DiskStore, KeyedJob, SimPlan};
 use numa_gpu_cache::CacheStats;
 use numa_gpu_core::{ProfileReport, SimReport, SocketReport};
-use numa_gpu_faults::{AppliedFault, LinkResilience, ResilienceReport};
 use numa_gpu_interconnect::LinkSample;
 use numa_gpu_testkit::gen::{ints, Gen};
 use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check, Config, DetRng};
 use numa_gpu_workloads::{by_name, Scale};
 use std::sync::OnceLock;
 
-/// What generated names and descriptions are made of: plain words, every
-/// escape the writer knows, other controls, DEL and multi-byte text.
+/// What generated names are made of: plain words, every escape the
+/// writer knows, other controls, DEL and multi-byte text.
 const FRAGMENTS: [&str; 16] = [
     "engine",
     "lanes:s1@200=8",
@@ -102,27 +101,6 @@ fn sample(rng: &mut DetRng) -> LinkSample {
     }
 }
 
-fn resilience(rng: &mut DetRng) -> ResilienceReport {
-    ResilienceReport {
-        applied: (0..rng.gen_range(0usize..4))
-            .map(|_| AppliedFault {
-                cycle: num(rng),
-                description: text(rng),
-            })
-            .collect(),
-        links: (0..rng.gen_range(0usize..4))
-            .map(|_| LinkResilience {
-                socket: rng.next_u64() as u8,
-                nominal_lane_cycles: num(rng),
-                available_lane_cycles: num(rng),
-                recovery_cycles: rng.random_bool(0.5).then(|| num(rng)),
-            })
-            .collect(),
-        disabled_sms: rng.next_u64() as u32,
-        requeued_ctas: rng.next_u64() as u32,
-    }
-}
-
 /// Built the way the simulator builds one: through `scope` and `count`.
 fn profile(rng: &mut DetRng) -> ProfileReport {
     let mut p = ProfileReport::new();
@@ -150,7 +128,6 @@ fn report(rng: &mut DetRng) -> SimReport {
         remote_read_fraction: float(rng),
         interconnect_bytes: num(rng),
         link_power_w: float(rng),
-        resilience: rng.random_bool(0.5).then(|| resilience(rng)),
         profile: rng.random_bool(0.5).then(|| profile(rng)),
         ..SimReport::default()
     }

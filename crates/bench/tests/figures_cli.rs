@@ -58,7 +58,7 @@ fn a_flag_value_equal_to_an_artifact_name_selects_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     // `--out fig2 fig2`: the first `fig2` is the directory, the second the
-    // artifact — exactly one artifact runs, not the default 17.
+    // artifact — exactly one artifact runs, not the default 14.
     let out = figures()
         .current_dir(&dir)
         .args(["--quick", "--out", "fig2", "fig2"])

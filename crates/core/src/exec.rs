@@ -10,9 +10,9 @@
 //! in partition order, and then executes a *barrier*: cross-partition
 //! outboxes are merged in canonical `(tick, partition, seq)` order and
 //! delivered, first-touch page claims are arbitrated, and global counters
-//! fold. Control-plane events (samplers, fault stamps) run serially
-//! between windows, after same-tick shard events — the control partition
-//! sorts last.
+//! fold. Control-plane events (the samplers) run serially between
+//! windows, after same-tick shard events — the control partition sorts
+//! last.
 //!
 //! The lookahead is the access-hop latency (`Topology::hop_latency`):
 //! every cross-socket message pays it between its source and the switch,
@@ -26,10 +26,9 @@
 //! shards run a window cannot be observed: only the barrier's canonical
 //! merge decides what crosses between them.
 
-use crate::system::{Ev, FaultState, NumaGpuSystem, PagesView, SocketShard};
+use crate::system::{Ev, NumaGpuSystem, PagesView, SocketShard};
 use numa_gpu_cache::LineClass;
 use numa_gpu_engine::{conservative_window, merge_cross_into, WatchdogTrip};
-use numa_gpu_faults::{AppliedFault, FaultKind};
 use numa_gpu_interconnect::{BalanceAction, LinkDirection};
 use numa_gpu_obs::TraceEvent;
 use numa_gpu_runtime::{Kernel, LaunchPlan};
@@ -44,10 +43,6 @@ use std::sync::Arc;
 /// Latency between CTA dispatch and its warps' first issue, in cycles.
 const DISPATCH_LATENCY_CYCLES: u64 = 10;
 
-/// Extra per-access latency a faulted DRAM charges inside its ECC
-/// scrub-and-retry window, in cycles.
-const ECC_RETRY_PENALTY_CYCLES: u64 = 25;
-
 impl NumaGpuSystem {
     /// Runs one kernel to completion. `self.now` must already be the kernel
     /// launch time (after the boundary flush).
@@ -57,6 +52,18 @@ impl NumaGpuSystem {
     /// fires) and [`SimError::CycleLimit`] when the configured cycle budget
     /// runs out.
     pub(crate) fn run_kernel(&mut self, kernel: Arc<dyn Kernel>) -> Result<(), SimError> {
+        self.launch(kernel);
+        let result = self.event_loop();
+        for shard in &mut self.shards {
+            shard.kernel = None;
+            shard.ctas.clear();
+        }
+        result
+    }
+
+    /// Queues `kernel`'s CTAs on their sockets, dispatches the first wave
+    /// and starts the samplers.
+    fn launch(&mut self, kernel: Arc<dyn Kernel>) {
         let total_ctas = kernel.num_ctas();
         assert!(total_ctas > 0, "kernel with zero CTAs");
         // The launch plan's per-socket queues drain straight into the
@@ -75,13 +82,6 @@ impl NumaGpuSystem {
             shard.dispatch_local(launch);
         }
         self.ensure_samplers(launch);
-
-        let result = self.event_loop();
-        for shard in &mut self.shards {
-            shard.kernel = None;
-            shard.ctas.clear();
-        }
-        result
     }
 
     /// The window-barrier loop (see the module docs for the algorithm).
@@ -124,15 +124,14 @@ impl NumaGpuSystem {
             return Ok(());
         };
         self.now = self.now.max(t);
-        // Samplers and fault stamps fire unconditionally, so they are not
-        // evidence of forward progress; shard events (including
-        // cross-partition deliveries) are what resets the stall watchdog.
+        // Samplers fire unconditionally, so they are not evidence of
+        // forward progress; shard events (including cross-partition
+        // deliveries) are what resets the stall watchdog.
         let idle = self.outstanding_ctas > 0 && self.inflight_mem == 0;
         self.check_watchdog(idle)?;
         match ev {
             Ev::LinkSample => self.on_link_sample(t),
             Ev::CacheSample => self.on_cache_sample(t),
-            Ev::Fault { idx } => self.on_fault(idx),
             _ => debug_assert!(false, "shard event {ev:?} in the control partition"),
         }
         Ok(())
@@ -252,106 +251,6 @@ impl NumaGpuSystem {
         }
     }
 
-    /// Applies fault `idx` of the installed plan at the current time.
-    fn on_fault(&mut self, idx: u32) {
-        let spec = match self
-            .fault_state
-            .as_ref()
-            .and_then(|fs: &FaultState| fs.plan.specs().get(idx as usize))
-        {
-            Some(spec) => *spec,
-            None => return,
-        };
-        let now = self.now;
-        let cycle = ticks_to_cycles(now);
-        match spec.kind {
-            FaultKind::LinkLanes {
-                socket,
-                healthy_lanes,
-            } => {
-                let s = socket as usize;
-                let link = &mut self.shards[s].link;
-                let nominal = link.nominal_lanes();
-                let healthy = link.set_lane_health(now, healthy_lanes);
-                if let Some(fs) = &mut self.fault_state {
-                    if healthy < nominal {
-                        if fs.degraded_at[s].is_none() {
-                            fs.degraded_at[s] = Some(cycle);
-                        }
-                    } else {
-                        // Fully restored: a later degradation starts a
-                        // fresh recovery measurement.
-                        fs.degraded_at[s] = None;
-                    }
-                }
-            }
-            FaultKind::LinkRetrain {
-                socket,
-                window_cycles,
-            } => {
-                self.shards[socket as usize]
-                    .link
-                    .retrain(now, cycles_to_ticks(window_cycles as u64));
-            }
-            FaultKind::DramStall {
-                socket,
-                window_cycles,
-            } => {
-                self.shards[socket as usize].dram.stall(
-                    now,
-                    cycles_to_ticks(window_cycles as u64),
-                    cycles_to_ticks(ECC_RETRY_PENALTY_CYCLES),
-                );
-            }
-            FaultKind::SmDisable { first_sm, last_sm } => {
-                for sm in first_sm..=last_sm {
-                    let sm = sm as u32;
-                    let si = (sm / self.sms_per_socket) as usize;
-                    let shard = &mut self.shards[si];
-                    let li = (sm - shard.base_sm) as usize;
-                    if !shard.sms[li].is_enabled() {
-                        continue;
-                    }
-                    let evicted = shard.sms[li].disable();
-                    // In-flight fills and wakeups for the dead SM are
-                    // dropped at their handlers; clear the replay state so
-                    // nothing resurrects a freed warp slot.
-                    let first = shard.warp_index(li, WarpSlot::new(0));
-                    let warps = first..first + shard.cfg.sm.max_warps as usize;
-                    shard.pending_ops[warps.clone()].fill(None);
-                    shard.warp_mem[warps].fill(Default::default());
-                    // Evicted CTAs go back to the *front* of this socket's
-                    // queue, preserving launch order.
-                    for cta in evicted.iter().rev() {
-                        shard.ctas.push_front(*cta);
-                    }
-                    shard.dispatch_local(now);
-                    if let Some(fs) = &mut self.fault_state {
-                        fs.disabled_sms += 1;
-                        fs.requeued_ctas += evicted.len() as u32;
-                    }
-                }
-            }
-        }
-        if let Some(fs) = &mut self.fault_state {
-            fs.applied.push(AppliedFault {
-                cycle,
-                description: spec.kind.describe(),
-            });
-        }
-        if self.obs.tracing() {
-            self.obs.emit(
-                TraceEvent::instant(
-                    format!("fault: {}", spec.kind.describe()),
-                    "fault",
-                    cycle,
-                    0,
-                )
-                .arg("planned_cycle", spec.cycle),
-            );
-        }
-    }
-
     /// Schedules the periodic samplers the first time a kernel runs.
     fn ensure_samplers(&mut self, now: Tick) {
         if self.samplers_scheduled {
@@ -386,22 +285,6 @@ impl NumaGpuSystem {
             }
             actions.push(link.sample_and_rebalance(t, SATURATION_THRESHOLD));
         }
-        // Resilience: the first non-Hold rebalance after a lane degradation
-        // is the balancer's recovery response; record its latency.
-        let mut recoveries: Vec<(usize, u64)> = Vec::new();
-        if let Some(fs) = &mut self.fault_state {
-            let cycle = ticks_to_cycles(t);
-            for (s, &action) in actions.iter().enumerate() {
-                if action == BalanceAction::Hold {
-                    continue;
-                }
-                if let (Some(degraded), None) = (fs.degraded_at[s], fs.recovery[s]) {
-                    let latency = cycle.saturating_sub(degraded);
-                    fs.recovery[s] = Some(latency);
-                    recoveries.push((s, latency));
-                }
-            }
-        }
         if self.obs.record_timeline {
             for (timeline, &sample) in self.obs.timelines.iter_mut().zip(&samples) {
                 timeline.push(sample);
@@ -434,12 +317,6 @@ impl NumaGpuSystem {
                         .arg("ingress_util", sample.ingress_util),
                     );
                 }
-            }
-            for &(s, latency) in &recoveries {
-                self.obs.emit(
-                    TraceEvent::instant(format!("link.s{s}.recovered"), "fault", cycle, s as u32)
-                        .arg("recovery_cycles", latency),
-                );
             }
         }
         self.control.push(
@@ -548,7 +425,7 @@ impl SocketShard {
                 self.on_write_at_home(t, from, line, pages);
             }
             Ev::XArrive { msg } => self.on_x_arrive(t, msg),
-            Ev::LinkSample | Ev::CacheSample | Ev::Fault { .. } => {
+            Ev::LinkSample | Ev::CacheSample => {
                 debug_assert!(false, "control event {ev:?} in a shard partition");
             }
         }
@@ -614,11 +491,6 @@ impl SocketShard {
     /// its issue.
     fn on_warp_issue(&mut self, t: Tick, sm: u32, slot: WarpSlot, pages: &mut PagesView<'_>) {
         let li = (sm - self.base_sm) as usize;
-        if !self.sms[li].is_enabled() {
-            // Stale wakeup for an SM a fault disabled: its warp slots are
-            // freed and its CTAs already requeued elsewhere.
-            return;
-        }
         let wi = self.warp_index(li, slot);
         let op = match self.pending_ops[wi].take() {
             Some(op) => op,
@@ -712,12 +584,6 @@ impl SocketShard {
     /// warp's scoreboard, and wake the ones that were stalled on it.
     fn on_l1_fill(&mut self, t: Tick, sm: u32, line: numa_gpu_types::LineAddr, class: LineClass) {
         let li = (sm - self.base_sm) as usize;
-        if !self.sms[li].is_enabled() {
-            // Fill for an SM a fault disabled: the data is dropped (the
-            // requeued CTA will refetch); in-flight accounting already
-            // happened at the event loop.
-            return;
-        }
         // Reuse the shard scratch buffer for the woken-warp list: the MSHR
         // file recycles its waiter storage internally, so a steady-state
         // fill allocates nothing.
@@ -762,6 +628,41 @@ pub(crate) fn scale_partition(
 mod tests {
     use super::*;
     use numa_gpu_cache::WayPartition;
+    use numa_gpu_engine::EventQueue;
+    use numa_gpu_types::SystemConfig;
+    use numa_gpu_workloads::{by_name, Scale};
+
+    /// A machine that can no longer make progress ends in a deadlock
+    /// report. A launched kernel is stranded: its CTAs are outstanding,
+    /// no memory is in flight, and the shard queues and CTA lists are
+    /// emptied. The samplers keep rescheduling themselves, so the control
+    /// queue never runs dry: the stall window ends the run, not the
+    /// empty-queue check.
+    #[test]
+    fn starved_machine_trips_the_stall_detector_as_deadlock() {
+        let wl = by_name("Rodinia-Euler3D", &Scale::quick()).unwrap();
+        let mut cfg = SystemConfig::numa_aware_sockets(4);
+        cfg.watchdog.stall_cycles = 5_000;
+        let mut sys = NumaGpuSystem::new(cfg).unwrap();
+        sys.launch(wl.kernels[0].clone());
+        for shard in &mut sys.shards {
+            shard.queue = EventQueue::new();
+            shard.ctas.clear();
+        }
+        assert_eq!(sys.inflight_mem, 0);
+        match sys.event_loop() {
+            Err(SimError::Deadlock {
+                cycle,
+                outstanding_ctas,
+                inflight_mem,
+            }) => {
+                assert!(outstanding_ctas > 0, "CTAs must still be pending");
+                assert_eq!(inflight_mem, 0);
+                assert!(cycle >= 5_000, "tripped at cycle {cycle}");
+            }
+            other => panic!("expected Deadlock, got {other:?}"),
+        }
+    }
 
     #[test]
     fn scale_partition_preserves_fraction() {

@@ -81,22 +81,3 @@ pub fn run_workload(
     let mut sys = NumaGpuSystem::new(cfg)?;
     sys.run(workload)
 }
-
-/// Like [`run_workload`] but with a [`FaultPlan`](numa_gpu_faults::FaultPlan)
-/// installed before the run. An empty plan yields a report byte-identical
-/// to [`run_workload`]'s.
-///
-/// # Errors
-///
-/// As for [`run_workload`], plus
-/// [`SimError::InvalidFaultPlan`](numa_gpu_types::SimError) if the plan does
-/// not fit the configured system shape.
-pub fn run_workload_with_faults(
-    cfg: numa_gpu_types::SystemConfig,
-    workload: &numa_gpu_runtime::Workload,
-    faults: &numa_gpu_faults::FaultPlan,
-) -> Result<SimReport, numa_gpu_types::SimError> {
-    let mut sys = NumaGpuSystem::new(cfg)?;
-    sys.set_fault_plan(faults.clone())?;
-    sys.run(workload)
-}

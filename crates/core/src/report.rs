@@ -1,7 +1,6 @@
 //! Simulation reports.
 
 use numa_gpu_cache::CacheStats;
-use numa_gpu_faults::ResilienceReport;
 use numa_gpu_interconnect::LinkSample;
 use numa_gpu_obs::{chrome_trace, MetricsSnapshot, ProfileReport, TraceEvent};
 use numa_gpu_testkit::json::Json;
@@ -60,9 +59,6 @@ pub struct SimReport {
     /// `SystemConfig::obs.trace` was set). Export with
     /// [`SimReport::chrome_trace`].
     pub trace_events: Vec<TraceEvent>,
-    /// Fault timeline and resilience metrics (`None` unless a non-empty
-    /// fault plan was installed, so fault-free reports are unchanged).
-    pub resilience: Option<ResilienceReport>,
     /// Per-subsystem work attribution (`None` unless
     /// `SystemConfig::obs.profile` was set). Assembled at report time from
     /// monotonic counters, so enabling it never changes any other field.
@@ -127,8 +123,7 @@ impl SimReport {
 
     /// Machine-readable form of the report. Fields keep insertion order,
     /// so the encoding of a given report is byte-stable across runs.
-    /// The `metrics` field is `null` when metrics collection was off, and
-    /// `resilience` is `null` when no faults were injected.
+    /// The `metrics` field is `null` when metrics collection was off.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("workload", Json::Str(self.workload.clone())),
@@ -152,13 +147,6 @@ impl SimReport {
                 "metrics",
                 match &self.metrics {
                     Some(snap) => snap.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "resilience",
-                match &self.resilience {
-                    Some(r) => r.to_json(),
                     None => Json::Null,
                 },
             ),

@@ -5,7 +5,7 @@
 //! The simulator runs one event-queue *partition per socket* — a
 //! [`SocketShard`] bundling the socket's SMs, L2, DRAM, NoC, and switch
 //! link — plus a shared *control partition* for the cross-cutting plane
-//! (link balancer sampling, cache repartition sampling, fault injection).
+//! (link balancer sampling, cache repartition sampling).
 //! Shards advance one after another inside conservative lookahead windows
 //! and exchange cross-socket traffic as explicit [`XMsg`] messages, merged
 //! deterministically at window barriers (see `exec` for the executor and
@@ -17,7 +17,6 @@ use crate::report::{SimReport, SocketReport};
 use numa_gpu_cache::LineClass;
 use numa_gpu_cache::{CacheStats, PartitionController, SetAssocCache, WayPartition};
 use numa_gpu_engine::{CrossMessage, EventQueue, EventQueueStats, ServiceQueue, Watchdog};
-use numa_gpu_faults::{AppliedFault, FaultPlan, LinkResilience, ResilienceReport};
 use numa_gpu_interconnect::{GpuLink, LinkDirection, Topology};
 use numa_gpu_mem::{Dram, PageTable};
 use numa_gpu_obs::{MetricValue, MetricsSnapshot, Pow2Histogram, ProfileReport, TraceEvent};
@@ -25,7 +24,7 @@ use numa_gpu_runtime::{Kernel, Workload};
 use numa_gpu_sm::Sm;
 use numa_gpu_types::{
     cycles_to_ticks, ticks_to_cycles, CacheMode, ConfigError, CtaId, LineAddr, PageId, SimError,
-    SocketId, SystemConfig, Tick, WarpOp, WarpSlot, TICKS_PER_CYCLE,
+    SocketId, SystemConfig, Tick, WarpOp, WarpSlot,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -93,9 +92,6 @@ pub(crate) enum Ev {
     /// Periodic NUMA-aware cache partition sampling (§5). Control partition
     /// only.
     CacheSample,
-    /// An injected fault fires (index into the installed `FaultPlan`).
-    /// Control partition only.
-    Fault { idx: u32 },
 }
 
 impl Ev {
@@ -104,7 +100,7 @@ impl Ev {
     pub(crate) fn is_mem_stage(&self) -> bool {
         !matches!(
             self,
-            Ev::WarpIssue { .. } | Ev::LinkSample | Ev::CacheSample | Ev::Fault { .. }
+            Ev::WarpIssue { .. } | Ev::LinkSample | Ev::CacheSample
         )
     }
 }
@@ -133,40 +129,6 @@ pub(crate) enum XMsg {
     /// Write acknowledgment returning to the requester (header-sized);
     /// extends the requester's write drain on arrival.
     WriteAck,
-}
-
-/// Fault-injection bookkeeping: the installed plan plus what actually
-/// happened. Present only when a *non-empty* [`FaultPlan`] was installed, so
-/// a zero-fault run is bit-identical to a run with no plan at all.
-#[derive(Debug)]
-pub(crate) struct FaultState {
-    /// The installed plan (validated against the configuration).
-    pub plan: FaultPlan,
-    /// Timeline of faults as they were applied, in application order.
-    pub applied: Vec<AppliedFault>,
-    /// SMs permanently disabled by `FaultKind::SmDisable`.
-    pub disabled_sms: u32,
-    /// Resident CTAs evicted from disabled SMs and requeued.
-    pub requeued_ctas: u32,
-    /// Per-socket cycle at which the open lane degradation of its link
-    /// began, cleared by a full restore.
-    pub degraded_at: Vec<Option<u64>>,
-    /// Per-socket link balancer recovery latency in cycles (first non-Hold
-    /// rebalance after the degradation).
-    pub recovery: Vec<Option<u64>>,
-}
-
-impl FaultState {
-    fn new(plan: FaultPlan, sockets: usize) -> Self {
-        FaultState {
-            plan,
-            applied: Vec::new(),
-            disabled_sms: 0,
-            requeued_ctas: 0,
-            degraded_at: vec![None; sockets],
-            recovery: vec![None; sockets],
-        }
-    }
 }
 
 /// Per-warp load scoreboard state.
@@ -397,9 +359,9 @@ pub struct NumaGpuSystem {
     /// One event-loop partition per socket.
     pub(crate) shards: Vec<SocketShard>,
     pub(crate) pages: PageTable,
-    /// The shared control partition: balancer/cache sampling and fault
-    /// stamps. Always handled serially, after same-tick shard events (the
-    /// control partition sorts as the highest partition index).
+    /// The shared control partition: balancer and cache sampling. Always
+    /// handled serially, after same-tick shard events (the control
+    /// partition sorts as the highest partition index).
     pub(crate) control: EventQueue<Ev>,
     /// The access-hop latency each socket↔switch message leg pays (half
     /// the one-way link latency). It is also the executor's conservative
@@ -416,15 +378,12 @@ pub struct NumaGpuSystem {
     pub(crate) samplers_scheduled: bool,
     pub(crate) has_run: bool,
     pub(crate) kernel_starts: Vec<u64>,
-    /// Fault-injection state (`None` unless a non-empty plan is installed).
-    pub(crate) fault_state: Option<FaultState>,
     /// Forward-progress watchdog (cycle budget + no-progress detector).
     /// Cross-partition message deliveries count as progress like any other
     /// shard event, so barrier-heavy runs never trip the stall detector.
     pub(crate) watchdog: Watchdog,
     /// Trace sink and Fig-5 timelines (see `observe`).
     pub(crate) obs: ObsState,
-    pub(crate) sms_per_socket: u32,
     /// Persistent merge buffer for the window barrier; outboxes drain into
     /// it in place, so the steady-state barrier allocates nothing.
     pub(crate) merge_buf: Vec<CrossMessage<(SocketId, XMsg)>>,
@@ -454,7 +413,6 @@ impl NumaGpuSystem {
     pub fn new(cfg: SystemConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let sockets = cfg.num_sockets as usize;
-        let sms_per_socket = cfg.sm.sms_per_socket as u32;
         let cfg = Arc::new(cfg);
 
         // Each socket's switch link goes to its shard, so a window drives
@@ -481,7 +439,6 @@ impl NumaGpuSystem {
         );
         Ok(NumaGpuSystem {
             hop_latency,
-            sms_per_socket,
             cfg,
             shards,
             pages,
@@ -493,7 +450,6 @@ impl NumaGpuSystem {
             samplers_scheduled: false,
             has_run: false,
             kernel_starts: Vec::new(),
-            fault_state: None,
             watchdog,
             obs,
             merge_buf: Vec::new(),
@@ -524,27 +480,6 @@ impl NumaGpuSystem {
         self.obs.record_timeline = true;
     }
 
-    /// Installs a fault plan to apply during [`Self::run`]. Call before
-    /// `run`. Installing an *empty* plan is exactly equivalent to never
-    /// calling this: the run (and its report, byte for byte) is identical
-    /// to a fault-free run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidFaultPlan`] if the plan references
-    /// sockets, lanes, or SMs outside this system's shape.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), SimError> {
-        let lanes_total = self.cfg.link.lanes_per_direction * 2;
-        let total_sms = self.shards.len() as u32 * self.sms_per_socket;
-        plan.validate(self.cfg.num_sockets, lanes_total, total_sms)?;
-        self.fault_state = if plan.is_empty() {
-            None
-        } else {
-            Some(FaultState::new(plan, self.shards.len()))
-        };
-        Ok(())
-    }
-
     /// Runs `workload` to completion and returns the report.
     ///
     /// # Errors
@@ -566,19 +501,6 @@ impl NumaGpuSystem {
             "workload must contain at least one kernel"
         );
         self.has_run = true;
-
-        if let Some(fs) = &self.fault_state {
-            let stamps: Vec<(Tick, u32)> = fs
-                .plan
-                .specs()
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (cycles_to_ticks(s.cycle), i as u32))
-                .collect();
-            for (at, idx) in stamps {
-                self.control.push(at, Ev::Fault { idx });
-            }
-        }
 
         for kernel in &workload.kernels {
             assert!(
@@ -668,24 +590,6 @@ impl NumaGpuSystem {
             .metrics
             .then(|| self.build_metrics(profile.as_ref()));
         let trace_events = self.obs.take_trace();
-        let resilience = self.fault_state.as_ref().map(|fs| {
-            let links = self
-                .links()
-                .enumerate()
-                .map(|(s, link)| LinkResilience {
-                    socket: s as u8,
-                    nominal_lane_cycles: total_cycles * link.nominal_lanes() as u64,
-                    available_lane_cycles: link.available_lane_ticks(self.now) / TICKS_PER_CYCLE,
-                    recovery_cycles: fs.recovery[s],
-                })
-                .collect();
-            ResilienceReport {
-                applied: fs.applied.clone(),
-                links,
-                disabled_sms: fs.disabled_sms,
-                requeued_ctas: fs.requeued_ctas,
-            }
-        });
         SimReport {
             workload: workload.meta.name.clone(),
             total_cycles,
@@ -703,7 +607,6 @@ impl NumaGpuSystem {
             link_power_w: average_link_power_w(interconnect_bytes, total_cycles),
             metrics,
             trace_events,
-            resilience,
             profile,
         }
     }

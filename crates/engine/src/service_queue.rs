@@ -87,15 +87,6 @@ impl ServiceQueue {
         done
     }
 
-    /// Blocks the resource for `ticks` starting no earlier than `now`
-    /// (used to model lane-turn quiesce penalties).
-    pub fn add_busy(&mut self, now: Tick, ticks: Tick) {
-        let start = self.next_free.max(now);
-        self.next_free = start + ticks;
-        self.busy_in_window += ticks;
-        self.total_busy += ticks;
-    }
-
     /// Earliest tick at which a new request would begin service.
     #[inline]
     pub fn next_free(&self) -> Tick {
@@ -232,13 +223,6 @@ mod tests {
         q.service(0, 6400);
         q.begin_window(1000 * TICKS_PER_CYCLE);
         assert_eq!(q.window_utilization(1001 * TICKS_PER_CYCLE), 0.0);
-    }
-
-    #[test]
-    fn add_busy_delays_next_request() {
-        let mut q = ServiceQueue::new(64);
-        q.add_busy(0, 100);
-        assert_eq!(q.service(0, 64), 100 + TICKS_PER_CYCLE);
     }
 
     #[test]

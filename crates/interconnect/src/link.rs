@@ -89,9 +89,6 @@ pub struct GpuLink {
     egress_lanes: u8,
     ingress_lanes: u8,
     lanes_total: u8,
-    healthy_total: u8,
-    avail_acc: u64,
-    avail_since: Tick,
     lane_rate: u64,
     switch_penalty: Tick,
     mode: LinkMode,
@@ -125,9 +122,6 @@ impl GpuLink {
             egress_lanes: config.lanes_per_direction,
             ingress_lanes: config.lanes_per_direction,
             lanes_total: config.lanes_per_direction * 2,
-            healthy_total: config.lanes_per_direction * 2,
-            avail_acc: 0,
-            avail_since: 0,
             lane_rate,
             switch_penalty: cycles_to_ticks(config.switch_time_cycles as u64),
             mode: config.mode,
@@ -272,75 +266,16 @@ impl GpuLink {
 
     /// Restores the symmetric kernel-launch configuration ("at kernel
     /// launch the links are always reconfigured to contain symmetric link
-    /// bandwidth") and opens fresh windows. Only healthy lanes are
-    /// redistributed: a degraded link comes back as symmetric as its
-    /// surviving lanes allow.
+    /// bandwidth") and opens fresh windows.
     pub fn reset_symmetric(&mut self, now: Tick) {
-        let egress = (self.healthy_total / 2).max(1);
-        let ingress = (self.healthy_total - egress).max(1);
-        self.egress_lanes = egress;
-        self.ingress_lanes = ingress;
+        let half = self.lanes_total / 2;
+        self.egress_lanes = half;
+        self.ingress_lanes = half;
         self.pending_gain = None;
-        self.egress.set_rate(egress as u64 * self.lane_rate);
-        self.ingress.set_rate(ingress as u64 * self.lane_rate);
+        self.egress.set_rate(half as u64 * self.lane_rate);
+        self.ingress.set_rate(half as u64 * self.lane_rate);
         self.egress.begin_window(now);
         self.ingress.begin_window(now);
-    }
-
-    /// Nominal lane count across both directions (the fault-free total).
-    pub fn nominal_lanes(&self) -> u8 {
-        self.lanes_total
-    }
-
-    /// Healthy lanes currently available across both directions.
-    pub fn healthy_lanes(&self) -> u8 {
-        self.healthy_total
-    }
-
-    /// Degrades (or restores) the link to `healthy_total` working lanes
-    /// across both directions, clamped to `2..=nominal`. The surviving
-    /// lanes are split proportionally to the current egress/ingress
-    /// allocation (each direction keeps at least one); a lane mid-turn is
-    /// abandoned. Returns the clamped healthy count now in force.
-    pub fn set_lane_health(&mut self, now: Tick, healthy_total: u8) -> u8 {
-        let healthy = healthy_total.clamp(2, self.lanes_total);
-        self.accrue_availability(now);
-        if healthy == self.healthy_total {
-            return healthy;
-        }
-        self.healthy_total = healthy;
-        let assigned = self.egress_lanes as u32 + self.ingress_lanes as u32;
-        let egress = ((self.egress_lanes as u32 * healthy as u32 + assigned / 2) / assigned)
-            .clamp(1, healthy as u32 - 1) as u8;
-        let ingress = healthy - egress;
-        self.egress_lanes = egress;
-        self.ingress_lanes = ingress;
-        self.pending_gain = None;
-        self.egress.set_rate(egress as u64 * self.lane_rate);
-        self.ingress.set_rate(ingress as u64 * self.lane_rate);
-        healthy
-    }
-
-    /// Holds both directions busy for `window` ticks starting at `now` —
-    /// the link transfers nothing while it retrains.
-    pub fn retrain(&mut self, now: Tick, window: Tick) {
-        self.egress.add_busy(now, window);
-        self.ingress.add_busy(now, window);
-    }
-
-    /// Folds the segment since the last health change into the
-    /// availability integral.
-    fn accrue_availability(&mut self, now: Tick) {
-        let span = now.saturating_sub(self.avail_since);
-        self.avail_acc += span * self.healthy_total as u64;
-        self.avail_since = self.avail_since.max(now);
-    }
-
-    /// Lane-ticks actually available on this link through `now` (the
-    /// integral of healthy lanes over time). Divide by
-    /// `nominal_lanes() * now` for the availability fraction.
-    pub fn available_lane_ticks(&self, now: Tick) -> u64 {
-        self.avail_acc + now.saturating_sub(self.avail_since) * self.healthy_total as u64
     }
 
     /// Traffic statistics.
@@ -516,92 +451,6 @@ mod tests {
         assert_eq!(h.count, 2);
         assert_eq!(h.max, 100); // 6400 B / 64 B-per-cycle backlog
         assert_eq!(l.backlog_cycles(LinkDirection::Ingress).summary().count, 1);
-    }
-
-    #[test]
-    fn lane_health_degrades_proportionally_and_restores() {
-        let mut l = GpuLink::new(&cfg(LinkMode::StaticSymmetric));
-        // 50% degradation: 16 -> 8 healthy lanes, split 4/4.
-        assert_eq!(l.set_lane_health(cycles_to_ticks(100), 8), 8);
-        assert_eq!(l.lanes(LinkDirection::Egress), 4);
-        assert_eq!(l.lanes(LinkDirection::Ingress), 4);
-        // Rate follows the healthy split: 4 lanes * 8 B = 32 B/cycle.
-        assert_eq!(l.direction_rate(LinkDirection::Egress), 32);
-        // Restore to nominal.
-        assert_eq!(l.set_lane_health(cycles_to_ticks(200), 16), 16);
-        assert_eq!(l.lanes(LinkDirection::Egress), 8);
-        assert_eq!(l.direction_rate(LinkDirection::Egress), 64);
-    }
-
-    #[test]
-    fn lane_health_clamps_and_keeps_direction_floor() {
-        let mut l = GpuLink::new(&cfg(LinkMode::StaticSymmetric));
-        assert_eq!(l.set_lane_health(0, 0), 2); // floor: one lane each way
-        assert_eq!(l.lanes(LinkDirection::Egress), 1);
-        assert_eq!(l.lanes(LinkDirection::Ingress), 1);
-        assert_eq!(l.set_lane_health(0, 200), 16); // ceiling: nominal
-        assert_eq!(l.healthy_lanes(), 16);
-        assert_eq!(l.nominal_lanes(), 16);
-    }
-
-    #[test]
-    fn degraded_link_keeps_rebalancing_and_resets_to_healthy_split() {
-        let mut l = GpuLink::new(&cfg(LinkMode::DynamicAsymmetric));
-        l.set_lane_health(0, 8);
-        for _ in 0..100_000 {
-            l.send(0, LinkDirection::Egress, 128);
-        }
-        let a = l.sample_and_rebalance(cycles_to_ticks(5_000), 0.99);
-        assert_eq!(a, BalanceAction::TurnTowardEgress);
-        assert_eq!(l.lanes(LinkDirection::Egress), 5);
-        assert_eq!(l.lanes(LinkDirection::Ingress), 3);
-        // Kernel boundary: symmetric within the healthy total, not nominal.
-        l.reset_symmetric(cycles_to_ticks(10_000));
-        assert_eq!(l.lanes(LinkDirection::Egress), 4);
-        assert_eq!(l.lanes(LinkDirection::Ingress), 4);
-    }
-
-    #[test]
-    fn degradation_cancels_pending_gain() {
-        let mut l = GpuLink::new(&cfg(LinkMode::DynamicAsymmetric));
-        for _ in 0..100_000 {
-            l.send(0, LinkDirection::Egress, 128);
-        }
-        l.sample_and_rebalance(cycles_to_ticks(5_000), 0.99); // 9/7, gain pending
-        l.set_lane_health(cycles_to_ticks(5_010), 8);
-        // Proportional: 9/16 of 8 rounds to 5 (nearest), ingress 3.
-        assert_eq!(l.lanes(LinkDirection::Egress), 5);
-        assert_eq!(l.lanes(LinkDirection::Ingress), 3);
-        // The abandoned gain never matures: rates already match the split.
-        let far = cycles_to_ticks(1_000_000);
-        l.apply_pending(far);
-        assert_eq!(l.direction_rate(LinkDirection::Egress), 40);
-    }
-
-    #[test]
-    fn retrain_window_blocks_both_directions() {
-        let mut l = GpuLink::new(&cfg(LinkMode::StaticSymmetric));
-        let t = cycles_to_ticks(100);
-        l.retrain(t, cycles_to_ticks(400));
-        // The next packet in either direction queues behind the window.
-        let done = l.send(t, LinkDirection::Egress, 64);
-        assert_eq!(done, t + cycles_to_ticks(400) + TICKS_PER_CYCLE);
-        let done_i = l.send(t, LinkDirection::Ingress, 64);
-        assert_eq!(done_i, t + cycles_to_ticks(400) + TICKS_PER_CYCLE);
-    }
-
-    #[test]
-    fn availability_integral_tracks_health_changes() {
-        let mut l = GpuLink::new(&cfg(LinkMode::StaticSymmetric));
-        let t1 = cycles_to_ticks(100);
-        let t2 = cycles_to_ticks(300);
-        // Healthy for 100 cycles at 16 lanes, then 200 cycles at 8.
-        l.set_lane_health(t1, 8);
-        let avail = l.available_lane_ticks(t2);
-        assert_eq!(avail, 16 * t1 + 8 * (t2 - t1));
-        // No degradation ever: integral equals nominal.
-        let l2 = GpuLink::new(&cfg(LinkMode::StaticSymmetric));
-        assert_eq!(l2.available_lane_ticks(t2), 16 * t2);
     }
 
     #[test]

@@ -46,11 +46,6 @@ pub struct Dram {
     row_hits: u64,
     /// Addressed accesses that had to open a new row.
     row_misses: u64,
-    /// End of the current ECC-retry window (0 when healthy). Requests
-    /// issued before this tick pay `ecc_penalty` extra latency.
-    ecc_until: Tick,
-    /// Extra per-access latency inside an ECC-retry window.
-    ecc_penalty: Tick,
 }
 
 impl Dram {
@@ -67,8 +62,6 @@ impl Dram {
             open_rows: [None; NUM_BANKS],
             row_hits: 0,
             row_misses: 0,
-            ecc_until: 0,
-            ecc_penalty: 0,
         }
     }
 
@@ -100,24 +93,12 @@ impl Dram {
         self.write(now, bytes)
     }
 
-    /// Extra latency a request issued at `now` pays while an ECC-retry
-    /// window is open (0 on a healthy DRAM, so the fault-free timing is
-    /// bit-identical to a build without fault support).
-    #[inline]
-    fn ecc_extra(&self, now: Tick) -> Tick {
-        if now < self.ecc_until {
-            self.ecc_penalty
-        } else {
-            0
-        }
-    }
-
     /// Services a read of `bytes` at tick `now`; returns the tick the data
     /// is available (queueing + occupancy + access latency).
     pub fn read(&mut self, now: Tick, bytes: u32) -> Tick {
         self.stats.reads.inc();
         self.stats.bytes.add(bytes as u64);
-        self.queue.service(now, bytes) + self.latency + self.ecc_extra(now)
+        self.queue.service(now, bytes) + self.latency
     }
 
     /// Services a write of `bytes` at tick `now`; returns the tick the write
@@ -125,17 +106,7 @@ impl Dram {
     pub fn write(&mut self, now: Tick, bytes: u32) -> Tick {
         self.stats.writes.inc();
         self.stats.bytes.add(bytes as u64);
-        self.queue.service(now, bytes) + self.latency + self.ecc_extra(now)
-    }
-
-    /// Injects a fault: the interface is held busy for `window` ticks
-    /// starting at `now` (requests queue behind the stall), and requests
-    /// issued before the window closes pay `retry_penalty` extra latency —
-    /// the ECC scrub-and-retry model.
-    pub fn stall(&mut self, now: Tick, window: Tick, retry_penalty: Tick) {
-        self.queue.add_busy(now, window);
-        self.ecc_until = self.ecc_until.max(now + window);
-        self.ecc_penalty = retry_penalty;
+        self.queue.service(now, bytes) + self.latency
     }
 
     /// Starts a fresh utilization window (for the NUMA-aware cache
@@ -271,29 +242,10 @@ mod tests {
     }
 
     #[test]
-    fn stall_queues_requests_and_applies_ecc_penalty() {
-        let mut d = dram();
-        let healthy = dram().read(0, 128);
-        let window = 50 * TICKS_PER_CYCLE;
-        let penalty = 20 * TICKS_PER_CYCLE;
-        d.stall(0, window, penalty);
-        // Inside the window: queued behind the stall plus the retry penalty.
-        let done = d.read(0, 128);
-        assert_eq!(done, healthy + window + penalty);
-        // After the window closes the penalty disappears.
-        let t = 2 * window;
-        let late = d.read(t, 128);
-        let fresh = dram().read(t, 128);
-        assert_eq!(late, fresh);
-    }
-
-    #[test]
     fn unstalled_dram_timing_is_unchanged() {
-        // The ECC fields default to zero: a healthy DRAM's arithmetic is
-        // exactly the pre-fault model.
+        // A read costs its queue service plus the access latency.
         let mut d = dram();
         assert_eq!(d.read(0, 128), 171 + 100 * TICKS_PER_CYCLE);
-        assert_eq!(d.ecc_extra(12345), 0);
     }
 
     #[test]

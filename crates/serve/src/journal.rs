@@ -210,6 +210,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A journal written before the fault-plan key was retired can hold a
+    /// faulted job between two clean ones. That line no longer parses, so
+    /// replay skips it like any damaged line, and compaction keeps both
+    /// neighbours.
+    #[test]
+    fn a_queued_faulted_job_is_skipped_and_its_neighbours_kept() {
+        let dir = tmpdir("faulted");
+        let queued = |workload: &str| format!("queued {}\n", spec(workload).to_line());
+        let faulted =
+            "queued workload=B config=locality sockets=4 timeline=0 scale=quick faults=lanes:s1@5000=8\n";
+        let raw = [queued("A"), faulted.to_string(), queued("C")].concat();
+        std::fs::write(dir.join("journal.log"), raw).unwrap();
+        let (_j, pending) = Journal::open(&dir).unwrap();
+        assert_eq!(pending, [spec("A"), spec("C")]);
+        let compacted = std::fs::read_to_string(dir.join("journal.log")).unwrap();
+        assert_eq!(compacted, queued("A") + &queued("C"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn duplicate_queued_lines_collapse() {
         let dir = tmpdir("dup");
@@ -228,7 +247,7 @@ mod tests {
         let specs = [
             "workload=A",
             "workload=B config=numa sockets=8 timeline=1",
-            "workload=C scale=full faults=lanes:s1@5000=8 deadline=30",
+            "workload=C scale=full deadline=30",
         ];
         specs
             .iter()

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! SUBMIT workload=<name> [config=<variant>] [sockets=<n>] [timeline=0|1]
-//!        [scale=quick|full] [faults=<plan>] [deadline=<secs>]
+//!        [scale=quick|full] [deadline=<secs>]
 //! PING
 //! STATS
 //! SHUTDOWN
@@ -31,7 +31,6 @@
 //! the report's one encoding, which its entry stores.
 
 use numa_gpu_bench::{configs, JobKey, SimJob};
-use numa_gpu_faults::FaultPlan;
 use numa_gpu_types::SystemConfig;
 use numa_gpu_workloads::{by_name, Scale};
 use std::fmt::Write as _;
@@ -179,9 +178,6 @@ pub struct JobSpec {
     pub timeline: bool,
     /// Run at full paper scale instead of quick scale.
     pub full_scale: bool,
-    /// Fault plan, if any (parsed once, at submit time, so a bad plan is
-    /// a parse error rather than a failure deep inside a worker).
-    pub faults: Option<FaultPlan>,
     /// Wall-clock supervision budget, seconds (daemon default if absent).
     pub deadline_secs: Option<u64>,
 }
@@ -200,10 +196,8 @@ impl JobSpec {
             sockets: 4,
             timeline: false,
             full_scale: false,
-            faults: None,
             deadline_secs: None,
         };
-        let mut faults = None;
         for token in tokens.split_whitespace() {
             let (key, value) = token
                 .split_once('=')
@@ -230,7 +224,6 @@ impl JobSpec {
                         other => return Err(format!("bad scale `{other}` (quick|full)")),
                     };
                 }
-                "faults" => faults = Some(value),
                 "deadline" => {
                     spec.deadline_secs = Some(
                         value
@@ -247,15 +240,11 @@ impl JobSpec {
         if spec.workload.contains(char::is_whitespace) {
             return Err("workload names cannot contain whitespace".to_string());
         }
-        spec.faults = faults
-            .map(|f| FaultPlan::parse(f).map_err(|e| format!("bad faults `{f}`: {e}")))
-            .transpose()?;
         Ok(spec)
     }
 
-    /// Canonical single-line form (fixed key order, the fault plan in its
-    /// canonical `Display` with the separator spaces dropped); the journal
-    /// stores exactly these bytes and [`JobSpec::parse`] round-trips them.
+    /// Canonical single-line form (fixed key order); the journal stores
+    /// exactly these bytes and [`JobSpec::parse`] round-trips them.
     pub fn to_line(&self) -> String {
         let mut line = format!(
             "workload={} config={} sockets={} timeline={} scale={}",
@@ -265,9 +254,6 @@ impl JobSpec {
             u8::from(self.timeline),
             if self.full_scale { "full" } else { "quick" },
         );
-        if let Some(plan) = &self.faults {
-            line.push_str(&format!(" faults={}", plan.to_string().replace(' ', "")));
-        }
         if let Some(d) = self.deadline_secs {
             line.push_str(&format!(" deadline={d}"));
         }
@@ -285,16 +271,11 @@ impl JobSpec {
 
     /// The structured job identity this spec maps to.
     pub fn job_key(&self) -> JobKey {
-        let key = JobKey::new(
+        JobKey::new(
             self.config.label(self.sockets),
             self.workload.clone(),
             self.timeline,
-        );
-        match &self.faults {
-            // The plan's Display, as `SimPlan::fault_job` labels scenarios.
-            Some(plan) => key.with_scenario(plan.to_string()),
-            None => key,
-        }
+        )
     }
 
     /// Resolves this spec into a runnable [`SimJob`].
@@ -309,7 +290,6 @@ impl JobSpec {
             key: self.job_key(),
             cfg: self.config.config(self.sockets),
             workload,
-            faults: self.faults.clone(),
         })
     }
 }
@@ -356,8 +336,7 @@ mod tests {
     #[test]
     fn submit_round_trips_through_canonical_line() {
         let spec = JobSpec::parse(
-            "workload=Rodinia-Euler3D config=numa sockets=2 timeline=1 scale=full \
-             faults=lanes:s1@5000=8 deadline=30",
+            "workload=Rodinia-Euler3D config=numa sockets=2 timeline=1 scale=full deadline=30",
         )
         .unwrap();
         assert_eq!(spec.config, ConfigChoice::NumaAware);
@@ -385,9 +364,6 @@ mod tests {
         assert!(JobSpec::parse("workload=w config=alien")
             .unwrap_err()
             .contains("alien"));
-        assert!(JobSpec::parse("workload=w faults=gibberish")
-            .unwrap_err()
-            .contains("faults"));
         assert!(Request::parse("DANCE").unwrap_err().contains("DANCE"));
     }
 
@@ -422,7 +398,6 @@ mod tests {
             words("sockets=2|sockets=255|sockets=+4|sockets=256|sockets=-1"),
             words("timeline=0|timeline=1|timeline=true|timeline=2"),
             words("scale=quick|scale=full|scale=huge"),
-            words("faults=lanes:s1@5000=8|faults=dram:s0@2000+300;sm:0-3@9|faults=|faults=sm:x"),
             words("deadline=30|deadline=+7|deadline=18446744073709551615|deadline=-1"),
             words("workload=Other-Stream-Triad|work=1|=|x"),
         ]);
@@ -432,8 +407,8 @@ mod tests {
 
     prop_check! {
         /// `Request::parse` never panics on arbitrary or request-shaped
-        /// text, and every spec it accepts, fault plan included,
-        /// round-trips through its canonical line (what the journal stores).
+        /// text, and every spec it accepts round-trips through its
+        /// canonical line (what the journal stores).
         fn request_parse_survives_arbitrary_text(
             text in one_of(vec![strings(0..200), token_soup()])
         ) {

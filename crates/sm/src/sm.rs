@@ -105,7 +105,6 @@ pub struct Sm {
     resident_ctas: u16,
     issue_next_free: Tick,
     retry_queue: VecDeque<WarpSlot>,
-    enabled: bool,
     stats: SmStats,
     /// MSHR file occupancy sampled at each primary L1 miss.
     mshr_occupancy: Pow2Histogram,
@@ -137,51 +136,14 @@ impl Sm {
             resident_ctas: 0,
             issue_next_free: 0,
             retry_queue: VecDeque::new(),
-            enabled: true,
             stats: SmStats::default(),
             mshr_occupancy: Pow2Histogram::default(),
         }
     }
 
-    /// Whether a CTA of `warps` warps can be dispatched right now. A
-    /// disabled SM accepts nothing.
+    /// Whether a CTA of `warps` warps can be dispatched right now.
     pub fn can_accept_cta(&self, warps: u32) -> bool {
-        self.enabled
-            && !self.free_cta_slots.is_empty()
-            && self.free_warp_slots.len() >= warps as usize
-    }
-
-    /// Whether this SM is still executing (fault injection can disable it).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Takes this SM out of service mid-kernel (fault injection). Every
-    /// resident CTA is evicted and returned in slot order so the dispatcher
-    /// can requeue it — a CTA restarted elsewhere re-executes from its
-    /// first op, which is sound because CTA programs are pure generators.
-    /// Warp slots, CTA slots, and the retry queue are cleared; in-flight
-    /// fills targeting this SM must be dropped by the caller (it owns the
-    /// event queue). Disabling is permanent for the run.
-    pub fn disable(&mut self) -> Vec<CtaId> {
-        self.enabled = false;
-        let mut evicted = Vec::new();
-        for (i, slot) in self.ctas.iter_mut().enumerate() {
-            if let Some(rt) = slot.take() {
-                evicted.push(rt.cta);
-                self.free_cta_slots.push(i as u16);
-            }
-        }
-        for (i, w) in self.warp_cta_slot.iter_mut().enumerate() {
-            if *w != NO_CTA {
-                *w = NO_CTA;
-                self.free_warp_slots.push(i as u16);
-            }
-        }
-        self.active_warp_count = 0;
-        self.resident_ctas = 0;
-        self.retry_queue.clear();
-        evicted
+        !self.free_cta_slots.is_empty() && self.free_warp_slots.len() >= warps as usize
     }
 
     /// Number of resident warps.
@@ -611,26 +573,6 @@ mod tests {
             sm.l1_read(line(1), LineClass::Remote, WarpSlot::new(0)),
             L1ReadOutcome::Hit
         );
-    }
-
-    #[test]
-    fn disable_evicts_residents_and_refuses_work() {
-        let mut sm = make_sm();
-        sm.dispatch_cta(
-            CtaId::new(3),
-            Box::new(ScriptedCta::new(vec![vec![], vec![]])),
-        );
-        sm.dispatch_cta(CtaId::new(8), Box::new(ScriptedCta::new(vec![vec![]])));
-        assert!(sm.is_enabled());
-        let evicted = sm.disable();
-        assert_eq!(evicted, vec![CtaId::new(3), CtaId::new(8)]);
-        assert!(!sm.is_enabled());
-        assert_eq!(sm.active_ctas(), 0);
-        assert_eq!(sm.active_warps(), 0);
-        assert!(!sm.can_accept_cta(1));
-        assert_eq!(sm.pop_retry(), None);
-        // Disabling twice is idempotent and evicts nothing further.
-        assert!(sm.disable().is_empty());
     }
 
     #[test]

@@ -44,10 +44,10 @@ impl Error for ConfigError {}
 
 /// A simulation run failed before producing a report.
 ///
-/// Returned by `NumaGpuSystem::run` and the `run_workload*` entry points.
+/// Returned by `NumaGpuSystem::run` and `run_workload`.
 /// Every variant is diagnosable from its fields alone: the cycle at which
 /// the run stopped plus the progress counters needed to tell a scheduler
-/// deadlock from a fault-induced stall or an exhausted cycle budget.
+/// deadlock from an exhausted cycle budget.
 /// A run is a pure function of its inputs, so a re-run fails the same way.
 ///
 /// # Examples
@@ -82,12 +82,6 @@ pub enum SimError {
         limit_cycles: u64,
         /// Cycle at which the budget check tripped.
         at_cycle: u64,
-    },
-    /// A fault plan could not be parsed or referenced hardware that does
-    /// not exist in the configured system (e.g. a socket out of range).
-    InvalidFaultPlan {
-        /// What was wrong with the plan.
-        message: String,
     },
     /// A fabric transfer was requested between endpoints the topology
     /// cannot route (socket out of range, or a self-transfer that must
@@ -124,9 +118,6 @@ impl fmt::Display for SimError {
                 f,
                 "cycle budget exhausted: limit {limit_cycles} cycles, reached cycle {at_cycle}"
             ),
-            SimError::InvalidFaultPlan { message } => {
-                write!(f, "invalid fault plan: {message}")
-            }
             SimError::InvalidRoute { message } => {
                 write!(f, "invalid route: {message}")
             }
@@ -177,11 +168,6 @@ mod tests {
             at_cycle: 501,
         };
         assert!(b.to_string().contains("limit 500"));
-
-        let p = SimError::InvalidFaultPlan {
-            message: "socket 9 out of range".into(),
-        };
-        assert!(p.to_string().contains("socket 9"));
 
         let r = SimError::InvalidRoute {
             message: "source socket 7 out of range (4 sockets)".into(),

@@ -22,8 +22,6 @@
 //!          [--trace-out FILE]      # write a Chrome trace_event JSON (chrome://tracing)
 //!          [--dump-trace FILE]     # record the workload's kernels as text traces
 //!          [--from-trace FILE]     # run a recorded trace instead of a catalog workload
-//!          [--faults SPEC]         # inject faults, e.g. "lanes:s1@5000=8; dram:s0@2000+300"
-//!          [--fault-seed N]        # inject a seeded random fault plan instead
 //!          [--max-cycles N]        # abort with an error if the run exceeds N cycles
 //!          [--cache-dir DIR]       # read/write the on-disk content-addressed result
 //!                                  # store (observability runs bypass it)
@@ -33,16 +31,12 @@
 //! the error and exit with status 3; usage errors exit with status 2.
 
 use numa_gpu::bench::{JobKey, Runner, SimPlan};
-use numa_gpu::faults::FaultPlan;
 use numa_gpu::runtime::Kernel as _;
 use numa_gpu::types::{
     CacheMode, CtaSchedulingPolicy, LinkMode, PagePlacement, SimError, SystemConfig,
 };
 use numa_gpu::workloads::{by_name, Scale, WORKLOAD_NAMES};
 use std::num::NonZeroUsize;
-
-/// Time horizon (in cycles) over which `--fault-seed` scatters its faults.
-const FAULT_HORIZON_CYCLES: u64 = 100_000;
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
@@ -51,8 +45,7 @@ fn usage(msg: &str) -> ! {
          [--cache memside|static|shared|numa-aware] [--link static|dynamic|2x] \
          [--placement fine|page|first-touch] [--cta interleave|contiguous] \
          [--baseline] [--jobs N] [--timeline] [--metrics] [--profile] \
-         [--trace-out FILE] [--faults SPEC] [--fault-seed N] [--max-cycles N] \
-         [--cache-dir DIR]\n\
+         [--trace-out FILE] [--max-cycles N] [--cache-dir DIR]\n\
          \x20      simulate serve --socket PATH --cache-dir DIR [--workers N] [--verbose] \
          [--deadline SECS]\n\
          \x20      simulate submit --socket PATH key=value... | --ping | --stats | --shutdown"
@@ -201,8 +194,6 @@ fn main() {
     let mut trace_out: Option<String> = None;
     let mut dump_trace: Option<String> = None;
     let mut from_trace: Option<String> = None;
-    let mut faults_spec: Option<String> = None;
-    let mut fault_seed: Option<u64> = None;
     let mut max_cycles: u64 = 0;
     let mut cache_dir: Option<String> = None;
 
@@ -267,14 +258,6 @@ fn main() {
             "--trace-out" => trace_out = Some(value("--trace-out")),
             "--dump-trace" => dump_trace = Some(value("--dump-trace")),
             "--from-trace" => from_trace = Some(value("--from-trace")),
-            "--faults" => faults_spec = Some(value("--faults")),
-            "--fault-seed" => {
-                fault_seed = Some(
-                    value("--fault-seed")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--fault-seed must be an integer")),
-                );
-            }
             "--max-cycles" => {
                 max_cycles = value("--max-cycles")
                     .parse()
@@ -339,29 +322,6 @@ fn main() {
     cfg.watchdog.max_cycles = max_cycles;
     cfg.validate().unwrap_or_else(|e| usage(&e.to_string()));
 
-    let lanes_total = cfg.link.lanes_per_direction * 2;
-    let fault_plan: Option<FaultPlan> = match (&faults_spec, fault_seed) {
-        (Some(_), Some(_)) => usage("--faults and --fault-seed are mutually exclusive"),
-        (Some(spec), None) => {
-            Some(FaultPlan::parse(spec).unwrap_or_else(|e| usage(&e.to_string())))
-        }
-        (None, Some(seed)) => Some(FaultPlan::random(
-            seed,
-            cfg.num_sockets,
-            lanes_total,
-            cfg.total_sms(),
-            FAULT_HORIZON_CYCLES,
-        )),
-        (None, None) => None,
-    };
-    if let Some(plan) = &fault_plan {
-        // A plan that does not fit the machine is a usage error, not a
-        // failed run.
-        plan.validate(cfg.num_sockets, lanes_total, cfg.total_sms())
-            .unwrap_or_else(|e| usage(&e.to_string()));
-        eprintln!("fault plan: {plan}");
-    }
-
     // One job path: the main job (plus the single-GPU baseline) is a
     // `SimPlan` run by the same `Runner` that runs `figures`, so the memo,
     // the store policy and the worker pool are the ones every front end
@@ -371,8 +331,8 @@ fn main() {
     match &cache_dir {
         // An ad-hoc trace-file workload's identity lives in a file the
         // store key cannot see. (Metrics and trace-capture runs bypass the
-        // store through its own policy; timelines, faults and profiles
-        // cache fine.)
+        // store through its own policy; timelines and profiles cache
+        // fine.)
         Some(_) if from_trace.is_some() || dump_trace.is_some() => {
             eprintln!("cache: trace-file run, store bypassed");
         }
@@ -383,13 +343,9 @@ fn main() {
         }
         None => {}
     }
-    let scenario = fault_plan
-        .as_ref()
-        .map(|p| p.to_string())
-        .unwrap_or_default();
-    let main_key = JobKey::new("cli", workload.meta.name.clone(), timeline).with_scenario(scenario);
+    let main_key = JobKey::new("cli", workload.meta.name.clone(), timeline);
     let mut plan = SimPlan::new();
-    plan.push(main_key.clone(), cfg, &workload, fault_plan);
+    plan.push(main_key.clone(), cfg, &workload);
     if baseline {
         plan.job("single", SystemConfig::pascal_single(), &workload);
     }
@@ -419,30 +375,6 @@ fn main() {
                     s.cycle, g, s.egress_util, s.ingress_util, s.egress_lanes, s.ingress_lanes
                 );
             }
-        }
-    }
-
-    if let Some(res) = &report.resilience {
-        println!("\nfaults applied:");
-        for f in &res.applied {
-            println!("  cycle {:>10}: {}", f.cycle, f.description);
-        }
-        for l in &res.links {
-            println!(
-                "  GPU{}: link lane availability {:.1}%{}",
-                l.socket,
-                100.0 * l.availability(),
-                match l.recovery_cycles {
-                    Some(c) => format!(", balancer re-allocated after {c} cycles"),
-                    None => String::new(),
-                }
-            );
-        }
-        if res.disabled_sms > 0 {
-            println!(
-                "  {} SM(s) disabled, {} CTA(s) requeued",
-                res.disabled_sms, res.requeued_ctas
-            );
         }
     }
 

@@ -20,7 +20,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`types`] | ids, addresses, time base, [`SystemConfig`](types::SystemConfig) (Table 1) |
-//! | [`engine`] | event queue, bandwidth resources |
+//! | [`engine`] | event queue, bandwidth resources, run watchdog |
 //! | [`mem`] | page placement (§3), DRAM |
 //! | [`cache`] | set-associative arrays, way partitioning, MSHRs, Fig 7(d) controller |
 //! | [`interconnect`] | reversible lanes, links, switch, §4 balancer |
@@ -30,7 +30,6 @@
 //! | [`workloads`] | the 41 Table 2 benchmarks as synthetic generators |
 //! | [`obs`] | metrics snapshot, event tracing, Chrome-trace export |
 //! | [`exec`] | deterministic fixed-worker thread pool for sweep fan-out |
-//! | [`faults`] | deterministic fault injection plans and resilience metrics |
 //!
 //! # Quickstart
 //!
@@ -54,7 +53,6 @@ pub use numa_gpu_cache as cache;
 pub use numa_gpu_core as core;
 pub use numa_gpu_engine as engine;
 pub use numa_gpu_exec as exec;
-pub use numa_gpu_faults as faults;
 pub use numa_gpu_interconnect as interconnect;
 pub use numa_gpu_mem as mem;
 pub use numa_gpu_obs as obs;
