@@ -1,6 +1,8 @@
 //! Deterministic event queue: a bucketed calendar queue.
 
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use numa_gpu_types::{Tick, TICKS_PER_CYCLE};
 
@@ -62,12 +64,15 @@ const NIL: u32 = u32::MAX;
 ///   makes it the active one, linking the old run back onto its bucket's
 ///   list: the follow-up at `now + δ` of a handler that runs while the next
 ///   pending event is a DRAM backlog away.
-/// - Events beyond the window go to a sorted **overflow** deque (ascending:
-///   the far future is appended at the back and the near future drains from
-///   the front as the origin moves up). Samplers, backlogged DRAM and link
-///   queues and CTA dispatch schedule that far out. When nothing but
-///   overflow is pending the window stays where it is, still anchored at
-///   *now*; the pop that needs the overflow's first event jumps it there.
+/// - Events beyond the window go to the **overflow**. Samplers, backlogged
+///   DRAM and link queues and CTA dispatch schedule that far out. It has two
+///   parts: an ascending deque takes, in O(1) at its back, every push not
+///   earlier than its last event (a FIFO resource's completions), and a
+///   min-heap on `(tick, seq)` takes the rest in O(log n) (completions of
+///   several resources interleaved). Its first event is the lesser of the
+///   deque's front and the heap's top. When nothing but overflow is
+///   pending the window stays where it is, still anchored at *now*; the pop
+///   that needs the overflow's first event jumps it there.
 /// - A push *below* the origin is not causal; only a caller that refills a
 ///   partly drained queue out of order makes one. It **rebases** in O(1)
 ///   when every pending cycle still fits one window span anchored at the new
@@ -79,8 +84,8 @@ const NIL: u32 = u32::MAX;
 /// Pop order is unchanged from a binary heap because every bucketed event
 /// lies inside the window and every overflow event beyond it, so the run —
 /// the earliest non-empty cycle — holds the minimum whenever any bucket is
-/// occupied, and the overflow's front does otherwise; within a cycle events
-/// are ordered by the full `(tick, seq)` key. Where the origin sits decides
+/// occupied, and the overflow's first event does otherwise; within a cycle
+/// events are ordered by the full `(tick, seq)` key. Where the origin sits decides
 /// only which path a push takes, never what pops next.
 ///
 /// # Examples
@@ -118,8 +123,10 @@ pub struct EventQueue<E> {
     /// Cycle of the run; `origin + WINDOW` while no bucket is occupied, so
     /// that every window push compares at or below it.
     active: u64,
-    /// Events beyond the window, ascending `(tick, seq)`.
+    /// Events beyond the window pushed in order, ascending `(tick, seq)`.
     overflow: VecDeque<Entry<E>>,
+    /// Events beyond the window pushed earlier than the deque's last one.
+    late: BinaryHeap<Reverse<Entry<E>>>,
     /// Cached tick of the earliest pending event.
     next_at: Option<Tick>,
     len: usize,
@@ -150,7 +157,7 @@ pub struct EventQueueStats {
     /// Pushes inserted in sorted position in the active cycle, counting
     /// those that made an empty cycle at or after *now* the active one.
     pub sorted_pushes: u64,
-    /// Pushes beyond the calendar window, into the sorted overflow.
+    /// Pushes beyond the calendar window, into the overflow.
     pub overflow_pushes: u64,
     /// Overflow events promoted into buckets as the window advanced.
     pub promotions: u64,
@@ -179,6 +186,27 @@ impl<E> Entry<E> {
     #[inline]
     fn key(&self) -> (Tick, u64) {
         (self.at, self.seq)
+    }
+}
+
+// Ordered by key alone, for the overflow's heap; keys are unique.
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
     }
 }
 
@@ -214,6 +242,7 @@ impl<E> EventQueue<E> {
             origin: 0,
             active: WINDOW,
             overflow: VecDeque::new(),
+            late: BinaryHeap::new(),
             next_at: None,
             len: 0,
             seq: 0,
@@ -380,12 +409,8 @@ impl<E> EventQueue<E> {
             self.insert_active(cycle, entry);
         } else if cycle > self.origin {
             self.overflow_pushes += 1;
-            let key = entry.key();
             match self.overflow.back() {
-                Some(last) if key < last.key() => {
-                    let pos = self.overflow.partition_point(|e| e.key() < key);
-                    self.overflow.insert(pos, entry);
-                }
+                Some(last) if entry.key() < last.key() => self.late.push(Reverse(entry)),
                 _ => self.overflow.push_back(entry),
             }
         } else if self
@@ -411,9 +436,7 @@ impl<E> EventQueue<E> {
     /// still schedules into a window anchored at its own cycle.
     #[inline(never)]
     fn pop_overflow(&mut self) -> Option<(Tick, E)> {
-        // Ascending, so the front is the minimum.
-        let first = self.overflow.front()?;
-        self.origin = cycle_of(first.at);
+        self.origin = cycle_of(self.overflow_first()?.at);
         self.active = self.origin;
         self.promote();
         self.activate();
@@ -442,18 +465,53 @@ impl<E> EventQueue<E> {
             }
             None => {
                 self.active = end;
-                self.next_at = self.overflow.front().map(|e| e.at);
+                self.next_at = self.overflow_first().map(|e| e.at);
             }
         }
     }
 
+    /// Whether the overflow's earliest event is the heap's top rather than
+    /// the deque's front.
+    #[inline]
+    fn late_first(&self) -> bool {
+        self.late
+            .peek()
+            .is_some_and(|Reverse(top)| self.overflow.front().is_none_or(|front| top < front))
+    }
+
+    /// The overflow's earliest event: the lesser of the deque's front and
+    /// the heap's top.
+    #[inline]
+    fn overflow_first(&self) -> Option<&Entry<E>> {
+        if self.late_first() {
+            self.late.peek().map(|Reverse(e)| e)
+        } else {
+            self.overflow.front()
+        }
+    }
+
     /// Moves overflow events that the window now covers into their buckets,
-    /// none of them before the active one. O(k) for k promoted.
+    /// none of them before the active one, merging the two parts in key
+    /// order so that each bucket list reads descending. O(k log n) for k
+    /// promoted.
     fn promote(&mut self) {
         let limit = self.origin + WINDOW;
-        while let Some(entry) = self.overflow.pop_front_if(|e| cycle_of(e.at) < limit) {
+        while let Some(entry) = self.pop_overflow_before(limit) {
             self.promotions += 1;
             self.link(bucket_index(cycle_of(entry.at)), entry);
+        }
+    }
+
+    /// Removes the overflow's earliest event if its cycle is before `limit`.
+    fn pop_overflow_before(&mut self, limit: u64) -> Option<Entry<E>> {
+        if self.late_first() {
+            let top = self
+                .late
+                .peek_mut()
+                .filter(|top| cycle_of(top.0.at) < limit)?;
+            Some(PeekMut::pop(top).0)
+        } else {
+            self.overflow.pop_front_if(|e| cycle_of(e.at) < limit)
         }
     }
 
@@ -486,6 +544,7 @@ impl<E> EventQueue<E> {
         all.extend(self.slab.drain(..).filter_map(|slot| slot.entry));
         (self.free, self.heads, self.occupied) = (NIL, [NIL; NUM_BUCKETS], [0; OCC_WORDS]);
         all.extend(self.overflow.drain(..));
+        all.extend(self.late.drain().map(|Reverse(e)| e));
         all.push(entry);
         all.sort_unstable_by_key(Entry::key);
         let limit = self.origin + WINDOW;
@@ -571,7 +630,7 @@ impl<E> EventQueue<E> {
             self.run.windows(2).all(|w| w[0].key() > w[1].key()),
             "run is not sorted descending"
         );
-        let pending = bucketed + self.run.len() + self.overflow.len();
+        let pending = bucketed + self.run.len() + self.overflow.len() + self.late.len();
         assert_eq!(pending, self.len, "len out of step");
         assert!(
             self.overflow
@@ -584,7 +643,19 @@ impl<E> EventQueue<E> {
             self.overflow.iter().all(|e| cycle_of(e.at) >= end),
             "overflow event inside the window"
         );
-        let min = self.run.last().or(self.overflow.front()).map(|e| e.at);
+        assert!(
+            self.late.iter().all(|Reverse(e)| cycle_of(e.at) >= end),
+            "overflow heap event inside the window"
+        );
+        let min = [
+            self.run.last(),
+            self.overflow.front(),
+            self.late.peek().map(|r| &r.0),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .map(|e| e.at);
         assert_eq!(self.next_at, min, "cached minimum is stale");
         let s = self.stats();
         assert_eq!(
@@ -801,6 +872,35 @@ mod tests {
         assert_eq!(q.pop(), Some((far, 'f')));
         assert_eq!(q.pop(), Some((far + 1, 'g')));
         assert_eq!(q.stats().promotions, 2, "window advance promotes");
+    }
+
+    #[test]
+    fn descending_far_future_pushes_take_the_heap() {
+        // Every push beyond the window lands earlier than the last one: the
+        // sorted deque's worst case, an insert at its front each time.
+        const N: u64 = 2_000;
+        let tick = |i: u64| WINDOW * TICKS_PER_CYCLE + (N - i) * (TICKS_PER_CYCLE / 3 + 1);
+        let mut q = EventQueue::new();
+        q.push(0, 0);
+        for i in 1..=N {
+            q.push(tick(i), i);
+            q.check_invariants();
+        }
+        assert_eq!(
+            q.late.len() as u64,
+            N - 1,
+            "all but the first went to the heap"
+        );
+        assert_eq!(q.pop(), Some((0, 0)));
+        q.check_invariants();
+        for i in (1..=N).rev() {
+            assert_eq!(q.pop(), Some((tick(i), i)));
+            q.check_invariants();
+        }
+        assert_eq!(q.pop(), None);
+        let s = q.stats();
+        assert_eq!((s.overflow_pushes, s.promotions), (N, N));
+        assert_eq!((s.rebuilds, s.rebases), (0, 0));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! in the content-addressed store, so a client re-submitting the same job
 //! gets a warm hit). The journal is compacted on open, rewriting only the
 //! still-pending lines through the same temp+rename discipline the store
-//! uses.
+//! uses. With nothing pending it is truncated in place instead: the old
+//! bytes and the empty file both replay to nothing, so that needs no
+//! `fsync`.
 //!
 //! A torn final line (the crash happened mid-append) is ignored on
 //! replay: a lost `queued` means the client never got its ACK journaled —
@@ -36,8 +38,8 @@ pub struct Journal {
 
 impl Journal {
     /// Opens the journal at `dir/journal.log`, replays it, compacts it to
-    /// the still-pending entries, and returns those entries in their
-    /// original submission order.
+    /// the still-pending entries (truncates it when there are none), and
+    /// returns those entries in their original submission order.
     ///
     /// # Errors
     ///
@@ -52,6 +54,13 @@ impl Journal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
+        if pending.is_empty() {
+            // Truncation sets the length in one step, so a crash leaves the
+            // old bytes or none; both replay to nothing.
+            let file = OpenOptions::new().append(true).create(true).open(&path)?;
+            file.set_len(0)?;
+            return Ok((Journal { path, file }, pending));
+        }
         // Compact via temp+rename: the journal is either the old bytes or
         // the compacted bytes, never a prefix of the new ones.
         let tmp = dir.join(format!("journal.tmp.{}", std::process::id()));
@@ -163,6 +172,33 @@ mod tests {
         let raw = std::fs::read_to_string(dir.join("journal.log")).unwrap();
         assert_eq!(raw.lines().count(), 2);
         assert!(raw.lines().all(|l| l.starts_with("queued ")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_with_nothing_pending_reopens_empty_without_a_temp_file() {
+        let dir = tmpdir("settled");
+        {
+            let (mut j, _) = Journal::open(&dir).unwrap();
+            for workload in ["A", "B"] {
+                j.record_queued(&spec(workload)).unwrap();
+                j.record_done(&spec(workload)).unwrap();
+            }
+        }
+        assert!(!std::fs::read(dir.join("journal.log")).unwrap().is_empty());
+        let (mut j, pending) = Journal::open(&dir).unwrap();
+        assert!(pending.is_empty());
+        assert!(std::fs::read(dir.join("journal.log")).unwrap().is_empty());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, ["journal.log"], "no journal.tmp.* left behind");
+        // The truncated journal still takes appends and replays them.
+        j.record_queued(&spec("C")).unwrap();
+        drop(j);
+        let (_j, pending) = Journal::open(&dir).unwrap();
+        assert_eq!(pending, [spec("C")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -128,3 +128,30 @@ fn quick_matrix_reports_match_the_recorded_hashes() {
         .collect();
     assert_eq!(got, GOLDEN, "computed table:\n{listing}");
 }
+
+/// HPC-AMG on 8 NUMA-aware sockets at full scale: link- and DRAM-bound
+/// enough that thousands of completions wait beyond the event calendar's
+/// window, so this row pins the calendar's deep-backlog path at the depth
+/// the quick matrix never reaches. Its report hash was recorded on the
+/// commit before the calendar's overflow took a min-heap beside its deque.
+/// Seconds in release, so CI runs it there, with `--ignored`.
+const FULL_SCALE_BACKLOG: (&str, &str, u64) = ("HPC-AMG", "numa-aware-8", 0x8032d5f76f0a6280);
+
+#[test]
+#[ignore = "full scale: run in release with --ignored"]
+fn full_scale_backlog_report_matches_the_recorded_hash() {
+    let (name, label, golden) = FULL_SCALE_BACKLOG;
+    let wl = by_name(name, &Scale::full()).expect("catalog workload");
+    let report = run_workload(SystemConfig::numa_aware_sockets(8), &wl).expect("clean run");
+    let egress: u64 = report.sockets.iter().map(|s| s.egress_bytes).sum();
+    let ingress: u64 = report.sockets.iter().map(|s| s.ingress_bytes).sum();
+    assert_eq!(
+        egress, ingress,
+        "{name} on {label}: link bytes not conserved"
+    );
+    let hash = fnv1a64(report.to_json().to_string().as_bytes());
+    assert_eq!(
+        hash, golden,
+        "{name} on {label}: report hash now {hash:#018x}"
+    );
+}
