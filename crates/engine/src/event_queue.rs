@@ -650,7 +650,7 @@ impl<E> EventQueue<E> {
         let min = [
             self.run.last(),
             self.overflow.front(),
-            self.late.peek().map(|r| &r.0),
+            self.late.peek().map(|Reverse(e)| e),
         ]
         .into_iter()
         .flatten()
