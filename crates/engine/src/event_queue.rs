@@ -470,48 +470,27 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Whether the overflow's earliest event is the heap's top rather than
-    /// the deque's front.
-    #[inline]
-    fn late_first(&self) -> bool {
-        self.late
-            .peek()
-            .is_some_and(|Reverse(top)| self.overflow.front().is_none_or(|front| top < front))
-    }
-
     /// The overflow's earliest event: the lesser of the deque's front and
     /// the heap's top.
     #[inline]
     fn overflow_first(&self) -> Option<&Entry<E>> {
-        if self.late_first() {
-            self.late.peek().map(|Reverse(e)| e)
-        } else {
-            self.overflow.front()
-        }
+        let top = self.late.peek().map(|Reverse(e)| e);
+        self.overflow.front().into_iter().chain(top).min()
     }
 
     /// Moves overflow events that the window now covers into their buckets,
-    /// none of them before the active one, merging the two parts in key
-    /// order so that each bucket list reads descending. O(k log n) for k
-    /// promoted.
+    /// none of them before the active one: the deque's due front, then the
+    /// heap's due top. Which part an event leaves first decides nothing,
+    /// since activation sorts a bucket. O(k log n) for k promoted.
     fn promote(&mut self) {
         let limit = self.origin + WINDOW;
-        while let Some(entry) = self.pop_overflow_before(limit) {
+        let due = |e: &Entry<E>| cycle_of(e.at) < limit;
+        while let Some(entry) = self.overflow.pop_front_if(|e| due(e)).or_else(|| {
+            let top = self.late.peek_mut().filter(|top| due(&top.0))?;
+            Some(PeekMut::pop(top).0)
+        }) {
             self.promotions += 1;
             self.link(bucket_index(cycle_of(entry.at)), entry);
-        }
-    }
-
-    /// Removes the overflow's earliest event if its cycle is before `limit`.
-    fn pop_overflow_before(&mut self, limit: u64) -> Option<Entry<E>> {
-        if self.late_first() {
-            let top = self
-                .late
-                .peek_mut()
-                .filter(|top| cycle_of(top.0.at) < limit)?;
-            Some(PeekMut::pop(top).0)
-        } else {
-            self.overflow.pop_front_if(|e| cycle_of(e.at) < limit)
         }
     }
 
@@ -876,8 +855,9 @@ mod tests {
 
     #[test]
     fn descending_far_future_pushes_take_the_heap() {
-        // Every push beyond the window lands earlier than the last one: the
-        // sorted deque's worst case, an insert at its front each time.
+        // Every push beyond the window after the first lands earlier than
+        // the overflow deque's last event, so it takes the heap; the window
+        // then promotes them from the heap's top in ascending order.
         const N: u64 = 2_000;
         let tick = |i: u64| WINDOW * TICKS_PER_CYCLE + (N - i) * (TICKS_PER_CYCLE / 3 + 1);
         let mut q = EventQueue::new();

@@ -132,8 +132,8 @@ fn quick_matrix_reports_match_the_recorded_hashes() {
 /// HPC-AMG on 8 NUMA-aware sockets at full scale: link- and DRAM-bound
 /// enough that thousands of completions wait beyond the event calendar's
 /// window, so this row pins the calendar's deep-backlog path at the depth
-/// the quick matrix never reaches. Its report hash was recorded on the
-/// commit before the calendar's overflow took a min-heap beside its deque.
+/// the quick matrix never reaches. Its report hash was recorded before the
+/// calendar's overflow took a min-heap for its out-of-order pushes.
 /// Seconds in release, so CI runs it there, with `--ignored`.
 const FULL_SCALE_BACKLOG: (&str, &str, u64) = ("HPC-AMG", "numa-aware-8", 0x8032d5f76f0a6280);
 
