@@ -428,11 +428,6 @@ pub fn ablations(runner: &mut Runner) -> Table {
         aware("aware-cta-interleave", |c| {
             c.cta_policy = CtaSchedulingPolicy::Interleave
         }),
-        aware("aware-page-migration", |c| {
-            c.placement = PagePlacement::FirstTouchMigrate {
-                migrate_threshold: 64,
-            }
-        }),
         aware("aware-mlp-1", |c| c.sm.max_pending_loads = 1),
         aware("aware-mlp-8", |c| c.sm.max_pending_loads = 8),
     ];
@@ -528,6 +523,14 @@ mod tests {
         assert_eq!(t.rows.len(), 32 + 2);
         // The mem-side column is the baseline of 1.0 by construction.
         assert!(t.rows[..32].iter().all(|row| row.values[0] == 1.0));
+    }
+
+    #[test]
+    #[ignore = "slow: simulates the study set under eight ablation variants"]
+    fn ablations_are_pinned() {
+        let mut r = quick_runner().jobs(numa_gpu_exec::ThreadPool::available().workers());
+        let text = ablations(&mut r).to_string();
+        assert_pinned("ablations", &text, 0x86d87c47aa594db3);
     }
 
     #[test]

@@ -21,21 +21,23 @@
 //! same way — a control event at tick `c` bounds `w_end` to `c + 1`, and
 //! everything it schedules lands at least the dispatch latency later.
 //!
-//! Inside a window a shard touches only its own state (plus a read-only
-//! page table, except under reactive migration), so the order in which
-//! shards run a window cannot be observed: only the barrier's canonical
-//! merge decides what crosses between them.
+//! Inside a window a shard touches only its own state plus the page
+//! table, which every shard reads shared (a first touch waits for the
+//! barrier as a claim), so the order in which shards run a window cannot
+//! be observed: only the barrier's canonical merge decides what crosses
+//! between them.
 
-use crate::system::{Ev, NumaGpuSystem, PagesView, SocketShard};
+use crate::system::{Ev, NumaGpuSystem, SocketShard};
 use numa_gpu_cache::LineClass;
 use numa_gpu_engine::{conservative_window, merge_cross_into, WatchdogTrip};
 use numa_gpu_interconnect::{BalanceAction, LinkDirection};
+use numa_gpu_mem::PageTable;
 use numa_gpu_obs::TraceEvent;
 use numa_gpu_runtime::{Kernel, LaunchPlan};
 use numa_gpu_sm::L1ReadOutcome;
 use numa_gpu_types::{
-    cycles_to_ticks, ticks_to_cycles, CacheMode, MemKind, PageId, PagePlacement, SimError,
-    SocketId, Tick, WarpOp, WarpSlot, SATURATION_THRESHOLD, TICKS_PER_CYCLE,
+    cycles_to_ticks, ticks_to_cycles, CacheMode, MemKind, PageId, SimError, SocketId, Tick, WarpOp,
+    WarpSlot, SATURATION_THRESHOLD, TICKS_PER_CYCLE,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -139,17 +141,8 @@ impl NumaGpuSystem {
 
     /// Runs every shard up to (exclusive) `w_end`, in partition order.
     fn run_windows(&mut self, w_end: Tick) {
-        // Reactive migration mutates the page table on remote accesses, so
-        // those runs hold the exclusive borrow; every other policy reads
-        // the table and leaves first-touch claims for the barrier.
-        let migrate = matches!(self.cfg.placement, PagePlacement::FirstTouchMigrate { .. });
         for shard in &mut self.shards {
-            let mut pages = if migrate {
-                PagesView::Exclusive(&mut self.pages)
-            } else {
-                PagesView::Shared(&self.pages)
-            };
-            shard.run_window(w_end, &mut pages);
+            shard.run_window(w_end, &self.pages);
         }
     }
 
@@ -384,7 +377,7 @@ impl SocketShard {
     /// Same-tick pushes made by handlers re-enter the loop, so a window is
     /// exactly the events a single global queue would have run for this
     /// socket in `[start, w_end)`.
-    pub(crate) fn run_window(&mut self, w_end: Tick, pages: &mut PagesView<'_>) {
+    pub(crate) fn run_window(&mut self, w_end: Tick, pages: &PageTable) {
         while let Some((t, ev)) = self.queue.pop_if_before(w_end) {
             if ev.is_mem_stage() {
                 self.inflight_delta -= 1;
@@ -395,7 +388,7 @@ impl SocketShard {
         }
     }
 
-    fn handle(&mut self, t: Tick, ev: Ev, pages: &mut PagesView<'_>) {
+    fn handle(&mut self, t: Tick, ev: Ev, pages: &PageTable) {
         match ev {
             Ev::WarpIssue { sm, slot } => self.on_warp_issue(t, sm, slot, pages),
             Ev::ReadAtL2 { sm, line, home } => self.on_read_at_l2(t, sm, line, home),
@@ -489,7 +482,7 @@ impl SocketShard {
 
     /// A warp is ready: pull its next op (or replay a parked one) and model
     /// its issue.
-    fn on_warp_issue(&mut self, t: Tick, sm: u32, slot: WarpSlot, pages: &mut PagesView<'_>) {
+    fn on_warp_issue(&mut self, t: Tick, sm: u32, slot: WarpSlot, pages: &PageTable) {
         let li = (sm - self.base_sm) as usize;
         let wi = self.warp_index(li, slot);
         let op = match self.pending_ops[wi].take() {
@@ -662,6 +655,23 @@ mod tests {
             }
             other => panic!("expected Deadlock, got {other:?}"),
         }
+    }
+
+    /// First-touch arbitration at the barrier: the earliest
+    /// `(tick, partition)` claim places each page, and every claim drains.
+    #[test]
+    fn barrier_places_each_page_at_its_earliest_claim() {
+        let mut sys = NumaGpuSystem::new(SystemConfig::numa_aware_sockets(4)).unwrap();
+        let (a, b) = (PageId::from_index(7), PageId::from_index(8));
+        sys.shards[0].claims.insert(a, 9);
+        sys.shards[2].claims.insert(a, 5);
+        sys.shards[3].claims.insert(b, 6);
+        sys.shards[1].claims.insert(b, 6);
+        sys.barrier_fold().unwrap();
+        assert_eq!(sys.pages.peek_page(a), Some(SocketId::new(2)));
+        assert_eq!(sys.pages.peek_page(b), Some(SocketId::new(1)));
+        assert_eq!(sys.pages.stats().pages_placed.get(), 2);
+        assert!(sys.shards.iter().all(|s| s.claims.is_empty()));
     }
 
     #[test]

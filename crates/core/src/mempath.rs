@@ -15,9 +15,10 @@
 //! timing legs are the monolithic model's, but each link is only ever
 //! touched by its owning partition.
 
-use crate::system::{Ev, PagesView, SocketShard, XMsg};
+use crate::system::{Ev, SocketShard, XMsg};
 use numa_gpu_cache::LineClass;
 use numa_gpu_interconnect::LinkDirection;
+use numa_gpu_mem::PageTable;
 use numa_gpu_types::{LineAddr, SocketId, Tick, WarpSlot, WritePolicy, HEADER_BYTES, LINE_SIZE};
 
 /// Bytes of a cache-line data packet.
@@ -87,13 +88,7 @@ impl SocketShard {
 
     /// Stage 3 (remote path): the request reached the home socket, whose L2
     /// is memory-side for incoming traffic in every mode.
-    pub(crate) fn on_read_at_home(
-        &mut self,
-        t: Tick,
-        sm: u32,
-        line: LineAddr,
-        pages: &mut PagesView<'_>,
-    ) {
+    pub(crate) fn on_read_at_home(&mut self, t: Tick, sm: u32, line: LineAddr, pages: &PageTable) {
         let home = self.socket;
         let ready = if self.l2.probe_read(line) {
             t + self.l2_hit_latency
@@ -124,7 +119,7 @@ impl SocketShard {
         line: LineAddr,
         class: LineClass,
         fill_l2: bool,
-        pages: &mut PagesView<'_>,
+        pages: &PageTable,
     ) {
         if fill_l2 {
             self.fill_l2(t, line, class, false, pages);
@@ -166,7 +161,7 @@ impl SocketShard {
         slot: WarpSlot,
         line: LineAddr,
         home: SocketId,
-        pages: &mut PagesView<'_>,
+        pages: &PageTable,
     ) {
         let write_back = self.cfg.l2.write_policy == WritePolicy::WriteBack;
         let accept = if home == self.socket {
@@ -202,7 +197,7 @@ impl SocketShard {
         t: Tick,
         from: SocketId,
         line: LineAddr,
-        pages: &mut PagesView<'_>,
+        pages: &PageTable,
     ) {
         let done = self.absorb_write_at_home(t, line, pages);
         self.write_drain = self.write_drain.max(done);
@@ -247,7 +242,7 @@ impl SocketShard {
 
     /// A write (or writeback) arriving at its home socket: absorbed by the
     /// memory-side L2 or forwarded to DRAM under write-through.
-    fn absorb_write_at_home(&mut self, t: Tick, line: LineAddr, pages: &mut PagesView<'_>) -> Tick {
+    fn absorb_write_at_home(&mut self, t: Tick, line: LineAddr, pages: &PageTable) -> Tick {
         if self.cfg.l2.write_policy == WritePolicy::WriteBack {
             if !self.l2.probe_write(line, true) {
                 // Write-allocate without fetch (coalesced full-line
@@ -268,7 +263,7 @@ impl SocketShard {
         line: LineAddr,
         class: LineClass,
         dirty: bool,
-        pages: &mut PagesView<'_>,
+        pages: &PageTable,
     ) {
         if let Some(victim) = self.l2.fill(line, class, dirty) {
             if victim.dirty {
@@ -281,7 +276,7 @@ impl SocketShard {
     /// Writes a dirty line back to its home memory; returns the completion
     /// tick as far as this partition can know it (a remote home's DRAM
     /// write extends the drain further via the WriteAck path).
-    pub(crate) fn writeback(&mut self, t: Tick, line: LineAddr, pages: &mut PagesView<'_>) -> Tick {
+    pub(crate) fn writeback(&mut self, t: Tick, line: LineAddr, pages: &PageTable) -> Tick {
         let home = self.home_of_line(t, line, pages);
         if home == self.socket {
             self.dram.write_line(t, line, LINE_BYTES)

@@ -142,20 +142,6 @@ pub(crate) struct WarpMemState {
     pub draining: bool,
 }
 
-/// How a shard resolves line homes inside a window.
-///
-/// Every policy except reactive migration is served by a shared immutable
-/// borrow: computed policies answer directly, and unplaced first-touch
-/// pages become shard-local *claims* committed at the barrier. Reactive
-/// migration mutates the table on remote accesses, so those runs hold an
-/// exclusive borrow. Both run the same windows and barriers.
-pub(crate) enum PagesView<'a> {
-    /// Read-only table shared by every shard in a window.
-    Shared(&'a PageTable),
-    /// Exclusive table for reactive-migration runs.
-    Exclusive(&'a mut PageTable),
-}
-
 /// One event-loop partition: a socket's private state — SMs, L1s, L2,
 /// DRAM, NoC queues, switch link, partition controller — plus its event
 /// queue and the cross-partition outbox. Events carry *global* SM ids; the
@@ -299,27 +285,17 @@ impl SocketShard {
         self.queue.push(at, ev);
     }
 
-    /// Resolves `line`'s home socket. Against a shared table, unplaced
-    /// first-touch pages are *claimed* for this shard (treated as local
-    /// until the barrier arbitrates); claims and lookup counts fold into
-    /// the real table at the barrier.
-    pub(crate) fn home_of_line(
-        &mut self,
-        t: Tick,
-        line: LineAddr,
-        pages: &mut PagesView<'_>,
-    ) -> SocketId {
-        match pages {
-            PagesView::Exclusive(pt) => pt.home_of_line(line, self.socket),
-            PagesView::Shared(pt) => {
-                self.lookups += 1;
-                if let Some(home) = pt.peek_line(line) {
-                    return home;
-                }
-                self.claims.entry(line.page()).or_insert(t);
-                self.socket
-            }
+    /// Resolves `line`'s home socket against the window's shared table. An
+    /// unplaced first-touch page is *claimed* for this shard (treated as
+    /// local until the barrier arbitrates); claims and lookup counts fold
+    /// into the table at the barrier.
+    pub(crate) fn home_of_line(&mut self, t: Tick, line: LineAddr, pages: &PageTable) -> SocketId {
+        self.lookups += 1;
+        if let Some(home) = pages.peek_line(line) {
+            return home;
         }
+        self.claims.entry(line.page()).or_insert(t);
+        self.socket
     }
 
     /// Emits a cross-partition message: pays this socket's egress lanes and

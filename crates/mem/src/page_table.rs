@@ -1,23 +1,12 @@
 //! NUMA page placement policies (paper §3).
 
 use numa_gpu_types::{Counter, LineAddr, PageId, PagePlacement, SocketId};
-use std::collections::BTreeMap;
 
 /// Pages per first-touch chunk: 4 KiB of home bytes per 256 MiB of addresses.
 const CHUNK_PAGES: u64 = 4096;
 
 /// Home byte of an untouched page; socket indices stop at 254 (`u8` count).
 const UNPLACED: u8 = u8::MAX;
-
-/// Per-page migration bookkeeping for
-/// [`PagePlacement::FirstTouchMigrate`].
-#[derive(Debug, Clone, Copy, Default)]
-struct MigrationState {
-    /// Socket issuing the current run of remote accesses.
-    contender: Option<SocketId>,
-    /// Length of that run.
-    run: u32,
-}
 
 /// Statistics gathered by the placement layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,8 +15,6 @@ pub struct PlacementStats {
     pub pages_placed: Counter,
     /// Line-home lookups answered.
     pub lookups: Counter,
-    /// Pages migrated (only under `FirstTouchMigrate`).
-    pub pages_migrated: Counter,
 }
 
 /// Maps cache lines to their home socket under one of the paper's three
@@ -63,7 +50,6 @@ pub struct PageTable {
     /// one path for any address, memory proportional to the chunks touched
     /// (page 2^40 costs one chunk), ascending enumeration by construction.
     first_touch: Vec<(u64, Box<[u8]>)>,
-    migration: BTreeMap<PageId, MigrationState>,
     stats: PlacementStats,
 }
 
@@ -79,7 +65,6 @@ impl PageTable {
             policy,
             num_sockets,
             first_touch: Vec::new(),
-            migration: BTreeMap::new(),
             stats: PlacementStats::default(),
         }
     }
@@ -91,40 +76,15 @@ impl PageTable {
     }
 
     /// Resolves the home socket of `line` for an access issued by
-    /// `requester`. Under first-touch this may *place* the page; under
-    /// [`PagePlacement::FirstTouchMigrate`] it may also *move* it after a
-    /// run of remote accesses.
+    /// `requester`. Under first-touch this may *place* the page; a placed
+    /// page keeps its home.
     pub fn home_of_line(&mut self, line: LineAddr, requester: SocketId) -> SocketId {
         self.stats.lookups.inc();
         let n = self.num_sockets as u64;
         match self.policy {
             PagePlacement::FineInterleave => SocketId::new((line.raw() % n) as u8),
             PagePlacement::PageInterleave => SocketId::new((line.page().index() % n) as u8),
-            PagePlacement::FirstTouch => self.place(line.page(), requester, false),
-            PagePlacement::FirstTouchMigrate { migrate_threshold } => {
-                let home = self.place(line.page(), requester, false);
-                if home == requester {
-                    // A local access resets any remote run.
-                    self.migration.remove(&line.page());
-                    return home;
-                }
-                let st = self.migration.entry(line.page()).or_default();
-                if st.contender == Some(requester) {
-                    st.run += 1;
-                } else {
-                    *st = MigrationState {
-                        contender: Some(requester),
-                        run: 1,
-                    };
-                }
-                if st.run >= migrate_threshold.max(1) {
-                    self.migration.remove(&line.page());
-                    self.place(line.page(), requester, true);
-                    self.stats.pages_migrated.inc();
-                    return requester;
-                }
-                home
-            }
+            PagePlacement::FirstTouch => self.place(line.page(), requester),
         }
     }
 
@@ -134,9 +94,9 @@ impl PageTable {
         self.first_touch.binary_search_by_key(&chunk, |c| c.0)
     }
 
-    /// Makes `socket` the home of `page` if it has none (a counted placement)
-    /// or `overwrite` is set (a migration); returns the home now in force.
-    fn place(&mut self, page: PageId, socket: SocketId, overwrite: bool) -> SocketId {
+    /// Makes `socket` the home of `page` if it has none (a counted
+    /// placement); returns the home now in force.
+    fn place(&mut self, page: PageId, socket: SocketId) -> SocketId {
         let at = self.chunk_at(page).unwrap_or_else(|at| {
             let homes = vec![UNPLACED; CHUNK_PAGES as usize].into_boxed_slice();
             self.first_touch
@@ -144,14 +104,12 @@ impl PageTable {
             at
         });
         let home = &mut self.first_touch[at].1[(page.index() % CHUNK_PAGES) as usize];
-        if *home == UNPLACED || overwrite {
+        if *home == UNPLACED {
             assert!(
                 socket.index() < self.num_sockets as usize,
                 "home socket outside the system"
             );
-            if *home == UNPLACED {
-                self.stats.pages_placed.inc();
-            }
+            self.stats.pages_placed.inc();
             *home = socket.index() as u8;
         }
         SocketId::new(*home)
@@ -184,8 +142,8 @@ impl PageTable {
     /// No-op for the computed (interleaved) policies.
     pub fn commit_claim(&mut self, page: PageId, socket: SocketId) {
         match self.policy {
-            PagePlacement::FirstTouch | PagePlacement::FirstTouchMigrate { .. } => {
-                self.place(page, socket, false);
+            PagePlacement::FirstTouch => {
+                self.place(page, socket);
             }
             PagePlacement::FineInterleave | PagePlacement::PageInterleave => {}
         }
@@ -204,7 +162,7 @@ impl PageTable {
         match self.policy {
             PagePlacement::FineInterleave => None, // sub-page granularity
             PagePlacement::PageInterleave => Some(SocketId::new((page.index() % n) as u8)),
-            PagePlacement::FirstTouch | PagePlacement::FirstTouchMigrate { .. } => {
+            PagePlacement::FirstTouch => {
                 let homes = &self.first_touch[self.chunk_at(page).ok()?].1;
                 let home = homes[(page.index() % CHUNK_PAGES) as usize];
                 (home != UNPLACED).then(|| SocketId::new(home))
@@ -242,7 +200,6 @@ impl PageTable {
     /// runs sharing a system instance).
     pub fn reset(&mut self) {
         self.first_touch.clear();
-        self.migration.clear();
         self.stats = PlacementStats::default();
     }
 }
@@ -394,43 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_moves_page_after_threshold() {
-        let mut pt = PageTable::new(
-            PagePlacement::FirstTouchMigrate {
-                migrate_threshold: 3,
-            },
-            4,
-        );
-        let l = line(0);
-        assert_eq!(pt.home_of_line(l, SocketId::new(0)), SocketId::new(0));
-        // Two remote touches: not yet migrated.
-        assert_eq!(pt.home_of_line(l, SocketId::new(2)), SocketId::new(0));
-        assert_eq!(pt.home_of_line(l, SocketId::new(2)), SocketId::new(0));
-        // Third consecutive remote touch from the same socket migrates.
-        assert_eq!(pt.home_of_line(l, SocketId::new(2)), SocketId::new(2));
-        assert_eq!(pt.peek_page(PageId::from_index(0)), Some(SocketId::new(2)));
-        assert_eq!(pt.stats().pages_migrated.get(), 1);
-    }
-
-    #[test]
-    fn migration_run_resets_on_local_or_different_remote() {
-        let mut pt = PageTable::new(
-            PagePlacement::FirstTouchMigrate {
-                migrate_threshold: 2,
-            },
-            4,
-        );
-        let l = line(0);
-        pt.home_of_line(l, SocketId::new(0)); // place on 0
-        pt.home_of_line(l, SocketId::new(1)); // run(1)=1
-        pt.home_of_line(l, SocketId::new(2)); // run(2)=1 (reset)
-        pt.home_of_line(l, SocketId::new(0)); // local access resets
-        pt.home_of_line(l, SocketId::new(2)); // run(2)=1 again
-        assert_eq!(pt.home_of_line(l, SocketId::new(2)), SocketId::new(2));
-        assert_eq!(pt.stats().pages_migrated.get(), 1);
-    }
-
-    #[test]
     fn placements_enumerate_in_page_order_regardless_of_touch_order() {
         // Touch the same pages in two different orders; the placement
         // snapshot must come out identical: the table enumerates in index
@@ -449,19 +369,5 @@ mod tests {
         let mut sorted = pages.clone();
         sorted.sort_unstable();
         assert_eq!(pages, sorted, "placements must enumerate in page order");
-    }
-
-    #[test]
-    fn migration_threshold_zero_clamps_to_one() {
-        let mut pt = PageTable::new(
-            PagePlacement::FirstTouchMigrate {
-                migrate_threshold: 0,
-            },
-            2,
-        );
-        let l = line(0);
-        pt.home_of_line(l, SocketId::new(0));
-        // A single remote touch migrates immediately.
-        assert_eq!(pt.home_of_line(l, SocketId::new(1)), SocketId::new(1));
     }
 }

@@ -1,7 +1,6 @@
 //! Differential test: the chunked page-indexed `PageTable` against the
 //! naive model it replaced (`BTreeMap<PageId, SocketId>` for first-touch
-//! homes, the same migration bookkeeping) under all four placement
-//! policies. Homes, first-wins commits, `placements()` *order*,
+//! homes) under all three placement policies. Homes, first-wins commits, `placements()` *order*,
 //! `resident_pages` and statistics are compared after every step.
 
 use numa_gpu_mem::{PageTable, PlacementStats};
@@ -14,8 +13,6 @@ struct RefTable {
     policy: PagePlacement,
     sockets: u64,
     first_touch: BTreeMap<PageId, SocketId>,
-    /// Page -> (contender, run length) under `FirstTouchMigrate`.
-    migration: BTreeMap<PageId, (SocketId, u32)>,
     stats: PlacementStats,
 }
 
@@ -35,25 +32,6 @@ impl RefTable {
             PagePlacement::FineInterleave => SocketId::new((line.raw() % self.sockets) as u8),
             PagePlacement::PageInterleave => SocketId::new((page.index() % self.sockets) as u8),
             PagePlacement::FirstTouch => self.first_touch_home(page, requester),
-            PagePlacement::FirstTouchMigrate { migrate_threshold } => {
-                let home = self.first_touch_home(page, requester);
-                if home == requester {
-                    self.migration.remove(&page);
-                    return home;
-                }
-                let run = match self.migration.get(&page) {
-                    Some(&(contender, run)) if contender == requester => run + 1,
-                    _ => 1,
-                };
-                self.migration.insert(page, (requester, run));
-                if run >= migrate_threshold.max(1) {
-                    self.migration.remove(&page);
-                    self.first_touch.insert(page, requester);
-                    self.stats.pages_migrated.inc();
-                    return requester;
-                }
-                home
-            }
         }
     }
 
@@ -68,10 +46,7 @@ impl RefTable {
     }
 
     fn commit_claim(&mut self, page: PageId, socket: SocketId) {
-        if matches!(
-            self.policy,
-            PagePlacement::FirstTouch | PagePlacement::FirstTouchMigrate { .. }
-        ) {
+        if self.policy == PagePlacement::FirstTouch {
             self.first_touch_home(page, socket);
         }
     }
@@ -92,23 +67,20 @@ fn page_of(sel: u64) -> PageId {
 
 prop_check! {
     fn page_table_matches_the_btreemap_model(
-        policy in ints(0u8..4),
+        policy in ints(0u8..3),
         sockets in ints(1u8..9),
-        threshold in ints(0u32..4),
         ops in vecs(quads(ints(0u8..8), ints(0u64..32), ints(0u64..512), ints(0u8..8)), 1..300)
     ) {
         let policy = match policy {
             0 => PagePlacement::FineInterleave,
             1 => PagePlacement::PageInterleave,
-            2 => PagePlacement::FirstTouch,
-            _ => PagePlacement::FirstTouchMigrate { migrate_threshold: threshold },
+            _ => PagePlacement::FirstTouch,
         };
         let mut flat = PageTable::new(policy, sockets);
         let mut model = RefTable {
             policy,
             sockets: sockets as u64,
             first_touch: BTreeMap::new(),
-            migration: BTreeMap::new(),
             stats: PlacementStats::default(),
         };
         for (kind, sel, line_in_page, socket) in ops {
@@ -128,7 +100,6 @@ prop_check! {
                 _ if sel == 0 => {
                     flat.reset();
                     model.first_touch.clear();
-                    model.migration.clear();
                     model.stats = PlacementStats::default();
                 }
                 _ => {}

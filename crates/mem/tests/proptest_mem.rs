@@ -37,23 +37,6 @@ prop_check! {
         prop_assert_eq!(pt.resident_pages(), pages.len());
     }
 
-    /// Migration never yields an out-of-range home and migrates at most
-    /// once per remote run reaching the threshold.
-    fn migration_homes_in_range(
-        threshold in ints(1u32..8),
-        touches in vecs(ints(0u8..4), 1..100),
-    ) {
-        let mut pt = PageTable::new(
-            PagePlacement::FirstTouchMigrate { migrate_threshold: threshold },
-            4,
-        );
-        let line = Addr::new(0).line();
-        for r in touches {
-            let home = pt.home_of_line(line, SocketId::new(r % 4));
-            prop_assert!(home.index() < 4);
-        }
-    }
-
     /// DRAM completions are FIFO and each includes at least the access
     /// latency; total bytes are conserved.
     fn dram_fifo_and_latency(

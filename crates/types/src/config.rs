@@ -27,15 +27,6 @@ pub enum PagePlacement {
     /// First-touch: a page is placed on the socket that first accesses it
     /// (UVM on-demand migration as in Arunkumar et al.).
     FirstTouch,
-    /// First-touch plus reactive migration: a page that suffers
-    /// `migrate_threshold` consecutive remote accesses from the same socket
-    /// moves there. The paper deliberately does *not* migrate ("pages are
-    /// not dynamically moved between GPUs"); this variant exists as an
-    /// ablation of that choice.
-    FirstTouchMigrate {
-        /// Consecutive same-socket remote accesses before a page moves.
-        migrate_threshold: u32,
-    },
 }
 
 /// L2 cache organization under study (paper Figure 7).
