@@ -8,8 +8,9 @@
 //!   cycle per bucket) whose pop order is exactly that of a min-heap over
 //!   `(tick, seq)`. Its 512-cycle window starts at the cycle of the last
 //!   pop, so the hot push path is an O(1) bucket append and a saturated
-//!   DRAM or link, whose backlog runs deeper than the window, costs a
-//!   sorted overflow insert and never a calendar rebuild.
+//!   DRAM or link, whose backlog runs deeper than the window, costs an
+//!   overflow deque append (or, out of order, a min-heap push) and never
+//!   a calendar rebuild.
 //! * [`ServiceQueue`] — a bandwidth-limited FIFO resource (DRAM interface,
 //!   NoC, one link direction). Requests occupy the resource for
 //!   `bytes / rate` cycles; the queue tracks windowed busy time so the

@@ -1,6 +1,7 @@
-//! One first-touch access far out in the address space (`--from-trace`
-//! accepts any 64-bit byte address, so page index 2^40 is reachable) must
-//! cost a chunk of the page table, not a table sized by the address.
+//! One first-touch access far out in the address space (any `Kernel`
+//! implementation may issue any 64-bit address, so page index 2^40 is
+//! reachable) must cost a chunk of the page table, not a table sized by
+//! the address.
 
 use numa_gpu_mem::PageTable;
 use numa_gpu_types::{Addr, PageId, PagePlacement, SocketId, PAGE_SIZE};

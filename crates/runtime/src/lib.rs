@@ -27,9 +27,7 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 mod launch;
-mod trace;
 mod workload;
 
 pub use launch::{socket_for_cta, LaunchPlan, SubKernel};
-pub use trace::{ParseTraceError, RecordedKernel};
 pub use workload::{Kernel, Suite, Workload, WorkloadMeta};

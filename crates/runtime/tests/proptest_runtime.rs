@@ -1,119 +1,11 @@
-//! Property tests for the runtime crate: launch plans and the trace codec.
+//! Property tests for the runtime crate: launch plans.
 
-use numa_gpu_runtime::{socket_for_cta, Kernel, LaunchPlan, RecordedKernel};
-use numa_gpu_testkit::gen::{ints, select, strings, vecs};
+use numa_gpu_runtime::{socket_for_cta, LaunchPlan};
+use numa_gpu_testkit::gen::ints;
 use numa_gpu_testkit::{prop_assert_eq, prop_check};
-use numa_gpu_types::{Addr, CtaId, CtaProgram, CtaSchedulingPolicy, SocketId, WarpOp};
-
-/// A kernel generating a short deterministic mixed stream per warp.
-#[derive(Debug, Clone)]
-struct MixKernel {
-    ctas: u32,
-    warps: u32,
-    ops: u32,
-    seed: u64,
-}
-
-impl Kernel for MixKernel {
-    fn num_ctas(&self) -> u32 {
-        self.ctas
-    }
-    fn warps_per_cta(&self) -> u32 {
-        self.warps
-    }
-    fn cta(&self, cta: CtaId) -> Box<dyn CtaProgram> {
-        struct P {
-            ops: u32,
-            emitted: Vec<u32>,
-            salt: u64,
-        }
-        impl CtaProgram for P {
-            fn num_warps(&self) -> u32 {
-                self.emitted.len() as u32
-            }
-            fn next_op(&mut self, warp: u32) -> Option<WarpOp> {
-                let w = warp as usize;
-                let k = self.emitted[w];
-                if k >= self.ops {
-                    return None;
-                }
-                self.emitted[w] = k + 1;
-                let h = self
-                    .salt
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add((warp as u64) << 32 | k as u64);
-                Some(match h % 3 {
-                    0 => WarpOp::compute((h % 100) as u32),
-                    1 => WarpOp::read(Addr::new((h % (1 << 20)) / 128 * 128)),
-                    _ => WarpOp::write(Addr::new((h % (1 << 20)) / 128 * 128)),
-                })
-            }
-        }
-        Box::new(P {
-            ops: self.ops,
-            emitted: vec![0; self.warps as usize],
-            salt: self.seed.wrapping_add(cta.index() as u64),
-        })
-    }
-    fn name(&self) -> &str {
-        "mix"
-    }
-}
+use numa_gpu_types::{CtaSchedulingPolicy, SocketId};
 
 prop_check! {
-    /// Record → text → parse → text is a fixed point, and the replayed
-    /// kernel emits identical streams.
-    fn trace_roundtrip(
-        ctas in ints(1u32..8),
-        warps in ints(1u32..5),
-        ops in ints(0u32..20),
-        seed in ints(0u64..u64::MAX)
-    ) {
-        let k = MixKernel { ctas, warps, ops, seed };
-        let rec = RecordedKernel::record(&k);
-        let text = rec.to_text();
-        let back = RecordedKernel::from_text(&text).unwrap();
-        prop_assert_eq!(&back, &rec);
-        prop_assert_eq!(back.to_text(), text);
-        for c in 0..ctas {
-            let mut a = k.cta(CtaId::new(c));
-            let mut b = back.cta(CtaId::new(c));
-            for w in 0..warps {
-                loop {
-                    let (x, y) = (a.next_op(w), b.next_op(w));
-                    prop_assert_eq!(x, y);
-                    if x.is_none() {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Arbitrary garbage never panics the parser — it returns Ok or a
-    /// line-numbered error.
-    fn parser_never_panics(text in strings(0..500)) {
-        let _ = RecordedKernel::from_text(&text);
-        let _ = RecordedKernel::parse_all(&text);
-    }
-
-    /// Structured-looking garbage (directives in random order) never
-    /// panics either.
-    fn parser_survives_directive_soup(
-        lines in vecs(
-            select(vec![
-                "kernel k ctas=2 warps=2", "cta 0", "cta 1", "cta 5",
-                "warp 0", "warp 1", "warp 9", "c 10", "r 128", "w 256",
-                "c x", "r", "#note", "",
-            ]),
-            0..40,
-        )
-    ) {
-        let text = lines.join("\n");
-        let _ = RecordedKernel::from_text(&text);
-        let _ = RecordedKernel::parse_all(&text);
-    }
-
     /// Launch plans and `socket_for_cta` agree: the plan's per-socket
     /// queues contain exactly the CTAs the pure function assigns there.
     fn plan_agrees_with_assignment(total in ints(1u32..500), sockets in ints(1u8..9)) {

@@ -20,8 +20,6 @@
 //!          [--profile]             # print the self-profile work-attribution table
 //!                                  # (report-time summary; cannot perturb timing)
 //!          [--trace-out FILE]      # write a Chrome trace_event JSON (chrome://tracing)
-//!          [--dump-trace FILE]     # record the workload's kernels as text traces
-//!          [--from-trace FILE]     # run a recorded trace instead of a catalog workload
 //!          [--max-cycles N]        # abort with an error if the run exceeds N cycles
 //!          [--cache-dir DIR]       # read/write the on-disk content-addressed result
 //!                                  # store (observability runs bypass it)
@@ -31,7 +29,6 @@
 //! the error and exit with status 3; usage errors exit with status 2.
 
 use numa_gpu::bench::{JobKey, Runner, SimPlan};
-use numa_gpu::runtime::Kernel as _;
 use numa_gpu::types::{
     CacheMode, CtaSchedulingPolicy, LinkMode, PagePlacement, SimError, SystemConfig,
 };
@@ -192,8 +189,6 @@ fn main() {
     let mut metrics = false;
     let mut profile = false;
     let mut trace_out: Option<String> = None;
-    let mut dump_trace: Option<String> = None;
-    let mut from_trace: Option<String> = None;
     let mut max_cycles: u64 = 0;
     let mut cache_dir: Option<String> = None;
 
@@ -256,8 +251,6 @@ fn main() {
             "--metrics" => metrics = true,
             "--profile" => profile = true,
             "--trace-out" => trace_out = Some(value("--trace-out")),
-            "--dump-trace" => dump_trace = Some(value("--dump-trace")),
-            "--from-trace" => from_trace = Some(value("--from-trace")),
             "--max-cycles" => {
                 max_cycles = value("--max-cycles")
                     .parse()
@@ -268,48 +261,12 @@ fn main() {
         }
     }
 
-    let workload = if let Some(path) = &from_trace {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| usage(&format!("cannot read trace: {e}")));
-        let kernels = numa_gpu::runtime::RecordedKernel::parse_all(&text)
-            .unwrap_or_else(|e| usage(&e.to_string()));
-        if kernels.is_empty() {
-            usage("trace file contains no kernels");
-        }
-        let total_ops: u64 = kernels.iter().map(|k| k.total_ops()).sum();
-        numa_gpu::runtime::Workload {
-            meta: numa_gpu::runtime::WorkloadMeta {
-                name: format!("trace:{path}"),
-                suite: numa_gpu::runtime::Suite::Other,
-                paper_avg_ctas: kernels[0].num_ctas() as u64,
-                paper_footprint_mb: 0,
-                study_set: false,
-            },
-            footprint_bytes: total_ops * 128,
-            kernels: kernels
-                .into_iter()
-                .map(|k| std::sync::Arc::new(k) as std::sync::Arc<dyn numa_gpu::runtime::Kernel>)
-                .collect(),
-        }
-    } else {
-        let Some(name) = workload_name else {
-            usage("--workload or --from-trace is required");
-        };
-        let Some(workload) = by_name(&name, &scale) else {
-            usage(&format!("unknown workload `{name}`"));
-        };
-        workload
+    let Some(name) = workload_name else {
+        usage("--workload is required");
     };
-
-    if let Some(path) = &dump_trace {
-        let mut out = String::new();
-        for kernel in &workload.kernels {
-            let recorded = numa_gpu::runtime::RecordedKernel::record(kernel.as_ref());
-            out.push_str(&recorded.to_text());
-        }
-        std::fs::write(path, out).unwrap_or_else(|e| usage(&format!("cannot write trace: {e}")));
-        eprintln!("wrote {} kernel trace(s) to {path}", workload.kernels.len());
-    }
+    let Some(workload) = by_name(&name, &scale) else {
+        usage(&format!("unknown workload `{name}`"));
+    };
 
     let mut cfg = SystemConfig::numa_sockets(sockets);
     cfg.cache_mode = cache;
@@ -328,20 +285,10 @@ fn main() {
     // uses. Stdout is byte-identical at any `--jobs` count (printing stays
     // serial, in a fixed order).
     let mut runner = Runner::new(scale).jobs(jobs);
-    match &cache_dir {
-        // An ad-hoc trace-file workload's identity lives in a file the
-        // store key cannot see. (Metrics and trace-capture runs bypass the
-        // store through its own policy; timelines and profiles cache
-        // fine.)
-        Some(_) if from_trace.is_some() || dump_trace.is_some() => {
-            eprintln!("cache: trace-file run, store bypassed");
-        }
-        Some(dir) => {
-            runner = runner
-                .cache_dir(dir)
-                .unwrap_or_else(|e| usage(&format!("--cache-dir {dir}: {e}")));
-        }
-        None => {}
+    if let Some(dir) = &cache_dir {
+        runner = runner
+            .cache_dir(dir)
+            .unwrap_or_else(|e| usage(&format!("--cache-dir {dir}: {e}")));
     }
     let main_key = JobKey::new("cli", workload.meta.name.clone(), timeline);
     let mut plan = SimPlan::new();

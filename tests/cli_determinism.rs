@@ -37,13 +37,16 @@ fn consecutive_runs_are_byte_identical() {
 
 /// Usage errors exit 2 with the usage text and run nothing: removed
 /// flags (a simulation runs on one thread; the switch is the only fabric;
-/// the modelled hardware does not fail) are unknown arguments.
+/// the modelled hardware does not fail; workloads come from the catalog,
+/// not from kernel-trace files) are unknown arguments.
 #[test]
 fn usage_errors_exit_2_with_usage_text() {
     for (extra, msg) in [
         (["--sim-threads", "2"], "unknown argument `--sim-threads`"),
         (["--topology", "ring"], "unknown argument `--topology`"),
         (["--faults", "lanes:s9@1=8"], "unknown argument `--faults`"),
+        (["--from-trace", "k.trace"], "unknown argument `--from-trace`"),
+        (["--dump-trace", "k.trace"], "unknown argument `--dump-trace`"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
             .args(["--workload", "Rodinia-BFS", "--quick", "--sockets", "8"])
