@@ -40,10 +40,11 @@ pub fn dynamic_link(n: u8, sample_time_cycles: u32) -> SystemConfig {
     cfg
 }
 
-/// Locality runtime + hypothetically doubled link bandwidth (Fig 6 red).
+/// Locality runtime + hypothetically doubled link bandwidth (Fig 6 red):
+/// static symmetric links at twice the lane rate.
 pub fn double_bandwidth(n: u8) -> SystemConfig {
     let mut cfg = SystemConfig::numa_sockets(n);
-    cfg.link.mode = LinkMode::DoubleBandwidth;
+    cfg.link.lane_bytes_per_cycle *= 2;
     cfg
 }
 

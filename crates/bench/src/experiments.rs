@@ -321,7 +321,7 @@ pub fn fig9(runner: &mut Runner) -> Table {
 pub fn fig9_writeback(runner: &mut Runner) -> Table {
     let wls = study(runner);
     let mut wt = configs::cache(4, CacheMode::NumaAwareDynamic);
-    wt.l2.write_policy = WritePolicy::WriteThrough;
+    wt.l2_write_policy = WritePolicy::WriteThrough;
     let wb = v("cache-numa", configs::cache(4, CacheMode::NumaAwareDynamic));
     let rows = speedups(runner, &wls, &v("cache-numa-wt", wt), &[wb]);
     let mut t = Table::new(
@@ -408,8 +408,9 @@ pub fn power(runner: &mut Runner) -> Table {
     t
 }
 
-/// Design-choice ablations beyond the paper: L1 partitioning on/off,
-/// partition sample time, and placement policy under the NUMA-aware design.
+/// Design-choice ablations beyond the paper: partition sample time,
+/// placement, CTA scheduling and warp memory-level parallelism under the
+/// NUMA-aware design.
 pub fn ablations(runner: &mut Runner) -> Table {
     use numa_gpu_types::{CtaSchedulingPolicy, PagePlacement};
     let aware = |label: &str, tweak: fn(&mut SystemConfig)| {
@@ -419,7 +420,6 @@ pub fn ablations(runner: &mut Runner) -> Table {
     };
     let variants = [
         aware("aware4", |_| {}),
-        aware("aware-no-l1-partition", |c| c.partition_l1 = false),
         aware("aware-sample-1k", |c| c.cache_sample_time_cycles = 1_000),
         aware("aware-sample-20k", |c| c.cache_sample_time_cycles = 20_000),
         aware("aware-page-interleave", |c| {
@@ -526,11 +526,11 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow: simulates the study set under eight ablation variants"]
+    #[ignore = "slow: simulates the study set under seven ablation variants"]
     fn ablations_are_pinned() {
         let mut r = quick_runner().jobs(numa_gpu_exec::ThreadPool::available().workers());
         let text = ablations(&mut r).to_string();
-        assert_pinned("ablations", &text, 0x86d87c47aa594db3);
+        assert_pinned("ablations", &text, 0xe36436bcad12ab76);
     }
 
     #[test]

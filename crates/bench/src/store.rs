@@ -852,9 +852,9 @@ mod tests {
     #[test]
     fn one_entry_is_pinned_byte_for_byte() {
         const ENTRY: &str = concat!(
-            r#"{"format":2,"checksum":"86309fde821af5f7"}"#,
+            r#"{"format":2,"checksum":"1a7fdd1d6996f330"}"#,
             "\n",
-            r#"{"key":{"config":"a88828b574b03719","job":{"label":"loc\"2","#,
+            r#"{"key":{"config":"a3bb43207a3edf7d","job":{"label":"loc\"2","#,
             r#""timeline":true,"workload":"Rodinia-Euler3D"},"#,
             r#""scale":"cta/64:16..128 fp/96 ops/25"},"report":{"version":2,"#,
             r#""workload":"Rodinia-Euler3D","total_cycles":12345,"kernel_cycles":[100,200],"#,

@@ -11,13 +11,12 @@
 //!
 //! ```
 //! use numa_gpu_cache::{LineClass, SetAssocCache, WayPartition};
-//! use numa_gpu_types::{Addr, CacheConfig, WritePolicy};
+//! use numa_gpu_types::{Addr, CacheConfig};
 //!
 //! let cfg = CacheConfig {
 //!     size_bytes: 16 * 1024,
 //!     ways: 4,
 //!     hit_latency_cycles: 28,
-//!     write_policy: WritePolicy::WriteBack,
 //! };
 //! let mut c = SetAssocCache::new(&cfg, Some(WayPartition::balanced(4)));
 //! let line = Addr::new(0x1000).line();

@@ -29,7 +29,9 @@ pub enum MshrAllocation {
 /// let l = LineAddr::from_index(9);
 /// assert_eq!(mshrs.allocate(l, 0), MshrAllocation::Primary);
 /// assert_eq!(mshrs.allocate(l, 1), MshrAllocation::Merged);
-/// assert_eq!(mshrs.complete(l), vec![0, 1]);
+/// let mut woken = Vec::new();
+/// mshrs.complete_into(l, &mut woken);
+/// assert_eq!(woken, vec![0, 1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrFile<W> {
@@ -85,25 +87,14 @@ impl<W> MshrFile<W> {
         MshrAllocation::Primary
     }
 
-    /// Frees `line`'s register (the last one takes its place); yields its waiters.
-    fn release(&mut self, line: LineAddr) -> Option<Vec<W>> {
-        let i = self.register_of(line)?;
-        self.lines.swap_remove(i);
-        Some(self.waiters.swap_remove(i))
-    }
-
-    /// Completes the miss on `line`, releasing its register and returning
-    /// the waiters to wake (empty if the line was not outstanding).
-    pub fn complete(&mut self, line: LineAddr) -> Vec<W> {
-        self.release(line).unwrap_or_default()
-    }
-
-    /// Allocation-recycling form of [`Self::complete`]: appends the waiters
-    /// to `out` instead of returning a fresh `Vec`, and returns the emptied
-    /// waiter vector to the internal pool for the next primary miss — the
-    /// hot fill path allocates nothing in steady state.
+    /// Completes the miss on `line`, releasing its register and appending
+    /// its waiters to `out` (nothing if the line was not outstanding). The
+    /// emptied waiter vector returns to the internal pool for the next
+    /// primary miss, so the hot fill path allocates nothing in steady state.
     pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<W>) {
-        if let Some(mut waiters) = self.release(line) {
+        if let Some(i) = self.register_of(line) {
+            self.lines.swap_remove(i);
+            let mut waiters = self.waiters.swap_remove(i);
             out.append(&mut waiters);
             self.pool.push(waiters);
         }
@@ -154,6 +145,12 @@ mod tests {
         LineAddr::from_index(i)
     }
 
+    fn complete(m: &mut MshrFile<u8>, line: LineAddr) -> Vec<u8> {
+        let mut out = Vec::new();
+        m.complete_into(line, &mut out);
+        out
+    }
+
     #[test]
     fn primary_then_merge() {
         let mut m: MshrFile<u8> = MshrFile::new(4);
@@ -168,7 +165,7 @@ mod tests {
         m.allocate(l(2), 5);
         m.allocate(l(2), 6);
         m.allocate(l(2), 7);
-        assert_eq!(m.complete(l(2)), vec![5, 6, 7]);
+        assert_eq!(complete(&mut m, l(2)), vec![5, 6, 7]);
         assert!(!m.is_outstanding(l(2)));
         assert_eq!(m.in_use(), 0);
     }
@@ -205,10 +202,8 @@ mod tests {
     #[test]
     fn complete_unknown_line_is_empty() {
         let mut m: MshrFile<u8> = MshrFile::new(2);
-        assert!(m.complete(l(9)).is_empty());
-        let mut out = Vec::new();
-        m.complete_into(l(9), &mut out);
-        assert!(out.is_empty());
+        assert!(complete(&mut m, l(9)).is_empty());
+        assert_eq!(m.recycled_allocations(), 0);
     }
 
     #[test]
@@ -223,7 +218,7 @@ mod tests {
         // The pooled vector backs the next primary miss.
         m.allocate(l(3), 7);
         assert_eq!(m.recycled_allocations(), 1);
-        assert_eq!(m.complete(l(3)), vec![7]);
+        assert_eq!(complete(&mut m, l(3)), vec![7]);
     }
 
     #[test]
@@ -231,7 +226,7 @@ mod tests {
         let mut m: MshrFile<u8> = MshrFile::new(1);
         m.allocate(l(1), 0);
         assert_eq!(m.allocate(l(2), 0), MshrAllocation::Full);
-        m.complete(l(1));
+        complete(&mut m, l(1));
         assert_eq!(m.allocate(l(2), 0), MshrAllocation::Primary);
     }
 

@@ -544,14 +544,13 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numa_gpu_types::{CacheConfig, WritePolicy, LINE_SIZE};
+    use numa_gpu_types::{CacheConfig, LINE_SIZE};
 
     fn cfg(size_kb: u64, ways: u16) -> CacheConfig {
         CacheConfig {
             size_bytes: size_kb * 1024,
             ways,
             hit_latency_cycles: 1,
-            write_policy: WritePolicy::WriteBack,
         }
     }
 
@@ -586,7 +585,6 @@ mod tests {
             size_bytes: 4 * LINE_SIZE,
             ways: 4,
             hit_latency_cycles: 1,
-            write_policy: WritePolicy::WriteBack,
         };
         let mut c = SetAssocCache::new(&c4, None);
         for i in 0..4 {
@@ -605,7 +603,6 @@ mod tests {
             size_bytes: 256 * LINE_SIZE,
             ways: 256,
             hit_latency_cycles: 1,
-            write_policy: WritePolicy::WriteBack,
         };
         let mut c = SetAssocCache::new(&wide, None);
         for i in 0..256 {
@@ -629,7 +626,6 @@ mod tests {
             size_bytes: 257 * LINE_SIZE,
             ways: 257,
             hit_latency_cycles: 1,
-            write_policy: WritePolicy::WriteBack,
         };
         let _ = SetAssocCache::new(&c, None);
     }
@@ -640,7 +636,6 @@ mod tests {
             size_bytes: LINE_SIZE,
             ways: 1,
             hit_latency_cycles: 1,
-            write_policy: WritePolicy::WriteBack,
         };
         let mut c = SetAssocCache::new(&c1, None);
         c.fill(line(3), LineClass::Remote, true);
@@ -659,7 +654,6 @@ mod tests {
             size_bytes: 4 * LINE_SIZE,
             ways: 4,
             hit_latency_cycles: 1,
-            write_policy: WritePolicy::WriteBack,
         };
         let mut c = SetAssocCache::new(&c4, Some(WayPartition::balanced(4)));
         c.fill(line(0), LineClass::Local, false);
@@ -678,7 +672,6 @@ mod tests {
             size_bytes: 4 * LINE_SIZE,
             ways: 4,
             hit_latency_cycles: 1,
-            write_policy: WritePolicy::WriteBack,
         };
         let mut c = SetAssocCache::new(&c4, Some(WayPartition::balanced(4)));
         c.fill(line(0), LineClass::Local, false);

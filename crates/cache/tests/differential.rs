@@ -12,7 +12,7 @@ use numa_gpu_cache::{
 };
 use numa_gpu_testkit::gen::{bools, ints, quads, select, triples, vecs};
 use numa_gpu_testkit::{prop_assert_eq, prop_check};
-use numa_gpu_types::{CacheConfig, LineAddr, WritePolicy, LINE_SIZE};
+use numa_gpu_types::{CacheConfig, LineAddr, LINE_SIZE};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Copy)]
@@ -209,7 +209,6 @@ prop_check! {
             size_bytes: sets * ways as u64 * LINE_SIZE,
             ways,
             hit_latency_cycles: 1,
-            write_policy: WritePolicy::WriteBack,
         };
         let mut flat = SetAssocCache::new(&cfg, partition);
         let mut model = RefCache::new(sets, ways, partition);
@@ -278,7 +277,6 @@ prop_check! {
             let line = LineAddr::from_index(sel.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (sel % 5 * 8));
             match kind {
                 0..=4 => prop_assert_eq!(flat.allocate(line, waiter), model.allocate(line, waiter)),
-                5 => prop_assert_eq!(flat.complete(line), model.entries.remove(&line).unwrap_or_default()),
                 _ => {
                     let (mut woke, mut want) = (vec![waiter], vec![waiter]);
                     flat.complete_into(line, &mut woke);

@@ -3,14 +3,13 @@
 use numa_gpu_cache::{LineClass, SetAssocCache, WayPartition};
 use numa_gpu_testkit::gen::{bools, ints, pairs, vecs};
 use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_assert_ne, prop_check};
-use numa_gpu_types::{CacheConfig, LineAddr, WritePolicy, LINE_SIZE};
+use numa_gpu_types::{CacheConfig, LineAddr, LINE_SIZE};
 
 fn cfg(ways: u16, sets: u64) -> CacheConfig {
     CacheConfig {
         size_bytes: sets * ways as u64 * LINE_SIZE,
         ways,
         hit_latency_cycles: 1,
-        write_policy: WritePolicy::WriteBack,
     }
 }
 

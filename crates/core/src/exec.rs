@@ -322,7 +322,6 @@ impl NumaGpuSystem {
     fn on_cache_sample(&mut self, t: Tick) {
         let window = self.cfg.cache_sample_time_cycles as u64;
         if self.cfg.cache_mode == CacheMode::NumaAwareDynamic {
-            let partition_l1 = self.cfg.partition_l1;
             let l1_ways = self.cfg.l1.ways;
             for s in 0..self.shards.len() {
                 let shard = &mut self.shards[s];
@@ -345,11 +344,9 @@ impl NumaGpuSystem {
                 let action = shard.ctl.step(link_sat, dram_sat);
                 let p = shard.ctl.partition();
                 shard.l2.set_partition(p);
-                if partition_l1 {
-                    let l1p = scale_partition(p, l1_ways);
-                    for sm in &mut shard.sms {
-                        sm.set_l1_partition(l1p);
-                    }
+                let l1p = scale_partition(p, l1_ways);
+                for sm in &mut shard.sms {
+                    sm.set_l1_partition(l1p);
                 }
                 shard.remote_reads_window = 0;
                 shard.dram.begin_window(t);

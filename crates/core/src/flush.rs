@@ -47,8 +47,9 @@ impl NumaGpuSystem {
         // L2 flush by organization. Invalidation is a broadcast; the dirty
         // lines drain *lazily* through the DRAM and link queues, delaying
         // the next kernel only through contention (real flush hardware
-        // overlaps the drain the same way).
-        let flush_l2 = self.cfg.cache_mode.l2_needs_flush() && !self.cfg.ideal_no_l2_invalidate;
+        // overlaps the drain the same way). Only an L2 that caches remote
+        // data holds GPU-side, possibly stale lines.
+        let flush_l2 = self.cfg.cache_mode.caches_remote() && !self.cfg.ideal_no_l2_invalidate;
         if flush_l2 {
             ready += cycles_to_ticks(INVALIDATE_BROADCAST_CYCLES);
             for s in 0..self.shards.len() {

@@ -163,7 +163,7 @@ impl SocketShard {
         home: SocketId,
         pages: &PageTable,
     ) {
-        let write_back = self.cfg.l2.write_policy == WritePolicy::WriteBack;
+        let write_back = self.cfg.l2_write_policy == WritePolicy::WriteBack;
         let accept = if home == self.socket {
             let done = self.absorb_write_at_home(t, line, pages);
             self.write_drain = self.write_drain.max(done);
@@ -243,7 +243,7 @@ impl SocketShard {
     /// A write (or writeback) arriving at its home socket: absorbed by the
     /// memory-side L2 or forwarded to DRAM under write-through.
     fn absorb_write_at_home(&mut self, t: Tick, line: LineAddr, pages: &PageTable) -> Tick {
-        if self.cfg.l2.write_policy == WritePolicy::WriteBack {
+        if self.cfg.l2_write_policy == WritePolicy::WriteBack {
             if !self.l2.probe_write(line, true) {
                 // Write-allocate without fetch (coalesced full-line
                 // writes, the common GPU case).

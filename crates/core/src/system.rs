@@ -24,7 +24,7 @@ use numa_gpu_runtime::{Kernel, Workload};
 use numa_gpu_sm::Sm;
 use numa_gpu_types::{
     cycles_to_ticks, ticks_to_cycles, CacheMode, ConfigError, CtaId, LineAddr, PageId, SimError,
-    SocketId, SystemConfig, Tick, WarpOp, WarpSlot,
+    SocketId, SystemConfig, Tick, TopologyKind, WarpOp, WarpSlot,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -222,7 +222,7 @@ impl SocketShard {
     fn new(cfg: &Arc<SystemConfig>, socket: SocketId, link: GpuLink, hop_latency: Tick) -> Self {
         let sms_per_socket = cfg.sm.sms_per_socket as u32;
         let warp_slots = sms_per_socket as usize * cfg.sm.max_warps as usize;
-        let l1_partition = if cfg.cache_mode == CacheMode::NumaAwareDynamic && cfg.partition_l1 {
+        let l1_partition = if cfg.cache_mode == CacheMode::NumaAwareDynamic {
             Some(WayPartition::balanced(cfg.l1.ways))
         } else {
             None
@@ -393,7 +393,7 @@ impl NumaGpuSystem {
 
         // Each socket's switch link goes to its shard, so a window drives
         // it without touching another socket's state.
-        let fabric = Topology::new(cfg.topology, &cfg.link, cfg.num_sockets)?;
+        let fabric = Topology::new(TopologyKind::Star, &cfg.link, cfg.num_sockets)?;
         let hop_latency = fabric.hop_latency();
         let shards: Vec<SocketShard> = fabric
             .into_links()

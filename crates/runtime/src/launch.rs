@@ -30,23 +30,11 @@ pub fn socket_for_cta(
     }
 }
 
-/// One per-socket sub-kernel produced by decomposing an original kernel:
-/// the socket it runs on and the original-grid CTA ids it owns (in launch
-/// order). CTA ids are *not* renumbered — the runtime remaps sub-kernel CTA
-/// identifiers to reflect those of the original kernel, as the paper
-/// requires.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubKernel {
-    /// Executing socket.
-    pub socket: SocketId,
-    /// Original-grid CTA ids assigned to this socket, in dispatch order.
-    pub ctas: Vec<CtaId>,
-}
-
 /// Dispatch state for one decomposed kernel: a FIFO of pending CTAs per
 /// socket. Sockets draw CTAs independently (no cross-socket stealing — the
 /// paper launches a coarse block per GPU socket to avoid sub-kernel launch
-/// latency).
+/// latency). CTA ids are *not* renumbered: each socket's sub-kernel hands
+/// out the ids of the original grid, as the paper requires.
 ///
 /// # Examples
 ///
@@ -97,24 +85,6 @@ impl LaunchPlan {
     pub fn remaining(&self) -> u32 {
         self.remaining
     }
-
-    /// CTAs not yet dispatched for one socket.
-    pub fn remaining_for(&self, socket: SocketId) -> u32 {
-        self.queues[socket.index()].len() as u32
-    }
-
-    /// The full decomposition as per-socket sub-kernels (for inspection and
-    /// tests; dispatch uses [`Self::next_for_socket`]).
-    pub fn sub_kernels(&self) -> Vec<SubKernel> {
-        self.queues
-            .iter()
-            .enumerate()
-            .map(|(i, q)| SubKernel {
-                socket: SocketId::new(i as u8),
-                ctas: q.iter().copied().collect(),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -158,10 +128,11 @@ mod tests {
 
     #[test]
     fn plan_preserves_original_ids() {
-        let plan = LaunchPlan::new(CtaSchedulingPolicy::ContiguousBlock, 8, 2);
-        let subs = plan.sub_kernels();
+        let mut plan = LaunchPlan::new(CtaSchedulingPolicy::ContiguousBlock, 8, 2);
+        let socket1: Vec<_> =
+            std::iter::from_fn(|| plan.next_for_socket(SocketId::new(1))).collect();
         assert_eq!(
-            subs[1].ctas,
+            socket1,
             vec![CtaId::new(4), CtaId::new(5), CtaId::new(6), CtaId::new(7)]
         );
     }
@@ -186,15 +157,6 @@ mod tests {
             .map(|c| c.index())
             .collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn remaining_for_tracks_per_socket() {
-        let plan = LaunchPlan::new(CtaSchedulingPolicy::Interleave, 10, 4);
-        assert_eq!(plan.remaining_for(SocketId::new(0)), 3);
-        assert_eq!(plan.remaining_for(SocketId::new(1)), 3);
-        assert_eq!(plan.remaining_for(SocketId::new(2)), 2);
-        assert_eq!(plan.remaining_for(SocketId::new(3)), 2);
     }
 
     #[test]

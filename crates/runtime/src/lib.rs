@@ -29,5 +29,5 @@
 mod launch;
 mod workload;
 
-pub use launch::{socket_for_cta, LaunchPlan, SubKernel};
+pub use launch::{socket_for_cta, LaunchPlan};
 pub use workload::{Kernel, Suite, Workload, WorkloadMeta};

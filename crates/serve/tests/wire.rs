@@ -36,7 +36,7 @@ const CONVERSATION: &[(&str, &[&[&str]])] = &[
     (
         BITCOIN,
         &[
-            &["ACK 1 debbb46b785f4998dfe37bf80067a3f7"],
+            &["ACK 1 bffb0d59ba5b3699834ce908c4d85e6a"],
             &["EVENT 1 queued"],
             &["RESULT 1 820:65a27ad92f066c1d"],
         ],
@@ -44,7 +44,7 @@ const CONVERSATION: &[(&str, &[&[&str]])] = &[
     (
         BITCOIN,
         &[&[
-            "ACK 2 debbb46b785f4998dfe37bf80067a3f7",
+            "ACK 2 bffb0d59ba5b3699834ce908c4d85e6a",
             "EVENT 2 warm",
             "RESULT 2 820:65a27ad92f066c1d",
         ]],
@@ -61,7 +61,7 @@ const CONVERSATION: &[(&str, &[&[&str]])] = &[
     (
         "SUBMIT workload=Rodinia-Euler3D config=numa sockets=8 timeline=1",
         &[
-            &["ACK 4 d3200532e89f5e41a5286f85df3cd2a4"],
+            &["ACK 4 da2425c25f517546c53f0d9563cbc647"],
             &["EVENT 4 queued"],
             &["RESULT 4 3402:a4aafe01f213822c"],
         ],
@@ -69,7 +69,7 @@ const CONVERSATION: &[(&str, &[&[&str]])] = &[
     (
         "SUBMIT timeline=1 sockets=8 config=numa workload=Rodinia-Euler3D",
         &[&[
-            "ACK 5 d3200532e89f5e41a5286f85df3cd2a4",
+            "ACK 5 da2425c25f517546c53f0d9563cbc647",
             "EVENT 5 warm",
             "RESULT 5 3402:a4aafe01f213822c",
         ]],

@@ -62,7 +62,7 @@ const NO_CTA: u16 = u16::MAX;
 /// ```
 /// use numa_gpu_sm::Sm;
 /// use numa_gpu_types::{
-///     Addr, CacheConfig, CtaId, CtaProgram, SmConfig, WarpOp, WritePolicy,
+///     Addr, CacheConfig, CtaId, CtaProgram, SmConfig, WarpOp,
 /// };
 ///
 /// struct Nop;
@@ -73,15 +73,13 @@ const NO_CTA: u16 = u16::MAX;
 ///
 /// let sm_cfg = SmConfig {
 ///     sms_per_socket: 1, max_warps: 8, max_ctas: 4, mshrs: 8,
-///     l1_hit_latency_cycles: 28, max_pending_loads: 4,
+///     max_pending_loads: 4,
 /// };
-/// let l1_cfg = CacheConfig {
-///     size_bytes: 16 * 1024, ways: 4, hit_latency_cycles: 28,
-///     write_policy: WritePolicy::WriteThrough,
-/// };
+/// let l1_cfg = CacheConfig { size_bytes: 16 * 1024, ways: 4, hit_latency_cycles: 28 };
 /// let mut sm = Sm::new(&sm_cfg, &l1_cfg, None);
 /// assert!(sm.can_accept_cta(1));
-/// let slots = sm.dispatch_cta(CtaId::new(0), Box::new(Nop));
+/// let mut slots = Vec::new();
+/// sm.dispatch_cta_into(CtaId::new(0), Box::new(Nop), &mut slots);
 /// assert_eq!(slots.len(), 1);
 /// ```
 #[derive(Debug)]
@@ -125,7 +123,7 @@ impl Sm {
         );
         Sm {
             l1: SetAssocCache::new(l1, l1_partition),
-            l1_hit_latency: sm.l1_hit_latency_cycles as Tick * TICKS_PER_CYCLE,
+            l1_hit_latency: l1.hit_latency_cycles as Tick * TICKS_PER_CYCLE,
             mshrs: MshrFile::new(sm.mshrs as usize),
             warp_cta_slot: vec![NO_CTA; sm.max_warps as usize],
             warp_in_cta: vec![0; sm.max_warps as usize],
@@ -156,22 +154,9 @@ impl Sm {
         self.resident_ctas as usize
     }
 
-    /// Dispatches a CTA, allocating one warp slot per program warp.
-    /// Returns the allocated slots (the caller schedules their first issue).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the SM cannot accept the CTA — check
-    /// [`Self::can_accept_cta`] first.
-    pub fn dispatch_cta(&mut self, cta: CtaId, program: Box<dyn CtaProgram>) -> Vec<WarpSlot> {
-        let mut slots = Vec::new();
-        self.dispatch_cta_into(cta, program, &mut slots);
-        slots
-    }
-
-    /// Allocation-recycling form of [`Self::dispatch_cta`]: appends the
-    /// allocated warp slots to `slots` so a caller-owned scratch buffer
-    /// absorbs every dispatch.
+    /// Dispatches a CTA, allocating one warp slot per program warp, and
+    /// appends the allocated slots to `slots` (the caller schedules their
+    /// first issue) so a caller-owned scratch buffer absorbs every dispatch.
     ///
     /// # Panics
     ///
@@ -293,16 +278,9 @@ impl Sm {
         let _ = self.l1.probe_write(line, false);
     }
 
-    /// Completes a fill: installs the line and returns the warps to wake.
-    pub fn l1_fill(&mut self, line: LineAddr, class: LineClass) -> Vec<WarpSlot> {
-        let mut woken = Vec::new();
-        self.l1_fill_into(line, class, &mut woken);
-        woken
-    }
-
-    /// Allocation-recycling form of [`Self::l1_fill`]: appends the warps to
-    /// wake to `woken`, and recycles the MSHR waiter storage internally, so
-    /// the steady-state fill path allocates nothing.
+    /// Completes a fill: installs the line and appends the warps to wake to
+    /// `woken`. The MSHR waiter storage is recycled internally, so the
+    /// steady-state fill path allocates nothing.
     pub fn l1_fill_into(&mut self, line: LineAddr, class: LineClass, woken: &mut Vec<WarpSlot>) {
         // Write-through L1: fills are always clean, evictions need no
         // writeback.
@@ -358,7 +336,7 @@ impl Sm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numa_gpu_types::{Addr, WritePolicy};
+    use numa_gpu_types::Addr;
 
     struct ScriptedCta {
         ops: Vec<Vec<WarpOp>>,
@@ -392,7 +370,6 @@ mod tests {
             max_warps: 8,
             max_ctas: 4,
             mshrs: 4,
-            l1_hit_latency_cycles: 28,
             max_pending_loads: 4,
         }
     }
@@ -402,7 +379,6 @@ mod tests {
             size_bytes: 16 * 1024,
             ways: 4,
             hit_latency_cycles: 28,
-            write_policy: WritePolicy::WriteThrough,
         }
     }
 
@@ -414,13 +390,22 @@ mod tests {
         LineAddr::from_index(i)
     }
 
+    fn dispatch(sm: &mut Sm, cta: u32, program: ScriptedCta) -> Vec<WarpSlot> {
+        let mut slots = Vec::new();
+        sm.dispatch_cta_into(CtaId::new(cta), Box::new(program), &mut slots);
+        slots
+    }
+
+    fn fill(sm: &mut Sm, line: LineAddr, class: LineClass) -> Vec<WarpSlot> {
+        let mut woken = Vec::new();
+        sm.l1_fill_into(line, class, &mut woken);
+        woken
+    }
+
     #[test]
     fn dispatch_allocates_slots() {
         let mut sm = make_sm();
-        let slots = sm.dispatch_cta(
-            CtaId::new(7),
-            Box::new(ScriptedCta::new(vec![vec![], vec![]])),
-        );
+        let slots = dispatch(&mut sm, 7, ScriptedCta::new(vec![vec![], vec![]]));
         assert_eq!(slots.len(), 2);
         assert_eq!(sm.active_warps(), 2);
         assert_eq!(sm.active_ctas(), 1);
@@ -431,14 +416,11 @@ mod tests {
         let mut sm = make_sm();
         for i in 0..4 {
             assert!(sm.can_accept_cta(2));
-            sm.dispatch_cta(
-                CtaId::new(i),
-                Box::new(ScriptedCta::new(vec![vec![], vec![]])),
-            );
+            dispatch(&mut sm, i, ScriptedCta::new(vec![vec![], vec![]]));
         }
         assert!(!sm.can_accept_cta(1)); // max_ctas reached
         let mut sm = make_sm();
-        sm.dispatch_cta(CtaId::new(0), Box::new(ScriptedCta::new(vec![vec![]; 7])));
+        dispatch(&mut sm, 0, ScriptedCta::new(vec![vec![]; 7]));
         assert!(!sm.can_accept_cta(2)); // only 1 warp slot left
         assert!(sm.can_accept_cta(1));
     }
@@ -450,7 +432,7 @@ mod tests {
             vec![WarpOp::compute(3), WarpOp::read(Addr::new(0))],
             vec![WarpOp::write(Addr::new(128))],
         ];
-        let slots = sm.dispatch_cta(CtaId::new(0), Box::new(ScriptedCta::new(ops)));
+        let slots = dispatch(&mut sm, 0, ScriptedCta::new(ops));
         assert_eq!(sm.next_op(slots[0]), Some(WarpOp::compute(3)));
         assert_eq!(sm.next_op(slots[1]), Some(WarpOp::write(Addr::new(128))));
         assert_eq!(sm.next_op(slots[1]), None);
@@ -461,10 +443,7 @@ mod tests {
     #[test]
     fn cta_completes_when_last_warp_retires() {
         let mut sm = make_sm();
-        let slots = sm.dispatch_cta(
-            CtaId::new(9),
-            Box::new(ScriptedCta::new(vec![vec![], vec![]])),
-        );
+        let slots = dispatch(&mut sm, 9, ScriptedCta::new(vec![vec![], vec![]]));
         assert_eq!(sm.retire_warp(slots[0]), None);
         assert_eq!(sm.retire_warp(slots[1]), Some(CtaId::new(9)));
         assert_eq!(sm.active_ctas(), 0);
@@ -499,7 +478,7 @@ mod tests {
             sm.l1_read(line(5), LineClass::Local, WarpSlot::new(1)),
             L1ReadOutcome::MissMerged
         );
-        let woken = sm.l1_fill(line(5), LineClass::Local);
+        let woken = fill(&mut sm, line(5), LineClass::Local);
         assert_eq!(woken, vec![WarpSlot::new(0), WarpSlot::new(1)]);
         assert_eq!(sm.l1_read(line(5), LineClass::Local, s), L1ReadOutcome::Hit);
     }
@@ -552,8 +531,8 @@ mod tests {
     #[test]
     fn flush_l1_invalidates_everything_clean() {
         let mut sm = make_sm();
-        sm.l1_fill(line(1), LineClass::Local);
-        sm.l1_fill(line(2), LineClass::Remote);
+        fill(&mut sm, line(1), LineClass::Local);
+        fill(&mut sm, line(2), LineClass::Remote);
         let out = sm.flush_l1();
         assert_eq!(out.invalidated, 2);
         assert!(out.dirty_writebacks.is_empty());
@@ -568,7 +547,7 @@ mod tests {
         let mut sm = Sm::new(&sm_config(), &l1_config(), Some(WayPartition::balanced(4)));
         sm.set_l1_partition(WayPartition::with_local_ways(1, 4));
         // Remote fills now own 3 ways; locals 1 — just exercise the path.
-        sm.l1_fill(line(1), LineClass::Remote);
+        fill(&mut sm, line(1), LineClass::Remote);
         assert_eq!(
             sm.l1_read(line(1), LineClass::Remote, WarpSlot::new(0)),
             L1ReadOutcome::Hit
@@ -580,7 +559,7 @@ mod tests {
     fn over_dispatch_panics() {
         let mut sm = make_sm();
         for i in 0..5 {
-            sm.dispatch_cta(CtaId::new(i), Box::new(ScriptedCta::new(vec![vec![]])));
+            dispatch(&mut sm, i, ScriptedCta::new(vec![vec![]]));
         }
     }
 }

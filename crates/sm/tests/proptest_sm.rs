@@ -4,7 +4,7 @@ use numa_gpu_cache::LineClass;
 use numa_gpu_sm::{L1ReadOutcome, Sm};
 use numa_gpu_testkit::gen::{ints, vecs};
 use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check};
-use numa_gpu_types::{CacheConfig, CtaId, CtaProgram, LineAddr, SmConfig, WarpOp, WritePolicy};
+use numa_gpu_types::{CacheConfig, CtaId, CtaProgram, LineAddr, SmConfig, WarpOp};
 
 struct NWarps {
     warps: u32,
@@ -26,14 +26,12 @@ fn make_sm(max_warps: u16, max_ctas: u16, mshrs: u16) -> Sm {
             max_warps,
             max_ctas,
             mshrs,
-            l1_hit_latency_cycles: 28,
             max_pending_loads: 4,
         },
         &CacheConfig {
             size_bytes: 16 * 1024,
             ways: 4,
             hit_latency_cycles: 28,
-            write_policy: WritePolicy::WriteThrough,
         },
         None,
     )
@@ -49,7 +47,8 @@ prop_check! {
         let mut live_warps = 0usize;
         for w in ctas {
             if sm.can_accept_cta(w) {
-                let slots = sm.dispatch_cta(CtaId::new(next_id), Box::new(NWarps { warps: w }));
+                let mut slots = Vec::new();
+                sm.dispatch_cta_into(CtaId::new(next_id), Box::new(NWarps { warps: w }), &mut slots);
                 prop_assert_eq!(slots.len(), w as usize);
                 live_warps += slots.len();
                 live.push((CtaId::new(next_id), slots));
@@ -79,7 +78,8 @@ prop_check! {
     /// exactly the registered waiters.
     fn mshr_bookkeeping_exact(lines in vecs(ints(0u64..8), 1..60)) {
         let mut sm = make_sm(64, 8, 4);
-        let slots = sm.dispatch_cta(CtaId::new(0), Box::new(NWarps { warps: 60 }));
+        let mut slots = Vec::new();
+        sm.dispatch_cta_into(CtaId::new(0), Box::new(NWarps { warps: 60 }), &mut slots);
         let mut waiting: std::collections::BTreeMap<u64, Vec<numa_gpu_types::WarpSlot>> =
             Default::default();
         let mut used = 0usize;
@@ -107,7 +107,8 @@ prop_check! {
             if i % 5 == 4 {
                 if let Some((&l, _)) = waiting.iter().next() {
                     let want = waiting.remove(&l).unwrap();
-                    let woken = sm.l1_fill(LineAddr::from_index(l), LineClass::Local);
+                    let mut woken = Vec::new();
+                    sm.l1_fill_into(LineAddr::from_index(l), LineClass::Local, &mut woken);
                     prop_assert_eq!(woken, want);
                     used -= 1;
                 }

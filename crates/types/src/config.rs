@@ -52,21 +52,13 @@ impl CacheMode {
     pub const fn caches_remote(self) -> bool {
         !matches!(self, CacheMode::MemSideLocalOnly)
     }
-
-    /// Whether kernel-boundary software coherence flushes must extend into
-    /// the L2 (true whenever the L2 holds GPU-side, possibly-stale data).
-    #[inline]
-    pub const fn l2_needs_flush(self) -> bool {
-        self.caches_remote()
-    }
 }
 
 /// Shape of the inter-socket fabric connecting the GPU sockets: the
 /// single-switch star of Figure 1, the one fabric the paper evaluates.
 ///
-/// A one-value enum: the field it fills is part of [`SystemConfig`]'s
-/// `Debug` text, which keys the result store, so it stays until the store
-/// key moves.
+/// A one-value enum that no config field holds: it stays only because the
+/// out-of-workspace benchmark package passes it to `Topology::new`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopologyKind {
     /// Every socket attaches to one central switch (the paper's fabric).
@@ -82,12 +74,9 @@ pub enum LinkMode {
     /// Dynamic asymmetric lane allocation: the link load balancer samples
     /// directional saturation and turns lanes around at runtime.
     DynamicAsymmetric,
-    /// Hypothetical doubled link bandwidth (the red upper-bound bars of
-    /// Figure 6). Lanes stay symmetric.
-    DoubleBandwidth,
 }
 
-/// Write policy for a cache level.
+/// Write policy of the L2 (the L1 is write-through by construction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WritePolicy {
     /// Writes propagate to the next level immediately; lines never dirty.
@@ -96,7 +85,7 @@ pub enum WritePolicy {
     WriteBack,
 }
 
-/// Geometry and policy of one cache level.
+/// Geometry and hit latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -105,8 +94,6 @@ pub struct CacheConfig {
     pub ways: u16,
     /// Hit latency in cycles.
     pub hit_latency_cycles: u32,
-    /// Write policy.
-    pub write_policy: WritePolicy,
 }
 
 impl CacheConfig {
@@ -143,8 +130,6 @@ pub struct SmConfig {
     pub max_ctas: u16,
     /// L1 miss status holding registers per SM.
     pub mshrs: u16,
-    /// L1 hit latency in cycles.
-    pub l1_hit_latency_cycles: u32,
     /// Maximum independent outstanding loads per warp (scoreboard depth):
     /// a warp keeps issuing until this many reads are in flight, then
     /// blocks — the memory-level parallelism real SIMT cores extract.
@@ -319,8 +304,6 @@ pub struct SystemConfig {
     pub noc: NocConfig,
     /// Per-socket switch link.
     pub link: LinkConfig,
-    /// Shape of the inter-socket fabric (always the star).
-    pub topology: TopologyKind,
     /// L2 organization (Figure 7 variants).
     pub cache_mode: CacheMode,
     /// Page placement policy.
@@ -332,9 +315,9 @@ pub struct SystemConfig {
     /// When `true`, L2 caches ignore kernel-boundary invalidation events —
     /// the hypothetical upper bound of Figure 9.
     pub ideal_no_l2_invalidate: bool,
-    /// Apply dynamic way partitioning to the L1 caches as well as the L2
-    /// (the paper partitions both; disabling is an ablation).
-    pub partition_l1: bool,
+    /// L2 write policy (Table 1: write-back; write-through is the §5.2
+    /// sensitivity study's comparison point).
+    pub l2_write_policy: WritePolicy,
     /// Observability switches (metrics snapshot + event tracing). Defaults
     /// to fully off; never affects simulated timing.
     pub obs: ObsConfig,
@@ -365,20 +348,17 @@ impl SystemConfig {
                 max_warps: 64,
                 max_ctas: 32,
                 mshrs: 64,
-                l1_hit_latency_cycles: 28,
                 max_pending_loads: 4,
             },
             l1: CacheConfig {
                 size_bytes: 128 * 1024,
                 ways: 4,
                 hit_latency_cycles: 28,
-                write_policy: WritePolicy::WriteThrough,
             },
             l2: CacheConfig {
                 size_bytes: 4 * 1024 * 1024,
                 ways: 16,
                 hit_latency_cycles: 34,
-                write_policy: WritePolicy::WriteBack,
             },
             dram: DramConfig {
                 bytes_per_cycle: 768,
@@ -396,13 +376,12 @@ impl SystemConfig {
                 sample_time_cycles: 5_000,
                 mode: LinkMode::StaticSymmetric,
             },
-            topology: TopologyKind::Star,
             cache_mode: CacheMode::MemSideLocalOnly,
             placement: PagePlacement::FineInterleave,
             cta_policy: CtaSchedulingPolicy::Interleave,
             cache_sample_time_cycles: 5_000,
             ideal_no_l2_invalidate: false,
-            partition_l1: true,
+            l2_write_policy: WritePolicy::WriteBack,
             obs: ObsConfig::off(),
             watchdog: WatchdogConfig::default(),
             sim_threads: 1,
@@ -517,6 +496,13 @@ impl SystemConfig {
                 "static remote cache requires at least 2 L2 ways",
             ));
         }
+        // Both classes keep at least one way of every partitioned cache.
+        if self.cache_mode == CacheMode::NumaAwareDynamic && (self.l1.ways < 2 || self.l2.ways < 2)
+        {
+            return Err(ConfigError::new(
+                "NUMA-aware partitioning requires at least 2 L1 and 2 L2 ways",
+            ));
+        }
         Ok(())
     }
 }
@@ -621,6 +607,24 @@ mod tests {
     }
 
     #[test]
+    fn numa_aware_partitioning_needs_two_ways_at_both_levels() {
+        let mut c = SystemConfig::numa_aware_sockets(4);
+        c.l1.size_bytes = 256 * LINE_SIZE;
+        c.l1.ways = 1;
+        assert!(c.validate().is_err());
+        c.cache_mode = CacheMode::SharedCoherent;
+        c.validate().unwrap();
+        let mut c = SystemConfig::numa_aware_sockets(4);
+        c.l2.size_bytes = 256 * LINE_SIZE;
+        c.l2.ways = 1;
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.message().contains("at least 2 L1 and 2 L2 ways"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn link_lanes_capped_so_the_lane_total_fits_a_byte() {
         let mut c = SystemConfig::pascal_single();
         c.link.lanes_per_direction = 127;
@@ -638,9 +642,8 @@ mod tests {
     fn cache_mode_predicates() {
         assert!(!CacheMode::MemSideLocalOnly.caches_remote());
         assert!(CacheMode::StaticRemoteCache.caches_remote());
-        assert!(CacheMode::SharedCoherent.l2_needs_flush());
-        assert!(CacheMode::NumaAwareDynamic.l2_needs_flush());
-        assert!(!CacheMode::MemSideLocalOnly.l2_needs_flush());
+        assert!(CacheMode::SharedCoherent.caches_remote());
+        assert!(CacheMode::NumaAwareDynamic.caches_remote());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Identifiers for sockets, SMs, CTAs, warps, and kernels.
+//! Identifiers for sockets, CTAs and warps.
 
 use std::fmt;
 
@@ -31,30 +31,6 @@ impl SocketId {
 impl fmt::Display for SocketId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "GPU{}", self.0)
-    }
-}
-
-/// Index of an SM within its socket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SmIndex(u16);
-
-impl SmIndex {
-    /// Creates an SM index.
-    #[inline]
-    pub const fn new(index: u16) -> Self {
-        SmIndex(index)
-    }
-
-    /// Zero-based index within the socket.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for SmIndex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SM{}", self.0)
     }
 }
 
@@ -107,30 +83,6 @@ impl fmt::Display for WarpSlot {
     }
 }
 
-/// Position of a kernel in a workload's launch sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct KernelId(u32);
-
-impl KernelId {
-    /// Creates a kernel id.
-    #[inline]
-    pub const fn new(index: u32) -> Self {
-        KernelId(index)
-    }
-
-    /// Zero-based launch index.
-    #[inline]
-    pub const fn index(self) -> u32 {
-        self.0
-    }
-}
-
-impl fmt::Display for KernelId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "kernel:{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +96,6 @@ mod tests {
     fn ids_order_by_index() {
         assert!(SocketId::new(0) < SocketId::new(1));
         assert!(CtaId::new(5) < CtaId::new(6));
-        assert!(KernelId::new(1) < KernelId::new(2));
     }
 
     #[test]
@@ -159,7 +110,6 @@ mod tests {
 
     #[test]
     fn index_roundtrips() {
-        assert_eq!(SmIndex::new(63).index(), 63);
         assert_eq!(WarpSlot::new(7).index(), 7);
         assert_eq!(CtaId::new(41).index(), 41);
     }

@@ -2,9 +2,9 @@
 //!
 //! This crate defines the vocabulary of the simulator reproduced from
 //! *"Beyond the Socket: NUMA-Aware GPUs"* (Milic et al., MICRO-50, 2017):
-//! physical addresses and their cache-line / page views, socket and SM
-//! identifiers, the simulation time base, warp-level operations, and the
-//! [`SystemConfig`] that transcribes the paper's Table 1.
+//! physical addresses and their cache-line / page views, socket, CTA and
+//! warp-slot identifiers, the simulation time base, warp-level operations,
+//! and the [`SystemConfig`] that transcribes the paper's Table 1.
 //!
 //! # Examples
 //!
@@ -35,7 +35,7 @@ pub use config::{
     HEADER_BYTES, SATURATION_THRESHOLD,
 };
 pub use error::{ConfigError, SimError};
-pub use ids::{CtaId, KernelId, SmIndex, SocketId, WarpSlot};
+pub use ids::{CtaId, SocketId, WarpSlot};
 pub use ops::{CtaProgram, MemKind, WarpOp};
 pub use stats::Counter;
 pub use time::{cycles_to_ticks, ticks_to_cycles, Tick, TICKS_PER_CYCLE};

@@ -181,6 +181,7 @@ fn main() {
     let mut scale = Scale::full();
     let mut cache = CacheMode::NumaAwareDynamic;
     let mut link = LinkMode::DynamicAsymmetric;
+    let mut lane_rate_factor = 1;
     let mut placement = PagePlacement::FirstTouch;
     let mut cta = CtaSchedulingPolicy::ContiguousBlock;
     let mut baseline = false;
@@ -218,10 +219,11 @@ fn main() {
                 }
             }
             "--link" => {
-                link = match value("--link").as_str() {
-                    "static" => LinkMode::StaticSymmetric,
-                    "dynamic" => LinkMode::DynamicAsymmetric,
-                    "2x" => LinkMode::DoubleBandwidth,
+                (link, lane_rate_factor) = match value("--link").as_str() {
+                    "static" => (LinkMode::StaticSymmetric, 1),
+                    "dynamic" => (LinkMode::DynamicAsymmetric, 1),
+                    // Fig 6's upper bound: static links at twice the lane rate.
+                    "2x" => (LinkMode::StaticSymmetric, 2),
                     other => usage(&format!("unknown link mode `{other}`")),
                 }
             }
@@ -271,6 +273,7 @@ fn main() {
     let mut cfg = SystemConfig::numa_sockets(sockets);
     cfg.cache_mode = cache;
     cfg.link.mode = link;
+    cfg.link.lane_bytes_per_cycle *= lane_rate_factor;
     cfg.placement = placement;
     cfg.cta_policy = cta;
     cfg.obs.metrics = metrics;

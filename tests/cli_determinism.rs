@@ -45,8 +45,14 @@ fn usage_errors_exit_2_with_usage_text() {
         (["--sim-threads", "2"], "unknown argument `--sim-threads`"),
         (["--topology", "ring"], "unknown argument `--topology`"),
         (["--faults", "lanes:s9@1=8"], "unknown argument `--faults`"),
-        (["--from-trace", "k.trace"], "unknown argument `--from-trace`"),
-        (["--dump-trace", "k.trace"], "unknown argument `--dump-trace`"),
+        (
+            ["--from-trace", "k.trace"],
+            "unknown argument `--from-trace`",
+        ),
+        (
+            ["--dump-trace", "k.trace"],
+            "unknown argument `--dump-trace`",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
             .args(["--workload", "Rodinia-BFS", "--quick", "--sockets", "8"])

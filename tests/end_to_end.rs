@@ -141,7 +141,7 @@ fn double_bandwidth_never_slower() {
         let wl = by_name(name, &quick()).unwrap();
         let base = run_workload(SystemConfig::numa_sockets(4), &wl).unwrap();
         let mut dbl = SystemConfig::numa_sockets(4);
-        dbl.link.mode = LinkMode::DoubleBandwidth;
+        dbl.link.lane_bytes_per_cycle *= 2;
         let d = run_workload(dbl, &wl).unwrap();
         // Allow 2% noise for sampling-period interactions.
         assert!(

@@ -7,8 +7,8 @@ use numa_gpu::interconnect::{BalanceAction, LinkBalancer};
 use numa_gpu::mem::PageTable;
 use numa_gpu::runtime::{socket_for_cta, LaunchPlan};
 use numa_gpu::types::{
-    Addr, CacheConfig, CtaSchedulingPolicy, LineAddr, PagePlacement, SocketId, WritePolicy,
-    LINE_SIZE, TICKS_PER_CYCLE,
+    Addr, CacheConfig, CtaSchedulingPolicy, LineAddr, PagePlacement, SocketId, LINE_SIZE,
+    TICKS_PER_CYCLE,
 };
 use numa_gpu_testkit::gen::{bools, ints, pairs, select, vecs};
 use numa_gpu_testkit::{prop_assert, prop_assert_eq, prop_check};
@@ -75,7 +75,6 @@ prop_check! {
             size_bytes: 64 * LINE_SIZE,
             ways: 4,
             hit_latency_cycles: 1,
-            write_policy: WritePolicy::WriteBack,
         };
         let mut c = SetAssocCache::new(&cfg, None);
         for l in lines {
@@ -97,7 +96,6 @@ prop_check! {
             size_bytes: 8 * LINE_SIZE, // 1 set x 8 ways
             ways: 8,
             hit_latency_cycles: 1,
-            write_policy: WritePolicy::WriteBack,
         };
         let mut c = SetAssocCache::new(&cfg, Some(WayPartition::balanced(8)));
         // Fill local ways with 4 locals, then hammer remotes.
@@ -128,7 +126,9 @@ prop_check! {
             }
         }
         for (l, want) in expected {
-            prop_assert_eq!(m.complete(LineAddr::from_index(l)), want);
+            let mut woken = Vec::new();
+            m.complete_into(LineAddr::from_index(l), &mut woken);
+            prop_assert_eq!(woken, want);
         }
         prop_assert_eq!(m.in_use(), 0);
     }
