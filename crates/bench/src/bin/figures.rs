@@ -31,21 +31,27 @@ use numa_gpu_workloads::Scale;
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-const ALL: [&str; 14] = [
-    "table1",
-    "table2",
-    "fig2",
-    "fig3",
-    "fig5",
-    "fig6",
-    "fig6-sens",
-    "fig8",
-    "fig9",
-    "fig9-wb",
-    "fig10",
-    "fig11",
-    "power",
-    "ablations",
+/// Renders one artifact's text, running the simulations it needs.
+type Render = fn(&mut Runner) -> String;
+
+/// Every artifact in default order, with the function that renders it.
+const ARTIFACTS: [(&str, Render); 14] = [
+    ("table1", |_| experiments::table1()),
+    ("table2", |r| experiments::table2(r).to_string()),
+    ("fig2", |r| experiments::fig2(r).to_string()),
+    ("fig3", |r| experiments::fig3(r).to_string()),
+    ("fig5", experiments::fig5),
+    ("fig6", |r| experiments::fig6(r).to_string()),
+    ("fig6-sens", |r| {
+        experiments::fig6_switch_sensitivity(r).to_string()
+    }),
+    ("fig8", |r| experiments::fig8(r).to_string()),
+    ("fig9", |r| experiments::fig9(r).to_string()),
+    ("fig9-wb", |r| experiments::fig9_writeback(r).to_string()),
+    ("fig10", |r| experiments::fig10(r).to_string()),
+    ("fig11", |r| experiments::fig11(r).to_string()),
+    ("power", |r| experiments::power(r).to_string()),
+    ("ablations", |r| experiments::ablations(r).to_string()),
 ];
 
 /// Prints `msg` and the usage text, then exits with status 2.
@@ -55,7 +61,7 @@ fn usage(msg: &str) -> ! {
         "usage: figures [--quick] [--jobs N] [--profile] [--out DIR] \
          [--cache-dir DIR] [artifact...]\n\n\
          artifacts (default: all): {}",
-        ALL.join(" ")
+        ARTIFACTS.map(|(name, _)| name).join(" ")
     );
     std::process::exit(2);
 }
@@ -74,7 +80,7 @@ fn main() {
     let mut out_dir = None;
     let mut jobs = ThreadPool::available().workers();
     let mut cache_dir = None;
-    let mut selected: Vec<&str> = Vec::new();
+    let mut selected = Vec::new();
     // One pass, each flag consuming its value where it stands, so a value
     // can never be mistaken for an artifact name (or the reverse).
     let mut it = args.iter();
@@ -97,12 +103,14 @@ fn main() {
                 );
             }
             flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
-            name if ALL.contains(&name) => selected.push(name),
-            other => usage(&format!("unknown artifact `{other}`")),
+            name => match ARTIFACTS.iter().find(|(known, _)| *known == name) {
+                Some(artifact) => selected.push(*artifact),
+                None => usage(&format!("unknown artifact `{name}`")),
+            },
         }
     }
     if selected.is_empty() {
-        selected = ALL.to_vec();
+        selected = ARTIFACTS.to_vec();
     }
 
     let scale = if quick { Scale::quick() } else { Scale::full() };
@@ -120,30 +128,14 @@ fn main() {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| dir_error("--out", dir, e));
     }
 
-    for name in &selected {
+    for (name, render) in selected {
         #[expect(
             clippy::disallowed_methods,
             reason = "the per-artifact timer goes to stderr only, never into an artifact"
         )]
         let t0 = Instant::now();
         eprintln!(">>> {name}");
-        let text = match *name {
-            "table1" => experiments::table1(),
-            "table2" => experiments::table2(&runner).to_string(),
-            "fig2" => experiments::fig2(&runner).to_string(),
-            "fig3" => experiments::fig3(&mut runner).to_string(),
-            "fig5" => experiments::fig5(&mut runner),
-            "fig6" => experiments::fig6(&mut runner).to_string(),
-            "fig6-sens" => experiments::fig6_switch_sensitivity(&mut runner).to_string(),
-            "fig8" => experiments::fig8(&mut runner).to_string(),
-            "fig9" => experiments::fig9(&mut runner).to_string(),
-            "fig9-wb" => experiments::fig9_writeback(&mut runner).to_string(),
-            "fig10" => experiments::fig10(&mut runner).to_string(),
-            "fig11" => experiments::fig11(&mut runner).to_string(),
-            "power" => experiments::power(&mut runner).to_string(),
-            "ablations" => experiments::ablations(&mut runner).to_string(),
-            _ => unreachable!("validated above"),
-        };
+        let text = render(&mut runner);
         println!("{text}");
         if let Some(dir) = &out_dir {
             std::fs::write(format!("{dir}/{name}.txt"), &text)

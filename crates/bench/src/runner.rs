@@ -232,14 +232,6 @@ impl Runner {
         agg
     }
 
-    /// Every memoized job key in ascending key order. The order depends
-    /// only on which jobs have run — never on execution or completion
-    /// order — so diagnostics and summaries built from it are stable
-    /// across runs and worker counts.
-    pub fn cached_keys(&self) -> impl Iterator<Item = &JobKey> {
-        self.cache.keys()
-    }
-
     /// The memoized report of the clean, timeline-less run of `workload`
     /// under the configuration a plan labelled `label`.
     ///
@@ -348,26 +340,6 @@ mod tests {
         // can end before the first sample tick, so `plain` being empty is
         // the invariant we can always assert).
         assert!(plain.link_timelines.iter().all(|t| t.is_empty()));
-    }
-
-    #[test]
-    fn cached_keys_enumerate_in_key_order_regardless_of_run_order() {
-        // Populate two runners with the same jobs in opposite orders; the
-        // memo enumeration must come out identical. This is the
-        // determinism property the BTreeMap backing guarantees (hash maps
-        // are banned in `clippy.toml`) — a hash map would enumerate in a
-        // process-varying order and leak run order into anything built
-        // from it.
-        let fill = |jobs: &[(&str, u8)]| {
-            let r = executed(Runner::new(Scale::quick()), jobs);
-            r.cached_keys().cloned().collect::<Vec<_>>()
-        };
-        let a = fill(&[("loc4", 4), ("loc2", 2), ("loc1", 1)]);
-        let b = fill(&[("loc1", 1), ("loc4", 4), ("loc2", 2)]);
-        assert_eq!(a, b);
-        let mut sorted = a.clone();
-        sorted.sort();
-        assert_eq!(a, sorted, "cached_keys must enumerate in key order");
     }
 
     #[test]

@@ -321,8 +321,6 @@ pub const EVENT_LOG_CAP: usize = 1024;
 struct Log {
     stats: StoreStats,
     events: VecDeque<StoreEvent>,
-    /// Events dropped from the front of `events` to hold the cap.
-    dropped: u64,
 }
 
 impl DiskStore {
@@ -366,7 +364,6 @@ impl DiskStore {
         }
         if log.events.len() == EVENT_LOG_CAP {
             log.events.pop_front();
-            log.dropped += 1;
         }
         log.events.push_back(event);
     }
@@ -422,12 +419,6 @@ impl DiskStore {
     /// newest [`EVENT_LOG_CAP`] decisions.
     pub fn events(&self) -> Vec<StoreEvent> {
         self.log().events.iter().cloned().collect()
-    }
-
-    /// Decisions older than the ones [`Self::events`] returns, dropped to
-    /// hold the cap.
-    pub fn events_dropped(&self) -> u64 {
-        self.log().dropped
     }
 
     /// Loads the result stored under `key`, or `None` on a miss.
@@ -840,7 +831,6 @@ mod tests {
         assert!(events
             .iter()
             .all(|e| *e == StoreEvent::Hit(key.hash.clone())));
-        assert_eq!(store.events_dropped(), 10_001 - EVENT_LOG_CAP as u64);
         assert_eq!(store.stats().hits, 10_000);
         assert_eq!(store.stats().writes, 1);
         let _ = std::fs::remove_dir_all(&dir);

@@ -45,7 +45,6 @@ pub enum PartitionAction {
 #[derive(Debug, Clone)]
 pub struct PartitionController {
     partition: WayPartition,
-    actions: [u64; 4],
 }
 
 impl PartitionController {
@@ -58,7 +57,6 @@ impl PartitionController {
     pub fn new(total_ways: u16) -> Self {
         PartitionController {
             partition: WayPartition::balanced(total_ways),
-            actions: [0; 4],
         }
     }
 
@@ -66,7 +64,7 @@ impl PartitionController {
     /// (step 1 estimates happen in the caller) and returns the action taken.
     /// The internal partition is updated in place.
     pub fn step(&mut self, link_saturated: bool, dram_saturated: bool) -> PartitionAction {
-        let action = match (link_saturated, dram_saturated) {
+        match (link_saturated, dram_saturated) {
             (true, false) => {
                 self.partition.grow_remote();
                 PartitionAction::GrowRemote
@@ -80,34 +78,12 @@ impl PartitionController {
                 PartitionAction::Equalize
             }
             (false, false) => PartitionAction::Hold,
-        };
-        self.actions[Self::index(action)] += 1;
-        action
+        }
     }
 
     /// The current way partition.
     pub fn partition(&self) -> WayPartition {
         self.partition
-    }
-
-    /// Resets to the even split (performed at each kernel launch, after the
-    /// coherence flush, per the paper).
-    pub fn reset(&mut self) {
-        self.partition = WayPartition::balanced(self.partition.total_ways());
-    }
-
-    /// How many times `action` has been taken since construction.
-    pub fn action_count(&self, action: PartitionAction) -> u64 {
-        self.actions[Self::index(action)]
-    }
-
-    fn index(action: PartitionAction) -> usize {
-        match action {
-            PartitionAction::GrowRemote => 0,
-            PartitionAction::GrowLocal => 1,
-            PartitionAction::Equalize => 2,
-            PartitionAction::Hold => 3,
-        }
     }
 }
 
@@ -159,28 +135,5 @@ mod tests {
         let before = ctl.partition();
         assert_eq!(ctl.step(false, false), PartitionAction::Hold);
         assert_eq!(ctl.partition(), before);
-    }
-
-    #[test]
-    fn reset_rebalances() {
-        let mut ctl = PartitionController::new(16);
-        for _ in 0..5 {
-            ctl.step(true, false);
-        }
-        ctl.reset();
-        assert_eq!(ctl.partition().local_ways(), 8);
-    }
-
-    #[test]
-    fn action_counts_accumulate() {
-        let mut ctl = PartitionController::new(4);
-        ctl.step(true, false);
-        ctl.step(true, false);
-        ctl.step(false, true);
-        ctl.step(false, false);
-        assert_eq!(ctl.action_count(PartitionAction::GrowRemote), 2);
-        assert_eq!(ctl.action_count(PartitionAction::GrowLocal), 1);
-        assert_eq!(ctl.action_count(PartitionAction::Hold), 1);
-        assert_eq!(ctl.action_count(PartitionAction::Equalize), 0);
     }
 }

@@ -43,7 +43,6 @@ mod observe;
 pub mod power;
 mod report;
 mod system;
-pub mod tenancy;
 
 pub use report::{cache_stats_json, SimReport, SocketReport};
 pub use system::NumaGpuSystem;

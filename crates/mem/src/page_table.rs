@@ -195,13 +195,6 @@ impl PageTable {
     pub fn stats(&self) -> PlacementStats {
         self.stats
     }
-
-    /// Drops all first-touch placements (used between independent workload
-    /// runs sharing a system instance).
-    pub fn reset(&mut self) {
-        self.first_touch.clear();
-        self.stats = PlacementStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -324,15 +317,6 @@ mod tests {
         pt.note_lookups(7);
         pt.home_of_line(line(0), SocketId::new(0));
         assert_eq!(pt.stats().lookups.get(), 8);
-    }
-
-    #[test]
-    fn reset_clears_placements() {
-        let mut pt = PageTable::new(PagePlacement::FirstTouch, 2);
-        pt.home_of_line(line(0), SocketId::new(1));
-        pt.reset();
-        assert_eq!(pt.resident_pages(), 0);
-        assert_eq!(pt.home_of_line(line(0), SocketId::new(0)), SocketId::new(0));
     }
 
     #[test]

@@ -97,11 +97,6 @@ prop_check! {
                     flat.note_lookups(sel);
                     model.stats.lookups.add(sel);
                 }
-                _ if sel == 0 => {
-                    flat.reset();
-                    model.first_touch.clear();
-                    model.stats = PlacementStats::default();
-                }
                 _ => {}
             }
             prop_assert_eq!(line.page(), page);

@@ -107,23 +107,6 @@ impl Workload {
         self.kernels.iter().map(|k| k.num_ctas() as u64).sum()
     }
 
-    /// CTA-weighted average grid size of the simulated region — the sim's
-    /// analogue of Table 2's time-weighted average CTA count.
-    pub fn avg_ctas(&self) -> u64 {
-        if self.kernels.is_empty() {
-            return 0;
-        }
-        // Weight each kernel by its CTA count (a proxy for execution time
-        // in the absence of a run).
-        let total: u64 = self.kernels.iter().map(|k| k.num_ctas() as u64).sum();
-        let weighted: u64 = self
-            .kernels
-            .iter()
-            .map(|k| (k.num_ctas() as u64).pow(2))
-            .sum();
-        weighted.checked_div(total).unwrap_or(0)
-    }
-
     /// Whether the paper-reported average CTA count can fill a GPU with
     /// `total_sms` SMs (the Figure 2 criterion: average concurrent thread
     /// blocks exceeds the number of SMs in the system).
@@ -196,13 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn avg_weights_by_size() {
-        // Kernels of 10 and 30 CTAs: weighted avg = (100+900)/40 = 25.
-        let w = wl(vec![10, 30], 100);
-        assert_eq!(w.avg_ctas(), 25);
-    }
-
-    #[test]
     fn fills_gpu_uses_paper_value() {
         let w = wl(vec![1], 256);
         assert!(w.fills_gpu(256));
@@ -210,9 +186,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_workload_has_zero_avg() {
+    fn empty_workload_has_no_ctas() {
         let w = wl(vec![], 0);
-        assert_eq!(w.avg_ctas(), 0);
         assert_eq!(w.total_ctas(), 0);
     }
 

@@ -162,11 +162,6 @@ impl DetRng {
         }
         idx[..n].iter().map(|&i| slice[i].clone()).collect()
     }
-
-    /// Derives an independent child generator (for per-entity streams).
-    pub fn fork(&mut self) -> DetRng {
-        DetRng::seed_from_u64(self.next_u64())
-    }
 }
 
 /// Types [`DetRng::gen_range`] can sample uniformly.
@@ -331,15 +326,5 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(1);
         assert_eq!(rng.choose::<u32>(&[]), None);
         assert_eq!(rng.choose(&[7]), Some(&7));
-    }
-
-    #[test]
-    fn forks_are_independent_but_deterministic() {
-        let mut a = DetRng::seed_from_u64(8);
-        let mut b = DetRng::seed_from_u64(8);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
-        assert_eq!(fa.next_u64(), fb.next_u64());
-        assert_ne!(fa.next_u64(), a.next_u64());
     }
 }

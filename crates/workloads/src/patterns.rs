@@ -78,13 +78,6 @@ pub struct KernelSpec {
     pub seed: u64,
 }
 
-impl KernelSpec {
-    /// Total memory operations this kernel will issue.
-    pub fn total_mem_ops(&self) -> u64 {
-        self.ctas as u64 * self.warps_per_cta as u64 * self.ops_per_warp as u64
-    }
-}
-
 /// A [`Kernel`] built from a [`KernelSpec`].
 #[derive(Debug, Clone)]
 pub struct PatternKernel {
@@ -520,11 +513,5 @@ mod tests {
     fn out_of_grid_cta_panics() {
         let k = PatternKernel::new(spec(Pattern::Streaming));
         let _ = k.cta(CtaId::new(99));
-    }
-
-    #[test]
-    fn mem_ops_count_matches_spec() {
-        let s = spec(Pattern::Streaming);
-        assert_eq!(s.total_mem_ops(), 8 * 2 * 16);
     }
 }

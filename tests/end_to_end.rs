@@ -292,3 +292,21 @@ fn thirty_two_socket_star_completes() {
     assert!(r.total_cycles > 0);
     assert_eq!(r.sockets.len(), 32);
 }
+
+/// Paper §6: two tenants that underfill an 8-socket machine finish sooner
+/// side by side on a 4-socket partition each (makespan = the slower) than
+/// one after another on the whole machine (makespan = the sum).
+#[test]
+fn numa_boundary_partitions_beat_time_multiplexing_for_small_tenants() {
+    let tenants = ["Lonestar-SP", "HPC-MiniContact-Mesh1"].map(|n| by_name(n, &quick()).unwrap());
+    let cycles = |sockets: u8| {
+        tenants.each_ref().map(|wl| {
+            run_workload(SystemConfig::numa_aware_sockets(sockets), wl)
+                .unwrap()
+                .total_cycles
+        })
+    };
+    let space = cycles(4).into_iter().max().unwrap();
+    let time: u64 = cycles(8).into_iter().sum();
+    assert!(space < time, "space {space} !< time {time}");
+}
