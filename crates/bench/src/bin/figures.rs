@@ -5,7 +5,7 @@
 //!         [--cache-dir DIR] [artifact...]
 //!
 //! artifacts: table1 table2 fig2 fig3 fig5 fig6 fig6-sens fig8 fig9
-//!            fig9-wb fig10 fig11 power ablations
+//!            fig9-wb fig10 fig11 power
 //!            (default: all)
 //! ```
 //!
@@ -35,7 +35,7 @@ use std::time::Instant;
 type Render = fn(&mut Runner) -> String;
 
 /// Every artifact in default order, with the function that renders it.
-const ARTIFACTS: [(&str, Render); 14] = [
+const ARTIFACTS: [(&str, Render); 13] = [
     ("table1", |_| experiments::table1()),
     ("table2", |r| experiments::table2(r).to_string()),
     ("fig2", |r| experiments::fig2(r).to_string()),
@@ -51,7 +51,6 @@ const ARTIFACTS: [(&str, Render); 14] = [
     ("fig10", |r| experiments::fig10(r).to_string()),
     ("fig11", |r| experiments::fig11(r).to_string()),
     ("power", |r| experiments::power(r).to_string()),
-    ("ablations", |r| experiments::ablations(r).to_string()),
 ];
 
 /// Prints `msg` and the usage text, then exits with status 2.

@@ -408,41 +408,6 @@ pub fn power(runner: &mut Runner) -> Table {
     t
 }
 
-/// Design-choice ablations beyond the paper: partition sample time,
-/// placement, CTA scheduling and warp memory-level parallelism under the
-/// NUMA-aware design.
-pub fn ablations(runner: &mut Runner) -> Table {
-    use numa_gpu_types::{CtaSchedulingPolicy, PagePlacement};
-    let aware = |label: &str, tweak: fn(&mut SystemConfig)| {
-        let mut cfg = configs::numa_aware(4);
-        tweak(&mut cfg);
-        v(label, cfg)
-    };
-    let variants = [
-        aware("aware4", |_| {}),
-        aware("aware-sample-1k", |c| c.cache_sample_time_cycles = 1_000),
-        aware("aware-sample-20k", |c| c.cache_sample_time_cycles = 20_000),
-        aware("aware-page-interleave", |c| {
-            c.placement = PagePlacement::PageInterleave
-        }),
-        aware("aware-cta-interleave", |c| {
-            c.cta_policy = CtaSchedulingPolicy::Interleave
-        }),
-        aware("aware-mlp-1", |c| c.sm.max_pending_loads = 1),
-        aware("aware-mlp-8", |c| c.sm.max_pending_loads = 8),
-    ];
-    let wls = study(runner);
-    let rows = speedups(runner, &wls, &v("loc4", configs::locality(4)), &variants);
-    let mut t = Table::new(
-        "Ablations (geomean speedup vs SW baseline, study set)",
-        &["geomean-speedup"],
-    );
-    for ((label, _), gm) in variants.iter().zip(geomeans(&rows)) {
-        t.push(Row::new(label.clone(), vec![gm]));
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,14 +488,6 @@ mod tests {
         assert_eq!(t.rows.len(), 32 + 2);
         // The mem-side column is the baseline of 1.0 by construction.
         assert!(t.rows[..32].iter().all(|row| row.values[0] == 1.0));
-    }
-
-    #[test]
-    #[ignore = "slow: simulates the study set under seven ablation variants"]
-    fn ablations_are_pinned() {
-        let mut r = quick_runner().jobs(numa_gpu_exec::ThreadPool::available().workers());
-        let text = ablations(&mut r).to_string();
-        assert_pinned("ablations", &text, 0xe36436bcad12ab76);
     }
 
     #[test]

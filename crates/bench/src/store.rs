@@ -14,7 +14,7 @@
 //!   another by string concatenation;
 //! * a fingerprint of the **canonicalized** [`SystemConfig`] — the full
 //!   configuration with the report-invariant knobs (`sim_threads`, `obs`,
-//!   `watchdog`) reset to fixed values, because reports are byte-identical
+//!   `max_cycles`) reset to fixed values, because reports are byte-identical
 //!   across those settings by contract (`sim_threads` is ignored);
 //! * the workload [`Scale`] — quick and full runs of the same workload
 //!   name are different simulations.
@@ -115,7 +115,7 @@ const FINGERPRINT_MEMO_CAP: usize = 64;
 /// Report-invariant knobs are pinned so a warm cache answers every
 /// equivalent request: `sim_threads` is ignored by the simulator,
 /// observability toggles only *add* fields (and observability
-/// runs bypass the store), and the watchdog can only abort a run — it
+/// runs bypass the store), and the cycle budget can only abort a run — it
 /// cannot change a successful report.
 ///
 /// The memo answers by `==`, which is sound because `==` implies identical
@@ -132,7 +132,7 @@ fn config_fingerprint(cfg: &SystemConfig) -> u64 {
     let mut canonical = cfg.clone();
     canonical.sim_threads = 1;
     canonical.obs = Default::default();
-    canonical.watchdog = Default::default();
+    canonical.max_cycles = 0;
     // Plain values: a panic elsewhere cannot leave the memo half updated.
     let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(&(_, fp)) = memo.iter().find(|(seen, _)| *seen == canonical) {
@@ -706,11 +706,11 @@ mod tests {
         a.sim_threads = 1;
         b.sim_threads = 8;
         b.obs.profile = true;
-        b.watchdog.max_cycles = 123_456;
+        b.max_cycles = 123_456;
         assert_eq!(
             StoreKey::new(&key, &a, &Scale::quick()).hash,
             StoreKey::new(&key, &b, &Scale::quick()).hash,
-            "sim_threads/obs/watchdog are canonicalized out of the key"
+            "sim_threads/obs/max_cycles are canonicalized out of the key"
         );
     }
 
@@ -722,7 +722,7 @@ mod tests {
             let mut canonical = cfg.clone();
             canonical.sim_threads = 1;
             canonical.obs = Default::default();
-            canonical.watchdog = Default::default();
+            canonical.max_cycles = 0;
             fnv1a64(format!("{canonical:?}").as_bytes())
         };
         let presets: [fn(u8) -> SystemConfig; 5] = [
@@ -746,8 +746,7 @@ mod tests {
             let mut knobs = cfg.clone();
             knobs.sim_threads = 8;
             knobs.obs = numa_gpu_types::ObsConfig::full();
-            knobs.watchdog.max_cycles = 123_456;
-            knobs.watchdog.stall_cycles = 789;
+            knobs.max_cycles = 123_456;
             for _ in 0..2 {
                 assert_eq!(config_fingerprint(cfg), direct(cfg), "{cfg:?}");
                 assert_eq!(config_fingerprint(&knobs), config_fingerprint(cfg));
@@ -757,7 +756,7 @@ mod tests {
         // right after the oldest give way.
         for period in 0..FINGERPRINT_MEMO_CAP as u32 + 8 {
             let mut cfg = configs::numa_aware(4);
-            cfg.cache_sample_time_cycles = 1_000 + period;
+            cfg.link.sample_time_cycles = 1_000 + period;
             assert_eq!(config_fingerprint(&cfg), direct(&cfg));
         }
         assert_eq!(config_fingerprint(&cfgs[0]), direct(&cfgs[0]));
@@ -842,9 +841,9 @@ mod tests {
     #[test]
     fn one_entry_is_pinned_byte_for_byte() {
         const ENTRY: &str = concat!(
-            r#"{"format":2,"checksum":"1a7fdd1d6996f330"}"#,
+            r#"{"format":2,"checksum":"1981a2a30983e609"}"#,
             "\n",
-            r#"{"key":{"config":"a3bb43207a3edf7d","job":{"label":"loc\"2","#,
+            r#"{"key":{"config":"f889d180ed8cb371","job":{"label":"loc\"2","#,
             r#""timeline":true,"workload":"Rodinia-Euler3D"},"#,
             r#""scale":"cta/64:16..128 fp/96 ops/25"},"report":{"version":2,"#,
             r#""workload":"Rodinia-Euler3D","total_cycles":12345,"kernel_cycles":[100,200],"#,

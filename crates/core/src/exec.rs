@@ -45,6 +45,14 @@ use std::sync::Arc;
 /// Latency between CTA dispatch and its warps' first issue, in cycles.
 const DISPATCH_LATENCY_CYCLES: u64 = 10;
 
+/// Scoreboard depth: a warp keeps issuing until this many independent
+/// reads are in flight, then blocks — the memory-level parallelism real
+/// SIMT cores extract.
+const MAX_PENDING_LOADS: u16 = 4;
+
+/// NUMA-aware cache partition controller sampling period, in cycles.
+const CACHE_SAMPLE_CYCLES: u64 = 5_000;
+
 impl NumaGpuSystem {
     /// Runs one kernel to completion. `self.now` must already be the kernel
     /// launch time (after the boundary flush).
@@ -254,10 +262,8 @@ impl NumaGpuSystem {
             now + cycles_to_ticks(self.cfg.link.sample_time_cycles as u64),
             Ev::LinkSample,
         );
-        self.control.push(
-            now + cycles_to_ticks(self.cfg.cache_sample_time_cycles as u64),
-            Ev::CacheSample,
-        );
+        self.control
+            .push(now + cycles_to_ticks(CACHE_SAMPLE_CYCLES), Ev::CacheSample);
         for shard in &mut self.shards {
             shard.dram.begin_window(now);
         }
@@ -320,7 +326,6 @@ impl NumaGpuSystem {
 
     /// Periodic NUMA-aware cache partition tick (§5, Figure 7(d)).
     fn on_cache_sample(&mut self, t: Tick) {
-        let window = self.cfg.cache_sample_time_cycles as u64;
         if self.cfg.cache_mode == CacheMode::NumaAwareDynamic {
             let l1_ways = self.cfg.l1.ways;
             for s in 0..self.shards.len() {
@@ -330,7 +335,8 @@ impl NumaGpuSystem {
                 // (avoids mistaking incoming writes for read pressure).
                 let resp_bytes = numa_gpu_types::LINE_SIZE + numa_gpu_types::HEADER_BYTES as u64;
                 let est_incoming = shard.remote_reads_window * resp_bytes;
-                let capacity = shard.link.direction_rate(LinkDirection::Ingress) * window;
+                let capacity =
+                    shard.link.direction_rate(LinkDirection::Ingress) * CACHE_SAMPLE_CYCLES;
                 // The paper projects link utilization from demand. A
                 // link-throttled requester issues at exactly the link rate
                 // (the estimate hovers *at* capacity, never above), so the
@@ -365,7 +371,7 @@ impl NumaGpuSystem {
             }
         }
         self.control
-            .push(t + cycles_to_ticks(window), Ev::CacheSample);
+            .push(t + cycles_to_ticks(CACHE_SAMPLE_CYCLES), Ev::CacheSample);
     }
 }
 
@@ -543,7 +549,7 @@ impl SocketShard {
                                 // blocks until a fill wakes it.
                                 let st = &mut self.warp_mem[wi];
                                 st.outstanding += 1;
-                                if (st.outstanding as u32) < self.cfg.sm.max_pending_loads as u32 {
+                                if st.outstanding < MAX_PENDING_LOADS {
                                     self.queue
                                         .push(issue + TICKS_PER_CYCLE, Ev::WarpIssue { sm, slot });
                                 } else {
@@ -618,8 +624,8 @@ pub(crate) fn scale_partition(
 mod tests {
     use super::*;
     use numa_gpu_cache::WayPartition;
-    use numa_gpu_engine::EventQueue;
-    use numa_gpu_types::SystemConfig;
+    use numa_gpu_engine::{EventQueue, Watchdog};
+    use numa_gpu_types::{CtaSchedulingPolicy, PagePlacement, SystemConfig};
     use numa_gpu_workloads::{by_name, Scale};
 
     /// A machine that can no longer make progress ends in a deadlock
@@ -631,9 +637,8 @@ mod tests {
     #[test]
     fn starved_machine_trips_the_stall_detector_as_deadlock() {
         let wl = by_name("Rodinia-Euler3D", &Scale::quick()).unwrap();
-        let mut cfg = SystemConfig::numa_aware_sockets(4);
-        cfg.watchdog.stall_cycles = 5_000;
-        let mut sys = NumaGpuSystem::new(cfg).unwrap();
+        let mut sys = NumaGpuSystem::new(SystemConfig::numa_aware_sockets(4)).unwrap();
+        sys.watchdog = Watchdog::new(None, cycles_to_ticks(5_000));
         sys.launch(wl.kernels[0].clone());
         for shard in &mut sys.shards {
             shard.queue = EventQueue::new();
@@ -652,6 +657,28 @@ mod tests {
             }
             other => panic!("expected Deadlock, got {other:?}"),
         }
+    }
+
+    /// Regression for the watchdog fix: cross-partition message deliveries
+    /// count as forward progress. A barrier-heavy run — fine-interleaved
+    /// cache lines plus interleaved CTA scheduling on 2 sockets, so roughly
+    /// half of all memory traffic crosses the switch — must complete under
+    /// a no-progress window far tighter than the default. Before the fix,
+    /// windows in which only cross-socket deliveries advanced the machine
+    /// looked like stalls and tripped the detector spuriously.
+    #[test]
+    fn cross_partition_deliveries_count_as_watchdog_progress() {
+        let wl = by_name("HPC-HPGMG-UVM", &Scale::quick()).unwrap();
+        let mut cfg = SystemConfig::numa_aware_sockets(2);
+        cfg.placement = PagePlacement::FineInterleave;
+        cfg.cta_policy = CtaSchedulingPolicy::Interleave;
+        let mut sys = NumaGpuSystem::new(cfg).unwrap();
+        sys.watchdog = Watchdog::new(None, cycles_to_ticks(2_000));
+        let r = sys.run(&wl).unwrap();
+        assert!(
+            r.total_cycles > 0,
+            "barrier-heavy run must complete under a tight stall window"
+        );
     }
 
     /// First-touch arbitration at the barrier: the earliest

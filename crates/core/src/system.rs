@@ -29,6 +29,14 @@ use numa_gpu_types::{
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+/// Cycles without a progress-bearing event (while CTAs are outstanding
+/// and no memory is in flight) before a run is declared deadlocked.
+/// Compute-op waits are tens of cycles and dispatch jitter is
+/// sub-thousand, so a million idle cycles with no memory in flight is
+/// unambiguous. The window is always armed, because a genuine scheduler
+/// deadlock would otherwise spin forever behind the free-running samplers.
+const STALL_CYCLES: u64 = 1_000_000;
+
 /// Events driving the simulation. Memory-path stages are separate events so
 /// each bandwidth resource is touched at its true arrival time (keeping
 /// queue timestamps monotone).
@@ -404,15 +412,8 @@ impl NumaGpuSystem {
 
         let obs = ObsState::new(&cfg.obs, sockets);
         let pages = PageTable::new(cfg.placement, cfg.num_sockets);
-        let budget = if cfg.watchdog.max_cycles > 0 {
-            Some(cycles_to_ticks(cfg.watchdog.max_cycles))
-        } else {
-            None
-        };
-        let watchdog = Watchdog::new(
-            budget,
-            cycles_to_ticks(cfg.watchdog.effective_stall_cycles()),
-        );
+        let budget = (cfg.max_cycles > 0).then(|| cycles_to_ticks(cfg.max_cycles));
+        let watchdog = Watchdog::new(budget, cycles_to_ticks(STALL_CYCLES));
         Ok(NumaGpuSystem {
             hop_latency,
             cfg,
@@ -462,8 +463,8 @@ impl NumaGpuSystem {
     ///
     /// Returns [`SimError::Deadlock`] if the scheduler stops making forward
     /// progress (event queues empty with CTAs outstanding, or the stall
-    /// watchdog sees no progress for `watchdog.stall_cycles`), and
-    /// [`SimError::CycleLimit`] if `watchdog.max_cycles` is exceeded.
+    /// watchdog sees no progress for a million cycles), and
+    /// [`SimError::CycleLimit`] if `max_cycles` is exceeded.
     ///
     /// # Panics
     ///

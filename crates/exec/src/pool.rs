@@ -170,11 +170,6 @@ impl Deadline {
         }
     }
 
-    /// Whether the budget is exhausted.
-    pub fn expired(&self) -> bool {
-        self.start.elapsed() >= self.budget
-    }
-
     /// Time left before expiry (zero once expired) — the right value for
     /// a blocking wait that must not overshoot the deadline.
     pub fn remaining(&self) -> Duration {
@@ -541,10 +536,9 @@ mod tests {
     #[test]
     fn deadline_expires_and_saturates() {
         let d = Deadline::after(Duration::from_secs(3600));
-        assert!(!d.expired());
+        assert!(d.remaining() > Duration::ZERO);
         assert!(d.remaining() <= Duration::from_secs(3600));
         let z = Deadline::after(Duration::ZERO);
-        assert!(z.expired());
         assert_eq!(z.remaining(), Duration::ZERO);
     }
 

@@ -27,10 +27,10 @@ pub struct DramStats {
 ///
 /// ```
 /// use numa_gpu_mem::Dram;
-/// use numa_gpu_types::{DramConfig, TICKS_PER_CYCLE};
+/// use numa_gpu_types::{Addr, DramConfig, TICKS_PER_CYCLE};
 ///
 /// let mut dram = Dram::new(DramConfig { bytes_per_cycle: 768, latency_cycles: 100 });
-/// let done = dram.read(0, 128);
+/// let done = dram.read_line(0, Addr::new(0).line(), 128);
 /// // occupancy (128/768 of a cycle, rounded up in ticks) + 100-cycle latency
 /// assert!(done > 100 * TICKS_PER_CYCLE);
 /// assert!(done < 101 * TICKS_PER_CYCLE);
@@ -79,31 +79,21 @@ impl Dram {
         }
     }
 
-    /// Like [`Self::read`] but addressed, feeding the open-row locality
-    /// model. Timing is identical to `read`.
+    /// Services a read of `bytes` of `line` at tick `now`; returns the tick
+    /// the data is available (queueing + occupancy + access latency). The
+    /// line feeds the open-row locality model, which never affects timing.
     pub fn read_line(&mut self, now: Tick, line: LineAddr, bytes: u32) -> Tick {
         self.touch_row(line);
-        self.read(now, bytes)
-    }
-
-    /// Like [`Self::write`] but addressed, feeding the open-row locality
-    /// model. Timing is identical to `write`.
-    pub fn write_line(&mut self, now: Tick, line: LineAddr, bytes: u32) -> Tick {
-        self.touch_row(line);
-        self.write(now, bytes)
-    }
-
-    /// Services a read of `bytes` at tick `now`; returns the tick the data
-    /// is available (queueing + occupancy + access latency).
-    pub fn read(&mut self, now: Tick, bytes: u32) -> Tick {
         self.stats.reads.inc();
         self.stats.bytes.add(bytes as u64);
         self.queue.service(now, bytes) + self.latency
     }
 
-    /// Services a write of `bytes` at tick `now`; returns the tick the write
-    /// is globally visible. Callers typically do not block on this.
-    pub fn write(&mut self, now: Tick, bytes: u32) -> Tick {
+    /// Services a write of `bytes` of `line` at tick `now`; returns the
+    /// tick the write is globally visible. Callers typically do not block
+    /// on this. The line feeds the open-row locality model, as for reads.
+    pub fn write_line(&mut self, now: Tick, line: LineAddr, bytes: u32) -> Tick {
+        self.touch_row(line);
         self.stats.writes.inc();
         self.stats.bytes.add(bytes as u64);
         self.queue.service(now, bytes) + self.latency
@@ -149,7 +139,7 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numa_gpu_types::TICKS_PER_CYCLE;
+    use numa_gpu_types::{Addr, TICKS_PER_CYCLE};
 
     fn dram() -> Dram {
         Dram::new(DramConfig {
@@ -158,10 +148,14 @@ mod tests {
         })
     }
 
+    fn line(raw: u64) -> LineAddr {
+        Addr::new(raw).line()
+    }
+
     #[test]
     fn read_includes_latency() {
         let mut d = dram();
-        let done = d.read(0, 128);
+        let done = d.read_line(0, line(0), 128);
         assert_eq!(done, 171 + 100 * TICKS_PER_CYCLE);
     }
 
@@ -171,7 +165,7 @@ mod tests {
         // 6 lines/cycle at 768 B/cycle; the 12th line finishes ~2 cycles in.
         let mut last = 0;
         for _ in 0..12 {
-            last = d.read(0, 128);
+            last = d.read_line(0, line(0), 128);
         }
         let occupancy = last - 100 * TICKS_PER_CYCLE;
         assert!(occupancy >= 2 * TICKS_PER_CYCLE, "occupancy {occupancy}");
@@ -181,17 +175,17 @@ mod tests {
     #[test]
     fn writes_share_the_interface() {
         let mut d = dram();
-        let r = d.read(0, 768);
-        let w = d.write(0, 768);
+        let r = d.read_line(0, line(0), 768);
+        let w = d.write_line(0, line(0), 768);
         assert_eq!(w - r, TICKS_PER_CYCLE);
     }
 
     #[test]
     fn stats_track_reads_writes_bytes() {
         let mut d = dram();
-        d.read(0, 128);
-        d.write(0, 128);
-        d.write(0, 16);
+        d.read_line(0, line(0), 128);
+        d.write_line(0, line(0), 128);
+        d.write_line(0, line(0), 16);
         let s = d.stats();
         assert_eq!(s.reads.get(), 1);
         assert_eq!(s.writes.get(), 2);
@@ -201,7 +195,6 @@ mod tests {
     #[test]
     fn row_model_classifies_hits_and_misses() {
         let mut d = dram();
-        let line = |raw: u64| numa_gpu_types::Addr::new(raw).line();
         // Two lines in the same 8 KiB row: miss (opens row) then hit.
         d.read_line(0, line(0), 128);
         d.read_line(0, line(128), 128);
@@ -218,16 +211,26 @@ mod tests {
     }
 
     #[test]
-    fn addressed_accesses_match_plain_timing() {
-        let mut a = dram();
-        let mut b = dram();
-        let t1 = a.read(0, 128);
-        let t2 = b.read_line(0, numa_gpu_types::Addr::new(0).line(), 128);
-        assert_eq!(t1, t2);
-        let t3 = a.write(t1, 128);
-        let t4 = b.write_line(t1, numa_gpu_types::Addr::new(4096).line(), 128);
-        assert_eq!(t3, t4);
-        assert_eq!(a.stats(), b.stats());
+    fn open_rows_never_change_timing() {
+        // One stream keeps bank 0's first row open; the other opens a new
+        // row of bank 0 on every access.
+        let (mut open, mut thrash) = (dram(), dram());
+        let row_stride = ROW_BYTES * NUM_BANKS as u64;
+        let mut t = 0;
+        for i in 0..8 {
+            let write = i % 2 == 1;
+            let (a, b) = (line(i * 128), line(i * row_stride));
+            let (ta, tb) = if write {
+                (open.write_line(t, a, 128), thrash.write_line(t, b, 128))
+            } else {
+                (open.read_line(t, a, 128), thrash.read_line(t, b, 128))
+            };
+            assert_eq!(ta, tb, "access {i}");
+            t += 50;
+        }
+        assert_eq!((open.row_hits(), open.row_misses()), (7, 1));
+        assert_eq!((thrash.row_hits(), thrash.row_misses()), (0, 8));
+        assert_eq!(open.stats(), thrash.stats());
     }
 
     #[test]
@@ -235,24 +238,17 @@ mod tests {
         let mut d = dram();
         d.begin_window(0);
         for _ in 0..10_000 {
-            d.read(0, 128);
+            d.read_line(0, line(0), 128);
         }
         assert!(d.is_saturated(TICKS_PER_CYCLE, 0.99));
         assert_eq!(d.window_utilization(TICKS_PER_CYCLE), 1.0);
     }
 
     #[test]
-    fn unstalled_dram_timing_is_unchanged() {
-        // A read costs its queue service plus the access latency.
-        let mut d = dram();
-        assert_eq!(d.read(0, 128), 171 + 100 * TICKS_PER_CYCLE);
-    }
-
-    #[test]
     fn idle_dram_not_saturated() {
         let mut d = dram();
         d.begin_window(0);
-        d.read(0, 128);
+        d.read_line(0, line(0), 128);
         assert!(!d.is_saturated(1_000 * TICKS_PER_CYCLE, 0.99));
     }
 }

@@ -50,7 +50,12 @@ prop_check! {
         for (dt, b, write) in reqs {
             now += dt;
             let t = cycles_into_ticks(now);
-            let done = if write { d.write(t, b) } else { d.read(t, b) };
+            let line = Addr::new(now * 128).line();
+            let done = if write {
+                d.write_line(t, line, b)
+            } else {
+                d.read_line(t, line, b)
+            };
             prop_assert!(done >= t + 100 * TICKS_PER_CYCLE);
             prop_assert!(done >= last);
             last = done;

@@ -136,14 +136,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Gauge value by name (`None` if absent or not a gauge).
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        match self.get(name)? {
-            MetricValue::Gauge(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// JSON object keyed by metric name, in `entries` order — the
     /// encoding is byte-stable for identical runs.
     pub fn to_json(&self) -> Json {
@@ -270,7 +262,7 @@ mod tests {
     fn snapshot_lookup_helpers() {
         let snap = sample_snapshot();
         assert_eq!(snap.counter("z"), Some(1));
-        assert_eq!(snap.gauge("a"), Some(2));
+        assert_eq!(snap.get("a"), Some(&MetricValue::Gauge(2)));
         assert_eq!(snap.counter("a"), None);
         assert!(snap.get("missing").is_none());
     }

@@ -8,7 +8,8 @@
 //! injection was removed, its one faulted `SUBMIT` was dropped and the
 //! rest re-recorded; report format 2 then took the null fault-report
 //! field out of each `RESULT` and the empty fault scenario out of each
-//! `ACK`'s store key.
+//! `ACK`'s store key. Deleting a `SystemConfig` field re-keys the store,
+//! so each such deletion re-records the `ACK` lines.
 
 use numa_gpu_serve::protocol::LineSender;
 use numa_gpu_serve::{Daemon, DaemonConfig};
@@ -36,7 +37,7 @@ const CONVERSATION: &[(&str, &[&[&str]])] = &[
     (
         BITCOIN,
         &[
-            &["ACK 1 bffb0d59ba5b3699834ce908c4d85e6a"],
+            &["ACK 1 7a788de77326daf6bdb612e3a79ff9bd"],
             &["EVENT 1 queued"],
             &["RESULT 1 820:65a27ad92f066c1d"],
         ],
@@ -44,7 +45,7 @@ const CONVERSATION: &[(&str, &[&[&str]])] = &[
     (
         BITCOIN,
         &[&[
-            "ACK 2 bffb0d59ba5b3699834ce908c4d85e6a",
+            "ACK 2 7a788de77326daf6bdb612e3a79ff9bd",
             "EVENT 2 warm",
             "RESULT 2 820:65a27ad92f066c1d",
         ]],
@@ -61,7 +62,7 @@ const CONVERSATION: &[(&str, &[&[&str]])] = &[
     (
         "SUBMIT workload=Rodinia-Euler3D config=numa sockets=8 timeline=1",
         &[
-            &["ACK 4 da2425c25f517546c53f0d9563cbc647"],
+            &["ACK 4 0d3eb704c4d5dec392fb52573fc153f6"],
             &["EVENT 4 queued"],
             &["RESULT 4 3402:a4aafe01f213822c"],
         ],
@@ -69,7 +70,7 @@ const CONVERSATION: &[(&str, &[&[&str]])] = &[
     (
         "SUBMIT timeline=1 sockets=8 config=numa workload=Rodinia-Euler3D",
         &[&[
-            "ACK 5 da2425c25f517546c53f0d9563cbc647",
+            "ACK 5 0d3eb704c4d5dec392fb52573fc153f6",
             "EVENT 5 warm",
             "RESULT 5 3402:a4aafe01f213822c",
         ]],

@@ -71,10 +71,7 @@ const NO_CTA: u16 = u16::MAX;
 ///     fn next_op(&mut self, _w: u32) -> Option<WarpOp> { None }
 /// }
 ///
-/// let sm_cfg = SmConfig {
-///     sms_per_socket: 1, max_warps: 8, max_ctas: 4, mshrs: 8,
-///     max_pending_loads: 4,
-/// };
+/// let sm_cfg = SmConfig { sms_per_socket: 1, max_warps: 8, max_ctas: 4, mshrs: 8 };
 /// let l1_cfg = CacheConfig { size_bytes: 16 * 1024, ways: 4, hit_latency_cycles: 28 };
 /// let mut sm = Sm::new(&sm_cfg, &l1_cfg, None);
 /// assert!(sm.can_accept_cta(1));
@@ -370,7 +367,6 @@ mod tests {
             max_warps: 8,
             max_ctas: 4,
             mshrs: 4,
-            max_pending_loads: 4,
         }
     }
 

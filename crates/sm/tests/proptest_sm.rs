@@ -26,7 +26,6 @@ fn make_sm(max_warps: u16, max_ctas: u16, mshrs: u16) -> Sm {
             max_warps,
             max_ctas,
             mshrs,
-            max_pending_loads: 4,
         },
         &CacheConfig {
             size_bytes: 16 * 1024,

@@ -130,10 +130,6 @@ pub struct SmConfig {
     pub max_ctas: u16,
     /// L1 miss status holding registers per SM.
     pub mshrs: u16,
-    /// Maximum independent outstanding loads per warp (scoreboard depth):
-    /// a warp keeps issuing until this many reads are in flight, then
-    /// blocks — the memory-level parallelism real SIMT cores extract.
-    pub max_pending_loads: u16,
 }
 
 /// DRAM (on-package HBM) parameters per socket.
@@ -225,48 +221,6 @@ impl ObsConfig {
             profile: true,
         }
     }
-
-    /// Whether any observability feature is on.
-    #[inline]
-    pub const fn any(&self) -> bool {
-        self.metrics || self.trace || self.profile
-    }
-}
-
-/// Forward-progress watchdog configuration.
-///
-/// Both limits default to off (`0`): a watchdog must never change what a
-/// healthy run computes, only how an unhealthy one terminates. The stall
-/// window is armed by the simulator even when `stall_cycles` is `0` — it
-/// then falls back to [`WatchdogConfig::DEFAULT_STALL_CYCLES`] — because a
-/// genuine scheduler deadlock would otherwise spin forever behind the
-/// free-running samplers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct WatchdogConfig {
-    /// Hard cycle budget for a whole run; `0` means unlimited. Exceeding it
-    /// yields [`SimError::CycleLimit`](crate::SimError::CycleLimit).
-    pub max_cycles: u64,
-    /// Cycles without a progress-bearing event (while CTAs are outstanding
-    /// and no memory is in flight) before the run is declared deadlocked;
-    /// `0` selects [`WatchdogConfig::DEFAULT_STALL_CYCLES`].
-    pub stall_cycles: u64,
-}
-
-impl WatchdogConfig {
-    /// Default stall window when `stall_cycles` is left at `0`. Compute-op
-    /// waits are tens of cycles and dispatch jitter is sub-thousand, so a
-    /// million idle cycles with no memory in flight is unambiguous.
-    pub const DEFAULT_STALL_CYCLES: u64 = 1_000_000;
-
-    /// The stall window actually in force (resolves the `0` default).
-    #[inline]
-    pub const fn effective_stall_cycles(&self) -> u64 {
-        if self.stall_cycles == 0 {
-            Self::DEFAULT_STALL_CYCLES
-        } else {
-            self.stall_cycles
-        }
-    }
 }
 
 /// Saturation threshold used by both the link load balancer and the cache
@@ -310,8 +264,6 @@ pub struct SystemConfig {
     pub placement: PagePlacement,
     /// CTA scheduling policy.
     pub cta_policy: CtaSchedulingPolicy,
-    /// NUMA-aware cache partition controller sampling period in cycles.
-    pub cache_sample_time_cycles: u32,
     /// When `true`, L2 caches ignore kernel-boundary invalidation events —
     /// the hypothetical upper bound of Figure 9.
     pub ideal_no_l2_invalidate: bool,
@@ -321,9 +273,10 @@ pub struct SystemConfig {
     /// Observability switches (metrics snapshot + event tracing). Defaults
     /// to fully off; never affects simulated timing.
     pub obs: ObsConfig,
-    /// Forward-progress watchdog (cycle budget + stall detector). Defaults
-    /// to off; never affects the timing of a run that completes.
-    pub watchdog: WatchdogConfig,
+    /// Hard cycle budget for a whole run; `0` means unlimited. Exceeding it
+    /// yields [`SimError::CycleLimit`](crate::SimError::CycleLimit); it
+    /// never affects the timing of a run that completes.
+    pub max_cycles: u64,
     /// Ignored: a simulation always runs on one thread. The field stays
     /// only so existing callers that assign it still compile; the result
     /// store canonicalizes it out of its key. It will be removed.
@@ -348,7 +301,6 @@ impl SystemConfig {
                 max_warps: 64,
                 max_ctas: 32,
                 mshrs: 64,
-                max_pending_loads: 4,
             },
             l1: CacheConfig {
                 size_bytes: 128 * 1024,
@@ -379,11 +331,10 @@ impl SystemConfig {
             cache_mode: CacheMode::MemSideLocalOnly,
             placement: PagePlacement::FineInterleave,
             cta_policy: CtaSchedulingPolicy::Interleave,
-            cache_sample_time_cycles: 5_000,
             ideal_no_l2_invalidate: false,
             l2_write_policy: WritePolicy::WriteBack,
             obs: ObsConfig::off(),
-            watchdog: WatchdogConfig::default(),
+            max_cycles: 0,
             sim_threads: 1,
         }
     }
@@ -456,9 +407,6 @@ impl SystemConfig {
                 "max_warps, max_ctas and mshrs must be nonzero",
             ));
         }
-        if self.sm.max_pending_loads == 0 {
-            return Err(ConfigError::new("max_pending_loads must be nonzero"));
-        }
         for (name, c) in [("l1", &self.l1), ("l2", &self.l2)] {
             if c.ways == 0 || c.ways > CacheConfig::MAX_WAYS {
                 return Err(ConfigError::new(format!(
@@ -488,8 +436,8 @@ impl SystemConfig {
                 self.link.lanes_per_direction
             )));
         }
-        if self.link.sample_time_cycles == 0 || self.cache_sample_time_cycles == 0 {
-            return Err(ConfigError::new("sample times must be nonzero"));
+        if self.link.sample_time_cycles == 0 {
+            return Err(ConfigError::new("link sample time must be nonzero"));
         }
         if self.cache_mode == CacheMode::StaticRemoteCache && self.l2.ways < 2 {
             return Err(ConfigError::new(
@@ -650,25 +598,21 @@ mod tests {
     fn obs_defaults_off() {
         let c = SystemConfig::pascal_single();
         assert_eq!(c.obs, ObsConfig::off());
-        assert!(!c.obs.any());
-        assert!(ObsConfig::full().any());
+        assert!(matches!(
+            ObsConfig::full(),
+            ObsConfig {
+                metrics: true,
+                trace: true,
+                profile: true,
+                ..
+            }
+        ));
         assert_eq!(ObsConfig::default(), ObsConfig::off());
     }
 
     #[test]
-    fn watchdog_defaults_off_with_effective_stall_window() {
-        let c = SystemConfig::pascal_single();
-        assert_eq!(c.watchdog, WatchdogConfig::default());
-        assert_eq!(c.watchdog.max_cycles, 0);
-        assert_eq!(
-            c.watchdog.effective_stall_cycles(),
-            WatchdogConfig::DEFAULT_STALL_CYCLES
-        );
-        let w = WatchdogConfig {
-            max_cycles: 10,
-            stall_cycles: 7,
-        };
-        assert_eq!(w.effective_stall_cycles(), 7);
+    fn cycle_budget_defaults_off() {
+        assert_eq!(SystemConfig::pascal_single().max_cycles, 0);
     }
 
     #[test]

@@ -31,8 +31,8 @@ mod time;
 pub use addr::{Addr, LineAddr, PageId, LINE_SIZE, PAGE_SIZE};
 pub use config::{
     CacheConfig, CacheMode, CtaSchedulingPolicy, DramConfig, LinkConfig, LinkMode, NocConfig,
-    ObsConfig, PagePlacement, SmConfig, SystemConfig, TopologyKind, WatchdogConfig, WritePolicy,
-    HEADER_BYTES, SATURATION_THRESHOLD,
+    ObsConfig, PagePlacement, SmConfig, SystemConfig, TopologyKind, WritePolicy, HEADER_BYTES,
+    SATURATION_THRESHOLD,
 };
 pub use error::{ConfigError, SimError};
 pub use ids::{CtaId, SocketId, WarpSlot};

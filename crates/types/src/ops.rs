@@ -58,12 +58,6 @@ impl WarpOp {
     pub const fn compute(cycles: u32) -> Self {
         WarpOp::Compute { cycles }
     }
-
-    /// Returns `true` for memory operations.
-    #[inline]
-    pub const fn is_mem(&self) -> bool {
-        matches!(self, WarpOp::Mem { .. })
-    }
 }
 
 /// A lazily generated program for one CTA: a source of [`WarpOp`]s per warp.
@@ -108,9 +102,9 @@ mod tests {
 
     #[test]
     fn constructors() {
-        assert!(WarpOp::read(Addr::new(0)).is_mem());
-        assert!(WarpOp::write(Addr::new(0)).is_mem());
-        assert!(!WarpOp::compute(3).is_mem());
+        assert!(matches!(WarpOp::read(Addr::new(0)), WarpOp::Mem { .. }));
+        assert!(matches!(WarpOp::write(Addr::new(0)), WarpOp::Mem { .. }));
+        assert!(matches!(WarpOp::compute(3), WarpOp::Compute { cycles: 3 }));
     }
 
     #[test]

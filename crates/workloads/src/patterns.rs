@@ -362,7 +362,7 @@ mod tests {
         assert_eq!(ops.len(), 32); // 16 compute + 16 mem
         for pair in ops.chunks(2) {
             assert!(matches!(pair[0], WarpOp::Compute { cycles: 4 }));
-            assert!(pair[1].is_mem());
+            assert!(matches!(pair[1], WarpOp::Mem { .. }));
         }
     }
 
@@ -373,7 +373,7 @@ mod tests {
         let mut p = PatternProgram::new(&s, CtaId::new(0));
         let ops = collect_ops(&mut p, 0);
         assert_eq!(ops.len(), 16);
-        assert!(ops.iter().all(WarpOp::is_mem));
+        assert!(ops.iter().all(|op| matches!(op, WarpOp::Mem { .. })));
     }
 
     #[test]

@@ -279,7 +279,7 @@ fn main() {
     cfg.obs.metrics = metrics;
     cfg.obs.profile = profile;
     cfg.obs.trace = trace_out.is_some();
-    cfg.watchdog.max_cycles = max_cycles;
+    cfg.max_cycles = max_cycles;
     cfg.validate().unwrap_or_else(|e| usage(&e.to_string()));
 
     // One job path: the main job (plus the single-GPU baseline) is a

@@ -82,7 +82,6 @@ fn knobs() -> Vec<Knob> {
                 max_warps,
                 max_ctas,
                 mshrs,
-                max_pending_loads,
             },
         l1:
             CacheConfig {
@@ -118,15 +117,14 @@ fn knobs() -> Vec<Knob> {
         cache_mode,
         placement,
         cta_policy,
-        cache_sample_time_cycles,
         ideal_no_l2_invalidate,
         l2_write_policy,
         // Report-invariant by contract, hence canonicalized out of the
         // store key: `obs` chooses what is recorded about a run, never its
-        // timing; `watchdog` only ends a run that would not finish; and
+        // timing; `max_cycles` only ends a run that would not finish; and
         // `sim_threads` is ignored (a simulation runs on one thread).
         obs: _,
-        watchdog: _,
+        max_cycles: _,
         sim_threads: _,
     } = aware();
     vec![
@@ -144,9 +142,6 @@ fn knobs() -> Vec<Knob> {
         }),
         knob("sm.mshrs", GOOGLENET, aware, move |c| {
             c.sm.mshrs = mshrs / 16
-        }),
-        knob("sm.max_pending_loads", GOOGLENET, aware, move |c| {
-            c.sm.max_pending_loads = max_pending_loads / 4
         }),
         knob("l1.size_bytes", ALEXNET, aware, move |c| {
             c.l1.size_bytes = l1_size / 8
@@ -216,9 +211,6 @@ fn knobs() -> Vec<Knob> {
                 CtaSchedulingPolicy::ContiguousBlock,
                 CtaSchedulingPolicy::Interleave,
             )
-        }),
-        knob("cache_sample_time_cycles", HPGMG, aware, move |c| {
-            c.cache_sample_time_cycles = cache_sample_time_cycles / 5
         }),
         knob("ideal_no_l2_invalidate", HPGMG, aware, move |c| {
             c.ideal_no_l2_invalidate = !ideal_no_l2_invalidate
